@@ -4,16 +4,28 @@
 // (Niu & Tan, PLDI 2014). Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// The merge never materialises a per-site target list. An indirect
+// call or jump's target set is a function of its *key* (interned pointer
+// signature, variadic flag, refinement entry), so each distinct key is
+// matched and unioned once and every site takes its key's class. Return
+// sites are joined through union-find helper nodes instead of explicit
+// return-target lists; see joinReturnClasses for why the classes equal
+// those of the per-site closure in cfg/CFGReference.cpp.
+//
+//===----------------------------------------------------------------------===//
 
 #include "cfg/CFGGen.h"
 
 #include "cfg/SigCache.h"
 #include "support/Assert.h"
-#include "support/ThreadPool.h"
 #include "support/UnionFind.h"
 #include "tables/ID.h"
 
-#include <deque>
+#include <bit>
+#include <numeric>
+#include <span>
+#include <string_view>
 #include <unordered_set>
 
 using namespace mcfi;
@@ -22,31 +34,120 @@ const char *const mcfi::SignalHandlerSig = "(i32,)->v";
 
 namespace {
 
+constexpr uint32_t None = ~0u;
+
 /// A function gathered from some module's aux info.
 struct FuncEntry {
-  std::string Name;
+  std::string_view Name;
   const InternedSig *Sig = nullptr; ///< interned type signature
   uint64_t Addr = 0;                ///< absolute entry address
   bool AddressTaken = false;
-  bool Variadic = false;
 };
 
-/// A call site with its resolved callee set (function indexes).
-struct CallSiteEntry {
-  uint64_t RetSiteAddr = 0;
-  bool IsSetjmp = false;
-  std::vector<uint32_t> Callees;
+/// What an indirect transfer may reach is fixed by its key alone: two
+/// sites with equal keys have equal target sets.
+struct TargetKey {
+  const InternedSig *Sig;
+  bool Variadic;
+  const std::set<std::string> *Allowed; ///< refinement entry, or null
+
+  bool operator==(const TargetKey &O) const = default;
+};
+
+struct TargetKeyHash {
+  size_t operator()(const TargetKey &K) const {
+    size_t H = std::hash<const void *>()(K.Sig);
+    H = H * 31 + std::hash<const void *>()(K.Allowed);
+    return H * 2 + K.Variadic;
+  }
+};
+
+/// A non-setjmp call site: its return site and its callee, either one
+/// function (direct call) or a key (indirect call).
+struct CallEntry {
+  uint32_t RetIBT = None; ///< IBT index of the return site
+  uint32_t Callee = None; ///< function index
+  uint32_t Key = None;    ///< key index
+  uint64_t RetAddr = 0;
+};
+
+/// How a branch site finds its class. Tombstone slots (unloaded
+/// modules) have no branch; Empty sites are live with no target.
+enum class SiteKind : uint8_t { Tombstone, Empty, Key, Return, Plt };
+
+struct SiteEntry {
+  SiteKind Kind = SiteKind::Tombstone;
+  uint32_t Index = None; ///< key (Key) or function (Return, Plt) index
+};
+
+/// Name -> first function index with that name (first definition wins,
+/// matching the loader's symbol resolution). Every merge rebuilds it,
+/// so it is one open-addressing slot array rather than a node per name.
+class NameIndex {
+public:
+  void reserve(size_t N) { Slots.assign(std::bit_ceil(2 * N + 2), Slot()); }
+
+  void insert(std::string_view Name, uint32_t Idx) {
+    size_t Hash = std::hash<std::string_view>()(Name);
+    Slot &S = Slots[slotOf(Name, Hash)];
+    if (S.Idx == None)
+      S = {Hash, Idx, Name};
+  }
+
+  uint32_t find(std::string_view Name) const {
+    return Slots[slotOf(Name, std::hash<std::string_view>()(Name))].Idx;
+  }
+
+private:
+  struct Slot {
+    size_t Hash = 0;
+    uint32_t Idx = None;
+    std::string_view Name;
+  };
+
+  /// The slot holding \p Name, or the empty slot where it would go.
+  size_t slotOf(std::string_view Name, size_t Hash) const {
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+      const Slot &S = Slots[I];
+      if (S.Idx == None || (S.Hash == Hash && S.Name == Name))
+        return I;
+    }
+  }
+
+  std::vector<Slot> Slots;
+};
+
+/// Directed edges in one array per graph (compressed sparse rows).
+class Adjacency {
+public:
+  Adjacency(size_t NumNodes,
+            const std::vector<std::pair<uint32_t, uint32_t>> &Edges)
+      : Begin(NumNodes + 1, 0), Items(Edges.size()) {
+    for (const auto &[From, To] : Edges)
+      ++Begin[From + 1];
+    std::partial_sum(Begin.begin(), Begin.end(), Begin.begin());
+    std::vector<uint32_t> Fill(Begin.begin(), Begin.end() - 1);
+    for (const auto &[From, To] : Edges)
+      Items[Fill[From]++] = To;
+  }
+
+  std::span<const uint32_t> operator[](uint32_t Node) const {
+    return {Items.data() + Begin[Node], Items.data() + Begin[Node + 1]};
+  }
+
+private:
+  std::vector<uint32_t> Begin, Items;
 };
 
 class CFGBuilder {
 public:
   CFGBuilder(const std::vector<LoadedModuleView> &Modules,
-             const CFGRefinement *Refine, unsigned Workers)
-      : Modules(Modules), Refine(Refine), Workers(Workers) {}
+             const CFGRefinement *Refine)
+      : Modules(Modules), Refine(Refine) {}
 
   CFGPolicy build() {
-    // One content-hash lookup per module; re-merges over already-loaded
-    // modules reuse the interned views without touching the sig strings.
+    // One cache lookup per module; re-merges reuse the interned views.
     // Tombstones (unloaded modules) have no object and no signatures.
     Sigs.reserve(Modules.size());
     for (const LoadedModuleView &M : Modules)
@@ -55,9 +156,14 @@ public:
     collectFunctions();
     indexBranchSites();
     resolveCallSites();
-    propagateTailCalls();
-    computeTargetSets();
-    partition();
+    resolveTailCalls();
+    resolveBranchSites();
+    markReturnRelevant();
+    indexIBTs();
+    UnionFind UF(IBTAddrs.size() + Funcs.size() + Keys.size());
+    joinKeyClasses(UF);
+    joinReturnClasses(UF);
+    assignECNs(UF);
     return std::move(Policy);
   }
 
@@ -67,26 +173,22 @@ private:
   //===--------------------------------------------------------------------===//
 
   void collectFunctions() {
+    size_t NumFuncs = 0;
+    for (const LoadedModuleView &M : Modules)
+      NumFuncs += M.Obj ? M.Obj->Aux.Functions.size() : 0;
+    Funcs.reserve(NumFuncs);
+    FuncByName.reserve(NumFuncs);
     for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
       const LoadedModuleView &M = Modules[Mi];
-      if (!M.Obj) { // tombstone: no functions
-        ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
-        continue;
-      }
-      const SigList &FuncSigs = Sigs[Mi]->FuncSigs;
-      for (size_t Fi = 0; Fi != M.Obj->Aux.Functions.size(); ++Fi) {
-        const FunctionInfo &F = M.Obj->Aux.Functions[Fi];
-        FuncEntry E;
-        E.Name = F.Name;
-        E.Sig = FuncSigs[Fi];
-        E.Addr = M.CodeBase + F.CodeOffset;
-        E.AddressTaken = F.AddressTaken;
-        E.Variadic = F.Variadic;
-        uint32_t Idx = static_cast<uint32_t>(Funcs.size());
-        // First definition wins on name clashes (matches the loader's
-        // symbol-resolution order).
-        FuncByName.emplace(E.Name, Idx);
-        Funcs.push_back(std::move(E));
+      if (M.Obj) {
+        const SigList &FuncSigs = Sigs[Mi]->FuncSigs;
+        for (size_t Fi = 0; Fi != M.Obj->Aux.Functions.size(); ++Fi) {
+          const FunctionInfo &F = M.Obj->Aux.Functions[Fi];
+          uint32_t Idx = static_cast<uint32_t>(Funcs.size());
+          FuncByName.insert(F.Name, Idx);
+          Funcs.push_back(
+              {F.Name, FuncSigs[Fi], M.CodeBase + F.CodeOffset, F.AddressTaken});
+        }
       }
       ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
     }
@@ -96,8 +198,8 @@ private:
       if (!M.Obj)
         continue;
       for (const std::string &Name : M.Obj->Aux.AddressTakenImports)
-        if (auto It = FuncByName.find(Name); It != FuncByName.end())
-          Funcs[It->second].AddressTaken = true;
+        if (uint32_t F = FuncByName.find(Name); F != None)
+          Funcs[F].AddressTaken = true;
     }
     for (uint32_t Idx = 0; Idx != Funcs.size(); ++Idx)
       if (Funcs[Idx].AddressTaken) {
@@ -126,369 +228,446 @@ private:
     Policy.BranchClassSize.assign(Next, 0);
     // Tombstone slots are placeholders, not instrumented branches.
     Policy.NumIBs = LiveSites;
+    Sites.resize(Next);
   }
 
-  /// All address-taken functions matching a pointer signature. Interned
-  /// signatures make the non-variadic case one hash lookup on a pointer
-  /// key and the variadic case a pointer-compare scan over address-taken
-  /// functions. Read-only after collectFunctions, so safe to call from
-  /// merge workers.
-  std::vector<uint32_t> matchTargets(const InternedSig *Sig, bool Variadic) {
-    if (!Variadic) {
-      auto It = BySig.find(Sig);
-      return It == BySig.end() ? std::vector<uint32_t>() : It->second;
+  //===--------------------------------------------------------------------===//
+  // Keys
+  //===--------------------------------------------------------------------===//
+
+  /// The key of an indirect transfer through a \p Sig pointer in
+  /// function \p Owner. Refinement narrows the key's set to the allowed
+  /// names for (Owner, Sig); transfers without an entry keep the full
+  /// type-matched set (intersection-only: a key never gains a target).
+  uint32_t keyOf(const InternedSig *Sig, bool Variadic,
+                 const std::string &Owner) {
+    const std::set<std::string> *Allowed = nullptr;
+    if (Refine) {
+      auto It = Refine->Allowed.find({Owner, Sig ? Sig->Sig : std::string()});
+      if (It != Refine->Allowed.end())
+        Allowed = &It->second;
     }
-    // Variadic pointers: exact matches plus fixed-prefix matches.
-    // AddressTaken is in ascending function-index order, so the result
-    // order matches the serial full-scan of earlier revisions.
+    auto [It, New] = KeyIndex.try_emplace({Sig, Variadic, Allowed},
+                                          static_cast<uint32_t>(Keys.size()));
+    if (New)
+      Keys.push_back(matchTargets(Sig, Variadic, Allowed));
+    return It->second;
+  }
+
+  /// All address-taken functions matching a pointer signature, in
+  /// ascending function-index order. The non-variadic case is one hash
+  /// lookup on the interned pointer; the variadic fixed-prefix rule is a
+  /// pointer-compare scan, paid once per distinct key.
+  std::vector<uint32_t> matchTargets(const InternedSig *Sig, bool Variadic,
+                                     const std::set<std::string> *Allowed) {
     std::vector<uint32_t> Out;
-    for (uint32_t I : AddressTaken)
-      if (internedCalleeMatches(Sig, /*PointerVariadic=*/true, Funcs[I].Sig))
-        Out.push_back(I);
+    if (!Variadic) {
+      if (auto It = BySig.find(Sig); It != BySig.end())
+        Out = It->second;
+    } else {
+      for (uint32_t I : AddressTaken)
+        if (internedCalleeMatches(Sig, /*PointerVariadic=*/true, Funcs[I].Sig))
+          Out.push_back(I);
+    }
+    if (Allowed)
+      std::erase_if(Out, [&](uint32_t F) {
+        return !Allowed->count(std::string(Funcs[F].Name));
+      });
     return Out;
   }
 
-  /// Intersects an indirect branch's resolved callee set with the
-  /// refinement's allowed names for its (owner, signature) key. Branches
-  /// without a key keep the full type-matched set: the analysis saw no
-  /// such site (foreign module, incomplete flow), so narrowing would be
-  /// unsound. Intersection-only: this can never add a callee.
-  void refineCallees(std::vector<uint32_t> &Callees, const std::string &Owner,
-                     const InternedSig *Sig) {
-    if (!Refine)
-      return;
-    auto It = Refine->Allowed.find({Owner, Sig ? Sig->Sig : std::string()});
-    if (It == Refine->Allowed.end())
-      return;
-    const std::set<std::string> &Names = It->second;
-    std::erase_if(Callees,
-                  [&](uint32_t F) { return !Names.count(Funcs[F].Name); });
-  }
-
-  /// Builds the flat global-index → owning-module map for one aux array
-  /// (size per module given by \p SizeOf), filling \p Base and \p Owner.
-  size_t flattenIndex(std::vector<uint32_t> &Base, std::vector<uint32_t> &Owner,
-                      size_t (*SizeOf)(const LoadedModuleView &)) {
-    size_t Total = 0;
-    for (const LoadedModuleView &M : Modules) {
-      Base.push_back(static_cast<uint32_t>(Total));
-      Total += SizeOf(M);
-    }
-    Owner.resize(Total);
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      size_t End = Mi + 1 < Modules.size() ? Base[Mi + 1] : Total;
-      for (size_t I = Base[Mi]; I != End; ++I)
-        Owner[I] = static_cast<uint32_t>(Mi);
-    }
-    return Total;
-  }
+  //===--------------------------------------------------------------------===//
+  // Resolution
+  //===--------------------------------------------------------------------===//
 
   void resolveCallSites() {
-    std::vector<uint32_t> CallBase, CallOwner;
-    size_t Total =
-        flattenIndex(CallBase, CallOwner, [](const LoadedModuleView &V) {
-          return V.Obj ? V.Obj->Aux.CallSites.size() : size_t(0);
-        });
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi)
-      ModuleCallEnd.push_back(Mi + 1 < Modules.size()
-                                  ? CallBase[Mi + 1]
-                                  : static_cast<uint32_t>(Total));
-
-    // Each worker writes only CallSites[GI] for its own global indexes;
-    // FuncByName / BySig / Funcs are read-only by now.
-    CallSites.assign(Total, {});
-    ThreadPool::shared().parallelFor(
-        Workers, Total, /*Grain=*/32, [&](size_t Begin, size_t End) {
-          for (size_t GI = Begin; GI != End; ++GI) {
-            uint32_t Mi = CallOwner[GI];
-            const LoadedModuleView &M = Modules[Mi];
-            size_t Local = GI - CallBase[Mi];
-            const CallSiteInfo &CS = M.Obj->Aux.CallSites[Local];
-            CallSiteEntry &E = CallSites[GI];
-            E.RetSiteAddr = M.CodeBase + CS.RetSiteOffset;
-            E.IsSetjmp = CS.IsSetjmp;
-            if (CS.IsSetjmp)
-              continue;
-            if (CS.Direct) {
-              auto It = FuncByName.find(CS.Callee);
-              if (It != FuncByName.end())
-                E.Callees.push_back(It->second);
-            } else {
-              const InternedSig *Sig = Sigs[Mi]->CallSigs[Local];
-              E.Callees = matchTargets(Sig, CS.VariadicPointer);
-              refineCallees(E.Callees, CS.Caller, Sig);
-            }
+    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
+      const LoadedModuleView &M = Modules[Mi];
+      if (M.Obj) {
+        for (size_t Ci = 0; Ci != M.Obj->Aux.CallSites.size(); ++Ci) {
+          const CallSiteInfo &CS = M.Obj->Aux.CallSites[Ci];
+          uint64_t RetAddr = M.CodeBase + CS.RetSiteOffset;
+          // Setjmp return sites are the runtime's longjmp validation
+          // list (global site order), not IBTs.
+          if (CS.IsSetjmp) {
+            Policy.SetjmpRetSites.push_back(RetAddr);
+            continue;
           }
-        });
-
-    // Setjmp return sites are order-sensitive (the runtime's longjmp
-    // validation list); collect them serially in global site order.
-    for (const CallSiteEntry &E : CallSites)
-      if (E.IsSetjmp)
-        Policy.SetjmpRetSites.push_back(E.RetSiteAddr);
+          CallEntry E;
+          E.RetAddr = RetAddr;
+          if (CS.Direct)
+            E.Callee = FuncByName.find(CS.Callee);
+          else
+            E.Key = keyOf(Sigs[Mi]->CallSigs[Ci], CS.VariadicPointer,
+                          CS.Caller);
+          Calls.push_back(E);
+        }
+      }
+      ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
+    }
   }
 
-  /// Tail-call closure: if g may tail-call h, then h returns wherever g
-  /// would have returned, so RetTargets[h] ⊇ RetTargets[g].
-  void propagateTailCalls() {
-    // Seed return targets from ordinary call sites.
-    RetTargets.assign(Funcs.size(), {});
-    for (const CallSiteEntry &CS : CallSites) {
-      if (CS.IsSetjmp)
-        continue;
-      for (uint32_t Callee : CS.Callees)
-        RetTargets[Callee].push_back(CS.RetSiteAddr);
-    }
-
-    // Tail-call edges: caller -> callee set.
-    std::vector<std::vector<uint32_t>> TailEdges(Funcs.size());
+  /// The tail graph. Functions are nodes [0, NumFuncs) and keys nodes
+  /// NumFuncs + key; a tail call is an edge from its caller to the callee
+  /// function or to its key, and each key has an edge to every target.
+  void resolveTailCalls() {
     for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
       const LoadedModuleView &M = Modules[Mi];
       if (!M.Obj)
         continue;
       for (size_t Ti = 0; Ti != M.Obj->Aux.TailCalls.size(); ++Ti) {
         const TailCallInfo &TC = M.Obj->Aux.TailCalls[Ti];
-        auto CallerIt = FuncByName.find(TC.Caller);
-        if (CallerIt == FuncByName.end())
+        uint32_t Caller = FuncByName.find(TC.Caller);
+        if (Caller == None)
           continue;
-        std::vector<uint32_t> Callees;
+        uint32_t To;
         if (TC.Direct) {
-          auto It = FuncByName.find(TC.Callee);
-          if (It != FuncByName.end())
-            Callees.push_back(It->second);
+          To = FuncByName.find(TC.Callee);
+          if (To == None)
+            continue;
         } else {
-          const InternedSig *Sig = Sigs[Mi]->TailSigs[Ti];
-          Callees = matchTargets(Sig, TC.VariadicPointer);
-          refineCallees(Callees, TC.Caller, Sig);
+          To = static_cast<uint32_t>(Funcs.size()) +
+               keyOf(Sigs[Mi]->TailSigs[Ti], TC.VariadicPointer, TC.Caller);
         }
-        for (uint32_t C : Callees)
-          TailEdges[CallerIt->second].push_back(C);
+        TailGraph.push_back({Caller, To});
       }
     }
+  }
 
-    // Worklist fixed point.
-    std::deque<uint32_t> Work;
-    for (uint32_t F = 0; F != Funcs.size(); ++F)
-      if (!RetTargets[F].empty() && !TailEdges[F].empty())
-        Work.push_back(F);
-    std::vector<std::unordered_set<uint64_t>> Seen(Funcs.size());
-    for (uint32_t F = 0; F != Funcs.size(); ++F)
-      Seen[F].insert(RetTargets[F].begin(), RetTargets[F].end());
-    while (!Work.empty()) {
-      uint32_t G = Work.front();
-      Work.pop_front();
-      for (uint32_t H : TailEdges[G]) {
-        bool Grew = false;
-        for (uint64_t R : RetTargets[G]) {
-          if (Seen[H].insert(R).second) {
-            RetTargets[H].push_back(R);
-            Grew = true;
+  void resolveBranchSites() {
+    // Signal handlers may return to the sigreturn trampoline.
+    if (uint32_t T = FuncByName.find("sig$return"); T != None)
+      SigTrampoline = Funcs[T].Addr;
+    const InternedSig *HandlerSig =
+        SigInterner::global().intern(SignalHandlerSig);
+
+    Returns.assign(Funcs.size(), false);
+    ReturnsToTrampoline.assign(Funcs.size(), false);
+    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
+      const LoadedModuleView &M = Modules[Mi];
+      if (!M.Obj) // tombstone slots: no branch, no targets
+        continue;
+      uint32_t Base = Policy.SiteIndexBase[Mi];
+      for (size_t Si = 0; Si != M.Obj->Aux.BranchSites.size(); ++Si) {
+        const BranchSite &BS = M.Obj->Aux.BranchSites[Si];
+        SiteEntry &S = Sites[Base + Si];
+        S.Kind = SiteKind::Empty;
+        switch (BS.Kind) {
+        case BranchKind::Return:
+          S.Index = FuncByName.find(BS.Function);
+          if (S.Index != None) {
+            S.Kind = SiteKind::Return;
+            Returns[S.Index] = true;
+            const FuncEntry &F = Funcs[S.Index];
+            ReturnsToTrampoline[S.Index] =
+                SigTrampoline && F.AddressTaken && F.Sig == HandlerSig;
           }
+          break;
+        case BranchKind::IndirectCall:
+        case BranchKind::IndirectJump:
+          S.Kind = SiteKind::Key;
+          S.Index = keyOf(Sigs[Mi]->BranchSigs[Si], BS.VariadicPointer,
+                          BS.Function);
+          break;
+        case BranchKind::PltJump:
+          S.Index = FuncByName.find(BS.PltSymbol);
+          if (S.Index != None)
+            S.Kind = SiteKind::Plt;
+          break;
         }
-        if (Grew && !TailEdges[H].empty())
-          Work.push_back(H);
       }
     }
   }
 
   //===--------------------------------------------------------------------===//
-  // Target sets per branch site
+  // Return flow
   //===--------------------------------------------------------------------===//
 
-  void computeTargetSets() {
-    // Signal handlers may return to the sigreturn trampoline.
-    uint64_t SigTrampoline = 0;
-    const InternedSig *HandlerSig =
-        SigInterner::global().intern(SignalHandlerSig);
-    if (auto It = FuncByName.find("sig$return"); It != FuncByName.end())
-      SigTrampoline = Funcs[It->second].Addr;
+  /// A return site of f targets S(f): the return sites of calls to any g
+  /// with a tail path g ->* f. Marks every tail-graph node from which
+  /// some returning function is reachable ("relevant" nodes): only their
+  /// callers' return sites land in any S(f).
+  void markReturnRelevant() {
+    size_t NumNodes = Funcs.size() + Keys.size();
+    // Every key exists now; add its edges to its targets.
+    for (uint32_t K = 0; K != Keys.size(); ++K)
+      for (uint32_t T : Keys[K])
+        TailGraph.push_back({static_cast<uint32_t>(Funcs.size()) + K, T});
+    std::vector<std::pair<uint32_t, uint32_t>> Reversed;
+    Reversed.reserve(TailGraph.size());
+    for (const auto &[From, To] : TailGraph)
+      Reversed.push_back({To, From});
+    Adjacency Preds(NumNodes, Reversed);
+    Relevant.assign(NumNodes, false);
+    std::vector<uint32_t> Work;
+    for (uint32_t F = 0; F != Funcs.size(); ++F)
+      if (Returns[F]) {
+        Relevant[F] = true;
+        Work.push_back(F);
+      }
+    while (!Work.empty()) {
+      uint32_t N = Work.back();
+      Work.pop_back();
+      for (uint32_t P : Preds[N])
+        if (!Relevant[P]) {
+          Relevant[P] = true;
+          Work.push_back(P);
+        }
+    }
+  }
 
-    std::vector<uint32_t> SiteBase;
-    size_t Total = flattenIndex(SiteBase, SiteOwner, siteSlots);
-    assert(Total == Policy.BranchECN.size());
+  /// The tail-graph node a call's return site flows into, or None when
+  /// no return site targets it.
+  uint32_t relevantCallee(const CallEntry &C) const {
+    uint32_t Node = C.Callee != None ? C.Callee
+                    : C.Key != None ? static_cast<uint32_t>(Funcs.size()) + C.Key
+                                    : None;
+    return Node != None && Relevant[Node] ? Node : None;
+  }
 
-    // Each worker writes only BranchTargets[GI] for its own indexes; all
-    // inputs (RetTargets, Funcs, BySig, FuncByName) are read-only here.
-    BranchTargets.assign(Total, {});
-    ThreadPool::shared().parallelFor(
-        Workers, Total, /*Grain=*/16, [&](size_t Begin, size_t End) {
-          for (size_t GI = Begin; GI != End; ++GI) {
-            uint32_t Mi = SiteOwner[GI];
-            const LoadedModuleView &M = Modules[Mi];
-            if (!M.Obj) // tombstone slot: no branch, no targets
-              continue;
-            size_t Local = GI - SiteBase[Mi];
-            const BranchSite &BS = M.Obj->Aux.BranchSites[Local];
-            std::vector<uint64_t> &Targets = BranchTargets[GI];
-            switch (BS.Kind) {
-            case BranchKind::Return: {
-              auto It = FuncByName.find(BS.Function);
-              if (It != FuncByName.end()) {
-                Targets = RetTargets[It->second];
-                const FuncEntry &F = Funcs[It->second];
-                if (SigTrampoline && F.AddressTaken && F.Sig == HandlerSig)
-                  Targets.push_back(SigTrampoline);
-              }
-              break;
-            }
-            case BranchKind::IndirectCall:
-            case BranchKind::IndirectJump: {
-              const InternedSig *Sig = Sigs[Mi]->BranchSigs[Local];
-              std::vector<uint32_t> Matched =
-                  matchTargets(Sig, BS.VariadicPointer);
-              refineCallees(Matched, BS.Function, Sig);
-              for (uint32_t FI : Matched)
-                Targets.push_back(Funcs[FI].Addr);
-              break;
-            }
-            case BranchKind::PltJump: {
-              auto It = FuncByName.find(BS.PltSymbol);
-              if (It != FuncByName.end())
-                Targets.push_back(Funcs[It->second].Addr);
-              break;
-            }
-            }
-          }
-        });
+  //===--------------------------------------------------------------------===//
+  // IBT universe
+  //===--------------------------------------------------------------------===//
+
+  uint32_t ibtIndex(uint64_t Addr) {
+    auto [It, New] =
+        IBTIndex.emplace(Addr, static_cast<uint32_t>(IBTAddrs.size()));
+    if (New)
+      IBTAddrs.push_back(Addr);
+    return It->second;
+  }
+
+  /// Addresses in some branch's target set. Only needed under
+  /// refinement, where an address-taken function outside every set (and
+  /// not pinned) has no live inbound edge and leaves the IBT universe —
+  /// keeping it would leave a stale singleton class; a branch to it then
+  /// fails the Tary check like any other non-target address.
+  std::unordered_set<uint64_t> liveTargets() const {
+    std::unordered_set<uint64_t> Live;
+    std::vector<bool> KeyUsed(Keys.size(), false);
+    for (const SiteEntry &S : Sites) {
+      if (S.Kind == SiteKind::Key)
+        KeyUsed[S.Index] = true;
+      else if (S.Kind == SiteKind::Plt)
+        Live.insert(Funcs[S.Index].Addr);
+      else if (S.Kind == SiteKind::Return && ReturnsToTrampoline[S.Index])
+        Live.insert(SigTrampoline);
+    }
+    for (uint32_t K = 0; K != Keys.size(); ++K)
+      if (KeyUsed[K])
+        for (uint32_t F : Keys[K])
+          Live.insert(Funcs[F].Addr);
+    for (const CallEntry &C : Calls)
+      if (relevantCallee(C) != None)
+        Live.insert(C.RetAddr);
+    return Live;
+  }
+
+  /// Indexes IBTs grouped *per module* (each module's address-taken
+  /// entries, then its return sites). Loading another module then only
+  /// appends to the IBT list, so the first-seen ECN assignment gives
+  /// every pre-existing class the same number it had before — the
+  /// stability the incremental-update delta relies on. (A flat
+  /// all-functions-then-all-ret-sites order would splice a new module's
+  /// functions in front of older modules' return sites and renumber
+  /// their classes.)
+  void indexIBTs() {
+    IBTIndex.reserve(Funcs.size() + Calls.size());
+    std::unordered_set<uint64_t> Live;
+    if (Refine)
+      Live = liveTargets();
+    auto dropUnderRefinement = [&](const FuncEntry &F) {
+      return Refine && !Live.count(F.Addr) &&
+             !Refine->KeepTargets.count(std::string(F.Name));
+    };
+
+    FuncIBT.assign(Funcs.size(), None);
+    uint32_t FuncBegin = 0, CallBegin = 0;
+    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
+      for (uint32_t F = FuncBegin; F != ModuleFuncEnd[Mi]; ++F)
+        if (Funcs[F].AddressTaken && !dropUnderRefinement(Funcs[F]))
+          FuncIBT[F] = ibtIndex(Funcs[F].Addr);
+      for (uint32_t C = CallBegin; C != ModuleCallEnd[Mi]; ++C)
+        Calls[C].RetIBT = ibtIndex(Calls[C].RetAddr);
+      FuncBegin = ModuleFuncEnd[Mi];
+      CallBegin = ModuleCallEnd[Mi];
+    }
+    // Remaining targets in global-site order, also append-only across
+    // loads: PLT targets that are not address-taken and the sigreturn
+    // trampoline. Key targets are address-taken and live, so indexed.
+    for (const SiteEntry &S : Sites) {
+      if (S.Kind == SiteKind::Plt)
+        ibtIndex(Funcs[S.Index].Addr);
+      else if (S.Kind == SiteKind::Return && ReturnsToTrampoline[S.Index])
+        TrampolineIBT = ibtIndex(SigTrampoline);
+    }
   }
 
   //===--------------------------------------------------------------------===//
   // Equivalence classes
   //===--------------------------------------------------------------------===//
 
-  void partition() {
-    // Index the IBT universe: address-taken function entries, PLT-target
-    // entries, and return sites — i.e. every address appearing in some
-    // branch's target set, plus address-taken functions that nothing
-    // currently targets (they are still IBTs of the program).
-    auto ibtIndex = [&](uint64_t Addr) -> uint32_t {
-      auto [It, New] = IBTIndex.emplace(
-          Addr, static_cast<uint32_t>(IBTAddrs.size()));
-      if (New)
-        IBTAddrs.push_back(Addr);
-      return It->second;
-    };
+  /// Union-find layout: IBTs first, then one helper node per function,
+  /// then one per key. Helpers never count toward a class's size.
+  uint32_t helperNode(uint32_t TailGraphNode) const {
+    return static_cast<uint32_t>(IBTAddrs.size()) + TailGraphNode;
+  }
 
-    // Under refinement, an address-taken function that survives in no
-    // branch target set — and is not pinned — has no live inbound edge:
-    // keeping it would leave a stale singleton class, so it drops out of
-    // the IBT universe entirely (a branch to it then fails the Tary
-    // check, exactly like any other non-target address).
-    std::unordered_set<uint64_t> LiveTargets;
-    if (Refine)
-      for (const auto &Targets : BranchTargets)
-        LiveTargets.insert(Targets.begin(), Targets.end());
-    auto dropUnderRefinement = [&](const FuncEntry &F) {
-      return Refine && !LiveTargets.count(F.Addr) &&
-             !Refine->KeepTargets.count(F.Name);
-    };
-
-    // Index IBTs grouped *per module* (each module's address-taken
-    // entries, then its return sites). Loading another module then only
-    // appends to the IBT list, so the first-seen ECN assignment below
-    // gives every pre-existing class the same number it had before —
-    // the stability the incremental-update delta relies on. (A flat
-    // all-functions-then-all-ret-sites order would splice a new
-    // module's functions in front of older modules' return sites and
-    // renumber their classes.)
-    {
-      uint32_t FuncBegin = 0, CallBegin = 0;
-      for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-        for (uint32_t F = FuncBegin; F != ModuleFuncEnd[Mi]; ++F)
-          if (Funcs[F].AddressTaken && !dropUnderRefinement(Funcs[F]))
-            ibtIndex(Funcs[F].Addr);
-        for (uint32_t C = CallBegin; C != ModuleCallEnd[Mi]; ++C)
-          if (!CallSites[C].IsSetjmp)
-            ibtIndex(CallSites[C].RetSiteAddr);
-        FuncBegin = ModuleFuncEnd[Mi];
-        CallBegin = ModuleCallEnd[Mi];
+  /// All targets of one branch share a class (classic CFI coarsening,
+  /// paper Sec. 2); equal keys have equal sets, so each key once.
+  void joinKeyClasses(UnionFind &UF) {
+    std::vector<bool> Done(Keys.size(), false);
+    for (const SiteEntry &S : Sites) {
+      if (S.Kind != SiteKind::Key || Done[S.Index])
+        continue;
+      Done[S.Index] = true;
+      const std::vector<uint32_t> &Targets = Keys[S.Index];
+      for (size_t I = 1; I < Targets.size(); ++I) {
+        assert(FuncIBT[Targets[I]] != None && "branch target not indexed");
+        UF.merge(FuncIBT[Targets[0]], FuncIBT[Targets[I]]);
       }
     }
-    // Remaining targets (e.g. PLT targets that are not address-taken),
-    // in global-site order — also append-only across loads.
-    for (const auto &Targets : BranchTargets)
-      for (uint64_t A : Targets)
-        ibtIndex(A);
+  }
 
-    // Merge overlapping target sets: all targets of one branch share a
-    // class (classic CFI coarsening, paper Sec. 2).
-    UnionFind UF(IBTAddrs.size());
-    for (const auto &Targets : BranchTargets) {
-      for (size_t I = 1; I < Targets.size(); ++I)
-        UF.merge(ibtIndex(Targets[0]), ibtIndex(Targets[I]));
+  /// The per-site closure unions, for every returning f, all of S(f) —
+  /// where S(f) holds the return sites of calls into any g with a tail
+  /// path g ->* f. The same classes come from helper nodes: a call's
+  /// return site joins its callee's node, and an *active* node (one
+  /// reachable over tail edges from a called node) joins every relevant
+  /// successor. A return site of f then takes the class of f's node.
+  ///
+  /// Only relevant callees and successors are joined: an edge into a
+  /// node that reaches no returning function would bridge the sets of
+  /// two callers that share no S(f). Only active nodes join their
+  /// successors: an uncalled g contributes nothing to any S(f), so it
+  /// must not connect the functions it tail-calls. Every join is thereby
+  /// between two parts of one S(f), and every S(f) is connected.
+  void joinReturnClasses(UnionFind &UF) {
+    size_t NumNodes = Funcs.size() + Keys.size();
+    std::vector<std::pair<uint32_t, uint32_t>> Joins;
+    for (const auto &[From, To] : TailGraph)
+      if (Relevant[To])
+        Joins.push_back({From, To});
+    Adjacency Succs(NumNodes, Joins);
+
+    std::vector<bool> Active(NumNodes, false);
+    std::vector<uint32_t> Work;
+    auto activate = [&](uint32_t N) {
+      if (!Active[N]) {
+        Active[N] = true;
+        Work.push_back(N);
+      }
+    };
+    for (const CallEntry &C : Calls)
+      if (uint32_t N = relevantCallee(C); N != None) {
+        UF.merge(C.RetIBT, helperNode(N));
+        activate(N);
+      }
+    while (!Work.empty()) {
+      uint32_t N = Work.back();
+      Work.pop_back();
+      for (uint32_t S : Succs[N]) {
+        UF.merge(helperNode(N), helperNode(S));
+        activate(S);
+      }
     }
 
-    // Assign ECNs to class roots and sizes.
-    std::unordered_map<uint32_t, uint32_t> RootECN;
-    std::unordered_map<uint32_t, uint64_t> RootSize;
-    for (uint32_t I = 0; I != IBTAddrs.size(); ++I)
-      ++RootSize[UF.find(I)];
+    for (uint32_t F = 0; F != Funcs.size(); ++F)
+      if (ReturnsToTrampoline[F])
+        UF.merge(helperNode(F), TrampolineIBT);
+  }
+
+  void assignECNs(UnionFind &UF) {
+    // Class sizes and ECNs count IBTs only, first-seen in IBT order.
+    // Per-root slots span every node: a root may be a helper.
+    uint32_t NumIBTs = static_cast<uint32_t>(IBTAddrs.size());
+    std::vector<uint32_t> RootECN(UF.size(), None);
+    std::vector<uint64_t> RootSize(UF.size(), 0);
     uint32_t NextECN = 0;
-    for (uint32_t I = 0; I != IBTAddrs.size(); ++I) {
+    for (uint32_t I = 0; I != NumIBTs; ++I) {
       uint32_t Root = UF.find(I);
-      auto [It, New] = RootECN.emplace(Root, NextECN);
-      if (New)
-        ++NextECN;
-      Policy.TargetECN[IBTAddrs[I]] = It->second;
+      ++RootSize[Root];
+      if (RootECN[Root] == None)
+        RootECN[Root] = NextECN++;
+      Policy.TargetECN[IBTAddrs[I]] = RootECN[Root];
     }
 
     // Real classes must stay below the reserved empty-class ECN so the
     // fail-closed encoding below can never collide with one.
     assert(NextECN < EmptyClassECN && "ECN space exhausted");
 
-    for (size_t B = 0; B != BranchTargets.size(); ++B) {
-      const auto &Targets = BranchTargets[B];
-      if (!Modules[SiteOwner[B]].Obj) {
-        // Tombstone slot: keep BranchECN -1 (no ID — the zeroed entry
-        // the retire transaction left), NOT EmptyClassECN. EmptyClassECN
-        // is a *valid encoded ID* for live-but-targetless sites; a
-        // tombstone must stay indistinguishable from never-installed.
+    for (size_t B = 0; B != Sites.size(); ++B) {
+      const SiteEntry &S = Sites[B];
+      uint32_t Node = None;
+      switch (S.Kind) {
+      case SiteKind::Tombstone:
+        // No ID: BranchECN stays -1, the zeroed entry the retire
+        // transaction left — NOT EmptyClassECN, which is a valid
+        // encoded ID for live-but-targetless sites.
         continue;
+      case SiteKind::Empty:
+        break;
+      case SiteKind::Key:
+        if (!Keys[S.Index].empty())
+          Node = FuncIBT[Keys[S.Index].front()];
+        break;
+      case SiteKind::Return:
+        Node = helperNode(S.Index);
+        break;
+      case SiteKind::Plt:
+        Node = IBTIndex.at(Funcs[S.Index].Addr);
+        break;
       }
-      if (Targets.empty()) {
+      uint32_t Root = Node == None ? None : UF.find(Node);
+      if (Root == None || RootECN[Root] == None) {
         // Empty target set: the shared reserved ECN no address carries,
         // so the check always fails closed. One fixed number (rather
         // than a fresh ECN per site) keeps ECN assignment stable when
-        // the CFG is regenerated with more modules, which the
-        // incremental-update delta depends on.
+        // the CFG is regenerated with more modules.
         Policy.BranchECN[B] = EmptyClassECN;
         Policy.BranchClassSize[B] = 0;
         continue;
       }
-      uint32_t Root = UF.find(IBTIndex.at(Targets[0]));
-      Policy.BranchECN[B] = RootECN.at(Root);
-      Policy.BranchClassSize[B] = RootSize.at(Root);
+      Policy.BranchECN[B] = RootECN[Root];
+      Policy.BranchClassSize[B] = RootSize[Root];
     }
 
-    Policy.NumIBTs = IBTAddrs.size();
-    Policy.NumEQCs = RootECN.size();
+    Policy.NumIBTs = NumIBTs;
+    Policy.NumEQCs = NextECN;
   }
 
   const std::vector<LoadedModuleView> &Modules;
   const CFGRefinement *Refine;
-  unsigned Workers;
   CFGPolicy Policy;
 
   std::vector<std::shared_ptr<const ModuleSigs>> Sigs; ///< per module
   std::vector<FuncEntry> Funcs;
   std::vector<uint32_t> ModuleFuncEnd; ///< Funcs end index per module
-  std::vector<uint32_t> ModuleCallEnd; ///< CallSites end index per module
-  std::unordered_map<std::string, uint32_t> FuncByName;
+  std::vector<uint32_t> ModuleCallEnd; ///< Calls end index per module
+  NameIndex FuncByName;
   std::unordered_map<const InternedSig *, std::vector<uint32_t>> BySig;
   std::vector<uint32_t> AddressTaken; ///< ascending func indexes
-  std::vector<CallSiteEntry> CallSites;
-  std::vector<std::vector<uint64_t>> RetTargets; ///< per function
-  std::vector<std::vector<uint64_t>> BranchTargets; ///< per global site
-  std::vector<uint32_t> SiteOwner; ///< owning module per global site
+
+  std::unordered_map<TargetKey, uint32_t, TargetKeyHash> KeyIndex;
+  std::vector<std::vector<uint32_t>> Keys; ///< targets per key
+
+  std::vector<CallEntry> Calls; ///< non-setjmp call sites, global order
+  std::vector<std::pair<uint32_t, uint32_t>> TailGraph; ///< edges
+  std::vector<SiteEntry> Sites; ///< per global branch-site index
+  std::vector<bool> Returns;    ///< per function: has a return site
+  std::vector<bool> ReturnsToTrampoline; ///< per function
+  std::vector<bool> Relevant; ///< per tail-graph node
+  uint64_t SigTrampoline = 0;
+
   std::vector<uint64_t> IBTAddrs;
   std::unordered_map<uint64_t, uint32_t> IBTIndex;
+  std::vector<uint32_t> FuncIBT; ///< per function, None if not an IBT
+  uint32_t TrampolineIBT = None;
 };
 
 } // namespace
 
 CFGPolicy mcfi::generateCFG(const std::vector<LoadedModuleView> &Modules,
-                            const CFGRefinement *Refinement,
-                            unsigned Workers) {
-  CFGBuilder B(Modules, Refinement, Workers);
-  return B.build();
+                            const CFGRefinement *Refinement) {
+  return CFGBuilder(Modules, Refinement).build();
 }

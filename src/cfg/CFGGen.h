@@ -141,16 +141,13 @@ struct CFGRefinement {
 /// With \p Refinement, target sets are intersected as described above;
 /// passing nullptr yields the paper's plain type-matching policy.
 ///
-/// \p Workers > 1 runs the embarrassingly parallel merge phases (call-site
-/// resolution and per-branch target-set computation) on a worker pool.
-/// The result is *identical* to the serial result for any worker count:
-/// parallel phases only ever write index-addressed slots, and every
-/// order-sensitive step (equivalence-class numbering, setjmp site
-/// collection, tail-call closure) runs serially over those slots in
-/// global index order.
+/// Equivalence classes are formed per target-set key and per return
+/// class, never per site, so the cost is linear in the loaded world plus
+/// the matched targets of each distinct key. The result is byte-identical
+/// to generateCFGReference (cfg/CFGReference.h), the per-site generator
+/// kept as the test oracle.
 CFGPolicy generateCFG(const std::vector<LoadedModuleView> &Modules,
-                      const CFGRefinement *Refinement = nullptr,
-                      unsigned Workers = 1);
+                      const CFGRefinement *Refinement = nullptr);
 
 } // namespace mcfi
 

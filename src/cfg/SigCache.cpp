@@ -9,21 +9,17 @@
 
 #include "module/MCFIObject.h"
 
+#include <string_view>
+
 using namespace mcfi;
 
 namespace {
 
-uint64_t hashString(uint64_t H, const std::string &S) {
-  // Length-prefix every field so concatenation ambiguity ("a"+"bc" vs
-  // "ab"+"c") cannot collide two different modules.
-  uint64_t Len = S.size();
-  H = fnv1aHash(&Len, sizeof(Len), H);
-  return fnv1aHash(S.data(), S.size(), H);
-}
-
-uint64_t hashFlag(uint64_t H, bool B) {
-  uint8_t Byte = B ? 1 : 0;
-  return fnv1aHash(&Byte, 1, H);
+/// Folds one aux string into the key. Each string is hashed whole, so
+/// "a"+"bc" and "ab"+"c" stay distinct.
+uint64_t mixString(uint64_t H, const std::string &S) {
+  uint64_t V = std::hash<std::string_view>()(S);
+  return (H ^ V) * 0x9e3779b97f4a7c15ull + (H >> 29);
 }
 
 const InternedSig *internOrNull(const std::string &Sig) {
@@ -34,43 +30,31 @@ const InternedSig *internOrNull(const std::string &Sig) {
 
 } // namespace
 
-uint64_t mcfi::hashModuleContent(const MCFIObject &Obj) {
-  uint64_t H = hashString(0xcbf29ce484222325ull, Obj.Name);
-  H = fnv1aHash(Obj.Code.data(), Obj.Code.size(), H);
-  for (const FunctionInfo &F : Obj.Aux.Functions) {
-    H = hashString(H, F.Name);
-    H = hashString(H, F.TypeSig);
-    H = hashFlag(H, F.AddressTaken);
-    H = hashFlag(H, F.Variadic);
-  }
-  for (const BranchSite &B : Obj.Aux.BranchSites) {
-    H = hashString(H, B.TypeSig);
-    H = hashString(H, B.PltSymbol);
-    H = hashFlag(H, B.VariadicPointer);
-  }
-  for (const CallSiteInfo &C : Obj.Aux.CallSites) {
-    H = hashString(H, C.Callee);
-    H = hashString(H, C.TypeSig);
-    H = hashFlag(H, C.VariadicPointer);
-    H = hashFlag(H, C.IsSetjmp);
-  }
-  for (const TailCallInfo &T : Obj.Aux.TailCalls) {
-    H = hashString(H, T.Callee);
-    H = hashString(H, T.TypeSig);
-    H = hashFlag(H, T.VariadicPointer);
-  }
-  for (const std::string &Name : Obj.Aux.AddressTakenImports)
-    H = hashString(H, Name);
+uint64_t mcfi::hashModuleSigKey(const MCFIObject &Obj) {
+  // The array lengths pin every string to its array and position.
+  const AuxInfo &Aux = Obj.Aux;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t N : {Aux.Functions.size(), Aux.BranchSites.size(),
+                   Aux.CallSites.size(), Aux.TailCalls.size()})
+    H = (H ^ N) * 0x100000001b3ull;
+  for (const FunctionInfo &F : Aux.Functions)
+    H = mixString(H, F.TypeSig);
+  for (const BranchSite &B : Aux.BranchSites)
+    H = mixString(H, B.TypeSig);
+  for (const CallSiteInfo &C : Aux.CallSites)
+    H = mixString(H, C.TypeSig);
+  for (const TailCallInfo &T : Aux.TailCalls)
+    H = mixString(H, T.TypeSig);
   return H;
 }
 
 std::shared_ptr<const ModuleSigs> mcfi::getModuleSigs(const MCFIObject &Obj) {
-  uint64_t Hash = hashModuleContent(Obj);
+  uint64_t Hash = hashModuleSigKey(Obj);
   if (std::shared_ptr<const void> Hit = SigSetCache::global().lookup(Hash))
     return std::static_pointer_cast<const ModuleSigs>(Hit);
 
   auto Sigs = std::make_shared<ModuleSigs>();
-  Sigs->ContentHash = Hash;
+  Sigs->Key = Hash;
   Sigs->FuncSigs.reserve(Obj.Aux.Functions.size());
   for (const FunctionInfo &F : Obj.Aux.Functions)
     Sigs->FuncSigs.push_back(internOrNull(F.TypeSig));

@@ -150,24 +150,24 @@ SigSetCache &SigSetCache::global() {
   return Cache;
 }
 
-std::shared_ptr<const void> SigSetCache::lookup(uint64_t ContentHash) const {
+std::shared_ptr<const void> SigSetCache::lookup(uint64_t Key) const {
   std::lock_guard<std::mutex> Guard(Lock);
-  auto It = Map.find(ContentHash);
+  auto It = Map.find(Key);
   return It == Map.end() ? nullptr : It->second;
 }
 
 std::shared_ptr<const void>
-SigSetCache::store(uint64_t ContentHash, std::shared_ptr<const void> Value) {
+SigSetCache::store(uint64_t Key, std::shared_ptr<const void> Value) {
   std::lock_guard<std::mutex> Guard(Lock);
   if (Map.size() >= MaxEntries)
     Map.clear();
-  auto [It, New] = Map.try_emplace(ContentHash, std::move(Value));
+  auto [It, New] = Map.try_emplace(Key, std::move(Value));
   return It->second;
 }
 
-bool SigSetCache::drop(uint64_t ContentHash) {
+bool SigSetCache::drop(uint64_t Key) {
   std::lock_guard<std::mutex> Guard(Lock);
-  return Map.erase(ContentHash) != 0;
+  return Map.erase(Key) != 0;
 }
 
 size_t SigSetCache::size() const {

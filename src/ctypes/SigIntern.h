@@ -23,8 +23,8 @@
 ///    the combined CFG) pay the string hashing exactly once per distinct
 ///    signature for the lifetime of the process.
 ///
-/// The interner is thread-safe (sharded by hash) because the parallel
-/// CFG-merge pipeline interns from worker threads.
+/// The interner is thread-safe (sharded by hash): linkers on different
+/// threads, and tools, intern concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +58,7 @@ struct InternedSig {
   std::vector<const InternedSig *> Params;
 };
 
-/// FNV-1a over a byte range; the hash used for interning and for the
-/// module content keys of the per-module signature cache.
+/// FNV-1a over a byte range; the hash used for interning.
 uint64_t fnv1aHash(const void *Data, size_t Len,
                    uint64_t Seed = 0xcbf29ce484222325ull);
 
@@ -96,13 +95,13 @@ bool internedCalleeMatches(const InternedSig *Pointer, bool PointerVariadic,
 
 /// A cache slot: the interned signatures of one module's aux-info
 /// arrays, in declaration order. Produced by the cfg layer's
-/// getModuleSigs (which knows the MCFIObject shape) and keyed here by
-/// module content hash, so reloading byte-identical module content —
-/// every dlopen re-merge, and separate Machines loading the same
-/// library — reuses the interned views without touching the strings.
+/// getModuleSigs (which knows the MCFIObject shape) and keyed here by a
+/// hash of the module's aux type strings, so reloading the same module
+/// — every dlopen re-merge, and separate Machines loading the same
+/// library — reuses the interned views without re-interning.
 using SigList = std::vector<const InternedSig *>;
 
-/// Content-hash-keyed persistent cache of interned signature lists.
+/// Key-addressed persistent cache of interned signature lists.
 /// Thread-safe. The cache is bounded: when it exceeds a fixed capacity
 /// it is cleared wholesale (entries are cheap to rebuild; the interner
 /// itself never forgets, so re-population is hash lookups only).
@@ -110,20 +109,20 @@ class SigSetCache {
 public:
   static SigSetCache &global();
 
-  /// Returns the cached value for \p ContentHash, or null.
-  std::shared_ptr<const void> lookup(uint64_t ContentHash) const;
+  /// Returns the cached value for \p Key, or null.
+  std::shared_ptr<const void> lookup(uint64_t Key) const;
 
-  /// Stores \p Value under \p ContentHash and returns the cached copy
+  /// Stores \p Value under \p Key and returns the cached copy
   /// (first writer wins on a race).
-  std::shared_ptr<const void> store(uint64_t ContentHash,
+  std::shared_ptr<const void> store(uint64_t Key,
                                     std::shared_ptr<const void> Value);
 
-  /// Drops the entry for \p ContentHash (module unload: the merged CFG
+  /// Drops the entry for \p Key (module unload: the merged CFG
   /// must hold no trace of the dead module, cached views included).
-  /// Harmless if an identical-content module is still loaded — the next
+  /// Harmless if a module with the same key is still loaded — the next
   /// merge re-populates the entry from the interner with hash lookups
   /// only. Returns true if an entry was present.
-  bool drop(uint64_t ContentHash);
+  bool drop(uint64_t Key);
 
   size_t size() const;
 

@@ -402,8 +402,7 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
   std::vector<LoadedModuleView> Views = moduleViews();
 
   if (Opts.InstallPolicy) {
-    CFGPolicy NewPolicy =
-        generateCFG(Views, Opts.Refinement, Opts.MergeWorkers);
+    CFGPolicy NewPolicy = generateCFG(Views, Opts.Refinement);
     patchBaryIndexes(NewPolicy);
 
     if (Opts.Verify) {
@@ -555,7 +554,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   // present, semantically absent.
   std::vector<LoadedModuleView> Views = moduleViews();
   auto MergeStart = std::chrono::steady_clock::now();
-  CFGPolicy NewPolicy = generateCFG(Views, Opts.Refinement, Opts.MergeWorkers);
+  CFGPolicy NewPolicy = generateCFG(Views, Opts.Refinement);
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();
@@ -673,7 +672,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     PendingDlclose *P = nullptr;
     int Idx = -1;
     uint64_t Serial = 0;
-    uint64_t ContentHash = 0;
+    uint64_t SigKey = 0;
     uint64_t CodeBegin = 0, CodeEnd = 0; ///< absolute address range
     uint32_t SiteBase = 0, SiteCount = 0; ///< global Bary index range
     std::vector<uint32_t> CondemnedECNs;
@@ -705,7 +704,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     D.P = P;
     D.Idx = static_cast<int>(H);
     D.Serial = Mod.Serial;
-    D.ContentHash = hashModuleContent(*Mod.Obj);
+    D.SigKey = hashModuleSigKey(*Mod.Obj);
     D.CodeBegin = Mod.CodeBase;
     D.CodeEnd = Mod.CodeBase + Mod.CodeSize;
     D.SiteBase = Policy.SiteIndexBase[static_cast<size_t>(H)];
@@ -854,7 +853,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // Drop cached per-module signature sets and the patched-site record
   // (keyed by Serial, so a future occupant of the index re-patches).
   for (const DyingModule &D : Dying) {
-    SigSetCache::global().drop(D.ContentHash);
+    SigSetCache::global().drop(D.SigKey);
     BaryPatched.erase(D.Serial);
   }
 
@@ -871,8 +870,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // (class splits, renumbering) the full install's version bump makes
   // every stale pre-unload ID snapshot fail.
   auto MergeStart = std::chrono::steady_clock::now();
-  CFGPolicy NewPolicy =
-      generateCFG(moduleViews(), Opts.Refinement, Opts.MergeWorkers);
+  CFGPolicy NewPolicy = generateCFG(moduleViews(), Opts.Refinement);
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();

@@ -62,9 +62,6 @@ struct LinkOptions {
   /// across loads). The caller keeps the object alive for the linker's
   /// lifetime. Null: plain type-matching CFG.
   const CFGRefinement *Refinement = nullptr;
-  /// Worker threads for the parallel CFG-merge phases (passed through to
-  /// generateCFG). 1 = serial; any value yields an identical policy.
-  unsigned MergeWorkers = 1;
 };
 
 /// What one coalesced dlopen request resolves to. Returned by value so a

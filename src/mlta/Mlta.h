@@ -159,7 +159,8 @@ MltaResult analyzeLayeredTypes(const std::vector<FlowModule> &Mods);
 /// (refined CFG == type-matched CFG). The produced refinement rides
 /// LinkOptions::Refinement and therefore applies identically at static
 /// link, dlopen (including flat-combining batches) and dlclose retire
-/// regenerations, preserving the deterministic parallel merge.
+/// regenerations, where the merge stays byte-identical to its per-site
+/// reference.
 CFGRefinement computeMltaRefinement(const MltaResult &R);
 
 } // namespace mlta

@@ -1,25 +1,31 @@
-//===- tests/ParallelMergeTest.cpp - Parallel CFG-merge determinism -------===//
+//===- tests/ParallelMergeTest.cpp - CFG merge vs reference differential --===//
 //
 // Part of the MCFI reproduction of "Modular Control-Flow Integrity"
 // (Niu & Tan, PLDI 2014). Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The parallel CFG-merge pipeline's contract is *byte identity*: for any
-/// worker count and any module order, generateCFG must produce exactly
-/// the policy the serial merge produces — same ECN assignment, same
-/// branch classes, same installed Tary/Bary images. These tests pin that
-/// contract, plus the hash-consing layer underneath it (interner pointer
-/// identity, the variadic prefix rule over interned parts, per-module
-/// signature-cache hits) and the dlopen batch coalescing on top of it.
+/// generateCFG forms equivalence classes per target-set key and per
+/// return class; generateCFGReference materialises every site's target
+/// list. Their contract is *byte identity*: same ECN assignment, same
+/// branch classes and sizes, same index bases and statistics, for every
+/// module order, refinement and tombstone layout. These tests pin that
+/// contract over the workload corpus, randomised profiles, dataflow- and
+/// MLTA-refined builds, dlclose churn and hand-built edge cases, plus
+/// the hash-consing layer underneath (interner pointer identity, the
+/// variadic prefix rule over interned parts, per-module signature-cache
+/// hits) and the dlopen batch coalescing on top.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfg/CFGGen.h"
+#include "cfg/CFGReference.h"
 #include "cfg/SigCache.h"
 #include "cfg/SigMatch.h"
+#include "dataflow/Dataflow.h"
 #include "metrics/Harness.h"
 #include "metrics/UpdateMetrics.h"
+#include "support/RNG.h"
+#include "tables/ID.h"
 
 #include <gtest/gtest.h>
 
@@ -86,49 +92,192 @@ void expectPolicyEqual(const CFGPolicy &A, const CFGPolicy &B,
   EXPECT_EQ(A.NumEQCs, B.NumEQCs) << What;
 }
 
-std::vector<LoadedModuleView> viewsOf(const BuiltProgram &BP) {
+/// generateCFG over \p Views must equal the reference generator's
+/// policy; returns it for further checks.
+CFGPolicy expectMatchesReference(const std::vector<LoadedModuleView> &Views,
+                                 const CFGRefinement *Ref,
+                                 const std::string &What) {
+  CFGPolicy Merge = generateCFG(Views, Ref);
+  expectPolicyEqual(Merge, generateCFGReference(Views, Ref), What);
+  return Merge;
+}
+
+/// Synthetic page-aligned layout for a module order.
+std::vector<LoadedModuleView>
+layoutViews(const std::vector<const MCFIObject *> &Order) {
   std::vector<LoadedModuleView> Views;
-  for (const MappedModule &Mod : BP.M->modules())
-    Views.push_back({Mod.Obj.get(), Mod.CodeBase});
+  uint64_t Base = 0x400000;
+  for (const MCFIObject *Obj : Order) {
+    Views.push_back({Obj, Base});
+    Base += (Obj->Code.size() + 0xFFF) & ~0xFFFull;
+  }
   return Views;
 }
 
-TEST(ParallelMerge, WorkerCountsProduceIdenticalPolicy) {
-  BuiltProgram BP = buildProgram({ModuleMain, ModuleA, ModuleB});
-  ASSERT_TRUE(BP.Ok) << BP.Error;
-  std::vector<LoadedModuleView> Views = viewsOf(BP);
-
-  CFGPolicy Serial = generateCFG(Views, nullptr, 1);
-  ASSERT_GT(Serial.NumIBs, 0u);
-  ASSERT_GT(Serial.NumEQCs, 0u);
-  for (unsigned Workers : {2u, 3u, 8u}) {
-    CFGPolicy Parallel = generateCFG(Views, nullptr, Workers);
-    expectPolicyEqual(Serial, Parallel,
-                      "workers=" + std::to_string(Workers));
+/// Checks \p Objs in declaration order and \p Shuffles seeded shuffles.
+void expectOrdersMatchReference(const std::vector<const MCFIObject *> &Objs,
+                                const CFGRefinement *Ref, unsigned Shuffles,
+                                const std::string &What) {
+  std::vector<const MCFIObject *> Order = Objs;
+  std::mt19937 Rng(0x5eedu);
+  for (unsigned Round = 0; Round != 1 + Shuffles; ++Round) {
+    if (Round)
+      std::shuffle(Order.begin(), Order.end(), Rng);
+    expectMatchesReference(layoutViews(Order), Ref,
+                           What + " round=" + std::to_string(Round));
   }
 }
 
-TEST(ParallelMerge, ShuffledModuleOrdersAgree) {
+/// The views a linker merges: live modules plus tombstones.
+std::vector<LoadedModuleView> viewsOf(const Machine &M) {
+  std::vector<LoadedModuleView> Views;
+  for (const MappedModule &Mod : M.modules()) {
+    if (Mod.Retired)
+      Views.push_back({nullptr, Mod.CodeBase, Mod.TombstoneSites});
+    else
+      Views.push_back({Mod.Obj.get(), Mod.CodeBase});
+  }
+  return Views;
+}
+
+MCFIObject compileOrDie(const std::string &Source, const std::string &Name) {
+  CompileOptions CO;
+  CO.ModuleName = Name;
+  CO.EmitPlt = true;
+  CompileResult CR = compileModule(Source, CO);
+  EXPECT_TRUE(CR.Ok) << Name << ": "
+                     << (CR.Errors.empty() ? "?" : CR.Errors.front());
+  return std::move(CR.Obj);
+}
+
+const MCFIObject &runtimeObject() {
+  static const MCFIObject Rt = compileOrDie(runtimeLibrarySource(), "rt");
+  return Rt;
+}
+
+/// FuzzTest-style random profile.
+BenchProfile randomProfile(uint64_t Seed) {
+  RNG R(Seed);
+  BenchProfile P;
+  P.Name = "rand" + std::to_string(Seed);
+  P.Functions = static_cast<unsigned>(R.range(4, 60));
+  P.FnPtrTypes = static_cast<unsigned>(R.range(1, 9));
+  P.AddressTakenPct = static_cast<unsigned>(R.range(20, 100));
+  P.Switches = static_cast<unsigned>(R.range(0, 4));
+  P.VariadicWorkers = static_cast<unsigned>(R.range(0, 3));
+  P.IndirectCallPct = static_cast<unsigned>(R.range(0, 100));
+  P.K1Cases = static_cast<unsigned>(R.range(0, 3));
+  P.K2Cases = static_cast<unsigned>(R.range(1, 5));
+  P.Seed = Seed * 7919 + 13;
+  return P;
+}
+
+//===----------------------------------------------------------------------===//
+// Compiled corpora
+//===----------------------------------------------------------------------===//
+
+TEST(MergeDifferential, SpecProfilesEveryVariant) {
+  for (const BenchProfile &P : specProfiles()) {
+    for (WorkloadVariant V : {WorkloadVariant::Fixed, WorkloadVariant::Raw}) {
+      std::string What = P.Name + (V == WorkloadVariant::Raw ? " raw" : "");
+      MCFIObject Obj = compileOrDie(generateWorkload(P, V), P.Name);
+      expectOrdersMatchReference({&Obj, &runtimeObject()}, nullptr, 1, What);
+    }
+  }
+}
+
+TEST(MergeDifferential, RandomProfiles) {
+  for (uint64_t Seed = 1; Seed != 17; ++Seed) {
+    BenchProfile P = randomProfile(Seed);
+    MCFIObject Obj =
+        compileOrDie(generateWorkload(P, WorkloadVariant::Fixed), P.Name);
+    MCFIObject A = compileOrDie(ModuleA, "libA");
+    expectOrdersMatchReference({&Obj, &runtimeObject(), &A}, nullptr, 2,
+                               P.Name);
+  }
+}
+
+TEST(MergeDifferential, LinkedProgramsWithBootstrap) {
+  // The linker's bootstrap module exports sig$return, so these views
+  // carry the signal-handler trampoline edge.
   BuiltProgram BP = buildProgram({ModuleMain, ModuleA, ModuleB});
   ASSERT_TRUE(BP.Ok) << BP.Error;
-  std::vector<LoadedModuleView> Views = viewsOf(BP);
-
-  // For every (seeded) module order, the parallel merge must equal the
-  // serial merge of that same order. Orders themselves may yield
-  // different policies (first-definition-wins, index bases); determinism
-  // is per-order, not across orders.
+  std::vector<LoadedModuleView> Views = viewsOf(*BP.M);
+  CFGPolicy P = expectMatchesReference(Views, nullptr, "linked");
+  expectPolicyEqual(P, BP.L->policy(), "linked vs installed");
+  ASSERT_GT(P.NumIBs, 0u);
+  ASSERT_GT(P.NumEQCs, 0u);
   std::mt19937 Rng(0x5eedu);
   for (int Round = 0; Round != 6; ++Round) {
     std::shuffle(Views.begin(), Views.end(), Rng);
-    CFGPolicy Serial = generateCFG(Views, nullptr, 1);
-    CFGPolicy Parallel = generateCFG(Views, nullptr, 8);
-    expectPolicyEqual(Serial, Parallel, "round=" + std::to_string(Round));
+    expectMatchesReference(Views, nullptr, "round=" + std::to_string(Round));
+  }
+}
+
+TEST(MergeDifferential, DataflowRefinedBuilds) {
+  const char *DeadHook = R"(
+    long apply(long (*f)(long), long x) { return f(x); }
+    long inc(long x) { return x + 1; }
+    long dead(long x) { return x; }
+    long (*dead_hook)(long) = dead;  /* address-taken, never invoked */
+    long fwd(long x) { return apply(inc, x); }
+  )";
+  std::vector<std::string> Sources = {ModuleMain, ModuleA, ModuleB, DeadHook,
+                                      generateWorkload(randomProfile(7),
+                                                       WorkloadVariant::Fixed)};
+  std::vector<CompileResult> CRs;
+  std::vector<FlowModule> Mods;
+  for (size_t I = 0; I != Sources.size(); ++I) {
+    std::string Name = "m" + std::to_string(I);
+    CRs.push_back(compileModule(Sources[I], {.ModuleName = Name}));
+    ASSERT_TRUE(CRs.back().Ok) << Name;
+    Mods.push_back({CRs.back().Prog.get(), Name});
+  }
+  CFGRefinement Ref = computeRefinement(analyzeFunctionPointerFlow(Mods));
+  ASSERT_FALSE(Ref.Allowed.empty());
+
+  std::vector<const MCFIObject *> Objs;
+  for (const CompileResult &CR : CRs)
+    Objs.push_back(&CR.Obj);
+  expectOrdersMatchReference(Objs, &Ref, 3, "dataflow");
+  // Refinement must actually drop a target here (dead_hook's callee).
+  std::vector<LoadedModuleView> Views = layoutViews(Objs);
+  EXPECT_LT(generateCFG(Views, &Ref).NumIBTs, generateCFG(Views).NumIBTs);
+}
+
+TEST(MergeDifferential, MltaRefinedBuilds) {
+  BuildSpec Spec;
+  Spec.Mlta = true;
+  for (const BenchProfile &P : specProfiles()) {
+    BuiltProgram BP =
+        buildProgram({generateWorkload(P, WorkloadVariant::Fixed)}, Spec);
+    ASSERT_TRUE(BP.Ok) << P.Name << ": " << BP.Error;
+    ASSERT_TRUE(BP.Refinement);
+    CFGPolicy Merge = expectMatchesReference(viewsOf(*BP.M),
+                                             BP.Refinement.get(), P.Name);
+    expectPolicyEqual(Merge, BP.L->policy(), P.Name + " installed");
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Installed-table identity under MergeWorkers
+// Tombstones after dlclose churn
 //===----------------------------------------------------------------------===//
+
+std::string pluginSource(unsigned N) {
+  std::string P = "p" + std::to_string(N);
+  std::string S = "long " + P + "_a(long x) { return x + " +
+                  std::to_string(N) + "; }\n";
+  S += "long " + P + "_b(long x) { return x * 3; }\n";
+  S += "long (*" + P + "_keep)(long) = " + P + "_a;\n";
+  S += "long " + P + "_drive(long (*f)(long), long v) { return f(v) + " + P +
+       "_b(v); }\n";
+  S += "long " + P + "_tail(long v) { return " + P + "_drive(" + P +
+       "_a, v); }\n";
+  if (N % 2)
+    S += "long " + P + "_pair(long x, long y) { return x - y; }\n"
+         "long (*" + P + "_pk)(long, long) = " + P + "_pair;\n";
+  return S;
+}
 
 struct DynProgram {
   std::unique_ptr<Machine> M;
@@ -143,72 +292,320 @@ long (*host_keep)(long) = local_cb;
 int main() { return 0; }
 )";
 
-DynProgram buildDynamic(unsigned MergeWorkers) {
+/// Host linked; libA (0), libB (1) and \p Extra generated plugins
+/// registered.
+DynProgram buildDynamic(unsigned Extra = 0) {
   DynProgram D;
-  CompileOptions HostCO;
-  HostCO.ModuleName = "host";
-  HostCO.EmitPlt = true;
-  CompileResult HostCR = compileModule(DynHost, HostCO);
-  if (!HostCR.Ok) {
-    D.Error = "host compile";
-    return D;
-  }
   D.M = std::make_unique<Machine>();
-  LinkOptions LO;
-  LO.MergeWorkers = MergeWorkers;
-  D.L = std::make_unique<Linker>(*D.M, LO);
+  D.L = std::make_unique<Linker>(*D.M);
   std::vector<MCFIObject> Objs;
-  Objs.push_back(std::move(HostCR.Obj));
+  Objs.push_back(compileOrDie(DynHost, "host"));
   if (!D.L->linkProgram(std::move(Objs), D.Error))
     return D;
-  for (const char *Src : {ModuleA, ModuleB}) {
-    CompileOptions CO;
-    CO.ModuleName = Src == ModuleA ? "libA" : "libB";
-    CO.EmitPlt = true; // libB imports a_drive from libA
-    CompileResult CR = compileModule(Src, CO);
-    if (!CR.Ok) {
-      D.Error = "plugin compile";
-      return D;
-    }
-    D.L->registerLibrary(std::move(CR.Obj));
-  }
+  // libB imports a_drive from libA through its PLT.
+  D.L->registerLibrary(compileOrDie(ModuleA, "libA"));
+  D.L->registerLibrary(compileOrDie(ModuleB, "libB"));
+  for (unsigned I = 0; I != Extra; ++I)
+    D.L->registerLibrary(
+        compileOrDie(pluginSource(I), "plug" + std::to_string(I)));
   D.Ok = true;
   return D;
 }
 
-TEST(ParallelMerge, InstalledTablesByteIdentical) {
-  DynProgram SerialP = buildDynamic(1);
-  DynProgram ParallelP = buildDynamic(8);
-  ASSERT_TRUE(SerialP.Ok) << SerialP.Error;
-  ASSERT_TRUE(ParallelP.Ok) << ParallelP.Error;
+TEST(MergeDifferential, TombstonedViewsAfterDlcloseChurn) {
+  constexpr unsigned Extra = 6;
+  DynProgram D = buildDynamic(Extra);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  RNG R(0xc1u);
+  std::vector<int64_t> Live;
+  unsigned Tombstones = 0;
+  for (int Step = 0; Step != 48; ++Step) {
+    std::string What = "step " + std::to_string(Step);
+    if (Live.size() < 2 || (Live.size() < 6 && R.chancePercent(60))) {
+      int64_t H = D.L->dlopen(static_cast<int64_t>(R.below(2 + Extra)));
+      ASSERT_GE(H, 0) << What << ": " << D.L->lastError();
+      Live.push_back(H);
+      What += " dlopen";
+    } else {
+      size_t Pick = R.below(Live.size());
+      ASSERT_TRUE(D.L->dlcloseOne(Live[Pick])) << What;
+      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Pick));
+      ++Tombstones;
+      What += " dlclose";
+    }
+    CFGPolicy P = expectMatchesReference(viewsOf(*D.M), nullptr, What);
+    expectPolicyEqual(P, D.L->policy(), What + " installed");
+  }
+  EXPECT_GT(Tombstones, 10u);
+}
 
-  for (DynProgram *D : {&SerialP, &ParallelP}) {
-    EXPECT_GE(D->L->dlopen(0), 0) << D->L->lastError();
-    EXPECT_GE(D->L->dlopen(1), 0) << D->L->lastError();
+//===----------------------------------------------------------------------===//
+// Hand-built aux worlds
+//===----------------------------------------------------------------------===//
+
+/// Builds one module's aux info by hand; offsets are allocated in order.
+struct AuxBuilder {
+  MCFIObject Obj;
+  uint64_t Next = 0;
+
+  explicit AuxBuilder(std::string Name) { Obj.Name = std::move(Name); }
+
+  uint64_t fn(const std::string &Name, const std::string &Sig,
+              bool AddressTaken = false) {
+    FunctionInfo F;
+    F.Name = Name;
+    F.TypeSig = Sig;
+    F.CodeOffset = alloc(16);
+    F.AddressTaken = AddressTaken;
+    F.Variadic = Sig.find("...") != std::string::npos;
+    Obj.Aux.Functions.push_back(F);
+    return F.CodeOffset;
+  }
+  /// Returns the local site id.
+  uint32_t site(BranchKind Kind, const std::string &Fn,
+                const std::string &Sig = "", bool Variadic = false,
+                const std::string &Plt = "") {
+    BranchSite B;
+    B.Kind = Kind;
+    B.BranchOffset = alloc(8);
+    B.Function = Fn;
+    B.TypeSig = Sig;
+    B.VariadicPointer = Variadic;
+    B.PltSymbol = Plt;
+    Obj.Aux.BranchSites.push_back(B);
+    return static_cast<uint32_t>(Obj.Aux.BranchSites.size() - 1);
+  }
+  uint32_t ret(const std::string &Fn) { return site(BranchKind::Return, Fn); }
+  /// Direct call; returns the return-site offset.
+  uint64_t call(const std::string &Caller, const std::string &Callee) {
+    CallSiteInfo C;
+    C.Caller = Caller;
+    C.Callee = Callee;
+    C.RetSiteOffset = alloc(8);
+    Obj.Aux.CallSites.push_back(C);
+    return C.RetSiteOffset;
+  }
+  /// Indirect call (branch site plus call site); returns the site id.
+  uint32_t icall(const std::string &Caller, const std::string &Sig,
+                 bool Variadic = false) {
+    CallSiteInfo C;
+    C.Caller = Caller;
+    C.Direct = false;
+    C.TypeSig = Sig;
+    C.VariadicPointer = Variadic;
+    C.RetSiteOffset = alloc(8);
+    Obj.Aux.CallSites.push_back(C);
+    return site(BranchKind::IndirectCall, Caller, Sig, Variadic);
+  }
+  void tail(const std::string &Caller, const std::string &Callee) {
+    TailCallInfo T;
+    T.Caller = Caller;
+    T.Callee = Callee;
+    Obj.Aux.TailCalls.push_back(T);
   }
 
-  const IDTables &TS = SerialP.M->tables();
-  const IDTables &TP = ParallelP.M->tables();
-  ASSERT_EQ(TS.installedTaryLimitBytes(), TP.installedTaryLimitBytes());
-  ASSERT_EQ(TS.installedBaryCount(), TP.installedBaryCount());
-  for (uint64_t Off = 0; Off != TS.installedTaryLimitBytes(); Off += 4)
-    ASSERT_EQ(TS.taryRead(Off), TP.taryRead(Off)) << "Tary offset " << Off;
-  for (uint32_t I = 0; I != TS.installedBaryCount(); ++I)
-    ASSERT_EQ(TS.baryRead(I), TP.baryRead(I)) << "Bary index " << I;
-
-  // Per-install accounting matches entry for entry: the parallel merge
-  // fed the exact same deltas into the exact same transactions.
-  const auto &HS = SerialP.L->updateHistory();
-  const auto &HP = ParallelP.L->updateHistory();
-  ASSERT_EQ(HS.size(), HP.size());
-  for (size_t I = 0; I != HS.size(); ++I) {
-    EXPECT_EQ(HS[I].TaryWritten, HP[I].TaryWritten) << "install " << I;
-    EXPECT_EQ(HS[I].BaryWritten, HP[I].BaryWritten) << "install " << I;
-    EXPECT_EQ(HS[I].TaryCleared, HP[I].TaryCleared) << "install " << I;
-    EXPECT_EQ(HS[I].BaryCleared, HP[I].BaryCleared) << "install " << I;
-    EXPECT_EQ(HS[I].Incremental, HP[I].Incremental) << "install " << I;
-    EXPECT_EQ(HS[I].Version, HP[I].Version) << "install " << I;
+  uint64_t alloc(uint64_t Bytes) {
+    uint64_t At = Next;
+    Next += Bytes;
+    return At;
   }
+};
+
+TEST(MergeDifferential, HandBuiltEdgeCases) {
+  AuxBuilder B("edges");
+  B.fn("main", "()->i32");
+  B.ret("main");
+
+  // A non-returning callee merges nothing: its callers' return sites
+  // stay in separate classes.
+  B.fn("noret", "()->v");
+  uint64_t NrA = B.call("main", "noret");
+  uint64_t NrB = B.call("main", "noret");
+
+  // A tail chain through a non-returning function: g1 and g2 tail-call
+  // hop, which never returns itself but tail-calls the returning h.
+  B.fn("g1", "()->v");
+  B.fn("g2", "()->v");
+  B.fn("hop", "()->v");
+  B.fn("h", "()->v");
+  B.tail("g1", "hop");
+  B.tail("g2", "hop");
+  B.tail("hop", "h");
+  uint32_t HRet = B.ret("h");
+  uint64_t ViaG1 = B.call("main", "g1");
+  uint64_t ViaG2 = B.call("main", "g2");
+  // ...and a chain that ends without any return.
+  B.fn("g3", "()->v");
+  B.fn("sink", "()->v");
+  B.tail("g3", "sink");
+  uint64_t ViaG3 = B.call("main", "g3");
+
+  // An uncalled returning function tail-calling two returning ones must
+  // not join their (disjoint) return classes.
+  B.fn("uncalled", "()->v");
+  B.fn("ra", "()->v");
+  B.fn("rb", "()->v");
+  B.tail("uncalled", "ra");
+  B.tail("uncalled", "rb");
+  uint32_t UncalledRet = B.ret("uncalled");
+  B.ret("ra");
+  B.ret("rb");
+  uint64_t ToRa = B.call("main", "ra");
+  uint64_t ToRb = B.call("main", "rb");
+
+  // Signal-handler-typed targets return to the sigreturn trampoline,
+  // called or not.
+  uint64_t Tramp = B.fn("sig$return", "()->v");
+  B.fn("handler", SignalHandlerSig, /*AddressTaken=*/true);
+  uint32_t HandlerRet = B.ret("handler");
+  B.fn("handler2", SignalHandlerSig, /*AddressTaken=*/true);
+  uint32_t Handler2Ret = B.ret("handler2");
+  B.call("main", "handler2");
+
+  // PLT-only targets (not address-taken) and an unresolved PLT symbol.
+  B.fn("plt_only", "(i64,)->i64");
+  uint32_t Plt1 = B.site(BranchKind::PltJump, "", "", false, "plt_only");
+  uint32_t Plt2 = B.site(BranchKind::PltJump, "", "", false, "plt_only");
+  uint32_t PltMissing = B.site(BranchKind::PltJump, "", "", false, "nowhere");
+
+  // Variadic pointers: the fixed-prefix rule matches vsum, vmax and
+  // exact, not other.
+  B.fn("vsum", "(i64,...)->i64", true);
+  B.fn("vmax", "(i64,i64,...)->i64", true);
+  B.fn("exact", "(i64,i64,)->i64", true);
+  B.fn("other", "(f64,)->i64", true);
+  uint32_t VarSite = B.icall("main", "(i64,...)->i64", /*Variadic=*/true);
+  B.site(BranchKind::IndirectJump, "main", "(i64,...)->i64", true);
+  uint32_t NoTarget = B.icall("main", "(i8,)->i8");
+
+  const uint64_t Base = 0x10000;
+  std::vector<LoadedModuleView> Views = {{&B.Obj, Base}};
+  CFGPolicy P = expectMatchesReference(Views, nullptr, "edges");
+
+  auto ecnAt = [&](uint64_t Off) { return P.getTaryECN(Base + Off); };
+  EXPECT_NE(ecnAt(NrA), ecnAt(NrB));
+  EXPECT_EQ(ecnAt(ViaG1), ecnAt(ViaG2));
+  EXPECT_EQ(P.BranchECN[HRet], ecnAt(ViaG1));
+  EXPECT_EQ(P.BranchClassSize[HRet], 2u);
+  EXPECT_NE(ecnAt(ViaG3), ecnAt(ViaG1));
+  EXPECT_NE(ecnAt(ToRa), ecnAt(ToRb));
+  EXPECT_EQ(P.BranchECN[UncalledRet], EmptyClassECN);
+  EXPECT_EQ(P.BranchClassSize[UncalledRet], 0u);
+  EXPECT_EQ(P.BranchECN[HandlerRet], ecnAt(Tramp));
+  EXPECT_EQ(P.BranchECN[Handler2Ret], ecnAt(Tramp));
+  EXPECT_EQ(P.BranchClassSize[HandlerRet], 2u); // trampoline + handler2's
+  EXPECT_EQ(P.BranchECN[Plt1], P.BranchECN[Plt2]);
+  EXPECT_EQ(P.BranchClassSize[Plt1], 1u);
+  EXPECT_EQ(P.BranchECN[PltMissing], EmptyClassECN);
+  EXPECT_EQ(P.BranchClassSize[VarSite], 3u);
+  EXPECT_EQ(P.BranchECN[NoTarget], EmptyClassECN);
+
+  // Two refined call keys share a target that never returns; each also
+  // reaches a returning target of its own. The shared target must not
+  // join the two keys' return sites.
+  AuxBuilder K("keys");
+  K.fn("c1", "()->v");
+  K.fn("c2", "()->v");
+  K.fn("shared", "(i16,)->i16", true);
+  K.fn("only1", "(i16,)->i16", true);
+  K.ret("only1");
+  K.fn("only2", "(i16,)->i16", true);
+  K.ret("only2");
+  K.icall("c1", "(i16,)->i16");
+  K.icall("c2", "(i16,)->i16");
+  CFGRefinement Ref;
+  Ref.Allowed[{"c1", "(i16,)->i16"}] = {"shared", "only1"};
+  Ref.Allowed[{"c2", "(i16,)->i16"}] = {"shared", "only2"};
+  Views = {{&K.Obj, Base}};
+  CFGPolicy KP = expectMatchesReference(Views, &Ref, "shared key target");
+  EXPECT_NE(KP.getTaryECN(Base + K.Obj.Aux.CallSites[0].RetSiteOffset),
+            KP.getTaryECN(Base + K.Obj.Aux.CallSites[1].RetSiteOffset));
+
+  // The same world behind a tombstone and beside a module that shadows
+  // some of its names (first definition wins).
+  AuxBuilder Shadow("shadow");
+  Shadow.fn("h", "()->v");
+  Shadow.fn("ra", "()->v", true);
+  Shadow.ret("ra");
+  Shadow.call("h", "rb");
+  Shadow.Obj.Aux.AddressTakenImports.push_back("vsum");
+  Views = {{nullptr, 0x1000, 7}, {&Shadow.Obj, 0x8000}, {&B.Obj, Base}};
+  expectMatchesReference(Views, nullptr, "shadowed");
+}
+
+/// A random aux world: name and signature pools are small, so names
+/// clash across modules, offsets collide, keys repeat and every branch
+/// kind, setjmp site, tail call and tombstone appears.
+std::vector<MCFIObject> randomWorld(RNG &R, std::vector<LoadedModuleView> &Views,
+                                    CFGRefinement &Ref) {
+  static const char *Sigs[] = {
+      "(i64,)->i64", "(i64,i64,)->i64", "(i64,...)->i64",
+      "(i64,i64,...)->i64", "(i32,)->v", "()->v", "(f64,)->i64", ""};
+  auto sig = [&] { return std::string(Sigs[R.below(std::size(Sigs))]); };
+  auto name = [&] {
+    return R.chancePercent(5) ? std::string("sig$return")
+                              : "f" + std::to_string(R.below(16));
+  };
+  auto off = [&] { return R.below(64) * 8; };
+
+  std::vector<MCFIObject> Objs(R.range(1, 5));
+  for (size_t Mi = 0; Mi != Objs.size(); ++Mi) {
+    AuxInfo &A = Objs[Mi].Aux;
+    Objs[Mi].Name = "w" + std::to_string(Mi);
+    for (uint64_t I = 0, E = R.below(12); I != E; ++I)
+      A.Functions.push_back(
+          {name(), sig(), "", off(), R.chancePercent(50), R.chancePercent(10)});
+    for (uint64_t I = 0, E = R.below(16); I != E; ++I) {
+      BranchSite B;
+      B.Kind = static_cast<BranchKind>(R.below(4));
+      B.Function = name();
+      B.TypeSig = sig();
+      B.VariadicPointer = R.chancePercent(30);
+      B.PltSymbol = R.chancePercent(80) ? name() : "missing";
+      A.BranchSites.push_back(B);
+    }
+    for (uint64_t I = 0, E = R.below(14); I != E; ++I)
+      A.CallSites.push_back({name(), off(), R.chancePercent(50), name(), sig(),
+                             R.chancePercent(30), R.chancePercent(10)});
+    for (uint64_t I = 0, E = R.below(8); I != E; ++I)
+      A.TailCalls.push_back(
+          {name(), R.chancePercent(50), name(), sig(), R.chancePercent(30)});
+    for (uint64_t I = 0, E = R.below(3); I != E; ++I)
+      A.AddressTakenImports.push_back(name());
+  }
+  Views.clear();
+  for (size_t Mi = 0; Mi != Objs.size(); ++Mi) {
+    uint64_t Base = 0x1000 * (Mi + 1);
+    if (R.chancePercent(15))
+      Views.push_back({nullptr, Base, static_cast<uint32_t>(R.below(5))});
+    else
+      Views.push_back({&Objs[Mi], Base});
+  }
+
+  Ref = CFGRefinement();
+  for (uint64_t I = 0, E = R.below(12); I != E; ++I) {
+    std::set<std::string> &Names = Ref.Allowed[{name(), sig()}];
+    for (uint64_t J = 0, N = R.below(6); J != N; ++J)
+      Names.insert(name());
+  }
+  for (uint64_t I = 0, E = R.below(3); I != E; ++I)
+    Ref.KeepTargets.insert(name());
+  return Objs;
+}
+
+TEST(MergeDifferential, RandomAuxWorlds) {
+  RNG R(0xa11u);
+  uint64_t NonEmpty = 0;
+  for (int World = 0; World != 400; ++World) {
+    std::vector<LoadedModuleView> Views;
+    CFGRefinement Ref;
+    std::vector<MCFIObject> Objs = randomWorld(R, Views, Ref);
+    std::string What = "world " + std::to_string(World);
+    CFGPolicy P = expectMatchesReference(Views, nullptr, What);
+    expectMatchesReference(Views, &Ref, What + " refined");
+    NonEmpty += P.NumEQCs > 1;
+  }
+  EXPECT_GT(NonEmpty, 200u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -258,36 +655,45 @@ TEST(SigIntern, MatchesStringOracle) {
   }
 }
 
-TEST(SigCache, ModuleSigsAreCachedByContent) {
-  CompileOptions CO;
-  CO.ModuleName = "cachemod";
-  CompileResult CR = compileModule(ModuleB, CO);
-  ASSERT_TRUE(CR.Ok);
+TEST(SigCache, ModuleSigsAreCachedByTypeStrings) {
+  MCFIObject Obj = compileOrDie(ModuleB, "cachemod");
 
-  std::shared_ptr<const ModuleSigs> First = getModuleSigs(CR.Obj);
-  std::shared_ptr<const ModuleSigs> Second = getModuleSigs(CR.Obj);
+  std::shared_ptr<const ModuleSigs> First = getModuleSigs(Obj);
+  std::shared_ptr<const ModuleSigs> Second = getModuleSigs(Obj);
   ASSERT_TRUE(First);
-  EXPECT_EQ(First.get(), Second.get()); // content hash hit, no re-intern
-  EXPECT_EQ(First->FuncSigs.size(), CR.Obj.Aux.Functions.size());
-  EXPECT_EQ(First->BranchSigs.size(), CR.Obj.Aux.BranchSites.size());
-  EXPECT_EQ(First->CallSigs.size(), CR.Obj.Aux.CallSites.size());
-  EXPECT_EQ(First->TailSigs.size(), CR.Obj.Aux.TailCalls.size());
+  EXPECT_EQ(First.get(), Second.get()); // key hit, no re-intern
+  EXPECT_EQ(First->FuncSigs.size(), Obj.Aux.Functions.size());
+  EXPECT_EQ(First->BranchSigs.size(), Obj.Aux.BranchSites.size());
+  EXPECT_EQ(First->CallSigs.size(), Obj.Aux.CallSites.size());
+  EXPECT_EQ(First->TailSigs.size(), Obj.Aux.TailCalls.size());
 
   // Each non-empty entry is the interned pointer of the aux string.
-  for (size_t F = 0; F != CR.Obj.Aux.Functions.size(); ++F) {
-    const std::string &Sig = CR.Obj.Aux.Functions[F].TypeSig;
+  for (size_t F = 0; F != Obj.Aux.Functions.size(); ++F) {
+    const std::string &Sig = Obj.Aux.Functions[F].TypeSig;
     if (Sig.empty())
       EXPECT_EQ(First->FuncSigs[F], nullptr);
     else
       EXPECT_EQ(First->FuncSigs[F], SigInterner::global().intern(Sig));
   }
 
-  // Different content (renamed module) -> different cache slot.
-  MCFIObject Renamed = CR.Obj;
+  // The key ignores the module name, symbol names and code bytes...
+  MCFIObject Renamed = Obj;
   Renamed.Name = "cachemod2";
-  std::shared_ptr<const ModuleSigs> Other = getModuleSigs(Renamed);
-  EXPECT_NE(First.get(), Other.get());
-  EXPECT_NE(First->ContentHash, Other->ContentHash);
+  Renamed.Aux.Functions[0].Name += "_renamed";
+  Renamed.Code.push_back(0);
+  EXPECT_EQ(getModuleSigs(Renamed).get(), First.get());
+
+  // ...but not the type strings or their positions.
+  MCFIObject Retyped = Obj;
+  Retyped.Aux.Functions[0].TypeSig = "(f64,)->f64";
+  std::shared_ptr<const ModuleSigs> Other = getModuleSigs(Retyped);
+  EXPECT_NE(Other.get(), First.get());
+  EXPECT_NE(Other->Key, First->Key);
+  EXPECT_EQ(Other->FuncSigs[0], SigInterner::global().intern("(f64,)->f64"));
+
+  MCFIObject Moved = Obj;
+  Moved.Aux.TailCalls.push_back({"f", false, "", "", false});
+  EXPECT_NE(hashModuleSigKey(Moved), First->Key);
 }
 
 //===----------------------------------------------------------------------===//
@@ -295,7 +701,7 @@ TEST(SigCache, ModuleSigsAreCachedByContent) {
 //===----------------------------------------------------------------------===//
 
 TEST(DlopenBatch, CoalescedBatchInstallsOnce) {
-  DynProgram D = buildDynamic(4);
+  DynProgram D = buildDynamic();
   ASSERT_TRUE(D.Ok) << D.Error;
   size_t InstallsBefore = D.L->updateHistory().size();
 
@@ -332,7 +738,7 @@ TEST(DlopenBatch, CoalescedBatchInstallsOnce) {
 }
 
 TEST(DlopenBatch, FailedMemberFailsAlone) {
-  DynProgram D = buildDynamic(1);
+  DynProgram D = buildDynamic();
   ASSERT_TRUE(D.Ok) << D.Error;
 
   // Unknown id fails; the valid member of the same batch still loads.

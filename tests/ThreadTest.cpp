@@ -28,20 +28,22 @@ using namespace mcfi;
 namespace {
 
 /// Builds a program whose exported functions the test drives directly on
-/// multiple host threads.
+/// multiple host threads. worker(iters, slot) calls through the table
+/// pair at tab[slot], so threads given different slots share no table
+/// word.
 BuiltProgram buildShared() {
   const char *Source = R"(
     long counter = 0;
     long w0(long x) { return x + 1; }
     long w1(long x) { return x * 2; }
-    long (*tab[2])(long);
-    long worker(long iters) {
-      tab[0] = w0;
-      tab[1] = w1;
+    long (*tab[4])(long);
+    long worker(long iters, long slot) {
+      tab[slot] = w0;
+      tab[slot + 1] = w1;
       long acc = 0;
       long i;
       for (i = 0; i < iters; i = i + 1) {
-        acc = acc + tab[i & 1](i);    /* checked indirect call */
+        acc = acc + tab[slot + (i & 1)](i);  /* checked indirect call */
         counter = counter + 1;        /* racy shared increment */
       }
       exit((int)(acc & 127));
@@ -99,7 +101,8 @@ TEST(GuestThreads, ViolationInOneThreadDoesNotStopOthers) {
   ASSERT_TRUE(BP.Ok) << BP.Error;
 
   // Thread A spins; thread B's function-pointer table is corrupted so
-  // it halts; A must finish cleanly regardless.
+  // it halts; A must finish cleanly regardless. B runs on its own table
+  // slots (tab[2], tab[3]), so A never reads the poisoned word.
   uint64_t TabAddr = 0;
   for (const MappedModule &Mod : BP.M->modules()) {
     auto It = Mod.Obj->DataSymbols.find("tab");
@@ -112,7 +115,9 @@ TEST(GuestThreads, ViolationInOneThreadDoesNotStopOthers) {
   ASSERT_TRUE(BP.M->makeThread("worker", A));
   ASSERT_TRUE(BP.M->makeThread("worker", B));
   A.Regs[visa::RegArg0] = 200000;
+  A.Regs[visa::RegArg0 + 1] = 0;
   B.Regs[visa::RegArg0] = 200000;
+  B.Regs[visa::RegArg0 + 1] = 2;
 
   std::atomic<bool> AViolated{false}, BViolated{false};
   std::thread TA([&] {
@@ -120,17 +125,16 @@ TEST(GuestThreads, ViolationInOneThreadDoesNotStopOthers) {
     AViolated.store(R.Reason == StopReason::CfiViolation);
   });
   std::thread TB([&] {
-    // Let B start, then poison the shared table entry it uses. B halts
-    // at its next check; note A uses the same table, so re-heal it for
-    // A after B stops.
+    // Let B start (its slots are initialised by then), then poison its
+    // private entry. B halts at its next check.
     RunResult Mid = BP.M->run(B, 50'000);
     EXPECT_EQ(Mid.Reason, StopReason::OutOfFuel);
+    uint64_t BSlot = TabAddr + 2 * 8;
     uint64_t Good = 0;
-    BP.M->load(TabAddr, 8, Good);
-    BP.M->store(TabAddr, 8, Good + 2); // misaligned: invalid target
+    BP.M->load(BSlot, 8, Good);
+    BP.M->store(BSlot, 8, Good + 2); // misaligned: invalid target
     RunResult R = BP.M->run(B, 2'000'000);
     BViolated.store(R.Reason == StopReason::CfiViolation);
-    BP.M->store(TabAddr, 8, Good); // heal for A
   });
   TB.join();
   TA.join();
@@ -343,7 +347,6 @@ void runDlopenStorm(bool Incremental, const std::vector<MCFIObject> &Plugins,
   Machine M;
   LinkOptions LO;
   LO.IncrementalUpdates = Incremental;
-  LO.MergeWorkers = 4;
   Linker L(M, LO);
   std::string Error;
   std::vector<MCFIObject> Objs;
@@ -522,7 +525,6 @@ TEST(DlopenStorm, GuestDlsymRacesDlopen) {
 
   Machine M;
   LinkOptions LO;
-  LO.MergeWorkers = 4;
   Linker L(M, LO);
   std::string Error;
   std::vector<MCFIObject> Objs;
@@ -631,8 +633,7 @@ TEST(DlcloseChurn, StormWithZeroLeakAccounting) {
   auto freshLinker = [&](Machine &M) {
     LinkOptions LO;
     LO.IncrementalUpdates = true;
-    LO.MergeWorkers = 4;
-    auto L = std::make_unique<Linker>(M, LO);
+      auto L = std::make_unique<Linker>(M, LO);
     CompileOptions HostCO;
     HostCO.ModuleName = "host";
     CompileResult HostCR = compileModule("int main() { return 0; }", HostCO);

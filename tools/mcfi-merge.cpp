@@ -1,4 +1,4 @@
-//===- tools/mcfi-merge.cpp - Serial/parallel merge differential ----------===//
+//===- tools/mcfi-merge.cpp - CFG merge vs reference differential ---------===//
 //
 // Part of the MCFI reproduction of "Modular Control-Flow Integrity"
 // (Niu & Tan, PLDI 2014). Distributed under the MIT license.
@@ -7,20 +7,20 @@
 ///
 /// mcfi-merge: the CFG-merge differential checker. It compiles every
 /// embedded MiniC module of the given C++ example files, generates the
-/// merged CFG policy serially and with a parallel worker pool, and fails
-/// unless the two are byte-identical — the deterministic-reduction
-/// contract of generateCFG. Seeded module-order shuffles re-run the
-/// differential over permuted load orders (each order is its own
-/// serial-vs-parallel pair; different orders legitimately produce
-/// different policies, since the site index space follows load order).
+/// merged CFG policy with generateCFG (the class-level merge the linker
+/// runs) and with generateCFGReference (the per-site oracle), and fails
+/// unless the two are byte-identical. Seeded module-order shuffles re-run
+/// the differential over permuted load orders (each order is its own
+/// pair; different orders legitimately produce different policies, since
+/// the site index space follows load order).
 ///
 ///   mcfi-merge [options] example.cpp...
 ///
-///   --workers N   parallel worker count (default 8)
 ///   --shuffles K  extra seeded module-order permutations (default 4)
 ///   --seed S      shuffle seed (default 1)
 ///   --emit DIR    write each compiled module to DIR/<name>.mcfo and the
-///                 two policy dumps to DIR/policy-{serial,parallel}.txt
+///                 declaration-order policy dumps to
+///                 DIR/policy-{merge,reference}.txt
 ///   --json        machine-readable report on stdout
 ///
 /// Exit code: 0 policies identical, 1 divergence, 2 bad invocation or
@@ -28,7 +28,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cfg/CFGGen.h"
+#include "cfg/CFGReference.h"
 #include "toolchain/Toolchain.h"
 #include "tools/ToolCommon.h"
 
@@ -44,7 +44,6 @@ using namespace mcfi::tools;
 namespace {
 
 struct Options {
-  unsigned Workers = 8;
   unsigned Shuffles = 4;
   uint64_t Seed = 1;
   std::string EmitDir;
@@ -94,23 +93,13 @@ uint64_t fnv1a(const std::string &S) {
   return H;
 }
 
-bool policiesIdentical(const CFGPolicy &A, const CFGPolicy &B) {
-  return A.TargetECN == B.TargetECN && A.BranchECN == B.BranchECN &&
-         A.BranchClassSize == B.BranchClassSize &&
-         A.SiteIndexBase == B.SiteIndexBase &&
-         A.SetjmpRetSites == B.SetjmpRetSites && A.NumIBs == B.NumIBs &&
-         A.NumIBTs == B.NumIBTs && A.NumEQCs == B.NumEQCs;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   Options O;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--workers" && I + 1 < argc) {
-      O.Workers = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
-    } else if (A == "--shuffles" && I + 1 < argc) {
+    if (A == "--shuffles" && I + 1 < argc) {
       O.Shuffles = static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
     } else if (A == "--seed" && I + 1 < argc) {
       O.Seed = std::strtoull(argv[++I], nullptr, 10);
@@ -124,9 +113,9 @@ int main(int argc, char **argv) {
       O.Inputs.push_back(A);
     }
   }
-  if (O.Inputs.empty() || O.Workers == 0)
-    usage("usage: mcfi-merge [--workers N] [--shuffles K] [--seed S] "
-          "[--emit DIR] [--json] example.cpp...");
+  if (O.Inputs.empty())
+    usage("usage: mcfi-merge [--shuffles K] [--seed S] [--emit DIR] "
+          "[--json] example.cpp...");
 
   // Compile every embedded module; skip non-MiniC snippets (an example
   // may embed other text), as mcfi-audit --extract does.
@@ -161,30 +150,30 @@ int main(int argc, char **argv) {
   }
 
   // Declaration order first, then the seeded shuffles. Each order is one
-  // serial-vs-parallel differential.
+  // merge-vs-reference differential.
   std::vector<const MCFIObject *> Order;
   for (const MCFIObject &Obj : Objs)
     Order.push_back(&Obj);
   std::mt19937_64 Rng(O.Seed);
   unsigned Divergences = 0;
   uint64_t Digest = 0;
-  std::string SerialDump, ParallelDump;
+  std::string MergeDump, ReferenceDump;
   for (unsigned Round = 0; Round != 1 + O.Shuffles; ++Round) {
     if (Round)
       std::shuffle(Order.begin(), Order.end(), Rng);
     std::vector<LoadedModuleView> Views = layoutViews(Order);
-    CFGPolicy Serial = generateCFG(Views, nullptr, 1);
-    CFGPolicy Parallel = generateCFG(Views, nullptr, O.Workers);
-    if (!policiesIdentical(Serial, Parallel)) {
+    CFGPolicy Merge = generateCFG(Views);
+    CFGPolicy Reference = generateCFGReference(Views);
+    if (!policiesIdentical(Merge, Reference)) {
       ++Divergences;
       std::fprintf(stderr,
                    "mcfi-merge: DIVERGENCE in round %u (%s order)\n", Round,
                    Round ? "shuffled" : "declaration");
     }
     if (!Round) {
-      SerialDump = dumpPolicy(Serial);
-      ParallelDump = dumpPolicy(Parallel);
-      Digest = fnv1a(SerialDump);
+      MergeDump = dumpPolicy(Merge);
+      ReferenceDump = dumpPolicy(Reference);
+      Digest = fnv1a(MergeDump);
     }
   }
 
@@ -196,11 +185,11 @@ int main(int argc, char **argv) {
         return 2;
       }
     }
-    std::ofstream SOut(O.EmitDir + "/policy-serial.txt");
-    SOut << SerialDump;
-    std::ofstream POut(O.EmitDir + "/policy-parallel.txt");
-    POut << ParallelDump;
-    if (!SOut.good() || !POut.good()) {
+    std::ofstream MOut(O.EmitDir + "/policy-merge.txt");
+    MOut << MergeDump;
+    std::ofstream ROut(O.EmitDir + "/policy-reference.txt");
+    ROut << ReferenceDump;
+    if (!MOut.good() || !ROut.good()) {
       std::fprintf(stderr, "mcfi-merge: cannot write policy dumps to %s\n",
                    O.EmitDir.c_str());
       return 2;
@@ -213,7 +202,7 @@ int main(int argc, char **argv) {
     J << "{\"tool\":\"mcfi-merge\",\"modules\":[";
     for (size_t I = 0; I != Names.size(); ++I)
       J << (I ? "," : "") << "\"" << jsonEscape(Names[I]) << "\"";
-    J << "],\"workers\":" << O.Workers << ",\"rounds\":" << 1 + O.Shuffles
+    J << "],\"rounds\":" << 1 + O.Shuffles
       << ",\"digest\":\"";
     char Buf[20];
     std::snprintf(Buf, sizeof(Buf), "%016llx",
@@ -222,11 +211,10 @@ int main(int argc, char **argv) {
       << ",\"identical\":" << (Ok ? "true" : "false") << "}";
     std::printf("%s\n", J.str().c_str());
   } else {
-    std::printf("mcfi-merge: %zu modules, %u rounds at %u workers, digest "
-                "%016llx: %s\n",
-                Objs.size(), 1 + O.Shuffles, O.Workers,
+    std::printf("mcfi-merge: %zu modules, %u rounds, digest %016llx: %s\n",
+                Objs.size(), 1 + O.Shuffles,
                 static_cast<unsigned long long>(Digest),
-                Ok ? "serial and parallel policies identical" : "DIVERGED");
+                Ok ? "merge and reference policies identical" : "DIVERGED");
   }
   return Ok ? 0 : 1;
 }

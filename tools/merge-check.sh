@@ -1,10 +1,10 @@
 #!/bin/sh
-# Differential CI gate for the parallel CFG-merge pipeline:
+# Differential CI gate for the class-level CFG merge:
 #
 #   - mcfi-merge compiles every embedded module of the separate
-#     compilation and dynamic-plugin examples, merges the CFG serially
-#     and with 8 workers (plus seeded module-order shuffles), and fails
-#     on any serial-vs-parallel divergence;
+#     compilation and dynamic-plugin examples, merges the CFG with
+#     generateCFG and with the per-site reference generator (plus seeded
+#     module-order shuffles), and fails on any divergence;
 #   - the emitted policy dumps must be byte-identical (cmp);
 #   - every emitted .mcfo module must pass mcfi-verify --json.
 #
@@ -25,13 +25,13 @@ for example in separate_compilation dynamic_plugin; do
   echo "== merge differential: $example =="
   emit="$WORK/$example"
   mkdir -p "$emit"
-  if ! "$MERGE" --workers 8 --shuffles 4 --seed 1 --emit "$emit" \
+  if ! "$MERGE" --shuffles 4 --seed 1 --emit "$emit" \
       "$EXAMPLES/$example.cpp"; then
     echo "merge-check: $example DIVERGED"
     status=1
     continue
   fi
-  if ! cmp -s "$emit/policy-serial.txt" "$emit/policy-parallel.txt"; then
+  if ! cmp -s "$emit/policy-merge.txt" "$emit/policy-reference.txt"; then
     echo "merge-check: $example policy dumps differ"
     status=1
     continue
@@ -47,6 +47,6 @@ done
 if [ "$status" -ne 0 ]; then
   echo "merge-check: FAILED"
 else
-  echo "merge-check: serial and parallel merges identical, modules verify"
+  echo "merge-check: merge and reference policies identical, modules verify"
 fi
 exit "$status"

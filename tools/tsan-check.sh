@@ -2,9 +2,9 @@
 # Builds the project under ThreadSanitizer (-DMCFI_SANITIZE=thread) in a
 # separate build tree and runs the concurrency-sensitive test suites:
 # the lock-free check/update transaction paths, the multithreaded guest
-# runtime, dynamic linking racing executing threads, the parallel
-# CFG-merge pipeline (worker pool + sig interner), the serial-vs-
-# parallel merge differential, the two-tier verifier (whose semantic
+# runtime, dynamic linking racing executing threads (dlopen batches
+# merge the CFG through the shared sig interner), the merge-vs-reference
+# differential, the two-tier verifier (whose semantic
 # tier runs at dlopen time while guest threads execute), and the VM
 # execution tiers (threaded dispatch + trace cache racing dlopen's
 # code-epoch invalidation; test_runtime/test_threads/test_tierdiff all
@@ -16,8 +16,8 @@
 # dlcloseBatch retirement and epoch reclamation against a running guest
 # (its single-threaded ucontext schedcheck legs are skipped under TSan),
 # and the layered-type-map suite (test_mlta), whose tier-parameterized
-# refined builds run the parallel CFG-merge pipeline under an MLTA
-# refinement on every execution tier.
+# refined builds run the CFG merge under an MLTA refinement on every
+# execution tier.
 #
 # Usage: tools/tsan-check.sh [build-dir]   (default: build-tsan)
 set -eu

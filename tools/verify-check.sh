@@ -36,7 +36,7 @@ fail() {
 for example in quickstart separate_compilation dynamic_plugin; do
   emit="$WORK/$example"
   mkdir -p "$emit"
-  "$MERGE" --workers 2 --shuffles 1 --seed 7 --emit "$emit" \
+  "$MERGE" --shuffles 1 --seed 7 --emit "$emit" \
       "$EXAMPLES/$example.cpp" >/dev/null
 done
 
