@@ -13,11 +13,11 @@
 /// hardware) and the VM wall-time overhead as a secondary signal.
 /// Expected shape: single-digit percentages, ~4-6% average.
 ///
-/// The instrumented run is also timed on each execution tier
-/// (interpreter / threaded / trace) — instruction counts are
-/// tier-invariant by the differential harness, so the per-tier columns
-/// isolate pure engine speed: decode-once + handler dispatch, then
-/// hot-block traces with the fused TxCheck superinstruction.
+/// The instrumented run is also timed on both execution tiers
+/// (interpreter / threaded) — instruction counts are tier-invariant by
+/// the differential harness, so the per-tier columns isolate pure engine
+/// speed: decode-once handler dispatch with the fused TxCheck
+/// superinstruction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,11 +35,11 @@ int main() {
 
   TablePrinter Table;
   Table.addRow({"benchmark", "base instrs", "mcfi instrs", "instr overhead",
-                "interp", "threaded", "trace", "trace speedup"});
+                "interp", "threaded", "threaded speedup"});
 
   double SumInstr = 0, SumSpeedup = 0;
   unsigned Count = 0;
-  VMTierStats TraceTotals;
+  VMTierStats Totals;
   for (const BenchProfile &P : specProfiles()) {
     std::string OutBase, OutMCFI;
     Measured Base = runProfile(P, /*Instrument=*/false, &OutBase);
@@ -58,61 +58,48 @@ int main() {
       return 1;
     }
 
-    // Same instrumented program on the predecoding tiers; the retired-
+    // Same instrumented program on the threaded tier; the retired-
     // instruction count must not move (RunResult identity).
-    double TierSeconds[2] = {0, 0};
-    ExecTier Tiers[2] = {ExecTier::Threaded, ExecTier::Trace};
-    for (int K = 0; K != 2; ++K) {
-      std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
-      BuildSpec Spec;
-      Spec.Tier = Tiers[K];
-      BuiltProgram BP = buildProgram({Source}, Spec);
-      if (!BP.Ok) {
-        std::fprintf(stderr, "%s: %s\n", P.Name.c_str(), BP.Error.c_str());
-        return 1;
-      }
-      Measured M = measureRun(BP);
-      if (M.Result.Reason != StopReason::Exited ||
-          M.Result.Instructions != Interp.Result.Instructions) {
-        std::fprintf(stderr, "%s: tier diverged from the interpreter\n",
-                     P.Name.c_str());
-        return 1;
-      }
-      TierSeconds[K] = M.Seconds;
-      if (Tiers[K] == ExecTier::Trace) {
-        VMTierStats S = BP.M->vmStats();
-        TraceTotals.TraceInstrs += S.TraceInstrs;
-        TraceTotals.ThreadedInstrs += S.ThreadedInstrs;
-        TraceTotals.InterpInstrs += S.InterpInstrs;
-        TraceTotals.FusedChecks += S.FusedChecks;
-        TraceTotals.TraceHits += S.TraceHits;
-        TraceTotals.TracesCompiled += S.TracesCompiled;
-        TraceTotals.TracesInvalidated += S.TracesInvalidated;
-        TraceTotals.SegmentsBuilt += S.SegmentsBuilt;
-      }
+    BuildSpec Spec;
+    Spec.Tier = ExecTier::Threaded;
+    BuiltProgram BP =
+        buildProgram({generateWorkload(P, WorkloadVariant::Fixed)}, Spec);
+    if (!BP.Ok) {
+      std::fprintf(stderr, "%s: %s\n", P.Name.c_str(), BP.Error.c_str());
+      return 1;
     }
+    Measured Threaded = measureRun(BP);
+    if (Threaded.Result.Reason != StopReason::Exited ||
+        Threaded.Result.Instructions != Interp.Result.Instructions) {
+      std::fprintf(stderr, "%s: tier diverged from the interpreter\n",
+                   P.Name.c_str());
+      return 1;
+    }
+    VMTierStats S = BP.M->vmStats();
+    Totals.InterpInstrs += S.InterpInstrs;
+    Totals.ThreadedInstrs += S.ThreadedInstrs;
+    Totals.FusedChecks += S.FusedChecks;
+    Totals.SegmentsBuilt += S.SegmentsBuilt;
 
     double InstrOv = 100.0 * (static_cast<double>(
                                   Interp.Result.Instructions) /
                                   static_cast<double>(
                                       Base.Result.Instructions) -
                               1.0);
-    double Speedup = Interp.Seconds / TierSeconds[1];
+    double Speedup = Interp.Seconds / Threaded.Seconds;
     SumInstr += InstrOv;
     SumSpeedup += Speedup;
     ++Count;
     Table.addRow({P.Name, std::to_string(Base.Result.Instructions),
                   std::to_string(Interp.Result.Instructions), pct(InstrOv),
                   formatString("%.3f s", Interp.Seconds),
-                  formatString("%.3f s", TierSeconds[0]),
-                  formatString("%.3f s", TierSeconds[1]),
+                  formatString("%.3f s", Threaded.Seconds),
                   formatString("%.2fx", Speedup)});
   }
-  Table.addRow({"average", "", "", pct(SumInstr / Count), "", "", "",
+  Table.addRow({"average", "", "", pct(SumInstr / Count), "", "",
                 formatString("%.2fx", SumSpeedup / Count)});
   Table.print();
-  std::printf("%s\n",
-              vmStatsJSON(TraceTotals, "trace-totals").c_str());
+  std::printf("%s\n", vmStatsJSON(Totals, "threaded-totals").c_str());
   std::printf("\npaper: ~4-6%% average on x86-32/64 (Fig. 5); instruction\n"
               "counts are tier-invariant, so the per-tier columns measure\n"
               "pure dispatch speed (see vm_tier_check for the gated run)\n");

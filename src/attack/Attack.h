@@ -37,12 +37,12 @@
 ///    TxUpdate storms, probing for a torn cross-version table pair that
 ///    momentarily validates a never-legal edge. Racy by construction
 ///    (and TSan-clean: every access goes through the tables' atomics).
-///  - trace-fused-check: a pointer corrupted mid-run *after* the trace
-///    tier compiled hot traces — the fused TxCheck superinstruction must
-///    catch what the discrete sequence would.
-///  - code-epoch-replay: hijacks into a module dlopen'd after traces
-///    were compiled; the stale predecoded segment must not cover the new
-///    code, and the fallback path must re-check it in full.
+///  - fused-check: a pointer corrupted mid-run, so on the threaded tier
+///    the fused TxCheck superinstruction must catch what the discrete
+///    sequence would.
+///  - code-epoch-replay: hijacks into a module dlopen'd mid-run; the
+///    stale predecoded segment must not cover the new code, and the
+///    fallback path must re-check it in full.
 ///  - mlta: cross-enclosing-type function-pointer overwrites. The MLTA
 ///    victim dispatches through fnptr fields of two structurally
 ///    distinct registry structs whose handlers share one signature —
@@ -62,7 +62,7 @@
 ///    successor instance (the condemned-ECN guard forces a version bump
 ///    when a dying class number re-enters the tables before grace).
 ///
-/// Every attack runs under all three MachineOptions::Tier values; the
+/// Every attack runs under both MachineOptions::Tier values; the
 /// differential tier harness guarantees the tiers agree, and this corpus
 /// guarantees what they agree *on* is a kill.
 ///
@@ -88,7 +88,7 @@ enum class AttackClass : uint8_t {
   FakeTable,
   StaleVersionReplay,
   TornUpdate,
-  TraceFusedCheck,
+  FusedCheck,
   CodeEpochReplay,
   Unload,
   Mlta,
@@ -158,9 +158,8 @@ struct VictimSpec {
 
 struct CorpusOptions {
   uint64_t Seed = 0x5eed;
-  /// Tiers to run every attack under (default: all three).
-  std::vector<ExecTier> Tiers = {ExecTier::Interpreter, ExecTier::Threaded,
-                                 ExecTier::Trace};
+  /// Tiers to run every attack under (default: both).
+  std::vector<ExecTier> Tiers = {ExecTier::Interpreter, ExecTier::Threaded};
   /// Classes to synthesize (empty: all).
   std::vector<AttackClass> Classes;
   /// Cap on enumerated attacks per class per (victim, tier).

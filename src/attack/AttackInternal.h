@@ -43,9 +43,6 @@ struct GuestAttack {
   /// fake-table: plant counterfeit ID words in guest memory before the
   /// hijack.
   bool ForgeIDs = false;
-  /// trace-fused-check: run a longer warm-up slice so hot traces are
-  /// compiled before the corruption lands.
-  bool WarmTraces = false;
   /// code-epoch-replay: host-side dlopen of the registered plugin after
   /// the slice, before the corruption.
   bool DlopenLibrary = false;
@@ -70,7 +67,7 @@ struct VictimConfig {
 /// plugin library, creates the _start thread, and (when SliceFuel > 0)
 /// runs the mid-run slice. Returns Ok=false in BP on failure.
 VictimBuild buildVictim(const VictimSpec &Victim, ExecTier Tier,
-                        uint64_t SliceFuel, bool WarmTraces);
+                        uint64_t SliceFuel);
 
 /// Enumerates guest-level attacks for the classes in \p Classes against
 /// the post-slice state of \p V. Deterministic for a fixed RNG state.

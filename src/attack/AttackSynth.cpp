@@ -59,7 +59,7 @@ int main() {
 )";
 
 /// The plugin registered for code-epoch-replay: loaded by a host-side
-/// dlopen *after* the victim's traces are hot. plug_same shares hook's
+/// dlopen *after* the victim's mid-run slice. plug_same shares hook's
 /// signature (a legal cross-module extension of its class); plug_wrong
 /// does not.
 static const char *EpochPluginSource = R"(
@@ -74,7 +74,7 @@ VictimSpec mcfi::attack::builtinVictim() {
 }
 
 VictimBuild mcfi::attack::buildVictim(const VictimSpec &Victim, ExecTier Tier,
-                                      uint64_t SliceFuel, bool WarmTraces) {
+                                      uint64_t SliceFuel) {
   VictimBuild V;
   BuildSpec Spec;
   Spec.Instrument = true;
@@ -99,16 +99,14 @@ VictimBuild mcfi::attack::buildVictim(const VictimSpec &Victim, ExecTier Tier,
     V.BP.Error = "victim has no _start";
     return V;
   }
-  // The trace tier needs more head start than the hot-loop threshold;
-  // three slices is enough for the loop to be running inside traces.
-  V.SliceFuel = WarmTraces ? SliceFuel * 3 : SliceFuel;
+  V.SliceFuel = SliceFuel;
   if (V.SliceFuel) {
     RunResult Mid = V.BP.M->run(V.T, V.SliceFuel);
     if (Mid.Reason != StopReason::OutOfFuel) {
       // Victim finished (or died) inside the slice: mutate-at-start
       // instead. Rebuild the thread so the attack run starts clean.
       V.SliceFuel = 0;
-      return buildVictim(Victim, Tier, 0, false);
+      return buildVictim(Victim, Tier, 0);
     }
     V.SliceRan = true;
   }
@@ -312,8 +310,8 @@ std::vector<GuestAttack> mcfi::attack::synthesizeGuestAttacks(
     }
   }
 
-  // -------- trace-fused-check: corrupt after traces are hot ------------
-  if (Wants(AttackClass::TraceFusedCheck) && !Slots.empty() && V.SliceRan) {
+  // -------- fused-check: corrupt the hot dispatch slot mid-run --------
+  if (Wants(AttackClass::FusedCheck) && !Slots.empty() && V.SliceRan) {
     const PtrSlot &S = *DispatchSlot;
     std::vector<uint64_t> Cands;
     for (const auto &[ECN, Addrs] : ByECN) {
@@ -328,11 +326,10 @@ std::vector<GuestAttack> mcfi::attack::synthesizeGuestAttacks(
     std::sort(Cands.begin(), Cands.end());
     for (uint64_t T : pickUpTo(Cands, MaxPerClass, R)) {
       GuestAttack A;
-      A.Class = AttackClass::TraceFusedCheck;
+      A.Class = AttackClass::FusedCheck;
       A.Name = "fused:" + S.Name + ":" + hex(T);
       A.SlotAddr = S.Addr;
       A.Target = T;
-      A.WarmTraces = true;
       Out.push_back(A);
     }
   }

@@ -40,8 +40,8 @@ const char *mcfi::attack::className(AttackClass C) {
     return "stale-version-replay";
   case AttackClass::TornUpdate:
     return "torn-update";
-  case AttackClass::TraceFusedCheck:
-    return "trace-fused-check";
+  case AttackClass::FusedCheck:
+    return "fused-check";
   case AttackClass::CodeEpochReplay:
     return "code-epoch-replay";
   case AttackClass::Unload:
@@ -87,8 +87,6 @@ const char *mcfi::attack::tierLabel(ExecTier T) {
     return "interpreter";
   case ExecTier::Threaded:
     return "threaded";
-  case ExecTier::Trace:
-    return "trace";
   }
   return "?";
 }
@@ -196,8 +194,7 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
     // same hijack must lose the same way everywhere. Tier identity (the
     // differential tier harness's invariant) makes the enumeration state
     // — data layout, stack contents at the slice boundary — transferable.
-    VictimBuild Enum = buildVictim(Victim, Opts.Tiers.front(), SliceFuel,
-                                   false);
+    VictimBuild Enum = buildVictim(Victim, Opts.Tiers.front(), SliceFuel);
     if (!Enum.BP.Ok)
       return Fail(Victim.Name + ": " + Enum.BP.Error);
     std::vector<GuestAttack> Attacks =
@@ -205,7 +202,7 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
 
     for (ExecTier Tier : Opts.Tiers) {
       // Clean reference run: the divergence baseline for classification.
-      VictimBuild Ref = buildVictim(Victim, Tier, 0, false);
+      VictimBuild Ref = buildVictim(Victim, Tier, 0);
       if (!Ref.BP.Ok)
         return Fail(Victim.Name + ": " + Ref.BP.Error);
       RunResult RefRun = Ref.BP.M->run(Ref.T, Opts.Fuel);
@@ -213,8 +210,7 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
 
       for (const GuestAttack &A : Attacks) {
         VictimBuild W =
-            buildVictim(Victim, Tier, Enum.SliceRan ? SliceFuel : 0,
-                        A.WarmTraces);
+            buildVictim(Victim, Tier, Enum.SliceRan ? SliceFuel : 0);
         if (!W.BP.Ok)
           return Fail(Victim.Name + ": " + W.BP.Error);
         Machine &M = *W.BP.M;
@@ -267,18 +263,14 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
         Rec.Detail = reasonLabel(RR.Reason);
         if (!RR.Message.empty())
           Rec.Detail += ": " + RR.Message;
-        if (A.WarmTraces) {
-          VMTierStats S = M.vmStats();
-          Rec.Detail += formatString("; traces=%llu fused=%llu",
-                                     (unsigned long long)S.TracesCompiled,
-                                     (unsigned long long)S.FusedChecks);
-        }
-        if (A.DlopenLibrary) {
-          VMTierStats S = M.vmStats();
-          Rec.Detail +=
-              formatString("; traces_invalidated=%llu",
-                           (unsigned long long)S.TracesInvalidated);
-        }
+        if (A.Class == AttackClass::FusedCheck)
+          Rec.Detail += formatString("; fused=%llu",
+                                     (unsigned long long)M.vmStats()
+                                         .FusedChecks);
+        if (A.DlopenLibrary)
+          Rec.Detail += formatString("; segments_built=%llu",
+                                     (unsigned long long)M.vmStats()
+                                         .SegmentsBuilt);
         Rep.Records.push_back(Rec);
       }
 

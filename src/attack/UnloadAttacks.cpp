@@ -99,7 +99,7 @@ struct UnloadSetup {
 
 UnloadSetup setUp(ExecTier Tier) {
   UnloadSetup S;
-  S.W = buildVictim(builtinVictim(), Tier, 0, false);
+  S.W = buildVictim(builtinVictim(), Tier, 0);
   if (!S.W.BP.Ok) {
     S.Error = "victim build failed: " + S.W.BP.Error;
     return S;

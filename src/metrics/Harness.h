@@ -62,9 +62,9 @@ struct BuildSpec {
   /// registerLibrary()s them separately.
   std::vector<std::string> ExtraAnalysisSources;
   uint64_t Seed = 0;
-  /// Execution tier of the built Machine (all tiers RunResult-identical;
+  /// Execution tier of the built Machine (both tiers RunResult-identical;
   /// the differential tier harness pins each one explicitly).
-  ExecTier Tier = ExecTier::Trace;
+  ExecTier Tier = ExecTier::Threaded;
 };
 
 /// Compiles \p Sources (each a translation unit) and links them.
@@ -85,7 +85,7 @@ Measured measureRun(BuiltProgram &BP, uint64_t Fuel = ~0ull);
 /// overhead benches. Checks that the run exits cleanly.
 Measured runProfile(const BenchProfile &Profile, bool Instrument,
                     std::string *OutputCheck = nullptr,
-                    ExecTier Tier = ExecTier::Trace);
+                    ExecTier Tier = ExecTier::Threaded);
 
 } // namespace mcfi
 

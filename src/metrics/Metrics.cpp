@@ -111,15 +111,9 @@ GadgetReport mcfi::countGadgets(const uint8_t *PlainCode, size_t PlainSize,
 std::string mcfi::vmStatsJSON(const VMTierStats &S, const std::string &Label) {
   return formatString(
       "{\"tier\":\"%s\",\"interp_instrs\":%llu,\"threaded_instrs\":%llu,"
-      "\"trace_instrs\":%llu,\"fused_checks\":%llu,\"trace_hits\":%llu,"
-      "\"traces_compiled\":%llu,\"traces_invalidated\":%llu,"
-      "\"segments_built\":%llu}",
+      "\"fused_checks\":%llu,\"segments_built\":%llu}",
       Label.c_str(), static_cast<unsigned long long>(S.InterpInstrs),
       static_cast<unsigned long long>(S.ThreadedInstrs),
-      static_cast<unsigned long long>(S.TraceInstrs),
       static_cast<unsigned long long>(S.FusedChecks),
-      static_cast<unsigned long long>(S.TraceHits),
-      static_cast<unsigned long long>(S.TracesCompiled),
-      static_cast<unsigned long long>(S.TracesInvalidated),
       static_cast<unsigned long long>(S.SegmentsBuilt));
 }

@@ -8,7 +8,8 @@
 #include "runtime/Dispatch.h"
 
 #include "runtime/Step.h"
-#include "runtime/Trace.h"
+
+#include <array>
 
 using namespace mcfi;
 using namespace mcfi::visa;
@@ -19,6 +20,10 @@ using namespace mcfi::visa;
 
 namespace {
 
+/// Handler signature shared with Step.h's opExec contract.
+using OpFn = bool (*)(Machine &, Thread &, const Instr &, uint64_t,
+                      uint64_t &, RunResult &);
+
 std::array<OpFn, 64> makeHandlers() {
   std::array<OpFn, 64> A{};
 #define MCFI_HANDLER(Name)                                                     \
@@ -28,9 +33,11 @@ std::array<OpFn, 64> makeHandlers() {
   return A;
 }
 
-} // namespace
+/// Function-pointer dispatch table indexed by the opcode byte (all valid
+/// opcode bytes are < 64; invalid bytes never enter a decoded stream).
+const std::array<OpFn, 64> OpHandlers = makeHandlers();
 
-const std::array<OpFn, 64> mcfi::OpHandlers = makeHandlers();
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Segment construction
@@ -40,10 +47,6 @@ namespace {
 
 /// Number of instructions a fused TxCheck group retires.
 constexpr uint32_t FusedCheckLen = 4;
-
-/// Executions of a block head (taken-branch target) before the trace
-/// tier compiles it.
-constexpr uint32_t HotThreshold = 32;
 
 /// Marks the heads of fusable TxCheck groups: the two ID-table reads of
 /// Fig. 4 (Bary/Tary in either scheduling order — the Optimize rewriter
@@ -78,6 +81,9 @@ void markFusedChecks(DecodedSegment &Seg) {
 } // namespace
 
 std::shared_ptr<const DecodedSegment> mcfi::buildSegment(const Machine &M) {
+  // Epoch first: any layout change that lands while the prefix and bytes
+  // are read bumps it afterwards, so installSegment refuses this build.
+  uint64_t Epoch = M.codeEpoch();
   uint64_t Limit = M.sealedPrefixBytes();
   if (!Limit)
     return nullptr;
@@ -87,7 +93,7 @@ std::shared_ptr<const DecodedSegment> mcfi::buildSegment(const Machine &M) {
 
   auto Seg = std::make_shared<DecodedSegment>();
   Seg->Limit = Limit;
-  Seg->Epoch = M.codeEpoch();
+  Seg->Epoch = Epoch;
   DecodedStream DS;
   decodeLinear(Code, Limit, DS);
   Seg->IndexByOff = std::move(DS.IndexByOff);
@@ -102,6 +108,37 @@ std::shared_ptr<const DecodedSegment> mcfi::buildSegment(const Machine &M) {
   }
   markFusedChecks(*Seg);
   return Seg;
+}
+
+//===----------------------------------------------------------------------===//
+// The per-Machine segment cache
+//===----------------------------------------------------------------------===//
+
+bool Machine::installSegment(std::shared_ptr<const DecodedSegment> S) {
+  std::lock_guard<std::mutex> Guard(SegLock);
+  if (!S || S->Epoch != codeEpoch())
+    return false;
+  Seg = std::move(S);
+  return true;
+}
+
+std::shared_ptr<const DecodedSegment> Machine::segment() {
+  {
+    std::lock_guard<std::mutex> Guard(SegLock);
+    if (Seg && Seg->Epoch == codeEpoch())
+      return Seg;
+    Seg.reset(); // stale: free it before decoding its replacement
+  }
+  std::shared_ptr<const DecodedSegment> Fresh = buildSegment(*this);
+  if (!Fresh)
+    return nullptr;
+  VMTierStats St;
+  St.SegmentsBuilt = 1;
+  creditTierStats(St);
+  // A build that raced a layout change is refused. The caller then sees
+  // the new epoch and asks again; until then every PC is uncovered and
+  // runs through interpretStep.
+  return installSegment(Fresh) ? Fresh : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -154,27 +191,14 @@ RunResult stopOutOfFuel(const Thread &T) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// The predecoded engine (threaded + trace tiers)
+// The threaded engine
 //===----------------------------------------------------------------------===//
 
-RunResult mcfi::runTiered(Machine &M, Thread &T, uint64_t Fuel,
-                          bool UseTraces) {
+RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
   RunResult Out;
   VMTierStats Local;
-  TraceCache &Cache = M.execCache();
-
   uint64_t Epoch = M.codeEpoch();
-  std::shared_ptr<const DecodedSegment> Seg = Cache.segment(M);
-  // Per-run hot counters and checked-out traces, by stream index.
-  std::vector<uint32_t> Hot;
-  std::vector<std::shared_ptr<const Trace>> Checked;
-  auto Rebind = [&] {
-    size_t N = Seg ? Seg->Stream.size() : 0;
-    Hot.assign(N, 0);
-    if (UseTraces)
-      Checked.assign(N, nullptr);
-  };
-  Rebind();
+  std::shared_ptr<const DecodedSegment> Seg = M.segment();
 
   auto Finish = [&](RunResult R) {
     M.creditTierStats(Local);
@@ -182,13 +206,11 @@ RunResult mcfi::runTiered(Machine &M, Thread &T, uint64_t Fuel,
   };
 
   while (Fuel != 0) {
-    // dlopen/seal bumped the code epoch: re-checkout the (extended)
-    // segment and drop local trace handles so an invalidated predecoding
-    // is never re-entered.
+    // dlopen/seal/reclaim bumped the code epoch: re-checkout the segment
+    // so a predecoding of an older layout is never re-entered.
     if (uint64_t E = M.codeEpoch(); E != Epoch) {
       Epoch = E;
-      Seg = Cache.segment(M);
-      Rebind();
+      Seg = M.segment();
     }
 
     int32_t Idx = Seg ? Seg->indexAt(T.PC) : -1;
@@ -204,40 +226,6 @@ RunResult mcfi::runTiered(Machine &M, Thread &T, uint64_t Fuel,
         return Finish(Out);
       --Fuel;
       continue;
-    }
-
-    if (UseTraces) {
-      std::shared_ptr<const Trace> &TP = Checked[Idx];
-      if (!TP && ++Hot[Idx] >= HotThreshold)
-        TP = Cache.lookupOrCompile(M, Seg, Idx);
-      // Enter the trace only when it can retire whole: fuel exhaustion
-      // must land on the exact instruction boundary the interpreter
-      // would stop at.
-      if (TP && Fuel >= TP->Cost) {
-        const Trace &Tr = *TP;
-        size_t N = Tr.Steps.size();
-        for (size_t K = 0; K != N; ++K) {
-          const TraceStep &St = Tr.Steps[K];
-          if (!St.Fn) { // fused TxCheck terminator
-            execFusedCheck(M, T, St.D);
-            ++Local.FusedChecks;
-            break;
-          }
-          ++T.Instructions;
-          uint64_t PC = St.D->PC;
-          uint64_t Next = PC + St.D->I.Length;
-          if (!St.Fn(M, T, St.D->I, PC, Next, Out)) {
-            Local.TraceInstrs += K + 1;
-            return Finish(Out);
-          }
-          if (K + 1 == N)
-            T.PC = Next; // the terminator commits the transfer
-        }
-        Fuel -= Tr.Cost;
-        Local.TraceInstrs += Tr.Cost;
-        ++Local.TraceHits;
-        continue;
-      }
     }
 
     // Threaded dispatch through the current block.

@@ -6,18 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The predecoding execution tiers. A DecodedSegment is a decode-once
-/// image of the machine's contiguously sealed code prefix: each
-/// instruction is decoded exactly once into a DInstr stream with
-/// precomputed fallthrough links and recognized TxCheck superinstruction
-/// groups, then executed through a function-pointer handler table
-/// (threaded dispatch) instead of the decode-per-step switch. Sealed code
-/// is immutable and append-only, so a segment can never describe stale
-/// bytes; dlopen/seal only ever *extends* what a newer segment covers.
-/// PCs a segment does not cover — code sealed out of prefix order, or a
-/// jump into the middle of an instruction (overlapping-gadget targets) —
-/// fall back to Machine::interpretStep, which performs the identical
-/// fully-checked fetch/decode/execute step.
+/// The threaded execution tier. A DecodedSegment is a decode-once image
+/// of the machine's contiguously sealed code prefix: each instruction is
+/// decoded exactly once into a DInstr stream with precomputed fallthrough
+/// links and recognized TxCheck superinstruction groups, then executed
+/// through a function-pointer handler table (threaded dispatch) instead
+/// of the decode-per-step switch. A segment describes the bytes of one
+/// code epoch: reclaiming a dlclosed module and mapping a new one into
+/// its range changes the bytes under a covered address, so a segment is
+/// only cached and served while its epoch is current. PCs a segment does
+/// not cover — code sealed out of prefix order, or a jump into the middle
+/// of an instruction (overlapping-gadget targets) — fall back to
+/// Machine::interpretStep, which performs the identical fully-checked
+/// fetch/decode/execute step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,6 @@
 #include "runtime/Machine.h"
 #include "visa/ISA.h"
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -55,7 +55,7 @@ struct DInstr {
 /// An immutable predecoding of [CodeBase, CodeBase + Limit).
 struct DecodedSegment {
   uint64_t Limit = 0; ///< decoded byte extent (the sealed prefix)
-  uint64_t Epoch = 0; ///< Machine::codeEpoch at build time
+  uint64_t Epoch = 0; ///< Machine::codeEpoch read before the decode
   std::vector<DInstr> Stream;
   std::vector<int32_t> IndexByOff; ///< per byte: stream index or -1
 
@@ -67,26 +67,15 @@ struct DecodedSegment {
   }
 };
 
-/// Builds a fresh segment over the machine's current sealed prefix;
-/// null when nothing is sealed yet.
+/// Builds a fresh segment over the machine's current sealed prefix,
+/// stamped with the code epoch read before the prefix and the bytes;
+/// null when nothing is sealed yet. Machine::segment() builds and
+/// installs in one call.
 std::shared_ptr<const DecodedSegment> buildSegment(const Machine &M);
 
-/// Handler signature shared with Step.h's opExec contract.
-using OpFn = bool (*)(Machine &, Thread &, const visa::Instr &, uint64_t,
-                      uint64_t &, RunResult &);
-
-/// Function-pointer dispatch table indexed by the opcode byte (all valid
-/// opcode bytes are < 64; invalid bytes never enter a decoded stream).
-extern const std::array<OpFn, 64> OpHandlers;
-
-inline OpFn handlerFor(visa::Opcode Op) {
-  return OpHandlers[static_cast<uint8_t>(Op)];
-}
-
-/// Runs \p T on the predecoded engine: threaded dispatch over the
-/// segment, interpretStep fallback outside it, and — when \p UseTraces —
-/// hot-block traces from the machine's TraceCache.
-RunResult runTiered(Machine &M, Thread &T, uint64_t Fuel, bool UseTraces);
+/// Runs \p T on the threaded tier: handler dispatch over the segment,
+/// interpretStep fallback outside it.
+RunResult runThreaded(Machine &M, Thread &T, uint64_t Fuel);
 
 } // namespace mcfi
 

@@ -7,7 +7,6 @@
 
 #include "runtime/Machine.h"
 
-#include "runtime/Trace.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -19,8 +18,7 @@ Machine::Machine(const MachineOptions &Opts)
     : CodeCapacity(Opts.CodeCapacity), DataCapacity(Opts.DataCapacity),
       StackSize(Opts.StackSize), CodeBytes(Opts.CodeCapacity, 0),
       DataWords(Opts.DataCapacity / 8, 0),
-      Tables(Opts.CodeCapacity, Opts.BaryCapacity), Tier(Opts.Tier),
-      ExecCache(std::make_unique<TraceCache>()) {
+      Tables(Opts.CodeCapacity, Opts.BaryCapacity), Tier(Opts.Tier) {
   // Heap occupies the middle of the data region: globals grow from the
   // bottom, stacks from the top, heap in between (re-floored as modules
   // load their globals).
@@ -87,11 +85,6 @@ int Machine::mapModule(MCFIObject Obj) {
   }
   noteCodeChanged();
   return Index;
-}
-
-void Machine::noteCodeChanged() {
-  CodeEpoch.fetch_add(1, std::memory_order_release);
-  ExecCache->invalidate(*this);
 }
 
 void Machine::sealModule(int Index) {
@@ -405,21 +398,31 @@ bool Machine::writeDataBytes(uint64_t Addr, const uint8_t *Bytes,
   return true;
 }
 
+// allocHeap and allocStack use sequentially consistent atomics, and the
+// heap always leaves one stack's worth of room below the lowest stack, so
+// a heap and a stack allocation racing each other can never overlap.
+
 uint64_t Machine::allocHeap(uint64_t Size) {
+  if (Size > DataCapacity)
+    return 0; // guest-chosen size: refuse before the bump can wrap
   uint64_t Aligned = (Size + 7) & ~7ull;
-  uint64_t Addr = HeapNext.fetch_add(Aligned, std::memory_order_relaxed);
+  uint64_t Addr = HeapNext.fetch_add(Aligned);
   // Keep room below the lowest allocated stack.
-  if (Addr + Aligned >
-      StackNext.load(std::memory_order_relaxed) - StackSize)
+  if (Addr + Aligned > StackNext.load() - StackSize)
     return 0;
   return Addr;
 }
 
 uint64_t Machine::allocStack() {
   // Threads may be created concurrently (guest pthread-create analogue).
-  uint64_t NewTop = StackNext.fetch_sub(StackSize, std::memory_order_relaxed);
-  assert(NewTop - StackSize > DataBase && "stack space exhausted");
-  return NewTop - 64; // small top redzone
+  // HeapNext never drops below DataBase, so refusing to cross the heap's
+  // high-water mark also refuses to wrap below the data region.
+  uint64_t Top = StackNext.load();
+  do {
+    if (Top < HeapNext.load() + StackSize)
+      return 0;
+  } while (!StackNext.compare_exchange_weak(Top, Top - StackSize));
+  return Top - 64; // small top redzone
 }
 
 //===----------------------------------------------------------------------===//
@@ -472,11 +475,7 @@ VMTierStats Machine::vmStats() const {
   VMTierStats S;
   S.InterpInstrs = StatInterpInstrs.load(std::memory_order_relaxed);
   S.ThreadedInstrs = StatThreadedInstrs.load(std::memory_order_relaxed);
-  S.TraceInstrs = StatTraceInstrs.load(std::memory_order_relaxed);
   S.FusedChecks = StatFusedChecks.load(std::memory_order_relaxed);
-  S.TraceHits = StatTraceHits.load(std::memory_order_relaxed);
-  S.TracesCompiled = StatTracesCompiled.load(std::memory_order_relaxed);
-  S.TracesInvalidated = StatTracesInvalidated.load(std::memory_order_relaxed);
   S.SegmentsBuilt = StatSegmentsBuilt.load(std::memory_order_relaxed);
   return S;
 }
@@ -488,11 +487,7 @@ void Machine::creditTierStats(const VMTierStats &S) {
   };
   Add(StatInterpInstrs, S.InterpInstrs);
   Add(StatThreadedInstrs, S.ThreadedInstrs);
-  Add(StatTraceInstrs, S.TraceInstrs);
   Add(StatFusedChecks, S.FusedChecks);
-  Add(StatTraceHits, S.TraceHits);
-  Add(StatTracesCompiled, S.TracesCompiled);
-  Add(StatTracesInvalidated, S.TracesInvalidated);
   Add(StatSegmentsBuilt, S.SegmentsBuilt);
 }
 
@@ -500,8 +495,11 @@ bool Machine::makeThread(const std::string &Name, Thread &T) {
   uint64_t Entry = findFunction(Name);
   if (!Entry)
     return false;
+  uint64_t SP = allocStack();
+  if (!SP)
+    return false;
   T = Thread();
   T.PC = Entry;
-  T.Regs[visa::RegSP] = allocStack();
+  T.Regs[visa::RegSP] = SP;
   return true;
 }

@@ -10,7 +10,7 @@
 /// machine with separate code and data regions, the W^X invariant ("no
 /// memory regions are both writable and executable at the same time"),
 /// the Bary/Tary ID tables, syscall interposition, and threads executing
-/// VISA code through the interpreter in VM.cpp.
+/// VISA code through the engines in VM.cpp and Dispatch.cpp.
 ///
 /// Layout (all inside the [0, 4 GiB) sandbox the instrumentation masks
 /// addresses into):
@@ -46,27 +46,26 @@
 namespace mcfi {
 
 class Machine;
-class TraceCache;
+struct DecodedSegment;
 
-/// How Machine::run executes VISA bytes. All tiers are RunResult-
+/// How Machine::run executes VISA bytes. Both tiers are RunResult-
 /// identical (enforced by the differential tier harness); they differ
 /// only in speed.
 enum class ExecTier : uint8_t {
   Interpreter, ///< decode-per-step reference interpreter
   Threaded,    ///< predecoded stream + function-pointer handler dispatch
-  Trace,       ///< Threaded plus hot-block traces from the trace cache
 };
 
 /// Counters for the execution tiers, reported in the metrics JSON.
 struct VMTierStats {
   uint64_t InterpInstrs = 0;   ///< retired by decode-per-step fallback
   uint64_t ThreadedInstrs = 0; ///< retired by predecoded dispatch
-  uint64_t TraceInstrs = 0;    ///< retired inside compiled traces
   uint64_t FusedChecks = 0;    ///< fused TxCheck superinstruction runs
-  uint64_t TraceHits = 0;      ///< trace executions
-  uint64_t TracesCompiled = 0;
-  uint64_t TracesInvalidated = 0; ///< dropped by dlopen/seal invalidation
   uint64_t SegmentsBuilt = 0;  ///< predecoded segment constructions
+  /// Never written: the trace tier is gone, but the benchmark's per-layer
+  /// metrics still read these, so they stay until it drops them.
+  uint64_t TraceInstrs = 0, TraceHits = 0, TracesCompiled = 0,
+           TracesInvalidated = 0;
 };
 
 /// Runtime syscall numbers. Values below 100 coincide with
@@ -150,7 +149,7 @@ struct MachineOptions {
   uint64_t DataCapacity = 64ull << 20;
   uint64_t StackSize = 1ull << 20;
   uint32_t BaryCapacity = 1u << 18;
-  ExecTier Tier = ExecTier::Trace;
+  ExecTier Tier = ExecTier::Threaded;
 };
 
 /// The machine. See file comment for the memory model.
@@ -291,7 +290,8 @@ public:
   /// Bump-allocates \p Size bytes of heap (8-aligned); 0 when exhausted.
   uint64_t allocHeap(uint64_t Size);
 
-  /// Allocates a stack and returns its initial stack pointer (top).
+  /// Allocates a stack and returns its initial stack pointer (top); 0
+  /// when the stack would reach into the heap (or below DataBase).
   uint64_t allocStack();
 
   //===--------------------------------------------------------------------===//
@@ -316,7 +316,7 @@ public:
 
   /// Creates a thread starting at the entry of function \p Name (searched
   /// across sealed modules), with a fresh stack. Returns false if the
-  /// symbol is unknown.
+  /// symbol is unknown or no stack space is left.
   bool makeThread(const std::string &Name, Thread &T);
 
   /// Resolves a function symbol to its absolute address (0 if unknown).
@@ -332,9 +332,9 @@ public:
   /// Executes exactly one fully-checked instruction at T.PC (fetch,
   /// W^X, decode, dispatch). Returns false with \p Out filled when the
   /// thread stopped. This is both the interpreter tier's step and the
-  /// predecoding tiers' fallback for PCs outside the decoded segment
+  /// threaded tier's fallback for PCs outside the decoded segment
   /// (unsealed-by-prefix modules, mid-instruction gadget targets), so
-  /// every tier funnels uncovered PCs through identical checks.
+  /// both tiers funnel uncovered PCs through identical checks.
   bool interpretStep(Thread &T, RunResult &Out);
 
   /// Dlsym resolution (handle-scoped or global) under ModuleLock; dlopen
@@ -346,14 +346,21 @@ public:
     return SealedPrefix.load(std::memory_order_acquire);
   }
 
-  /// Bumped by mapModule/sealModule; the execution engines recheck it
-  /// between blocks and drop stale predecodings/traces when it moves.
+  /// Bumped whenever the code layout changes (map, seal, reclaim); the
+  /// threaded engine rechecks it between blocks and re-checks out its
+  /// segment when it moves.
   uint64_t codeEpoch() const {
     return CodeEpoch.load(std::memory_order_acquire);
   }
 
-  /// The per-Machine predecoded-segment + trace cache.
-  TraceCache &execCache() { return *ExecCache; }
+  /// The predecoded segment for the current code epoch, built and cached
+  /// on a miss; null when no code is sealed or the layout changed during
+  /// the build. Defined in Dispatch.cpp.
+  std::shared_ptr<const DecodedSegment> segment();
+
+  /// Caches \p S unless the code epoch moved since it was built. Returns
+  /// false (and caches nothing) for a stale build.
+  bool installSegment(std::shared_ptr<const DecodedSegment> S);
 
   /// Tier counters (relaxed; exact only when no thread is running).
   VMTierStats vmStats() const;
@@ -378,14 +385,16 @@ private:
 
   RunResult runInterpreter(Thread &T, uint64_t Fuel);
 
-  /// Bumps CodeEpoch and drops cached predecodings/traces. Called by
+  /// Bumps CodeEpoch, which invalidates the cached segment. Called by
   /// mapModule/sealModule (dlopen changes the code layout) and by the
   /// reclamation path (unload changes it back).
-  void noteCodeChanged();
+  void noteCodeChanged() {
+    CodeEpoch.fetch_add(1, std::memory_order_release);
+  }
 
   /// Runtime half of reclamation for regions past grace: zero code bytes
   /// (the W^X "unmap"), drop the module object, recompute the hole-aware
-  /// sealed prefix, evict stale predecodings/traces, and run the
+  /// sealed prefix, invalidate the predecoded segment, and run the
   /// tail-trim cascade so a fully unloaded machine returns to its
   /// initial code footprint.
   void applyReclaim(const std::vector<RetiredRegion> &Matured);
@@ -448,15 +457,14 @@ private:
   ExecTier Tier;
   /// Generation counter for the code layout (mapped/sealed modules).
   std::atomic<uint64_t> CodeEpoch{1};
-  std::unique_ptr<TraceCache> ExecCache;
+  /// The segment()/installSegment() cache; may hold a stale segment
+  /// until the next segment() call replaces it.
+  std::mutex SegLock;
+  std::shared_ptr<const DecodedSegment> Seg;
 
   std::atomic<uint64_t> StatInterpInstrs{0};
   std::atomic<uint64_t> StatThreadedInstrs{0};
-  std::atomic<uint64_t> StatTraceInstrs{0};
   std::atomic<uint64_t> StatFusedChecks{0};
-  std::atomic<uint64_t> StatTraceHits{0};
-  std::atomic<uint64_t> StatTracesCompiled{0};
-  std::atomic<uint64_t> StatTracesInvalidated{0};
   std::atomic<uint64_t> StatSegmentsBuilt{0};
 };
 

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single definition of what each VISA opcode does, shared by every
-/// execution tier (the decode-per-step interpreter, the predecoded
-/// threaded dispatcher, and the trace tier). Keeping the semantics in one
-/// template is what makes the tiers RunResult-identical by construction:
+/// The single definition of what each VISA opcode does, shared by both
+/// execution tiers (the decode-per-step interpreter and the predecoded
+/// threaded dispatcher). Keeping the semantics in one template is what
+/// makes the tiers RunResult-identical by construction:
 /// a tier can only differ in *how* it reaches an instruction, never in
 /// what the instruction does.
 ///

@@ -15,8 +15,8 @@
 /// when a check fails — as on real x86.
 ///
 /// The per-opcode semantics live in Step.h, shared with the predecoded
-/// threaded and trace tiers (Dispatch.cpp); interpretStep below is also
-/// those tiers' fallback for PCs their decoded segment does not cover.
+/// threaded tier (Dispatch.cpp); interpretStep below is also that tier's
+/// fallback for PCs its decoded segment does not cover.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -282,9 +282,7 @@ RunResult Machine::run(Thread &T, uint64_t Fuel) {
   case ExecTier::Interpreter:
     return runInterpreter(T, Fuel);
   case ExecTier::Threaded:
-    return runTiered(*this, T, Fuel, /*UseTraces=*/false);
-  case ExecTier::Trace:
-    return runTiered(*this, T, Fuel, /*UseTraces=*/true);
+    return runThreaded(*this, T, Fuel);
   }
   mcfi_unreachable("unknown execution tier");
 }

@@ -41,7 +41,7 @@ TEST(AttackCorpus, EveryAttackLosesOnEveryTier) {
         << Rec.Name << ": " << Rec.Detail;
 
   // The gauntlet is only meaningful if it actually covers the attack
-  // surface: at least 4 classes with a nonzero corpus, on all 3 tiers.
+  // surface: at least 4 classes with a nonzero corpus, on both tiers.
   unsigned NonZero = 0;
   for (const auto &[C, S] : R.Classes) {
     (void)C;
@@ -52,7 +52,7 @@ TEST(AttackCorpus, EveryAttackLosesOnEveryTier) {
   std::map<ExecTier, uint64_t> PerTier;
   for (const AttackRecord &Rec : R.Records)
     ++PerTier[Rec.Tier];
-  EXPECT_EQ(PerTier.size(), 3u);
+  EXPECT_EQ(PerTier.size(), 2u);
   EXPECT_GT(R.AIR, 0.99);
 }
 
@@ -126,7 +126,7 @@ TEST(AttackCorpus, InClassSwapsAreDeterministicAcrossTiers) {
     ByName[Rec.Name][Rec.Tier] = Rec.V;
   }
   for (const auto &[Name, PerTier] : ByName) {
-    ASSERT_EQ(PerTier.size(), 3u) << Name;
+    ASSERT_EQ(PerTier.size(), 2u) << Name;
     Verdict First = PerTier.begin()->second;
     for (const auto &[T, V] : PerTier)
       EXPECT_EQ(V, First) << Name << " diverges on " << tierLabel(T);
@@ -186,8 +186,8 @@ TEST(AttackCorpus, ClassifierMapsRuntimeStopStates) {
 TEST(AttackCorpus, UnloadLifecycleAttacksAllDieOnEveryTier) {
   // The dlclose gauntlet: dispatch into a retired-but-unreclaimed
   // module, replay of a pre-close in-class bind, and the dlclose/dlopen
-  // ID-snapshot ABA — three synthesizers, all three tiers, and every
-  // one of the nine runs must end CaughtByCheck (the retire transaction
+  // ID-snapshot ABA — three synthesizers, both tiers, and every
+  // one of the six runs must end CaughtByCheck (the retire transaction
   // zeroes the tables and the condemned-ECN guard bumps the version;
   // nothing should even reach the SFI layer).
   CorpusOptions Opts;
@@ -196,7 +196,7 @@ TEST(AttackCorpus, UnloadLifecycleAttacksAllDieOnEveryTier) {
   ASSERT_TRUE(R.Error.empty()) << R.Error;
   EXPECT_TRUE(R.Ok);
   EXPECT_EQ(R.Survivors, 0u);
-  ASSERT_EQ(R.Records.size(), 9u);
+  ASSERT_EQ(R.Records.size(), 6u);
   std::map<ExecTier, unsigned> PerTier;
   for (const AttackRecord &Rec : R.Records) {
     EXPECT_EQ(Rec.Class, AttackClass::Unload);
@@ -204,13 +204,13 @@ TEST(AttackCorpus, UnloadLifecycleAttacksAllDieOnEveryTier) {
         << tierLabel(Rec.Tier) << " " << Rec.Name << ": " << Rec.Detail;
     ++PerTier[Rec.Tier];
   }
-  ASSERT_EQ(PerTier.size(), 3u);
+  ASSERT_EQ(PerTier.size(), 2u);
   for (const auto &[T, N] : PerTier)
     EXPECT_EQ(N, 3u) << tierLabel(T);
 
   const ClassSummary &S = R.Classes.at(AttackClass::Unload);
-  EXPECT_EQ(S.Corpus, 9u);
-  EXPECT_EQ(S.Killed, 9u);
+  EXPECT_EQ(S.Corpus, 6u);
+  EXPECT_EQ(S.Killed, 6u);
   EXPECT_EQ(R.AIR, 1.0);
 }
 

@@ -499,18 +499,11 @@ TEST_P(MltaTierSuite, RefinedBuildRunsIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, MltaTierSuite,
                          ::testing::Values(ExecTier::Interpreter,
-                                           ExecTier::Threaded,
-                                           ExecTier::Trace),
+                                           ExecTier::Threaded),
                          [](const auto &Info) {
-                           switch (Info.param) {
-                           case ExecTier::Interpreter:
-                             return "Interpreter";
-                           case ExecTier::Threaded:
-                             return "Threaded";
-                           case ExecTier::Trace:
-                             return "Trace";
-                           }
-                           return "?";
+                           return Info.param == ExecTier::Interpreter
+                                      ? "Interpreter"
+                                      : "Threaded";
                          });
 
 } // namespace

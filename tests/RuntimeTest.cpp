@@ -69,6 +69,10 @@ TEST(MachineMemory, HeapAllocationIsAlignedAndDisjoint) {
   EXPECT_EQ(A % 8, 0u);
   EXPECT_EQ(B % 8, 0u);
   EXPECT_GE(B, A + 24);
+  // A request larger than the data region is refused without moving the
+  // heap pointer (a wrapping bump would move it backwards over B).
+  EXPECT_EQ(M.allocHeap(~0ull - 7), 0u);
+  EXPECT_GE(M.allocHeap(8), B + 100);
 }
 
 TEST(MachineMemory, ReadStringStopsAtNulAndFault) {
@@ -90,8 +94,8 @@ Instr mk(Opcode Op) {
   return I;
 }
 
-/// Maps a single hand-written function as a sealed module and runs it.
-RunResult runRaw(std::vector<AsmItem> Items, uint64_t Fuel = 10000) {
+/// Maps a single hand-written function `raw` as a sealed module.
+void mapRaw(Machine &M, std::vector<AsmItem> Items) {
   AsmFunction Fn;
   Fn.Name = "raw";
   Fn.Items = std::move(Items);
@@ -103,13 +107,67 @@ RunResult runRaw(std::vector<AsmItem> Items, uint64_t Fuel = 10000) {
   FunctionInfo Info;
   Info.Name = "raw";
   Obj.Aux.Functions.push_back(Info);
+  M.sealModule(M.mapModule(std::move(Obj)));
+}
 
+/// Maps a single hand-written function as a sealed module and runs it.
+RunResult runRaw(std::vector<AsmItem> Items, uint64_t Fuel = 10000) {
   Machine M;
-  int Idx = M.mapModule(std::move(Obj));
-  M.sealModule(Idx);
+  mapRaw(M, std::move(Items));
   Thread T;
   EXPECT_TRUE(M.makeThread("raw", T));
   return M.run(T, Fuel);
+}
+
+//===----------------------------------------------------------------------===//
+// Thread stacks
+//===----------------------------------------------------------------------===//
+
+/// Creates threads on `raw` until makeThread refuses (bounded, in case it
+/// never does); returns their initial stack pointers.
+std::vector<uint64_t> exhaustStacks(Machine &M) {
+  mapRaw(M, {AsmItem::instr(mk(Opcode::Halt))});
+  MachineOptions Opts;
+  std::vector<uint64_t> Tops;
+  Thread T;
+  while (Tops.size() <= Opts.DataCapacity / Opts.StackSize &&
+         M.makeThread("raw", T))
+    Tops.push_back(T.Regs[RegSP]);
+  return Tops;
+}
+
+/// Every stack lies at or above \p Floor and no two stacks overlap.
+void expectDisjointStacks(const std::vector<uint64_t> &Tops, uint64_t Floor) {
+  const uint64_t Size = MachineOptions().StackSize;
+  for (size_t I = 0; I != Tops.size(); ++I) {
+    uint64_t End = Tops[I] + 64; // allocStack leaves a 64-byte redzone
+    EXPECT_GE(End - Size, Floor) << "stack " << I << " below the floor";
+    if (I) {
+      EXPECT_LE(End, Tops[I - 1] + 64 - Size) << "stack " << I << " overlaps";
+    }
+  }
+}
+
+TEST(ThreadStacks, ExhaustionRefusesInsteadOfAborting) {
+  Machine M;
+  std::vector<uint64_t> Tops = exhaustStacks(M);
+  // An empty heap leaves the whole data region to stacks.
+  MachineOptions Opts;
+  EXPECT_EQ(Tops.size(), Opts.DataCapacity / Opts.StackSize);
+  expectDisjointStacks(Tops, Machine::DataBase);
+  Thread T;
+  EXPECT_FALSE(M.makeThread("raw", T)); // refused again, not aborted
+}
+
+TEST(ThreadStacks, StacksNeverOverlapTheHeap) {
+  Machine M;
+  MachineOptions Opts;
+  const uint64_t HeapBytes = 40ull << 20;
+  uint64_t Obj = M.allocHeap(HeapBytes);
+  ASSERT_NE(Obj, 0u);
+  std::vector<uint64_t> Tops = exhaustStacks(M);
+  EXPECT_EQ(Tops.size(), (Opts.DataCapacity - HeapBytes) / Opts.StackSize);
+  expectDisjointStacks(Tops, Obj + HeapBytes);
 }
 
 TEST(VM, DivideByZeroTraps) {
@@ -180,8 +238,7 @@ TEST(VM, StraddlingInstructionTraps) {
   B.Code.assign(16, 0x00); // decodes as MovImm operands (rd = 0)
   M.mapModule(std::move(B)); // never sealed: writable, not executable
 
-  for (ExecTier Tier :
-       {ExecTier::Interpreter, ExecTier::Threaded, ExecTier::Trace}) {
+  for (ExecTier Tier : {ExecTier::Interpreter, ExecTier::Threaded}) {
     M.setTier(Tier);
     Thread T;
     ASSERT_TRUE(M.makeThread("raw", T));

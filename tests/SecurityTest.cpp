@@ -12,10 +12,10 @@
 /// `hlt`; the unprotected baseline demonstrates that the same corruption
 /// succeeds without MCFI.
 ///
-/// Every scenario is parameterized over the three VM execution tiers:
-/// the interpreter's discrete check sequence, the threaded dispatcher,
-/// and the trace tier's fused TxCheck superinstruction must be exactly
-/// as strong (the synthesized end of this spectrum lives in
+/// Every scenario is parameterized over both VM execution tiers: the
+/// interpreter's discrete check sequence and the threaded dispatcher's
+/// fused TxCheck superinstruction must be exactly as strong (the
+/// synthesized end of this spectrum lives in
 /// AttackCorpusTest / tools/mcfi-attack).
 ///
 //===----------------------------------------------------------------------===//
@@ -326,18 +326,10 @@ TEST_P(SecurityTierTest, MltaRefinementFlipsCrossRegistryVerdict) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTiers, SecurityTierTest,
-    ::testing::Values(ExecTier::Interpreter, ExecTier::Threaded,
-                      ExecTier::Trace),
+    ::testing::Values(ExecTier::Interpreter, ExecTier::Threaded),
     [](const ::testing::TestParamInfo<ExecTier> &Info) {
-      switch (Info.param) {
-      case ExecTier::Interpreter:
-        return "Interpreter";
-      case ExecTier::Threaded:
-        return "Threaded";
-      case ExecTier::Trace:
-        return "Trace";
-      }
-      return "Unknown";
+      return Info.param == ExecTier::Interpreter ? "Interpreter"
+                                                 : "Threaded";
     });
 
 } // namespace

@@ -8,19 +8,20 @@
 /// The tier correctness bar: a RunResult (stop reason, exit code,
 /// retired-instruction count, message) and the guest's output must be
 /// byte-identical whether a program runs on the decode-per-step
-/// interpreter, the predecoded threaded-dispatch tier, or the trace
-/// tier. Exercised over the SPEC-shaped workloads, the SecurityTest
-/// attack corpus (mid-run memory corruption included), fuel-sliced
-/// resumption, and seeded dlopen/trace-invalidation interleavings.
+/// interpreter or the predecoded threaded-dispatch tier. Exercised over
+/// the SPEC-shaped workloads, the SecurityTest attack corpus (mid-run
+/// memory corruption included), fuel-sliced resumption, seeded
+/// dlopen/segment-invalidation interleavings, and code-range reuse.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "metrics/Harness.h"
+#include "runtime/Dispatch.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <functional>
 #include <random>
 #include <thread>
 
@@ -28,19 +29,10 @@ using namespace mcfi;
 
 namespace {
 
-constexpr ExecTier AllTiers[] = {ExecTier::Interpreter, ExecTier::Threaded,
-                                 ExecTier::Trace};
+constexpr ExecTier AllTiers[] = {ExecTier::Interpreter, ExecTier::Threaded};
 
 const char *tierName(ExecTier T) {
-  switch (T) {
-  case ExecTier::Interpreter:
-    return "interpreter";
-  case ExecTier::Threaded:
-    return "threaded";
-  case ExecTier::Trace:
-    return "trace";
-  }
-  return "?";
+  return T == ExecTier::Interpreter ? "interpreter" : "threaded";
 }
 
 struct TierRun {
@@ -76,8 +68,8 @@ void expectTierInvariant(const std::vector<std::string> &Sources,
                          const BuildSpec &Spec, const std::string &What,
                          uint64_t Fuel = ~0ull) {
   TierRun Ref = runOnTier(Sources, Spec, ExecTier::Interpreter, Fuel);
-  for (ExecTier Tier : {ExecTier::Threaded, ExecTier::Trace})
-    expectIdentical(Ref, runOnTier(Sources, Spec, Tier, Fuel), Tier, What);
+  expectIdentical(Ref, runOnTier(Sources, Spec, ExecTier::Threaded, Fuel),
+                  ExecTier::Threaded, What);
 }
 
 //===----------------------------------------------------------------------===//
@@ -170,7 +162,7 @@ TEST(TierDiff, ProgramCorpusIsTierInvariant) {
     Spec.LinkRtLibrary = false;
     expectTierInvariant({Source}, Spec, Name);
     // Fuel exhaustion must land on the same instruction boundary (the
-    // trace tier refuses to enter a trace it cannot fully retire).
+    // threaded tier runs a fused check only when it can fully retire).
     expectTierInvariant({Source}, Spec, std::string(Name) + "/fuel-5000",
                         5000);
     expectTierInvariant({Source}, Spec, std::string(Name) + "/fuel-4999",
@@ -285,13 +277,13 @@ TEST(TierDiff, AttackCorpusIsTierInvariant) {
     TierRun Ref = attackOnTier(ExecTier::Interpreter, Target, Off);
     ASSERT_TRUE(Ref.Ok);
     EXPECT_EQ(Ref.R.Reason, Expected) << What << ": " << Ref.R.Message;
-    for (ExecTier Tier : {ExecTier::Threaded, ExecTier::Trace})
-      expectIdentical(Ref, attackOnTier(Tier, Target, Off), Tier, What);
+    expectIdentical(Ref, attackOnTier(ExecTier::Threaded, Target, Off),
+                    ExecTier::Threaded, What);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Trace invalidation during dlopen
+// Segment invalidation during dlopen
 //===----------------------------------------------------------------------===//
 
 std::string tierPluginSource(int I) {
@@ -333,10 +325,10 @@ const char *SlicedWorkerSource = R"(
 )";
 
 /// Seeded interleaving fuzz: run the hot worker in pseudo-random fuel
-/// slices, injecting a dlopen (code-epoch bump, segment + trace
-/// invalidation) at seeded slice boundaries. The slice schedule is a
-/// pure function of the seed, so the final RunResult must be identical
-/// on every tier even though the trace tier keeps recompiling.
+/// slices, injecting a dlopen (code-epoch bump, segment invalidation) at
+/// seeded slice boundaries. The slice schedule is a pure function of the
+/// seed, so the final RunResult must be identical on both tiers even
+/// though the threaded tier keeps re-checking out its segment.
 TierRun runSlicedWithDlopen(ExecTier Tier, uint64_t Seed,
                             const std::vector<MCFIObject> &Plugins) {
   BuildSpec Spec;
@@ -375,58 +367,106 @@ TEST(TierDiff, DlopenInvalidationFuzzIsTierInvariant) {
     TierRun Ref = runSlicedWithDlopen(ExecTier::Interpreter, Seed, Plugins);
     ASSERT_TRUE(Ref.Ok);
     EXPECT_EQ(Ref.R.Reason, StopReason::Exited) << Ref.R.Message;
-    for (ExecTier Tier : {ExecTier::Threaded, ExecTier::Trace})
-      expectIdentical(Ref, runSlicedWithDlopen(Tier, Seed, Plugins), Tier,
-                      "dlopen-fuzz/seed-" + std::to_string(Seed));
+    expectIdentical(Ref,
+                    runSlicedWithDlopen(ExecTier::Threaded, Seed, Plugins),
+                    ExecTier::Threaded,
+                    "dlopen-fuzz/seed-" + std::to_string(Seed));
   }
 }
 
-TEST(TierDiff, ConcurrentDlopenDuringTraceExecution) {
-  // Live invalidation: a guest thread hot enough to be running traces
-  // races dlopenBatch bumping the code epoch. The worker must finish
-  // cleanly (traces re-checked out at block boundaries, sealed bytes
-  // immutable) and every load must succeed.
+/// Runs the sliced worker over 400000 iterations: a 20000-instruction
+/// warm-up, then the rest while \p During (if any) runs beside it.
+TierRun runLongWorker(BuiltProgram &BP, const std::function<void()> &During) {
+  Thread T;
+  EXPECT_TRUE(BP.M->makeThread("worker", T));
+  T.Regs[visa::RegArg0] = 400000;
+  RunResult Warm = BP.M->run(T, 20'000);
+  EXPECT_EQ(Warm.Reason, StopReason::OutOfFuel) << Warm.Message;
+  TierRun Out;
+  std::thread Guest([&] { Out.R = BP.M->run(T, ~0ull); });
+  if (During)
+    During();
+  Guest.join();
+  Out.Output = BP.M->takeOutput();
+  Out.Ok = true;
+  return Out;
+}
+
+TEST(TierDiff, ConcurrentDlopenDuringThreadedExecution) {
+  // Live invalidation: a guest thread running on a checked-out segment
+  // races dlopenBatch bumping the code epoch. The worker must re-check
+  // out the segment at a block boundary, finish exactly as the
+  // interpreter does, and every load must succeed.
   std::vector<MCFIObject> Plugins = compilePlugins(12);
   BuildSpec Spec;
   Spec.LinkRtLibrary = false;
-  Spec.Tier = ExecTier::Trace;
+  Spec.Tier = ExecTier::Interpreter;
+  BuiltProgram Ref = buildProgram({SlicedWorkerSource}, Spec);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  TierRun RefRun = runLongWorker(Ref, nullptr);
+  ASSERT_EQ(RefRun.R.Reason, StopReason::Exited) << RefRun.R.Message;
+
+  Spec.Tier = ExecTier::Threaded;
   BuiltProgram BP = buildProgram({SlicedWorkerSource}, Spec);
   ASSERT_TRUE(BP.Ok) << BP.Error;
   for (const MCFIObject &P : Plugins)
     BP.L->registerLibrary(P);
-
-  // Warm the worker up synchronously so its hot loop is compiled to a
-  // trace before the first dlopen: the invalidation then provably drops
-  // live traces instead of racing an empty cache.
-  Thread T;
-  ASSERT_TRUE(BP.M->makeThread("worker", T));
-  T.Regs[visa::RegArg0] = 400000;
-  RunResult Warm = BP.M->run(T, 20'000);
-  ASSERT_EQ(Warm.Reason, StopReason::OutOfFuel) << Warm.Message;
-  ASSERT_GT(BP.M->vmStats().TracesCompiled, 0u);
-
-  std::atomic<int> BadHandles{0};
-  std::atomic<bool> CleanExit{false};
-  std::thread Guest([&] {
-    RunResult R = BP.M->run(T, ~0ull);
-    CleanExit.store(R.Reason == StopReason::Exited);
-  });
-  std::thread Loader([&] {
+  int BadHandles = 0;
+  TierRun Got = runLongWorker(BP, [&] {
     for (size_t I = 0; I != Plugins.size(); ++I)
       for (const DlopenResult &D :
            BP.L->dlopenBatch({static_cast<int64_t>(I)}))
-        if (D.Handle < 0)
-          BadHandles.fetch_add(1);
+        BadHandles += D.Handle < 0;
   });
-  Loader.join();
-  Guest.join();
-  EXPECT_TRUE(CleanExit.load());
-  EXPECT_EQ(BadHandles.load(), 0) << BP.L->lastError();
+  EXPECT_EQ(BadHandles, 0) << BP.L->lastError();
+  expectIdentical(RefRun, Got, ExecTier::Threaded, "live dlopen");
+  EXPECT_GE(BP.M->vmStats().SegmentsBuilt, 2u)
+      << "segment never re-checked out after dlopen";
+}
 
-  VMTierStats S = BP.M->vmStats();
-  EXPECT_GT(S.TraceInstrs, 0u) << "worker never reached the trace tier";
-  EXPECT_GE(S.TracesInvalidated, 1u) << "dlopen never dropped a live trace";
-  EXPECT_GE(S.SegmentsBuilt, 2u) << "segment never rebuilt after dlopen";
+TEST(TierDiff, StaleSegmentIsRefusedAfterCodeRangeReuse) {
+  // Deterministic replay of a stale build racing a range reuse: decode a
+  // segment over module A, dlclose + reclaim A, map B into the same range
+  // at the same sealed-prefix length, then offer A's segment to the
+  // cache. The epoch rule must refuse it, and B must run its own bytes.
+  auto probe = [](int Code) {
+    CompileOptions CO;
+    CO.ModuleName = "probe" + std::to_string(Code);
+    CompileResult CR = compileModule(
+        "long probe(long x) { exit(" + std::to_string(Code) +
+            "); return x; }\n",
+        CO);
+    EXPECT_TRUE(CR.Ok);
+    return std::move(CR.Obj);
+  };
+  BuildSpec Spec;
+  Spec.LinkRtLibrary = false;
+  Spec.Tier = ExecTier::Threaded;
+  BuiltProgram BP = buildProgram({"int main() { return 0; }"}, Spec);
+  ASSERT_TRUE(BP.Ok) << BP.Error;
+  BP.L->registerLibrary(probe(7));
+  BP.L->registerLibrary(probe(9));
+
+  int64_t A = BP.L->dlopen(0);
+  ASSERT_GE(A, 0) << BP.L->lastError();
+  uint64_t Base = BP.M->modules()[static_cast<size_t>(A)].CodeBase;
+  uint64_t Prefix = BP.M->sealedPrefixBytes();
+  std::shared_ptr<const DecodedSegment> Old = BP.M->segment();
+  ASSERT_TRUE(Old && Old->Limit == Prefix);
+
+  ASSERT_TRUE(BP.L->dlcloseOne(A));
+  BP.M->drainReclaim();
+  int64_t B = BP.L->dlopen(1);
+  ASSERT_GE(B, 0) << BP.L->lastError();
+  ASSERT_EQ(BP.M->modules()[static_cast<size_t>(B)].CodeBase, Base);
+  ASSERT_EQ(BP.M->sealedPrefixBytes(), Prefix);
+
+  EXPECT_FALSE(BP.M->installSegment(Old));
+  Thread T;
+  ASSERT_TRUE(BP.M->makeThread("probe", T));
+  RunResult R = BP.M->run(T, 100'000);
+  EXPECT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(R.ExitCode, 9) << "probe ran the reclaimed module's bytes";
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,24 +494,14 @@ TEST(TierDiff, StatsAttributeInstructionsToTheRightTier) {
     Measured M = measureRun(BP);
     ASSERT_EQ(M.Result.Reason, StopReason::Exited) << M.Result.Message;
     VMTierStats S = BP.M->vmStats();
-    uint64_t Credited =
-        S.InterpInstrs + S.ThreadedInstrs + S.TraceInstrs;
-    EXPECT_EQ(Credited, M.Result.Instructions) << tierName(Tier);
-    switch (Tier) {
-    case ExecTier::Interpreter:
-      EXPECT_EQ(S.ThreadedInstrs + S.TraceInstrs, 0u);
+    EXPECT_EQ(S.InterpInstrs + S.ThreadedInstrs, M.Result.Instructions)
+        << tierName(Tier);
+    if (Tier == ExecTier::Interpreter) {
+      EXPECT_EQ(S.ThreadedInstrs, 0u);
       EXPECT_EQ(S.FusedChecks, 0u);
-      break;
-    case ExecTier::Threaded:
+    } else {
       EXPECT_GT(S.ThreadedInstrs, 0u);
-      EXPECT_EQ(S.TraceInstrs, 0u);
       EXPECT_GT(S.FusedChecks, 0u) << "instrumented hot loop never fused";
-      break;
-    case ExecTier::Trace:
-      EXPECT_GT(S.TraceInstrs, 0u) << "hot loop never promoted to a trace";
-      EXPECT_GT(S.TraceHits, 0u);
-      EXPECT_GT(S.TracesCompiled, 0u);
-      break;
     }
   }
 }

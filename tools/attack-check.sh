@@ -2,8 +2,8 @@
 # CI gate for the adversarial gauntlet:
 #
 #   - mcfi-attack synthesizes the exploit corpus against the built-in
-#     hook-dispatch victim and runs every attack under all three VM
-#     tiers; any Survived verdict or missed expectation fails, and at
+#     hook-dispatch victim and runs every attack under both VM tiers;
+#     any Survived verdict or missed expectation fails, and at
 #     least 4 attack classes must have a nonzero corpus;
 #   - the same corpus then runs over every example that links as a
 #     standalone program (non-linkable examples are skipped by the tool
@@ -21,7 +21,7 @@ EXAMPLES=${2:-"$ROOT/examples"}
 TMP=${TMPDIR:-/tmp}/attack-check.$$
 trap 'rm -f "$TMP.a" "$TMP.b"' EXIT
 
-echo "== built-in victim, all tiers, full class roster =="
+echo "== built-in victim, both tiers, full class roster =="
 if ! "$ATTACK" --min-classes 4; then
   echo "attack-check: FAILED (built-in victim)"
   exit 1

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// mcfi-attack: synthesizes an exploit corpus per victim program and
-/// asserts every attack loses under every VM execution tier.
+/// asserts every attack loses under both VM execution tiers.
 ///
 ///   mcfi-attack [options] [example.cpp ...]
 ///     With no files: attacks the built-in hook-dispatch victim. With
@@ -19,7 +19,7 @@
 ///                       corpus, same verdict sequence
 ///     --class NAME      restrict to one attack class (repeatable)
 ///     --tier NAME       restrict to one tier (repeatable):
-///                       interpreter | threaded | trace
+///                       interpreter | threaded
 ///     --max-per-class N attacks per class per (victim, tier), default 4
 ///     --fuel N          instruction budget per attack run
 ///     --min-classes N   fail unless >= N classes have a nonzero corpus
@@ -46,22 +46,9 @@ using namespace mcfi::tools;
 
 namespace {
 
-const char *tierName(ExecTier T) {
-  switch (T) {
-  case ExecTier::Interpreter:
-    return "interpreter";
-  case ExecTier::Threaded:
-    return "threaded";
-  case ExecTier::Trace:
-    return "trace";
-  }
-  return "?";
-}
-
 bool parseTier(const std::string &Name, ExecTier &Out) {
-  for (ExecTier T :
-       {ExecTier::Interpreter, ExecTier::Threaded, ExecTier::Trace})
-    if (Name == tierName(T)) {
+  for (ExecTier T : {ExecTier::Interpreter, ExecTier::Threaded})
+    if (Name == tierLabel(T)) {
       Out = T;
       return true;
     }
@@ -107,7 +94,7 @@ int main(int argc, char **argv) {
       }
       ExecTier T;
       if (!parseTier(Next(), T))
-        usage("mcfi-attack: unknown tier");
+        usage("mcfi-attack: --tier takes interpreter or threaded");
       Opts.Tiers.push_back(T);
     } else if (Arg == "--max-per-class")
       Opts.MaxPerClass =
@@ -177,7 +164,7 @@ int main(int argc, char **argv) {
     for (const AttackRecord &R : Rep.Records)
       if (R.V == Verdict::Survived)
         std::fprintf(stderr, "SURVIVED [%s/%s] %s %s: %s\n", className(R.Class),
-                     tierName(R.Tier), R.Victim.c_str(), R.Name.c_str(),
+                     tierLabel(R.Tier), R.Victim.c_str(), R.Name.c_str(),
                      R.Detail.c_str());
   }
 

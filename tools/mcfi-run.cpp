@@ -12,8 +12,8 @@
 ///     --register <lib.mcfo>  make a library dlopen-able (ids in order)
 ///     --fuel <n>             instruction budget (default: unlimited)
 ///     --no-verify            skip the modular verifier (debugging only)
-///     --tier <t>             execution tier: interp, threaded, or trace
-///                            (default: trace; all RunResult-identical)
+///     --tier <t>             execution tier: interp or threaded
+///                            (default: threaded; RunResult-identical)
 ///     --stats                print policy statistics, retired instrs,
 ///                            and the execution-tier counters
 ///     --dlclose-churn <n>    while the guest runs, a host thread cycles
@@ -41,7 +41,7 @@ int main(int argc, char **argv) {
   std::vector<std::string> Modules, Libraries;
   uint64_t Fuel = ~0ull, Churn = 0;
   bool Verify = true, Stats = false;
-  ExecTier Tier = ExecTier::Trace;
+  ExecTier Tier = ExecTier::Threaded;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -57,10 +57,8 @@ int main(int argc, char **argv) {
         Tier = ExecTier::Interpreter;
       else if (T == "threaded")
         Tier = ExecTier::Threaded;
-      else if (T == "trace")
-        Tier = ExecTier::Trace;
       else
-        usage("mcfi-run: --tier takes interp, threaded, or trace");
+        usage("mcfi-run: --tier takes interp or threaded");
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--dlclose-churn" && I + 1 < argc) {
@@ -173,9 +171,8 @@ int main(int argc, char **argv) {
                  static_cast<unsigned long long>(L.policy().NumIBTs),
                  static_cast<unsigned long long>(L.policy().NumEQCs),
                  M.tables().currentVersion());
-    const char *TierName = Tier == ExecTier::Interpreter ? "interpreter"
-                           : Tier == ExecTier::Threaded ? "threaded"
-                                                        : "trace";
+    const char *TierName =
+        Tier == ExecTier::Interpreter ? "interpreter" : "threaded";
     std::fprintf(stderr, "[mcfi-run] %s\n",
                  vmStatsJSON(M.vmStats(), TierName).c_str());
   }

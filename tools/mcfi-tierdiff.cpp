@@ -5,22 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// mcfi-tierdiff: proves the execution tiers RunResult-identical and
+/// mcfi-tierdiff: proves the two execution tiers RunResult-identical and
 /// measures their relative speed.
 ///
 ///   mcfi-tierdiff [options] example.cpp [more.cpp ...]
 ///     Differential mode (default): extracts every embedded MiniC module
 ///     from each example file, links them into one program, and runs it
-///     under the interpreter, threaded, and trace tiers. Any divergence
-///     in (stop reason, exit code, retired instructions, message, guest
+///     under the interpreter and the threaded tier. Any divergence in
+///     (stop reason, exit code, retired instructions, message, guest
 ///     output) fails. Program-level failures (a trap, a non-zero exit)
-///     do NOT fail the tool as long as all tiers agree byte-for-byte.
+///     do NOT fail the tool as long as both tiers agree byte-for-byte.
 ///
 ///   mcfi-tierdiff --bench [--min-speedup X]
-///     Runs the Fig. 5 indirect-call-heavy hot loop instrumented under
-///     all three tiers (best of 3), prints per-tier wall times and
-///     speedups over the interpreter, emits the tier-counter JSON, and
-///     fails when the trace tier's speedup is below X.
+///     Runs the Fig. 5 indirect-call-heavy hot loop instrumented as 7
+///     interleaved interpreter/threaded pairs, prints per-tier median
+///     wall times, emits the tier-counter JSON, and fails when the
+///     median per-pair speedup of threaded over the interpreter is
+///     below X.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "tools/ToolCommon.h"
 #include "workload/Workload.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -39,19 +41,10 @@ using namespace mcfi::tools;
 
 namespace {
 
-constexpr ExecTier AllTiers[] = {ExecTier::Interpreter, ExecTier::Threaded,
-                                 ExecTier::Trace};
+constexpr ExecTier AllTiers[] = {ExecTier::Interpreter, ExecTier::Threaded};
 
 const char *tierName(ExecTier T) {
-  switch (T) {
-  case ExecTier::Interpreter:
-    return "interpreter";
-  case ExecTier::Threaded:
-    return "threaded";
-  case ExecTier::Trace:
-    return "trace";
-  }
-  return "?";
+  return T == ExecTier::Interpreter ? "interpreter" : "threaded";
 }
 
 struct TierOutcome {
@@ -97,7 +90,7 @@ const char *reasonName(StopReason R) {
   return "?";
 }
 
-/// One example file: extract modules, link, run on all tiers, compare.
+/// One example file: extract modules, link, run on both tiers, compare.
 /// Returns 1 on divergence, 0 when identical, -1 when the example is
 /// not linkable as a standalone program (skipped).
 int diffExample(const std::string &Path) {
@@ -125,7 +118,7 @@ int diffExample(const std::string &Path) {
     TierOutcome O = runTier(Sources, Tier, Fuel, Error);
     if (!O.Built) {
       // Not a self-contained program (e.g. a library-only module set):
-      // identical for every tier by construction, nothing to compare.
+      // identical for both tiers by construction, nothing to compare.
       std::fprintf(stderr, "mcfi-tierdiff: %s: not linkable (%s), skipped\n",
                    baseName(Path).c_str(), Error.c_str());
       return -1;
@@ -154,17 +147,26 @@ int diffExample(const std::string &Path) {
     }
   }
   if (!Diverged)
-    std::printf("mcfi-tierdiff: %-24s %s, %llu instructions, all tiers "
+    std::printf("mcfi-tierdiff: %-24s %s, %llu instructions, both tiers "
                 "identical\n",
                 baseName(Path).c_str(), reasonName(Ref.R.Reason),
                 static_cast<unsigned long long>(Ref.R.Instructions));
   return Diverged ? 1 : 0;
 }
 
-/// --bench: the Fig. 5 indirect-call-heavy hot loop, instrumented, per
-/// tier (best wall time of 3). Returns 1 when the trace speedup misses
-/// \p MinSpeedup.
+/// Median of \p V (upper median for an even count).
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  return V[V.size() / 2];
+}
+
+/// --bench: the Fig. 5 indirect-call-heavy hot loop, instrumented, run as
+/// BenchPairs interleaved interpreter/threaded pairs in this process. The
+/// gated speedup is the median of the per-pair time ratios, so drift in
+/// machine speed between runs cancels within each pair. Returns 1 when
+/// it misses \p MinSpeedup.
 int benchTiers(double MinSpeedup) {
+  constexpr int BenchPairs = 7;
   // The profile with the most indirect branches per retired instruction:
   // that is where per-step decode hurts most and where the fused TxCheck
   // superinstruction pays.
@@ -177,16 +179,12 @@ int benchTiers(double MinSpeedup) {
   P.WorkIterations = 20000;
   std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
 
-  TablePrinter Table;
-  Table.addRow({"tier", "instrs", "best time", "Minstr/s", "speedup"});
-  double InterpSeconds = 0;
-  double TraceSpeedup = 0;
-  uint64_t RefInstrs = 0;
-  for (ExecTier Tier : AllTiers) {
-    TierOutcome Best;
-    std::string Error;
-    for (int Round = 0; Round != 3; ++Round) {
-      TierOutcome O = runTier({Source}, Tier, ~0ull, Error);
+  TierOutcome Last[2];
+  std::vector<double> Seconds[2], Ratios;
+  for (int Pair = 0; Pair != BenchPairs; ++Pair) {
+    for (int K = 0; K != 2; ++K) {
+      std::string Error;
+      TierOutcome O = runTier({Source}, AllTiers[K], ~0ull, Error);
       if (!O.Built) {
         std::fprintf(stderr, "mcfi-tierdiff: bench build failed: %s\n",
                      Error.c_str());
@@ -197,36 +195,41 @@ int benchTiers(double MinSpeedup) {
                      O.R.Message.c_str());
         return 1;
       }
-      if (!Best.Built || O.Seconds < Best.Seconds)
-        Best = O;
+      if (K == 1 && O.R.Instructions != Last[0].R.Instructions) {
+        std::fprintf(stderr,
+                     "mcfi-tierdiff: bench instruction counts diverged\n");
+        return 1;
+      }
+      Seconds[K].push_back(O.Seconds);
+      Last[K] = O;
     }
-    if (Tier == ExecTier::Interpreter) {
-      InterpSeconds = Best.Seconds;
-      RefInstrs = Best.R.Instructions;
-    } else if (Best.R.Instructions != RefInstrs) {
-      std::fprintf(stderr,
-                   "mcfi-tierdiff: bench instruction counts diverged\n");
-      return 1;
-    }
-    double Speedup = InterpSeconds / Best.Seconds;
-    if (Tier == ExecTier::Trace)
-      TraceSpeedup = Speedup;
-    Table.addRow({tierName(Tier), std::to_string(Best.R.Instructions),
-                  formatString("%.3f s", Best.Seconds),
+    Ratios.push_back(Last[0].Seconds / Last[1].Seconds);
+  }
+  double Speedup = median(Ratios);
+
+  TablePrinter Table;
+  Table.addRow({"tier", "instrs", "median time", "Minstr/s", "speedup"});
+  for (int K = 0; K != 2; ++K) {
+    double Median = median(Seconds[K]);
+    Table.addRow({tierName(AllTiers[K]),
+                  std::to_string(Last[K].R.Instructions),
+                  formatString("%.3f s", Median),
                   formatString("%.1f", static_cast<double>(
-                                           Best.R.Instructions) /
-                                           Best.Seconds / 1e6),
-                  formatString("%.2fx", Speedup)});
-    std::printf("%s\n", vmStatsJSON(Best.Stats, tierName(Tier)).c_str());
+                                           Last[K].R.Instructions) /
+                                           Median / 1e6),
+                  formatString("%.2fx", K ? Speedup : 1.0)});
+    std::printf("%s\n",
+                vmStatsJSON(Last[K].Stats, tierName(AllTiers[K])).c_str());
   }
   Table.print();
-  std::printf("workload: %s (indirect-call-heavy, instrumented)\n",
-              P.Name.c_str());
-  if (MinSpeedup > 0 && TraceSpeedup < MinSpeedup) {
+  std::printf("workload: %s (indirect-call-heavy, instrumented); speedup "
+              "is the median of %d interleaved pair ratios\n",
+              P.Name.c_str(), BenchPairs);
+  if (MinSpeedup > 0 && Speedup < MinSpeedup) {
     std::fprintf(stderr,
-                 "mcfi-tierdiff: FAIL: trace speedup %.2fx < required "
+                 "mcfi-tierdiff: FAIL: threaded speedup %.2fx < required "
                  "%.2fx\n",
-                 TraceSpeedup, MinSpeedup);
+                 Speedup, MinSpeedup);
     return 1;
   }
   return 0;

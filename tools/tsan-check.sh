@@ -6,9 +6,9 @@
 # merge the CFG through the shared sig interner), the merge-vs-reference
 # differential, the two-tier verifier (whose semantic
 # tier runs at dlopen time while guest threads execute), and the VM
-# execution tiers (threaded dispatch + trace cache racing dlopen's
+# execution tiers (threaded dispatch + segment cache racing dlopen's
 # code-epoch invalidation; test_runtime/test_threads/test_tierdiff all
-# run guests on the trace tier by default), plus the adversarial
+# run guests on the threaded tier by default), plus the adversarial
 # gauntlet (test_attackcorpus + attack_check), whose torn-update attacks
 # hammer txCheck from checker threads while an update storm runs — racy
 # by construction, and must be TSan-clean — and the unload gate
