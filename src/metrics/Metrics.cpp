@@ -111,9 +111,11 @@ GadgetReport mcfi::countGadgets(const uint8_t *PlainCode, size_t PlainSize,
 std::string mcfi::vmStatsJSON(const VMTierStats &S, const std::string &Label) {
   return formatString(
       "{\"tier\":\"%s\",\"interp_instrs\":%llu,\"threaded_instrs\":%llu,"
-      "\"fused_checks\":%llu,\"segments_built\":%llu}",
+      "\"fused_checks\":%llu,\"segments_built\":%llu,"
+      "\"modules_decoded\":%llu}",
       Label.c_str(), static_cast<unsigned long long>(S.InterpInstrs),
       static_cast<unsigned long long>(S.ThreadedInstrs),
       static_cast<unsigned long long>(S.FusedChecks),
-      static_cast<unsigned long long>(S.SegmentsBuilt));
+      static_cast<unsigned long long>(S.SegmentsBuilt),
+      static_cast<unsigned long long>(S.ModulesDecoded));
 }

@@ -9,6 +9,7 @@
 
 #include "runtime/Step.h"
 
+#include <algorithm>
 #include <array>
 
 using namespace mcfi;
@@ -54,8 +55,8 @@ constexpr uint32_t FusedCheckLen = 4;
 /// difference. Only the head is marked; a jump *into* the group (the
 /// retry jnz targets the first read) executes the remaining instructions
 /// individually, which is semantically identical.
-void markFusedChecks(DecodedSegment &Seg) {
-  std::vector<DInstr> &S = Seg.Stream;
+void markFusedChecks(DecodedModule &Mod) {
+  std::vector<DInstr> &S = Mod.Stream;
   for (size_t K = 0; K + 3 < S.size(); ++K) {
     if (S[K].Fall != static_cast<int32_t>(K + 1) ||
         S[K + 1].Fall != static_cast<int32_t>(K + 2) ||
@@ -78,36 +79,45 @@ void markFusedChecks(DecodedSegment &Seg) {
   }
 }
 
-} // namespace
-
-std::shared_ptr<const DecodedSegment> mcfi::buildSegment(const Machine &M) {
-  // Epoch first: any layout change that lands while the prefix and bytes
-  // are read bumps it afterwards, so installSegment refuses this build.
-  uint64_t Epoch = M.codeEpoch();
-  uint64_t Limit = M.sealedPrefixBytes();
-  if (!Limit)
-    return nullptr;
-  const uint8_t *Code = M.codePtr(Machine::CodeBase, Limit);
-  if (!Code)
-    return nullptr;
-
-  auto Seg = std::make_shared<DecodedSegment>();
-  Seg->Limit = Limit;
-  Seg->Epoch = Epoch;
+/// Decodes the sealed bytes \p Code of the module \p Serial mapped at
+/// [Base, Base + Size). Decoding stops at the module's end: an
+/// instruction truncated by it is left to interpretStep's straddle check.
+std::shared_ptr<const DecodedModule> decodeModule(const uint8_t *Code,
+                                                  uint64_t Serial,
+                                                  uint64_t Base,
+                                                  uint64_t Size) {
+  auto Mod = std::make_shared<DecodedModule>();
+  Mod->Serial = Serial;
+  Mod->Base = Base;
+  Mod->Size = Size;
   DecodedStream DS;
-  decodeLinear(Code, Limit, DS);
-  Seg->IndexByOff = std::move(DS.IndexByOff);
-  Seg->Stream.reserve(DS.Instrs.size());
+  decodeLinear(Code, Size, DS);
+  Mod->IndexByOff = std::move(DS.IndexByOff);
+  Mod->Stream.reserve(DS.Instrs.size());
   for (size_t K = 0; K != DS.Instrs.size(); ++K) {
     DInstr D;
     D.I = DS.Instrs[K];
-    D.PC = Machine::CodeBase + DS.Offsets[K];
+    D.PC = Base + DS.Offsets[K];
     uint64_t FallOff = DS.Offsets[K] + D.I.Length;
-    D.Fall = FallOff < Limit ? Seg->IndexByOff[FallOff] : -1;
-    Seg->Stream.push_back(D);
+    D.Fall = FallOff < Size ? Mod->IndexByOff[FallOff] : -1;
+    Mod->Stream.push_back(D);
   }
-  markFusedChecks(*Seg);
-  return Seg;
+  markFusedChecks(*Mod);
+  return Mod;
+}
+
+} // namespace
+
+const DecodedModule *DecodedSegment::moduleAt(uint64_t PC) const {
+  auto It = std::upper_bound(
+      Modules.begin(), Modules.end(), PC,
+      [](uint64_t P, const std::shared_ptr<const DecodedModule> &Mod) {
+        return P < Mod->Base;
+      });
+  if (It == Modules.begin())
+    return nullptr;
+  const DecodedModule *Mod = std::prev(It)->get();
+  return Mod->contains(PC) ? Mod : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -123,17 +133,60 @@ bool Machine::installSegment(std::shared_ptr<const DecodedSegment> S) {
 }
 
 std::shared_ptr<const DecodedSegment> Machine::segment() {
+  std::shared_ptr<const DecodedSegment> Old;
   {
     std::lock_guard<std::mutex> Guard(SegLock);
     if (Seg && Seg->Epoch == codeEpoch())
       return Seg;
-    Seg.reset(); // stale: free it before decoding its replacement
+    Old = Seg; // stale, but its decodes are reused by serial below
   }
-  std::shared_ptr<const DecodedSegment> Fresh = buildSegment(*this);
-  if (!Fresh)
-    return nullptr;
+
+  // Epoch first: any layout change that lands while the snapshot is
+  // taken or a module is decoded bumps it afterwards, so installSegment
+  // refuses this build.
+  auto Fresh = std::make_shared<DecodedSegment>();
+  Fresh->Epoch = codeEpoch();
+  struct Span {
+    uint64_t Serial, Base, Size;
+    bool Retired;
+  };
+  std::vector<Span> Live;
+  {
+    std::lock_guard<std::mutex> Guard(ModuleLock);
+    for (const MappedModule &MM : Mapped)
+      if (MM.Sealed && !MM.Reclaimed && MM.CodeSize)
+        Live.push_back({MM.Serial, MM.CodeBase, MM.CodeSize, MM.Retired});
+  }
+  std::sort(Live.begin(), Live.end(),
+            [](const Span &A, const Span &B) { return A.Base < B.Base; });
+
+  // A serial is never reused and sealed bytes never change before
+  // reclaim, so an old decode whose serial is still in the snapshot is
+  // still exact. Both lists are Base-sorted: one merge walk pairs them.
+  static const std::vector<std::shared_ptr<const DecodedModule>> None;
+  const auto &Prev = Old ? Old->Modules : None;
+  auto PrevIt = Prev.begin();
   VMTierStats St;
   St.SegmentsBuilt = 1;
+  Fresh->Modules.reserve(Live.size());
+  for (const Span &S : Live) {
+    while (PrevIt != Prev.end() && (*PrevIt)->Base < S.Base)
+      ++PrevIt;
+    if (PrevIt != Prev.end() && (*PrevIt)->Serial == S.Serial) {
+      Fresh->Modules.push_back(*PrevIt);
+      continue;
+    }
+    // Decode only live modules. A retired module's range may mature and
+    // be zeroed by a concurrent reclaim while it is read; a live one
+    // cannot, because its grace period needs this thread to cross a
+    // syscall boundary after the retire. A retired module with no decode
+    // yet stays uncovered and runs through interpretStep.
+    if (S.Retired)
+      continue;
+    Fresh->Modules.push_back(
+        decodeModule(codePtr(S.Base, S.Size), S.Serial, S.Base, S.Size));
+    ++St.ModulesDecoded;
+  }
   creditTierStats(St);
   // A build that raced a layout change is refused. The caller then sees
   // the new epoch and asks again; until then every PC is uncovered and
@@ -199,6 +252,9 @@ RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
   VMTierStats Local;
   uint64_t Epoch = M.codeEpoch();
   std::shared_ptr<const DecodedSegment> Seg = M.segment();
+  // The module the PC last resolved in: control mostly stays inside one
+  // module, so only a PC outside it pays the binary search.
+  const DecodedModule *Mod = nullptr;
 
   auto Finish = [&](RunResult R) {
     M.creditTierStats(Local);
@@ -211,14 +267,18 @@ RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
     if (uint64_t E = M.codeEpoch(); E != Epoch) {
       Epoch = E;
       Seg = M.segment();
+      Mod = nullptr;
     }
 
-    int32_t Idx = Seg ? Seg->indexAt(T.PC) : -1;
+    if (Seg && !(Mod && Mod->contains(T.PC)))
+      Mod = Seg->moduleAt(T.PC);
+    int32_t Idx = Mod ? Mod->indexAt(T.PC) : -1;
     if (Idx < 0) {
-      // Uncovered PC (sealed out of prefix order, or a jump into the
-      // middle of an instruction): one fully-checked interpreted step.
-      // Credit whatever retired — a pre-retire trap (fetch/decode/W^X)
-      // does not advance T.Instructions and must not be counted.
+      // Uncovered PC (a module retired before it was decoded, unmapped
+      // or unsealed code, or a jump into the middle of an instruction):
+      // one fully-checked interpreted step. Credit whatever retired — a
+      // pre-retire trap (fetch/decode/W^X) does not advance
+      // T.Instructions and must not be counted.
       uint64_t Before = T.Instructions;
       bool Cont = M.interpretStep(T, Out);
       Local.InterpInstrs += T.Instructions - Before;
@@ -230,7 +290,7 @@ RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
 
     // Threaded dispatch through the current block.
     while (Fuel != 0) {
-      const DInstr &D = Seg->Stream[Idx];
+      const DInstr &D = Mod->Stream[Idx];
       if (D.Fused == FusedKind::TxCheck && Fuel >= FusedCheckLen) {
         execFusedCheck(M, T, &D);
         Fuel -= FusedCheckLen;
@@ -252,7 +312,7 @@ RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
         Idx = D.Fall;
         continue; // fallthrough stays inside the block
       }
-      break; // control transfer (or stream edge): outer loop re-resolves
+      break; // control transfer (or module end): outer loop re-resolves
     }
   }
   return Finish(stopOutOfFuel(T));

@@ -6,19 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The threaded execution tier. A DecodedSegment is a decode-once image
-/// of the machine's contiguously sealed code prefix: each instruction is
-/// decoded exactly once into a DInstr stream with precomputed fallthrough
-/// links and recognized TxCheck superinstruction groups, then executed
-/// through a function-pointer handler table (threaded dispatch) instead
-/// of the decode-per-step switch. A segment describes the bytes of one
-/// code epoch: reclaiming a dlclosed module and mapping a new one into
-/// its range changes the bytes under a covered address, so a segment is
-/// only cached and served while its epoch is current. PCs a segment does
-/// not cover — code sealed out of prefix order, or a jump into the middle
-/// of an instruction (overlapping-gadget targets) — fall back to
-/// Machine::interpretStep, which performs the identical fully-checked
-/// fetch/decode/execute step.
+/// The threaded execution tier. A DecodedModule is a decode-once image
+/// of one sealed module's code range: each instruction is decoded exactly
+/// once into a DInstr stream with precomputed fallthrough links and
+/// recognized TxCheck superinstruction groups, then executed through a
+/// function-pointer handler table (threaded dispatch) instead of the
+/// decode-per-step switch. A DecodedSegment is a snapshot of the decodes
+/// of every sealed, unreclaimed module for one code epoch. A module's
+/// decode is keyed by its never-reused Serial and stays valid while that
+/// serial is sealed and unreclaimed, so a new segment reuses the previous
+/// segment's decodes and decodes only the modules sealed since: a dlopen
+/// costs a decode of the new module, not of the world. PCs a segment does
+/// not cover — a module retired before it was ever decoded, or a jump
+/// into the middle of an instruction (overlapping-gadget targets) — fall
+/// back to Machine::interpretStep, which performs the identical
+/// fully-checked fetch/decode/execute step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,29 +54,35 @@ struct DInstr {
   FusedKind Fused = FusedKind::None; ///< set on group heads only
 };
 
-/// An immutable predecoding of [CodeBase, CodeBase + Limit).
-struct DecodedSegment {
-  uint64_t Limit = 0; ///< decoded byte extent (the sealed prefix)
-  uint64_t Epoch = 0; ///< Machine::codeEpoch read before the decode
+/// An immutable predecoding of one sealed module's [Base, Base + Size).
+struct DecodedModule {
+  uint64_t Serial = 0; ///< MappedModule::Serial of the decoded module
+  uint64_t Base = 0;   ///< absolute MappedModule::CodeBase
+  uint64_t Size = 0;   ///< decoded byte extent (MappedModule::CodeSize)
   std::vector<DInstr> Stream;
   std::vector<int32_t> IndexByOff; ///< per byte: stream index or -1
 
-  /// Stream index executing at \p PC, or -1 when the segment does not
-  /// cover that address (fallback to interpretStep).
+  bool contains(uint64_t PC) const { return PC - Base < Size; }
+
+  /// Stream index executing at \p PC, or -1 when no decoded instruction
+  /// starts there (fallback to interpretStep).
   int32_t indexAt(uint64_t PC) const {
-    uint64_t Off = PC - Machine::CodeBase;
-    return PC >= Machine::CodeBase && Off < Limit ? IndexByOff[Off] : -1;
+    return contains(PC) ? IndexByOff[PC - Base] : -1;
   }
 };
 
-/// Builds a fresh segment over the machine's current sealed prefix,
-/// stamped with the code epoch read before the prefix and the bytes;
-/// null when nothing is sealed yet. Machine::segment() builds and
-/// installs in one call.
-std::shared_ptr<const DecodedSegment> buildSegment(const Machine &M);
+/// The decodes of every sealed, unreclaimed module for one code epoch.
+struct DecodedSegment {
+  uint64_t Epoch = 0; ///< Machine::codeEpoch read before the snapshot
+  /// Sorted by Base; ranges are disjoint.
+  std::vector<std::shared_ptr<const DecodedModule>> Modules;
 
-/// Runs \p T on the threaded tier: handler dispatch over the segment,
-/// interpretStep fallback outside it.
+  /// The decoded module whose range holds \p PC, or null.
+  const DecodedModule *moduleAt(uint64_t PC) const;
+};
+
+/// Runs \p T on the threaded tier: handler dispatch over the segment's
+/// modules, interpretStep fallback outside them.
 RunResult runThreaded(Machine &M, Thread &T, uint64_t Fuel);
 
 } // namespace mcfi

@@ -477,6 +477,7 @@ VMTierStats Machine::vmStats() const {
   S.ThreadedInstrs = StatThreadedInstrs.load(std::memory_order_relaxed);
   S.FusedChecks = StatFusedChecks.load(std::memory_order_relaxed);
   S.SegmentsBuilt = StatSegmentsBuilt.load(std::memory_order_relaxed);
+  S.ModulesDecoded = StatModulesDecoded.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -489,6 +490,7 @@ void Machine::creditTierStats(const VMTierStats &S) {
   Add(StatThreadedInstrs, S.ThreadedInstrs);
   Add(StatFusedChecks, S.FusedChecks);
   Add(StatSegmentsBuilt, S.SegmentsBuilt);
+  Add(StatModulesDecoded, S.ModulesDecoded);
 }
 
 bool Machine::makeThread(const std::string &Name, Thread &T) {

@@ -62,6 +62,7 @@ struct VMTierStats {
   uint64_t ThreadedInstrs = 0; ///< retired by predecoded dispatch
   uint64_t FusedChecks = 0;    ///< fused TxCheck superinstruction runs
   uint64_t SegmentsBuilt = 0;  ///< predecoded segment constructions
+  uint64_t ModulesDecoded = 0; ///< module decodes made by those builds
   /// Never written: the trace tier is gone, but the benchmark's per-layer
   /// metrics still read these, so they stay until it drops them.
   uint64_t TraceInstrs = 0, TraceHits = 0, TracesCompiled = 0,
@@ -333,18 +334,13 @@ public:
   /// W^X, decode, dispatch). Returns false with \p Out filled when the
   /// thread stopped. This is both the interpreter tier's step and the
   /// threaded tier's fallback for PCs outside the decoded segment
-  /// (unsealed-by-prefix modules, mid-instruction gadget targets), so
+  /// (undecoded retired modules, mid-instruction gadget targets), so
   /// both tiers funnel uncovered PCs through identical checks.
   bool interpretStep(Thread &T, RunResult &Out);
 
   /// Dlsym resolution (handle-scoped or global) under ModuleLock; dlopen
   /// mutates Mapped concurrently with executing guest threads.
   uint64_t dlsymLookup(int64_t Handle, const std::string &Name) const;
-
-  /// Bytes of contiguously sealed (predecodable) code.
-  uint64_t sealedPrefixBytes() const {
-    return SealedPrefix.load(std::memory_order_acquire);
-  }
 
   /// Bumped whenever the code layout changes (map, seal, reclaim); the
   /// threaded engine rechecks it between blocks and re-checks out its
@@ -354,8 +350,15 @@ public:
   }
 
   /// The predecoded segment for the current code epoch, built and cached
-  /// on a miss; null when no code is sealed or the layout changed during
-  /// the build. Defined in Dispatch.cpp.
+  /// on a miss from the cached segment's module decodes plus a decode of
+  /// each newly sealed module; null when the layout changed during the
+  /// build. Defined in Dispatch.cpp.
+  ///
+  /// Precondition: call it from a guest thread inside run(), or while no
+  /// drainReclaim runs concurrently. New modules are decoded outside
+  /// ModuleLock; that is safe only because a module retired after the
+  /// snapshot cannot mature until every running guest thread crosses a
+  /// syscall boundary, and a host caller is not one of them.
   std::shared_ptr<const DecodedSegment> segment();
 
   /// Caches \p S unless the code epoch moved since it was built. Returns
@@ -430,7 +433,8 @@ private:
   /// mutation and by the linker across batch processing.
   mutable std::mutex ReclaimApplyLock;
   std::vector<MappedModule> Mapped;
-  /// Bytes of contiguously sealed code (release/acquire like CodeUsed).
+  /// Bytes of contiguously sealed code: interpretStep's fast executable
+  /// check (release/acquire like CodeUsed).
   std::atomic<uint64_t> SealedPrefix{0};
   /// Next MappedModule::Serial (monotonic; guarded by ModuleLock).
   uint64_t NextModuleSerial = 1;
@@ -466,6 +470,7 @@ private:
   std::atomic<uint64_t> StatThreadedInstrs{0};
   std::atomic<uint64_t> StatFusedChecks{0};
   std::atomic<uint64_t> StatSegmentsBuilt{0};
+  std::atomic<uint64_t> StatModulesDecoded{0};
 };
 
 } // namespace mcfi

@@ -11,7 +11,8 @@
 /// interpreter or the predecoded threaded-dispatch tier. Exercised over
 /// the SPEC-shaped workloads, the SecurityTest attack corpus (mid-run
 /// memory corruption included), fuel-sliced resumption, seeded
-/// dlopen/segment-invalidation interleavings, and code-range reuse.
+/// dlopen/segment-invalidation interleavings, code-range reuse, and
+/// modules sealed above a reclaimed hole.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -374,8 +375,8 @@ TEST(TierDiff, DlopenInvalidationFuzzIsTierInvariant) {
   }
 }
 
-/// Runs the sliced worker over 400000 iterations: a 20000-instruction
-/// warm-up, then the rest while \p During (if any) runs beside it.
+/// Runs the worker over 400000 iterations: a 20000-instruction warm-up,
+/// then the rest while \p During (if any) runs beside it.
 TierRun runLongWorker(BuiltProgram &BP, const std::function<void()> &During) {
   Thread T;
   EXPECT_TRUE(BP.M->makeThread("worker", T));
@@ -424,49 +425,305 @@ TEST(TierDiff, ConcurrentDlopenDuringThreadedExecution) {
       << "segment never re-checked out after dlopen";
 }
 
+/// The checked worker with a print every 1024 iterations: each print is
+/// a syscall boundary, so reclaim grace advances while it runs.
+const char *ChurnWorkerSource = R"(
+  long w0(long x) { return x + 1; }
+  long w1(long x) { return x * 2; }
+  long (*tab[2])(long);
+  long worker(long iters) {
+    tab[0] = w0;
+    tab[1] = w1;
+    long acc = 0;
+    long i;
+    for (i = 0; i < iters; i = i + 1) {
+      acc = acc + tab[i & 1](i ^ (acc >> 3));
+      if ((i & 1023) == 0) print_int(i);
+    }
+    exit((int)(acc & 127));
+    return acc;
+  }
+  int main() { return 0; }
+)";
+
+TEST(TierDiff, ConcurrentDlcloseAndReclaimDuringThreadedExecution) {
+  // Live churn: a guest thread making fused checked calls on a
+  // checked-out segment races dlopenBatch, dlclose and drainReclaim, so
+  // segment rebuilds reuse module decodes while ranges are reclaimed and
+  // reused. A dlclose or a reopen may reinstall the policy with a
+  // version bump, and a check racing that legitimately retries, so only
+  // the instruction count may exceed the interpreter's; the outcome and
+  // the output must match it exactly, and every load and close must
+  // succeed.
+  std::vector<MCFIObject> Plugins = compilePlugins(12);
+  BuildSpec Spec;
+  Spec.LinkRtLibrary = false;
+  Spec.Tier = ExecTier::Interpreter;
+  BuiltProgram Ref = buildProgram({ChurnWorkerSource}, Spec);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  TierRun RefRun = runLongWorker(Ref, nullptr);
+  ASSERT_EQ(RefRun.R.Reason, StopReason::Exited) << RefRun.R.Message;
+
+  Spec.Tier = ExecTier::Threaded;
+  BuiltProgram BP = buildProgram({ChurnWorkerSource}, Spec);
+  ASSERT_TRUE(BP.Ok) << BP.Error;
+  for (const MCFIObject &P : Plugins)
+    BP.L->registerLibrary(P);
+  int BadHandles = 0, BadCloses = 0;
+  TierRun Got = runLongWorker(BP, [&] {
+    // Four rounds over the plugins with one live at a time: open the
+    // next, close the previous and drain until its range is reclaimed
+    // (the worker's prints advance the grace period; once it exits,
+    // everything drains), so later opens reuse the reclaimed ranges.
+    int64_t Live = -1;
+    for (int Round = 0; Round != 4; ++Round)
+      for (size_t I = 0; I != Plugins.size(); ++I) {
+        for (const DlopenResult &D :
+             BP.L->dlopenBatch({static_cast<int64_t>(I)})) {
+          BadHandles += D.Handle < 0;
+          if (Live >= 0)
+            BadCloses += !BP.L->dlcloseOne(Live);
+          Live = D.Handle;
+        }
+        while (BP.M->reclaimPending()) {
+          BP.M->drainReclaim();
+          std::this_thread::yield();
+        }
+      }
+  });
+  EXPECT_EQ(BadHandles, 0) << BP.L->lastError();
+  EXPECT_EQ(BadCloses, 0) << BP.L->lastError();
+  BP.M->drainReclaim();
+  EXPECT_GT(BP.M->reclaimStats().Reclaimed, 0u);
+  ASSERT_TRUE(Got.Ok);
+  EXPECT_EQ(RefRun.R.Reason, Got.R.Reason) << Got.R.Message;
+  EXPECT_EQ(RefRun.R.ExitCode, Got.R.ExitCode);
+  EXPECT_EQ(RefRun.R.Message, Got.R.Message);
+  EXPECT_EQ(RefRun.Output, Got.Output);
+  EXPECT_GE(Got.R.Instructions, RefRun.R.Instructions);
+  VMTierStats St = BP.M->vmStats();
+  EXPECT_GT(St.FusedChecks, 0u);
+  EXPECT_GE(St.SegmentsBuilt, 2u)
+      << "segment never re-checked out after dlopen/dlclose";
+}
+
+/// A plugin whose probe<N> exits with N: it calls through a checked
+/// function pointer first so its decode holds a fused TxCheck.
+MCFIObject exitPlugin(int N, int Padding = 0) {
+  std::string Id = std::to_string(N);
+  std::string Src = "long pad" + Id + "(long x) { return x + " + Id + "; }\n" +
+                    "long (*padp" + Id + ")(long) = pad" + Id + ";\n";
+  for (int K = 0; K != Padding; ++K)
+    Src += "long fill" + Id + "_" + std::to_string(K) +
+           "(long x) { return x * " + std::to_string(K + 2) + " + " + Id +
+           "; }\n";
+  Src += "long probe" + Id + "(long x) { exit((int)(padp" + Id +
+         "(x) - x)); return x; }\n";
+  CompileOptions CO;
+  CO.ModuleName = "exit" + Id;
+  CompileResult CR = compileModule(Src, CO);
+  EXPECT_TRUE(CR.Ok) << (CR.Errors.empty() ? "" : CR.Errors.front());
+  return std::move(CR.Obj);
+}
+
+/// Runs probe<N> to completion on a fresh thread.
+RunResult runProbe(Machine &M, int N) {
+  Thread T;
+  EXPECT_TRUE(M.makeThread("probe" + std::to_string(N), T));
+  return M.run(T, 100'000);
+}
+
 TEST(TierDiff, StaleSegmentIsRefusedAfterCodeRangeReuse) {
   // Deterministic replay of a stale build racing a range reuse: decode a
-  // segment over module A, dlclose + reclaim A, map B into the same range
-  // at the same sealed-prefix length, then offer A's segment to the
-  // cache. The epoch rule must refuse it, and B must run its own bytes.
-  auto probe = [](int Code) {
-    CompileOptions CO;
-    CO.ModuleName = "probe" + std::to_string(Code);
-    CompileResult CR = compileModule(
-        "long probe(long x) { exit(" + std::to_string(Code) +
-            "); return x; }\n",
-        CO);
-    EXPECT_TRUE(CR.Ok);
-    return std::move(CR.Obj);
-  };
+  // segment over module A, dlclose + reclaim A, map B into the same
+  // range, then offer A's segment to the cache. The epoch rule must
+  // refuse it, the rebuilt segment must hold B's own decode at that
+  // base (keyed by B's serial, not by the reused range), and B must run
+  // its own bytes.
   BuildSpec Spec;
   Spec.LinkRtLibrary = false;
   Spec.Tier = ExecTier::Threaded;
   BuiltProgram BP = buildProgram({"int main() { return 0; }"}, Spec);
   ASSERT_TRUE(BP.Ok) << BP.Error;
-  BP.L->registerLibrary(probe(7));
-  BP.L->registerLibrary(probe(9));
+  BP.L->registerLibrary(exitPlugin(7));
+  BP.L->registerLibrary(exitPlugin(9));
 
   int64_t A = BP.L->dlopen(0);
   ASSERT_GE(A, 0) << BP.L->lastError();
   uint64_t Base = BP.M->modules()[static_cast<size_t>(A)].CodeBase;
-  uint64_t Prefix = BP.M->sealedPrefixBytes();
+  uint64_t SerialA = BP.M->modules()[static_cast<size_t>(A)].Serial;
   std::shared_ptr<const DecodedSegment> Old = BP.M->segment();
-  ASSERT_TRUE(Old && Old->Limit == Prefix);
+  ASSERT_TRUE(Old);
+  const DecodedModule *OldA = Old->moduleAt(Base);
+  ASSERT_TRUE(OldA && OldA->Serial == SerialA && OldA->Base == Base);
 
   ASSERT_TRUE(BP.L->dlcloseOne(A));
   BP.M->drainReclaim();
   int64_t B = BP.L->dlopen(1);
   ASSERT_GE(B, 0) << BP.L->lastError();
   ASSERT_EQ(BP.M->modules()[static_cast<size_t>(B)].CodeBase, Base);
-  ASSERT_EQ(BP.M->sealedPrefixBytes(), Prefix);
+  uint64_t SerialB = BP.M->modules()[static_cast<size_t>(B)].Serial;
+  ASSERT_NE(SerialB, SerialA);
 
   EXPECT_FALSE(BP.M->installSegment(Old));
-  Thread T;
-  ASSERT_TRUE(BP.M->makeThread("probe", T));
-  RunResult R = BP.M->run(T, 100'000);
+  std::shared_ptr<const DecodedSegment> New = BP.M->segment();
+  ASSERT_TRUE(New);
+  const DecodedModule *NewB = New->moduleAt(Base);
+  ASSERT_TRUE(NewB);
+  EXPECT_EQ(NewB->Serial, SerialB) << "B's range served A's decode";
+  EXPECT_EQ(NewB->Base, Base);
+  RunResult R = runProbe(*BP.M, 9);
   EXPECT_EQ(R.Reason, StopReason::Exited) << R.Message;
   EXPECT_EQ(R.ExitCode, 9) << "probe ran the reclaimed module's bytes";
+}
+
+//===----------------------------------------------------------------------===//
+// Per-module decodes
+//===----------------------------------------------------------------------===//
+
+TEST(TierDiff, DlopenDecodesOnlyTheNewModule) {
+  // Dlopen-to-first-execution must stay flat as the module count grows.
+  // As a count: each dlopen costs exactly one module decode, and a
+  // dlclose costs none — the surviving modules' decodes are reused.
+  BuildSpec Spec;
+  Spec.LinkRtLibrary = false;
+  Spec.Tier = ExecTier::Threaded;
+  BuiltProgram BP = buildProgram({"int main() { return 0; }"}, Spec);
+  ASSERT_TRUE(BP.Ok) << BP.Error;
+  constexpr int NumPlugins = 12;
+  std::vector<int64_t> Handles;
+  for (int N = 1; N <= NumPlugins; ++N)
+    BP.L->registerLibrary(exitPlugin(N));
+  ASSERT_TRUE(BP.M->segment()); // decode the program itself up front
+
+  for (int N = 1; N <= NumPlugins; ++N) {
+    uint64_t Before = BP.M->vmStats().ModulesDecoded;
+    Handles.push_back(BP.L->dlopen(N - 1));
+    ASSERT_GE(Handles.back(), 0) << BP.L->lastError();
+    RunResult R = runProbe(*BP.M, N);
+    ASSERT_EQ(R.Reason, StopReason::Exited) << R.Message;
+    EXPECT_EQ(R.ExitCode, N);
+    EXPECT_EQ(BP.M->vmStats().ModulesDecoded - Before, 1u)
+        << "dlopen #" << N << " re-decoded sealed modules";
+  }
+
+  VMTierStats Before = BP.M->vmStats();
+  ASSERT_TRUE(BP.L->dlcloseOne(Handles[4]));
+  BP.M->drainReclaim();
+  RunResult R = runProbe(*BP.M, NumPlugins);
+  ASSERT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(R.ExitCode, NumPlugins);
+  VMTierStats After = BP.M->vmStats();
+  EXPECT_GT(After.SegmentsBuilt, Before.SegmentsBuilt)
+      << "the reclaim never invalidated the segment";
+  EXPECT_EQ(After.ModulesDecoded, Before.ModulesDecoded)
+      << "dlclose re-decoded surviving modules";
+  EXPECT_EQ(After.InterpInstrs, Before.InterpInstrs);
+}
+
+/// The hole scenario: plugin 1 is dlopened below a filler (plugin 2),
+/// dlclosed and reclaimed, and a plugin too large for the hole
+/// (plugin 3) is mapped above it — outside the contiguous sealed prefix.
+struct HoleRun {
+  BuiltProgram BP;
+  TierRun Probe;
+  VMTierStats Delta; ///< tier counters of the probe run alone
+};
+
+HoleRun runPastHole(ExecTier Tier) {
+  HoleRun H;
+  BuildSpec Spec;
+  Spec.LinkRtLibrary = false;
+  Spec.Tier = Tier;
+  H.BP = buildProgram({"int main() { return 0; }"}, Spec);
+  EXPECT_TRUE(H.BP.Ok) << H.BP.Error;
+  if (!H.BP.Ok)
+    return H;
+  Linker &L = *H.BP.L;
+  L.registerLibrary(exitPlugin(1));
+  L.registerLibrary(exitPlugin(2));
+  L.registerLibrary(exitPlugin(3, /*Padding=*/8));
+  int64_t Low = L.dlopen(0);
+  EXPECT_GE(L.dlopen(1), 0) << L.lastError();
+  EXPECT_TRUE(Low >= 0 && L.dlcloseOne(Low)) << L.lastError();
+  H.BP.M->drainReclaim();
+  int64_t High = L.dlopen(2);
+  EXPECT_GE(High, 0) << L.lastError();
+  if (High < 0)
+    return H;
+  const auto &Mods = H.BP.M->modules();
+  EXPECT_GT(Mods[static_cast<size_t>(High)].CodeBase,
+            Mods[static_cast<size_t>(Low)].CodeBase)
+      << "plugin 3 reused the hole instead of landing above it";
+
+  VMTierStats Before = H.BP.M->vmStats();
+  H.Probe.R = runProbe(*H.BP.M, 3);
+  H.Probe.Output = H.BP.M->takeOutput();
+  H.Probe.Ok = true;
+  VMTierStats After = H.BP.M->vmStats();
+  H.Delta.InterpInstrs = After.InterpInstrs - Before.InterpInstrs;
+  H.Delta.ThreadedInstrs = After.ThreadedInstrs - Before.ThreadedInstrs;
+  return H;
+}
+
+TEST(TierDiff, ModuleDecodesMatchTheirBytesPastAReclaimedHole) {
+  HoleRun Ref = runPastHole(ExecTier::Interpreter);
+  HoleRun Got = runPastHole(ExecTier::Threaded);
+  ASSERT_TRUE(Ref.Probe.Ok && Got.Probe.Ok);
+  EXPECT_EQ(Ref.Probe.R.Reason, StopReason::Exited) << Ref.Probe.R.Message;
+  EXPECT_EQ(Ref.Probe.R.ExitCode, 3);
+  expectIdentical(Ref.Probe, Got.Probe, ExecTier::Threaded, "past-hole");
+  // Outside the sealed prefix, yet fully predecoded.
+  EXPECT_EQ(Got.Delta.InterpInstrs, 0u);
+  EXPECT_EQ(Got.Delta.ThreadedInstrs, Got.Probe.R.Instructions);
+
+  // Every live sealed module has a decode, and every decoded offset holds
+  // exactly what visa::decode reads over that module's own extent.
+  Machine &M = *Got.BP.M;
+  std::shared_ptr<const DecodedSegment> Seg = M.segment();
+  ASSERT_TRUE(Seg);
+  size_t Live = 0;
+  for (const MappedModule &MM : M.modules()) {
+    if (!MM.Sealed || MM.Reclaimed || MM.Retired || !MM.CodeSize)
+      continue;
+    ++Live;
+    const DecodedModule *Mod = Seg->moduleAt(MM.CodeBase);
+    ASSERT_TRUE(Mod) << "module at 0x" << std::hex << MM.CodeBase;
+    EXPECT_EQ(Mod->Serial, MM.Serial);
+    EXPECT_EQ(Mod->Base, MM.CodeBase);
+    ASSERT_EQ(Mod->Size, MM.CodeSize);
+    ASSERT_EQ(Mod->IndexByOff.size(), Mod->Size);
+    const uint8_t *Code = M.codePtr(Mod->Base, Mod->Size);
+    ASSERT_TRUE(Code);
+    size_t Covered = 0;
+    for (uint64_t Off = 0; Off != Mod->Size; ++Off) {
+      int32_t Idx = Mod->IndexByOff[Off];
+      if (Idx < 0)
+        continue;
+      ++Covered;
+      ASSERT_LT(static_cast<size_t>(Idx), Mod->Stream.size());
+      const DInstr &D = Mod->Stream[static_cast<size_t>(Idx)];
+      visa::Instr I;
+      ASSERT_TRUE(visa::decode(Code, Mod->Size, Off, I)) << Off;
+      EXPECT_EQ(D.PC, Mod->Base + Off);
+      EXPECT_TRUE(D.I.Op == I.Op && D.I.Rd == I.Rd && D.I.Ra == I.Ra &&
+                  D.I.Rb == I.Rb && D.I.Off == I.Off && D.I.Imm == I.Imm &&
+                  D.I.Length == I.Length)
+          << "decode differs at offset " << Off;
+      uint64_t FallOff = Off + I.Length;
+      if (FallOff >= Mod->Size) {
+        EXPECT_EQ(D.Fall, -1) << "fallthrough past the module end";
+      } else {
+        EXPECT_EQ(D.Fall, Mod->IndexByOff[FallOff]) << Off;
+        if (D.Fall >= 0) {
+          EXPECT_EQ(Mod->Stream[static_cast<size_t>(D.Fall)].PC,
+                    D.PC + I.Length);
+        }
+      }
+    }
+    EXPECT_EQ(Covered, Mod->Stream.size());
+  }
+  EXPECT_EQ(Seg->Modules.size(), Live);
 }
 
 //===----------------------------------------------------------------------===//

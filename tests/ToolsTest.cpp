@@ -99,6 +99,7 @@ TEST_F(ToolsFixture, FullPipeline) {
   EXPECT_EQ(Exit, 0) << Out;
   EXPECT_NE(Out.find("121"), std::string::npos); // 20 + 101
   EXPECT_NE(Out.find("policy:"), std::string::npos);
+  EXPECT_NE(Out.find("\"modules_decoded\":"), std::string::npos);
 }
 
 TEST_F(ToolsFixture, AnalyzeFlagReportsViolations) {
@@ -233,6 +234,8 @@ TEST_F(ToolsFixture, FuelLimitExitCode) {
   EXPECT_EQ(run(std::string(MCFI_RUN) + " --fuel 10000 " + path("loop.mcfo"),
                 &Out),
             126);
+  // Without --fuel the finite default budget still stops the loop.
+  EXPECT_EQ(run(std::string(MCFI_RUN) + " " + path("loop.mcfo"), &Out), 126);
 }
 
 } // namespace

@@ -10,7 +10,9 @@
 ///
 ///   mcfi-run [options] prog.mcfo [more.mcfo ...]
 ///     --register <lib.mcfo>  make a library dlopen-able (ids in order)
-///     --fuel <n>             instruction budget (default: unlimited)
+///     --fuel <n>             instruction budget (default: 100000000, about
+///                            a second of guest time; raise it for longer
+///                            programs)
 ///     --no-verify            skip the modular verifier (debugging only)
 ///     --tier <t>             execution tier: interp or threaded
 ///                            (default: threaded; RunResult-identical)
@@ -22,7 +24,9 @@
 ///                            all retired ranges must reclaim (exit 2 if
 ///                            any open/close fails or regions leak)
 ///
-/// Exit code: the guest's exit code; 124 on CFI violation; 125 on trap.
+/// Exit code: the guest's exit code; 124 on CFI violation; 125 on trap;
+/// 126 when the instruction budget runs out (so a looping or corrupted
+/// module never hangs the host).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +41,13 @@
 using namespace mcfi;
 using namespace mcfi::tools;
 
+/// Far above every example and test program, yet a guest that never exits
+/// stops within seconds.
+constexpr uint64_t DefaultFuel = 100'000'000;
+
 int main(int argc, char **argv) {
   std::vector<std::string> Modules, Libraries;
-  uint64_t Fuel = ~0ull, Churn = 0;
+  uint64_t Fuel = DefaultFuel, Churn = 0;
   bool Verify = true, Stats = false;
   ExecTier Tier = ExecTier::Threaded;
 
