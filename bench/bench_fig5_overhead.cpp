@@ -80,6 +80,7 @@ int main() {
     Totals.ThreadedInstrs += S.ThreadedInstrs;
     Totals.FusedChecks += S.FusedChecks;
     Totals.SegmentsBuilt += S.SegmentsBuilt;
+    Totals.ModulesDecoded += S.ModulesDecoded;
 
     double InstrOv = 100.0 * (static_cast<double>(
                                   Interp.Result.Instructions) /

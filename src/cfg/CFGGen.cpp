@@ -10,8 +10,15 @@
 // signature, variadic flag, refinement entry), so each distinct key is
 // matched and unioned once and every site takes its key's class. Return
 // sites are joined through union-find helper nodes instead of explicit
-// return-target lists; see joinReturnClasses for why the classes equal
-// those of the per-site closure in cfg/CFGReference.cpp.
+// return-target lists; see CFGMerge::State::markRelevant for why the
+// classes equal those of the per-site closure in cfg/CFGReference.cpp.
+//
+// The state is a fold: every fact it holds (a resolved name, an
+// address-taken function, a key target, a relevant or active tail-graph
+// node, a union) only ever becomes true. append() records each new fact
+// together with its consequences, so the union-find partition after any
+// sequence of appends is the one a from-scratch merge computes; emit()
+// numbers its classes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +29,9 @@
 #include "support/UnionFind.h"
 #include "tables/ID.h"
 
+#include <algorithm>
 #include <bit>
-#include <numeric>
-#include <span>
 #include <string_view>
-#include <unordered_set>
 
 using namespace mcfi;
 
@@ -41,7 +46,13 @@ struct FuncEntry {
   std::string_view Name;
   const InternedSig *Sig = nullptr; ///< interned type signature
   uint64_t Addr = 0;                ///< absolute entry address
+  /// Union-find node of Addr, made once the entry can be a target.
+  uint32_t AddrNode = None;
+  uint32_t Node = None; ///< tail-graph / helper node
   bool AddressTaken = false;
+  bool Returns = false;      ///< some return site resolves to it
+  bool ToTrampoline = false; ///< its returns may reach sig$return
+  bool Keep = false;         ///< pinned by the refinement's KeepTargets
 };
 
 /// What an indirect transfer may reach is fixed by its key alone: two
@@ -62,13 +73,26 @@ struct TargetKeyHash {
   }
 };
 
-/// A non-setjmp call site: its return site and its callee, either one
-/// function (direct call) or a key (indirect call).
+struct KeyEntry {
+  TargetKey Key;
+  uint32_t Node = None;          ///< tail-graph / helper node
+  bool Used = false;             ///< some branch site has this key
+  std::vector<uint32_t> Targets; ///< matching address-taken functions
+};
+
+/// A non-setjmp call site: its return site and the tail-graph node of
+/// its callee (a function or a key), None while a direct callee's name
+/// is undefined.
 struct CallEntry {
-  uint32_t RetIBT = None; ///< IBT index of the return site
-  uint32_t Callee = None; ///< function index
-  uint32_t Key = None;    ///< key index
   uint64_t RetAddr = 0;
+  uint32_t RetNode = None;
+  uint32_t Callee = None;
+  uint32_t NextToCallee = None; ///< next call with the same callee
+};
+
+/// A tail call whose caller or direct callee is not defined yet.
+struct OpenTail {
+  uint32_t Caller = None, To = None; ///< tail-graph nodes once defined
 };
 
 /// How a branch site finds its class. Tombstone slots (unloaded
@@ -80,155 +104,339 @@ struct SiteEntry {
   uint32_t Index = None; ///< key (Key) or function (Return, Plt) index
 };
 
-/// Name -> first function index with that name (first definition wins,
-/// matching the loader's symbol resolution). Every merge rebuilds it,
-/// so it is one open-addressing slot array rather than a node per name.
-class NameIndex {
-public:
-  void reserve(size_t N) { Slots.assign(std::bit_ceil(2 * N + 2), Slot()); }
+/// A use of a name no module has defined yet; settled by the first
+/// definition.
+enum class UseKind : uint8_t {
+  Call,         ///< direct call: Index = call
+  TailCaller,   ///< Index = open tail call
+  TailCallee,   ///< Index = open tail call
+  ReturnSite,   ///< Index = global site
+  PltSite,      ///< Index = global site
+  AddressTaken, ///< an address-taken import
+};
 
-  void insert(std::string_view Name, uint32_t Idx) {
-    size_t Hash = std::hash<std::string_view>()(Name);
-    Slot &S = Slots[slotOf(Name, Hash)];
-    if (S.Idx == None)
-      S = {Hash, Idx, Name};
+struct PendingUse {
+  UseKind Kind;
+  uint32_t Index;
+  uint32_t Next; ///< next use waiting on the same name
+};
+
+/// Per union-find node: address nodes carry refinement liveness;
+/// function and key nodes are the tail graph, with their edges and
+/// callers threaded through flat arrays.
+struct NodeInfo {
+  uint32_t FirstSucc = None, FirstPred = None, FirstCall = None;
+  bool Relevant = false; ///< reaches a function with a return site
+  bool Active = false;   ///< reachable over relevant edges from a callee
+  bool Live = false;     ///< in some target set (refinement universe)
+};
+
+struct Edge {
+  uint32_t From, To;
+  uint32_t NextSucc, NextPred;
+};
+
+/// Open addressing over one slot array (a state copy is one allocation
+/// per table). Slots[I].Used marks occupancy.
+template <typename SlotT> class FlatTable {
+public:
+  /// Makes room for \p More further keys with at most one rehash, so a
+  /// large module does not regrow the table step by step.
+  void reserve(size_t More) {
+    size_t Want = std::bit_ceil(2 * (Count + More) + 2);
+    if (Want > Slots.size())
+      rehash(Want);
   }
 
-  uint32_t find(std::string_view Name) const {
-    return Slots[slotOf(Name, std::hash<std::string_view>()(Name))].Idx;
+  /// The slot for a key with hash \p Hash satisfying \p Match, claimed
+  /// (Used set, other fields default) if absent.
+  template <typename MatchFn> SlotT &claim(uint32_t Hash, MatchFn Match) {
+    if (2 * (Count + 1) > Slots.size())
+      rehash(std::max<size_t>(64, 2 * Slots.size()));
+    SlotT &S = Slots[probe(Hash, Match)];
+    if (!S.Used) {
+      S.Used = true;
+      S.Hash = Hash;
+      ++Count;
+    }
+    return S;
   }
 
 private:
-  struct Slot {
-    size_t Hash = 0;
-    uint32_t Idx = None;
-    std::string_view Name;
-  };
-
-  /// The slot holding \p Name, or the empty slot where it would go.
-  size_t slotOf(std::string_view Name, size_t Hash) const {
+  template <typename MatchFn> size_t probe(uint32_t Hash, MatchFn Match) const {
     size_t Mask = Slots.size() - 1;
     for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
-      const Slot &S = Slots[I];
-      if (S.Idx == None || (S.Hash == Hash && S.Name == Name))
+      const SlotT &S = Slots[I];
+      if (!S.Used || (S.Hash == Hash && Match(S)))
         return I;
     }
   }
 
-  std::vector<Slot> Slots;
+  void rehash(size_t Size) {
+    std::vector<SlotT> Old = std::move(Slots);
+    Slots.assign(Size, SlotT());
+    for (const SlotT &S : Old)
+      if (S.Used)
+        Slots[probe(S.Hash, [](const SlotT &) { return false; })] = S;
+  }
+
+  std::vector<SlotT> Slots;
+  size_t Count = 0;
 };
 
-/// Directed edges in one array per graph (compressed sparse rows).
-class Adjacency {
-public:
-  Adjacency(size_t NumNodes,
-            const std::vector<std::pair<uint32_t, uint32_t>> &Edges)
-      : Begin(NumNodes + 1, 0), Items(Edges.size()) {
-    for (const auto &[From, To] : Edges)
-      ++Begin[From + 1];
-    std::partial_sum(Begin.begin(), Begin.end(), Begin.begin());
-    std::vector<uint32_t> Fill(Begin.begin(), Begin.end() - 1);
-    for (const auto &[From, To] : Edges)
-      Items[Fill[From]++] = To;
-  }
-
-  std::span<const uint32_t> operator[](uint32_t Node) const {
-    return {Items.data() + Begin[Node], Items.data() + Begin[Node + 1]};
-  }
-
-private:
-  std::vector<uint32_t> Begin, Items;
+/// A name's first definition (first wins, matching the loader's symbol
+/// resolution) and the uses still waiting for one.
+struct NameSlot {
+  bool Used = false;
+  uint32_t Hash = 0;
+  std::string_view Name;
+  uint32_t Func = None;
+  uint32_t Waiting = None; ///< head of the PendingUse chain
 };
 
-class CFGBuilder {
-public:
-  CFGBuilder(const std::vector<LoadedModuleView> &Modules,
-             const CFGRefinement *Refine)
-      : Modules(Modules), Refine(Refine) {}
+struct AddrSlot {
+  bool Used = false;
+  uint32_t Hash = 0;
+  uint64_t Addr = 0;
+  uint32_t Node = None;
+};
 
-  CFGPolicy build() {
-    // One cache lookup per module; re-merges reuse the interned views.
-    // Tombstones (unloaded modules) have no object and no signatures.
-    Sigs.reserve(Modules.size());
-    for (const LoadedModuleView &M : Modules)
-      Sigs.push_back(M.Obj ? getModuleSigs(*M.Obj) : nullptr);
+} // namespace
 
-    collectFunctions();
-    indexBranchSites();
-    resolveCallSites();
-    resolveTailCalls();
-    resolveBranchSites();
-    markReturnRelevant();
-    indexIBTs();
-    UnionFind UF(IBTAddrs.size() + Funcs.size() + Keys.size());
-    joinKeyClasses(UF);
-    joinReturnClasses(UF);
-    assignECNs(UF);
-    return std::move(Policy);
-  }
+struct CFGMerge::State {
+  explicit State(const CFGRefinement *Refine)
+      : Refine(Refine),
+        HandlerSig(SigInterner::global().intern(SignalHandlerSig)) {}
 
-private:
   //===--------------------------------------------------------------------===//
-  // Collection
+  // Append
   //===--------------------------------------------------------------------===//
 
-  void collectFunctions() {
-    size_t NumFuncs = 0;
-    for (const LoadedModuleView &M : Modules)
-      NumFuncs += M.Obj ? M.Obj->Aux.Functions.size() : 0;
-    Funcs.reserve(NumFuncs);
-    FuncByName.reserve(NumFuncs);
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      const LoadedModuleView &M = Modules[Mi];
-      if (M.Obj) {
-        const SigList &FuncSigs = Sigs[Mi]->FuncSigs;
-        for (size_t Fi = 0; Fi != M.Obj->Aux.Functions.size(); ++Fi) {
-          const FunctionInfo &F = M.Obj->Aux.Functions[Fi];
-          uint32_t Idx = static_cast<uint32_t>(Funcs.size());
-          FuncByName.insert(F.Name, Idx);
-          Funcs.push_back(
-              {F.Name, FuncSigs[Fi], M.CodeBase + F.CodeOffset, F.AddressTaken});
-        }
-      }
+  void append(const LoadedModuleView &M) {
+    Views.push_back(M);
+    SiteIndexBase.push_back(static_cast<uint32_t>(Sites.size()));
+    if (!M.Obj) {
+      // A tombstone keeps its dead module's branch-site positions so
+      // surviving modules' already-patched Bary indexes stay valid.
+      Sites.resize(Sites.size() + M.TombstoneSites);
       ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
+      ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
+      return;
+    }
+    const AuxInfo &Aux = M.Obj->Aux;
+    // One cache lookup per module; interned pointers outlive the view.
+    std::shared_ptr<const ModuleSigs> Sigs = getModuleSigs(*M.Obj);
+    NumIBs += Aux.BranchSites.size();
+    reserve(Aux.Functions.size(), Aux.CallSites.size());
+
+    uint32_t FirstFunc = static_cast<uint32_t>(Funcs.size());
+    for (size_t Fi = 0; Fi != Aux.Functions.size(); ++Fi) {
+      const FunctionInfo &F = Aux.Functions[Fi];
+      FuncEntry E;
+      E.Name = F.Name;
+      E.Sig = Sigs->FuncSigs[Fi];
+      E.Addr = M.CodeBase + F.CodeOffset;
+      E.Node = newNode();
+      E.Keep = Refine && Refine->KeepTargets.count(F.Name);
+      Funcs.push_back(E);
+    }
+    ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
+    for (size_t Fi = 0; Fi != Aux.Functions.size(); ++Fi) {
+      uint32_t F = FirstFunc + static_cast<uint32_t>(Fi);
+      if (Aux.Functions[Fi].AddressTaken)
+        setAddressTaken(F);
+      define(F);
     }
     // A module may take the address of a function another module
     // defines; the definition then becomes an indirect-branch target.
-    for (const LoadedModuleView &M : Modules) {
-      if (!M.Obj)
+    for (const std::string &Name : Aux.AddressTakenImports)
+      if (uint32_t F = use(Name, UseKind::AddressTaken, 0); F != None)
+        setAddressTaken(F);
+
+    for (size_t Ci = 0; Ci != Aux.CallSites.size(); ++Ci) {
+      const CallSiteInfo &CS = Aux.CallSites[Ci];
+      uint64_t RetAddr = M.CodeBase + CS.RetSiteOffset;
+      // Setjmp return sites are the runtime's longjmp validation list
+      // (global site order), not IBTs.
+      if (CS.IsSetjmp) {
+        SetjmpRetSites.push_back(RetAddr);
         continue;
-      for (const std::string &Name : M.Obj->Aux.AddressTakenImports)
-        if (uint32_t F = FuncByName.find(Name); F != None)
-          Funcs[F].AddressTaken = true;
-    }
-    for (uint32_t Idx = 0; Idx != Funcs.size(); ++Idx)
-      if (Funcs[Idx].AddressTaken) {
-        BySig[Funcs[Idx].Sig].push_back(Idx);
-        AddressTaken.push_back(Idx);
       }
-  }
-
-  /// Branch-site slots a view occupies in the global index space:
-  /// tombstones keep their dead module's positions so surviving modules'
-  /// already-patched Bary indexes stay valid.
-  static size_t siteSlots(const LoadedModuleView &M) {
-    return M.Obj ? M.Obj->Aux.BranchSites.size() : M.TombstoneSites;
-  }
-
-  void indexBranchSites() {
-    uint32_t Next = 0;
-    uint64_t LiveSites = 0;
-    for (const LoadedModuleView &M : Modules) {
-      Policy.SiteIndexBase.push_back(Next);
-      Next += static_cast<uint32_t>(siteSlots(M));
-      if (M.Obj)
-        LiveSites += M.Obj->Aux.BranchSites.size();
+      uint32_t C = static_cast<uint32_t>(Calls.size());
+      CallEntry E;
+      E.RetAddr = RetAddr;
+      E.RetNode = addrNode(RetAddr);
+      Calls.push_back(E);
+      uint32_t Callee =
+          CS.Direct
+              ? funcNode(use(CS.Callee, UseKind::Call, C))
+              : Keys[keyOf(Sigs->CallSigs[Ci], CS.VariadicPointer, CS.Caller)]
+                    .Node;
+      if (Callee != None)
+        addCall(C, Callee);
     }
-    Policy.BranchECN.assign(Next, -1);
-    Policy.BranchClassSize.assign(Next, 0);
-    // Tombstone slots are placeholders, not instrumented branches.
-    Policy.NumIBs = LiveSites;
-    Sites.resize(Next);
+    ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
+
+    // The tail graph: a tail call is an edge from its caller to the
+    // callee function or to its key, and each key has an edge to every
+    // target.
+    for (size_t Ti = 0; Ti != Aux.TailCalls.size(); ++Ti) {
+      const TailCallInfo &TC = Aux.TailCalls[Ti];
+      uint32_t T = static_cast<uint32_t>(OpenTails.size());
+      OpenTail E;
+      E.Caller = funcNode(use(TC.Caller, UseKind::TailCaller, T));
+      E.To = TC.Direct
+                 ? funcNode(use(TC.Callee, UseKind::TailCallee, T))
+                 : Keys[keyOf(Sigs->TailSigs[Ti], TC.VariadicPointer,
+                              TC.Caller)]
+                       .Node;
+      if (E.Caller != None && E.To != None)
+        addEdge(E.Caller, E.To);
+      else
+        OpenTails.push_back(E);
+    }
+
+    uint32_t Base = SiteIndexBase.back();
+    Sites.resize(Sites.size() + Aux.BranchSites.size());
+    for (size_t Si = 0; Si != Aux.BranchSites.size(); ++Si) {
+      const BranchSite &BS = Aux.BranchSites[Si];
+      uint32_t Site = Base + static_cast<uint32_t>(Si);
+      Sites[Site].Kind = SiteKind::Empty;
+      switch (BS.Kind) {
+      case BranchKind::Return:
+        if (uint32_t F = use(BS.Function, UseKind::ReturnSite, Site); F != None)
+          resolveReturnSite(Site, F);
+        break;
+      case BranchKind::IndirectCall:
+      case BranchKind::IndirectJump: {
+        uint32_t K =
+            keyOf(Sigs->BranchSigs[Si], BS.VariadicPointer, BS.Function);
+        Sites[Site] = {SiteKind::Key, K};
+        useKey(K);
+        break;
+      }
+      case BranchKind::PltJump:
+        if (uint32_t F = use(BS.PltSymbol, UseKind::PltSite, Site); F != None)
+          resolvePltSite(Site, F);
+        break;
+      }
+    }
+  }
+
+  /// Makes room for \p Functions more functions and \p CallSites more
+  /// call sites with at most one reallocation per table. Most name uses
+  /// name an existing definition, so names are sized by definitions.
+  void reserve(size_t Functions, size_t CallSites) {
+    Names.reserve(Functions);
+    Addrs.reserve(Functions + CallSites);
+    reserveMore(Funcs, Functions);
+    reserveMore(Calls, CallSites);
+    reserveMore(Nodes, 2 * Functions + CallSites);
+  }
+
+  /// Grows \p V geometrically to hold \p More further elements.
+  template <typename T> static void reserveMore(std::vector<T> &V, size_t More) {
+    if (V.capacity() < V.size() + More)
+      V.reserve(std::max(V.size() + More, 2 * V.capacity()));
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Names
+  //===--------------------------------------------------------------------===//
+
+  static uint32_t hashName(std::string_view Name) {
+    return static_cast<uint32_t>(std::hash<std::string_view>()(Name));
+  }
+
+  /// The function \p Name resolves to, or None after parking the use
+  /// (\p Kind, \p Index) until a module defines it.
+  uint32_t use(std::string_view Name, UseKind Kind, uint32_t Index) {
+    NameSlot &S = Names.claim(hashName(Name),
+                              [&](const NameSlot &X) { return X.Name == Name; });
+    S.Name = Name;
+    if (S.Func != None)
+      return S.Func;
+    Pending.push_back({Kind, Index, S.Waiting});
+    S.Waiting = static_cast<uint32_t>(Pending.size() - 1);
+    return None;
+  }
+
+  /// Registers function \p F under its name. Only the first definition
+  /// binds; it settles every use that was waiting for the name.
+  void define(uint32_t F) {
+    std::string_view Name = Funcs[F].Name;
+    NameSlot &S = Names.claim(hashName(Name),
+                              [&](const NameSlot &X) { return X.Name == Name; });
+    S.Name = Name;
+    if (S.Func != None)
+      return;
+    S.Func = F;
+    uint32_t Waiting = S.Waiting;
+    S.Waiting = None;
+    // Signal handlers may return to the sigreturn trampoline.
+    if (Name == "sig$return") {
+      Trampoline = F;
+      funcAddrNode(F);
+      for (uint32_t G = 0; G != Funcs.size(); ++G)
+        checkTrampoline(G);
+    }
+    for (uint32_t P = Waiting; P != None; P = Pending[P].Next)
+      settle(Pending[P], F);
+  }
+
+  void settle(const PendingUse &U, uint32_t F) {
+    switch (U.Kind) {
+    case UseKind::Call:
+      addCall(U.Index, Funcs[F].Node);
+      break;
+    case UseKind::TailCaller:
+    case UseKind::TailCallee: {
+      OpenTail &T = OpenTails[U.Index];
+      (U.Kind == UseKind::TailCaller ? T.Caller : T.To) = Funcs[F].Node;
+      if (T.Caller != None && T.To != None)
+        addEdge(T.Caller, T.To);
+      break;
+    }
+    case UseKind::ReturnSite:
+      resolveReturnSite(U.Index, F);
+      break;
+    case UseKind::PltSite:
+      resolvePltSite(U.Index, F);
+      break;
+    case UseKind::AddressTaken:
+      setAddressTaken(F);
+      break;
+    }
+  }
+
+  uint32_t funcNode(uint32_t F) const { return F == None ? None : Funcs[F].Node; }
+
+  uint32_t funcAddrNode(uint32_t F) {
+    if (Funcs[F].AddrNode == None)
+      Funcs[F].AddrNode = addrNode(Funcs[F].Addr);
+    return Funcs[F].AddrNode;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Nodes
+  //===--------------------------------------------------------------------===//
+
+  uint32_t newNode() {
+    Nodes.emplace_back();
+    return UF.add();
+  }
+
+  /// The union-find node of code address \p Addr (one per address, so
+  /// a function entry and a return site at the same address share it).
+  uint32_t addrNode(uint64_t Addr) {
+    AddrSlot &S = Addrs.claim(static_cast<uint32_t>(
+                                  Addr * 0x9E3779B97F4A7C15ull >> 32),
+                              [&](const AddrSlot &X) { return X.Addr == Addr; });
+    if (S.Node == None) {
+      S.Addr = Addr;
+      S.Node = newNode();
+    }
+    return S.Node;
   }
 
   //===--------------------------------------------------------------------===//
@@ -247,294 +455,124 @@ private:
       if (It != Refine->Allowed.end())
         Allowed = &It->second;
     }
-    auto [It, New] = KeyIndex.try_emplace({Sig, Variadic, Allowed},
-                                          static_cast<uint32_t>(Keys.size()));
-    if (New)
-      Keys.push_back(matchTargets(Sig, Variadic, Allowed));
-    return It->second;
-  }
-
-  /// All address-taken functions matching a pointer signature, in
-  /// ascending function-index order. The non-variadic case is one hash
-  /// lookup on the interned pointer; the variadic fixed-prefix rule is a
-  /// pointer-compare scan, paid once per distinct key.
-  std::vector<uint32_t> matchTargets(const InternedSig *Sig, bool Variadic,
-                                     const std::set<std::string> *Allowed) {
-    std::vector<uint32_t> Out;
+    TargetKey Key{Sig, Variadic, Allowed};
+    auto [It, New] =
+        KeyIndex.try_emplace(Key, static_cast<uint32_t>(Keys.size()));
+    if (!New)
+      return It->second;
+    uint32_t K = It->second;
+    Keys.push_back({Key, newNode(), false, {}});
+    (Variadic ? VariadicKeys : ExactKeys[Sig]).push_back(K);
+    // The address-taken functions matching so far; later ones join
+    // through setAddressTaken. The non-variadic case is one hash lookup
+    // on the interned pointer; the variadic fixed-prefix rule is a
+    // pointer-compare scan, paid once per distinct key.
     if (!Variadic) {
-      if (auto It = BySig.find(Sig); It != BySig.end())
-        Out = It->second;
+      if (auto BS = BySig.find(Sig); BS != BySig.end())
+        for (uint32_t F : BS->second)
+          if (keyAllows(K, F))
+            addKeyTarget(K, F);
     } else {
-      for (uint32_t I : AddressTaken)
-        if (internedCalleeMatches(Sig, /*PointerVariadic=*/true, Funcs[I].Sig))
-          Out.push_back(I);
+      for (size_t I = 0; I != AddressTaken.size(); ++I) {
+        uint32_t F = AddressTaken[I];
+        if (internedCalleeMatches(Sig, /*PointerVariadic=*/true, Funcs[F].Sig) &&
+            keyAllows(K, F))
+          addKeyTarget(K, F);
+      }
     }
-    if (Allowed)
-      std::erase_if(Out, [&](uint32_t F) {
-        return !Allowed->count(std::string(Funcs[F].Name));
-      });
-    return Out;
+    return K;
+  }
+
+  bool keyAllows(uint32_t K, uint32_t F) const {
+    const std::set<std::string> *Allowed = Keys[K].Key.Allowed;
+    return !Allowed || Allowed->count(std::string(Funcs[F].Name));
+  }
+
+  void addKeyTarget(uint32_t K, uint32_t F) {
+    Keys[K].Targets.push_back(F);
+    if (Keys[K].Used)
+      joinKeyTarget(K, F);
+    addEdge(Keys[K].Node, Funcs[F].Node);
+  }
+
+  /// All targets of one branch share a class (classic CFI coarsening,
+  /// paper Sec. 2); equal keys have equal sets, so each key once.
+  void joinKeyTarget(uint32_t K, uint32_t F) {
+    UF.merge(Funcs[Keys[K].Targets.front()].AddrNode, Funcs[F].AddrNode);
+    Nodes[Funcs[F].AddrNode].Live = true;
+  }
+
+  void useKey(uint32_t K) {
+    if (Keys[K].Used)
+      return;
+    Keys[K].Used = true;
+    for (uint32_t F : Keys[K].Targets)
+      joinKeyTarget(K, F);
+  }
+
+  void setAddressTaken(uint32_t F) {
+    FuncEntry &E = Funcs[F];
+    if (E.AddressTaken)
+      return;
+    E.AddressTaken = true;
+    funcAddrNode(F);
+    BySig[E.Sig].push_back(F);
+    AddressTaken.push_back(F);
+    // Every existing key the function matches gains it.
+    if (auto It = ExactKeys.find(E.Sig); It != ExactKeys.end())
+      for (uint32_t K : It->second)
+        if (keyAllows(K, F))
+          addKeyTarget(K, F);
+    for (uint32_t K : VariadicKeys)
+      if (internedCalleeMatches(Keys[K].Key.Sig, /*PointerVariadic=*/true,
+                                Funcs[F].Sig) &&
+          keyAllows(K, F))
+        addKeyTarget(K, F);
+    checkTrampoline(F);
   }
 
   //===--------------------------------------------------------------------===//
-  // Resolution
+  // Sites
   //===--------------------------------------------------------------------===//
 
-  void resolveCallSites() {
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      const LoadedModuleView &M = Modules[Mi];
-      if (M.Obj) {
-        for (size_t Ci = 0; Ci != M.Obj->Aux.CallSites.size(); ++Ci) {
-          const CallSiteInfo &CS = M.Obj->Aux.CallSites[Ci];
-          uint64_t RetAddr = M.CodeBase + CS.RetSiteOffset;
-          // Setjmp return sites are the runtime's longjmp validation
-          // list (global site order), not IBTs.
-          if (CS.IsSetjmp) {
-            Policy.SetjmpRetSites.push_back(RetAddr);
-            continue;
-          }
-          CallEntry E;
-          E.RetAddr = RetAddr;
-          if (CS.Direct)
-            E.Callee = FuncByName.find(CS.Callee);
-          else
-            E.Key = keyOf(Sigs[Mi]->CallSigs[Ci], CS.VariadicPointer,
-                          CS.Caller);
-          Calls.push_back(E);
-        }
-      }
-      ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
-    }
+  void resolveReturnSite(uint32_t Site, uint32_t F) {
+    Sites[Site] = {SiteKind::Return, F};
+    if (Funcs[F].Returns)
+      return;
+    Funcs[F].Returns = true;
+    markRelevant(Funcs[F].Node);
+    checkTrampoline(F);
   }
 
-  /// The tail graph. Functions are nodes [0, NumFuncs) and keys nodes
-  /// NumFuncs + key; a tail call is an edge from its caller to the callee
-  /// function or to its key, and each key has an edge to every target.
-  void resolveTailCalls() {
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      const LoadedModuleView &M = Modules[Mi];
-      if (!M.Obj)
-        continue;
-      for (size_t Ti = 0; Ti != M.Obj->Aux.TailCalls.size(); ++Ti) {
-        const TailCallInfo &TC = M.Obj->Aux.TailCalls[Ti];
-        uint32_t Caller = FuncByName.find(TC.Caller);
-        if (Caller == None)
-          continue;
-        uint32_t To;
-        if (TC.Direct) {
-          To = FuncByName.find(TC.Callee);
-          if (To == None)
-            continue;
-        } else {
-          To = static_cast<uint32_t>(Funcs.size()) +
-               keyOf(Sigs[Mi]->TailSigs[Ti], TC.VariadicPointer, TC.Caller);
-        }
-        TailGraph.push_back({Caller, To});
-      }
-    }
+  void resolvePltSite(uint32_t Site, uint32_t F) {
+    Sites[Site] = {SiteKind::Plt, F};
+    Nodes[funcAddrNode(F)].Live = true;
   }
 
-  void resolveBranchSites() {
-    // Signal handlers may return to the sigreturn trampoline.
-    if (uint32_t T = FuncByName.find("sig$return"); T != None)
-      SigTrampoline = Funcs[T].Addr;
-    const InternedSig *HandlerSig =
-        SigInterner::global().intern(SignalHandlerSig);
-
-    Returns.assign(Funcs.size(), false);
-    ReturnsToTrampoline.assign(Funcs.size(), false);
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      const LoadedModuleView &M = Modules[Mi];
-      if (!M.Obj) // tombstone slots: no branch, no targets
-        continue;
-      uint32_t Base = Policy.SiteIndexBase[Mi];
-      for (size_t Si = 0; Si != M.Obj->Aux.BranchSites.size(); ++Si) {
-        const BranchSite &BS = M.Obj->Aux.BranchSites[Si];
-        SiteEntry &S = Sites[Base + Si];
-        S.Kind = SiteKind::Empty;
-        switch (BS.Kind) {
-        case BranchKind::Return:
-          S.Index = FuncByName.find(BS.Function);
-          if (S.Index != None) {
-            S.Kind = SiteKind::Return;
-            Returns[S.Index] = true;
-            const FuncEntry &F = Funcs[S.Index];
-            ReturnsToTrampoline[S.Index] =
-                SigTrampoline && F.AddressTaken && F.Sig == HandlerSig;
-          }
-          break;
-        case BranchKind::IndirectCall:
-        case BranchKind::IndirectJump:
-          S.Kind = SiteKind::Key;
-          S.Index = keyOf(Sigs[Mi]->BranchSigs[Si], BS.VariadicPointer,
-                          BS.Function);
-          break;
-        case BranchKind::PltJump:
-          S.Index = FuncByName.find(BS.PltSymbol);
-          if (S.Index != None)
-            S.Kind = SiteKind::Plt;
-          break;
-        }
-      }
-    }
+  /// A returning, address-taken function of the signal-handler type may
+  /// "return" to the sigreturn trampoline.
+  void checkTrampoline(uint32_t F) {
+    FuncEntry &E = Funcs[F];
+    if (Trampoline == None || E.ToTrampoline || !E.Returns ||
+        !E.AddressTaken || E.Sig != HandlerSig)
+      return;
+    E.ToTrampoline = true;
+    uint32_t T = Funcs[Trampoline].AddrNode;
+    UF.merge(E.Node, T);
+    Nodes[T].Live = true;
   }
 
   //===--------------------------------------------------------------------===//
   // Return flow
   //===--------------------------------------------------------------------===//
 
-  /// A return site of f targets S(f): the return sites of calls to any g
-  /// with a tail path g ->* f. Marks every tail-graph node from which
-  /// some returning function is reachable ("relevant" nodes): only their
-  /// callers' return sites land in any S(f).
-  void markReturnRelevant() {
-    size_t NumNodes = Funcs.size() + Keys.size();
-    // Every key exists now; add its edges to its targets.
-    for (uint32_t K = 0; K != Keys.size(); ++K)
-      for (uint32_t T : Keys[K])
-        TailGraph.push_back({static_cast<uint32_t>(Funcs.size()) + K, T});
-    std::vector<std::pair<uint32_t, uint32_t>> Reversed;
-    Reversed.reserve(TailGraph.size());
-    for (const auto &[From, To] : TailGraph)
-      Reversed.push_back({To, From});
-    Adjacency Preds(NumNodes, Reversed);
-    Relevant.assign(NumNodes, false);
-    std::vector<uint32_t> Work;
-    for (uint32_t F = 0; F != Funcs.size(); ++F)
-      if (Returns[F]) {
-        Relevant[F] = true;
-        Work.push_back(F);
-      }
-    while (!Work.empty()) {
-      uint32_t N = Work.back();
-      Work.pop_back();
-      for (uint32_t P : Preds[N])
-        if (!Relevant[P]) {
-          Relevant[P] = true;
-          Work.push_back(P);
-        }
-    }
-  }
-
-  /// The tail-graph node a call's return site flows into, or None when
-  /// no return site targets it.
-  uint32_t relevantCallee(const CallEntry &C) const {
-    uint32_t Node = C.Callee != None ? C.Callee
-                    : C.Key != None ? static_cast<uint32_t>(Funcs.size()) + C.Key
-                                    : None;
-    return Node != None && Relevant[Node] ? Node : None;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // IBT universe
-  //===--------------------------------------------------------------------===//
-
-  uint32_t ibtIndex(uint64_t Addr) {
-    auto [It, New] =
-        IBTIndex.emplace(Addr, static_cast<uint32_t>(IBTAddrs.size()));
-    if (New)
-      IBTAddrs.push_back(Addr);
-    return It->second;
-  }
-
-  /// Addresses in some branch's target set. Only needed under
-  /// refinement, where an address-taken function outside every set (and
-  /// not pinned) has no live inbound edge and leaves the IBT universe —
-  /// keeping it would leave a stale singleton class; a branch to it then
-  /// fails the Tary check like any other non-target address.
-  std::unordered_set<uint64_t> liveTargets() const {
-    std::unordered_set<uint64_t> Live;
-    std::vector<bool> KeyUsed(Keys.size(), false);
-    for (const SiteEntry &S : Sites) {
-      if (S.Kind == SiteKind::Key)
-        KeyUsed[S.Index] = true;
-      else if (S.Kind == SiteKind::Plt)
-        Live.insert(Funcs[S.Index].Addr);
-      else if (S.Kind == SiteKind::Return && ReturnsToTrampoline[S.Index])
-        Live.insert(SigTrampoline);
-    }
-    for (uint32_t K = 0; K != Keys.size(); ++K)
-      if (KeyUsed[K])
-        for (uint32_t F : Keys[K])
-          Live.insert(Funcs[F].Addr);
-    for (const CallEntry &C : Calls)
-      if (relevantCallee(C) != None)
-        Live.insert(C.RetAddr);
-    return Live;
-  }
-
-  /// Indexes IBTs grouped *per module* (each module's address-taken
-  /// entries, then its return sites). Loading another module then only
-  /// appends to the IBT list, so the first-seen ECN assignment gives
-  /// every pre-existing class the same number it had before — the
-  /// stability the incremental-update delta relies on. (A flat
-  /// all-functions-then-all-ret-sites order would splice a new module's
-  /// functions in front of older modules' return sites and renumber
-  /// their classes.)
-  void indexIBTs() {
-    IBTIndex.reserve(Funcs.size() + Calls.size());
-    std::unordered_set<uint64_t> Live;
-    if (Refine)
-      Live = liveTargets();
-    auto dropUnderRefinement = [&](const FuncEntry &F) {
-      return Refine && !Live.count(F.Addr) &&
-             !Refine->KeepTargets.count(std::string(F.Name));
-    };
-
-    FuncIBT.assign(Funcs.size(), None);
-    uint32_t FuncBegin = 0, CallBegin = 0;
-    for (size_t Mi = 0; Mi != Modules.size(); ++Mi) {
-      for (uint32_t F = FuncBegin; F != ModuleFuncEnd[Mi]; ++F)
-        if (Funcs[F].AddressTaken && !dropUnderRefinement(Funcs[F]))
-          FuncIBT[F] = ibtIndex(Funcs[F].Addr);
-      for (uint32_t C = CallBegin; C != ModuleCallEnd[Mi]; ++C)
-        Calls[C].RetIBT = ibtIndex(Calls[C].RetAddr);
-      FuncBegin = ModuleFuncEnd[Mi];
-      CallBegin = ModuleCallEnd[Mi];
-    }
-    // Remaining targets in global-site order, also append-only across
-    // loads: PLT targets that are not address-taken and the sigreturn
-    // trampoline. Key targets are address-taken and live, so indexed.
-    for (const SiteEntry &S : Sites) {
-      if (S.Kind == SiteKind::Plt)
-        ibtIndex(Funcs[S.Index].Addr);
-      else if (S.Kind == SiteKind::Return && ReturnsToTrampoline[S.Index])
-        TrampolineIBT = ibtIndex(SigTrampoline);
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Equivalence classes
-  //===--------------------------------------------------------------------===//
-
-  /// Union-find layout: IBTs first, then one helper node per function,
-  /// then one per key. Helpers never count toward a class's size.
-  uint32_t helperNode(uint32_t TailGraphNode) const {
-    return static_cast<uint32_t>(IBTAddrs.size()) + TailGraphNode;
-  }
-
-  /// All targets of one branch share a class (classic CFI coarsening,
-  /// paper Sec. 2); equal keys have equal sets, so each key once.
-  void joinKeyClasses(UnionFind &UF) {
-    std::vector<bool> Done(Keys.size(), false);
-    for (const SiteEntry &S : Sites) {
-      if (S.Kind != SiteKind::Key || Done[S.Index])
-        continue;
-      Done[S.Index] = true;
-      const std::vector<uint32_t> &Targets = Keys[S.Index];
-      for (size_t I = 1; I < Targets.size(); ++I) {
-        assert(FuncIBT[Targets[I]] != None && "branch target not indexed");
-        UF.merge(FuncIBT[Targets[0]], FuncIBT[Targets[I]]);
-      }
-    }
-  }
-
-  /// The per-site closure unions, for every returning f, all of S(f) —
-  /// where S(f) holds the return sites of calls into any g with a tail
-  /// path g ->* f. The same classes come from helper nodes: a call's
-  /// return site joins its callee's node, and an *active* node (one
-  /// reachable over tail edges from a called node) joins every relevant
-  /// successor. A return site of f then takes the class of f's node.
+  /// A return site of f targets S(f): the return sites of calls to any
+  /// g with a tail path g ->* f. The per-site closure unions all of S(f);
+  /// the same classes come from helper nodes: a call's return site joins
+  /// its callee's node, and an *active* node (one reachable over tail
+  /// edges from a called node) joins every *relevant* successor (one
+  /// from which some returning function is reachable). A return site of
+  /// f then takes the class of f's node.
   ///
   /// Only relevant callees and successors are joined: an edge into a
   /// node that reaches no returning function would bridge the sets of
@@ -542,60 +580,156 @@ private:
   /// successors: an uncalled g contributes nothing to any S(f), so it
   /// must not connect the functions it tail-calls. Every join is thereby
   /// between two parts of one S(f), and every S(f) is connected.
-  void joinReturnClasses(UnionFind &UF) {
-    size_t NumNodes = Funcs.size() + Keys.size();
-    std::vector<std::pair<uint32_t, uint32_t>> Joins;
-    for (const auto &[From, To] : TailGraph)
-      if (Relevant[To])
-        Joins.push_back({From, To});
-    Adjacency Succs(NumNodes, Joins);
-
-    std::vector<bool> Active(NumNodes, false);
-    std::vector<uint32_t> Work;
-    auto activate = [&](uint32_t N) {
-      if (!Active[N]) {
-        Active[N] = true;
-        Work.push_back(N);
-      }
-    };
-    for (const CallEntry &C : Calls)
-      if (uint32_t N = relevantCallee(C); N != None) {
-        UF.merge(C.RetIBT, helperNode(N));
-        activate(N);
-      }
-    while (!Work.empty()) {
-      uint32_t N = Work.back();
-      Work.pop_back();
-      for (uint32_t S : Succs[N]) {
-        UF.merge(helperNode(N), helperNode(S));
-        activate(S);
+  ///
+  /// Both properties only grow, so each is propagated when it first
+  /// holds, and each join is made when both of its conditions first do.
+  void markRelevant(uint32_t N) {
+    if (Nodes[N].Relevant)
+      return;
+    Nodes[N].Relevant = true;
+    RelevantWork.push_back(N);
+    while (!RelevantWork.empty()) {
+      uint32_t X = RelevantWork.back();
+      RelevantWork.pop_back();
+      for (uint32_t C = Nodes[X].FirstCall; C != None; C = Calls[C].NextToCallee)
+        joinCall(C);
+      for (uint32_t E = Nodes[X].FirstPred; E != None; E = Edges[E].NextPred) {
+        uint32_t P = Edges[E].From;
+        if (Nodes[P].Active) {
+          UF.merge(P, X);
+          activate(X);
+        }
+        if (!Nodes[P].Relevant) {
+          Nodes[P].Relevant = true;
+          RelevantWork.push_back(P);
+        }
       }
     }
-
-    for (uint32_t F = 0; F != Funcs.size(); ++F)
-      if (ReturnsToTrampoline[F])
-        UF.merge(helperNode(F), TrampolineIBT);
   }
 
-  void assignECNs(UnionFind &UF) {
+  void activate(uint32_t N) {
+    if (Nodes[N].Active)
+      return;
+    Nodes[N].Active = true;
+    ActiveWork.push_back(N);
+    while (!ActiveWork.empty()) {
+      uint32_t X = ActiveWork.back();
+      ActiveWork.pop_back();
+      for (uint32_t E = Nodes[X].FirstSucc; E != None; E = Edges[E].NextSucc) {
+        uint32_t S = Edges[E].To;
+        if (!Nodes[S].Relevant)
+          continue;
+        UF.merge(X, S);
+        if (!Nodes[S].Active) {
+          Nodes[S].Active = true;
+          ActiveWork.push_back(S);
+        }
+      }
+    }
+  }
+
+  /// Call \p C's return site joins its relevant callee.
+  void joinCall(uint32_t C) {
+    uint32_t N = Calls[C].Callee;
+    UF.merge(Calls[C].RetNode, N);
+    Nodes[Calls[C].RetNode].Live = true;
+    activate(N);
+  }
+
+  void addCall(uint32_t C, uint32_t Callee) {
+    Calls[C].Callee = Callee;
+    Calls[C].NextToCallee = Nodes[Callee].FirstCall;
+    Nodes[Callee].FirstCall = C;
+    if (Nodes[Callee].Relevant)
+      joinCall(C);
+  }
+
+  void addEdge(uint32_t From, uint32_t To) {
+    uint32_t E = static_cast<uint32_t>(Edges.size());
+    Edges.push_back({From, To, Nodes[From].FirstSucc, Nodes[To].FirstPred});
+    Nodes[From].FirstSucc = Nodes[To].FirstPred = E;
+    if (!Nodes[To].Relevant)
+      return;
+    markRelevant(From);
+    if (Nodes[From].Active) {
+      UF.merge(From, To);
+      activate(To);
+    }
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Emit
+  //===--------------------------------------------------------------------===//
+
+  /// Under refinement an address-taken function outside every target
+  /// set (and not pinned) has no live inbound edge and leaves the IBT
+  /// universe — keeping it would leave a stale singleton class; a branch
+  /// to it then fails the Tary check like any other non-target address.
+  bool isIBT(const FuncEntry &F) const {
+    return F.AddressTaken && (!Refine || Nodes[F.AddrNode].Live || F.Keep);
+  }
+
+  CFGPolicy emit() const {
+    CFGPolicy Policy;
+    Policy.SiteIndexBase = SiteIndexBase;
+    Policy.SetjmpRetSites = SetjmpRetSites;
+    // Tombstone slots are placeholders, not instrumented branches.
+    Policy.NumIBs = NumIBs;
+
+    // IBTs grouped *per module* (each module's address-taken entries,
+    // then its return sites), then the remaining targets in global-site
+    // order: PLT targets that are not address-taken and the sigreturn
+    // trampoline. Loading another module only appends to this order, so
+    // the first-seen ECN assignment gives every pre-existing class the
+    // same number it had before — the stability the incremental-update
+    // delta relies on. It is recomputed from the views on every emit, so
+    // the numbering does not depend on how the views were appended.
+    std::vector<uint8_t> Seen(Nodes.size(), 0);
+    std::vector<std::pair<uint32_t, uint64_t>> IBTs; ///< {node, address}
+    IBTs.reserve(Calls.size() + AddressTaken.size());
+    auto visit = [&](uint32_t Node, uint64_t Addr) {
+      if (!Seen[Node]) {
+        Seen[Node] = 1;
+        IBTs.push_back({Node, Addr});
+      }
+    };
+    uint32_t FuncBegin = 0, CallBegin = 0;
+    for (size_t Mi = 0; Mi != ModuleFuncEnd.size(); ++Mi) {
+      for (uint32_t F = FuncBegin; F != ModuleFuncEnd[Mi]; ++F)
+        if (isIBT(Funcs[F]))
+          visit(Funcs[F].AddrNode, Funcs[F].Addr);
+      for (uint32_t C = CallBegin; C != ModuleCallEnd[Mi]; ++C)
+        visit(Calls[C].RetNode, Calls[C].RetAddr);
+      FuncBegin = ModuleFuncEnd[Mi];
+      CallBegin = ModuleCallEnd[Mi];
+    }
+    for (const SiteEntry &S : Sites) {
+      if (S.Kind == SiteKind::Plt)
+        visit(Funcs[S.Index].AddrNode, Funcs[S.Index].Addr);
+      else if (S.Kind == SiteKind::Return && Funcs[S.Index].ToTrampoline)
+        visit(Funcs[Trampoline].AddrNode, Funcs[Trampoline].Addr);
+    }
+
     // Class sizes and ECNs count IBTs only, first-seen in IBT order.
     // Per-root slots span every node: a root may be a helper.
-    uint32_t NumIBTs = static_cast<uint32_t>(IBTAddrs.size());
-    std::vector<uint32_t> RootECN(UF.size(), None);
-    std::vector<uint64_t> RootSize(UF.size(), 0);
+    std::vector<uint32_t> RootECN(Nodes.size(), None);
+    std::vector<uint32_t> RootSize(Nodes.size(), 0);
     uint32_t NextECN = 0;
-    for (uint32_t I = 0; I != NumIBTs; ++I) {
-      uint32_t Root = UF.find(I);
+    Policy.TargetECN.reserve(IBTs.size());
+    for (const auto &[Node, Addr] : IBTs) {
+      uint32_t Root = UF.find(Node);
       ++RootSize[Root];
       if (RootECN[Root] == None)
         RootECN[Root] = NextECN++;
-      Policy.TargetECN[IBTAddrs[I]] = RootECN[Root];
+      Policy.TargetECN.emplace(Addr, RootECN[Root]);
     }
 
     // Real classes must stay below the reserved empty-class ECN so the
     // fail-closed encoding below can never collide with one.
     assert(NextECN < EmptyClassECN && "ECN space exhausted");
 
+    Policy.BranchECN.assign(Sites.size(), -1);
+    Policy.BranchClassSize.assign(Sites.size(), 0);
     for (size_t B = 0; B != Sites.size(); ++B) {
       const SiteEntry &S = Sites[B];
       uint32_t Node = None;
@@ -608,14 +742,14 @@ private:
       case SiteKind::Empty:
         break;
       case SiteKind::Key:
-        if (!Keys[S.Index].empty())
-          Node = FuncIBT[Keys[S.Index].front()];
+        if (!Keys[S.Index].Targets.empty())
+          Node = Funcs[Keys[S.Index].Targets.front()].AddrNode;
         break;
       case SiteKind::Return:
-        Node = helperNode(S.Index);
+        Node = Funcs[S.Index].Node;
         break;
       case SiteKind::Plt:
-        Node = IBTIndex.at(Funcs[S.Index].Addr);
+        Node = Funcs[S.Index].AddrNode;
         break;
       }
       uint32_t Root = Node == None ? None : UF.find(Node);
@@ -625,49 +759,89 @@ private:
         // than a fresh ECN per site) keeps ECN assignment stable when
         // the CFG is regenerated with more modules.
         Policy.BranchECN[B] = EmptyClassECN;
-        Policy.BranchClassSize[B] = 0;
         continue;
       }
       Policy.BranchECN[B] = RootECN[Root];
       Policy.BranchClassSize[B] = RootSize[Root];
     }
 
-    Policy.NumIBTs = NumIBTs;
+    Policy.NumIBTs = IBTs.size();
     Policy.NumEQCs = NextECN;
+    return Policy;
   }
 
-  const std::vector<LoadedModuleView> &Modules;
   const CFGRefinement *Refine;
-  CFGPolicy Policy;
+  const InternedSig *HandlerSig;
 
-  std::vector<std::shared_ptr<const ModuleSigs>> Sigs; ///< per module
+  /// Per view, in load order.
+  std::vector<LoadedModuleView> Views;
+  std::vector<uint32_t> SiteIndexBase;
+  std::vector<uint32_t> ModuleFuncEnd; ///< Funcs end index per view
+  std::vector<uint32_t> ModuleCallEnd; ///< Calls end index per view
+  std::vector<uint64_t> SetjmpRetSites;
+  uint64_t NumIBs = 0;
+
   std::vector<FuncEntry> Funcs;
-  std::vector<uint32_t> ModuleFuncEnd; ///< Funcs end index per module
-  std::vector<uint32_t> ModuleCallEnd; ///< Calls end index per module
-  NameIndex FuncByName;
-  std::unordered_map<const InternedSig *, std::vector<uint32_t>> BySig;
-  std::vector<uint32_t> AddressTaken; ///< ascending func indexes
-
-  std::unordered_map<TargetKey, uint32_t, TargetKeyHash> KeyIndex;
-  std::vector<std::vector<uint32_t>> Keys; ///< targets per key
-
   std::vector<CallEntry> Calls; ///< non-setjmp call sites, global order
-  std::vector<std::pair<uint32_t, uint32_t>> TailGraph; ///< edges
   std::vector<SiteEntry> Sites; ///< per global branch-site index
-  std::vector<bool> Returns;    ///< per function: has a return site
-  std::vector<bool> ReturnsToTrampoline; ///< per function
-  std::vector<bool> Relevant; ///< per tail-graph node
-  uint64_t SigTrampoline = 0;
+  std::vector<OpenTail> OpenTails;
+  std::vector<PendingUse> Pending;
+  FlatTable<NameSlot> Names;
+  FlatTable<AddrSlot> Addrs;
+  uint32_t Trampoline = None; ///< the function sig$return
 
-  std::vector<uint64_t> IBTAddrs;
-  std::unordered_map<uint64_t, uint32_t> IBTIndex;
-  std::vector<uint32_t> FuncIBT; ///< per function, None if not an IBT
-  uint32_t TrampolineIBT = None;
+  std::vector<KeyEntry> Keys;
+  std::unordered_map<TargetKey, uint32_t, TargetKeyHash> KeyIndex;
+  std::unordered_map<const InternedSig *, std::vector<uint32_t>> ExactKeys;
+  std::vector<uint32_t> VariadicKeys;
+  /// Address-taken functions by signature, and all of them.
+  std::unordered_map<const InternedSig *, std::vector<uint32_t>> BySig;
+  std::vector<uint32_t> AddressTaken;
+
+  /// Union-find over address, function and key nodes; Nodes is
+  /// index-parallel. find() compresses paths without changing the
+  /// partition, so emit() stays logically const.
+  mutable UnionFind UF{0};
+  std::vector<NodeInfo> Nodes;
+  std::vector<Edge> Edges;
+  std::vector<uint32_t> RelevantWork, ActiveWork; ///< scratch
 };
 
-} // namespace
+CFGMerge::CFGMerge(const CFGRefinement *Refinement)
+    : S(std::make_unique<State>(Refinement)) {}
+CFGMerge::CFGMerge(const CFGMerge &Other)
+    : S(std::make_unique<State>(*Other.S)) {}
+CFGMerge &CFGMerge::operator=(const CFGMerge &Other) {
+  // Assigning in place keeps this state's buffers, so a checkpoint
+  // restore followed by a replay reallocates nothing it already had.
+  if (this != &Other)
+    *S = *Other.S;
+  return *this;
+}
+CFGMerge::~CFGMerge() = default;
+
+void CFGMerge::append(const LoadedModuleView &View) { S->append(View); }
+
+const std::vector<LoadedModuleView> &CFGMerge::views() const {
+  return S->Views;
+}
+
+CFGPolicy CFGMerge::emit() const { return S->emit(); }
 
 CFGPolicy mcfi::generateCFG(const std::vector<LoadedModuleView> &Modules,
                             const CFGRefinement *Refinement) {
-  return CFGBuilder(Modules, Refinement).build();
+  CFGMerge Merge(Refinement);
+  // Size every table for the whole world up front: growing them module
+  // by module frees large blocks the allocator returns to the system,
+  // and the next merge faults them back in.
+  size_t Functions = 0, CallSites = 0;
+  for (const LoadedModuleView &M : Modules)
+    if (M.Obj) {
+      Functions += M.Obj->Aux.Functions.size();
+      CallSites += M.Obj->Aux.CallSites.size();
+    }
+  Merge.S->reserve(Functions, CallSites);
+  for (const LoadedModuleView &M : Modules)
+    Merge.append(M);
+  return Merge.emit();
 }

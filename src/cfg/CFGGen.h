@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -65,6 +66,8 @@ struct LoadedModuleView {
   uint64_t CodeBase = 0;
   /// Branch-site slots held by a tombstone (ignored when Obj != null).
   uint32_t TombstoneSites = 0;
+
+  bool operator==(const LoadedModuleView &) const = default;
 };
 
 /// The generated control-flow policy.
@@ -137,8 +140,51 @@ struct CFGRefinement {
   std::set<std::string> KeepTargets;
 };
 
-/// Generates the combined CFG policy for \p Modules (in load order).
-/// With \p Refinement, target sets are intersected as described above;
+/// The class-level merge as a fold over module views: append() folds in
+/// the next module in load order, emit() produces the policy of the
+/// views folded so far. A module only ever adds functions, keys, edges
+/// and unions, so append() applies the new module's late effects on the
+/// older ones in place — names they left unresolved, functions they
+/// make address-taken, key targets, tail-graph reachability, refinement
+/// liveness — and costs O(new module + what it touches), not O(world).
+///
+/// emit() depends only on the sequence of views, never on how it was
+/// split into appends: folding views[0..k) then views[k..n) emits the
+/// same policy as generateCFG(views). It is linear in the IBTs and
+/// branch sites and hashes no strings.
+///
+/// The state is copyable; the linker keeps a copy taken after the
+/// static link and replays only the dynamic views onto it when an
+/// unload or a tail-trim changes an already-folded view. A view's object
+/// must outlive every state it is folded into: the state keeps views of
+/// its names.
+class CFGMerge {
+public:
+  /// \p Refinement (may be null) must outlive the state.
+  explicit CFGMerge(const CFGRefinement *Refinement = nullptr);
+  CFGMerge(const CFGMerge &Other);
+  CFGMerge &operator=(const CFGMerge &Other);
+  ~CFGMerge();
+
+  /// Folds \p View in as the next module in load order.
+  void append(const LoadedModuleView &View);
+
+  /// The views folded in so far, in load order.
+  const std::vector<LoadedModuleView> &views() const;
+
+  /// The policy of the views folded so far.
+  CFGPolicy emit() const;
+
+private:
+  friend CFGPolicy generateCFG(const std::vector<LoadedModuleView> &,
+                               const CFGRefinement *);
+  struct State;
+  std::unique_ptr<State> S;
+};
+
+/// Generates the combined CFG policy for \p Modules (in load order): a
+/// fresh CFGMerge with every view appended, then emitted. With
+/// \p Refinement, target sets are intersected as described above;
 /// passing nullptr yields the paper's plain type-matching policy.
 ///
 /// Equivalence classes are formed per target-set key and per return

@@ -22,7 +22,8 @@
 using namespace mcfi;
 using namespace mcfi::visa;
 
-Linker::Linker(Machine &M, LinkOptions Opts) : M(M), Opts(Opts) {}
+Linker::Linker(Machine &M, LinkOptions Opts)
+    : M(M), Opts(Opts), Merge(Opts.Refinement), StaticMerge(Opts.Refinement) {}
 
 //===----------------------------------------------------------------------===//
 // Bootstrap module
@@ -252,14 +253,37 @@ std::vector<LoadedModuleView> Linker::moduleViews() const {
   return Views;
 }
 
+uint32_t Linker::syncMerge() {
+  std::vector<LoadedModuleView> Views = moduleViews();
+  const std::vector<LoadedModuleView> &Folded = Merge.views();
+  if (Folded.size() > Views.size() ||
+      !std::equal(Folded.begin(), Folded.end(), Views.begin()))
+    Merge = StaticMerge;
+  uint32_t Appended = 0;
+  for (size_t I = Merge.views().size(); I < Views.size(); ++I, ++Appended)
+    Merge.append(Views[I]);
+  return Appended;
+}
+
 PolicyImage Linker::flattenPolicy(const CFGPolicy &P) const {
+  // Both extents stay at their high-water marks. A reclaimer tail-trim
+  // lowers codeTop and pops trailing tombstones' site slots, but the
+  // Tary words and Bary entries above the trimmed top were zeroed by the
+  // retire transaction, and a module reusing them is mapped only after
+  // the grace period (docs/INTERNALS.md §17). Shrinking the extents
+  // instead would force the next dlopen onto the full, version-bumping
+  // install.
+  const PolicyImage &Installed = Shadow.image();
   PolicyImage Image;
-  Image.TaryLimitBytes = M.codeTop() - Machine::CodeBase;
-  Image.BaryCount = static_cast<uint32_t>(P.BranchECN.size());
+  Image.TaryLimitBytes =
+      std::max(M.codeTop() - Machine::CodeBase, Installed.TaryLimitBytes);
+  Image.BaryCount = std::max(static_cast<uint32_t>(P.BranchECN.size()),
+                             Installed.BaryCount);
   Image.TaryECN.reserve(P.TargetECN.size());
   for (const auto &[Addr, ECN] : P.TargetECN)
     Image.TaryECN.emplace(Addr - Machine::CodeBase, ECN);
   Image.BaryECN = P.BranchECN;
+  Image.BaryECN.resize(Image.BaryCount, -1);
   return Image;
 }
 
@@ -399,10 +423,10 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
     if (!resolveModule(Idx, Error))
       return false;
 
-  std::vector<LoadedModuleView> Views = moduleViews();
-
   if (Opts.InstallPolicy) {
-    CFGPolicy NewPolicy = generateCFG(Views, Opts.Refinement);
+    syncMerge();
+    StaticMerge = Merge;
+    CFGPolicy NewPolicy = Merge.emit();
     patchBaryIndexes(NewPolicy);
 
     if (Opts.Verify) {
@@ -548,13 +572,13 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
     return;
   }
 
-  // Step 2, once for the whole batch: regenerate the combined CFG, patch
-  // every new module's Bary indexes while its pages are still writable,
-  // verify, seal RX. Retired modules appear as tombstones: positionally
-  // present, semantically absent.
-  std::vector<LoadedModuleView> Views = moduleViews();
+  // Step 2, once for the whole batch: fold the new modules into the
+  // combined CFG, patch every new module's Bary indexes while its pages
+  // are still writable, verify, seal RX. Retired modules appear as
+  // tombstones: positionally present, semantically absent.
   auto MergeStart = std::chrono::steady_clock::now();
-  CFGPolicy NewPolicy = generateCFG(Views, Opts.Refinement);
+  BS.MergeViewsAppended = syncMerge();
+  CFGPolicy NewPolicy = Merge.emit();
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();
@@ -863,14 +887,17 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   for (DyingModule &D : Dying)
     M.retireModule(D.Idx, std::move(D.CondemnedECNs));
 
-  // Regenerate the policy with the dying modules as tombstones. In the
-  // common self-contained case the result flattens to exactly the
-  // scrubbed shadow (survivors keep their classes and numbering), and no
-  // second transaction is needed: the retire-only fast path. Otherwise
-  // (class splits, renumbering) the full install's version bump makes
-  // every stale pre-unload ID snapshot fail.
+  // Regenerate the policy with the dying modules as tombstones: a
+  // removal can split classes, so the static checkpoint is restored and
+  // only the dynamic views are replayed onto it. In the common
+  // self-contained case the result flattens to exactly the scrubbed
+  // shadow (survivors keep their classes and numbering), and no second
+  // transaction is needed: the retire-only fast path. Otherwise (class
+  // splits, renumbering) the full install's version bump makes every
+  // stale pre-unload ID snapshot fail.
   auto MergeStart = std::chrono::steady_clock::now();
-  CFGPolicy NewPolicy = generateCFG(moduleViews(), Opts.Refinement);
+  BS.MergeViewsAppended = syncMerge();
+  CFGPolicy NewPolicy = Merge.emit();
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();

@@ -15,8 +15,8 @@
 ///
 ///   (1) module preparation: map the library writable/not-executable and
 ///       apply its relocations;
-///   (2) new CFG generation: regenerate the combined CFG, patch the
-///       library's Bary indexes, verify it, and seal it RX;
+///   (2) new CFG generation: fold the library into the combined CFG,
+///       patch the library's Bary indexes, verify it, and seal it RX;
 ///   (3) ID-table updates: one TxUpdate installs the new IDs, with the
 ///       GOT entry updates serialized between the Tary and Bary phases.
 ///
@@ -80,7 +80,10 @@ struct DlopenBatchStats {
   uint32_t Loaded = 0;      ///< modules that mapped + resolved
   bool Installed = false;   ///< the single policy install succeeded
   bool Incremental = false; ///< that install took the delta path
-  double MergeMicros = 0;   ///< one combined-CFG regeneration
+  /// Module views folded into the persistent merge state: the batch's
+  /// new modules, or every dynamic view after a tail-trim replay.
+  uint32_t MergeViewsAppended = 0;
+  double MergeMicros = 0;   ///< append (or replay) plus emit
   double InstallMicros = 0; ///< the single TxUpdate transaction
 };
 
@@ -94,7 +97,10 @@ struct DlcloseBatchStats {
   /// transaction (class splits/renumbering; the common self-contained
   /// plugin case stays retire-only).
   bool PolicyReinstalled = false;
-  double MergeMicros = 0;  ///< one tombstoned-CFG regeneration
+  /// Module views replayed onto the static checkpoint: every dynamic
+  /// view (live or tombstone), never a static module's.
+  uint32_t MergeViewsAppended = 0;
+  double MergeMicros = 0;  ///< checkpoint replay plus emit
   double RetireMicros = 0; ///< the single txUpdateRetire transaction
 };
 
@@ -198,12 +204,26 @@ private:
   /// Views of every mapped module, index-parallel to M.modules();
   /// retired modules appear as positionally-stable tombstones.
   std::vector<LoadedModuleView> moduleViews() const;
+  /// Brings Merge to the fold of moduleViews() and returns the number
+  /// of views appended: only the new ones while the views Merge holds
+  /// are still a prefix, else every dynamic view replayed onto the
+  /// static checkpoint (an unload turned a view into a tombstone, or a
+  /// reclaimer tail-trim popped trailing ones).
+  uint32_t syncMerge();
   /// Flattens \p P to table coordinates (the shape PolicyShadow holds).
   PolicyImage flattenPolicy(const CFGPolicy &P) const;
   MCFIObject makeBootstrap();
 
   Machine &M;
   LinkOptions Opts;
+  /// The persistent class-level merge: the fold of moduleViews() as of
+  /// the last link operation (a reclaimer tail-trim may pop trailing
+  /// tombstones since; syncMerge notices). Tests and the traced
+  /// benchmark audit check it against a from-scratch merge — never an
+  /// assert, which would cost a full merge per operation.
+  CFGMerge Merge;
+  /// Merge as it stood right after the static link.
+  CFGMerge StaticMerge;
   CFGPolicy Policy;
   PolicyShadow Shadow;
   std::vector<TxUpdateStats> UpdateHistory;

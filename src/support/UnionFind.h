@@ -31,6 +31,13 @@ public:
     std::iota(Parent.begin(), Parent.end(), 0);
   }
 
+  /// Appends a singleton class; returns its index.
+  uint32_t add() {
+    Parent.push_back(static_cast<uint32_t>(Parent.size()));
+    Size.push_back(1);
+    return Parent.back();
+  }
+
   /// Returns the canonical representative of \p X's class.
   uint32_t find(uint32_t X) {
     assert(X < Parent.size() && "index out of range");

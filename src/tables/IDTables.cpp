@@ -467,12 +467,14 @@ TxUpdateStatus IDTables::txUpdateIncremental(
   };
 
   // Phase 2: install the new Bary sites. Only indexes >= the previous
-  // count are eligible — an existing site's window between the GOT hook
-  // and its bary store would otherwise spuriously halt guests.
+  // count, or below it with no ID (a retired, reclaimed site's zeroed
+  // entry), are eligible — an existing site's window between the GOT
+  // hook and its bary store would otherwise spuriously halt guests.
   auto InstallBaryDelta = [&] {
     for (uint32_t I : BaryDirty) {
       assert(I < BaryCount && "dirty site past the new Bary count");
-      assert(I >= PrevBaryCount &&
+      assert((I >= PrevBaryCount ||
+              BaryEntries[I].load(std::memory_order_relaxed) == 0) &&
              "incremental update would rewrite an installed Bary site");
       int64_t ECN = GetBaryECN(I);
       uint32_t ID = 0;

@@ -70,9 +70,15 @@ ShadowDelta PolicyShadow::computeDelta(const PolicyImage &Next) const {
   // resolved-import case: a PLT site going Empty -> real class is a value
   // change at a live index, and rewriting it without a version bump opens
   // a window (between the GOT hook and the site's store) where guests
-  // would spuriously halt.
+  // would spuriously halt. A site holding no ID (-1) is not installed:
+  // its entry is zero, left by a retire whose module has since been
+  // reclaimed and its slot trimmed, so giving it an ID is an extension.
+  std::vector<uint32_t> Reused;
   for (uint32_t I = 0; I != Image.BaryCount; ++I) {
-    if (Next.BaryECN[I] != Image.BaryECN[I]) {
+    if (Image.BaryECN[I] < 0) {
+      if (Next.BaryECN[I] >= 0)
+        Reused.push_back(I);
+    } else if (Next.BaryECN[I] != Image.BaryECN[I]) {
       D.Reason = "installed branch site changed";
       return D;
     }
@@ -97,6 +103,7 @@ ShadowDelta PolicyShadow::computeDelta(const PolicyImage &Next) const {
     }
   }
 
+  D.BaryDirty = std::move(Reused);
   for (uint32_t I = Image.BaryCount; I < Next.BaryCount; ++I)
     D.BaryDirty.push_back(I);
 

@@ -57,7 +57,8 @@ struct ShadowDelta {
   std::vector<TaryRange> TaryDirty;
   /// The same offsets uncoalesced (for cross-checks and tests).
   std::vector<uint64_t> TaryDirtyOffsets;
-  /// New Bary site indexes (all >= the installed BaryCount).
+  /// New Bary site indexes: installed sites holding no ID (-1) that
+  /// gain one, then every index >= the installed BaryCount.
   std::vector<uint32_t> BaryDirty;
 
   /// Tary entries actually new (TaryDirty ranges may cover more after

@@ -359,6 +359,37 @@ TEST(Dynlink, ReopenAfterUnloadIsByteIdentical) {
   EXPECT_TRUE(First.BaryECN == Second.BaryECN);
 }
 
+TEST(Dynlink, DlopenAfterDrainStaysIncremental) {
+  // The drain's tail-trim lowers codeTop and pops the closed modules'
+  // branch-site slots. The installed Tary limit and Bary count stay at
+  // their high-water marks, and the entries above the trimmed top were
+  // zeroed by the retire, so the next dlopen into that space is still a
+  // pure extension: no full install, no version bump. The host gives
+  // the plugin nothing to call back into, so loading it changes no
+  // installed entry.
+  DynProgram D = buildDynamic("int main() { return 0; }", PluginSource);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  std::vector<int64_t> Handles;
+  for (const DlopenResult &R : D.L->dlopenBatch({0, 0})) {
+    ASSERT_GE(R.Handle, 0) << D.L->lastError();
+    Handles.push_back(R.Handle);
+  }
+  uint64_t TopWithTwo = D.M->codeTop();
+  for (bool Ok : D.L->dlcloseBatch(Handles))
+    ASSERT_TRUE(Ok);
+  D.M->drainReclaim();
+  ASSERT_LT(D.M->codeTop(), TopWithTwo);
+
+  // One copy comes back: both extents stay below the high-water marks.
+  uint32_t Version = D.M->tables().currentVersion();
+  int64_t H = D.L->dlopen(0);
+  ASSERT_GE(H, 0) << D.L->lastError();
+  ASSERT_LT(D.M->codeTop(), TopWithTwo);
+  EXPECT_TRUE(D.L->batchHistory().back().Incremental);
+  EXPECT_TRUE(D.L->updateHistory().back().Incremental);
+  EXPECT_EQ(D.M->tables().currentVersion(), Version);
+}
+
 TEST(Dynlink, DlcloseBatchOneRetireTransaction) {
   // Closing N modules as one batch runs ONE retire transaction.
   DynProgram D = buildDynamic(HostSource, PluginSource);

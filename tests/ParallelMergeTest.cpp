@@ -26,11 +26,13 @@
 #include "metrics/UpdateMetrics.h"
 #include "support/RNG.h"
 #include "tables/ID.h"
+#include "toolchain/Toolchain.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <utility>
 
 using namespace mcfi;
 
@@ -294,12 +296,15 @@ int main() { return 0; }
 
 /// Host linked; libA (0), libB (1) and \p Extra generated plugins
 /// registered.
-DynProgram buildDynamic(unsigned Extra = 0) {
+DynProgram buildDynamic(unsigned Extra = 0, const char *Host = DynHost,
+                        const CFGRefinement *Refinement = nullptr) {
   DynProgram D;
   D.M = std::make_unique<Machine>();
-  D.L = std::make_unique<Linker>(*D.M);
+  LinkOptions LO;
+  LO.Refinement = Refinement;
+  D.L = std::make_unique<Linker>(*D.M, LO);
   std::vector<MCFIObject> Objs;
-  Objs.push_back(compileOrDie(DynHost, "host"));
+  Objs.push_back(compileOrDie(Host, "host"));
   if (!D.L->linkProgram(std::move(Objs), D.Error))
     return D;
   // libB imports a_drive from libA through its PLT.
@@ -606,6 +611,232 @@ TEST(MergeDifferential, RandomAuxWorlds) {
     NonEmpty += P.NumEQCs > 1;
   }
   EXPECT_GT(NonEmpty, 200u);
+}
+
+//===----------------------------------------------------------------------===//
+// Persistent merge state
+//===----------------------------------------------------------------------===//
+
+/// Folds \p Views split at every point k — views[0..k), an emit, then
+/// views[k..n) — into a fresh state and into a copy taken at k; both must
+/// emit generateCFG(views) (itself checked against the reference), and
+/// the copy must leave the original's prefix policy intact.
+void expectSplitsMatch(const std::vector<LoadedModuleView> &Views,
+                       const CFGRefinement *Ref, const std::string &What) {
+  CFGPolicy Whole = generateCFG(Views, Ref);
+  EXPECT_TRUE(policiesIdentical(Whole, generateCFGReference(Views, Ref)))
+      << What;
+  for (size_t K = 0; K <= Views.size(); ++K) {
+    std::string At = What + " split=" + std::to_string(K);
+    CFGMerge Prefix(Ref);
+    for (size_t I = 0; I != K; ++I)
+      Prefix.append(Views[I]);
+    CFGPolicy PrefixPolicy = Prefix.emit();
+    CFGMerge Copy = Prefix;
+    for (size_t I = K; I != Views.size(); ++I)
+      Copy.append(Views[I]);
+    EXPECT_TRUE(policiesIdentical(Copy.emit(), Whole)) << At;
+    EXPECT_TRUE(policiesIdentical(Prefix.emit(), PrefixPolicy)) << At;
+    for (size_t I = K; I != Views.size(); ++I)
+      Prefix.append(Views[I]);
+    EXPECT_TRUE(policiesIdentical(Prefix.emit(), Whole)) << At;
+  }
+}
+
+TEST(PersistentMerge, SpecProfilesAtEverySplitPoint) {
+  MCFIObject A = compileOrDie(ModuleA, "libA");
+  MCFIObject B = compileOrDie(ModuleB, "libB");
+  for (const BenchProfile &P : specProfiles()) {
+    MCFIObject Obj =
+        compileOrDie(generateWorkload(P, WorkloadVariant::Fixed), P.Name);
+    // libB before libA: its PLT import of a_drive resolves late.
+    expectSplitsMatch(layoutViews({&B, &Obj, &runtimeObject(), &A}), nullptr,
+                      P.Name);
+  }
+}
+
+TEST(PersistentMerge, RandomAuxWorldsAtEverySplitPoint) {
+  RNG R(0x5b1u);
+  for (int World = 0; World != 200; ++World) {
+    std::vector<LoadedModuleView> Views;
+    CFGRefinement Ref;
+    std::vector<MCFIObject> Objs = randomWorld(R, Views, Ref);
+    std::string What = "world " + std::to_string(World);
+    expectSplitsMatch(Views, nullptr, What);
+    expectSplitsMatch(Views, &Ref, What + " refined");
+  }
+}
+
+/// Imports p1_a through its PLT, so every load of plugin 1 resolves a
+/// site of the static program late and every unload un-resolves it.
+const char *PltHost = R"(
+long p1_a(long x);
+long local_cb(long x) { return x + 1; }
+long (*host_keep)(long) = local_cb;
+long host_call(long v) { return p1_a(v); }
+int main() { return 0; }
+)";
+
+/// An uninstrumented library: its unchecked indirect call fails
+/// verification, so a batch holding it installs nothing.
+const char *Unverifiable = R"(
+long bad_apply(long (*f)(long), long x) { return f(x); }
+)";
+
+/// Runs a seeded sequence of dlopenOne, dlopenBatch, dlcloseOne,
+/// dlcloseBatch and drainReclaim against one linker, and after every
+/// linker operation compares its policy — produced by the persistent
+/// state through appends and checkpoint replays — with the reference
+/// generator over the machine's current views.
+void runPersistentSequence(uint64_t Seed, const CFGRefinement *Ref) {
+  constexpr unsigned Plugins = 6;
+  DynProgram D = buildDynamic(Plugins, PltHost, Ref);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  CompileOptions BadCO;
+  BadCO.ModuleName = "unverifiable";
+  BadCO.Instrument = false;
+  CompileResult Bad = compileModule(Unverifiable, BadCO);
+  ASSERT_TRUE(Bad.Ok);
+  const int64_t BadId = D.L->registerLibrary(std::move(Bad.Obj));
+  const int64_t NumGood = 2 + Plugins;
+
+  Machine &M = *D.M;
+  Linker &L = *D.L;
+  RNG R(Seed);
+  std::vector<int64_t> Live;
+  auto check = [&](const std::string &What) {
+    EXPECT_TRUE(policiesIdentical(L.policy(),
+                                  generateCFGReference(viewsOf(M), Ref)))
+        << What;
+  };
+  unsigned Interior = 0, Trims = 0, OpensAfterTrim = 0;
+  bool Trimmed = false;
+  for (int Step = 0; Step != 160; ++Step) {
+    std::string What = "seed " + std::to_string(Seed) + " step " +
+                       std::to_string(Step) + (Ref ? " refined" : "");
+    if (R.chancePercent(20)) {
+      // The linker's policy predates the drain; the next operation
+      // must notice a tail-trim and replay.
+      size_t Before = M.modules().size();
+      M.drainReclaim();
+      if (M.modules().size() < Before) {
+        ++Trims;
+        Trimmed = true;
+      }
+      continue;
+    }
+    // Grow to about 8 live modules, then shrink, so the world empties
+    // out often enough for drains to trim its tail.
+    bool Grow = Live.empty() || (Live.size() < 8 && R.chancePercent(50));
+    if (Grow && R.chancePercent(70)) {
+      DlopenResult Res = L.dlopenOne(static_cast<int64_t>(R.below(NumGood)));
+      ASSERT_GE(Res.Handle, 0) << What << ": " << L.lastError();
+      Live.push_back(Res.Handle);
+      OpensAfterTrim += std::exchange(Trimmed, false);
+      What += " dlopenOne";
+    } else if (Grow) {
+      std::vector<int64_t> Ids(R.range(2, 3));
+      for (int64_t &Id : Ids)
+        Id = static_cast<int64_t>(R.below(NumGood));
+      std::vector<DlopenResult> Res = L.dlopenBatch(Ids);
+      for (const DlopenResult &X : Res) {
+        ASSERT_GE(X.Handle, 0) << What << ": " << L.lastError();
+        Live.push_back(X.Handle);
+      }
+      OpensAfterTrim += std::exchange(Trimmed, false);
+      What += " dlopenBatch";
+    } else if (R.chancePercent(60)) {
+      size_t I = R.below(Live.size());
+      Interior += Live[I] + 1 != static_cast<int64_t>(M.modules().size());
+      ASSERT_TRUE(L.dlcloseOne(Live[I])) << What;
+      Live.erase(Live.begin() + static_cast<ptrdiff_t>(I));
+      What += " dlcloseOne";
+    } else {
+      std::vector<int64_t> Handles;
+      for (size_t N = R.range(2, 3); N && !Live.empty(); --N) {
+        size_t I = R.below(Live.size());
+        Handles.push_back(Live[I]);
+        Live.erase(Live.begin() + static_cast<ptrdiff_t>(I));
+      }
+      for (bool Ok : L.dlcloseBatch(Handles))
+        ASSERT_TRUE(Ok) << What;
+      What += " dlcloseBatch";
+    }
+    check(What);
+  }
+  EXPECT_GT(Interior, 0u);
+  EXPECT_GT(Trims, 0u);
+  EXPECT_GT(OpensAfterTrim, 0u);
+  EXPECT_GT(M.reclaimStats().Reused, 0u) << "no free-list code reuse";
+
+  // A batch that fails verification installs nothing. Its mapped
+  // members stay in the views (they were folded in before the verifier
+  // ran), and the next successful operation's policy covers them.
+  CFGPolicy Before = L.policy();
+  std::vector<DlopenResult> Res = L.dlopenBatch({0, BadId});
+  EXPECT_LT(Res[0].Handle, 0);
+  EXPECT_FALSE(L.batchHistory().back().Installed);
+  EXPECT_TRUE(policiesIdentical(L.policy(), Before));
+  ASSERT_GE(L.dlopen(1), 0) << L.lastError();
+  check("after the failed batch");
+}
+
+TEST(PersistentMerge, SeededOperationSequences) {
+  for (uint64_t Seed : {1u, 2u, 3u})
+    runPersistentSequence(Seed, nullptr);
+}
+
+TEST(PersistentMerge, SeededOperationSequencesRefined) {
+  // Hand-built refinement over the plugins' and libraries' keys: some
+  // sets are narrowed, some functions pinned, so liveness (who stays in
+  // the IBT universe) changes as modules come and go.
+  CFGRefinement Ref;
+  Ref.Allowed[{"b_dispatch", "(i64,)->i64"}] = {"local_cb", "cb_neg", "p0_a",
+                                                 "p3_a"};
+  Ref.Allowed[{"p1_drive", "(i64,)->i64"}] = {"p1_a", "p2_a"};
+  Ref.Allowed[{"a_drive", "(i64,)->i64"}] = {"cb_add", "cb_mul"};
+  Ref.Allowed[{"b_varcall", "(i64,...)->i64"}] = {"vsum", "p5_pair"};
+  Ref.KeepTargets = {"p4_b", "vmax"};
+  {
+    // The refinement must bite on this world.
+    MCFIObject A = compileOrDie(ModuleA, "libA");
+    MCFIObject B = compileOrDie(ModuleB, "libB");
+    MCFIObject P1 = compileOrDie(pluginSource(1), "plug1");
+    std::vector<LoadedModuleView> Views = layoutViews({&A, &B, &P1});
+    ASSERT_LT(generateCFG(Views, &Ref).NumIBTs, generateCFG(Views).NumIBTs);
+  }
+  for (uint64_t Seed : {4u, 5u})
+    runPersistentSequence(Seed, &Ref);
+}
+
+TEST(PersistentMerge, DlopenAppendsOnlyTheNewModule) {
+  constexpr unsigned Plugins = 64;
+  DynProgram D = buildDynamic(Plugins);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  const size_t Static = D.M->modules().size();
+  std::vector<int64_t> Handles;
+  for (unsigned K = 0; K != Plugins; ++K) {
+    int64_t H = D.L->dlopen(2 + K);
+    ASSERT_GE(H, 0) << D.L->lastError();
+    Handles.push_back(H);
+  }
+  // 64 plugins live: the next dlopen folds in its own view and no other.
+  int64_t Extra = D.L->dlopen(0);
+  ASSERT_GE(Extra, 0) << D.L->lastError();
+  EXPECT_EQ(D.L->batchHistory().back().MergeViewsAppended, 1u);
+  EXPECT_TRUE(policiesIdentical(D.L->policy(),
+                                generateCFGReference(viewsOf(*D.M))));
+
+  // A dlclose replays every dynamic view, live or tombstone, onto the
+  // static checkpoint — never a static module's view.
+  ASSERT_TRUE(D.L->dlcloseOne(Handles[10]));
+  EXPECT_EQ(D.L->unloadHistory().back().MergeViewsAppended,
+            D.M->modules().size() - Static);
+  ASSERT_TRUE(D.L->dlcloseOne(Extra));
+  EXPECT_EQ(D.L->unloadHistory().back().MergeViewsAppended,
+            D.M->modules().size() - Static);
+  EXPECT_TRUE(policiesIdentical(D.L->policy(),
+                                generateCFGReference(viewsOf(*D.M))));
 }
 
 //===----------------------------------------------------------------------===//
