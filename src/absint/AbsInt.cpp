@@ -7,11 +7,11 @@
 
 #include "absint/AbsInt.h"
 
+#include "support/Assert.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -77,8 +77,8 @@ enum class EdgeKind : uint8_t { Fall, Jump, CondTaken, CondFall };
 class Engine {
 public:
   Engine(const uint8_t *Code, size_t Size, const MCFIObject &Obj,
-         const std::map<uint64_t, Instr> &Instrs, const AbsIntOptions &Opts)
-      : Code(Code), Size(Size), Obj(Obj), Instrs(Instrs), Opts(Opts) {
+         const Disassembly &Dis, const AbsIntOptions &Opts)
+      : Code(Code), Size(Size), Obj(Obj), Dis(Dis), Opts(Opts) {
     (void)this->Code;
   }
 
@@ -117,7 +117,13 @@ private:
       RelocAt.emplace(RE.Offset, &RE);
   }
 
-  bool boundary(uint64_t Off) const { return Instrs.count(Off) != 0; }
+  bool boundary(uint64_t Off) const { return Dis.indexAt(Off) >= 0; }
+
+  const Instr &instrAt(uint64_t Off) const {
+    const Instr *I = Dis.at(Off);
+    assert(I && "not an instruction boundary");
+    return *I;
+  }
 
   static bool endsBlock(Opcode Op) {
     switch (Op) {
@@ -169,7 +175,9 @@ private:
     // through CFG edges with the flowing state, which is what makes
     // check-pass edges provable.)
     std::set<uint64_t> Leaders = RootSet;
-    for (const auto &[Off, I] : Instrs) {
+    for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
+      uint64_t Off = Dis.Offsets[K];
+      const Instr &I = Dis.Instrs[K];
       switch (I.Op) {
       case Opcode::Jmp:
       case Opcode::Jz:
@@ -194,14 +202,13 @@ private:
 
     // Partition the disassembly into maximal blocks.
     uint64_t Begin = ~0ull;
-    for (auto It = Instrs.begin(); It != Instrs.end(); ++It) {
-      uint64_t Off = It->first;
-      const Instr &I = It->second;
+    for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
+      uint64_t Off = Dis.Offsets[K];
+      const Instr &I = Dis.Instrs[K];
       if (Begin == ~0ull)
         Begin = Off;
       uint64_t Next = Off + I.Length;
-      auto NextIt = std::next(It);
-      bool Contig = NextIt != Instrs.end() && NextIt->first == Next;
+      bool Contig = K + 1 != Dis.Instrs.size() && Dis.Offsets[K + 1] == Next;
       if (!endsBlock(I.Op) && Contig && !Leaders.count(Next))
         continue;
       Block B;
@@ -218,7 +225,7 @@ private:
     Succs.resize(Blocks.size());
     for (uint32_t BI = 0; BI != Blocks.size(); ++BI) {
       const Block &B = Blocks[BI];
-      const Instr &Last = Instrs.at(B.LastOff);
+      const Instr &Last = instrAt(B.LastOff);
       auto addEdge = [&](uint64_t T, EdgeKind K) {
         auto It = BlockAt.find(T);
         if (It != BlockAt.end())
@@ -699,11 +706,12 @@ private:
   transferBlock(uint32_t BI, AbsState S, Collector *C) {
     const Block &B = Blocks[BI];
     Minter M(BI);
-    for (auto It = Instrs.lower_bound(B.Begin);
-         It != Instrs.end() && It->first < B.End; ++It)
-      transferInstr(S, It->first, It->second, M, C);
+    // A block is a run of contiguous instructions: consecutive indices.
+    for (size_t K = static_cast<size_t>(Dis.indexAt(B.Begin));
+         K != Dis.Instrs.size() && Dis.Offsets[K] < B.End; ++K)
+      transferInstr(S, Dis.Offsets[K], Dis.Instrs[K], M, C);
     std::vector<std::pair<uint32_t, AbsState>> Out;
-    const Instr &Last = Instrs.at(B.LastOff);
+    const Instr &Last = instrAt(B.LastOff);
     for (const auto &[SuccIdx, Kind] : Succs[BI]) {
       AbsState E = S;
       if (Kind == EdgeKind::CondTaken || Kind == EdgeKind::CondFall) {
@@ -898,7 +906,7 @@ private:
   const uint8_t *Code;
   size_t Size;
   const MCFIObject &Obj;
-  const std::map<uint64_t, Instr> &Instrs;
+  const Disassembly &Dis;
   AbsIntOptions Opts;
   SemanticResult Result;
 
@@ -919,41 +927,11 @@ private:
 
 } // namespace
 
-bool absint::disassembleAll(const uint8_t *Code, size_t Size,
-                            const MCFIObject &Obj,
-                            std::map<uint64_t, Instr> &Out,
-                            std::string &Err) {
-  std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  for (const JumpTableInfo &JT : Obj.Aux.JumpTables)
-    Ranges.emplace_back(JT.TableOffset,
-                        JT.TableOffset + 8 * JT.Targets.size());
-  std::sort(Ranges.begin(), Ranges.end());
-  uint64_t Off = 0;
-  while (Off < Size) {
-    auto It = std::upper_bound(
-        Ranges.begin(), Ranges.end(),
-        std::make_pair(Off, std::numeric_limits<uint64_t>::max()));
-    if (It != Ranges.begin()) {
-      auto P = std::prev(It);
-      if (Off >= P->first && Off < P->second) {
-        Off = P->second;
-        continue;
-      }
-    }
-    Instr I;
-    if (!decode(Code, Size, Off, I)) {
-      Err = formatString("undecodable byte at offset 0x%llx", hex(Off));
-      return false;
-    }
-    Out.emplace(Off, I);
-    Off += I.Length;
-  }
-  return true;
-}
-
 SemanticResult absint::prove(const uint8_t *Code, size_t Size,
                              const MCFIObject &Obj,
-                             const std::map<uint64_t, Instr> &Instrs,
+                             const Disassembly &Dis,
                              const AbsIntOptions &Opts) {
-  return Engine(Code, Size, Obj, Instrs, Opts).run();
+  assert(Dis.complete() && Dis.IndexByOff.size() == Size &&
+         "prove needs the module's complete disassembly");
+  return Engine(Code, Size, Obj, Dis, Opts).run();
 }

@@ -35,7 +35,6 @@
 #include "module/MCFIObject.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -67,20 +66,14 @@ struct AbsIntOptions {
   uint64_t MaxIters = 0;
 };
 
-/// Disassembles every code byte of \p Obj outside its jump-table data
-/// ranges into \p Out (offset -> instruction). Returns false (with \p Err
-/// set) on an undecodable byte — for MCFI, complete disassembly is a
-/// precondition of verification, not a best-effort.
-bool disassembleAll(const uint8_t *Code, size_t Size, const MCFIObject &Obj,
-                    std::map<uint64_t, visa::Instr> &Out, std::string &Err);
-
 /// Runs the fixpoint engine over \p Code and proves the three invariants
-/// against the module's declared aux info. \p Instrs must be the complete
-/// disassembly (disassembleAll). Structural well-formedness (decodability,
+/// against the module's declared aux info. \p Dis must be the module's
+/// complete disassembly (disassembleModule, the one the syntactic tier
+/// checks and the runtime executes). Structural well-formedness (decodability,
 /// jump-table contents, alignment, direct-branch boundaries) is the
 /// caller's concern — the verifier checks those in its shared tier.
 SemanticResult prove(const uint8_t *Code, size_t Size, const MCFIObject &Obj,
-                     const std::map<uint64_t, visa::Instr> &Instrs,
+                     const visa::Disassembly &Dis,
                      const AbsIntOptions &Opts = {});
 
 } // namespace absint

@@ -25,6 +25,21 @@ using namespace mcfi::visa;
 Linker::Linker(Machine &M, LinkOptions Opts)
     : M(M), Opts(Opts), Merge(Opts.Refinement), StaticMerge(Opts.Refinement) {}
 
+namespace {
+
+/// Disassembles the mapped (relocated, patched) bytes of \p Mod into
+/// \p Dis and verifies that disassembly; on success the caller seals
+/// the module with it.
+VerifyResult verifyMapped(const Machine &M, const MappedModule &Mod,
+                          Disassembly &Dis) {
+  size_t Size = Mod.Obj->Code.size();
+  const uint8_t *Code = M.codePtr(Mod.CodeBase, Size);
+  Dis = disassembleModule(Code, Size, *Mod.Obj);
+  return verifyModule(Code, Size, *Mod.Obj, Dis);
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // Bootstrap module
 //===----------------------------------------------------------------------===//
@@ -429,11 +444,13 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
     CFGPolicy NewPolicy = Merge.emit();
     patchBaryIndexes(NewPolicy);
 
+    // Seal runs what the verifier checked: each module's disassembly is
+    // verified, then attached as its decode.
+    std::vector<Disassembly> Verified;
     if (Opts.Verify) {
-      for (const MappedModule &Mod : M.modules()) {
-        const uint8_t *Code = M.codePtr(Mod.CodeBase, Mod.Obj->Code.size());
-        VerifyResult VR =
-            verifyModule(Code, Mod.Obj->Code.size(), *Mod.Obj);
+      for (int Idx : Indexes) {
+        const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
+        VerifyResult VR = verifyMapped(M, Mod, Verified.emplace_back());
         if (!VR.Ok) {
           Error = "verification failed for module '" + Mod.Obj->Name +
                   "': " + VR.Errors.front();
@@ -442,8 +459,12 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
       }
     }
 
-    for (int Idx : Indexes)
-      M.sealModule(Idx);
+    for (size_t K = 0; K != Indexes.size(); ++K) {
+      if (Opts.Verify)
+        M.sealModule(Indexes[K], std::move(Verified[K]));
+      else
+        M.sealModule(Indexes[K]);
+    }
     if (!installPolicy(std::move(NewPolicy))) {
       Error = LastError;
       return false;
@@ -584,11 +605,11 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
                        .count();
   patchBaryIndexes(NewPolicy);
 
+  std::vector<Disassembly> Verified;
   if (Opts.Verify) {
     for (const auto &[P, Idx] : Loaded) {
       const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
-      const uint8_t *Code = M.codePtr(Mod.CodeBase, Mod.Obj->Code.size());
-      VerifyResult VR = verifyModule(Code, Mod.Obj->Code.size(), *Mod.Obj);
+      VerifyResult VR = verifyMapped(M, Mod, Verified.emplace_back());
       if (!VR.Ok) {
         // Fail the whole batch closed: the policy was generated against
         // every mapped module, so installing it with one member
@@ -601,8 +622,12 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
       }
     }
   }
-  for (const auto &[P, Idx] : Loaded)
-    M.sealModule(Idx);
+  for (size_t K = 0; K != Loaded.size(); ++K) {
+    if (Opts.Verify)
+      M.sealModule(Loaded[K].second, std::move(Verified[K]));
+    else
+      M.sealModule(Loaded[K].second);
+  }
 
   // Step 3, once for the whole batch: ONE update transaction — one
   // version bump, one Tary→GOT→Bary pass — installs every new module's

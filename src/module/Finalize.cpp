@@ -32,6 +32,17 @@ void mcfi::computeIBTOffsets(AuxInfo &Aux) {
       Aux.IBTOffsets.end());
 }
 
+Disassembly mcfi::disassembleModule(const uint8_t *Code, size_t Size,
+                                   const MCFIObject &Obj) {
+  std::vector<std::pair<uint64_t, uint64_t>> Ranges;
+  Ranges.reserve(Obj.Aux.JumpTables.size());
+  for (const JumpTableInfo &JT : Obj.Aux.JumpTables)
+    Ranges.emplace_back(JT.TableOffset,
+                        JT.TableOffset + 8 * JT.Targets.size());
+  std::sort(Ranges.begin(), Ranges.end());
+  return disassemble(Code, Size, Ranges);
+}
+
 namespace {
 
 uint64_t labelOffset(const AssembledCode &AC, uint32_t FuncIndex, int Label) {

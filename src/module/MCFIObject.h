@@ -154,6 +154,13 @@ struct MCFIObject {
   }
 };
 
+/// The module's one disassembly: visa::disassemble of \p Size bytes of
+/// \p Code (the module's code as loaded) skipping the jump-table data
+/// ranges \p Obj declares. The verifier checks this disassembly and a
+/// sealed module executes it.
+visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
+                                    const MCFIObject &Obj);
+
 /// Serializes \p Obj into the .mcfo binary format.
 std::vector<uint8_t> writeObject(const MCFIObject &Obj);
 

@@ -8,6 +8,7 @@
 #include "runtime/Dispatch.h"
 
 #include "runtime/Step.h"
+#include "support/Assert.h"
 
 #include <algorithm>
 #include <array>
@@ -79,34 +80,29 @@ void markFusedChecks(DecodedModule &Mod) {
   }
 }
 
-/// Decodes the sealed bytes \p Code of the module \p Serial mapped at
-/// [Base, Base + Size). Decoding stops at the module's end: an
-/// instruction truncated by it is left to interpretStep's straddle check.
-std::shared_ptr<const DecodedModule> decodeModule(const uint8_t *Code,
-                                                  uint64_t Serial,
-                                                  uint64_t Base,
-                                                  uint64_t Size) {
+} // namespace
+
+std::shared_ptr<const DecodedModule>
+mcfi::makeDecodedModule(Disassembly Dis, uint64_t Serial, uint64_t Base,
+                        uint64_t Size) {
+  assert(Dis.IndexByOff.size() <= Size && "disassembly past the module");
   auto Mod = std::make_shared<DecodedModule>();
   Mod->Serial = Serial;
   Mod->Base = Base;
   Mod->Size = Size;
-  DecodedStream DS;
-  decodeLinear(Code, Size, DS);
-  Mod->IndexByOff = std::move(DS.IndexByOff);
-  Mod->Stream.reserve(DS.Instrs.size());
-  for (size_t K = 0; K != DS.Instrs.size(); ++K) {
-    DInstr D;
-    D.I = DS.Instrs[K];
-    D.PC = Base + DS.Offsets[K];
-    uint64_t FallOff = DS.Offsets[K] + D.I.Length;
+  Mod->IndexByOff = std::move(Dis.IndexByOff);
+  Mod->IndexByOff.resize(Size, -1);
+  Mod->Stream.resize(Dis.Instrs.size());
+  for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
+    DInstr &D = Mod->Stream[K];
+    D.I = Dis.Instrs[K];
+    D.PC = Base + Dis.Offsets[K];
+    uint64_t FallOff = Dis.Offsets[K] + D.I.Length;
     D.Fall = FallOff < Size ? Mod->IndexByOff[FallOff] : -1;
-    Mod->Stream.push_back(D);
   }
   markFusedChecks(*Mod);
   return Mod;
 }
-
-} // namespace
 
 const DecodedModule *DecodedSegment::moduleAt(uint64_t PC) const {
   auto It = std::upper_bound(
@@ -133,60 +129,32 @@ bool Machine::installSegment(std::shared_ptr<const DecodedSegment> S) {
 }
 
 std::shared_ptr<const DecodedSegment> Machine::segment() {
-  std::shared_ptr<const DecodedSegment> Old;
   {
     std::lock_guard<std::mutex> Guard(SegLock);
     if (Seg && Seg->Epoch == codeEpoch())
       return Seg;
-    Old = Seg; // stale, but its decodes are reused by serial below
   }
 
-  // Epoch first: any layout change that lands while the snapshot is
-  // taken or a module is decoded bumps it afterwards, so installSegment
-  // refuses this build.
+  // Epoch first: a seal or reclaim that lands after it bumps the epoch,
+  // so installSegment refuses this snapshot. Every sealed, unreclaimed
+  // module carries its decode from seal on, so the snapshot is all a
+  // build does.
   auto Fresh = std::make_shared<DecodedSegment>();
   Fresh->Epoch = codeEpoch();
-  struct Span {
-    uint64_t Serial, Base, Size;
-    bool Retired;
-  };
-  std::vector<Span> Live;
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
+    Fresh->Modules.reserve(Mapped.size());
     for (const MappedModule &MM : Mapped)
-      if (MM.Sealed && !MM.Reclaimed && MM.CodeSize)
-        Live.push_back({MM.Serial, MM.CodeBase, MM.CodeSize, MM.Retired});
+      if (MM.Decode && MM.Decode->Size) // an empty module covers no PC
+        Fresh->Modules.push_back(MM.Decode);
   }
-  std::sort(Live.begin(), Live.end(),
-            [](const Span &A, const Span &B) { return A.Base < B.Base; });
-
-  // A serial is never reused and sealed bytes never change before
-  // reclaim, so an old decode whose serial is still in the snapshot is
-  // still exact. Both lists are Base-sorted: one merge walk pairs them.
-  static const std::vector<std::shared_ptr<const DecodedModule>> None;
-  const auto &Prev = Old ? Old->Modules : None;
-  auto PrevIt = Prev.begin();
+  std::sort(Fresh->Modules.begin(), Fresh->Modules.end(),
+            [](const std::shared_ptr<const DecodedModule> &A,
+               const std::shared_ptr<const DecodedModule> &B) {
+              return A->Base < B->Base;
+            });
   VMTierStats St;
   St.SegmentsBuilt = 1;
-  Fresh->Modules.reserve(Live.size());
-  for (const Span &S : Live) {
-    while (PrevIt != Prev.end() && (*PrevIt)->Base < S.Base)
-      ++PrevIt;
-    if (PrevIt != Prev.end() && (*PrevIt)->Serial == S.Serial) {
-      Fresh->Modules.push_back(*PrevIt);
-      continue;
-    }
-    // Decode only live modules. A retired module's range may mature and
-    // be zeroed by a concurrent reclaim while it is read; a live one
-    // cannot, because its grace period needs this thread to cross a
-    // syscall boundary after the retire. A retired module with no decode
-    // yet stays uncovered and runs through interpretStep.
-    if (S.Retired)
-      continue;
-    Fresh->Modules.push_back(
-        decodeModule(codePtr(S.Base, S.Size), S.Serial, S.Base, S.Size));
-    ++St.ModulesDecoded;
-  }
   creditTierStats(St);
   // A build that raced a layout change is refused. The caller then sees
   // the new epoch and asks again; until then every PC is uncovered and
@@ -274,8 +242,8 @@ RunResult mcfi::runThreaded(Machine &M, Thread &T, uint64_t Fuel) {
       Mod = Seg->moduleAt(T.PC);
     int32_t Idx = Mod ? Mod->indexAt(T.PC) : -1;
     if (Idx < 0) {
-      // Uncovered PC (a module retired before it was decoded, unmapped
-      // or unsealed code, or a jump into the middle of an instruction):
+      // Uncovered PC (unmapped or unsealed code, jump-table data, or a
+      // jump into the middle of an instruction):
       // one fully-checked interpreted step. Credit whatever retired — a
       // pre-retire trap (fetch/decode/W^X) does not advance
       // T.Instructions and must not be counted.

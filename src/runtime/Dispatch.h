@@ -6,21 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The threaded execution tier. A DecodedModule is a decode-once image
-/// of one sealed module's code range: each instruction is decoded exactly
-/// once into a DInstr stream with precomputed fallthrough links and
-/// recognized TxCheck superinstruction groups, then executed through a
-/// function-pointer handler table (threaded dispatch) instead of the
-/// decode-per-step switch. A DecodedSegment is a snapshot of the decodes
-/// of every sealed, unreclaimed module for one code epoch. A module's
-/// decode is keyed by its never-reused Serial and stays valid while that
-/// serial is sealed and unreclaimed, so a new segment reuses the previous
-/// segment's decodes and decodes only the modules sealed since: a dlopen
-/// costs a decode of the new module, not of the world. PCs a segment does
-/// not cover — a module retired before it was ever decoded, or a jump
-/// into the middle of an instruction (overlapping-gadget targets) — fall
-/// back to Machine::interpretStep, which performs the identical
-/// fully-checked fetch/decode/execute step.
+/// The threaded execution tier. A DecodedModule is the executable form of
+/// one sealed module's code range: the module's one disassembly (the
+/// visa::Disassembly its verifier checked, or for an unverified link the
+/// same disassembler's output at seal) with absolute PCs, precomputed
+/// fallthrough links and recognized TxCheck superinstruction groups
+/// added, executed through a function-pointer handler table (threaded
+/// dispatch) instead of the decode-per-step switch. Machine::sealModule
+/// attaches it to the module and the reclaimer drops it, so every sealed,
+/// unreclaimed module has exactly one decode, made once at seal. A
+/// DecodedSegment is a snapshot of those decodes for one code epoch;
+/// building it decodes nothing. PCs a segment does not cover — a jump
+/// into the middle of an instruction (overlapping-gadget targets) or into
+/// jump-table data — fall back to Machine::interpretStep, which performs
+/// the identical fully-checked fetch/decode/execute step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,11 +53,11 @@ struct DInstr {
   FusedKind Fused = FusedKind::None; ///< set on group heads only
 };
 
-/// An immutable predecoding of one sealed module's [Base, Base + Size).
+/// The immutable decode of one sealed module's [Base, Base + Size).
 struct DecodedModule {
   uint64_t Serial = 0; ///< MappedModule::Serial of the decoded module
   uint64_t Base = 0;   ///< absolute MappedModule::CodeBase
-  uint64_t Size = 0;   ///< decoded byte extent (MappedModule::CodeSize)
+  uint64_t Size = 0;   ///< mapped byte extent (MappedModule::CodeSize)
   std::vector<DInstr> Stream;
   std::vector<int32_t> IndexByOff; ///< per byte: stream index or -1
 
@@ -70,6 +69,14 @@ struct DecodedModule {
     return contains(PC) ? IndexByOff[PC - Base] : -1;
   }
 };
+
+/// Builds the decode of the module \p Serial mapped at [Base, Base +
+/// Size) from its disassembly \p Dis, which covers the module's code
+/// bytes (at most Size; the alignment padding past them stays uncovered).
+/// No byte is decoded again.
+std::shared_ptr<const DecodedModule>
+makeDecodedModule(visa::Disassembly Dis, uint64_t Serial, uint64_t Base,
+                  uint64_t Size);
 
 /// The decodes of every sealed, unreclaimed module for one code epoch.
 struct DecodedSegment {

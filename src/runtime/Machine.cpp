@@ -7,6 +7,7 @@
 
 #include "runtime/Machine.h"
 
+#include "runtime/Dispatch.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -87,12 +88,46 @@ int Machine::mapModule(MCFIObject Obj) {
   return Index;
 }
 
-void Machine::sealModule(int Index) {
-  std::lock_guard<std::mutex> Guard(ModuleLock);
-  assert(Index >= 0 && static_cast<size_t>(Index) < Mapped.size());
-  Mapped[Index].Sealed = true;
-  recomputeSealedPrefixLocked();
+void Machine::sealModule(int Index, visa::Disassembly Dis) {
+  uint64_t Serial, Base, Size;
+  {
+    std::lock_guard<std::mutex> Guard(ModuleLock);
+    assert(Index >= 0 && static_cast<size_t>(Index) < Mapped.size());
+    const MappedModule &M = Mapped[Index];
+    assert(!M.Sealed && Dis.IndexByOff.size() == M.Obj->Code.size() &&
+           "the disassembly does not cover this module's bytes");
+    Serial = M.Serial;
+    Base = M.CodeBase;
+    Size = M.CodeSize;
+  }
+  // The bytes are final (the module is unsealed, so only its own linker
+  // batch writes them): build the decode outside the lock.
+  std::shared_ptr<const DecodedModule> Decode =
+      makeDecodedModule(std::move(Dis), Serial, Base, Size);
+  {
+    std::lock_guard<std::mutex> Guard(ModuleLock);
+    MappedModule &M = Mapped[Index];
+    M.Decode = std::move(Decode);
+    M.Sealed = true;
+    recomputeSealedPrefixLocked();
+  }
+  VMTierStats St;
+  St.ModulesDecoded = 1;
+  creditTierStats(St);
   noteCodeChanged();
+}
+
+void Machine::sealModule(int Index) {
+  const uint8_t *Code;
+  const MCFIObject *Obj;
+  {
+    std::lock_guard<std::mutex> Guard(ModuleLock);
+    assert(Index >= 0 && static_cast<size_t>(Index) < Mapped.size());
+    const MappedModule &M = Mapped[Index];
+    Obj = M.Obj.get();
+    Code = codePtr(M.CodeBase, Obj->Code.size());
+  }
+  sealModule(Index, disassembleModule(Code, Obj->Code.size(), *Obj));
 }
 
 void Machine::recomputeSealedPrefixLocked() {
@@ -270,6 +305,9 @@ void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
         assert(M.Retired && "reclaiming a live module");
         M.Reclaimed = true;
         M.Obj.reset(); // drop symbols/metadata; the tombstone stays
+        // A segment still holding the decode keeps it alive until the
+        // next segment() replaces that segment.
+        M.Decode.reset();
         // The W^X "unmap": the range is no longer executable content.
         // A stray fetch into the hole reads zeroes and traps on decode —
         // it can never execute stale module bytes.

@@ -46,6 +46,7 @@
 namespace mcfi {
 
 class Machine;
+struct DecodedModule;
 struct DecodedSegment;
 
 /// How Machine::run executes VISA bytes. Both tiers are RunResult-
@@ -62,7 +63,7 @@ struct VMTierStats {
   uint64_t ThreadedInstrs = 0; ///< retired by predecoded dispatch
   uint64_t FusedChecks = 0;    ///< fused TxCheck superinstruction runs
   uint64_t SegmentsBuilt = 0;  ///< predecoded segment constructions
-  uint64_t ModulesDecoded = 0; ///< module decodes made by those builds
+  uint64_t ModulesDecoded = 0; ///< module decodes attached at seal
   /// Never written: the trace tier is gone, but the benchmark's per-layer
   /// metrics still read these, so they stay until it drops them.
   uint64_t TraceInstrs = 0, TraceHits = 0, TracesCompiled = 0,
@@ -139,6 +140,10 @@ struct MappedModule {
   bool Sealed = false;   ///< code is RX (executable, not writable)
   bool Retired = false;  ///< dlclosed; invisible to dlsym/findFunction
   bool Reclaimed = false; ///< grace elapsed; Obj == nullptr, code zeroed
+  /// The module's decode (runtime/Dispatch.h): attached by sealModule,
+  /// dropped at reclaim, so it is set exactly while the module is sealed
+  /// and unreclaimed.
+  std::shared_ptr<const DecodedModule> Decode;
   /// Branch-site slot count captured by the linker at dlclose, so policy
   /// regeneration can emit a positionally-stable tombstone view after
   /// Obj has been dropped.
@@ -171,8 +176,15 @@ public:
   /// Returns the module index, or -1 if a region is exhausted.
   int mapModule(MCFIObject Obj);
 
-  /// Seals module \p Index: code becomes executable and immutable.
-  /// Per the W^X invariant this is a one-way transition.
+  /// Seals module \p Index: code becomes executable and immutable, and
+  /// the module gets its decode, built from \p Dis — the disassembly of
+  /// its final bytes (disassembleModule) that the verifier checked — so
+  /// the bytes are not decoded a second time. Per the W^X invariant this
+  /// is a one-way transition.
+  void sealModule(int Index, visa::Disassembly Dis);
+
+  /// Seals an unverified module: disassembles its bytes, then seals as
+  /// above.
   void sealModule(int Index);
 
   const std::vector<MappedModule> &modules() const { return Mapped; }
@@ -334,7 +346,7 @@ public:
   /// W^X, decode, dispatch). Returns false with \p Out filled when the
   /// thread stopped. This is both the interpreter tier's step and the
   /// threaded tier's fallback for PCs outside the decoded segment
-  /// (undecoded retired modules, mid-instruction gadget targets), so
+  /// (mid-instruction gadget targets, jump-table data), so
   /// both tiers funnel uncovered PCs through identical checks.
   bool interpretStep(Thread &T, RunResult &Out);
 
@@ -349,16 +361,10 @@ public:
     return CodeEpoch.load(std::memory_order_acquire);
   }
 
-  /// The predecoded segment for the current code epoch, built and cached
-  /// on a miss from the cached segment's module decodes plus a decode of
-  /// each newly sealed module; null when the layout changed during the
-  /// build. Defined in Dispatch.cpp.
-  ///
-  /// Precondition: call it from a guest thread inside run(), or while no
-  /// drainReclaim runs concurrently. New modules are decoded outside
-  /// ModuleLock; that is safe only because a module retired after the
-  /// snapshot cannot mature until every running guest thread crosses a
-  /// syscall boundary, and a host caller is not one of them.
+  /// The predecoded segment for the current code epoch: on a miss, a
+  /// snapshot of the decodes every sealed, unreclaimed module carries
+  /// (MappedModule::Decode), cached; null when the layout changed during
+  /// the build. Decodes nothing. Defined in Dispatch.cpp.
   std::shared_ptr<const DecodedSegment> segment();
 
   /// Caches \p S unless the code epoch moved since it was built. Returns
@@ -396,7 +402,8 @@ private:
   }
 
   /// Runtime half of reclamation for regions past grace: zero code bytes
-  /// (the W^X "unmap"), drop the module object, recompute the hole-aware
+  /// (the W^X "unmap"), drop the module object and its decode, recompute
+  /// the hole-aware
   /// sealed prefix, invalidate the predecoded segment, and run the
   /// tail-trim cascade so a fully unloaded machine returns to its
   /// initial code footprint.

@@ -8,16 +8,11 @@
 #include "verifier/Verifier.h"
 
 #include "absint/AbsInt.h"
+#include "support/Assert.h"
 #include "support/StringUtils.h"
 #include "visa/ISA.h"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
-#include <map>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace mcfi;
 using namespace mcfi::visa;
@@ -26,8 +21,10 @@ namespace {
 
 class VerifierImpl {
 public:
-  VerifierImpl(const uint8_t *Code, size_t Size, const MCFIObject &Obj)
-      : Code(Code), Size(Size), Obj(Obj) {}
+  VerifierImpl(const uint8_t *Code, size_t Size, const MCFIObject &Obj,
+               const Disassembly &Dis)
+      : Code(Code), Size(Size), Obj(Obj), Dis(Dis),
+        Flags(Dis.Instrs.size(), 0) {}
 
   VerifyResult run(const VerifyOptions &Opts) {
     if (!Opts.UseSyntactic && !Opts.UseSemantic) {
@@ -36,8 +33,9 @@ public:
     }
     Result.DecidedBy =
         Opts.UseSyntactic ? VerifyTier::Syntactic : VerifyTier::Semantic;
-    indexAux();
-    disassemble();
+    if (!Dis.complete())
+      error(formatString("undecodable byte at offset 0x%llx",
+                         static_cast<unsigned long long>(Dis.FirstBad)));
     if (Result.Ok) {
       // Structural checks hold for both tiers: they pin down the facts
       // (complete disassembly, table contents, boundaries, alignment)
@@ -75,74 +73,42 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Aux indexing
+  // The disassembly, indexed flat
   //===--------------------------------------------------------------------===//
 
-  void indexAux() {
-    for (const BranchSite &BS : Obj.Aux.BranchSites)
-      SiteByBranchOffset.emplace(BS.BranchOffset, &BS);
-    for (const JumpTableInfo &JT : Obj.Aux.JumpTables) {
-      JTByJmpOffset.emplace(JT.JmpOffset, &JT);
-      DataRanges.emplace_back(JT.TableOffset, JT.TableOffset +
-                                                  8 * JT.Targets.size());
-    }
-    std::sort(DataRanges.begin(), DataRanges.end());
+  const Instr *instrAt(uint64_t Off) const { return Dis.at(Off); }
+
+  /// Per-instruction facts the syntactic sweeps record.
+  enum : uint8_t {
+    CheckedBranch = 1, ///< a jmpi/calli ending a verified sequence or table
+    MaskedStore = 2,   ///< a store directly preceded by its sandbox mask
+  };
+
+  void setFlag(uint64_t Off, uint8_t F) {
+    Flags[static_cast<size_t>(Dis.indexAt(Off))] |= F;
   }
 
-  bool inDataRange(uint64_t Off, uint64_t &RangeEnd) const {
-    // DataRanges is sorted by begin offset: the only candidate is the
-    // last range starting at or before Off.
-    auto It = std::upper_bound(
-        DataRanges.begin(), DataRanges.end(),
-        std::make_pair(Off, std::numeric_limits<uint64_t>::max()));
-    if (It == DataRanges.begin())
-      return false;
-    const auto &[B, E] = *std::prev(It);
-    if (Off >= B && Off < E) {
-      RangeEnd = E;
-      return true;
-    }
-    return false;
+  bool hasFlag(uint64_t Off, uint8_t F) const {
+    int32_t K = Dis.indexAt(Off);
+    return K >= 0 && (Flags[static_cast<size_t>(K)] & F);
   }
 
-  //===--------------------------------------------------------------------===//
-  // Complete disassembly
-  //===--------------------------------------------------------------------===//
-
-  void disassemble() {
-    uint64_t Off = 0;
-    while (Off < Size) {
-      uint64_t DataEnd;
-      if (inDataRange(Off, DataEnd)) {
-        Off = DataEnd;
-        continue;
-      }
-      Instr I;
-      if (!decode(Code, Size, Off, I)) {
-        error(formatString("undecodable byte at offset 0x%llx",
-                           static_cast<unsigned long long>(Off)));
-        return;
-      }
-      Instrs.emplace(Off, I);
-      Off += I.Length;
-    }
-  }
-
-  const Instr *instrAt(uint64_t Off) const {
-    auto It = Instrs.find(Off);
-    return It == Instrs.end() ? nullptr : &It->second;
+  /// Calls \p Fn(Off, I) for every instruction in offset order.
+  template <typename FnT> void forEachInstr(FnT Fn) const {
+    for (size_t K = 0; K != Dis.Instrs.size(); ++K)
+      Fn(static_cast<uint64_t>(Dis.Offsets[K]), Dis.Instrs[K]);
   }
 
   //===--------------------------------------------------------------------===//
   // Check-sequence templates (Fig. 4) — the syntactic tier
   //===--------------------------------------------------------------------===//
 
-  /// Matches one instruction; advances \p Off on success.
-  bool expect(uint64_t &Off, Opcode Op,
-              const std::function<bool(const Instr &)> &Pred,
-              const char *What) {
+  /// Matches one instruction satisfying \p Pred; advances \p Off on
+  /// success.
+  template <typename PredT>
+  bool expect(uint64_t &Off, Opcode Op, PredT Pred, const char *What) {
     const Instr *I = instrAt(Off);
-    if (!I || I->Op != Op || (Pred && !Pred(*I))) {
+    if (!I || I->Op != Op || !Pred(*I)) {
       error(formatString("check sequence at 0x%llx: expected %s at 0x%llx",
                          static_cast<unsigned long long>(SeqStart), What,
                          static_cast<unsigned long long>(Off)));
@@ -253,7 +219,8 @@ private:
                          static_cast<unsigned long long>(SeqStart)));
       return false;
     }
-    if (!expect(Off, Opcode::Halt, nullptr, "hlt"))
+    if (!expect(Off, Opcode::Halt, [](const Instr &) { return true; },
+                "hlt"))
       return false;
     // Skip alignment no-ops between the hlt and the branch (call return
     // sites are pre-padded).
@@ -331,9 +298,10 @@ private:
             Expected == Opcode::CallInd ? "calli" : "jmpi"));
         continue;
       }
-      CheckedBranchOffsets.insert(Off);
+      setFlag(Off, CheckedBranch);
       SeqSpans.emplace_back(BS.SeqStart, Off + Br->Length);
     }
+    indexSeqSpans();
   }
 
   //===--------------------------------------------------------------------===//
@@ -348,7 +316,7 @@ private:
                            static_cast<unsigned long long>(JT.JmpOffset)));
         continue;
       }
-      CheckedBranchOffsets.insert(JT.JmpOffset);
+      setFlag(JT.JmpOffset, CheckedBranch);
       // Table entries must be the declared targets (stored as
       // *absolute* addresses after relocation: base + declared offset,
       // all within this module). The common base is recovered from the
@@ -398,26 +366,31 @@ private:
   //===--------------------------------------------------------------------===//
 
   void checkBareRets() {
-    for (const auto &[Off, I] : Instrs)
+    forEachInstr([&](uint64_t Off, const Instr &I) {
       if (I.Op == Opcode::Ret)
         error(formatString("bare ret at 0x%llx (must be rewritten)",
                            static_cast<unsigned long long>(Off)));
+    });
+  }
+
+  static bool isDirectBranch(Opcode Op) {
+    return Op == Opcode::Jmp || Op == Opcode::Jz || Op == Opcode::Jnz ||
+           Op == Opcode::Call;
   }
 
   void checkDirectBranchBoundaries() {
-    for (const auto &[Off, I] : Instrs) {
-      if (I.Op != Opcode::Jmp && I.Op != Opcode::Jz && I.Op != Opcode::Jnz &&
-          I.Op != Opcode::Call)
-        continue;
+    forEachInstr([&](uint64_t Off, const Instr &I) {
+      if (!isDirectBranch(I.Op))
+        return;
       uint64_t Target = Off + I.Length + static_cast<int64_t>(I.Off);
       // Direct calls/jumps may leave the module (cross-module direct
       // calls after relocation); only intra-module targets are checked.
       if (Target >= Size)
-        continue;
+        return;
       if (!instrAt(Target))
         error(formatString("direct branch at 0x%llx targets a non-boundary",
                            static_cast<unsigned long long>(Off)));
-    }
+    });
   }
 
   void checkAlignment() {
@@ -438,18 +411,19 @@ private:
   //===--------------------------------------------------------------------===//
 
   void checkStrayIndirects() {
-    for (const auto &[Off, I] : Instrs)
+    forEachInstr([&](uint64_t Off, const Instr &I) {
       if ((I.Op == Opcode::JmpInd || I.Op == Opcode::CallInd) &&
-          !CheckedBranchOffsets.count(Off))
+          !hasFlag(Off, CheckedBranch))
         error(formatString(
             "unchecked indirect branch at 0x%llx",
             static_cast<unsigned long long>(Off)));
+    });
   }
 
   void checkStoreMasks() {
     uint64_t PrevOff = ~0ull;
     const Instr *Prev = nullptr;
-    for (const auto &[Off, I] : Instrs) {
+    forEachInstr([&](uint64_t Off, const Instr &I) {
       if (isStore(I.Op) && I.Rd != RegSP) {
         bool Masked = Prev && Prev->Op == Opcode::AndImm &&
                       Prev->Rd == I.Rd && Prev->Imm == 0xffffffffull &&
@@ -458,28 +432,43 @@ private:
           error(formatString("unmasked memory write at 0x%llx",
                              static_cast<unsigned long long>(Off)));
         else
-          MaskedStoreOffsets.insert(Off);
+          setFlag(Off, MaskedStore);
       }
       PrevOff = Off;
       Prev = &I;
-    }
+    });
   }
 
+  /// Sorts SeqSpans by start and records each prefix's furthest end, so
+  /// insideSeq is one binary search even if declared spans overlap.
+  void indexSeqSpans() {
+    std::sort(SeqSpans.begin(), SeqSpans.end());
+    SeqMaxEnd.resize(SeqSpans.size());
+    uint64_t MaxEnd = 0;
+    for (size_t K = 0; K != SeqSpans.size(); ++K)
+      SeqMaxEnd[K] = MaxEnd = std::max(MaxEnd, SeqSpans[K].second);
+  }
+
+  /// True if \p Off lies strictly inside some verified sequence span.
   bool insideSeq(uint64_t Off) const {
-    for (const auto &[B, E] : SeqSpans)
-      if (Off > B && Off < E)
-        return true;
-    return false;
+    // The spans starting before Off are a sorted prefix; one of them
+    // holds Off iff the furthest end among them lies past it.
+    auto It = std::lower_bound(
+        SeqSpans.begin(), SeqSpans.end(), Off,
+        [](const std::pair<uint64_t, uint64_t> &S, uint64_t O) {
+          return S.first < O;
+        });
+    size_t N = static_cast<size_t>(It - SeqSpans.begin());
+    return N != 0 && SeqMaxEnd[N - 1] > Off;
   }
 
   void checkDirectBranchSyntactic() {
-    for (const auto &[Off, I] : Instrs) {
-      if (I.Op != Opcode::Jmp && I.Op != Opcode::Jz && I.Op != Opcode::Jnz &&
-          I.Op != Opcode::Call)
-        continue;
+    forEachInstr([&](uint64_t Off, const Instr &I) {
+      if (!isDirectBranch(I.Op))
+        return;
       uint64_t Target = Off + I.Length + static_cast<int64_t>(I.Off);
       if (Target >= Size || !instrAt(Target))
-        continue;
+        return;
       // A branch may not hop into the middle of a check transaction
       // unless it is itself part of that transaction (the retry path).
       if (insideSeq(Target) && !insideSeq(Off)) {
@@ -489,12 +478,12 @@ private:
       }
       // A branch may not target a masked store directly (bypassing the
       // mask).
-      if (MaskedStoreOffsets.count(Target)) {
+      if (hasFlag(Target, MaskedStore)) {
         error(formatString("direct branch at 0x%llx bypasses a sandbox "
                            "mask",
                            static_cast<unsigned long long>(Off)));
       }
-    }
+    });
   }
 
   //===--------------------------------------------------------------------===//
@@ -503,7 +492,7 @@ private:
 
   void runSemantic() {
     Result.DecidedBy = VerifyTier::Semantic;
-    absint::SemanticResult SR = absint::prove(Code, Size, Obj, Instrs);
+    absint::SemanticResult SR = absint::prove(Code, Size, Obj, Dis);
     Result.FixpointIters = SR.FixpointIters;
     Result.SemanticBlocks = SR.Blocks;
     Result.SemanticEntries = SR.Entries;
@@ -519,13 +508,10 @@ private:
   const MCFIObject &Obj;
   VerifyResult Result;
 
-  std::map<uint64_t, Instr> Instrs;
-  std::unordered_map<uint64_t, const BranchSite *> SiteByBranchOffset;
-  std::unordered_map<uint64_t, const JumpTableInfo *> JTByJmpOffset;
-  std::vector<std::pair<uint64_t, uint64_t>> DataRanges;
+  const Disassembly &Dis;
+  std::vector<uint8_t> Flags; ///< per instruction: CheckedBranch | MaskedStore
   std::vector<std::pair<uint64_t, uint64_t>> SeqSpans;
-  std::unordered_set<uint64_t> CheckedBranchOffsets;
-  std::unordered_set<uint64_t> MaskedStoreOffsets;
+  std::vector<uint64_t> SeqMaxEnd; ///< see indexSeqSpans
   uint64_t SeqStart = 0;
 };
 
@@ -533,6 +519,15 @@ private:
 
 VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
                                 const MCFIObject &Obj,
+                                const Disassembly &Dis,
                                 const VerifyOptions &Opts) {
-  return VerifierImpl(Code, Size, Obj).run(Opts);
+  assert(Dis.IndexByOff.size() == Size && "disassembly of other bytes");
+  return VerifierImpl(Code, Size, Obj, Dis).run(Opts);
+}
+
+VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
+                                const MCFIObject &Obj,
+                                const VerifyOptions &Opts) {
+  return verifyModule(Code, Size, Obj, disassembleModule(Code, Size, Obj),
+                      Opts);
 }

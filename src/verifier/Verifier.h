@@ -9,7 +9,8 @@
 /// The independent MCFI verifier (paper Sec. 7). It takes a loaded,
 /// relocated module, disassembles it completely (the auxiliary info makes
 /// complete disassembly possible: jump tables are identified, and all
-/// indirect-branch sequences are listed), and verifies the MCFI/SFI
+/// indirect-branch sequences are listed) with disassembleModule — the
+/// same flat disassembly the runtime executes — and verifies the MCFI/SFI
 /// properties in two tiers that share one structural pass:
 ///
 ///  - Structural (always): every byte decodes as part of exactly one
@@ -81,6 +82,15 @@ struct VerifyResult {
 /// syntactic fast path, semantic proof for whatever it rejects.
 VerifyResult verifyModule(const uint8_t *Code, size_t Size,
                           const MCFIObject &Obj,
+                          const VerifyOptions &Opts = {});
+
+/// Verifies \p Dis, which must be disassembleModule(Code, Size, Obj).
+/// Every check reads this disassembly, so a caller that goes on to
+/// execute it (the linker hands it to Machine::sealModule) runs exactly
+/// the instructions that were verified.
+VerifyResult verifyModule(const uint8_t *Code, size_t Size,
+                          const MCFIObject &Obj,
+                          const visa::Disassembly &Dis,
                           const VerifyOptions &Opts = {});
 
 } // namespace mcfi

@@ -312,15 +312,29 @@ void mcfi::visa::encode(const Instr &I, std::vector<uint8_t> &Out) {
   }
 }
 
-void mcfi::visa::decodeLinear(const uint8_t *Code, size_t Size,
-                              DecodedStream &Out) {
-  Out.Instrs.clear();
-  Out.Offsets.clear();
+Disassembly mcfi::visa::disassemble(
+    const uint8_t *Code, size_t Size,
+    const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges) {
+  Disassembly Out;
   Out.IndexByOff.assign(Size, -1);
+  Out.Instrs.reserve(Size / 4);
+  Out.Offsets.reserve(Size / 4);
+  // Offsets only grow, so the last range beginning at or before Off is
+  // found by advancing one cursor.
+  size_t NextRange = 0;
   size_t Offset = 0;
   while (Offset < Size) {
+    while (NextRange != DataRanges.size() &&
+           DataRanges[NextRange].first <= Offset)
+      ++NextRange;
+    if (NextRange != 0 && Offset < DataRanges[NextRange - 1].second) {
+      Offset = DataRanges[NextRange - 1].second;
+      continue;
+    }
     Instr I;
     if (!decode(Code, Size, Offset, I)) {
+      if (Out.complete())
+        Out.FirstBad = Offset;
       ++Offset;
       continue;
     }
@@ -329,6 +343,7 @@ void mcfi::visa::decodeLinear(const uint8_t *Code, size_t Size,
     Out.Instrs.push_back(I);
     Offset += I.Length;
   }
+  return Out;
 }
 
 bool mcfi::visa::isIndirectBranch(Opcode Op) {

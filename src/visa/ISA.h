@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcfi {
@@ -151,27 +152,56 @@ bool writesRd(Opcode Op);
 std::string printInstr(const Instr &I);
 
 //===----------------------------------------------------------------------===//
-// Decode-once support (the VM's predecoding tiers)
+// The module disassembler
 //===----------------------------------------------------------------------===//
 
-/// A linear disassembly of a code region: every instruction start the
-/// greedy left-to-right walk reaches, plus a byte-offset -> instruction
-/// index map. Because VISA decoding is context-free, any start recorded
-/// here decodes to exactly what a fetch at that offset would decode; a
-/// fetch at an offset *not* recorded (a jump into the middle of an
-/// instruction, overlapping-gadget style) simply is not covered and must
-/// be decoded afresh by the caller.
-struct DecodedStream {
+/// A flat disassembly of one module's code: every instruction start a
+/// left-to-right sweep reaches, in offset order, plus a byte-offset ->
+/// instruction index map. It is the only disassembly in the system: the
+/// verifier checks it, the semantic tier proves over it, and the runtime
+/// executes it (runtime/Dispatch.h), so what runs is what was checked.
+/// Because VISA decoding is context-free, any start recorded here decodes
+/// to exactly what a fetch at that offset would decode; a fetch at an
+/// offset *not* recorded (a jump into the middle of an instruction,
+/// overlapping-gadget style, or into jump-table data) is not covered and
+/// must be decoded afresh by the caller.
+struct Disassembly {
+  /// FirstBad value of a disassembly with no undecodable byte.
+  static constexpr uint64_t NoBadByte = ~0ull;
+
   std::vector<Instr> Instrs;
-  std::vector<uint32_t> Offsets;  ///< Offsets[i] = byte offset of Instrs[i]
+  std::vector<uint32_t> Offsets;   ///< Offsets[i] = byte offset of Instrs[i]
   std::vector<int32_t> IndexByOff; ///< per byte: instr index or -1
+  /// First offset outside the data ranges that does not start a valid
+  /// instruction (NoBadByte when every swept byte decoded).
+  uint64_t FirstBad = NoBadByte;
+
+  /// True when every byte outside the data ranges is part of exactly one
+  /// decoded instruction: the verifier's precondition.
+  bool complete() const { return FirstBad == NoBadByte; }
+
+  /// Instruction index starting at \p Off, or -1.
+  int32_t indexAt(uint64_t Off) const {
+    return Off < IndexByOff.size() ? IndexByOff[Off] : -1;
+  }
+
+  /// The instruction starting at \p Off, or null.
+  const Instr *at(uint64_t Off) const {
+    int32_t K = indexAt(Off);
+    return K < 0 ? nullptr : &Instrs[static_cast<size_t>(K)];
+  }
 };
 
-/// Greedily decodes [0, Size) of \p Code into \p Out. Undecodable bytes
-/// (alignment padding, embedded data, an instruction truncated by Size)
-/// are skipped one byte at a time so decoding resynchronizes the same
-/// way a linear sweep of x86 bytes would.
-void decodeLinear(const uint8_t *Code, size_t Size, DecodedStream &Out);
+/// Disassembles [0, Size) of \p Code. \p DataRanges are sorted
+/// [Begin, End) byte ranges holding data (a module's declared jump
+/// tables); a sweep reaching the last range that begins at or before it
+/// jumps to that range's end. Undecodable bytes (an invalid opcode, an
+/// instruction truncated by Size) are skipped one at a time, so the
+/// sweep resynchronizes the way a linear sweep of x86 bytes would; the
+/// first one is recorded in Disassembly::FirstBad.
+Disassembly
+disassemble(const uint8_t *Code, size_t Size,
+            const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges);
 
 } // namespace visa
 } // namespace mcfi

@@ -490,17 +490,15 @@ TEST(Absint, FixpointTerminatesOnLoopNest) {
   ASSERT_TRUE(CR.Ok) << CR.Errors.front();
   const MCFIObject &Obj = CR.Obj;
 
-  std::map<uint64_t, Instr> Instrs;
-  std::string Err;
-  ASSERT_TRUE(
-      disassembleAll(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, Err))
-      << Err;
-  SemanticResult R = prove(Obj.Code.data(), Obj.Code.size(), Obj, Instrs);
+  Disassembly Dis = disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  ASSERT_TRUE(Dis.complete()) << "undecodable byte at " << Dis.FirstBad;
+  SemanticResult R = prove(Obj.Code.data(), Obj.Code.size(), Obj, Dis);
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   EXPECT_GT(R.FixpointIters, 0u);
   EXPECT_GT(R.Blocks, 0u);
   // Convergence must not rely on the iteration cap.
-  EXPECT_LT(R.FixpointIters, std::max<uint64_t>(1024, Instrs.size() * 256));
+  EXPECT_LT(R.FixpointIters,
+            std::max<uint64_t>(1024, Dis.Instrs.size() * 256));
 }
 
 TEST(Absint, AggressiveWideningStaysSound) {
@@ -510,14 +508,12 @@ TEST(Absint, AggressiveWideningStaysSound) {
   CompileResult CR = compileModule(LoopNestSource, {.ModuleName = "nest"});
   ASSERT_TRUE(CR.Ok);
   const MCFIObject &Obj = CR.Obj;
-  std::map<uint64_t, Instr> Instrs;
-  std::string Err;
-  ASSERT_TRUE(
-      disassembleAll(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, Err));
+  Disassembly Dis = disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  ASSERT_TRUE(Dis.complete());
   AbsIntOptions Opts;
   Opts.WidenUpdates = 1;
   SemanticResult R =
-      prove(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, Opts);
+      prove(Obj.Code.data(), Obj.Code.size(), Obj, Dis, Opts);
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
 }
 
@@ -525,14 +521,12 @@ TEST(Absint, BlockDumpRendersStates) {
   CompileResult CR = compileModule(LoopNestSource, {.ModuleName = "nest"});
   ASSERT_TRUE(CR.Ok);
   const MCFIObject &Obj = CR.Obj;
-  std::map<uint64_t, Instr> Instrs;
-  std::string Err;
-  ASSERT_TRUE(
-      disassembleAll(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, Err));
+  Disassembly Dis = disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  ASSERT_TRUE(Dis.complete());
   AbsIntOptions Opts;
   Opts.CollectBlockDump = true;
   SemanticResult R =
-      prove(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, Opts);
+      prove(Obj.Code.data(), Obj.Code.size(), Obj, Dis, Opts);
   EXPECT_TRUE(R.Ok);
   EXPECT_NE(R.BlockDump.find("bb0"), std::string::npos);
   EXPECT_NE(R.BlockDump.find("sp"), std::string::npos);

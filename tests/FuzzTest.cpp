@@ -10,7 +10,9 @@
 /// (b) produce byte-identical output to the unprotected baseline, and
 /// (c) never trap or CFI-halt. This is the strongest single invariant
 /// in the suite: instrumentation is behaviour-preserving on benign
-/// programs across the whole pipeline.
+/// programs across the whole pipeline. The seeded mutant pipeline is
+/// its adversarial twin: corrupted modules are either rejected or run
+/// safely, and what runs is exactly what the verifier checked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,11 +20,16 @@
 #include "metrics/Harness.h"
 #include "minic/Parser.h"
 #include "minic/Sema.h"
+#include "runtime/Dispatch.h"
 #include "support/RNG.h"
+#include "support/StringUtils.h"
 #include "verifier/Verifier.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <optional>
 
 using namespace mcfi;
 
@@ -143,5 +150,253 @@ TEST_P(FuzzPipeline, DataflowEngineTerminates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<uint64_t>(1, 21));
+
+//===----------------------------------------------------------------------===//
+// Seeded verify -> link -> run mutants
+//===----------------------------------------------------------------------===//
+
+/// A plugin with indirect calls through a function-pointer table, a
+/// switch (a jump table) and stores; its probe exits with the result.
+std::string mutantPluginSource(unsigned K, RNG &R) {
+  std::string P = formatString("m%u_", K);
+  std::string S;
+  for (int F = 0; F != 3; ++F)
+    S += formatString("long %sf%d(long x) { return (x * %d + %d) & 65535; }\n",
+                      P.c_str(), F, int(R.range(3, 99)), int(R.range(1, 999)));
+  S += formatString("long (*%stab[3])(long);\nlong %scell;\n", P.c_str(),
+                    P.c_str());
+  S += formatString("long %ssel(long x) {\n  switch (x) {\n", P.c_str());
+  for (int C = 0; C != 5; ++C)
+    S += formatString("  case %d: return %d;\n", C, int(R.range(1, 500)));
+  S += "  default: return 0;\n  }\n}\n";
+  S += formatString("long %sprobe(long x) {\n  long i = 0;\n", P.c_str());
+  for (int F = 0; F != 3; ++F)
+    S += formatString("  %stab[%d] = %sf%d;\n", P.c_str(), F, P.c_str(), F);
+  S += formatString("  while (i < 12) {\n"
+                    "    x = %stab[x %% 3](x) + %ssel(i %% 7);\n"
+                    "    %scell = x;\n    i = i + 1;\n  }\n"
+                    "  exit((int)(%scell & 127));\n  return x;\n}\n",
+                    P.c_str(), P.c_str(), P.c_str(), P.c_str());
+  return S;
+}
+
+enum class MutationKind { ByteFlip, WordSplat, Truncate };
+
+/// One mutant of \p Obj's code bytes; the aux info is untouched.
+MCFIObject mutateCode(const MCFIObject &Obj, MutationKind Kind, RNG &R) {
+  MCFIObject Mut = Obj;
+  std::vector<uint8_t> &Code = Mut.Code;
+  switch (Kind) {
+  case MutationKind::ByteFlip:
+    Code[R.below(Code.size())] ^= static_cast<uint8_t>(R.range(1, 255));
+    break;
+  case MutationKind::WordSplat: {
+    uint64_t Word = R.next();
+    size_t Off = R.below(Code.size() - 7);
+    for (unsigned B = 0; B != 8; ++B)
+      Code[Off + B] = static_cast<uint8_t>(Word >> (8 * B));
+    break;
+  }
+  case MutationKind::Truncate:
+    Code.resize(R.below(Code.size()));
+    break;
+  }
+  return Mut;
+}
+
+/// The decode attached to a sealed module is a fresh sweep of its
+/// mapped bytes: every decoded offset holds what visa::decode reads
+/// there, and consecutive instructions leave no gap but a declared jump
+/// table — so the stream the VM executes is the one the verifier checked.
+void expectDecodeIsFreshSweep(const Machine &M, const MappedModule &MM,
+                              const std::string &What) {
+  ASSERT_TRUE(MM.Sealed && MM.Decode) << What << ": sealed without a decode";
+  const DecodedModule &D = *MM.Decode;
+  size_t Size = MM.Obj->Code.size();
+  const uint8_t *Code = M.codePtr(MM.CodeBase, Size);
+  ASSERT_TRUE(Code);
+  ASSERT_EQ(D.IndexByOff.size(), MM.CodeSize) << What;
+  size_t Covered = 0;
+  for (uint64_t Off = 0; Off != MM.CodeSize; ++Off) {
+    int32_t Idx = D.IndexByOff[Off];
+    if (Idx < 0)
+      continue;
+    ++Covered;
+    const DInstr &DI = D.Stream[static_cast<size_t>(Idx)];
+    visa::Instr I;
+    ASSERT_TRUE(visa::decode(Code, Size, Off, I)) << What << " @" << Off;
+    ASSERT_TRUE(DI.PC == MM.CodeBase + Off && DI.I.Op == I.Op &&
+                DI.I.Rd == I.Rd && DI.I.Ra == I.Ra && DI.I.Rb == I.Rb &&
+                DI.I.Off == I.Off && DI.I.Imm == I.Imm &&
+                DI.I.Length == I.Length)
+        << What << ": executed decode differs at offset " << Off;
+  }
+  ASSERT_EQ(Covered, D.Stream.size()) << What;
+  auto isTable = [&](uint64_t From, uint64_t To) {
+    for (const JumpTableInfo &JT : MM.Obj->Aux.JumpTables)
+      if (JT.TableOffset == From &&
+          JT.TableOffset + 8 * JT.Targets.size() == To)
+        return true;
+    return From == To;
+  };
+  uint64_t End = 0;
+  for (const DInstr &DI : D.Stream) {
+    uint64_t Off = DI.PC - MM.CodeBase;
+    EXPECT_TRUE(isTable(End, Off))
+        << What << ": undecoded bytes [" << End << ", " << Off << ")";
+    End = Off + DI.I.Length;
+  }
+  EXPECT_TRUE(isTable(End, Size)) << What << ": undecoded tail at " << End;
+}
+
+struct MutantTally {
+  unsigned Mutants = 0, Rejected = 0;
+  unsigned Stops[4] = {}; ///< runs per StopReason
+};
+
+/// Runs one mutant (or an original) through serialization, the
+/// standalone verifier, a fresh link and a fueled run. \p Host links the
+/// mutant as the program beside the rt library; otherwise it is dlopened
+/// into a minimal host and its probe runs. Returns the stop reason of a
+/// run, or nothing for a clean reject.
+std::optional<StopReason> runMutant(const MCFIObject &Obj, bool Host,
+                                    const MCFIObject &Rt,
+                                    const MCFIObject &MinimalMain,
+                                    const std::string &Probe,
+                                    const std::string &What) {
+  MCFIObject Loaded;
+  if (!readObject(writeObject(Obj), Loaded))
+    return std::nullopt;
+  if (!verifyModule(Loaded.Code.data(), Loaded.Code.size(), Loaded).Ok)
+    return std::nullopt;
+
+  MachineOptions MO;
+  MO.CodeCapacity = 1ull << 20;
+  MO.DataCapacity = 8ull << 20;
+  MO.StackSize = 256ull << 10;
+  MO.BaryCapacity = 1u << 14;
+  Machine M(MO);
+  Linker L(M);
+  std::vector<MCFIObject> Objs;
+  if (Host)
+    Objs.push_back(std::move(Loaded));
+  else
+    Objs.push_back(MinimalMain);
+  Objs.push_back(Rt);
+  std::string Err;
+  if (!L.linkProgram(std::move(Objs), Err))
+    return std::nullopt; // relocation moved bytes the verifier rejects
+  int Mutated = 1; // after the bootstrap
+  if (!Host) {
+    L.registerLibrary(std::move(Loaded));
+    int64_t H = L.dlopen(0);
+    if (H < 0)
+      return std::nullopt;
+    Mutated = static_cast<int>(H);
+  }
+  expectDecodeIsFreshSweep(M, M.modules()[static_cast<size_t>(Mutated)],
+                           What);
+
+  constexpr uint64_t Fuel = 200'000;
+  RunResult R;
+  if (Host) {
+    R = runProgram(M, Fuel);
+  } else {
+    const MappedModule &MM = M.modules()[static_cast<size_t>(Mutated)];
+    const FunctionInfo *F = MM.Obj->findFunction(Probe);
+    if (!F)
+      return std::nullopt;
+    Thread T;
+    T.PC = MM.CodeBase + F->CodeOffset;
+    T.Regs[visa::RegSP] = M.allocStack();
+    R = M.run(T, Fuel);
+  }
+  return R.Reason;
+}
+
+TEST(MutantPipeline, SeededMutantsRejectOrRunWhatWasVerified) {
+  // Random byte flips, 8-byte splats and truncations of the gcc-profile
+  // host and of 8 generated plugins. Every mutant goes through the
+  // verifier; each accepted one is linked (the host) or dlopened (a
+  // plugin) and run on a fuel budget. The only admissible outcomes are a
+  // clean reject, exit, trap, CFI stop or fuel exhaustion, and every
+  // sealed mutant executes exactly the decode the verifier checked.
+  BenchProfile Gcc;
+  for (const BenchProfile &P : specProfiles())
+    if (P.Name == "gcc")
+      Gcc = P;
+  ASSERT_EQ(Gcc.Name, "gcc");
+  Gcc.WorkIterations = 2;
+  CompileResult Host = compileModule(generateWorkload(Gcc, WorkloadVariant::Fixed),
+                                     {.ModuleName = "gcc"});
+  ASSERT_TRUE(Host.Ok) << (Host.Errors.empty() ? "?" : Host.Errors.front());
+  CompileResult Rt = compileModule(runtimeLibrarySource(), {.ModuleName = "rt"});
+  ASSERT_TRUE(Rt.Ok);
+  CompileResult Main =
+      compileModule("int main() { return 0; }", {.ModuleName = "main"});
+  ASSERT_TRUE(Main.Ok);
+
+  struct Subject {
+    MCFIObject Obj;
+    bool Host;
+    std::string Probe;
+  };
+  std::vector<Subject> Subjects;
+  Subjects.push_back({std::move(Host.Obj), true, ""});
+  RNG Gen(0x5eed'0017);
+  for (unsigned K = 0; K != 8; ++K) {
+    CompileOptions CO;
+    CO.ModuleName = formatString("mplugin%u", K);
+    CompileResult CR = compileModule(mutantPluginSource(K, Gen), CO);
+    ASSERT_TRUE(CR.Ok) << (CR.Errors.empty() ? "?" : CR.Errors.front());
+    Subjects.push_back({std::move(CR.Obj), false, formatString("m%u_probe", K)});
+  }
+
+  constexpr unsigned MutantsPerKind = 64;
+  MutantTally Tally;
+  for (size_t S = 0; S != Subjects.size(); ++S) {
+    const Subject &Sub = Subjects[S];
+    std::string Name = Sub.Obj.Name;
+    // The originals must verify, load and exit, or the mutants prove
+    // nothing.
+    std::optional<StopReason> Orig =
+        runMutant(Sub.Obj, Sub.Host, Rt.Obj, Main.Obj, Sub.Probe, Name);
+    ASSERT_TRUE(Orig.has_value()) << Name << " was rejected unmutated";
+    ASSERT_EQ(*Orig, StopReason::Exited) << Name;
+
+    RNG R(0x6d75'7461'6e74ull * (S + 1));
+    for (MutationKind Kind : {MutationKind::ByteFlip, MutationKind::WordSplat,
+                              MutationKind::Truncate}) {
+      for (unsigned N = 0; N != MutantsPerKind; ++N) {
+        std::string What = formatString("%s mutant %d/%u", Name.c_str(),
+                                        static_cast<int>(Kind), N);
+        MCFIObject Mut = mutateCode(Sub.Obj, Kind, R);
+        ++Tally.Mutants;
+        std::optional<StopReason> Out =
+            runMutant(Mut, Sub.Host, Rt.Obj, Main.Obj, Sub.Probe, What);
+        if (HasFatalFailure())
+          return;
+        // Every StopReason is admissible: the property is that the host
+        // survives, the run stops within its fuel, and the decode check
+        // above held.
+        if (Out)
+          ++Tally.Stops[static_cast<size_t>(*Out)];
+        else
+          ++Tally.Rejected;
+      }
+    }
+  }
+  unsigned Ran = Tally.Mutants - Tally.Rejected;
+  std::printf("%u mutants: %u rejected; %u ran: %u exited, %u trapped, "
+              "%u CFI stops, %u out of fuel\n",
+              Tally.Mutants, Tally.Rejected, Ran,
+              Tally.Stops[size_t(StopReason::Exited)],
+              Tally.Stops[size_t(StopReason::Trap)],
+              Tally.Stops[size_t(StopReason::CfiViolation)],
+              Tally.Stops[size_t(StopReason::OutOfFuel)]);
+  EXPECT_EQ(Tally.Mutants, Subjects.size() * 3 * MutantsPerKind);
+  EXPECT_GT(Tally.Rejected, 0u) << "no mutant was rejected";
+  EXPECT_GT(Ran, 0u) << "no mutant was accepted and run";
+}
 
 } // namespace

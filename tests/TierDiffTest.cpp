@@ -600,11 +600,18 @@ TEST(TierDiff, DlopenDecodesOnlyTheNewModule) {
     uint64_t Before = BP.M->vmStats().ModulesDecoded;
     Handles.push_back(BP.L->dlopen(N - 1));
     ASSERT_GE(Handles.back(), 0) << BP.L->lastError();
+    VMTierStats Sealed = BP.M->vmStats();
     RunResult R = runProbe(*BP.M, N);
     ASSERT_EQ(R.Reason, StopReason::Exited) << R.Message;
     EXPECT_EQ(R.ExitCode, N);
     EXPECT_EQ(BP.M->vmStats().ModulesDecoded - Before, 1u)
         << "dlopen #" << N << " re-decoded sealed modules";
+    // The new module's decode was attached at seal: the probe's segment
+    // build only snapshots decodes.
+    VMTierStats Probed = BP.M->vmStats();
+    EXPECT_GT(Probed.SegmentsBuilt, Sealed.SegmentsBuilt);
+    EXPECT_EQ(Probed.ModulesDecoded, Sealed.ModulesDecoded)
+        << "dlopen #" << N << ": the segment build decoded a module";
   }
 
   VMTierStats Before = BP.M->vmStats();
@@ -619,6 +626,79 @@ TEST(TierDiff, DlopenDecodesOnlyTheNewModule) {
   EXPECT_EQ(After.ModulesDecoded, Before.ModulesDecoded)
       << "dlclose re-decoded surviving modules";
   EXPECT_EQ(After.InterpInstrs, Before.InterpInstrs);
+}
+
+TEST(TierDiff, UnverifiedLinkDecodesEachModuleOnce) {
+  // With LinkOptions::Verify off there is no verified disassembly to
+  // hand over: sealModule disassembles, once per module, and the segment
+  // build still decodes nothing.
+  Machine M;
+  LinkOptions LO;
+  LO.Verify = false;
+  Linker L(M, LO);
+  CompileResult Main =
+      compileModule("int main() { return 0; }", {.ModuleName = "main"});
+  ASSERT_TRUE(Main.Ok);
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(Main.Obj));
+  std::string Err;
+  ASSERT_TRUE(L.linkProgram(std::move(Objs), Err)) << Err;
+  EXPECT_EQ(M.vmStats().ModulesDecoded, M.modules().size())
+      << "the static link decoded a module other than once";
+
+  L.registerLibrary(exitPlugin(5));
+  uint64_t Before = M.vmStats().ModulesDecoded;
+  int64_t H = L.dlopen(0);
+  ASSERT_GE(H, 0) << L.lastError();
+  EXPECT_EQ(M.vmStats().ModulesDecoded - Before, 1u);
+  for (const MappedModule &MM : M.modules())
+    EXPECT_TRUE(MM.Sealed && MM.Decode) << "sealed without a decode";
+
+  VMTierStats Sealed = M.vmStats();
+  RunResult R = runProbe(M, 5);
+  EXPECT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(R.ExitCode, 5);
+  VMTierStats Probed = M.vmStats();
+  EXPECT_GT(Probed.SegmentsBuilt, Sealed.SegmentsBuilt);
+  EXPECT_EQ(Probed.ModulesDecoded, Sealed.ModulesDecoded);
+  EXPECT_EQ(Probed.InterpInstrs, Sealed.InterpInstrs);
+}
+
+TEST(TierDiff, ReclaimReleasesTheModuleDecode) {
+  // A reclaimed module is a tombstone: it must not keep its decode
+  // alive, or dlopen/dlclose churn grows memory without bound. Once the
+  // segment that still held it is replaced, the decode is gone.
+  BuildSpec Spec;
+  Spec.LinkRtLibrary = false;
+  Spec.Tier = ExecTier::Threaded;
+  BuiltProgram BP = buildProgram({"int main() { return 0; }"}, Spec);
+  ASSERT_TRUE(BP.Ok) << BP.Error;
+  BP.L->registerLibrary(exitPlugin(4));
+  BP.L->registerLibrary(exitPlugin(6));
+  // Mapped below a survivor, so the reclaimed entry stays a tombstone
+  // instead of being trimmed off the top.
+  int64_t H = BP.L->dlopen(0);
+  int64_t Keep = BP.L->dlopen(1);
+  ASSERT_TRUE(H >= 0 && Keep >= 0) << BP.L->lastError();
+  std::weak_ptr<const DecodedModule> Decode =
+      BP.M->modules()[static_cast<size_t>(H)].Decode;
+  ASSERT_FALSE(Decode.expired()) << "sealed without a decode";
+
+  RunResult R = runProbe(*BP.M, 4);
+  ASSERT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(R.ExitCode, 4);
+  ASSERT_TRUE(BP.L->dlcloseOne(H));
+  EXPECT_FALSE(Decode.expired()) << "dropped before the grace period";
+  BP.M->drainReclaim();
+  const MappedModule &Tomb = BP.M->modules()[static_cast<size_t>(H)];
+  ASSERT_TRUE(Tomb.Reclaimed);
+  EXPECT_FALSE(Tomb.Decode) << "a tombstone holds a decode";
+
+  ASSERT_TRUE(BP.M->segment()); // replaces the segment that held it
+  EXPECT_TRUE(Decode.expired()) << "the reclaimed module's decode leaked";
+  R = runProbe(*BP.M, 6);
+  EXPECT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(R.ExitCode, 6);
 }
 
 /// The hole scenario: plugin 1 is dlopened below a filler (plugin 2),

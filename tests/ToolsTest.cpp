@@ -6,17 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
-/// mcfi-objdump, and mcfi-run, wired together the way a user would use
-/// them. Binary paths are injected by CMake.
+/// mcfi-objdump, mcfi-run, mcfi-audit and mcfi-merge, wired together the
+/// way a user would use them. Binary paths are injected by CMake.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -221,6 +226,127 @@ TEST_F(ToolsFixture, AuditFailOnK1Gates) {
   EXPECT_NE(Out.find("status: FAILED"), std::string::npos);
   // Without the gate the same audit reports and exits clean.
   EXPECT_EQ(run(std::string(MCFI_AUDIT) + " " + path("k1.minic"), &Out), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Two-tier verifier agreement
+//===----------------------------------------------------------------------===//
+
+/// Every module mcfi-merge emits for the quickstart, separate_compilation
+/// and dynamic_plugin examples (emitted once, sorted by path).
+const std::vector<std::string> &exampleModules() {
+  static std::vector<std::string> Modules = [] {
+    std::vector<std::string> Out;
+    for (const char *Example :
+         {"quickstart", "separate_compilation", "dynamic_plugin"}) {
+      std::string Dir = path(std::string("emit-") + Example);
+      std::filesystem::create_directories(Dir);
+      std::string Log;
+      int Exit = run(std::string(MCFI_MERGE) + " --shuffles 1 --seed 7 --emit " +
+                         Dir + " " + MCFI_EXAMPLES_DIR + "/" + Example + ".cpp",
+                     &Log);
+      EXPECT_EQ(Exit, 0) << Example << ": " << Log;
+      for (const auto &E : std::filesystem::directory_iterator(Dir))
+        if (E.path().extension() == ".mcfo")
+          Out.push_back(E.path().string());
+    }
+    std::sort(Out.begin(), Out.end());
+    return Out;
+  }();
+  return Modules;
+}
+
+TEST_F(ToolsFixture, ExampleModulesVerifySyntacticallyAndProveSemantically) {
+  // The templates accept every example module on the fast path, and the
+  // semantic engine alone re-proves each one (it subsumes the templates).
+  const std::vector<std::string> &Modules = exampleModules();
+  EXPECT_GE(Modules.size(), 4u) << "too few example modules emitted";
+  const std::regex NonzeroIters("\"fixpoint_iters\":[1-9]");
+  for (const std::string &Mod : Modules) {
+    std::string Out;
+    ASSERT_EQ(run(std::string(MCFI_VERIFY) + " --json " + Mod, &Out), 0)
+        << Mod << " rejected by the two-tier verifier: " << Out;
+    EXPECT_NE(Out.find("\"ok\":true"), std::string::npos) << Mod;
+    EXPECT_NE(Out.find("\"tier\":\"syntactic\""), std::string::npos)
+        << Mod << " did not take the syntactic fast path";
+    ASSERT_EQ(run(std::string(MCFI_VERIFY) + " --json --semantic-only " + Mod,
+                  &Out),
+              0)
+        << Mod << " rejected by the semantic engine alone: " << Out;
+    EXPECT_NE(Out.find("\"tier\":\"semantic\""), std::string::npos) << Mod;
+    EXPECT_TRUE(std::regex_search(Out, NonzeroIters))
+        << Mod << ": semantic proof reports zero fixpoint iterations";
+  }
+}
+
+TEST_F(ToolsFixture, OptimizedModuleNeedsTheSemanticTier) {
+  // Scheduled ID loads and shared sandbox masks miss the templates but
+  // prove semantically, and the two-tier run hands the verdict over.
+  writeFile(path("opt.minic"), R"(
+    long square(long x) { return x * x; }
+    long apply(long (*f)(long), long v) { return f(v); }
+    long sel(long x) {
+      switch (x) {
+      case 0: return 1;
+      case 1: return 2;
+      case 2: return 3;
+      case 3: return 4;
+      default: return 0;
+      }
+    }
+    int main() {
+      print_int(apply(square, 6) + sel(2));
+      return 0;
+    }
+  )");
+  std::string Out;
+  ASSERT_EQ(run(std::string(MCFI_CC) + " --optimize -o " + path("opt.mcfo") +
+                    " " + path("opt.minic"),
+                &Out),
+            0)
+      << Out;
+  EXPECT_NE(run(std::string(MCFI_VERIFY) + " --syntactic-only " +
+                    path("opt.mcfo"),
+                &Out),
+            0)
+      << "syntactic tier accepted the optimized module";
+  run(std::string(MCFI_VERIFY) + " --json --semantic-only " + path("opt.mcfo"),
+      &Out);
+  EXPECT_NE(Out.find("\"ok\":true"), std::string::npos)
+      << "semantic tier rejected the optimized module: " << Out;
+  run(std::string(MCFI_VERIFY) + " --json " + path("opt.mcfo"), &Out);
+  EXPECT_NE(Out.find("\"tier\":\"semantic\""), std::string::npos)
+      << "two-tier run on the optimized module not decided semantically: "
+      << Out;
+}
+
+TEST_F(ToolsFixture, CorruptedCodeByteRejectedByBothTiers) {
+  const std::vector<std::string> &Modules = exampleModules();
+  ASSERT_FALSE(Modules.empty());
+  std::ifstream In(Modules.front(), std::ios::binary);
+  std::vector<char> Blob((std::istreambuf_iterator<char>(In)),
+                         std::istreambuf_iterator<char>());
+  // Container layout: magic(4) version(4) namelen(4) name codesize(8)
+  // code. Code offset 0 is an instruction boundary; 0xEE is an invalid
+  // opcode.
+  ASSERT_GE(Blob.size(), 12u);
+  uint32_t NameLen = 0;
+  for (unsigned B = 0; B != 4; ++B)
+    NameLen |= static_cast<uint32_t>(static_cast<uint8_t>(Blob[8 + B]))
+               << (8 * B);
+  size_t CodeOff = 20 + NameLen;
+  ASSERT_LT(CodeOff, Blob.size());
+  Blob[CodeOff] = static_cast<char>(0xEE);
+  std::ofstream(path("mutant.mcfo"), std::ios::binary)
+      .write(Blob.data(), static_cast<std::streamsize>(Blob.size()));
+  std::string Out;
+  EXPECT_NE(run(std::string(MCFI_VERIFY) + " " + path("mutant.mcfo"), &Out), 0)
+      << "two-tier verifier accepted the corrupted module";
+  EXPECT_NE(run(std::string(MCFI_VERIFY) + " --semantic-only " +
+                    path("mutant.mcfo"),
+                &Out),
+            0)
+      << "semantic tier accepted the corrupted module";
 }
 
 TEST_F(ToolsFixture, FuelLimitExitCode) {

@@ -130,17 +130,17 @@ void dumpAux(const MCFIObject &Obj) {
 }
 
 void dumpCfg(const MCFIObject &Obj) {
-  std::map<uint64_t, visa::Instr> Instrs;
-  std::string Err;
-  if (!absint::disassembleAll(Obj.Code.data(), Obj.Code.size(), Obj, Instrs,
-                              Err)) {
-    std::printf("\ncfg: %s\n", Err.c_str());
+  visa::Disassembly Dis =
+      disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  if (!Dis.complete()) {
+    std::printf("\ncfg: undecodable byte at offset 0x%llx\n",
+                static_cast<unsigned long long>(Dis.FirstBad));
     return;
   }
   absint::AbsIntOptions AO;
   AO.CollectBlockDump = true;
   absint::SemanticResult R =
-      absint::prove(Obj.Code.data(), Obj.Code.size(), Obj, Instrs, AO);
+      absint::prove(Obj.Code.data(), Obj.Code.size(), Obj, Dis, AO);
   std::printf("\ncfg: %zu blocks, %zu entry points, %llu fixpoint "
               "iterations, %s\n",
               R.Blocks, R.Entries,

@@ -31,7 +31,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 # scheduler is single-threaded by construction and TSan's fiber support
 # conflicts with swapcontext-based stacks.
 if ! ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" \
-    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|absint|verifiermutants|tierdiff|attackcorpus|mlta)|merge_check|verify_check|attack_check|unload_check'; then
+    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|absint|verifiermutants|tierdiff|attackcorpus|mlta|tools)|merge_check|verify_check|attack_check|unload_check'; then
   cat >&2 <<'EOF'
 tsan-check: FAILED.
 If the failure is in the tables' check/update transactions, hunt the
