@@ -150,9 +150,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
       // module's own instrumented PLT entry.
       uint64_t Target = findFunc(R.Symbol);
       if (!Target)
-        Target = findFunc("plt$" + R.Symbol) == 0
-                     ? 0
-                     : M.findFunction("plt$" + R.Symbol);
+        Target = findFunc("plt$" + R.Symbol);
       // Prefer the local PLT when the symbol is an import of this module
       // (dynamic binding through the GOT even if some module already
       // defines it — keeps lazy library replacement possible).
@@ -177,10 +175,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
     case RelocKind::JumpTable64:
     case RelocKind::CodeAddr64:
       // Module-relative code offset -> absolute address.
-      if (R.Kind == RelocKind::JumpTable64)
-        M.patchCode64(Mod.CodeBase + R.Offset, Mod.CodeBase + R.Addend);
-      else
-        M.patchCode64(Mod.CodeBase + R.Offset, Mod.CodeBase + R.Addend);
+      M.patchCode64(Mod.CodeBase + R.Offset, Mod.CodeBase + R.Addend);
       break;
     case RelocKind::BaryIndex32:
       // Patched at CFG-install time (patchBaryIndexes).
@@ -280,7 +275,22 @@ uint32_t Linker::syncMerge() {
   return Appended;
 }
 
-PolicyImage Linker::flattenPolicy(const CFGPolicy &P) const {
+namespace {
+
+/// Adjacent new IBTs cluster (a loaded module's entries are contiguous),
+/// so nearby dirty offsets are coalesced into one range. Re-encoding an
+/// unchanged entry at the same version is idempotent, which is what makes
+/// covering small gaps safe; the tolerance just trades a few redundant
+/// stores for fewer ranges.
+constexpr uint64_t CoalesceGapBytes = 128;
+
+} // namespace
+
+InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
+                                       const CFGPolicy &Next,
+                                       uint64_t InstalledTaryBytes,
+                                       uint32_t InstalledBaryCount,
+                                       uint64_t CodeBytes) {
   // Both extents stay at their high-water marks. A reclaimer tail-trim
   // lowers codeTop and pops trailing tombstones' site slots, but the
   // Tary words and Bary entries above the trimmed top were zeroed by the
@@ -288,30 +298,74 @@ PolicyImage Linker::flattenPolicy(const CFGPolicy &P) const {
   // the grace period (docs/INTERNALS.md §17). Shrinking the extents
   // instead would force the next dlopen onto the full, version-bumping
   // install.
-  const PolicyImage &Installed = Shadow.image();
-  PolicyImage Image;
-  Image.TaryLimitBytes =
-      std::max(M.codeTop() - Machine::CodeBase, Installed.TaryLimitBytes);
-  Image.BaryCount = std::max(static_cast<uint32_t>(P.BranchECN.size()),
-                             Installed.BaryCount);
-  Image.TaryECN.reserve(P.TargetECN.size());
-  for (const auto &[Addr, ECN] : P.TargetECN)
-    Image.TaryECN.emplace(Addr - Machine::CodeBase, ECN);
-  Image.BaryECN = P.BranchECN;
-  Image.BaryECN.resize(Image.BaryCount, -1);
-  return Image;
+  InstallDelta D;
+  D.TaryLimitBytes = std::max(CodeBytes, InstalledTaryBytes);
+  D.BaryCount = std::max(static_cast<uint32_t>(Next.BranchECN.size()),
+                         InstalledBaryCount);
+  if (InstalledTaryBytes == 0 && InstalledBaryCount == 0) {
+    D.Reason = "first install";
+    return D;
+  }
+
+  // Every installed IBT must survive with the same ECN; a removed or
+  // renumbered target means some live Tary entry changes value.
+  for (const auto &[Addr, ECN] : Installed.TargetECN) {
+    auto It = Next.TargetECN.find(Addr);
+    if (It == Next.TargetECN.end()) {
+      D.Reason = "installed target removed";
+      return D;
+    }
+    if (It->second != ECN) {
+      D.Reason = "installed target changed class";
+      return D;
+    }
+  }
+
+  // Every installed Bary site must keep its exact value. This covers the
+  // resolved-import case: a PLT site going Empty -> real class is a value
+  // change at a live index, and rewriting it without a version bump opens
+  // a window (between the GOT hook and the site's store) where guests
+  // would spuriously halt. A site holding no ID (-1) is not installed:
+  // its entry is zero, left by a retire whose module has since been
+  // reclaimed and its slot trimmed, so giving it an ID is an extension.
+  for (uint32_t I = 0; I != InstalledBaryCount; ++I) {
+    int64_t Old = Installed.getBaryECN(I), New = Next.getBaryECN(I);
+    if (Old < 0) {
+      if (New >= 0)
+        D.BaryDirty.push_back(I);
+    } else if (New != Old) {
+      D.Reason = "installed branch site changed";
+      return D;
+    }
+  }
+  for (uint32_t I = InstalledBaryCount; I < D.BaryCount; ++I)
+    D.BaryDirty.push_back(I);
+
+  // Pure extension: collect the new IBT offsets and coalesce them.
+  D.FullRebuild = false;
+  for (const auto &Entry : Next.TargetECN)
+    if (!Installed.TargetECN.count(Entry.first))
+      D.TaryDirtyOffsets.push_back(Entry.first - Machine::CodeBase);
+  std::sort(D.TaryDirtyOffsets.begin(), D.TaryDirtyOffsets.end());
+  for (uint64_t Offset : D.TaryDirtyOffsets) {
+    if (!D.TaryDirty.empty() &&
+        Offset < D.TaryDirty.back().EndBytes + CoalesceGapBytes)
+      D.TaryDirty.back().EndBytes = Offset + 4;
+    else
+      D.TaryDirty.push_back({Offset, Offset + 4});
+  }
+  return D;
 }
 
 bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
-  // Flatten the policy to table coordinates so the shadow can diff it
-  // against what the tables currently hold.
-  PolicyImage Image = flattenPolicy(NewPolicy);
-
-  ShadowDelta Delta;
-  if (Opts.IncrementalUpdates)
-    Delta = Shadow.computeDelta(Image);
-  else
+  // Diff the new policy against the one the tables hold.
+  InstallDelta Delta = computeInstallDelta(
+      Policy, NewPolicy, M.tables().installedTaryLimitBytes(),
+      M.tables().installedBaryCount(), M.codeTop() - Machine::CodeBase);
+  if (!Opts.IncrementalUpdates) {
+    Delta.FullRebuild = true;
     Delta.Reason = "incremental updates disabled";
+  }
 
   // The dlclose/dlopen ABA guard: an incremental install never bumps the
   // version, so it must not hand a *condemned* ECN (one owned by a
@@ -322,18 +376,15 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
   if (!Delta.FullRebuild &&
       (!Delta.TaryDirtyOffsets.empty() || !Delta.BaryDirty.empty())) {
     std::vector<uint32_t> FreshECNs;
-    for (uint64_t Off : Delta.TaryDirtyOffsets) {
-      auto It = Image.TaryECN.find(Off);
-      if (It != Image.TaryECN.end())
-        FreshECNs.push_back(It->second);
-    }
+    for (uint64_t Off : Delta.TaryDirtyOffsets)
+      FreshECNs.push_back(NewPolicy.TargetECN.at(Machine::CodeBase + Off));
     for (uint32_t I : Delta.BaryDirty) {
-      int64_t ECN = I < Image.BaryECN.size() ? Image.BaryECN[I] : -1;
+      int64_t ECN = NewPolicy.getBaryECN(I);
       if (ECN >= 0 && ECN != EmptyClassECN)
         FreshECNs.push_back(static_cast<uint32_t>(ECN));
     }
     if (M.reclaimer().anyCondemned(FreshECNs)) {
-      Delta = ShadowDelta();
+      Delta.FullRebuild = true;
       Delta.Reason = "condemned ECN reuse (unload grace period)";
     }
   }
@@ -366,31 +417,23 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
   }
 #endif
 
-  Policy = std::move(NewPolicy);
-
+  // The transaction reads NewPolicy; Policy changes only once the tables
+  // hold it, so a refused install leaves policy() naming what they hold.
+  auto TaryECN = [&NewPolicy](uint64_t Off) {
+    return NewPolicy.getTaryECN(Machine::CodeBase + Off);
+  };
+  auto BaryECN = [&NewPolicy](uint32_t I) { return NewPolicy.getBaryECN(I); };
+  auto Hook = [this]() { updateGotEntries(); };
   TxUpdateStats Stats;
   Stats.BatchModules = BatchModules;
   auto Start = std::chrono::steady_clock::now();
-  TxUpdateStatus Status;
-  if (!Delta.FullRebuild) {
-    Status = M.tables().txUpdateIncremental(
-        Image.TaryLimitBytes, Delta.TaryDirty,
-        [this](uint64_t Off) {
-          return Policy.getTaryECN(Machine::CodeBase + Off);
-        },
-        Image.BaryCount, Delta.BaryDirty,
-        [this](uint32_t Index) { return Policy.getBaryECN(Index); },
-        [this]() { updateGotEntries(); }, &Stats);
-  } else {
-    Status = M.tables().txUpdate(
-        Image.TaryLimitBytes,
-        [this](uint64_t Off) {
-          return Policy.getTaryECN(Machine::CodeBase + Off);
-        },
-        Image.BaryCount,
-        [this](uint32_t Index) { return Policy.getBaryECN(Index); },
-        [this]() { updateGotEntries(); }, &Stats);
-  }
+  TxUpdateStatus Status =
+      Delta.FullRebuild
+          ? M.tables().txUpdate(Delta.TaryLimitBytes, TaryECN,
+                                Delta.BaryCount, BaryECN, Hook, &Stats)
+          : M.tables().txUpdateIncremental(
+                Delta.TaryLimitBytes, Delta.TaryDirty, TaryECN,
+                Delta.BaryCount, Delta.BaryDirty, BaryECN, Hook, &Stats);
   if (Status != TxUpdateStatus::Ok) {
     LastError = "ID-table update refused: version space exhausted "
                 "without a quiescence point";
@@ -402,7 +445,7 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
           .count();
   UpdateHistory.push_back(Stats);
 
-  Shadow.install(std::move(Image), M.tables().currentVersion());
+  Policy = std::move(NewPolicy);
   M.setSetjmpRetSites(Policy.SetjmpRetSites);
   return true;
 }
@@ -703,12 +746,6 @@ std::vector<bool> Linker::dlcloseBatch(const std::vector<int64_t> &Handles) {
   return Out;
 }
 
-/// Do two flattened policies encode the same table state?
-static bool sameImage(const PolicyImage &A, const PolicyImage &B) {
-  return A.TaryLimitBytes == B.TaryLimitBytes && A.BaryCount == B.BaryCount &&
-         A.TaryECN == B.TaryECN && A.BaryECN == B.BaryECN;
-}
-
 void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // Same serialization as processBatch: moduleViews and the validation
   // walk must see a stable Mapped while a concurrent drain applies.
@@ -747,8 +784,12 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
       LastError = "dlclose: duplicate handle in batch";
       continue;
     }
-    assert(static_cast<size_t>(H) < Policy.SiteIndexBase.size() &&
-           "policy is stale relative to the module list");
+    if (static_cast<size_t>(H) >= Policy.SiteIndexBase.size()) {
+      // Mapped by a dlopen whose install was refused: the tables never
+      // held it, and its handle was never returned.
+      LastError = "dlclose: module not installed";
+      continue;
+    }
     DyingModule D;
     D.P = P;
     D.Idx = static_cast<int>(H);
@@ -766,12 +807,11 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     return;
   }
 
-  auto InDyingTary = [&](uint64_t Off) {
-    uint64_t Addr = Machine::CodeBase + Off;
-    for (const DyingModule &D : Dying)
-      if (Addr >= D.CodeBegin && Addr < D.CodeEnd)
-        return true;
-    return false;
+  auto DyingOwnerOfAddr = [&](uint64_t Addr) -> int {
+    for (size_t I = 0; I != Dying.size(); ++I)
+      if (Addr >= Dying[I].CodeBegin && Addr < Dying[I].CodeEnd)
+        return static_cast<int>(I);
+    return -1;
   };
   auto DyingOwnerOfSite = [&](uint32_t Site) -> int {
     for (size_t I = 0; I != Dying.size(); ++I)
@@ -781,46 +821,34 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     return -1;
   };
 
-  // Exclusive-ECN computation, against the shadow BEFORE the scrub: an
-  // ECN is condemned iff every occurrence across the installed image
-  // (Tary values and live Bary values) lies inside the dying set. A
-  // class shared with a surviving module stays live — its surviving
-  // members keep matching, so its number is not up for reuse. The
-  // reserved EmptyClassECN is shared by construction and never matches a
-  // target; it is never condemned.
+  // Exclusive-ECN computation, against Policy BEFORE the scrub: an ECN is
+  // condemned iff every occurrence across the installed policy (target
+  // ECNs and live site ECNs) lies inside the dying set. A class shared
+  // with a surviving module stays live — its surviving members keep
+  // matching, so its number is not up for reuse. The reserved
+  // EmptyClassECN is shared by construction and never matches a target;
+  // it is never condemned.
   {
     struct Occurrence {
       uint64_t Total = 0, InDying = 0;
       std::vector<int> Owners; ///< dying-module indexes holding it
     };
     std::unordered_map<uint32_t, Occurrence> Occ;
-    const PolicyImage &Img = Shadow.image();
-    for (const auto &[Off, ECN] : Img.TaryECN) {
+    auto Count = [&Occ](uint32_t ECN, int Owner) {
       Occurrence &C = Occ[ECN];
       ++C.Total;
-      if (InDyingTary(Off)) {
-        ++C.InDying;
-        // Tary occurrences are attributed below via the owning range.
-        for (size_t I = 0; I != Dying.size(); ++I)
-          if (Machine::CodeBase + Off >= Dying[I].CodeBegin &&
-              Machine::CodeBase + Off < Dying[I].CodeEnd)
-            if (C.Owners.empty() || C.Owners.back() != static_cast<int>(I))
-              C.Owners.push_back(static_cast<int>(I));
-      }
-    }
-    for (size_t Site = 0; Site != Img.BaryECN.size(); ++Site) {
-      int64_t E = Img.BaryECN[Site];
-      if (E < 0)
-        continue;
-      Occurrence &C = Occ[static_cast<uint32_t>(E)];
-      ++C.Total;
-      int Owner = DyingOwnerOfSite(static_cast<uint32_t>(Site));
       if (Owner >= 0) {
         ++C.InDying;
         if (C.Owners.empty() || C.Owners.back() != Owner)
           C.Owners.push_back(Owner);
       }
-    }
+    };
+    for (const auto &[Addr, ECN] : Policy.TargetECN)
+      Count(ECN, DyingOwnerOfAddr(Addr));
+    for (size_t Site = 0; Site != Policy.BranchECN.size(); ++Site)
+      if (int64_t E = Policy.BranchECN[Site]; E >= 0)
+        Count(static_cast<uint32_t>(E),
+              DyingOwnerOfSite(static_cast<uint32_t>(Site)));
     for (auto &[ECN, C] : Occ) {
       if (ECN == EmptyClassECN || C.InDying == 0 || C.InDying != C.Total)
         continue;
@@ -888,16 +916,16 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   UpdateHistory.push_back(Stats);
   BS.RetireMicros = Stats.Micros;
 
-  // Mirror the zeroing into the shadow so the next delta diffs against
-  // what the tables actually hold now.
-  for (const DyingModule &D : Dying) {
-    std::vector<uint32_t> ModSites;
-    ModSites.reserve(D.SiteCount);
-    for (uint32_t S = 0; S != D.SiteCount; ++S)
-      ModSites.push_back(D.SiteBase + S);
-    Shadow.retireRange(D.CodeBegin - Machine::CodeBase,
-                       D.CodeEnd - Machine::CodeBase, ModSites);
-  }
+  // Scrub Policy the way the transaction zeroed the tables, so it names
+  // what they hold now: the dying targets are gone and their sites hold
+  // no ID. The extents are unchanged: the dead modules' positions stay
+  // tombstoned until the epoch reclaimer matures the range.
+  std::erase_if(Policy.TargetECN, [&](const auto &Entry) {
+    return DyingOwnerOfAddr(Entry.first) >= 0;
+  });
+  for (uint32_t S : Sites)
+    if (S < Policy.BranchECN.size())
+      Policy.BranchECN[S] = -1;
 
   // Drop cached per-module signature sets and the patched-site record
   // (keyed by Serial, so a future occupant of the index re-patches).
@@ -915,18 +943,25 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // Regenerate the policy with the dying modules as tombstones: a
   // removal can split classes, so the static checkpoint is restored and
   // only the dynamic views are replayed onto it. In the common
-  // self-contained case the result flattens to exactly the scrubbed
-  // shadow (survivors keep their classes and numbering), and no second
-  // transaction is needed: the retire-only fast path. Otherwise (class
-  // splits, renumbering) the full install's version bump makes every
-  // stale pre-unload ID snapshot fail.
+  // self-contained case the result holds exactly the scrubbed Policy's
+  // entries within the installed extents (survivors keep their classes
+  // and numbering), and no second transaction is needed: the retire-only
+  // fast path. Otherwise (class splits, renumbering) the full install's
+  // version bump makes every stale pre-unload ID snapshot fail.
   auto MergeStart = std::chrono::steady_clock::now();
   BS.MergeViewsAppended = syncMerge();
   CFGPolicy NewPolicy = Merge.emit();
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();
-  if (sameImage(flattenPolicy(NewPolicy), Shadow.image())) {
+  uint32_t BaryCount = M.tables().installedBaryCount();
+  bool RetireOnly =
+      M.codeTop() - Machine::CodeBase <= M.tables().installedTaryLimitBytes() &&
+      NewPolicy.BranchECN.size() <= BaryCount &&
+      NewPolicy.TargetECN == Policy.TargetECN;
+  for (uint32_t I = 0; RetireOnly && I != BaryCount; ++I)
+    RetireOnly = NewPolicy.getBaryECN(I) == Policy.getBaryECN(I);
+  if (RetireOnly) {
     Policy = std::move(NewPolicy);
     M.setSetjmpRetSites(Policy.SetjmpRetSites);
   } else {

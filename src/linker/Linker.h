@@ -31,7 +31,6 @@
 
 #include "cfg/CFGGen.h"
 #include "runtime/Machine.h"
-#include "tables/Shadow.h"
 
 #include <condition_variable>
 #include <deque>
@@ -104,6 +103,42 @@ struct DlcloseBatchStats {
   double RetireMicros = 0; ///< the single txUpdateRetire transaction
 };
 
+/// How to install a policy over the one the tables hold: the full,
+/// version-bumping txUpdate, or txUpdateIncremental over the new entries
+/// listed here.
+struct InstallDelta {
+  /// False only for a pure extension; then the dirty sets below are the
+  /// whole install.
+  bool FullRebuild = true;
+  /// Why a full rebuild is required (a diagnostic label).
+  std::string Reason;
+  /// Extents to install: the installed ones' high-water marks.
+  uint64_t TaryLimitBytes = 0;
+  uint32_t BaryCount = 0;
+  /// New-IBT table offsets (code-region bytes), sorted, and the same
+  /// offsets coalesced into ranges for txUpdateIncremental.
+  std::vector<uint64_t> TaryDirtyOffsets;
+  std::vector<TaryRange> TaryDirty;
+  /// New Bary site indexes: installed sites holding no ID (-1) that gain
+  /// one, then every index >= the installed Bary count.
+  std::vector<uint32_t> BaryDirty;
+};
+
+/// Classifies installing \p Next over \p Installed, the policy the tables
+/// hold within the extents \p InstalledTaryBytes / \p InstalledBaryCount
+/// (both 0 before the first install); \p CodeBytes is the mapped code
+/// region's size. \p Next is a pure extension exactly when installing it
+/// changes no entry the tables hold: every installed target keeps its
+/// ECN and every installed site keeps its value (a site past a policy's
+/// BranchECN reads as -1, and a -1 site gaining an ID is new). Anything
+/// else rewrites live entries and must pay for a version bump so readers
+/// can tell old CFG from new.
+InstallDelta computeInstallDelta(const CFGPolicy &Installed,
+                                 const CFGPolicy &Next,
+                                 uint64_t InstalledTaryBytes,
+                                 uint32_t InstalledBaryCount,
+                                 uint64_t CodeBytes);
+
 /// Drives loading, relocation, CFG generation, verification, and table
 /// installation against one Machine.
 class Linker {
@@ -154,7 +189,9 @@ public:
   /// Results are index-parallel to the input.
   std::vector<bool> dlcloseBatch(const std::vector<int64_t> &Handles);
 
-  /// The policy currently installed (valid after linkProgram).
+  /// The policy the ID tables hold (valid after linkProgram): assigned
+  /// only by a successful install, and scrubbed in place by dlclose's
+  /// retire transaction.
   const CFGPolicy &policy() const { return Policy; }
 
   /// Per-install accounting for every update transaction this linker
@@ -172,10 +209,6 @@ public:
   const std::vector<DlcloseBatchStats> &unloadHistory() const {
     return UnloadHistory;
   }
-
-  /// The shadow of the installed policy (delta source; exposed for
-  /// metrics and tests).
-  const PolicyShadow &shadow() const { return Shadow; }
 
   const std::string &lastError() const { return LastError; }
 
@@ -210,8 +243,6 @@ private:
   /// static checkpoint (an unload turned a view into a tombstone, or a
   /// reclaimer tail-trim popped trailing ones).
   uint32_t syncMerge();
-  /// Flattens \p P to table coordinates (the shape PolicyShadow holds).
-  PolicyImage flattenPolicy(const CFGPolicy &P) const;
   MCFIObject makeBootstrap();
 
   Machine &M;
@@ -225,7 +256,6 @@ private:
   /// Merge as it stood right after the static link.
   CFGMerge StaticMerge;
   CFGPolicy Policy;
-  PolicyShadow Shadow;
   std::vector<TxUpdateStats> UpdateHistory;
   std::vector<DlopenBatchStats> BatchHistory;
   std::vector<DlcloseBatchStats> UnloadHistory;

@@ -145,7 +145,7 @@ public:
   /// phase ordering is kept so new Bary sites only become reachable
   /// after their targets exist.
   ///
-  /// The caller (the linker's PolicyShadow delta) is responsible for
+  /// The caller (the linker's computeInstallDelta) is responsible for
   /// eligibility: any change to an existing entry's ECN, any shrink, or
   /// any rewrite of an existing Bary site must go through the full
   /// txUpdate instead. Debug builds assert these preconditions.

@@ -341,22 +341,83 @@ TEST(Dynlink, DlcloseReclaimRestoresFootprint) {
 }
 
 TEST(Dynlink, ReopenAfterUnloadIsByteIdentical) {
-  // Stronger determinism check: the shadow image after
-  // open/close/drain/open equals the image after the first open.
+  // Stronger determinism check: the installed policy and table extents
+  // after open/close/drain/open equal those after the first open.
   DynProgram D = buildDynamic(HostSource, PluginSource);
   ASSERT_TRUE(D.Ok) << D.Error;
   int64_t H = D.L->dlopen(0);
   ASSERT_GE(H, 0);
-  PolicyImage First = D.L->shadow().image(); // copy
+  CFGPolicy First = D.L->policy(); // copy
+  uint64_t TaryBytes = D.M->tables().installedTaryLimitBytes();
+  uint32_t BaryCount = D.M->tables().installedBaryCount();
   ASSERT_TRUE(D.L->dlcloseOne(H));
   D.M->drainReclaim();
   int64_t H2 = D.L->dlopen(0);
   ASSERT_GE(H2, 0);
-  const PolicyImage &Second = D.L->shadow().image();
-  EXPECT_EQ(First.TaryLimitBytes, Second.TaryLimitBytes);
-  EXPECT_EQ(First.BaryCount, Second.BaryCount);
-  EXPECT_TRUE(First.TaryECN == Second.TaryECN);
-  EXPECT_TRUE(First.BaryECN == Second.BaryECN);
+  const CFGPolicy &Second = D.L->policy();
+  EXPECT_EQ(D.M->tables().installedTaryLimitBytes(), TaryBytes);
+  EXPECT_EQ(D.M->tables().installedBaryCount(), BaryCount);
+  EXPECT_TRUE(First.TargetECN == Second.TargetECN);
+  EXPECT_TRUE(First.BranchECN == Second.BranchECN);
+}
+
+/// Expects every entry of the linker's policy to read back from the ID
+/// tables: each target's Tary ID and each site's Bary ID carries the
+/// policy's ECN, and a site with no ID reads 0.
+void expectPolicyMatchesTables(const DynProgram &D) {
+  const CFGPolicy &P = D.L->policy();
+  const IDTables &T = D.M->tables();
+  for (const auto &[Addr, ECN] : P.TargetECN) {
+    uint32_t ID = T.taryRead(Addr - Machine::CodeBase);
+    ASSERT_TRUE(isValidID(ID)) << "target " << Addr;
+    EXPECT_EQ(idECN(ID), ECN) << "target " << Addr;
+  }
+  for (uint32_t I = 0; I != P.BranchECN.size(); ++I) {
+    uint32_t ID = T.baryRead(I);
+    if (P.BranchECN[I] < 0) {
+      EXPECT_EQ(ID, 0u) << "site " << I;
+      continue;
+    }
+    ASSERT_TRUE(isValidID(ID)) << "site " << I;
+    EXPECT_EQ(idECN(ID), static_cast<uint32_t>(P.BranchECN[I]))
+        << "site " << I;
+  }
+}
+
+TEST(Dynlink, RefusedInstallLeavesPolicyMatchingTables) {
+  // The host imports from the plugin, so this dlopen rewrites the host's
+  // PLT site and needs the full, version-bumping install. With the
+  // version space exhausted that install is refused, and policy() must
+  // still name what the tables hold.
+  DynProgram D = buildDynamic(HostSource, PluginSource);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  const CFGPolicy &P = D.L->policy();
+  uint64_t TaryLimit = D.M->codeTop() - Machine::CodeBase;
+  // ECN-preserving full updates burn the rest of the version space.
+  TxUpdateStatus Status = TxUpdateStatus::Ok;
+  while (Status == TxUpdateStatus::Ok)
+    Status = D.M->tables().txUpdate(
+        TaryLimit,
+        [&](uint64_t Off) { return P.getTaryECN(Machine::CodeBase + Off); },
+        static_cast<uint32_t>(P.BranchECN.size()),
+        [&](uint32_t I) { return P.getBaryECN(I); });
+  ASSERT_EQ(Status, TxUpdateStatus::VersionExhausted);
+
+  EXPECT_LT(D.L->dlopen(0), 0);
+  EXPECT_NE(D.L->lastError().find("refused"), std::string::npos)
+      << D.L->lastError();
+  expectPolicyMatchesTables(D);
+  // The refused load stays mapped but was never installed, so its index
+  // is not a handle dlclose accepts.
+  EXPECT_FALSE(D.L->dlcloseOne(
+      static_cast<int64_t>(D.M->modules().size()) - 1));
+
+  // After a quiescence point the same load installs, and the policy
+  // still reads back from the tables.
+  D.M->tables().resetVersionEpoch();
+  ASSERT_GE(D.L->dlopen(0), 0) << D.L->lastError();
+  EXPECT_FALSE(D.L->updateHistory().back().Incremental);
+  expectPolicyMatchesTables(D);
 }
 
 TEST(Dynlink, DlopenAfterDrainStaysIncremental) {

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tests for relocation resolution, symbol binding across modules,
-/// bootstrap synthesis, Bary-index patching, and link-failure paths.
+/// bootstrap synthesis, Bary-index patching, link-failure paths, and the
+/// install-eligibility diff (computeInstallDelta).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -232,6 +233,96 @@ TEST(Linker, DuplicateModuleNamesStillLink) {
   RunResult R = runProgram(M);
   EXPECT_EQ(M.takeOutput(), "6\n");
   EXPECT_EQ(R.Reason, StopReason::Exited);
+}
+
+//===----------------------------------------------------------------------===//
+// Install eligibility (computeInstallDelta)
+//===----------------------------------------------------------------------===//
+
+/// A policy with targets at code-region offsets \p Tary and the given
+/// per-site ECNs.
+CFGPolicy makePolicy(std::initializer_list<std::pair<uint64_t, uint32_t>> Tary,
+                     std::initializer_list<int64_t> Bary) {
+  CFGPolicy P;
+  for (auto &[Off, ECN] : Tary)
+    P.TargetECN.emplace(Machine::CodeBase + Off, ECN);
+  P.BranchECN.assign(Bary);
+  return P;
+}
+
+TEST(InstallDelta, FirstInstallIsFullRebuild) {
+  InstallDelta D =
+      computeInstallDelta(CFGPolicy(), makePolicy({{0, 1}}, {1}), 0, 0, 32);
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "first install");
+  EXPECT_EQ(D.TaryLimitBytes, 32u);
+  EXPECT_EQ(D.BaryCount, 1u);
+}
+
+TEST(InstallDelta, PureExtensionIsIncremental) {
+  CFGPolicy Installed = makePolicy({{0, 1}, {8, 2}}, {1, 2});
+  InstallDelta D = computeInstallDelta(
+      Installed, makePolicy({{0, 1}, {8, 2}, {40, 1}, {48, 3}}, {1, 2, 3}),
+      32, 2, 64);
+  ASSERT_FALSE(D.FullRebuild) << D.Reason;
+  EXPECT_EQ(D.TaryLimitBytes, 64u);
+  EXPECT_EQ(D.BaryCount, 3u);
+  EXPECT_EQ(D.TaryDirtyOffsets, (std::vector<uint64_t>{40, 48}));
+  EXPECT_EQ(D.BaryDirty, (std::vector<uint32_t>{2}));
+  // Nearby offsets coalesce into one range.
+  ASSERT_EQ(D.TaryDirty.size(), 1u);
+  EXPECT_EQ(D.TaryDirty[0].BeginBytes, 40u);
+  EXPECT_EQ(D.TaryDirty[0].EndBytes, 52u);
+}
+
+TEST(InstallDelta, DistantOffsetsSplitRanges) {
+  InstallDelta D = computeInstallDelta(
+      makePolicy({{0, 1}}, {1}),
+      makePolicy({{0, 1}, {8, 2}, {4000, 2}}, {1}), 8, 1, 4096);
+  ASSERT_FALSE(D.FullRebuild) << D.Reason;
+  ASSERT_EQ(D.TaryDirty.size(), 2u);
+  EXPECT_EQ(D.TaryDirty[0].BeginBytes, 8u);
+  EXPECT_EQ(D.TaryDirty[1].BeginBytes, 4000u);
+}
+
+TEST(InstallDelta, ExtentsStayAtHighWaterMarks) {
+  // A tail-trimmed code region and site table (smaller CodeBytes, shorter
+  // BranchECN) install at the installed extents; the trimmed site held
+  // no ID, and a site with no ID that gains one is an extension.
+  CFGPolicy Installed = makePolicy({{0, 1}}, {1, -1, -1});
+  InstallDelta D = computeInstallDelta(Installed, makePolicy({{0, 1}}, {1}),
+                                       64, 3, 32);
+  ASSERT_FALSE(D.FullRebuild) << D.Reason;
+  EXPECT_EQ(D.TaryLimitBytes, 64u);
+  EXPECT_EQ(D.BaryCount, 3u);
+  EXPECT_TRUE(D.TaryDirty.empty());
+  EXPECT_TRUE(D.BaryDirty.empty());
+
+  D = computeInstallDelta(Installed, makePolicy({{0, 1}}, {1, 5}), 64, 3, 32);
+  ASSERT_FALSE(D.FullRebuild) << D.Reason;
+  EXPECT_EQ(D.BaryDirty, (std::vector<uint32_t>{1}));
+}
+
+TEST(InstallDelta, ChangedEntriesForceFullRebuild) {
+  CFGPolicy Installed = makePolicy({{0, 1}, {8, 2}}, {1, 2});
+  auto Diff = [&](const CFGPolicy &Next) {
+    return computeInstallDelta(Installed, Next, 64, 2, 64);
+  };
+  InstallDelta D = Diff(makePolicy({{0, 1}, {8, 7}}, {1, 2}));
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed target changed class");
+  D = Diff(makePolicy({{0, 1}}, {1, 2}));
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed target removed");
+  // Existing branch site changed (e.g. a resolved import): value change
+  // at a live index needs the version bump.
+  D = Diff(makePolicy({{0, 1}, {8, 2}}, {1, 7}));
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed branch site changed");
+  // A live site past Next's BranchECN reads as -1: also a change.
+  D = Diff(makePolicy({{0, 1}, {8, 2}}, {1}));
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed branch site changed");
 }
 
 } // namespace

@@ -15,7 +15,6 @@
 #include "tables/Baselines.h"
 #include "tables/ID.h"
 #include "tables/IDTables.h"
-#include "tables/Shadow.h"
 
 #include <gtest/gtest.h>
 
@@ -295,76 +294,6 @@ TEST_F(TablesFixture, IncrementalUpdateDoesNotConsumeVersionSpace) {
   EXPECT_EQ(T.updatesSinceEpoch(), Since) << "deltas must not burn versions";
   EXPECT_EQ(T.updateCount(), 101u); // but they do count as updates
   EXPECT_EQ(T.txCheck(0, 800), CheckResult::Pass);
-}
-
-//===----------------------------------------------------------------------===//
-// PolicyShadow delta computation
-//===----------------------------------------------------------------------===//
-
-PolicyImage makeImage(uint64_t TaryLimit,
-                      std::initializer_list<std::pair<uint64_t, uint32_t>> Tary,
-                      std::initializer_list<int64_t> Bary) {
-  PolicyImage P;
-  P.TaryLimitBytes = TaryLimit;
-  for (auto &[Off, ECN] : Tary)
-    P.TaryECN.emplace(Off, ECN);
-  P.BaryECN.assign(Bary);
-  P.BaryCount = static_cast<uint32_t>(P.BaryECN.size());
-  return P;
-}
-
-TEST(ShadowDelta, FirstInstallIsFullRebuild) {
-  PolicyShadow S;
-  ShadowDelta D = S.computeDelta(makeImage(32, {{0, 1}}, {1}));
-  EXPECT_TRUE(D.FullRebuild);
-  EXPECT_EQ(D.Reason, "first install");
-}
-
-TEST(ShadowDelta, PureExtensionIsIncremental) {
-  PolicyShadow S;
-  S.install(makeImage(32, {{0, 1}, {8, 2}}, {1, 2}), 1);
-  ShadowDelta D = S.computeDelta(
-      makeImage(64, {{0, 1}, {8, 2}, {40, 1}, {48, 3}}, {1, 2, 3}));
-  ASSERT_FALSE(D.FullRebuild) << D.Reason;
-  EXPECT_EQ(D.TaryDirtyOffsets, (std::vector<uint64_t>{40, 48}));
-  EXPECT_EQ(D.TaryDirtyEntries, 2u);
-  EXPECT_EQ(D.BaryDirty, (std::vector<uint32_t>{2}));
-  // Nearby offsets coalesce into one range.
-  ASSERT_EQ(D.TaryDirty.size(), 1u);
-  EXPECT_EQ(D.TaryDirty[0].BeginBytes, 40u);
-  EXPECT_EQ(D.TaryDirty[0].EndBytes, 52u);
-}
-
-TEST(ShadowDelta, DistantOffsetsSplitRanges) {
-  PolicyShadow S;
-  S.install(makeImage(8, {{0, 1}}, {1}), 1);
-  ShadowDelta D = S.computeDelta(
-      makeImage(4096, {{0, 1}, {8, 2}, {4000, 2}}, {1}));
-  ASSERT_FALSE(D.FullRebuild) << D.Reason;
-  ASSERT_EQ(D.TaryDirty.size(), 2u);
-  EXPECT_EQ(D.TaryDirty[0].BeginBytes, 8u);
-  EXPECT_EQ(D.TaryDirty[1].BeginBytes, 4000u);
-}
-
-TEST(ShadowDelta, ShrinksForceFullRebuild) {
-  PolicyShadow S;
-  S.install(makeImage(64, {{0, 1}}, {1, 2}), 1);
-  EXPECT_TRUE(S.computeDelta(makeImage(32, {{0, 1}}, {1, 2})).FullRebuild);
-  EXPECT_TRUE(S.computeDelta(makeImage(64, {{0, 1}}, {1})).FullRebuild);
-}
-
-TEST(ShadowDelta, ChangedEntriesForceFullRebuild) {
-  PolicyShadow S;
-  S.install(makeImage(64, {{0, 1}, {8, 2}}, {1, 2}), 1);
-  // Target changed class.
-  EXPECT_TRUE(
-      S.computeDelta(makeImage(64, {{0, 1}, {8, 7}}, {1, 2})).FullRebuild);
-  // Target removed.
-  EXPECT_TRUE(S.computeDelta(makeImage(64, {{0, 1}}, {1, 2})).FullRebuild);
-  // Existing branch site changed (e.g. a resolved import): value change
-  // at a live index needs the version bump.
-  EXPECT_TRUE(
-      S.computeDelta(makeImage(64, {{0, 1}, {8, 2}}, {1, 7})).FullRebuild);
 }
 
 //===----------------------------------------------------------------------===//

@@ -692,7 +692,7 @@ TEST(DlcloseChurn, StormWithZeroLeakAccounting) {
     auto L = freshLinker(M);
     size_t Modules0 = M.modules().size();
     uint64_t CodeTop0 = M.codeTop();
-    uint32_t Bary0 = L->shadow().image().BaryCount;
+    uint32_t Bary0 = M.tables().installedBaryCount();
 
     constexpr int CyclesA = 4;
     for (int C = 0; C != CyclesA; ++C) {
@@ -765,7 +765,7 @@ TEST(DlcloseChurn, StormWithZeroLeakAccounting) {
     auto L = freshLinker(M);
     size_t Modules0 = M.modules().size();
     uint64_t CodeTop0 = M.codeTop();
-    uint32_t Bary0 = L->shadow().image().BaryCount;
+    uint32_t Bary0 = M.tables().installedBaryCount();
     uint64_t U0 = M.tables().updateCount();
     uint64_t V0 = M.tables().versionedUpdateCount();
 

@@ -7,7 +7,9 @@
 ///
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
 /// mcfi-objdump, mcfi-run, mcfi-audit and mcfi-merge, wired together the
-/// way a user would use them. Binary paths are injected by CMake.
+/// way a user would use them. Binary paths are injected by CMake, which
+/// also runs the audit-gate and verifier-agreement cases as their own
+/// ctests (audit_check, verify_check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +63,17 @@ TEST_F(ToolsFixture, FullPipeline) {
     long helper(long x);
     long cb(long x) { return x * 2; }
     long use(long (*f)(long), long v) { return f(v); }
+    long sel(long x) {
+      switch (x) {
+      case 0: return 1;
+      case 1: return 2;
+      case 2: return 3;
+      case 3: return 4;
+      default: return 0;
+      }
+    }
     int main() {
-      print_int(use(cb, 10) + helper(1));
+      print_int(use(cb, 10) + helper(1) + sel(7));
       return 0;
     }
   )");
@@ -89,13 +100,17 @@ TEST_F(ToolsFixture, FullPipeline) {
       << Out;
   EXPECT_NE(Out.find("OK"), std::string::npos);
 
-  // Objdump shows the functions and check transactions.
+  // Objdump shows the functions, check transactions and the switch's
+  // jump table, and no byte fails to decode.
   ASSERT_EQ(run(std::string(MCFI_OBJDUMP) + " --aux " + path("app.mcfo"),
                 &Out),
             0);
   EXPECT_NE(Out.find("<main>:"), std::string::npos);
   EXPECT_NE(Out.find("check transaction"), std::string::npos);
   EXPECT_NE(Out.find("tableread"), std::string::npos);
+  EXPECT_TRUE(std::regex_search(Out, std::regex("<jump table, [0-9]+ entries>")))
+      << Out;
+  EXPECT_EQ(Out.find("undecodable"), std::string::npos) << Out;
 
   // Run: guest exit code and output propagate.
   int Exit = run(std::string(MCFI_RUN) + " --stats " + path("app.mcfo") +
@@ -226,6 +241,33 @@ TEST_F(ToolsFixture, AuditFailOnK1Gates) {
   EXPECT_NE(Out.find("status: FAILED"), std::string::npos);
   // Without the gate the same audit reports and exits clean.
   EXPECT_EQ(run(std::string(MCFI_AUDIT) + " " + path("k1.minic"), &Out), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Policy-precision gate over the examples
+//===----------------------------------------------------------------------===//
+
+/// Audits every embedded module of \p Example: each must compile and
+/// verify, no proven-K1 residual may remain, and the flow-refined CFG must
+/// strictly improve on plain type matching (EQCs no worse, largest class
+/// strictly smaller, AIR no worse).
+void expectAuditGatePasses(const std::string &Example) {
+  std::string Out;
+  EXPECT_EQ(run(std::string(MCFI_AUDIT) +
+                    " --extract --refine --fail-on K1 --expect-refinement " +
+                    MCFI_EXAMPLES_DIR + "/" + Example + ".cpp",
+                &Out),
+            0)
+      << Out;
+  EXPECT_NE(Out.find("status: OK"), std::string::npos) << Out;
+}
+
+TEST_F(ToolsFixture, AuditGateSeparateCompilation) {
+  expectAuditGatePasses("separate_compilation");
+}
+
+TEST_F(ToolsFixture, AuditGateDynamicPlugin) {
+  expectAuditGatePasses("dynamic_plugin");
 }
 
 //===----------------------------------------------------------------------===//

@@ -53,30 +53,7 @@ void disassemble(const MCFIObject &Obj) {
   std::map<uint64_t, const BranchSite *> SeqAt;
   for (const BranchSite &BS : Obj.Aux.BranchSites)
     SeqAt[BS.SeqStart] = &BS;
-
-  // Jump-table data ranges to skip.
-  std::vector<std::pair<uint64_t, uint64_t>> Tables;
-  for (const JumpTableInfo &JT : Obj.Aux.JumpTables)
-    Tables.emplace_back(JT.TableOffset,
-                        JT.TableOffset + 8 * JT.Targets.size());
-  std::sort(Tables.begin(), Tables.end());
-
-  uint64_t Off = 0;
-  while (Off < Obj.Code.size()) {
-    bool InTable = false;
-    for (const auto &[B, E] : Tables) {
-      if (Off >= B && Off < E) {
-        std::printf("%08llx:  <jump table, %llu entries>\n",
-                    static_cast<unsigned long long>(B),
-                    static_cast<unsigned long long>((E - B) / 8));
-        Off = E;
-        InTable = true;
-        break;
-      }
-    }
-    if (InTable)
-      continue;
-
+  auto Label = [&](uint64_t Off) {
     if (auto It = FuncAt.find(Off); It != FuncAt.end())
       std::printf("\n<%s>:\n", It->second.c_str());
     if (auto It = SeqAt.find(Off); It != SeqAt.end())
@@ -85,18 +62,44 @@ void disassemble(const MCFIObject &Obj) {
                   It->second->TypeSig.empty()
                       ? It->second->Function.c_str()
                       : It->second->TypeSig.c_str());
+  };
 
-    visa::Instr I;
-    if (!visa::decode(Obj.Code.data(), Obj.Code.size(), Off, I)) {
+  // Bytes between decoded instructions are declared jump tables, which
+  // the sweep skips, or undecodable bytes.
+  uint64_t Off = 0;
+  auto Gap = [&](uint64_t End) {
+    while (Off < End) {
+      auto JT = std::find_if(
+          Obj.Aux.JumpTables.begin(), Obj.Aux.JumpTables.end(),
+          [&](const JumpTableInfo &T) {
+            return Off >= T.TableOffset &&
+                   Off < T.TableOffset + 8 * T.Targets.size();
+          });
+      if (JT != Obj.Aux.JumpTables.end()) {
+        std::printf("%08llx:  <jump table, %zu entries>\n",
+                    static_cast<unsigned long long>(JT->TableOffset),
+                    JT->Targets.size());
+        Off = JT->TableOffset + 8 * JT->Targets.size();
+        continue;
+      }
+      Label(Off);
       std::printf("%08llx:  <undecodable byte 0x%02x>\n",
                   static_cast<unsigned long long>(Off), Obj.Code[Off]);
       ++Off;
-      continue;
     }
+  };
+
+  visa::Disassembly Dis =
+      disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
+    Gap(Dis.Offsets[K]);
+    Off = Dis.Offsets[K];
+    Label(Off);
     std::printf("%08llx:  %s\n", static_cast<unsigned long long>(Off),
-                visa::printInstr(I).c_str());
-    Off += I.Length;
+                visa::printInstr(Dis.Instrs[K]).c_str());
+    Off += Dis.Instrs[K].Length;
   }
+  Gap(Obj.Code.size());
 }
 
 void dumpAux(const MCFIObject &Obj) {

@@ -17,7 +17,8 @@
 # (its single-threaded ucontext schedcheck legs are skipped under TSan),
 # and the layered-type-map suite (test_mlta), whose tier-parameterized
 # refined builds run the CFG merge under an MLTA refinement on every
-# execution tier.
+# execution tier, and the tool suite (test_tools, whose gate cases run as
+# verify_check and audit_check).
 #
 # Usage: tools/tsan-check.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -31,7 +32,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 # scheduler is single-threaded by construction and TSan's fiber support
 # conflicts with swapcontext-based stacks.
 if ! ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" \
-    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|absint|verifiermutants|tierdiff|attackcorpus|mlta|tools)|merge_check|verify_check|attack_check|unload_check'; then
+    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|absint|verifiermutants|tierdiff|attackcorpus|mlta|tools)|merge_check|verify_check|audit_check|attack_check|unload_check'; then
   cat >&2 <<'EOF'
 tsan-check: FAILED.
 If the failure is in the tables' check/update transactions, hunt the
