@@ -53,7 +53,8 @@ int main() {
   }
   Table.addRow({"average", "", "", pct(Sum / Count), ""});
   Table.print();
-  std::printf("\npaper: ~17%% average static code-size increase; runtime\n"
-              "table memory equals the code-region size\n");
+  std::printf("\npaper: ~17%% average static code-size increase; the Tary\n"
+              "table reserves as many bytes as the code region, but it is\n"
+              "demand-zero: resident table memory tracks the code loaded\n");
   return 0;
 }

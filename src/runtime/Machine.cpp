@@ -17,12 +17,11 @@ using namespace mcfi;
 
 Machine::Machine(const MachineOptions &Opts)
     : CodeCapacity(Opts.CodeCapacity), DataCapacity(Opts.DataCapacity),
-      StackSize(Opts.StackSize), CodeBytes(Opts.CodeCapacity, 0),
-      DataWords(Opts.DataCapacity / 8, 0),
+      StackSize(Opts.StackSize), CodeBytes(Opts.CodeCapacity),
+      DataWords(Opts.DataCapacity / 8),
       Tables(Opts.CodeCapacity, Opts.BaryCapacity), Tier(Opts.Tier) {
-  // Heap occupies the middle of the data region: globals grow from the
-  // bottom, stacks from the top, heap in between (re-floored as modules
-  // load their globals).
+  // Module globals and heap blocks share one bump pointer growing up from
+  // the bottom of the data region; stacks grow down from the top.
   HeapNext.store(DataBase, std::memory_order_relaxed);
   StackNext.store(DataBase + DataCapacity, std::memory_order_relaxed);
 }
@@ -36,11 +35,22 @@ Machine::~Machine() = default;
 int Machine::mapModule(MCFIObject Obj) {
   uint64_t CodeSize = Obj.Code.size();
   uint64_t NeededCode = (CodeSize + 7) & ~7ull; // keep modules 8-aligned
-  uint64_t DataSize = (Obj.DataSize + 7) & ~7ull;
-  if (DataUsed + DataSize > DataCapacity / 2)
-    return -1;
 
   MappedModule M;
+  // Globals come from the heap's allocator, so they can never land on a
+  // live heap block; a dead module's range is reused first (it was zeroed
+  // at reclaim, so its BSS reads 0).
+  M.DataBase = DataBase;
+  if (Obj.DataSize) {
+    if (Obj.DataSize > DataCapacity)
+      return -1; // refuse before rounding can wrap
+    M.DataSize = (Obj.DataSize + 7) & ~7ull;
+    M.DataBase = Reclaimer.allocDataFromFree(M.DataSize);
+    if (!M.DataBase)
+      M.DataBase = allocHeap(M.DataSize);
+    if (!M.DataBase)
+      return -1;
+  }
   // Prefer a reclaimed hole: ranges reach the free list only after their
   // grace period, so reuse here can never alias a range a guest thread
   // still holds pre-retire state for.
@@ -51,8 +61,10 @@ int Machine::mapModule(MCFIObject Obj) {
                 CodeSize);
   } else {
     uint64_t Used = CodeUsed.load(std::memory_order_relaxed);
-    if (Used + NeededCode > CodeCapacity)
+    if (Used + NeededCode > CodeCapacity) {
+      Reclaimer.addFreeDataRange(M.DataBase, M.DataSize); // still zero
       return -1;
+    }
     M.CodeBase = CodeBase + Used;
     std::memcpy(CodeBytes.data() + Used, Obj.Code.data(), CodeSize);
     // Publish the extension only after the bytes are in place: a guest
@@ -60,8 +72,6 @@ int Machine::mapModule(MCFIObject Obj) {
     CodeUsed.store(Used + NeededCode, std::memory_order_release);
   }
   M.CodeSize = NeededCode;
-  M.DataBase = DataBase + DataUsed;
-  DataUsed += DataSize;
 
   for (const auto &[Off, Bytes] : Obj.DataInit)
     writeDataBytes(M.DataBase + Off, Bytes.data(), Bytes.size());
@@ -73,16 +83,6 @@ int Machine::mapModule(MCFIObject Obj) {
     M.Serial = NextModuleSerial++;
     Mapped.push_back(std::move(M));
     Index = static_cast<int>(Mapped.size() - 1);
-  }
-
-  // The heap starts after all loaded globals (re-based on every load;
-  // allocations already handed out stay put because the heap bump pointer
-  // only moves forward).
-  uint64_t HeapFloor = DataBase + DataUsed;
-  uint64_t Cur = HeapNext.load(std::memory_order_relaxed);
-  while (Cur < HeapFloor &&
-         !HeapNext.compare_exchange_weak(Cur, HeapFloor,
-                                         std::memory_order_relaxed)) {
   }
   noteCodeChanged();
   return Index;
@@ -267,6 +267,8 @@ void Machine::retireModule(int Index, std::vector<uint32_t> ExclusiveECNs) {
     assert(M.Retired && "retireModule without markModuleRetired");
     R.CodeBase = M.CodeBase;
     R.SizeBytes = M.CodeSize;
+    R.DataBase = M.DataBase;
+    R.DataSize = M.DataSize;
     R.Serial = M.Serial;
   }
   R.ECNs = std::move(ExclusiveECNs);
@@ -313,16 +315,26 @@ void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
         // it can never execute stale module bytes.
         std::memset(CodeBytes.data() + (R.CodeBase - CodeBase), 0,
                     R.SizeBytes);
+        // The globals go back as BSS for the next module. Word stores, as
+        // Machine::store makes them: a guest thread holding a dangling
+        // pointer into them may still race this.
+        uint64_t *Words = DataWords.data() + (R.DataBase - DataBase) / 8;
+        for (uint64_t I = 0; I != R.DataSize / 8; ++I)
+          std::atomic_ref<uint64_t>(Words[I]).store(0,
+                                                    std::memory_order_relaxed);
         break;
       }
     }
     recomputeSealedPrefixLocked();
     // Publish the ranges for reuse only now that the bytes are zeroed:
     // a range on the free list is immediately allocatable by the next
-    // mapModule, which must never have its freshly copied code wiped by
-    // this function's memset (collect() deliberately does not publish).
-    for (const RetiredRegion &R : Matured)
+    // mapModule, which must never have its freshly copied code or data
+    // wiped by the zeroing above (collect() deliberately does not
+    // publish).
+    for (const RetiredRegion &R : Matured) {
       Reclaimer.addFreeRange(R.CodeBase, R.SizeBytes);
+      Reclaimer.addFreeDataRange(R.DataBase, R.DataSize);
+    }
     // Tail-trim cascade: peel matured holes off the top of the code
     // region and retreat CodeUsed, so a machine that unloads everything
     // it dlopened returns to its exact initial footprint (the churn
@@ -347,11 +359,8 @@ bool Machine::load(uint64_t Addr, unsigned Size, uint64_t &Out) const {
   if (Addr & (Size - 1))
     return false; // naturally aligned accesses only
   if (isDataAddr(Addr, Size)) {
-    // atomic_ref requires a non-const object; the underlying storage is
-    // mutable (it is the guest's RAM).
-    uint8_t *Base = const_cast<uint8_t *>(
-                        reinterpret_cast<const uint8_t *>(DataWords.data())) +
-                    (Addr - DataBase);
+    uint8_t *Base =
+        reinterpret_cast<uint8_t *>(DataWords.data()) + (Addr - DataBase);
     switch (Size) {
     case 1:
       Out = std::atomic_ref<uint8_t>(*Base).load(std::memory_order_relaxed);
@@ -444,10 +453,15 @@ uint64_t Machine::allocHeap(uint64_t Size) {
   if (Size > DataCapacity)
     return 0; // guest-chosen size: refuse before the bump can wrap
   uint64_t Aligned = (Size + 7) & ~7ull;
-  uint64_t Addr = HeapNext.fetch_add(Aligned);
-  // Keep room below the lowest allocated stack.
-  if (Addr + Aligned > StackNext.load() - StackSize)
-    return 0;
+  // A refused request leaves the bump pointer where it was: module
+  // globals share it, so an oversized guest malloc or module must not
+  // starve every later load and stack.
+  uint64_t Addr = HeapNext.load();
+  do {
+    // Keep room below the lowest allocated stack.
+    if (Addr + Aligned > StackNext.load() - StackSize)
+      return 0;
+  } while (!HeapNext.compare_exchange_weak(Addr, Addr + Aligned));
   return Addr;
 }
 

@@ -18,6 +18,12 @@
 ///                                       writable, then sealed RX
 ///   [DataBase, DataBase+DataCapacity)   data region (globals, GOT, heap,
 ///                                       stacks); RW, never executable
+/// Both regions, like the ID tables, are demand-zero reservations
+/// (support/Region.h): a Machine commits only the pages it touches.
+/// Module globals and heap blocks share one bump pointer growing up from
+/// DataBase; stacks grow down from the top. When a dlclosed module's
+/// grace period ends, its code and data ranges are zeroed and put on the
+/// reclaimer's free lists, which the next mapModule checks first.
 /// The ID tables live *outside* guest memory entirely (host side), which
 /// is strictly stronger than the paper's segment-register protection: no
 /// guest store can reach them at all. TableRead/BaryRead are the only
@@ -29,6 +35,7 @@
 #define MCFI_RUNTIME_MACHINE_H
 
 #include "module/MCFIObject.h"
+#include "support/Region.h"
 #include "tables/IDTables.h"
 #include "tables/Reclaim.h"
 #include "visa/ISA.h"
@@ -133,6 +140,7 @@ struct MappedModule {
   uint64_t CodeBase = 0; ///< absolute
   uint64_t DataBase = 0; ///< absolute
   uint64_t CodeSize = 0; ///< 8-aligned mapped size (outlives Obj)
+  uint64_t DataSize = 0; ///< 8-aligned globals size (outlives Obj)
   /// Monotonic, never-reused identity. Module *indices* are reused once
   /// trailing tombstones are popped; anything keyed across an unload
   /// (e.g. the linker's patched-GOT set) must key on Serial instead.
@@ -300,7 +308,9 @@ public:
   /// executable check but must stay within the data region).
   bool writeDataBytes(uint64_t Addr, const uint8_t *Bytes, uint64_t Size);
 
-  /// Bump-allocates \p Size bytes of heap (8-aligned); 0 when exhausted.
+  /// Bump-allocates \p Size bytes of heap (8-aligned); 0, and nothing
+  /// consumed, when exhausted. mapModule takes module globals from the
+  /// same bump pointer.
   uint64_t allocHeap(uint64_t Size);
 
   /// Allocates a stack and returns its initial stack pointer (top); 0
@@ -422,14 +432,13 @@ private:
   uint64_t DataCapacity;
   uint64_t StackSize;
 
-  std::vector<uint8_t> CodeBytes;   ///< [0, CodeCapacity)
-  std::vector<uint64_t> DataWords;  ///< DataCapacity/8 words, 8-aligned
+  Region<uint8_t> CodeBytes;   ///< [0, CodeCapacity), demand-zero
+  Region<uint64_t> DataWords;  ///< DataCapacity/8 words, demand-zero
   /// Extent of mapped code. Written by the linker (release, after the
   /// module's bytes are copied in), read by executing guest threads
   /// (acquire): passing isCodeAddr implies the bytes are visible.
   std::atomic<uint64_t> CodeUsed{0};
-  uint64_t DataUsed = 0;            ///< globals + heap bump pointer
-  std::atomic<uint64_t> HeapNext{0};
+  std::atomic<uint64_t> HeapNext{0}; ///< globals + heap bump pointer
   std::atomic<uint64_t> StackNext{0}; ///< allocated downward from the top
 
   /// Guards Mapped against dlopen mutating it (push_back may relocate

@@ -20,19 +20,14 @@
 using namespace mcfi;
 
 IDTables::IDTables(uint64_t CodeCapacity, uint32_t BaryCapacity)
-    : TaryEntries((CodeCapacity + 3) / 4), BaryEntries(BaryCapacity) {
-  for (auto &E : TaryEntries)
-    E.store(0, std::memory_order_relaxed);
-  for (auto &E : BaryEntries)
-    E.store(0, std::memory_order_relaxed);
-}
+    : TaryEntries((CodeCapacity + 3) / 4), BaryEntries(BaryCapacity) {}
 
 uint32_t IDTables::taryRead(uint64_t CodeOffset) const {
   uint64_t Index = CodeOffset >> 2;
   if (Index >= TaryEntries.size())
     return 0;
   schedYield(SchedOp::LoadRelaxed, SchedObject::Tary, Index);
-  uint32_t Lo = TaryEntries[Index].load(std::memory_order_relaxed);
+  uint32_t Lo = tary(Index).load(std::memory_order_relaxed);
   schedObserve(SchedOp::LoadRelaxed, SchedObject::Tary, Index, Lo);
   unsigned Misalign = CodeOffset & 3;
   if (Misalign == 0)
@@ -44,7 +39,7 @@ uint32_t IDTables::taryRead(uint64_t CodeOffset) const {
   uint32_t Hi = 0;
   if (Index + 1 < TaryEntries.size()) {
     schedYield(SchedOp::LoadRelaxed, SchedObject::Tary, Index + 1);
-    Hi = TaryEntries[Index + 1].load(std::memory_order_relaxed);
+    Hi = tary(Index + 1).load(std::memory_order_relaxed);
     schedObserve(SchedOp::LoadRelaxed, SchedObject::Tary, Index + 1, Hi);
   }
   unsigned Shift = 8 * Misalign;
@@ -55,7 +50,7 @@ uint32_t IDTables::baryRead(uint32_t Index) const {
   if (Index >= BaryEntries.size())
     return 0;
   schedYield(SchedOp::LoadRelaxed, SchedObject::Bary, Index);
-  uint32_t ID = BaryEntries[Index].load(std::memory_order_relaxed);
+  uint32_t ID = bary(Index).load(std::memory_order_relaxed);
   schedObserve(SchedOp::LoadRelaxed, SchedObject::Bary, Index, ID);
   return ID;
 }
@@ -70,10 +65,10 @@ CheckResult IDTables::txCheck(uint32_t BaryIndex,
                            BaryIndex < BaryEntries.size(),
                        1)) {
     schedYield(SchedOp::LoadRelaxed, SchedObject::Bary, BaryIndex);
-    uint32_t BranchID = BaryEntries[BaryIndex].load(std::memory_order_relaxed);
+    uint32_t BranchID = bary(BaryIndex).load(std::memory_order_relaxed);
     schedObserve(SchedOp::LoadRelaxed, SchedObject::Bary, BaryIndex, BranchID);
     schedYield(SchedOp::LoadAcquire, SchedObject::Tary, Index);
-    uint32_t TargetID = TaryEntries[Index].load(std::memory_order_acquire);
+    uint32_t TargetID = tary(Index).load(std::memory_order_acquire);
     schedObserve(SchedOp::LoadAcquire, SchedObject::Tary, Index, TargetID);
     if (__builtin_expect(BranchID == TargetID, 1))
       // A correctly patched module always loads a valid branch ID (the
@@ -207,7 +202,7 @@ IDTables::txUpdate(uint64_t TaryLimitBytes,
     }
     for (uint64_t I = 0; I != Limit; ++I) {
       schedYield(SchedOp::StoreRelaxed, SchedObject::Tary, I);
-      TaryEntries[I].store(NewTary[I], std::memory_order_relaxed);
+      tary(I).store(NewTary[I], std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Tary, I, NewTary[I]);
     }
     Local.TaryWritten = Limit;
@@ -218,7 +213,7 @@ IDTables::txUpdate(uint64_t TaryLimitBytes,
                  PrevTaryWords);
     for (uint64_t I = Limit; I < PrevTaryWords; ++I) {
       schedYield(SchedOp::StoreRelaxed, SchedObject::Tary, I);
-      TaryEntries[I].store(0, std::memory_order_relaxed);
+      tary(I).store(0, std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Tary, I, 0);
       ++Local.TaryCleared;
     }
@@ -238,7 +233,7 @@ IDTables::txUpdate(uint64_t TaryLimitBytes,
         ID = encodeID(static_cast<uint32_t>(ECN), NewVersion);
       }
       schedYield(SchedOp::StoreRelaxed, SchedObject::Bary, I);
-      BaryEntries[I].store(ID, std::memory_order_relaxed);
+      bary(I).store(ID, std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Bary, I, ID);
     }
     Local.BaryWritten = BaryCount;
@@ -249,7 +244,7 @@ IDTables::txUpdate(uint64_t TaryLimitBytes,
                  PrevBaryCount);
     for (uint32_t I = BaryCount; I < PrevBaryCount; ++I) {
       schedYield(SchedOp::StoreRelaxed, SchedObject::Bary, I);
-      BaryEntries[I].store(0, std::memory_order_relaxed);
+      bary(I).store(0, std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Bary, I, 0);
       ++Local.BaryCleared;
     }
@@ -335,7 +330,7 @@ IDTables::txUpdateRetire(const std::vector<TaryRange> &TaryRetire,
     for (uint32_t I : BarySites) {
       assert(I < BaryEntries.size() && "retired site past capacity");
       schedYield(SchedOp::StoreRelaxed, SchedObject::Bary, I);
-      BaryEntries[I].store(0, std::memory_order_relaxed);
+      bary(I).store(0, std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Bary, I, 0);
       ++Local.BaryCleared;
     }
@@ -351,7 +346,7 @@ IDTables::txUpdateRetire(const std::vector<TaryRange> &TaryRetire,
       assert(End * 4 <= taryCapacityBytes() && "retired range past capacity");
       for (uint64_t I = Begin; I < End; ++I) {
         schedYield(SchedOp::StoreRelaxed, SchedObject::Tary, I);
-        TaryEntries[I].store(0, std::memory_order_relaxed);
+        tary(I).store(0, std::memory_order_relaxed);
         schedObserve(SchedOp::StoreRelaxed, SchedObject::Tary, I, 0);
         ++Local.TaryCleared;
       }
@@ -450,13 +445,13 @@ TxUpdateStatus IDTables::txUpdateIncremental(
         // Eligibility cross-check: an already-installed entry may only
         // be rewritten with the value it already holds.
         schedYield(SchedOp::LoadRelaxed, SchedObject::Tary, I);
-        uint32_t Old = TaryEntries[I].load(std::memory_order_relaxed);
+        uint32_t Old = tary(I).load(std::memory_order_relaxed);
         schedObserve(SchedOp::LoadRelaxed, SchedObject::Tary, I, Old);
         assert((I >= PrevTaryWords || Old == 0 || Old == ID) &&
                "incremental update would change an installed Tary entry");
         (void)Old;
         schedYield(SchedOp::StoreRelaxed, SchedObject::Tary, I);
-        TaryEntries[I].store(ID, std::memory_order_relaxed);
+        tary(I).store(ID, std::memory_order_relaxed);
         schedObserve(SchedOp::StoreRelaxed, SchedObject::Tary, I, ID);
         ++Local.TaryWritten;
       }
@@ -474,7 +469,7 @@ TxUpdateStatus IDTables::txUpdateIncremental(
     for (uint32_t I : BaryDirty) {
       assert(I < BaryCount && "dirty site past the new Bary count");
       assert((I >= PrevBaryCount ||
-              BaryEntries[I].load(std::memory_order_relaxed) == 0) &&
+              bary(I).load(std::memory_order_relaxed) == 0) &&
              "incremental update would rewrite an installed Bary site");
       int64_t ECN = GetBaryECN(I);
       uint32_t ID = 0;
@@ -483,7 +478,7 @@ TxUpdateStatus IDTables::txUpdateIncremental(
         ID = encodeID(static_cast<uint32_t>(ECN), CurVersion);
       }
       schedYield(SchedOp::StoreRelaxed, SchedObject::Bary, I);
-      BaryEntries[I].store(ID, std::memory_order_relaxed);
+      bary(I).store(ID, std::memory_order_relaxed);
       schedObserve(SchedOp::StoreRelaxed, SchedObject::Bary, I, ID);
       ++Local.BaryWritten;
     }

@@ -23,6 +23,7 @@
 #ifndef MCFI_TABLES_IDTABLES_H
 #define MCFI_TABLES_IDTABLES_H
 
+#include "support/Region.h"
 #include "tables/ID.h"
 #include "tables/SchedPoint.h"
 
@@ -84,7 +85,10 @@ struct TxUpdateStats {
 ///
 /// The Tary table conceptually maps every code address to an ID; thanks
 /// to 4-byte target alignment it stores one 4-byte ID per 4-byte-aligned
-/// code address, so its size equals the code-region size (paper Sec. 5.1).
+/// code address, so it reserves as many bytes as the code region (paper
+/// Sec. 5.1). Both tables are demand-zero reservations: a word nobody
+/// has written reads as the invalid ID 0, and the resident size tracks
+/// the code loaded and the sites installed, not the capacity.
 /// Misaligned reads are synthesized from the two adjacent entries, which
 /// reproduces the paper's guarantee that such reads yield invalid IDs
 /// while staying within C++'s atomic-access rules.
@@ -268,12 +272,12 @@ public:
 
   uint32_t peekTaryWord(uint64_t WordIndex) const {
     return WordIndex < TaryEntries.size()
-               ? TaryEntries[WordIndex].load(std::memory_order_relaxed)
+               ? tary(WordIndex).load(std::memory_order_relaxed)
                : 0;
   }
   uint32_t peekBaryEntry(uint32_t Index) const {
     return Index < BaryEntries.size()
-               ? BaryEntries[Index].load(std::memory_order_relaxed)
+               ? bary(Index).load(std::memory_order_relaxed)
                : 0;
   }
   uint64_t peekUpdateSeq() const {
@@ -296,8 +300,19 @@ public:
 private:
   CheckResult txCheckSlow(uint32_t BaryIndex, uint64_t TargetOffset) const;
 
-  std::vector<std::atomic<uint32_t>> TaryEntries;
-  std::vector<std::atomic<uint32_t>> BaryEntries;
+  /// Every table word is accessed through std::atomic_ref, the idiom
+  /// Machine::load/store use for the guest data region.
+  std::atomic_ref<uint32_t> tary(uint64_t Index) const {
+    return std::atomic_ref<uint32_t>(TaryEntries[Index]);
+  }
+  std::atomic_ref<uint32_t> bary(uint32_t Index) const {
+    return std::atomic_ref<uint32_t>(BaryEntries[Index]);
+  }
+
+  /// Demand-zero reservations (support/Region.h): a never-written word
+  /// reads 0, the invalid ID, so construction stores nothing.
+  Region<uint32_t> TaryEntries;
+  Region<uint32_t> BaryEntries;
   static constexpr uint64_t EpochMargin = 64;
 
   std::atomic<uint32_t> Version{0};

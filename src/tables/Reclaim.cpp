@@ -86,37 +86,31 @@ bool EpochReclaimer::anyCondemned(const std::vector<uint32_t> &ECNs) const {
   return false;
 }
 
-void EpochReclaimer::addFreeRange(uint64_t Base, uint64_t SizeBytes) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  addFreeRangeLocked(Base, SizeBytes);
-}
-
-void EpochReclaimer::addFreeRangeLocked(uint64_t Base, uint64_t SizeBytes) {
+void FreeList::add(uint64_t Base, uint64_t SizeBytes) {
   if (SizeBytes == 0)
     return;
   FreeRange R{Base, SizeBytes};
   auto At = std::lower_bound(
-      Free.begin(), Free.end(), R,
+      Ranges.begin(), Ranges.end(), R,
       [](const FreeRange &A, const FreeRange &B) { return A.Base < B.Base; });
-  At = Free.insert(At, R);
+  At = Ranges.insert(At, R);
   // Coalesce with the successor, then the predecessor.
   auto Next = At + 1;
-  if (Next != Free.end() && At->Base + At->SizeBytes == Next->Base) {
+  if (Next != Ranges.end() && At->Base + At->SizeBytes == Next->Base) {
     At->SizeBytes += Next->SizeBytes;
-    Free.erase(Next);
+    Ranges.erase(Next);
   }
-  if (At != Free.begin()) {
+  if (At != Ranges.begin()) {
     auto Prev = At - 1;
     if (Prev->Base + Prev->SizeBytes == At->Base) {
       Prev->SizeBytes += At->SizeBytes;
-      Free.erase(At);
+      Ranges.erase(At);
     }
   }
 }
 
-uint64_t EpochReclaimer::allocFromFree(uint64_t SizeBytes, uint64_t Align) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  for (auto It = Free.begin(); It != Free.end(); ++It) {
+uint64_t FreeList::alloc(uint64_t SizeBytes, uint64_t Align) {
+  for (auto It = Ranges.begin(); It != Ranges.end(); ++It) {
     uint64_t Base = (It->Base + (Align - 1)) & ~(Align - 1);
     uint64_t Pad = Base - It->Base;
     if (Pad + SizeBytes > It->SizeBytes)
@@ -129,35 +123,61 @@ uint64_t EpochReclaimer::allocFromFree(uint64_t SizeBytes, uint64_t Align) {
       It->SizeBytes = Pad;
       if (TailSize) {
         FreeRange Tail{TailBase, TailSize};
-        Free.insert(It + 1, Tail);
+        Ranges.insert(It + 1, Tail);
       }
     } else if (TailSize) {
       It->Base = TailBase;
       It->SizeBytes = TailSize;
     } else {
-      Free.erase(It);
+      Ranges.erase(It);
     }
-    ++Counters.Reused;
     return Base;
   }
   return 0;
 }
 
-bool EpochReclaimer::takeFreeRangeEndingAt(uint64_t Top, FreeRange &Out) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  for (auto It = Free.begin(); It != Free.end(); ++It) {
+bool FreeList::takeEndingAt(uint64_t Top, FreeRange &Out) {
+  for (auto It = Ranges.begin(); It != Ranges.end(); ++It) {
     if (It->Base + It->SizeBytes == Top) {
       Out = *It;
-      Free.erase(It);
+      Ranges.erase(It);
       return true;
     }
   }
   return false;
 }
 
+void EpochReclaimer::addFreeRange(uint64_t Base, uint64_t SizeBytes) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  CodeFree.add(Base, SizeBytes);
+}
+
+uint64_t EpochReclaimer::allocFromFree(uint64_t SizeBytes, uint64_t Align) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  uint64_t Base = CodeFree.alloc(SizeBytes, Align);
+  if (Base)
+    ++Counters.Reused;
+  return Base;
+}
+
+bool EpochReclaimer::takeFreeRangeEndingAt(uint64_t Top, FreeRange &Out) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  return CodeFree.takeEndingAt(Top, Out);
+}
+
+void EpochReclaimer::addFreeDataRange(uint64_t Base, uint64_t SizeBytes) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  DataFree.add(Base, SizeBytes);
+}
+
+uint64_t EpochReclaimer::allocDataFromFree(uint64_t SizeBytes) {
+  std::lock_guard<std::mutex> Guard(Lock);
+  return DataFree.alloc(SizeBytes, 8);
+}
+
 std::vector<FreeRange> EpochReclaimer::freeRanges() const {
   std::lock_guard<std::mutex> Guard(Lock);
-  return Free;
+  return CodeFree.ranges();
 }
 
 ReclaimStats EpochReclaimer::stats() const {
@@ -170,9 +190,9 @@ ReclaimStats EpochReclaimer::stats() const {
     Ecns += Count;
   }
   S.CondemnedECNs = Ecns;
-  S.FreeRanges = Free.size();
+  S.FreeRanges = CodeFree.ranges().size();
   uint64_t Bytes = 0;
-  for (const FreeRange &R : Free)
+  for (const FreeRange &R : CodeFree.ranges())
     Bytes += R.SizeBytes;
   S.FreeBytes = Bytes;
   return S;

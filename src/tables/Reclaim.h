@@ -53,11 +53,14 @@
 
 namespace mcfi {
 
-/// One code/table range retired by dlclose, waiting out its grace
-/// period. Addresses are absolute guest code addresses.
+/// One module's ranges retired by dlclose, waiting out their grace
+/// period: its code range (and the Tary range shadowing it) plus its
+/// data range. Addresses are absolute guest addresses.
 struct RetiredRegion {
   uint64_t CodeBase = 0;
   uint64_t SizeBytes = 0;
+  uint64_t DataBase = 0;
+  uint64_t DataSize = 0;
   /// Monotonic serial of the mapped module (never reused, unlike the
   /// module index or the code range).
   uint64_t Serial = 0;
@@ -68,10 +71,27 @@ struct RetiredRegion {
 };
 
 /// A reusable hole in the code region (and, by construction, in the
-/// byte-indexed Tary table that shadows it).
+/// byte-indexed Tary table that shadows it) or in the data region.
 struct FreeRange {
   uint64_t Base = 0;
   uint64_t SizeBytes = 0;
+};
+
+/// Free ranges sorted by base and coalesced on insert, allocated first
+/// fit. Not thread-safe; EpochReclaimer keeps one per region under its
+/// lock.
+class FreeList {
+public:
+  void add(uint64_t Base, uint64_t SizeBytes);
+  /// Carves \p SizeBytes at \p Align (a power of two) out of the first
+  /// hole that fits; returns 0 when none does.
+  uint64_t alloc(uint64_t SizeBytes, uint64_t Align);
+  /// Removes the range ending exactly at \p Top, if any.
+  bool takeEndingAt(uint64_t Top, FreeRange &Out);
+  const std::vector<FreeRange> &ranges() const { return Ranges; }
+
+private:
+  std::vector<FreeRange> Ranges;
 };
 
 /// Reclamation counters, surfaced in the update-metrics JSON.
@@ -82,9 +102,9 @@ struct ReclaimStats {
   uint64_t CondemnedECNs = 0;  ///< ECNs currently condemned
   uint64_t ReleasedECNs = 0;   ///< ECNs released after grace, lifetime
   uint64_t PendingRegions = 0; ///< regions still inside their grace period
-  uint64_t FreeRanges = 0;     ///< holes currently on the free list
+  uint64_t FreeRanges = 0;     ///< code holes currently on the free list
   uint64_t FreeBytes = 0;      ///< bytes across those holes
-  uint64_t Reused = 0;         ///< allocations served from the free list
+  uint64_t Reused = 0;         ///< code allocations served from the list
 };
 
 /// Epoch-based reclaimer for retired module ranges. Thread-safe; owned
@@ -127,15 +147,21 @@ public:
   bool isCondemned(uint32_t ECN) const;
   bool anyCondemned(const std::vector<uint32_t> &ECNs) const;
 
-  /// First-fit allocation from the matured free list; returns 0 when no
-  /// hole fits. \p Align must be a power of two.
+  /// First-fit allocation from the matured code free list; returns 0
+  /// when no hole fits. \p Align must be a power of two.
   uint64_t allocFromFree(uint64_t SizeBytes, uint64_t Align);
 
-  /// Returns a range to the free list directly (already past grace and
-  /// zeroed — used by applyReclaim to publish matured regions after the
-  /// W^X memset, by the tail-trim cascade to re-insert a partially
-  /// consumed hole, and by tests).
+  /// Returns a code range to the free list directly (already past grace
+  /// and zeroed — used by applyReclaim to publish matured regions after
+  /// the W^X memset, and by tests).
   void addFreeRange(uint64_t Base, uint64_t SizeBytes);
+
+  /// The data-region counterparts: applyReclaim publishes a matured
+  /// module's zeroed globals, and mapModule takes a module's data from
+  /// here (8-aligned, first fit) before it bumps the heap. A reused
+  /// range reads 0, as a fresh module's BSS must.
+  uint64_t allocDataFromFree(uint64_t SizeBytes);
+  void addFreeDataRange(uint64_t Base, uint64_t SizeBytes);
 
   /// Removes and returns the free range ending exactly at \p Top, if
   /// any — the tail-trim cascade peels ranges off the top of the code
@@ -148,12 +174,12 @@ public:
 
 private:
   void bumpPending(int64_t Delta);
-  void addFreeRangeLocked(uint64_t Base, uint64_t SizeBytes);
 
   mutable std::mutex Lock;
   std::vector<RetiredRegion> Pending;
   std::map<uint32_t, uint32_t> Condemned; ///< ECN -> condemn count
-  std::vector<FreeRange> Free;            ///< sorted by Base, coalesced
+  FreeList CodeFree;
+  FreeList DataFree;
   ReclaimStats Counters;
   /// Lock-free mirror of Pending.size() so the VM's syscall gate can
   /// poll without taking the lock; bracketed by the SchedPoint seam (the

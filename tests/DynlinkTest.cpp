@@ -301,6 +301,35 @@ TEST(Dynlink, DlcloseRejectsBadHandles) {
   EXPECT_FALSE(Ok[1]);
 }
 
+TEST(Dynlink, DlopenAfterMallocKeepsHeapIntact) {
+  // A module's globals come from the heap's bump pointer, so a dlopen
+  // after a malloc places them past the live block instead of on it.
+  const char *Host = R"(
+    long plugin_get(long i);
+    int main() {
+      long *p = (long *)malloc(64);
+      p[0] = 42;
+      p[1] = 43;
+      if (dlopen(0) < 0) return 1;
+      print_int(p[0]);
+      print_int(p[1]);
+      print_int(plugin_get(0));
+      print_int(plugin_get(1));
+      return 0;
+    }
+  )";
+  const char *Plugin = R"(
+    long g0 = 7;
+    long g1 = 8;
+    long plugin_get(long i) { if (i) return g1; return g0; }
+  )";
+  DynProgram D = buildDynamic(Host, Plugin);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  RunResult R = runProgram(*D.M);
+  EXPECT_EQ(R.Reason, StopReason::Exited) << R.Message;
+  EXPECT_EQ(D.M->takeOutput(), "42\n43\n7\n8\n");
+}
+
 TEST(Dynlink, DlcloseReclaimRestoresFootprint) {
   // The zero-leak property: open -> close -> drain returns the machine
   // to its pre-dlopen footprint (module count, code usage, no pending

@@ -18,6 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+
 using namespace mcfi;
 using namespace mcfi::visa;
 
@@ -26,6 +31,29 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Guest memory model
 //===----------------------------------------------------------------------===//
+
+/// Resident set size of this process, from /proc/self/statm.
+uint64_t residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  uint64_t Pages = 0, Resident = 0;
+  Statm >> Pages >> Resident;
+  return Resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Machine, FreshMachineIsReservedNotCommitted) {
+  // 8 MiB of code, 64 MiB of data, an 8 MiB Tary and a 1 MiB Bary are
+  // reserved, not written: constructing a Machine commits almost none.
+  uint64_t Before = residentBytes();
+  auto M = std::make_unique<Machine>();
+  EXPECT_LT(residentBytes(), Before + (4ull << 20))
+      << "a fresh Machine committed its regions";
+  // A never-written table word reads as the invalid ID 0.
+  const IDTables &T = M->tables();
+  EXPECT_EQ(T.taryRead(T.taryCapacityBytes() - 4), 0u);
+  EXPECT_EQ(T.baryRead(T.baryCapacity() - 1), 0u);
+  EXPECT_EQ(T.txCheck(T.baryCapacity() - 1, T.taryCapacityBytes() - 4),
+            CheckResult::ViolationInvalid);
+}
 
 TEST(MachineMemory, TypedAccessRoundTrip) {
   Machine M;
@@ -72,7 +100,13 @@ TEST(MachineMemory, HeapAllocationIsAlignedAndDisjoint) {
   // A request larger than the data region is refused without moving the
   // heap pointer (a wrapping bump would move it backwards over B).
   EXPECT_EQ(M.allocHeap(~0ull - 7), 0u);
-  EXPECT_GE(M.allocHeap(8), B + 100);
+  uint64_t C = M.allocHeap(8);
+  EXPECT_GE(C, B + 100);
+  // So is one that fits the region but not below the room kept for a
+  // stack: module globals share this bump pointer, so a refused request
+  // must not consume it.
+  EXPECT_EQ(M.allocHeap(MachineOptions().DataCapacity - 8), 0u);
+  EXPECT_EQ(M.allocHeap(8), C + 8);
 }
 
 TEST(MachineMemory, ReadStringStopsAtNulAndFault) {

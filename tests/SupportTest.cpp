@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/RNG.h"
+#include "support/Region.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "support/UnionFind.h"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 using namespace mcfi;
 
@@ -50,6 +52,26 @@ TEST(RNG, RangeInclusive) {
     EXPECT_GE(V, 10u);
     EXPECT_LE(V, 12u);
   }
+}
+
+TEST(RegionTest, ReadsZeroAndMovesOwnership) {
+  Region<uint32_t> A(1u << 20);
+  EXPECT_EQ(A.size(), 1u << 20);
+  EXPECT_EQ(A[0], 0u);
+  EXPECT_EQ(A[A.size() - 1], 0u);
+  A[7] = 42;
+  // A move hands over the one mapping; the source no longer owns it.
+  Region<uint32_t> B(std::move(A));
+  EXPECT_EQ(A.data(), nullptr);
+  EXPECT_EQ(A.size(), 0u);
+  EXPECT_EQ(B[7], 42u);
+  Region<uint32_t> C(1);
+  C = std::move(B);
+  EXPECT_EQ(B.data(), nullptr);
+  EXPECT_EQ(C.size(), 1u << 20);
+  EXPECT_EQ(C[7], 42u);
+  // An empty region maps nothing.
+  EXPECT_EQ(Region<uint64_t>(0).data(), nullptr);
 }
 
 TEST(UnionFindTest, BasicMergeAndFind) {

@@ -883,6 +883,55 @@ TEST(DlcloseChurn, StormWithZeroLeakAccounting) {
   }
 }
 
+/// dlclose returns a module's data range as well as its code range. The
+/// machine's data region holds about 5000 copies of the plugin's 96 bytes
+/// of globals, fewer than the 8000 cycles run; each reopen lands on the
+/// previous copy's range, zeroed, so its uninitialized global reads 0.
+TEST(DlcloseChurn, DataRegionReturnsAfterChurn) {
+  CompileOptions CO;
+  CO.ModuleName = "churn";
+  CompileResult CR = compileModule(R"(
+    long churn_bss;
+    long churn_pad[10];
+    long churn_init = 5;
+    long churn_get(long i) { return churn_bss + churn_pad[i & 7] + churn_init; }
+  )", CO);
+  ASSERT_TRUE(CR.Ok);
+  ASSERT_EQ(CR.Obj.DataSize, 96u);
+
+  MachineOptions MO;
+  MO.DataCapacity = 1ull << 20;
+  MO.StackSize = 64ull << 10;
+  Machine M(MO);
+  Linker L(M);
+  CompileOptions HostCO;
+  HostCO.ModuleName = "host";
+  CompileResult HostCR = compileModule("int main() { return 0; }", HostCO);
+  ASSERT_TRUE(HostCR.Ok);
+  std::string Error;
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(HostCR.Obj));
+  ASSERT_TRUE(L.linkProgram(std::move(Objs), Error)) << Error;
+  L.registerLibrary(std::move(CR.Obj));
+
+  uint64_t FirstBase = 0;
+  for (int C = 0; C != 8000; ++C) {
+    int64_t H = L.dlopen(0);
+    ASSERT_GE(H, 0) << "cycle " << C << ": " << L.lastError();
+    const MappedModule &Mod = M.modules()[static_cast<size_t>(H)];
+    if (C == 0)
+      FirstBase = Mod.DataBase;
+    ASSERT_EQ(Mod.DataBase, FirstBase) << "cycle " << C;
+    uint64_t Bss = Mod.DataBase + Mod.Obj->DataSymbols.at("churn_bss");
+    uint64_t V = 1;
+    ASSERT_TRUE(M.load(Bss, 8, V));
+    ASSERT_EQ(V, 0u) << "cycle " << C << ": a reused global is not BSS";
+    ASSERT_TRUE(M.store(Bss, 8, 0x5eed));
+    ASSERT_TRUE(L.dlcloseOne(H));
+    M.drainReclaim();
+  }
+}
+
 TEST(GuestThreads, StacksAreDisjoint) {
   BuiltProgram BP = buildShared();
   ASSERT_TRUE(BP.Ok) << BP.Error;
