@@ -124,7 +124,9 @@ struct PtrSlot {
   bool IsRetSlot = false;
 };
 
-std::string hex(uint64_t V) { return formatString("0x%llx", V); }
+std::string hex(uint64_t V) {
+  return formatString("0x%llx", static_cast<unsigned long long>(V));
+}
 
 /// Deterministic pick-without-replacement from a sorted candidate list.
 template <typename T>

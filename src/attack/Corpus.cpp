@@ -126,11 +126,6 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-bool killedVerdict(Verdict V) {
-  return V == Verdict::CaughtByCheck || V == Verdict::CaughtByMask ||
-         V == Verdict::Trapped || V == Verdict::UnreachableByPolicy;
-}
-
 std::vector<AttackClass> allClasses() {
   std::vector<AttackClass> Out;
   for (unsigned I = 0; I != NumAttackClasses; ++I)

@@ -328,7 +328,15 @@ InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
   // would spuriously halt. A site holding no ID (-1) is not installed:
   // its entry is zero, left by a retire whose module has since been
   // reclaimed and its slot trimmed, so giving it an ID is an extension.
-  for (uint32_t I = 0; I != InstalledBaryCount; ++I) {
+  // Nearly every site holds the same value in both policies, so one tight
+  // scan skips the common prefix first.
+  const std::vector<int64_t> &OldSites = Installed.BranchECN;
+  const std::vector<int64_t> &NewSites = Next.BranchECN;
+  auto Same = OldSites.begin() + std::min({OldSites.size(), NewSites.size(),
+                                           size_t(InstalledBaryCount)});
+  Same = std::mismatch(OldSites.begin(), Same, NewSites.begin()).first;
+  for (auto I = static_cast<uint32_t>(Same - OldSites.begin());
+       I != InstalledBaryCount; ++I) {
     int64_t Old = Installed.getBaryECN(I), New = Next.getBaryECN(I);
     if (Old < 0) {
       if (New >= 0)
@@ -341,11 +349,14 @@ InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
   for (uint32_t I = InstalledBaryCount; I < D.BaryCount; ++I)
     D.BaryDirty.push_back(I);
 
-  // Pure extension: collect the new IBT offsets and coalesce them.
+  // Pure extension: collect the new IBT offsets and coalesce them. Every
+  // installed target is in Next, so Next holds new ones only if it is
+  // larger.
   D.FullRebuild = false;
-  for (const auto &Entry : Next.TargetECN)
-    if (!Installed.TargetECN.count(Entry.first))
-      D.TaryDirtyOffsets.push_back(Entry.first - Machine::CodeBase);
+  if (Next.TargetECN.size() > Installed.TargetECN.size())
+    for (const auto &Entry : Next.TargetECN)
+      if (!Installed.TargetECN.count(Entry.first))
+        D.TaryDirtyOffsets.push_back(Entry.first - Machine::CodeBase);
   std::sort(D.TaryDirtyOffsets.begin(), D.TaryDirtyOffsets.end());
   for (uint64_t Offset : D.TaryDirtyOffsets) {
     if (!D.TaryDirty.empty() &&
@@ -610,6 +621,16 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   DlopenBatchStats BS;
   BS.Requested = static_cast<uint32_t>(Batch.size());
 
+  // A mapped module that fails before the install is tombstoned at once:
+  // the next merge must not fold it in, and the reclaimer returns its
+  // ranges. Its table entries were never installed, so there is no
+  // retire transaction and no condemned ECN.
+  auto Discard = [&](int Idx) {
+    BaryPatched.erase(M.modules()[static_cast<size_t>(Idx)].Serial);
+    M.markModuleRetired(Idx, 0);
+    M.retireModule(Idx, {});
+  };
+
   // Step 1 per request: validate, map writable/not-executable, relocate.
   // A request failing here fails alone; the rest of the batch proceeds.
   std::vector<std::pair<PendingDlopen *, int>> Loaded;
@@ -626,6 +647,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
     std::string Error;
     if (!resolveModule(Idx, Error)) {
       LastError = "dlopen: " + Error;
+      Discard(Idx);
       continue;
     }
     Loaded.push_back({P, Idx});
@@ -657,9 +679,12 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
         // Fail the whole batch closed: the policy was generated against
         // every mapped module, so installing it with one member
         // unverified would admit edges into unvetted code. Nothing
-        // seals, nothing installs, every request reports failure.
+        // seals, nothing installs, every request reports failure, and
+        // every member is discarded.
         LastError = "dlopen: verification failed for module '" +
                     Mod.Obj->Name + "': " + VR.Errors.front();
+        for (const auto &Member : Loaded)
+          Discard(Member.second);
         BatchHistory.push_back(BS);
         return;
       }
@@ -954,13 +979,15 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();
-  uint32_t BaryCount = M.tables().installedBaryCount();
-  bool RetireOnly =
-      M.codeTop() - Machine::CodeBase <= M.tables().installedTaryLimitBytes() &&
-      NewPolicy.BranchECN.size() <= BaryCount &&
-      NewPolicy.TargetECN == Policy.TargetECN;
-  for (uint32_t I = 0; RetireOnly && I != BaryCount; ++I)
-    RetireOnly = NewPolicy.getBaryECN(I) == Policy.getBaryECN(I);
+  // Retire-only exactly when installing NewPolicy would store nothing:
+  // a pure extension with no new entry at the installed extents.
+  uint64_t TaryBytes = M.tables().installedTaryLimitBytes();
+  InstallDelta Delta = computeInstallDelta(
+      Policy, NewPolicy, TaryBytes, M.tables().installedBaryCount(),
+      M.codeTop() - Machine::CodeBase);
+  bool RetireOnly = !Delta.FullRebuild && Delta.TaryDirty.empty() &&
+                    Delta.BaryDirty.empty() &&
+                    Delta.TaryLimitBytes == TaryBytes;
   if (RetireOnly) {
     Policy = std::move(NewPolicy);
     M.setSetjmpRetSites(Policy.SetjmpRetSites);

@@ -66,9 +66,9 @@ struct TaryRange {
 struct TxUpdateStats {
   uint64_t TaryWritten = 0; ///< Tary entries stored (new or re-encoded)
   uint64_t BaryWritten = 0; ///< Bary entries stored
-  uint64_t TaryCleared = 0; ///< stale Tary entries zeroed (table shrank)
-  uint64_t BaryCleared = 0; ///< stale Bary entries zeroed
-  bool Incremental = false; ///< delta installation vs full rebuild
+  uint64_t TaryCleared = 0; ///< Tary entries zeroed (shrunk tail or retired)
+  uint64_t BaryCleared = 0; ///< Bary entries zeroed (shrunk tail or retired)
+  bool Incremental = false; ///< no version bump: delta install or retire
   uint32_t Version = 0;     ///< version the written IDs carry
   double Micros = 0;        ///< wall-clock latency, filled by the caller
   /// Modules whose load this transaction installed. 1 for an ordinary
@@ -214,8 +214,9 @@ public:
     return (UpdateSeq.load(std::memory_order_acquire) & 1) != 0;
   }
 
-  /// Extents covered by the most recent update transaction (what a
-  /// shrinking update must zero down from).
+  /// Extents covered by the most recent *install* (full or incremental):
+  /// what a shrinking update must zero down from. txUpdateRetire leaves
+  /// them alone; the ranges it zeroes become interior holes.
   uint64_t installedTaryLimitBytes() const {
     return InstalledTaryWords.load(std::memory_order_relaxed) * 4;
   }
@@ -247,15 +248,7 @@ public:
   /// Declares a quiescence point: every thread has been observed outside
   /// any in-flight check transaction, so old-version IDs can no longer
   /// be compared and the ABA counter restarts.
-  void resetVersionEpoch() {
-    schedYield(SchedOp::LoadRelaxed, SchedObject::VersionedUpdateCount, 0);
-    uint64_t VU = VersionedUpdates.load(std::memory_order_relaxed);
-    schedObserve(SchedOp::LoadRelaxed, SchedObject::VersionedUpdateCount, 0,
-                 VU);
-    schedYield(SchedOp::StoreRelaxed, SchedObject::EpochBase, 0);
-    EpochBase.store(VU, std::memory_order_relaxed);
-    schedObserve(SchedOp::StoreRelaxed, SchedObject::EpochBase, 0, VU);
-  }
+  void resetVersionEpoch();
 
   uint64_t taryCapacityBytes() const { return TaryEntries.size() * 4; }
   uint32_t baryCapacity() const {
@@ -299,6 +292,20 @@ public:
 
 private:
   CheckResult txCheckSlow(uint32_t BaryIndex, uint64_t TargetOffset) const;
+
+  /// Fig. 3's skeleton, shared by the three update transactions. Under
+  /// UpdateLock: \p Prologue sets up the version in the stats it is
+  /// handed (returning false refuses with VersionExhausted, before any
+  /// side effect); the seqlock opens; \p PhaseA; barrier,
+  /// \p BetweenTablesHook, barrier; \p PhaseB; closing fence; the
+  /// seqlock closes; the stats are copied out, keeping the caller-owned
+  /// Micros and BatchModules. In the instrumented build the test-only
+  /// reorder mutant swaps the phases of \p Install transactions.
+  template <typename PrologueFn, typename PhaseAFn, typename PhaseBFn>
+  TxUpdateStatus transact(bool Install, PrologueFn &&Prologue,
+                          PhaseAFn &&PhaseA, PhaseBFn &&PhaseB,
+                          const std::function<void()> &BetweenTablesHook,
+                          TxUpdateStats *Stats);
 
   /// Every table word is accessed through std::atomic_ref, the idiom
   /// Machine::load/store use for the guest data region.

@@ -8,10 +8,13 @@
 /// \file
 /// The SchedPoint seam: a hook invoked at every atomic load, store, RMW,
 /// and fence inside the check/update transaction paths (txCheck,
-/// txCheckSlow, txUpdate, txUpdateIncremental). The deterministic
-/// schedule-exploration checker (src/schedcheck) uses it to gain control
-/// before each shared-memory access of a logical thread — the scheduling
-/// decision point — and to observe the value moved, which feeds the
+/// txCheckSlow, and the update transactions txUpdate,
+/// txUpdateIncremental and txUpdateRetire, whose accesses go through
+/// IDTables.cpp's seam helpers), and at the reclaimer's pending-region
+/// counter (tables/Reclaim.h). The deterministic schedule-exploration
+/// checker (src/schedcheck) uses it to gain control before each
+/// shared-memory access of a logical thread — the scheduling decision
+/// point — and to observe the value moved, which feeds the
 /// linearizability oracle and the torn-read (reserved-bits) check.
 ///
 /// In normal builds the hooks compile to empty inline functions, so the

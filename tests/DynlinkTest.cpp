@@ -449,6 +449,54 @@ TEST(Dynlink, RefusedInstallLeavesPolicyMatchingTables) {
   expectPolicyMatchesTables(D);
 }
 
+TEST(Dynlink, FailedBatchMembersAreRetiredAndReclaimed) {
+  // A batch with an unverifiable member fails closed, and all of its
+  // members, the verifiable one too, are retired on the spot: no later
+  // install may give Tary IDs to code the verifier never accepted, and
+  // the reclaimer must get their ranges back. A dlopen whose relocation
+  // fails retires its module the same way.
+  DynProgram D = buildDynamic(HostSource, PluginSource);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  CompileOptions BadCO;
+  BadCO.ModuleName = "unverifiable";
+  BadCO.Instrument = false; // its indirect call goes unchecked
+  CompileResult Bad = compileModule(
+      "long bad_apply(long (*f)(long), long x) { return f(x); }", BadCO);
+  ASSERT_TRUE(Bad.Ok);
+  int64_t BadId = D.L->registerLibrary(std::move(Bad.Obj));
+  CompileOptions UnresolvedCO;
+  UnresolvedCO.ModuleName = "unresolved";
+  CompileResult Unresolved = compileModule(
+      "long nowhere(long x);\nlong (*keep)(long) = nowhere;\n", UnresolvedCO);
+  ASSERT_TRUE(Unresolved.Ok);
+  int64_t UnresolvedId = D.L->registerLibrary(std::move(Unresolved.Obj));
+
+  size_t First = D.M->modules().size();
+  for (const DlopenResult &R : D.L->dlopenBatch({0, BadId}))
+    EXPECT_LT(R.Handle, 0);
+  EXPECT_LT(D.L->dlopen(UnresolvedId), 0);
+  EXPECT_NE(D.L->lastError().find("unresolved"), std::string::npos)
+      << D.L->lastError();
+  ASSERT_EQ(D.M->modules().size(), First + 3);
+  std::vector<std::pair<uint64_t, uint64_t>> Failed;
+  for (size_t I = First; I != First + 3; ++I) {
+    const MappedModule &Mod = D.M->modules()[I];
+    EXPECT_TRUE(Mod.Retired) << "member " << I;
+    Failed.push_back({Mod.CodeBase, Mod.CodeBase + Mod.CodeSize});
+  }
+
+  ASSERT_GE(D.L->dlopen(0), 0) << D.L->lastError();
+  for (const auto &Entry : D.L->policy().TargetECN)
+    for (const auto &[Begin, End] : Failed)
+      EXPECT_FALSE(Entry.first >= Begin && Entry.first < End)
+          << "target " << Entry.first << " lies in a failed member";
+  expectPolicyMatchesTables(D);
+
+  D.M->drainReclaim();
+  for (size_t I = First; I != First + 3; ++I)
+    EXPECT_TRUE(D.M->modules()[I].Reclaimed) << "member " << I;
+}
+
 TEST(Dynlink, DlopenAfterDrainStaysIncremental) {
   // The drain's tail-trim lowers codeTop and pops the closed modules'
   // branch-site slots. The installed Tary limit and Bary count stay at

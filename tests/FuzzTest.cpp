@@ -144,8 +144,9 @@ TEST_P(FuzzPipeline, DataflowEngineTerminates) {
     EXPECT_TRUE(FromSite) << F.Target;
   }
   CFGRefinement Ref = computeRefinement(R);
-  if (R.Havoc)
+  if (R.Havoc) {
     EXPECT_TRUE(Ref.Allowed.empty());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,

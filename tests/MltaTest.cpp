@@ -76,9 +76,10 @@ bool isSubset(const std::vector<std::string> &A,
 /// soundness differential, asserted wherever a result is produced.
 void expectSubsetEverywhere(const mlta::MltaResult &R) {
   for (const mlta::MltaSite &S : R.Sites)
-    if (S.Refined)
+    if (S.Refined) {
       EXPECT_TRUE(isSubset(S.Targets, S.Flta))
           << S.Caller << ": MLTA set escapes the FLTA set";
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -769,9 +769,9 @@ void runPersistentSequence(uint64_t Seed, const CFGRefinement *Ref) {
   EXPECT_GT(OpensAfterTrim, 0u);
   EXPECT_GT(M.reclaimStats().Reused, 0u) << "no free-list code reuse";
 
-  // A batch that fails verification installs nothing. Its mapped
-  // members stay in the views (they were folded in before the verifier
-  // ran), and the next successful operation's policy covers them.
+  // A batch that fails verification installs nothing. Its members are
+  // retired on the spot, so they stay in the views only as tombstones,
+  // and the next successful operation's policy replays around them.
   CFGPolicy Before = L.policy();
   std::vector<DlopenResult> Res = L.dlopenBatch({0, BadId});
   EXPECT_LT(Res[0].Handle, 0);

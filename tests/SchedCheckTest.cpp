@@ -62,8 +62,9 @@ TEST(SchedOracle, MisalignedTargetsAlwaysInvalid) {
   const Scenario *S = findScenario("full");
   ASSERT_NE(S, nullptr);
   for (uint64_t Off = 1; Off < 24; ++Off) {
-    if (Off & 3)
+    if (Off & 3) {
       EXPECT_EQ(evalCheck(S->Initial, 0, Off), CheckResult::ViolationInvalid);
+    }
   }
 }
 
@@ -93,11 +94,11 @@ TEST_P(SchedScenario, ExhaustivePassesOracle) {
 TEST_P(SchedScenario, RandomWalksPassOracle) {
   const Scenario *S = findScenario(GetParam());
   ASSERT_NE(S, nullptr);
-  ExploreReport R = exploreRandom(*S, 2000, 1);
+  ExploreReport R = exploreRandom(*S, 10000, 1);
   EXPECT_TRUE(R.Violations.empty())
       << R.Violations.front().Message
       << "\nreplay: " << R.Violations.front().Schedule;
-  EXPECT_EQ(R.Schedules, 2000u);
+  EXPECT_EQ(R.Schedules, 10000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, SchedScenario,

@@ -237,6 +237,71 @@ TEST_F(TablesFixture, UpdateStatsCountEntriesTouched) {
   EXPECT_EQ(Stats.BaryCleared, 2u); // sites 2..4 retired
 }
 
+TEST(UpdateStats, EveryTransactionReportsItsOwnStats) {
+  // Full, incremental and retire transactions copy their stats out
+  // through one skeleton: each reports its own kind, version and entry
+  // counts, and the caller-owned fields survive every one of them.
+  IDTables T(64, 4);
+  auto EveryOther = [](uint64_t O) -> int64_t { return O % 8 ? -1 : 1; };
+  auto One = [](uint32_t) -> int64_t { return 1; };
+  TxUpdateStats Stats;
+  Stats.Micros = 12.5;
+  Stats.BatchModules = 3;
+  auto ExpectCounts = [&](uint64_t TW, uint64_t BW, uint64_t TC,
+                          uint64_t BC) {
+    EXPECT_EQ(Stats.TaryWritten, TW);
+    EXPECT_EQ(Stats.BaryWritten, BW);
+    EXPECT_EQ(Stats.TaryCleared, TC);
+    EXPECT_EQ(Stats.BaryCleared, BC);
+    EXPECT_DOUBLE_EQ(Stats.Micros, 12.5);
+    EXPECT_EQ(Stats.BatchModules, 3u);
+  };
+
+  // Full: bumps the version and writes every entry below the limits.
+  ASSERT_EQ(T.txUpdate(16, EveryOther, 2, One, nullptr, &Stats),
+            TxUpdateStatus::Ok);
+  EXPECT_FALSE(Stats.Incremental);
+  EXPECT_EQ(Stats.Version, 1u);
+  EXPECT_EQ(T.currentVersion(), 1u);
+  ExpectCounts(4, 2, 0, 0);
+
+  // Incremental: grows both tables at the current version.
+  ASSERT_EQ(T.txUpdateIncremental(32, {{16, 32}}, EveryOther, 3, {2}, One,
+                                  nullptr, &Stats),
+            TxUpdateStatus::Ok);
+  EXPECT_TRUE(Stats.Incremental);
+  EXPECT_EQ(Stats.Version, 1u);
+  ExpectCounts(4, 1, 0, 0); // words 4..8 (bytes 16..32), site 2
+  EXPECT_EQ(T.installedTaryLimitBytes(), 32u);
+  EXPECT_EQ(T.installedBaryCount(), 3u);
+
+  // Retire: zeroes what the delta added, at the current version, and
+  // leaves the installed extents alone.
+  ASSERT_EQ(T.txUpdateRetire({{16, 32}}, {2}, nullptr, &Stats),
+            TxUpdateStatus::Ok);
+  EXPECT_TRUE(Stats.Incremental);
+  EXPECT_EQ(Stats.Version, 1u);
+  ExpectCounts(0, 0, 4, 1);
+  EXPECT_EQ(T.installedTaryLimitBytes(), 32u);
+  EXPECT_EQ(T.installedBaryCount(), 3u);
+  EXPECT_EQ(T.txCheck(0, 0), CheckResult::Pass);
+  EXPECT_EQ(T.txCheck(0, 16), CheckResult::ViolationInvalid);
+  EXPECT_EQ(T.txCheck(2, 0), CheckResult::ViolationInvalid);
+  EXPECT_EQ(T.updateCount(), 3u);
+  EXPECT_EQ(T.versionedUpdateCount(), 1u);
+
+  // A refused install has no side effects, on the stats either.
+  for (uint64_t I = 1; I != MaxVersion; ++I)
+    ASSERT_EQ(T.txUpdate(32, EveryOther, 3, One), TxUpdateStatus::Ok);
+  Stats.Incremental = true;
+  Stats.Version = 77;
+  ASSERT_EQ(T.txUpdate(32, EveryOther, 3, One, nullptr, &Stats),
+            TxUpdateStatus::VersionExhausted);
+  EXPECT_TRUE(Stats.Incremental);
+  EXPECT_EQ(Stats.Version, 77u);
+  ExpectCounts(0, 0, 4, 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Incremental (delta) update transactions
 //===----------------------------------------------------------------------===//

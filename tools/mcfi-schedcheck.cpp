@@ -9,7 +9,8 @@
 // checker (src/schedcheck). Exhaustively explores the built-in scenarios
 // under a preemption bound, runs seeded random walks, replays a recorded
 // schedule, and minimizes failing schedules. Exits nonzero when any
-// violation is found, so it can gate CI (tools/sched-check.sh).
+// violation is found. The CI gate is the sched_check ctest, the same
+// explorations as gtest cases in tests/SchedCheckTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,8 @@
 /// printing every finding. A module produced by *any* compiler is safe
 /// to load iff it verifies — the rewriter stays outside the TCB.
 ///
-///   mcfi-verify [--json] [--syntactic-only|--semantic-only] \
-///       module.mcfo [more.mcfo ...]
+///   mcfi-verify [--json] [--syntactic-only|--semantic-only]
+///               module.mcfo [more.mcfo ...]
 ///
 /// By default runs the two-tier verifier: the syntactic template matcher
 /// decides fast, and whatever it rejects is handed to the semantic
