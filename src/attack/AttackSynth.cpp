@@ -200,14 +200,11 @@ std::vector<GuestAttack> mcfi::attack::synthesizeGuestAttacks(
     }
   }
 
-  // IBTs grouped by class, sorted within each class.
+  // IBTs grouped by class, ascending within each class (the policy
+  // iterates in address order).
   std::map<uint32_t, std::vector<uint64_t>> ByECN;
   for (const auto &[Addr, ECN] : Policy.TargetECN)
     ByECN[ECN].push_back(Addr);
-  for (auto &[ECN, Addrs] : ByECN) {
-    (void)ECN;
-    std::sort(Addrs.begin(), Addrs.end());
-  }
 
   // The slot on the live dispatch path, for the classes that need the
   // corruption *consumed* (fused-check, epoch-replay, rop). The built-in

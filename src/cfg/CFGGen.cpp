@@ -31,7 +31,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 using namespace mcfi;
 
@@ -715,14 +717,16 @@ struct CFGMerge::State {
     std::vector<uint32_t> RootECN(Nodes.size(), None);
     std::vector<uint32_t> RootSize(Nodes.size(), 0);
     uint32_t NextECN = 0;
-    Policy.TargetECN.reserve(IBTs.size());
+    std::vector<TargetECNTable::value_type> Targets;
+    Targets.reserve(IBTs.size());
     for (const auto &[Node, Addr] : IBTs) {
       uint32_t Root = UF.find(Node);
       ++RootSize[Root];
       if (RootECN[Root] == None)
         RootECN[Root] = NextECN++;
-      Policy.TargetECN.emplace(Addr, RootECN[Root]);
+      Targets.push_back({Addr, RootECN[Root]});
     }
+    Policy.TargetECN = TargetECNTable(std::move(Targets));
 
     // Real classes must stay below the reserved empty-class ECN so the
     // fail-closed encoding below can never collide with one.
@@ -806,6 +810,26 @@ struct CFGMerge::State {
   std::vector<Edge> Edges;
   std::vector<uint32_t> RelevantWork, ActiveWork; ///< scratch
 };
+
+TargetECNTable::TargetECNTable(std::vector<value_type> Unsorted)
+    : Entries(std::move(Unsorted)) {
+  std::stable_sort(Entries.begin(), Entries.end(),
+                   [](const value_type &A, const value_type &B) {
+                     return A.first < B.first;
+                   });
+  Entries.erase(std::unique(Entries.begin(), Entries.end(),
+                            [](const value_type &A, const value_type &B) {
+                              return A.first == B.first;
+                            }),
+                Entries.end());
+}
+
+uint32_t TargetECNTable::at(uint64_t Addr) const {
+  auto It = find(Addr);
+  if (It == end())
+    throw std::out_of_range("TargetECNTable::at: not a target");
+  return It->second;
+}
 
 CFGMerge::CFGMerge(const CFGRefinement *Refinement)
     : S(std::make_unique<State>(Refinement)) {}

@@ -39,12 +39,12 @@
 
 #include "module/MCFIObject.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,10 +70,57 @@ struct LoadedModuleView {
   bool operator==(const LoadedModuleView &) const = default;
 };
 
+/// The Tary side of a policy: the ECN of every indirect-branch target,
+/// held as one address-sorted, duplicate-free vector of {absolute code
+/// address, ECN}. Lookups are binary searches. Iteration runs in
+/// ascending address order, the order the Tary table is laid out in, so
+/// the linker diffs two policies with one merge walk, feeds an update
+/// transaction with a moving cursor, and forgets a dlclosed module's
+/// targets with one range erase.
+class TargetECNTable {
+public:
+  using value_type = std::pair<uint64_t, uint32_t>; ///< {address, ECN}
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  TargetECNTable() = default;
+  /// Sorts \p Unsorted by address; of entries sharing an address, the
+  /// first one given wins.
+  explicit TargetECNTable(std::vector<value_type> Unsorted);
+
+  const_iterator begin() const { return Entries.begin(); }
+  const_iterator end() const { return Entries.end(); }
+  size_t size() const { return Entries.size(); }
+
+  /// The first entry at or above \p Addr.
+  const_iterator lowerBound(uint64_t Addr) const {
+    return std::lower_bound(
+        Entries.begin(), Entries.end(), Addr,
+        [](const value_type &E, uint64_t A) { return E.first < A; });
+  }
+  const_iterator find(uint64_t Addr) const {
+    auto It = lowerBound(Addr);
+    return It != end() && It->first == Addr ? It : end();
+  }
+  size_t count(uint64_t Addr) const { return find(Addr) != end(); }
+  /// The ECN of target \p Addr; throws std::out_of_range if it is none.
+  uint32_t at(uint64_t Addr) const;
+
+  /// Removes every entry whose address lies in [\p Begin, \p End).
+  void eraseRange(uint64_t Begin, uint64_t End) {
+    Entries.erase(lowerBound(Begin), lowerBound(End));
+  }
+
+  bool operator==(const TargetECNTable &) const = default;
+
+private:
+  std::vector<value_type> Entries;
+};
+
 /// The generated control-flow policy.
 struct CFGPolicy {
-  /// ECN for every indirect-branch target (absolute code address).
-  std::unordered_map<uint64_t, uint32_t> TargetECN;
+  /// ECN for every indirect-branch target (absolute code address),
+  /// ascending by address.
+  TargetECNTable TargetECN;
 
   /// ECN per global branch-site index; a site with an empty target set
   /// carries the reserved EmptyClassECN, which no target ever holds, so
@@ -98,8 +145,9 @@ struct CFGPolicy {
   uint64_t NumIBTs = 0; ///< indirect-branch targets
   uint64_t NumEQCs = 0; ///< equivalence classes among IBTs
 
-  /// The Tary lookup used by update transactions (Fig. 3's getTaryECN):
-  /// returns the ECN for absolute code address \p Addr or -1.
+  /// Fig. 3's getTaryECN: the ECN for absolute code address \p Addr, or
+  /// -1, by binary search. (The linker's install transactions ask in
+  /// ascending order and answer from a cursor instead.)
   int64_t getTaryECN(uint64_t Addr) const {
     auto It = TargetECN.find(Addr);
     return It == TargetECN.end() ? -1 : static_cast<int64_t>(It->second);

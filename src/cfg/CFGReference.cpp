@@ -12,6 +12,7 @@
 #include "tables/ID.h"
 
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace mcfi;
@@ -315,13 +316,16 @@ private:
     for (uint32_t I = 0; I != IBTAddrs.size(); ++I)
       ++RootSize[UF.find(I)];
     uint32_t NextECN = 0;
+    std::vector<TargetECNTable::value_type> Targets;
+    Targets.reserve(IBTAddrs.size());
     for (uint32_t I = 0; I != IBTAddrs.size(); ++I) {
       uint32_t Root = UF.find(I);
       auto [It, New] = RootECN.emplace(Root, NextECN);
       if (New)
         ++NextECN;
-      Policy.TargetECN[IBTAddrs[I]] = It->second;
+      Targets.push_back({IBTAddrs[I], It->second});
     }
+    Policy.TargetECN = TargetECNTable(std::move(Targets));
     assert(NextECN < EmptyClassECN && "ECN space exhausted");
 
     for (size_t B = 0; B != BranchTargets.size(); ++B) {

@@ -17,7 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <unordered_set>
 
 using namespace mcfi;
 using namespace mcfi::visa;
@@ -36,6 +36,23 @@ VerifyResult verifyMapped(const Machine &M, const MappedModule &Mod,
   const uint8_t *Code = M.codePtr(Mod.CodeBase, Size);
   Dis = disassembleModule(Code, Size, *Mod.Obj);
   return verifyModule(Code, Size, *Mod.Obj, Dis);
+}
+
+/// Appends \p Entry to one of the linker's histories: append-only logs
+/// that gain an entry or two per link operation for the linker's whole
+/// life. Left to double, a history of megabytes would be copied inside
+/// one unlucky dlopen or dlclose, with both buffers resident meanwhile,
+/// so peak memory would jump whenever the operation count passed a power
+/// of two. Once past its first pages, a history's capacity jumps to
+/// HistoryReserve entries instead: one allocation whose pages the kernel
+/// backs only as entries are written, so memory grows by the entries
+/// alone for the next million of them.
+template <typename T> void appendHistory(std::vector<T> &History, T Entry) {
+  constexpr size_t SmallHistory = size_t(1) << 12;
+  constexpr size_t HistoryReserve = size_t(1) << 20;
+  if (History.size() == History.capacity() && History.size() >= SmallHistory)
+    History.reserve(std::max(HistoryReserve, 2 * History.size()));
+  History.push_back(std::move(Entry));
 }
 
 } // namespace
@@ -302,24 +319,31 @@ InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
   D.TaryLimitBytes = std::max(CodeBytes, InstalledTaryBytes);
   D.BaryCount = std::max(static_cast<uint32_t>(Next.BranchECN.size()),
                          InstalledBaryCount);
-  if (InstalledTaryBytes == 0 && InstalledBaryCount == 0) {
-    D.Reason = "first install";
+  auto FullRebuild = [&D](const char *Why) {
+    D.Reason = Why;
+    D.TaryDirtyOffsets.clear();
+    D.BaryDirty.clear();
     return D;
-  }
+  };
+  if (InstalledTaryBytes == 0 && InstalledBaryCount == 0)
+    return FullRebuild("first install");
 
   // Every installed IBT must survive with the same ECN; a removed or
-  // renumbered target means some live Tary entry changes value.
+  // renumbered target means some live Tary entry changes value. Both
+  // tables ascend by address, so one merge walk checks that and collects
+  // the new targets' offsets, already sorted.
+  auto NextIt = Next.TargetECN.begin(), NextEnd = Next.TargetECN.end();
   for (const auto &[Addr, ECN] : Installed.TargetECN) {
-    auto It = Next.TargetECN.find(Addr);
-    if (It == Next.TargetECN.end()) {
-      D.Reason = "installed target removed";
-      return D;
-    }
-    if (It->second != ECN) {
-      D.Reason = "installed target changed class";
-      return D;
-    }
+    for (; NextIt != NextEnd && NextIt->first < Addr; ++NextIt)
+      D.TaryDirtyOffsets.push_back(NextIt->first - Machine::CodeBase);
+    if (NextIt == NextEnd || NextIt->first != Addr)
+      return FullRebuild("installed target removed");
+    if (NextIt->second != ECN)
+      return FullRebuild("installed target changed class");
+    ++NextIt;
   }
+  for (; NextIt != NextEnd; ++NextIt)
+    D.TaryDirtyOffsets.push_back(NextIt->first - Machine::CodeBase);
 
   // Every installed Bary site must keep its exact value. This covers the
   // resolved-import case: a PLT site going Empty -> real class is a value
@@ -342,22 +366,14 @@ InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
       if (New >= 0)
         D.BaryDirty.push_back(I);
     } else if (New != Old) {
-      D.Reason = "installed branch site changed";
-      return D;
+      return FullRebuild("installed branch site changed");
     }
   }
   for (uint32_t I = InstalledBaryCount; I < D.BaryCount; ++I)
     D.BaryDirty.push_back(I);
 
-  // Pure extension: collect the new IBT offsets and coalesce them. Every
-  // installed target is in Next, so Next holds new ones only if it is
-  // larger.
+  // Pure extension: coalesce the new IBT offsets into ranges.
   D.FullRebuild = false;
-  if (Next.TargetECN.size() > Installed.TargetECN.size())
-    for (const auto &Entry : Next.TargetECN)
-      if (!Installed.TargetECN.count(Entry.first))
-        D.TaryDirtyOffsets.push_back(Entry.first - Machine::CodeBase);
-  std::sort(D.TaryDirtyOffsets.begin(), D.TaryDirtyOffsets.end());
   for (uint64_t Offset : D.TaryDirtyOffsets) {
     if (!D.TaryDirty.empty() &&
         Offset < D.TaryDirty.back().EndBytes + CoalesceGapBytes)
@@ -430,8 +446,23 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
 
   // The transaction reads NewPolicy; Policy changes only once the tables
   // hold it, so a refused install leaves policy() naming what they hold.
-  auto TaryECN = [&NewPolicy](uint64_t Off) {
-    return NewPolicy.getTaryECN(Machine::CodeBase + Off);
+  // Both transactions ask for Tary offsets in ascending order, so the
+  // lookup moves a cursor through the sorted targets: a full install
+  // costs O(words + IBTs). Anything but a step to the next target (a jump
+  // to the next dirty range, or a query behind the cursor) is one binary
+  // search, so the answer never depends on the order asked.
+  const TargetECNTable &Targets = NewPolicy.TargetECN;
+  auto Cursor = Targets.begin();
+  auto TaryECN = [&](uint64_t Off) -> int64_t {
+    uint64_t Addr = Machine::CodeBase + Off;
+    if (Cursor != Targets.end() && Cursor->first < Addr)
+      ++Cursor;
+    if ((Cursor != Targets.end() && Cursor->first < Addr) ||
+        (Cursor != Targets.begin() && std::prev(Cursor)->first >= Addr))
+      Cursor = Targets.lowerBound(Addr);
+    if (Cursor == Targets.end() || Cursor->first != Addr)
+      return -1;
+    return Cursor->second;
   };
   auto BaryECN = [&NewPolicy](uint32_t I) { return NewPolicy.getBaryECN(I); };
   auto Hook = [this]() { updateGotEntries(); };
@@ -454,7 +485,7 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - Start)
           .count();
-  UpdateHistory.push_back(Stats);
+  appendHistory(UpdateHistory, Stats);
 
   Policy = std::move(NewPolicy);
   M.setSetjmpRetSites(Policy.SetjmpRetSites);
@@ -621,10 +652,11 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   DlopenBatchStats BS;
   BS.Requested = static_cast<uint32_t>(Batch.size());
 
-  // A mapped module that fails before the install is tombstoned at once:
-  // the next merge must not fold it in, and the reclaimer returns its
-  // ranges. Its table entries were never installed, so there is no
-  // retire transaction and no condemned ECN.
+  // A mapped module that fails before or at the install is tombstoned at
+  // once: the next merge must not fold it in, symbol lookups must not
+  // find it, and the reclaimer returns its ranges. Its table entries were
+  // never installed, so there is no retire transaction and no condemned
+  // ECN.
   auto Discard = [&](int Idx) {
     BaryPatched.erase(M.modules()[static_cast<size_t>(Idx)].Serial);
     M.markModuleRetired(Idx, 0);
@@ -654,7 +686,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   }
   BS.Loaded = static_cast<uint32_t>(Loaded.size());
   if (Loaded.empty()) {
-    BatchHistory.push_back(BS);
+    appendHistory(BatchHistory, BS);
     return;
   }
 
@@ -685,7 +717,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
                     Mod.Obj->Name + "': " + VR.Errors.front();
         for (const auto &Member : Loaded)
           Discard(Member.second);
-        BatchHistory.push_back(BS);
+        appendHistory(BatchHistory, BS);
         return;
       }
     }
@@ -701,8 +733,14 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   // version bump, one Tary→GOT→Bary pass — installs every new module's
   // IDs (GOT updates run inside the transaction, between the phases).
   if (!installPolicy(std::move(NewPolicy), BS.Loaded)) {
+    // A refused install (version space exhausted) fails the batch like a
+    // failed verify: a sealed but never-installed member left live would
+    // shadow a later load of the same library in symbol lookups, and no
+    // handle was returned that could ever close it.
     LastError = "dlopen: " + LastError;
-    BatchHistory.push_back(BS);
+    for (const auto &Member : Loaded)
+      Discard(Member.second);
+    appendHistory(BatchHistory, BS);
     return;
   }
   const TxUpdateStats &Install = UpdateHistory.back();
@@ -714,7 +752,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
     P->Result.SiteIndexBase = Policy.SiteIndexBase[static_cast<size_t>(Idx)];
     P->Result.CodeBase = M.modules()[static_cast<size_t>(Idx)].CodeBase;
   }
-  BatchHistory.push_back(BS);
+  appendHistory(BatchHistory, BS);
 }
 
 //===----------------------------------------------------------------------===//
@@ -809,12 +847,10 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
       LastError = "dlclose: duplicate handle in batch";
       continue;
     }
-    if (static_cast<size_t>(H) >= Policy.SiteIndexBase.size()) {
-      // Mapped by a dlopen whose install was refused: the tables never
-      // held it, and its handle was never returned.
-      LastError = "dlclose: module not installed";
-      continue;
-    }
+    // A live dynamic module is an installed one: a dlopen batch that
+    // fails before or at its install retires every member.
+    assert(static_cast<size_t>(H) < Policy.SiteIndexBase.size() &&
+           "live module missing from the installed policy");
     DyingModule D;
     D.P = P;
     D.Idx = static_cast<int>(H);
@@ -828,23 +864,9 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   }
   BS.Closed = static_cast<uint32_t>(Dying.size());
   if (Dying.empty()) {
-    UnloadHistory.push_back(BS);
+    appendHistory(UnloadHistory, BS);
     return;
   }
-
-  auto DyingOwnerOfAddr = [&](uint64_t Addr) -> int {
-    for (size_t I = 0; I != Dying.size(); ++I)
-      if (Addr >= Dying[I].CodeBegin && Addr < Dying[I].CodeEnd)
-        return static_cast<int>(I);
-    return -1;
-  };
-  auto DyingOwnerOfSite = [&](uint32_t Site) -> int {
-    for (size_t I = 0; I != Dying.size(); ++I)
-      if (Site >= Dying[I].SiteBase &&
-          Site < Dying[I].SiteBase + Dying[I].SiteCount)
-        return static_cast<int>(I);
-    return -1;
-  };
 
   // Exclusive-ECN computation, against Policy BEFORE the scrub: an ECN is
   // condemned iff every occurrence across the installed policy (target
@@ -852,42 +874,47 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // with a surviving module stays live — its surviving members keep
   // matching, so its number is not up for reuse. The reserved
   // EmptyClassECN is shared by construction and never matches a target;
-  // it is never condemned.
+  // it is never condemned. ECNs are dense, so both counts are vectors
+  // indexed by ECN; the dying counts walk only each module's own address
+  // range (a slice of the sorted targets) and its own site range.
   {
-    struct Occurrence {
-      uint64_t Total = 0, InDying = 0;
-      std::vector<int> Owners; ///< dying-module indexes holding it
+    std::vector<uint32_t> Total, InDying;
+    auto Slot = [](std::vector<uint32_t> &Counts, uint32_t ECN) -> uint32_t & {
+      if (ECN >= Counts.size())
+        Counts.resize(ECN + 1, 0);
+      return Counts[ECN];
     };
-    std::unordered_map<uint32_t, Occurrence> Occ;
-    auto Count = [&Occ](uint32_t ECN, int Owner) {
-      Occurrence &C = Occ[ECN];
-      ++C.Total;
-      if (Owner >= 0) {
-        ++C.InDying;
-        if (C.Owners.empty() || C.Owners.back() != Owner)
-          C.Owners.push_back(Owner);
-      }
+    // Every ECN a module holds, in target-then-site order (repeats kept).
+    auto ForEachECN = [&](const DyingModule &D, auto &&Fn) {
+      for (auto It = Policy.TargetECN.lowerBound(D.CodeBegin);
+           It != Policy.TargetECN.end() && It->first < D.CodeEnd; ++It)
+        Fn(It->second);
+      for (uint32_t S = D.SiteBase; S != D.SiteBase + D.SiteCount; ++S)
+        if (int64_t E = Policy.getBaryECN(S); E >= 0 && E != EmptyClassECN)
+          Fn(static_cast<uint32_t>(E));
     };
-    for (const auto &[Addr, ECN] : Policy.TargetECN)
-      Count(ECN, DyingOwnerOfAddr(Addr));
-    for (size_t Site = 0; Site != Policy.BranchECN.size(); ++Site)
-      if (int64_t E = Policy.BranchECN[Site]; E >= 0)
-        Count(static_cast<uint32_t>(E),
-              DyingOwnerOfSite(static_cast<uint32_t>(Site)));
-    for (auto &[ECN, C] : Occ) {
-      if (ECN == EmptyClassECN || C.InDying == 0 || C.InDying != C.Total)
-        continue;
-      // Exclusive to the dying set: condemn it on every dying module
-      // that holds it (the reclaimer counts multiplicity, so the number
-      // stays condemned until the LAST holder matures).
-      std::sort(C.Owners.begin(), C.Owners.end());
-      C.Owners.erase(std::unique(C.Owners.begin(), C.Owners.end()),
-                     C.Owners.end());
-      for (int Owner : C.Owners)
-        Dying[static_cast<size_t>(Owner)].CondemnedECNs.push_back(ECN);
+    for (const auto &[Addr, ECN] : Policy.TargetECN) {
+      (void)Addr;
+      ++Slot(Total, ECN);
     }
-    for (DyingModule &D : Dying)
+    for (int64_t E : Policy.BranchECN)
+      if (E >= 0 && E != EmptyClassECN)
+        ++Slot(Total, static_cast<uint32_t>(E));
+    for (const DyingModule &D : Dying)
+      ForEachECN(D, [&](uint32_t ECN) { ++Slot(InDying, ECN); });
+    // Exclusive to the dying set: condemn it on every dying module that
+    // holds it (the reclaimer counts multiplicity, so the number stays
+    // condemned until the LAST holder matures).
+    for (DyingModule &D : Dying) {
+      ForEachECN(D, [&](uint32_t ECN) {
+        if (InDying[ECN] == Total[ECN])
+          D.CondemnedECNs.push_back(ECN);
+      });
       std::sort(D.CondemnedECNs.begin(), D.CondemnedECNs.end());
+      D.CondemnedECNs.erase(
+          std::unique(D.CondemnedECNs.begin(), D.CondemnedECNs.end()),
+          D.CondemnedECNs.end());
+    }
   }
 
   // Step 1 of the retire protocol: make the dying modules invisible to
@@ -938,16 +965,15 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   Stats.Micros = std::chrono::duration<double, std::micro>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
-  UpdateHistory.push_back(Stats);
+  appendHistory(UpdateHistory, Stats);
   BS.RetireMicros = Stats.Micros;
 
   // Scrub Policy the way the transaction zeroed the tables, so it names
   // what they hold now: the dying targets are gone and their sites hold
   // no ID. The extents are unchanged: the dead modules' positions stay
   // tombstoned until the epoch reclaimer matures the range.
-  std::erase_if(Policy.TargetECN, [&](const auto &Entry) {
-    return DyingOwnerOfAddr(Entry.first) >= 0;
-  });
+  for (const DyingModule &D : Dying)
+    Policy.TargetECN.eraseRange(D.CodeBegin, D.CodeEnd);
   for (uint32_t S : Sites)
     if (S < Policy.BranchECN.size())
       Policy.BranchECN[S] = -1;
@@ -1003,5 +1029,5 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // docs/INTERNALS.md §17.
   for (const DyingModule &D : Dying)
     D.P->Ok = true;
-  UnloadHistory.push_back(BS);
+  appendHistory(UnloadHistory, BS);
 }

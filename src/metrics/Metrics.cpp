@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace mcfi;
@@ -68,18 +67,22 @@ PrecisionReport mcfi::computePrecision(const CFGPolicy &Policy) {
   R.NumIBs = Policy.NumIBs;
   R.NumIBTs = Policy.NumIBTs;
   R.NumEQCs = Policy.NumEQCs;
-  std::unordered_map<uint32_t, uint64_t> ClassSize;
+  // ECNs are dense from 0, so class sizes fit a vector indexed by ECN.
+  std::vector<uint64_t> ClassSize;
   for (const auto &[Addr, ECN] : Policy.TargetECN) {
     (void)Addr;
+    if (ECN >= ClassSize.size())
+      ClassSize.resize(ECN + 1, 0);
     ++ClassSize[ECN];
   }
-  for (const auto &[ECN, Size] : ClassSize) {
-    (void)ECN;
+  uint64_t Classes = 0;
+  for (uint64_t Size : ClassSize) {
+    Classes += Size != 0;
     R.LargestClass = std::max(R.LargestClass, Size);
   }
-  if (!ClassSize.empty())
+  if (Classes)
     R.AvgClass = static_cast<double>(Policy.NumIBTs) /
-                 static_cast<double>(ClassSize.size());
+                 static_cast<double>(Classes);
   return R;
 }
 

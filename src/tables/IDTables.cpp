@@ -86,7 +86,10 @@ uint32_t encodeOrZero(int64_t ECN, uint32_t Version) {
 } // namespace
 
 IDTables::IDTables(uint64_t CodeCapacity, uint32_t BaryCapacity)
-    : TaryEntries((CodeCapacity + 3) / 4), BaryEntries(BaryCapacity) {}
+    : TaryEntries((CodeCapacity + 3) / 4), BaryEntries(BaryCapacity) {
+  assert(TaryEntries.size() <= UINT32_MAX &&
+         "Tary entry counts must fit TxUpdateStats");
+}
 
 uint32_t IDTables::taryRead(uint64_t CodeOffset) const {
   uint64_t Index = CodeOffset >> 2;
@@ -275,7 +278,7 @@ IDTables::txUpdate(uint64_t TaryLimitBytes,
     for (uint64_t I = 0; I != Limit; ++I)
       seamStore(tary(I), SchedObject::Tary, I,
                 encodeOrZero(GetTaryECN(I * 4), Local.Version));
-    Local.TaryWritten = Limit;
+    Local.TaryWritten = static_cast<uint32_t>(Limit);
     uint64_t Prev = seamLoad(InstalledTaryWords, SchedObject::InstalledTary);
     for (uint64_t I = Limit; I < Prev; ++I, ++Local.TaryCleared)
       seamStore(tary(I), SchedObject::Tary, I, 0);

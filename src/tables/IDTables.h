@@ -63,11 +63,15 @@ struct TaryRange {
 
 /// Per-transaction accounting, the raw material of the update-latency /
 /// entries-touched metrics surface (src/metrics/UpdateMetrics.h).
+///
+/// The linker keeps one per transaction for its whole life, so the
+/// counts are 32-bit: a table's entry count fits (Bary's capacity is a
+/// uint32_t, and Tary would need 16 GiB of code to overflow one).
 struct TxUpdateStats {
-  uint64_t TaryWritten = 0; ///< Tary entries stored (new or re-encoded)
-  uint64_t BaryWritten = 0; ///< Bary entries stored
-  uint64_t TaryCleared = 0; ///< Tary entries zeroed (shrunk tail or retired)
-  uint64_t BaryCleared = 0; ///< Bary entries zeroed (shrunk tail or retired)
+  uint32_t TaryWritten = 0; ///< Tary entries stored (new or re-encoded)
+  uint32_t BaryWritten = 0; ///< Bary entries stored
+  uint32_t TaryCleared = 0; ///< Tary entries zeroed (shrunk tail or retired)
+  uint32_t BaryCleared = 0; ///< Bary entries zeroed (shrunk tail or retired)
   bool Incremental = false; ///< no version bump: delta install or retire
   uint32_t Version = 0;     ///< version the written IDs carry
   double Micros = 0;        ///< wall-clock latency, filled by the caller
@@ -77,7 +81,7 @@ struct TxUpdateStats {
   uint32_t BatchModules = 1;
 
   uint64_t entriesTouched() const {
-    return TaryWritten + BaryWritten + TaryCleared + BaryCleared;
+    return uint64_t{TaryWritten} + BaryWritten + TaryCleared + BaryCleared;
   }
 };
 

@@ -19,7 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <random>
+#include <set>
 #include <thread>
 
 using namespace mcfi;
@@ -436,17 +440,27 @@ TEST(Dynlink, RefusedInstallLeavesPolicyMatchingTables) {
   EXPECT_NE(D.L->lastError().find("refused"), std::string::npos)
       << D.L->lastError();
   expectPolicyMatchesTables(D);
-  // The refused load stays mapped but was never installed, so its index
-  // is not a handle dlclose accepts.
-  EXPECT_FALSE(D.L->dlcloseOne(
-      static_cast<int64_t>(D.M->modules().size()) - 1));
+  // The refused load was never installed: it is retired on the spot, so
+  // its index is not a handle dlclose accepts.
+  int64_t Refused = static_cast<int64_t>(D.M->modules().size()) - 1;
+  EXPECT_TRUE(D.M->modules()[static_cast<size_t>(Refused)].Retired);
+  EXPECT_FALSE(D.L->dlcloseOne(Refused));
 
   // After a quiescence point the same load installs, and the policy
   // still reads back from the tables.
   D.M->tables().resetVersionEpoch();
-  ASSERT_GE(D.L->dlopen(0), 0) << D.L->lastError();
+  int64_t H = D.L->dlopen(0);
+  ASSERT_GE(H, 0) << D.L->lastError();
   EXPECT_FALSE(D.L->updateHistory().back().Incremental);
   expectPolicyMatchesTables(D);
+  // Symbol lookup finds the installed copy, not the refused one, and
+  // closing it leaves no definition behind.
+  const MappedModule &Mod = D.M->modules()[static_cast<size_t>(H)];
+  uint64_t Fn = D.M->findFunction("plugin_fn");
+  EXPECT_GE(Fn, Mod.CodeBase);
+  EXPECT_LT(Fn, Mod.CodeBase + Mod.CodeSize);
+  ASSERT_TRUE(D.L->dlcloseOne(H));
+  EXPECT_EQ(D.M->findFunction("plugin_fn"), 0u);
 }
 
 TEST(Dynlink, FailedBatchMembersAreRetiredAndReclaimed) {
@@ -526,6 +540,145 @@ TEST(Dynlink, DlopenAfterDrainStaysIncremental) {
   EXPECT_TRUE(D.L->batchHistory().back().Incremental);
   EXPECT_TRUE(D.L->updateHistory().back().Incremental);
   EXPECT_EQ(D.M->tables().currentVersion(), Version);
+}
+
+/// Expects the policy's targets to ascend strictly by address.
+void expectTargetsSorted(const CFGPolicy &P) {
+  auto Unsorted = std::adjacent_find(
+      P.TargetECN.begin(), P.TargetECN.end(),
+      [](const auto &A, const auto &B) { return A.first >= B.first; });
+  EXPECT_TRUE(Unsorted == P.TargetECN.end())
+      << "target " << Unsorted->first << " out of order";
+}
+
+/// The ECNs a dlclose of \p Handles must condemn, by brute force over the
+/// installed policy: every ECN (the reserved empty class aside) all of
+/// whose target and site occurrences lie in the closing modules.
+std::set<uint32_t> expectedCondemned(const DynProgram &D,
+                                     const std::vector<int64_t> &Handles) {
+  const CFGPolicy &P = D.L->policy();
+  auto DyingAddr = [&](uint64_t Addr) {
+    for (int64_t H : Handles) {
+      const MappedModule &Mod = D.M->modules()[static_cast<size_t>(H)];
+      if (Addr >= Mod.CodeBase && Addr < Mod.CodeBase + Mod.CodeSize)
+        return true;
+    }
+    return false;
+  };
+  auto DyingSite = [&](uint32_t Site) {
+    for (int64_t H : Handles) {
+      const MappedModule &Mod = D.M->modules()[static_cast<size_t>(H)];
+      uint32_t Base = P.SiteIndexBase[static_cast<size_t>(H)];
+      if (Site >= Base && Site < Base + Mod.Obj->Aux.BranchSites.size())
+        return true;
+    }
+    return false;
+  };
+  std::map<uint32_t, std::pair<size_t, size_t>> Count; // {total, dying}
+  for (const auto &[Addr, ECN] : P.TargetECN) {
+    ++Count[ECN].first;
+    Count[ECN].second += DyingAddr(Addr);
+  }
+  for (uint32_t S = 0; S != P.BranchECN.size(); ++S) {
+    if (P.BranchECN[S] < 0 || P.BranchECN[S] == EmptyClassECN)
+      continue;
+    auto &C = Count[static_cast<uint32_t>(P.BranchECN[S])];
+    ++C.first;
+    C.second += DyingSite(S);
+  }
+  std::set<uint32_t> Out;
+  for (const auto &[ECN, C] : Count)
+    if (C.second != 0 && C.second == C.first)
+      Out.insert(ECN);
+  return Out;
+}
+
+TEST(Dynlink, SeededChurnCondemnsExactlyTheExclusiveClasses) {
+  // Plugins that own a class no other module uses (a signature of their
+  // own) mix with plugins whose class the host shares. Before every
+  // dlclose the condemned set is computed by brute force from policy();
+  // after it, the reclaimer must hold exactly that set.
+  const char *Host = R"(
+    long hcb(long x) { return x + 1; }
+    long (*hp)(long) = hcb;
+    int main() { return (int)hp(1); }
+  )";
+  const char *Sources[] = {
+      // Shares long(long) with the host.
+      R"(
+        long sa(long x) { return x * 2; }
+        long (*sa_p)(long) = sa;
+        long sa_call(long (*f)(long), long v) { return f(v) + 1; }
+      )",
+      // Exclusive: the only four-argument function pointer type.
+      R"(
+        long xb(long a, long b, long c, long d) { return a + b + c + d; }
+        long (*xb_p)(long, long, long, long) = xb;
+        long xb_call(long (*f)(long, long, long, long)) {
+          return f(1, 2, 3, 4);
+        }
+      )",
+      // Exclusive: the only three-argument one; shares long(long) too.
+      R"(
+        long xc(long a, long b, long c) { return a * b * c; }
+        long (*xc_p)(long, long, long) = xc;
+        long xc_one(long x) { return x - 1; }
+        long (*xc_q)(long) = xc_one;
+        long xc_call(long (*f)(long, long, long)) { return f(2, 3, 4); }
+      )"};
+  DynProgram D;
+  D.M = std::make_unique<Machine>();
+  D.L = std::make_unique<Linker>(*D.M);
+  CompileOptions HostCO;
+  HostCO.ModuleName = "host";
+  CompileResult HostCR = compileModule(Host, HostCO);
+  ASSERT_TRUE(HostCR.Ok);
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(HostCR.Obj));
+  ASSERT_TRUE(D.L->linkProgram(std::move(Objs), D.Error)) << D.Error;
+  expectTargetsSorted(D.L->policy());
+  for (size_t I = 0; I != std::size(Sources); ++I) {
+    CompileOptions CO;
+    CO.ModuleName = "plugin" + std::to_string(I);
+    CompileResult CR = compileModule(Sources[I], CO);
+    ASSERT_TRUE(CR.Ok) << CR.Errors.front();
+    D.L->registerLibrary(std::move(CR.Obj));
+  }
+
+  std::mt19937 Rng(20140609);
+  std::vector<int64_t> Live;
+  size_t Condemning = 0, Sparing = 0;
+  for (int Step = 0; Step != 40; ++Step) {
+    if (Live.empty() || (Live.size() < 5 && Rng() % 3 != 0)) {
+      int64_t H = D.L->dlopen(static_cast<int64_t>(Rng() % 3));
+      ASSERT_GE(H, 0) << D.L->lastError();
+      Live.push_back(H);
+    } else {
+      // Close one module, or two as one batch.
+      std::vector<int64_t> Closing;
+      for (size_t N = Live.size() >= 2 && Rng() % 2 ? 2 : 1; N != 0; --N) {
+        size_t Pick = Rng() % Live.size();
+        Closing.push_back(Live[Pick]);
+        Live.erase(Live.begin() + static_cast<ptrdiff_t>(Pick));
+      }
+      std::set<uint32_t> Expected = expectedCondemned(D, Closing);
+      uint32_t ECNs = static_cast<uint32_t>(D.L->policy().NumEQCs);
+      for (bool Ok : D.L->dlcloseBatch(Closing))
+        ASSERT_TRUE(Ok) << D.L->lastError();
+      for (uint32_t E = 0; E != ECNs; ++E)
+        EXPECT_EQ(D.M->reclaimer().anyCondemned({E}), Expected.count(E) != 0)
+            << "step " << Step << ", ECN " << E;
+      (Expected.empty() ? Sparing : Condemning) += 1;
+      // No guest runs, so the drain matures everything: the next close
+      // starts from an empty condemned set.
+      D.M->drainReclaim();
+      ASSERT_EQ(D.M->reclaimStats().CondemnedECNs, 0u);
+    }
+    expectTargetsSorted(D.L->policy());
+    expectPolicyMatchesTables(D);
+  }
+  EXPECT_GT(Condemning, 0u);
+  EXPECT_GT(Sparing, 0u);
 }
 
 TEST(Dynlink, DlcloseBatchOneRetireTransaction) {

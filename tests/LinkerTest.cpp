@@ -244,8 +244,10 @@ TEST(Linker, DuplicateModuleNamesStillLink) {
 CFGPolicy makePolicy(std::initializer_list<std::pair<uint64_t, uint32_t>> Tary,
                      std::initializer_list<int64_t> Bary) {
   CFGPolicy P;
+  std::vector<TargetECNTable::value_type> Targets;
   for (auto &[Off, ECN] : Tary)
-    P.TargetECN.emplace(Machine::CodeBase + Off, ECN);
+    Targets.push_back({Machine::CodeBase + Off, ECN});
+  P.TargetECN = TargetECNTable(std::move(Targets));
   P.BranchECN.assign(Bary);
   return P;
 }
@@ -323,6 +325,101 @@ TEST(InstallDelta, ChangedEntriesForceFullRebuild) {
   D = Diff(makePolicy({{0, 1}, {8, 2}}, {1}));
   EXPECT_TRUE(D.FullRebuild);
   EXPECT_EQ(D.Reason, "installed branch site changed");
+}
+
+TEST(InstallDelta, NewTargetsBelowInstalledOnesComeOutSorted) {
+  // New targets below, between and above the installed ones: the merge
+  // walk must emit them in address order and coalesce neighbours.
+  CFGPolicy Installed = makePolicy({{200, 1}, {400, 2}}, {1});
+  InstallDelta D = computeInstallDelta(
+      Installed,
+      makePolicy({{8, 3}, {16, 3}, {200, 1}, {300, 4}, {400, 2}, {4000, 1}},
+                 {1}),
+      512, 1, 4096);
+  ASSERT_FALSE(D.FullRebuild) << D.Reason;
+  EXPECT_EQ(D.TaryDirtyOffsets, (std::vector<uint64_t>{8, 16, 300, 4000}));
+  ASSERT_EQ(D.TaryDirty.size(), 3u);
+  EXPECT_EQ(D.TaryDirty[0].BeginBytes, 8u);
+  EXPECT_EQ(D.TaryDirty[0].EndBytes, 20u);
+  EXPECT_EQ(D.TaryDirty[1].BeginBytes, 300u);
+  EXPECT_EQ(D.TaryDirty[1].EndBytes, 304u);
+  EXPECT_EQ(D.TaryDirty[2].BeginBytes, 4000u);
+  EXPECT_EQ(D.TaryDirty[2].EndBytes, 4004u);
+}
+
+TEST(InstallDelta, TargetRemovedFromTheMiddleForcesFullRebuild) {
+  // Next is no smaller than Installed (a new target replaces the removed
+  // one), so only the walk itself can notice the removal.
+  CFGPolicy Installed = makePolicy({{0, 1}, {8, 2}, {16, 3}}, {1});
+  InstallDelta D = computeInstallDelta(
+      Installed, makePolicy({{0, 1}, {16, 3}, {24, 4}}, {1}), 64, 1, 64);
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed target removed");
+  EXPECT_TRUE(D.TaryDirtyOffsets.empty());
+  EXPECT_TRUE(D.TaryDirty.empty());
+}
+
+TEST(InstallDelta, LastTargetChangingClassForcesFullRebuild) {
+  CFGPolicy Installed = makePolicy({{0, 1}, {8, 2}}, {1});
+  InstallDelta D = computeInstallDelta(
+      Installed, makePolicy({{0, 1}, {4, 6}, {8, 5}, {16, 3}}, {1}), 64, 1,
+      64);
+  EXPECT_TRUE(D.FullRebuild);
+  EXPECT_EQ(D.Reason, "installed target changed class");
+  EXPECT_TRUE(D.TaryDirtyOffsets.empty());
+}
+
+/// Reads back every Tary word below the installed limit: the policy's
+/// targets hold valid IDs carrying their ECNs, every other word is zero.
+void expectTaryWordsMatchPolicy(const Machine &M, const CFGPolicy &P) {
+  const IDTables &T = M.tables();
+  auto Next = P.TargetECN.begin();
+  for (uint64_t Off = 0; Off < T.installedTaryLimitBytes(); Off += 4) {
+    uint32_t ID = T.taryRead(Off);
+    if (Next != P.TargetECN.end() && Next->first == Machine::CodeBase + Off) {
+      ASSERT_TRUE(isValidID(ID)) << "target at offset " << Off;
+      EXPECT_EQ(idECN(ID), Next->second) << "target at offset " << Off;
+      ++Next;
+    } else {
+      EXPECT_EQ(ID, 0u) << "no target at offset " << Off;
+    }
+  }
+  EXPECT_TRUE(Next == P.TargetECN.end()) << "target past the Tary limit";
+}
+
+TEST(InstallDelta, FullInstallWritesEveryTaryWordFromThePolicy) {
+  // The full txUpdate asks for every Tary word in ascending order, and
+  // the linker answers with a cursor over the sorted targets: the static
+  // link and a forced-full dlopen must both leave exactly the policy in
+  // the table.
+  CompileResult Main = mustCompile(R"(
+    long lib_fn(long x);
+    long twice(long x) { return x * 2; }
+    long thrice(long x) { return x * 3; }
+    long apply(long (*f)(long), long v) { return f(v); }
+    int main() { print_int(apply(twice, 1) + apply(thrice, 2)); return 0; }
+  )",
+                                   "main", /*EmitPlt=*/true);
+  CompileResult Lib = mustCompile(R"(
+    long lib_fn(long x) { return x + 1; }
+    long (*lib_ptr)(long) = lib_fn;
+  )",
+                                  "lib");
+  Machine M;
+  LinkOptions Opts;
+  Opts.IncrementalUpdates = false;
+  Linker L(M, Opts);
+  std::string Err;
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(Main.Obj));
+  ASSERT_TRUE(L.linkProgram(std::move(Objs), Err)) << Err;
+  ASSERT_GT(L.policy().TargetECN.size(), 4u);
+  expectTaryWordsMatchPolicy(M, L.policy());
+
+  L.registerLibrary(std::move(Lib.Obj));
+  ASSERT_GE(L.dlopen(0), 0) << L.lastError();
+  EXPECT_FALSE(L.updateHistory().back().Incremental);
+  expectTaryWordsMatchPolicy(M, L.policy());
 }
 
 } // namespace

@@ -71,7 +71,7 @@ TEST(Gadgets, HardenedCountsOnlyValidTargets) {
       assembleSnippet({mk(Opcode::Nop), mk(Opcode::Nop), mk(Opcode::Nop),
                        mk(Opcode::Nop), mk(Opcode::Ret)});
   CFGPolicy Policy;
-  Policy.TargetECN[100 + 0] = 1; // only offset 0 is an IBT
+  Policy.TargetECN = TargetECNTable({{100 + 0, 1}}); // only offset 0 is an IBT
   GadgetReport R = countGadgets(Code.data(), Code.size(), Code.data(),
                                 Code.size(), Policy, /*HardBase=*/100);
   EXPECT_EQ(R.HardenedGadgets, 1u);

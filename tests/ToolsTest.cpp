@@ -8,8 +8,8 @@
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
 /// mcfi-objdump, mcfi-run, mcfi-audit and mcfi-merge, wired together the
 /// way a user would use them. Binary paths are injected by CMake, which
-/// also runs the audit-gate and verifier-agreement cases as their own
-/// ctests (audit_check, verify_check).
+/// also runs the audit-gate, unload-gate and verifier-agreement cases as
+/// their own ctests (audit_check, unload_check, verify_check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +37,12 @@ void writeFile(const std::string &Path, const std::string &Text) {
   ASSERT_TRUE(Out.good());
 }
 
-/// Runs a command, captures stdout+stderr, returns the exit code.
-int run(const std::string &Cmd, std::string *Output = nullptr) {
-  std::string Full = Cmd + " > " + path("out.txt") + " 2>&1";
+/// Runs a command, captures stdout+stderr (stdout alone with
+/// \p DropStderr), returns the exit code.
+int run(const std::string &Cmd, std::string *Output = nullptr,
+        bool DropStderr = false) {
+  std::string Full =
+      Cmd + " > " + path("out.txt") + (DropStderr ? " 2>/dev/null" : " 2>&1");
   int Status = std::system(Full.c_str());
   if (Output) {
     std::ifstream In(path("out.txt"));
@@ -268,6 +271,85 @@ TEST_F(ToolsFixture, AuditGateSeparateCompilation) {
 
 TEST_F(ToolsFixture, AuditGateDynamicPlugin) {
   expectAuditGatePasses("dynamic_plugin");
+}
+
+//===----------------------------------------------------------------------===//
+// Module-unload gate
+//===----------------------------------------------------------------------===//
+
+/// Compiles the unload gate's guests: a plugin exporting plugin_fn, a
+/// host that calls it across a dlclose, and a spinner whose print
+/// syscalls are quiescence points (so reclaim grace keeps advancing
+/// while a churn thread hammers the linker).
+void compileUnloadGuests() {
+  writeFile(path("unload-plugin.minic"), R"(
+    long plugin_fn(long x) { return x * 10 + 1; }
+    /* dlsym hands out plugin_fn's address, so it must be address-taken. */
+    long (*plugin_exports)(long) = plugin_fn;
+  )");
+  writeFile(path("unload-host.minic"), R"(
+    long plugin_fn(long x);
+    int main() {
+      long h = dlopen(0);
+      if (h < 0) return 1;
+      print_int(plugin_fn(4));                 /* works while loaded */
+      if (dlclose(h) != 0) return 2;
+      long (*f)(long) = (long (*)(long))dlsym(h, "plugin_fn");
+      if (f) print_str("stale handle resolved\n");
+      else print_str("gone\n");
+      print_int(plugin_fn(5));                 /* must fail closed */
+      return 0;
+    }
+  )");
+  writeFile(path("unload-spin.minic"), R"(
+    int main() {
+      long i;
+      long acc = 0;
+      for (i = 0; i < 400; i = i + 1) {
+        acc = acc + i;
+        print_int(i);
+      }
+      if (acc == 79800) return 0;
+      return 1;
+    }
+  )");
+  for (const char *Name : {"unload-plugin", "unload-host", "unload-spin"}) {
+    std::string Out;
+    std::string Flags = std::string(Name) == "unload-host" ? " --plt" : "";
+    ASSERT_EQ(run(std::string(MCFI_CC) + Flags + " -o " + path(Name) +
+                      ".mcfo " + path(Name) + ".minic",
+                  &Out),
+              0)
+        << Name << ": " << Out;
+  }
+}
+
+TEST_F(ToolsFixture, UnloadGateReplayedCallFailsClosed) {
+  // A guest that dlopens a plugin, calls it, dlcloses it and replays the
+  // call must die with a CFI violation (exit 124), after printing the
+  // pre-close result and a dead dlsym probe.
+  compileUnloadGuests();
+  std::string Out;
+  EXPECT_EQ(run(std::string(MCFI_RUN) + " --register " +
+                    path("unload-plugin.mcfo") + " " +
+                    path("unload-host.mcfo"),
+                &Out, /*DropStderr=*/true),
+            124);
+  EXPECT_EQ(Out, "41\ngone\n");
+}
+
+TEST_F(ToolsFixture, UnloadGateDlcloseChurnLeaksNothing) {
+  // --dlclose-churn cycles host-side dlopenBatch/dlcloseBatch against the
+  // running guest; mcfi-run exits nonzero on a failed open or close, a
+  // pending region or a condemned ECN left at the end.
+  compileUnloadGuests();
+  std::string Out;
+  EXPECT_EQ(run(std::string(MCFI_RUN) + " --register " +
+                    path("unload-plugin.mcfo") + " --dlclose-churn 25 " +
+                    path("unload-spin.mcfo"),
+                &Out),
+            0)
+      << Out;
 }
 
 //===----------------------------------------------------------------------===//

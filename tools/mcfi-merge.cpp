@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <random>
 #include <sstream>
 
@@ -69,8 +68,7 @@ layoutViews(const std::vector<const MCFIObject *> &Order) {
 std::string dumpPolicy(const CFGPolicy &P) {
   std::ostringstream O;
   O << "tary-limit-entries " << P.TargetECN.size() << "\n";
-  std::map<uint64_t, uint32_t> Sorted(P.TargetECN.begin(), P.TargetECN.end());
-  for (const auto &[Addr, ECN] : Sorted)
+  for (const auto &[Addr, ECN] : P.TargetECN)
     O << "target " << std::hex << Addr << std::dec << " ecn " << ECN << "\n";
   for (size_t I = 0; I != P.BranchECN.size(); ++I)
     O << "branch " << I << " ecn " << P.BranchECN[I] << " class-size "

@@ -11,14 +11,13 @@
 # run guests on the threaded tier by default), plus the adversarial
 # gauntlet (test_attackcorpus + attack_check), whose torn-update attacks
 # hammer txCheck from checker threads while an update storm runs — racy
-# by construction, and must be TSan-clean — and the unload gate
-# (unload_check), whose --dlclose-churn leg races dlopenBatch/
-# dlcloseBatch retirement and epoch reclamation against a running guest
-# (its single-threaded ucontext schedcheck legs are skipped under TSan),
-# and the layered-type-map suite (test_mlta), whose tier-parameterized
-# refined builds run the CFG merge under an MLTA refinement on every
-# execution tier, and the tool suite (test_tools, whose gate cases run as
-# verify_check and audit_check).
+# by construction, and must be TSan-clean — and the layered-type-map
+# suite (test_mlta), whose tier-parameterized refined builds run the CFG
+# merge under an MLTA refinement on every execution tier, and the tool
+# suite (test_tools, whose gate cases run as verify_check, audit_check
+# and unload_check; unload_check's --dlclose-churn case races
+# dlopenBatch/dlcloseBatch retirement and epoch reclamation against a
+# running guest).
 #
 # Usage: tools/tsan-check.sh [build-dir]   (default: build-tsan)
 set -eu
