@@ -20,6 +20,14 @@
 // sequence of appends is the one a from-scratch merge computes; emit()
 // numbers its classes.
 //
+// The fold is also undoable. Each view's append starts at a ViewMark
+// (the sizes of every append-only array and log), and every write to an
+// entry an earlier view made is logged with the entry's old value first.
+// truncate(N) replays those logs backwards to view N's mark, erases the
+// hash-table keys the later views added, rolls the union-find back and
+// cuts every array to the mark: the state is then the one that folding
+// views[0..N) alone would have built.
+//
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFGGen.h"
@@ -151,17 +159,46 @@ public:
   }
 
   /// The slot for a key with hash \p Hash satisfying \p Match, claimed
-  /// (Used set, other fields default) if absent.
-  template <typename MatchFn> SlotT &claim(uint32_t Hash, MatchFn Match) {
+  /// (Used set, other fields default) if absent; the flag is true when
+  /// this call claimed it.
+  template <typename MatchFn>
+  std::pair<SlotT &, bool> claim(uint32_t Hash, MatchFn Match) {
     if (2 * (Count + 1) > Slots.size())
       rehash(std::max<size_t>(64, 2 * Slots.size()));
     SlotT &S = Slots[probe(Hash, Match)];
-    if (!S.Used) {
-      S.Used = true;
-      S.Hash = Hash;
-      ++Count;
-    }
+    if (S.Used)
+      return {S, false};
+    S.Used = true;
+    S.Hash = Hash;
+    ++Count;
+    return {S, true};
+  }
+
+  /// The slot of a present key.
+  template <typename MatchFn> SlotT &at(uint32_t Hash, MatchFn Match) {
+    SlotT &S = Slots[probe(Hash, Match)];
+    assert(S.Used && "key not present");
     return S;
+  }
+
+  /// Removes a present key by backward-shift deletion: each later slot
+  /// of the probe run that may sit in the hole moves up, so every probe
+  /// still ends at its key or at an unused slot, and no tombstone is left
+  /// to fill the table under churn.
+  template <typename MatchFn> void erase(uint32_t Hash, MatchFn Match) {
+    size_t Mask = Slots.size() - 1;
+    size_t Hole = probe(Hash, Match);
+    assert(Slots[Hole].Used && "key not present");
+    for (size_t J = (Hole + 1) & Mask; Slots[J].Used; J = (J + 1) & Mask) {
+      // Slot J may fill the hole unless its home lies in (Hole, J].
+      size_t Home = Slots[J].Hash & Mask;
+      if (((J - Home) & Mask) >= ((J - Hole) & Mask)) {
+        Slots[Hole] = Slots[J];
+        Hole = J;
+      }
+    }
+    Slots[Hole] = SlotT();
+    --Count;
   }
 
 private:
@@ -187,7 +224,9 @@ private:
 };
 
 /// A name's first definition (first wins, matching the loader's symbol
-/// resolution) and the uses still waiting for one.
+/// resolution) and the uses still waiting for one. Name is written once,
+/// by the claim that makes the slot, so it views the strings of the
+/// slot's own view: a later view that names it again may be forgotten.
 struct NameSlot {
   bool Used = false;
   uint32_t Hash = 0;
@@ -203,6 +242,40 @@ struct AddrSlot {
   uint32_t Node = None;
 };
 
+/// The old value of an array entry that a later view overwrote.
+template <typename T> struct Saved {
+  uint32_t Index;
+  T Old;
+};
+
+/// A key's state before a later view gave it a target or a site.
+struct KeyUndo {
+  uint32_t Key;
+  uint32_t Targets; ///< Targets.size() then
+  bool Used;
+};
+
+/// A name slot as it was before a claim or a write: Created means it
+/// did not exist.
+struct NameUndo {
+  std::string_view Name;
+  uint32_t Hash;
+  uint32_t Func, Waiting;
+  bool Created;
+};
+
+/// Where the state stood when a view's fold began: the size of every
+/// array and log truncate() cuts back (functions, calls and sites
+/// aside, which emit() walks per view), and the scalars it restores.
+struct ViewMark {
+  uint32_t OpenTails, Pending, Keys, VariadicKeys, AddressTaken, Nodes,
+      Edges, SetjmpRetSites;
+  uint32_t NodeLog, FuncLog, CallLog, SiteLog, TailLog, KeyLog, NameLog,
+      AddrLog, Joins;
+  uint32_t Trampoline;
+  uint64_t NumIBs;
+};
+
 } // namespace
 
 struct CFGMerge::State {
@@ -216,13 +289,14 @@ struct CFGMerge::State {
 
   void append(const LoadedModuleView &M) {
     Views.push_back(M);
+    FuncBegin.push_back(static_cast<uint32_t>(Funcs.size()));
+    CallBegin.push_back(static_cast<uint32_t>(Calls.size()));
     SiteIndexBase.push_back(static_cast<uint32_t>(Sites.size()));
+    Marks.push_back(mark());
     if (!M.Obj) {
       // A tombstone keeps its dead module's branch-site positions so
       // surviving modules' already-patched Bary indexes stay valid.
       Sites.resize(Sites.size() + M.TombstoneSites);
-      ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
-      ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
       return;
     }
     const AuxInfo &Aux = M.Obj->Aux;
@@ -242,7 +316,6 @@ struct CFGMerge::State {
       E.Keep = Refine && Refine->KeepTargets.count(F.Name);
       Funcs.push_back(E);
     }
-    ModuleFuncEnd.push_back(static_cast<uint32_t>(Funcs.size()));
     for (size_t Fi = 0; Fi != Aux.Functions.size(); ++Fi) {
       uint32_t F = FirstFunc + static_cast<uint32_t>(Fi);
       if (Aux.Functions[Fi].AddressTaken)
@@ -277,7 +350,6 @@ struct CFGMerge::State {
       if (Callee != None)
         addCall(C, Callee);
     }
-    ModuleCallEnd.push_back(static_cast<uint32_t>(Calls.size()));
 
     // The tail graph: a tail call is an edge from its caller to the
     // callee function or to its key, and each key has an edge to every
@@ -343,6 +415,158 @@ struct CFGMerge::State {
   }
 
   //===--------------------------------------------------------------------===//
+  // Undo
+  //===--------------------------------------------------------------------===//
+
+  ViewMark mark() const {
+    auto Size = [](const auto &V) { return static_cast<uint32_t>(V.size()); };
+    return {.OpenTails = Size(OpenTails),
+            .Pending = Size(Pending),
+            .Keys = Size(Keys),
+            .VariadicKeys = Size(VariadicKeys),
+            .AddressTaken = Size(AddressTaken),
+            .Nodes = Size(Nodes),
+            .Edges = Size(Edges),
+            .SetjmpRetSites = Size(SetjmpRetSites),
+            .NodeLog = Size(NodeLog),
+            .FuncLog = Size(FuncLog),
+            .CallLog = Size(CallLog),
+            .SiteLog = Size(SiteLog),
+            .TailLog = Size(TailLog),
+            .KeyLog = Size(KeyLog),
+            .NameLog = Size(NameLog),
+            .AddrLog = Size(AddrLog),
+            .Joins = static_cast<uint32_t>(UF.joins()),
+            .Trampoline = Trampoline,
+            .NumIBs = NumIBs};
+  }
+
+  /// Entry \p I of \p V, about to be written. An entry an earlier view
+  /// made (below \p Mark) has its old value logged first.
+  template <typename T>
+  static T &logged(std::vector<T> &V, std::vector<Saved<T>> &Log,
+                   size_t Mark, uint32_t I) {
+    if (I < Mark)
+      Log.push_back({I, V[I]});
+    return V[I];
+  }
+  NodeInfo &node(uint32_t N) {
+    return logged(Nodes, NodeLog, Marks.back().Nodes, N);
+  }
+  FuncEntry &func(uint32_t F) {
+    return logged(Funcs, FuncLog, FuncBegin.back(), F);
+  }
+  CallEntry &call(uint32_t C) {
+    return logged(Calls, CallLog, CallBegin.back(), C);
+  }
+  SiteEntry &site(uint32_t S) {
+    return logged(Sites, SiteLog, SiteIndexBase.back(), S);
+  }
+  OpenTail &tail(uint32_t T) {
+    return logged(OpenTails, TailLog, Marks.back().OpenTails, T);
+  }
+  KeyEntry &key(uint32_t K) {
+    if (K < Marks.back().Keys)
+      KeyLog.push_back(
+          {K, static_cast<uint32_t>(Keys[K].Targets.size()), Keys[K].Used});
+    return Keys[K];
+  }
+  void setLive(uint32_t N) {
+    if (!Nodes[N].Live)
+      node(N).Live = true;
+  }
+
+  /// Restores the entries \p Log saved after its first \p Size, newest
+  /// first.
+  template <typename T>
+  static void undo(std::vector<T> &V, std::vector<Saved<T>> &Log,
+                   size_t Size) {
+    for (size_t I = Log.size(); I-- > Size;)
+      V[Log[I].Index] = Log[I].Old;
+    Log.resize(Size);
+  }
+
+  /// Drops \p Value from the back of \p Index's list for \p Sig, and the
+  /// list once it is empty.
+  static void popIndex(
+      std::unordered_map<const InternedSig *, std::vector<uint32_t>> &Index,
+      const InternedSig *Sig, uint32_t Value) {
+    auto It = Index.find(Sig);
+    assert(It != Index.end() && It->second.back() == Value &&
+           "index appended out of order");
+    (void)Value;
+    It->second.pop_back();
+    if (It->second.empty())
+      Index.erase(It);
+  }
+
+  /// Forgets views[N..): every write they made to older entries is put
+  /// back, every key, name and address they added is erased, and every
+  /// array is cut to where it stood before views[N] was folded in.
+  void truncate(size_t N) {
+    assert(N <= Views.size() && "truncating past the end");
+    if (N == Views.size())
+      return;
+    const ViewMark K = Marks[N];
+    undo(Nodes, NodeLog, K.NodeLog);
+    undo(Funcs, FuncLog, K.FuncLog);
+    undo(Calls, CallLog, K.CallLog);
+    undo(Sites, SiteLog, K.SiteLog);
+    undo(OpenTails, TailLog, K.TailLog);
+    for (size_t I = KeyLog.size(); I-- > K.KeyLog;) {
+      KeyEntry &E = Keys[KeyLog[I].Key];
+      E.Targets.resize(KeyLog[I].Targets);
+      E.Used = KeyLog[I].Used;
+    }
+    KeyLog.resize(K.KeyLog);
+    for (size_t I = NameLog.size(); I-- > K.NameLog;) {
+      const NameUndo &U = NameLog[I];
+      auto Match = [&](const NameSlot &X) { return X.Name == U.Name; };
+      if (U.Created) {
+        Names.erase(U.Hash, Match);
+      } else {
+        NameSlot &S = Names.at(U.Hash, Match);
+        S.Func = U.Func;
+        S.Waiting = U.Waiting;
+      }
+    }
+    NameLog.resize(K.NameLog);
+    for (size_t I = AddrLog.size(); I-- > K.AddrLog;) {
+      uint64_t Addr = AddrLog[I];
+      Addrs.erase(hashAddr(Addr),
+                  [&](const AddrSlot &X) { return X.Addr == Addr; });
+    }
+    AddrLog.resize(K.AddrLog);
+    for (size_t I = AddressTaken.size(); I-- > K.AddressTaken;)
+      popIndex(BySig, Funcs[AddressTaken[I]].Sig, AddressTaken[I]);
+    for (size_t I = Keys.size(); I-- > K.Keys;) {
+      KeyIndex.erase(Keys[I].Key);
+      if (!Keys[I].Key.Variadic)
+        popIndex(ExactKeys, Keys[I].Key.Sig, static_cast<uint32_t>(I));
+    }
+    UF.rollback(K.Joins, K.Nodes);
+
+    Funcs.resize(FuncBegin[N]);
+    Calls.resize(CallBegin[N]);
+    Sites.resize(SiteIndexBase[N]);
+    Views.resize(N);
+    FuncBegin.resize(N);
+    CallBegin.resize(N);
+    SiteIndexBase.resize(N);
+    Marks.resize(N);
+    OpenTails.resize(K.OpenTails);
+    Pending.resize(K.Pending);
+    Keys.resize(K.Keys);
+    VariadicKeys.resize(K.VariadicKeys);
+    AddressTaken.resize(K.AddressTaken);
+    Nodes.resize(K.Nodes);
+    Edges.resize(K.Edges);
+    SetjmpRetSites.resize(K.SetjmpRetSites);
+    NumIBs = K.NumIBs;
+    Trampoline = K.Trampoline;
+  }
+
+  //===--------------------------------------------------------------------===//
   // Names
   //===--------------------------------------------------------------------===//
 
@@ -350,14 +574,32 @@ struct CFGMerge::State {
     return static_cast<uint32_t>(std::hash<std::string_view>()(Name));
   }
 
+  /// The slot of \p Name, claimed if absent; the flag is true when this
+  /// call claimed it. A claim is logged. A caller about to write a slot
+  /// it did not just claim logs it first with logName().
+  std::pair<NameSlot &, bool> claimName(std::string_view Name) {
+    uint32_t Hash = hashName(Name);
+    auto Claim =
+        Names.claim(Hash, [&](const NameSlot &X) { return X.Name == Name; });
+    if (Claim.second) {
+      Claim.first.Name = Name;
+      NameLog.push_back({Name, Hash, None, None, true});
+    }
+    return Claim;
+  }
+
+  void logName(const NameSlot &S) {
+    NameLog.push_back({S.Name, S.Hash, S.Func, S.Waiting, false});
+  }
+
   /// The function \p Name resolves to, or None after parking the use
   /// (\p Kind, \p Index) until a module defines it.
   uint32_t use(std::string_view Name, UseKind Kind, uint32_t Index) {
-    NameSlot &S = Names.claim(hashName(Name),
-                              [&](const NameSlot &X) { return X.Name == Name; });
-    S.Name = Name;
+    auto [S, Created] = claimName(Name);
     if (S.Func != None)
       return S.Func;
+    if (!Created)
+      logName(S);
     Pending.push_back({Kind, Index, S.Waiting});
     S.Waiting = static_cast<uint32_t>(Pending.size() - 1);
     return None;
@@ -367,11 +609,11 @@ struct CFGMerge::State {
   /// binds; it settles every use that was waiting for the name.
   void define(uint32_t F) {
     std::string_view Name = Funcs[F].Name;
-    NameSlot &S = Names.claim(hashName(Name),
-                              [&](const NameSlot &X) { return X.Name == Name; });
-    S.Name = Name;
+    auto [S, Created] = claimName(Name);
     if (S.Func != None)
       return;
+    if (!Created)
+      logName(S);
     S.Func = F;
     uint32_t Waiting = S.Waiting;
     S.Waiting = None;
@@ -393,7 +635,7 @@ struct CFGMerge::State {
       break;
     case UseKind::TailCaller:
     case UseKind::TailCallee: {
-      OpenTail &T = OpenTails[U.Index];
+      OpenTail &T = tail(U.Index);
       (U.Kind == UseKind::TailCaller ? T.Caller : T.To) = Funcs[F].Node;
       if (T.Caller != None && T.To != None)
         addEdge(T.Caller, T.To);
@@ -414,8 +656,10 @@ struct CFGMerge::State {
   uint32_t funcNode(uint32_t F) const { return F == None ? None : Funcs[F].Node; }
 
   uint32_t funcAddrNode(uint32_t F) {
-    if (Funcs[F].AddrNode == None)
-      Funcs[F].AddrNode = addrNode(Funcs[F].Addr);
+    if (Funcs[F].AddrNode == None) {
+      uint32_t N = addrNode(Funcs[F].Addr);
+      func(F).AddrNode = N;
+    }
     return Funcs[F].AddrNode;
   }
 
@@ -428,15 +672,19 @@ struct CFGMerge::State {
     return UF.add();
   }
 
+  static uint32_t hashAddr(uint64_t Addr) {
+    return static_cast<uint32_t>(Addr * 0x9E3779B97F4A7C15ull >> 32);
+  }
+
   /// The union-find node of code address \p Addr (one per address, so
   /// a function entry and a return site at the same address share it).
   uint32_t addrNode(uint64_t Addr) {
-    AddrSlot &S = Addrs.claim(static_cast<uint32_t>(
-                                  Addr * 0x9E3779B97F4A7C15ull >> 32),
-                              [&](const AddrSlot &X) { return X.Addr == Addr; });
-    if (S.Node == None) {
+    auto [S, Created] = Addrs.claim(
+        hashAddr(Addr), [&](const AddrSlot &X) { return X.Addr == Addr; });
+    if (Created) {
       S.Addr = Addr;
       S.Node = newNode();
+      AddrLog.push_back(Addr);
     }
     return S.Node;
   }
@@ -491,7 +739,7 @@ struct CFGMerge::State {
   }
 
   void addKeyTarget(uint32_t K, uint32_t F) {
-    Keys[K].Targets.push_back(F);
+    key(K).Targets.push_back(F);
     if (Keys[K].Used)
       joinKeyTarget(K, F);
     addEdge(Keys[K].Node, Funcs[F].Node);
@@ -501,33 +749,33 @@ struct CFGMerge::State {
   /// paper Sec. 2); equal keys have equal sets, so each key once.
   void joinKeyTarget(uint32_t K, uint32_t F) {
     UF.merge(Funcs[Keys[K].Targets.front()].AddrNode, Funcs[F].AddrNode);
-    Nodes[Funcs[F].AddrNode].Live = true;
+    setLive(Funcs[F].AddrNode);
   }
 
   void useKey(uint32_t K) {
     if (Keys[K].Used)
       return;
-    Keys[K].Used = true;
+    key(K).Used = true;
     for (uint32_t F : Keys[K].Targets)
       joinKeyTarget(K, F);
   }
 
   void setAddressTaken(uint32_t F) {
-    FuncEntry &E = Funcs[F];
-    if (E.AddressTaken)
+    if (Funcs[F].AddressTaken)
       return;
-    E.AddressTaken = true;
+    func(F).AddressTaken = true;
     funcAddrNode(F);
-    BySig[E.Sig].push_back(F);
+    const InternedSig *Sig = Funcs[F].Sig;
+    BySig[Sig].push_back(F);
     AddressTaken.push_back(F);
     // Every existing key the function matches gains it.
-    if (auto It = ExactKeys.find(E.Sig); It != ExactKeys.end())
+    if (auto It = ExactKeys.find(Sig); It != ExactKeys.end())
       for (uint32_t K : It->second)
         if (keyAllows(K, F))
           addKeyTarget(K, F);
     for (uint32_t K : VariadicKeys)
       if (internedCalleeMatches(Keys[K].Key.Sig, /*PointerVariadic=*/true,
-                                Funcs[F].Sig) &&
+                                Sig) &&
           keyAllows(K, F))
         addKeyTarget(K, F);
     checkTrampoline(F);
@@ -538,30 +786,30 @@ struct CFGMerge::State {
   //===--------------------------------------------------------------------===//
 
   void resolveReturnSite(uint32_t Site, uint32_t F) {
-    Sites[Site] = {SiteKind::Return, F};
+    site(Site) = {SiteKind::Return, F};
     if (Funcs[F].Returns)
       return;
-    Funcs[F].Returns = true;
+    func(F).Returns = true;
     markRelevant(Funcs[F].Node);
     checkTrampoline(F);
   }
 
   void resolvePltSite(uint32_t Site, uint32_t F) {
-    Sites[Site] = {SiteKind::Plt, F};
-    Nodes[funcAddrNode(F)].Live = true;
+    site(Site) = {SiteKind::Plt, F};
+    setLive(funcAddrNode(F));
   }
 
   /// A returning, address-taken function of the signal-handler type may
   /// "return" to the sigreturn trampoline.
   void checkTrampoline(uint32_t F) {
-    FuncEntry &E = Funcs[F];
+    const FuncEntry &E = Funcs[F];
     if (Trampoline == None || E.ToTrampoline || !E.Returns ||
         !E.AddressTaken || E.Sig != HandlerSig)
       return;
-    E.ToTrampoline = true;
+    func(F).ToTrampoline = true;
     uint32_t T = Funcs[Trampoline].AddrNode;
-    UF.merge(E.Node, T);
-    Nodes[T].Live = true;
+    UF.merge(Funcs[F].Node, T);
+    setLive(T);
   }
 
   //===--------------------------------------------------------------------===//
@@ -588,7 +836,7 @@ struct CFGMerge::State {
   void markRelevant(uint32_t N) {
     if (Nodes[N].Relevant)
       return;
-    Nodes[N].Relevant = true;
+    node(N).Relevant = true;
     RelevantWork.push_back(N);
     while (!RelevantWork.empty()) {
       uint32_t X = RelevantWork.back();
@@ -602,7 +850,7 @@ struct CFGMerge::State {
           activate(X);
         }
         if (!Nodes[P].Relevant) {
-          Nodes[P].Relevant = true;
+          node(P).Relevant = true;
           RelevantWork.push_back(P);
         }
       }
@@ -612,7 +860,7 @@ struct CFGMerge::State {
   void activate(uint32_t N) {
     if (Nodes[N].Active)
       return;
-    Nodes[N].Active = true;
+    node(N).Active = true;
     ActiveWork.push_back(N);
     while (!ActiveWork.empty()) {
       uint32_t X = ActiveWork.back();
@@ -623,7 +871,7 @@ struct CFGMerge::State {
           continue;
         UF.merge(X, S);
         if (!Nodes[S].Active) {
-          Nodes[S].Active = true;
+          node(S).Active = true;
           ActiveWork.push_back(S);
         }
       }
@@ -634,14 +882,15 @@ struct CFGMerge::State {
   void joinCall(uint32_t C) {
     uint32_t N = Calls[C].Callee;
     UF.merge(Calls[C].RetNode, N);
-    Nodes[Calls[C].RetNode].Live = true;
+    setLive(Calls[C].RetNode);
     activate(N);
   }
 
   void addCall(uint32_t C, uint32_t Callee) {
-    Calls[C].Callee = Callee;
-    Calls[C].NextToCallee = Nodes[Callee].FirstCall;
-    Nodes[Callee].FirstCall = C;
+    CallEntry &E = call(C);
+    E.Callee = Callee;
+    E.NextToCallee = Nodes[Callee].FirstCall;
+    node(Callee).FirstCall = C;
     if (Nodes[Callee].Relevant)
       joinCall(C);
   }
@@ -649,7 +898,8 @@ struct CFGMerge::State {
   void addEdge(uint32_t From, uint32_t To) {
     uint32_t E = static_cast<uint32_t>(Edges.size());
     Edges.push_back({From, To, Nodes[From].FirstSucc, Nodes[To].FirstPred});
-    Nodes[From].FirstSucc = Nodes[To].FirstPred = E;
+    node(From).FirstSucc = E;
+    node(To).FirstPred = E;
     if (!Nodes[To].Relevant)
       return;
     markRelevant(From);
@@ -695,15 +945,15 @@ struct CFGMerge::State {
         IBTs.push_back({Node, Addr});
       }
     };
-    uint32_t FuncBegin = 0, CallBegin = 0;
-    for (size_t Mi = 0; Mi != ModuleFuncEnd.size(); ++Mi) {
-      for (uint32_t F = FuncBegin; F != ModuleFuncEnd[Mi]; ++F)
+    for (size_t Mi = 0; Mi != Views.size(); ++Mi) {
+      bool Last = Mi + 1 == Views.size();
+      uint32_t FuncEnd = Last ? Funcs.size() : FuncBegin[Mi + 1];
+      uint32_t CallEnd = Last ? Calls.size() : CallBegin[Mi + 1];
+      for (uint32_t F = FuncBegin[Mi]; F != FuncEnd; ++F)
         if (isIBT(Funcs[F]))
           visit(Funcs[F].AddrNode, Funcs[F].Addr);
-      for (uint32_t C = CallBegin; C != ModuleCallEnd[Mi]; ++C)
+      for (uint32_t C = CallBegin[Mi]; C != CallEnd; ++C)
         visit(Calls[C].RetNode, Calls[C].RetAddr);
-      FuncBegin = ModuleFuncEnd[Mi];
-      CallBegin = ModuleCallEnd[Mi];
     }
     for (const SiteEntry &S : Sites) {
       if (S.Kind == SiteKind::Plt)
@@ -777,11 +1027,11 @@ struct CFGMerge::State {
   const CFGRefinement *Refine;
   const InternedSig *HandlerSig;
 
-  /// Per view, in load order.
+  /// Per view, in load order: the view, where its functions, calls and
+  /// branch sites begin, and where the rest of the state stood.
   std::vector<LoadedModuleView> Views;
-  std::vector<uint32_t> SiteIndexBase;
-  std::vector<uint32_t> ModuleFuncEnd; ///< Funcs end index per view
-  std::vector<uint32_t> ModuleCallEnd; ///< Calls end index per view
+  std::vector<uint32_t> FuncBegin, CallBegin, SiteIndexBase;
+  std::vector<ViewMark> Marks;
   std::vector<uint64_t> SetjmpRetSites;
   uint64_t NumIBs = 0;
 
@@ -803,20 +1053,32 @@ struct CFGMerge::State {
   std::vector<uint32_t> AddressTaken;
 
   /// Union-find over address, function and key nodes; Nodes is
-  /// index-parallel. find() compresses paths without changing the
-  /// partition, so emit() stays logically const.
-  mutable UnionFind UF{0};
+  /// index-parallel.
+  UnionFind UF{0};
   std::vector<NodeInfo> Nodes;
   std::vector<Edge> Edges;
   std::vector<uint32_t> RelevantWork, ActiveWork; ///< scratch
+
+  /// The undo logs: old values of entries a later view overwrote, name
+  /// slots claimed or written, and addresses claimed, in write order.
+  std::vector<Saved<NodeInfo>> NodeLog;
+  std::vector<Saved<FuncEntry>> FuncLog;
+  std::vector<Saved<CallEntry>> CallLog;
+  std::vector<Saved<SiteEntry>> SiteLog;
+  std::vector<Saved<OpenTail>> TailLog;
+  std::vector<KeyUndo> KeyLog;
+  std::vector<NameUndo> NameLog;
+  std::vector<uint64_t> AddrLog;
 };
 
 TargetECNTable::TargetECNTable(std::vector<value_type> Unsorted)
     : Entries(std::move(Unsorted)) {
-  std::stable_sort(Entries.begin(), Entries.end(),
-                   [](const value_type &A, const value_type &B) {
-                     return A.first < B.first;
-                   });
+  auto ByAddr = [](const value_type &A, const value_type &B) {
+    return A.first < B.first;
+  };
+  // emit() walks modules in load order, which is usually address order.
+  if (!std::is_sorted(Entries.begin(), Entries.end(), ByAddr))
+    std::stable_sort(Entries.begin(), Entries.end(), ByAddr);
   Entries.erase(std::unique(Entries.begin(), Entries.end(),
                             [](const value_type &A, const value_type &B) {
                               return A.first == B.first;
@@ -836,8 +1098,7 @@ CFGMerge::CFGMerge(const CFGRefinement *Refinement)
 CFGMerge::CFGMerge(const CFGMerge &Other)
     : S(std::make_unique<State>(*Other.S)) {}
 CFGMerge &CFGMerge::operator=(const CFGMerge &Other) {
-  // Assigning in place keeps this state's buffers, so a checkpoint
-  // restore followed by a replay reallocates nothing it already had.
+  // Assigning in place keeps this state's buffers.
   if (this != &Other)
     *S = *Other.S;
   return *this;
@@ -845,6 +1106,8 @@ CFGMerge &CFGMerge::operator=(const CFGMerge &Other) {
 CFGMerge::~CFGMerge() = default;
 
 void CFGMerge::append(const LoadedModuleView &View) { S->append(View); }
+
+void CFGMerge::truncate(size_t N) { S->truncate(N); }
 
 const std::vector<LoadedModuleView> &CFGMerge::views() const {
   return S->Views;

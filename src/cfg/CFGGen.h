@@ -61,6 +61,9 @@ namespace mcfi {
 /// global site-index space positionally stable, so already-sealed
 /// surviving modules' patched Bary indexes remain correct, while the
 /// merged CFG is exactly what it would be had the module never loaded.
+/// Two views are equal when they name the same object at the same base
+/// (or are equal tombstones); the linker compares its folded views with
+/// the machine's, view by view, to find where to truncate.
 struct LoadedModuleView {
   const MCFIObject *Obj = nullptr;
   uint64_t CodeBase = 0;
@@ -190,22 +193,26 @@ struct CFGRefinement {
 
 /// The class-level merge as a fold over module views: append() folds in
 /// the next module in load order, emit() produces the policy of the
-/// views folded so far. A module only ever adds functions, keys, edges
-/// and unions, so append() applies the new module's late effects on the
-/// older ones in place — names they left unresolved, functions they
-/// make address-taken, key targets, tail-graph reachability, refinement
+/// views folded so far, and truncate() forgets the views from some index
+/// on. A module only ever adds functions, keys, edges and unions, so
+/// append() applies the new module's late effects on the older ones in
+/// place — names they left unresolved, functions they make
+/// address-taken, key targets, tail-graph reachability, refinement
 /// liveness — and costs O(new module + what it touches), not O(world).
 ///
 /// emit() depends only on the sequence of views, never on how it was
-/// split into appends: folding views[0..k) then views[k..n) emits the
-/// same policy as generateCFG(views). It is linear in the IBTs and
-/// branch sites and hashes no strings.
+/// split into appends and truncates: folding views[0..k) then
+/// views[k..n) emits the same policy as generateCFG(views), and so does
+/// folding views[0..m), truncating to k <= m, then folding views[k..n).
+/// It is linear in the IBTs and branch sites and hashes no strings.
 ///
-/// The state is copyable; the linker keeps a copy taken after the
-/// static link and replays only the dynamic views onto it when an
-/// unload or a tail-trim changes an already-folded view. A view's object
-/// must outlive every state it is folded into: the state keeps views of
-/// its names.
+/// Every append logs the writes it makes to what earlier views built, so
+/// truncate() costs O(what the forgotten views did). The linker keeps
+/// one state: when an unload or a reclaimer tail-trim changes a folded
+/// view, it truncates to the first changed view and folds the views from
+/// there on again. The state is copyable. A view's object must outlive
+/// its fold (until it is truncated away or the state dies): the state
+/// keeps views of its names.
 class CFGMerge {
 public:
   /// \p Refinement (may be null) must outlive the state.
@@ -216,6 +223,10 @@ public:
 
   /// Folds \p View in as the next module in load order.
   void append(const LoadedModuleView &View);
+
+  /// Forgets every view from index \p N on (N <= views().size()), exactly
+  /// as if they had never been appended.
+  void truncate(size_t N);
 
   /// The views folded in so far, in load order.
   const std::vector<LoadedModuleView> &views() const;

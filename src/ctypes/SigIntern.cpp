@@ -165,11 +165,6 @@ SigSetCache::store(uint64_t Key, std::shared_ptr<const void> Value) {
   return It->second;
 }
 
-bool SigSetCache::drop(uint64_t Key) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  return Map.erase(Key) != 0;
-}
-
 size_t SigSetCache::size() const {
   std::lock_guard<std::mutex> Guard(Lock);
   return Map.size();

@@ -104,7 +104,10 @@ using SigList = std::vector<const InternedSig *>;
 /// Key-addressed persistent cache of interned signature lists.
 /// Thread-safe. The cache is bounded: when it exceeds a fixed capacity
 /// it is cleared wholesale (entries are cheap to rebuild; the interner
-/// itself never forgets, so re-population is hash lookups only).
+/// itself never forgets, so re-population is hash lookups only). A
+/// module unload leaves its entry in place: the key names content, not
+/// a module, so it holds nothing of the dead module and serves every
+/// other module of the same shape.
 class SigSetCache {
 public:
   static SigSetCache &global();
@@ -116,13 +119,6 @@ public:
   /// (first writer wins on a race).
   std::shared_ptr<const void> store(uint64_t Key,
                                     std::shared_ptr<const void> Value);
-
-  /// Drops the entry for \p Key (module unload: the merged CFG
-  /// must hold no trace of the dead module, cached views included).
-  /// Harmless if a module with the same key is still loaded — the next
-  /// merge re-populates the entry from the interner with hash lookups
-  /// only. Returns true if an entry was present.
-  bool drop(uint64_t Key);
 
   size_t size() const;
 

@@ -7,7 +7,6 @@
 
 #include "linker/Linker.h"
 
-#include "cfg/SigCache.h"
 #include "ctypes/SigIntern.h"
 #include "module/Pending.h"
 #include "rewriter/Rewriter.h"
@@ -23,7 +22,7 @@ using namespace mcfi;
 using namespace mcfi::visa;
 
 Linker::Linker(Machine &M, LinkOptions Opts)
-    : M(M), Opts(Opts), Merge(Opts.Refinement), StaticMerge(Opts.Refinement) {}
+    : M(M), Opts(Opts), Merge(Opts.Refinement) {}
 
 namespace {
 
@@ -226,21 +225,14 @@ bool Linker::resolveModule(int Index, std::string &Error) {
   return true;
 }
 
-void Linker::patchBaryIndexes(const CFGPolicy &NewPolicy) {
-  for (size_t Idx = 0; Idx != M.modules().size(); ++Idx) {
-    const MappedModule &Mod = M.modules()[Idx];
-    // Retired modules are sealed tombstones; the patched-set is keyed by
-    // Serial so a new module occupying a reused index is never mistaken
-    // for its already-patched predecessor.
-    if (Mod.Retired || BaryPatched.count(Mod.Serial))
-      continue;
-    uint32_t Base = NewPolicy.SiteIndexBase[Idx];
-    for (const RelocEntry &R : Mod.Obj->Relocs) {
-      if (R.Kind != RelocKind::BaryIndex32)
-        continue;
-      M.patchCode32(Mod.CodeBase + R.Offset, Base + R.SiteId);
-    }
-    BaryPatched.insert(Mod.Serial);
+void Linker::patchBaryIndexes(const CFGPolicy &NewPolicy,
+                              const std::vector<int> &Indexes) {
+  for (int Idx : Indexes) {
+    const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
+    uint32_t Base = NewPolicy.SiteIndexBase[static_cast<size_t>(Idx)];
+    for (const RelocEntry &R : Mod.Obj->Relocs)
+      if (R.Kind == RelocKind::BaryIndex32)
+        M.patchCode32(Mod.CodeBase + R.Offset, Base + R.SiteId);
   }
 }
 
@@ -283,13 +275,14 @@ std::vector<LoadedModuleView> Linker::moduleViews() const {
 uint32_t Linker::syncMerge() {
   std::vector<LoadedModuleView> Views = moduleViews();
   const std::vector<LoadedModuleView> &Folded = Merge.views();
-  if (Folded.size() > Views.size() ||
-      !std::equal(Folded.begin(), Folded.end(), Views.begin()))
-    Merge = StaticMerge;
-  uint32_t Appended = 0;
-  for (size_t I = Merge.views().size(); I < Views.size(); ++I, ++Appended)
+  size_t Same = static_cast<size_t>(
+      std::mismatch(Folded.begin(), Folded.end(), Views.begin(), Views.end())
+          .first -
+      Folded.begin());
+  Merge.truncate(Same);
+  for (size_t I = Same; I != Views.size(); ++I)
     Merge.append(Views[I]);
-  return Appended;
+  return static_cast<uint32_t>(Views.size() - Same);
 }
 
 namespace {
@@ -525,9 +518,8 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
 
   if (Opts.InstallPolicy) {
     syncMerge();
-    StaticMerge = Merge;
     CFGPolicy NewPolicy = Merge.emit();
-    patchBaryIndexes(NewPolicy);
+    patchBaryIndexes(NewPolicy, Indexes);
 
     // Seal runs what the verifier checked: each module's disassembly is
     // verified, then attached as its decode.
@@ -651,6 +643,8 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   auto ReclaimGuard = M.lockReclaimApply();
   DlopenBatchStats BS;
   BS.Requested = static_cast<uint32_t>(Batch.size());
+  // Every module this batch maps lands at or past this index.
+  const size_t FirstNew = M.modules().size();
 
   // A mapped module that fails before or at the install is tombstoned at
   // once: the next merge must not fold it in, symbol lookups must not
@@ -658,14 +652,24 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   // never installed, so there is no retire transaction and no condemned
   // ECN.
   auto Discard = [&](int Idx) {
-    BaryPatched.erase(M.modules()[static_cast<size_t>(Idx)].Serial);
     M.markModuleRetired(Idx, 0);
     M.retireModule(Idx, {});
+  };
+  // A batch that fails after its merge also forgets the members' folds
+  // at once. Left in Merge, they would outlive their objects: a drain
+  // trims the tombstones, and the next dlopen can map a new module at
+  // the same index and base, into the same freed object address, where
+  // syncMerge would take the stale fold for the new module's.
+  std::vector<std::pair<PendingDlopen *, int>> Loaded;
+  auto DiscardBatch = [&]() {
+    Merge.truncate(FirstNew);
+    for (const auto &Member : Loaded)
+      Discard(Member.second);
+    appendHistory(BatchHistory, BS);
   };
 
   // Step 1 per request: validate, map writable/not-executable, relocate.
   // A request failing here fails alone; the rest of the batch proceeds.
-  std::vector<std::pair<PendingDlopen *, int>> Loaded;
   for (PendingDlopen *P : Batch) {
     if (P->Id < 0 || static_cast<size_t>(P->Id) >= Registry.size()) {
       LastError = "dlopen: unknown library id";
@@ -700,7 +704,10 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
                        .count();
-  patchBaryIndexes(NewPolicy);
+  std::vector<int> NewIndexes;
+  for (const auto &Member : Loaded)
+    NewIndexes.push_back(Member.second);
+  patchBaryIndexes(NewPolicy, NewIndexes);
 
   std::vector<Disassembly> Verified;
   if (Opts.Verify) {
@@ -715,9 +722,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
         // every member is discarded.
         LastError = "dlopen: verification failed for module '" +
                     Mod.Obj->Name + "': " + VR.Errors.front();
-        for (const auto &Member : Loaded)
-          Discard(Member.second);
-        appendHistory(BatchHistory, BS);
+        DiscardBatch();
         return;
       }
     }
@@ -738,9 +743,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
     // shadow a later load of the same library in symbol lookups, and no
     // handle was returned that could ever close it.
     LastError = "dlopen: " + LastError;
-    for (const auto &Member : Loaded)
-      Discard(Member.second);
-    appendHistory(BatchHistory, BS);
+    DiscardBatch();
     return;
   }
   const TxUpdateStats &Install = UpdateHistory.back();
@@ -820,8 +823,6 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   struct DyingModule {
     PendingDlclose *P = nullptr;
     int Idx = -1;
-    uint64_t Serial = 0;
-    uint64_t SigKey = 0;
     uint64_t CodeBegin = 0, CodeEnd = 0; ///< absolute address range
     uint32_t SiteBase = 0, SiteCount = 0; ///< global Bary index range
     std::vector<uint32_t> CondemnedECNs;
@@ -854,8 +855,6 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     DyingModule D;
     D.P = P;
     D.Idx = static_cast<int>(H);
-    D.Serial = Mod.Serial;
-    D.SigKey = hashModuleSigKey(*Mod.Obj);
     D.CodeBegin = Mod.CodeBase;
     D.CodeEnd = Mod.CodeBase + Mod.CodeSize;
     D.SiteBase = Policy.SiteIndexBase[static_cast<size_t>(H)];
@@ -978,13 +977,6 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     if (S < Policy.BranchECN.size())
       Policy.BranchECN[S] = -1;
 
-  // Drop cached per-module signature sets and the patched-site record
-  // (keyed by Serial, so a future occupant of the index re-patches).
-  for (const DyingModule &D : Dying) {
-    SigSetCache::global().drop(D.SigKey);
-    BaryPatched.erase(D.Serial);
-  }
-
   // Step 2 of the retire protocol: the code ranges + condemned ECNs
   // enter the reclaimer's grace period. The code stays mapped and
   // executable until every guest thread passes a quiescent point.
@@ -992,13 +984,13 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     M.retireModule(D.Idx, std::move(D.CondemnedECNs));
 
   // Regenerate the policy with the dying modules as tombstones: a
-  // removal can split classes, so the static checkpoint is restored and
-  // only the dynamic views are replayed onto it. In the common
-  // self-contained case the result holds exactly the scrubbed Policy's
-  // entries within the installed extents (survivors keep their classes
-  // and numbering), and no second transaction is needed: the retire-only
-  // fast path. Otherwise (class splits, renumbering) the full install's
-  // version bump makes every stale pre-unload ID snapshot fail.
+  // removal can split classes, so the merge is truncated to the first
+  // dying module and the views from there on are folded in again. In the
+  // common self-contained case the result holds exactly the scrubbed
+  // Policy's entries within the installed extents (survivors keep their
+  // classes and numbering), and no second transaction is needed: the
+  // retire-only fast path. Otherwise (class splits, renumbering) the full
+  // install's version bump makes every stale pre-unload ID snapshot fail.
   auto MergeStart = std::chrono::steady_clock::now();
   BS.MergeViewsAppended = syncMerge();
   CFGPolicy NewPolicy = Merge.emit();

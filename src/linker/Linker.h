@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <deque>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace mcfi {
@@ -80,9 +79,10 @@ struct DlopenBatchStats {
   bool Installed = false;   ///< the single policy install succeeded
   bool Incremental = false; ///< that install took the delta path
   /// Module views folded into the persistent merge state: the batch's
-  /// new modules, or every dynamic view after a tail-trim replay.
+  /// new modules, plus, after a reclaimer tail-trim, the views from the
+  /// first trimmed one on.
   uint32_t MergeViewsAppended = 0;
-  double MergeMicros = 0;   ///< append (or replay) plus emit
+  double MergeMicros = 0;   ///< truncate and append, plus emit
   double InstallMicros = 0; ///< the single TxUpdate transaction
 };
 
@@ -96,10 +96,11 @@ struct DlcloseBatchStats {
   /// transaction (class splits/renumbering; the common self-contained
   /// plugin case stays retire-only).
   bool PolicyReinstalled = false;
-  /// Module views replayed onto the static checkpoint: every dynamic
-  /// view (live or tombstone), never a static module's.
+  /// Module views folded in again after truncating the merge to the
+  /// first dying module: that module's tombstone and every view after it
+  /// (live or tombstone), never a view before it.
   uint32_t MergeViewsAppended = 0;
-  double MergeMicros = 0;  ///< checkpoint replay plus emit
+  double MergeMicros = 0;  ///< truncate and re-fold, plus emit
   double RetireMicros = 0; ///< the single txUpdateRetire transaction
 };
 
@@ -229,7 +230,10 @@ private:
 
   bool loadAndRelocate(MCFIObject Obj, std::string &Error);
   bool resolveModule(int Index, std::string &Error);
-  void patchBaryIndexes(const CFGPolicy &Policy);
+  /// Patches the BaryIndex32 relocations of the modules at \p Indexes,
+  /// just mapped and still writable, with their sites' global indexes.
+  void patchBaryIndexes(const CFGPolicy &Policy,
+                        const std::vector<int> &Indexes);
   void updateGotEntries();
   bool installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules = 1);
   void processBatch(std::vector<PendingDlopen *> &Batch);
@@ -238,10 +242,10 @@ private:
   /// retired modules appear as positionally-stable tombstones.
   std::vector<LoadedModuleView> moduleViews() const;
   /// Brings Merge to the fold of moduleViews() and returns the number
-  /// of views appended: only the new ones while the views Merge holds
-  /// are still a prefix, else every dynamic view replayed onto the
-  /// static checkpoint (an unload turned a view into a tombstone, or a
-  /// reclaimer tail-trim popped trailing ones).
+  /// of views appended: Merge is truncated to the first view that
+  /// differs from moduleViews() (an unload turned it into a tombstone,
+  /// or a reclaimer tail-trim popped it), and every view from there on
+  /// is folded in. A dlopen appends only its new modules.
   uint32_t syncMerge();
   MCFIObject makeBootstrap();
 
@@ -249,23 +253,16 @@ private:
   LinkOptions Opts;
   /// The persistent class-level merge: the fold of moduleViews() as of
   /// the last link operation (a reclaimer tail-trim may pop trailing
-  /// tombstones since; syncMerge notices). Tests and the traced
-  /// benchmark audit check it against a from-scratch merge — never an
-  /// assert, which would cost a full merge per operation.
+  /// tombstones since; syncMerge notices). It never folds a module that
+  /// failed to load past the operation that mapped it. Tests and the
+  /// traced benchmark audit check it against a from-scratch merge —
+  /// never an assert, which would cost a full merge per operation.
   CFGMerge Merge;
-  /// Merge as it stood right after the static link.
-  CFGMerge StaticMerge;
   CFGPolicy Policy;
   std::vector<TxUpdateStats> UpdateHistory;
   std::vector<DlopenBatchStats> BatchHistory;
   std::vector<DlcloseBatchStats> UnloadHistory;
   std::vector<MCFIObject> Registry;
-  /// Serials of modules whose BaryIndex32 relocations are patched.
-  /// Keyed by the never-reused module Serial, NOT the module index: the
-  /// reclaimer's tail-trim lets indices be reused after an unload, and
-  /// an index-keyed "already patched" bit would silently skip the new
-  /// occupant (index-reuse ABA).
-  std::unordered_set<uint64_t> BaryPatched;
   /// Modules mapped by linkProgram (bootstrap + program). They can never
   /// be dlclosed: the running program's own code and the policy's stable
   /// prefix live there.

@@ -6,11 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A disjoint-set forest with path compression and union by size. The CFG
+/// A disjoint-set forest with union by size and rollback. The CFG
 /// generator uses it to merge overlapping indirect-branch target sets into
 /// equivalence classes (Sec. 2 of the paper: "If two indirect branches
 /// target two sets of destinations and those two sets are not disjoint,
 /// the two sets are merged into one equivalence class").
+///
+/// There is no path compression: find() only reads, so every join is one
+/// parent link that rollback() can cut again, which lets the persistent
+/// CFG merge forget the modules folded in after a point. Union by size
+/// alone keeps every tree O(log n) deep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +25,7 @@
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace mcfi {
@@ -39,18 +45,11 @@ public:
   }
 
   /// Returns the canonical representative of \p X's class.
-  uint32_t find(uint32_t X) {
+  uint32_t find(uint32_t X) const {
     assert(X < Parent.size() && "index out of range");
-    uint32_t Root = X;
-    while (Parent[Root] != Root)
-      Root = Parent[Root];
-    // Path compression.
-    while (Parent[X] != Root) {
-      uint32_t Next = Parent[X];
-      Parent[X] = Root;
-      X = Next;
-    }
-    return Root;
+    while (Parent[X] != X)
+      X = Parent[X];
+    return X;
   }
 
   /// Merges the classes of \p A and \p B; returns the new representative.
@@ -62,20 +61,40 @@ public:
       std::swap(RA, RB);
     Parent[RB] = RA;
     Size[RA] += Size[RB];
+    Joined.push_back(RB);
     return RA;
   }
 
   /// Returns true if \p A and \p B are in the same class.
-  bool connected(uint32_t A, uint32_t B) { return find(A) == find(B); }
+  bool connected(uint32_t A, uint32_t B) const { return find(A) == find(B); }
 
   /// Number of elements.
   size_t size() const { return Parent.size(); }
 
+  /// Number of merges that joined two classes so far: a mark for
+  /// rollback().
+  size_t joins() const { return Joined.size(); }
+
+  /// Undoes every join after the first \p Joins, newest first, then
+  /// drops the elements from \p Elements on. The forest is then exactly
+  /// what it was when joins() and size() last read those values.
+  void rollback(size_t Joins, size_t Elements) {
+    assert(Joins <= Joined.size() && Elements <= Parent.size());
+    while (Joined.size() > Joins) {
+      uint32_t Child = Joined.back();
+      Joined.pop_back();
+      Size[Parent[Child]] -= Size[Child];
+      Parent[Child] = Child;
+    }
+    Parent.resize(Elements);
+    Size.resize(Elements);
+  }
+
   /// Counts distinct classes (O(n)).
-  size_t numClasses() {
+  size_t numClasses() const {
     size_t N = 0;
     for (uint32_t I = 0, E = Parent.size(); I != E; ++I)
-      if (find(I) == I)
+      if (Parent[I] == I)
         ++N;
     return N;
   }
@@ -83,6 +102,8 @@ public:
 private:
   std::vector<uint32_t> Parent;
   std::vector<uint32_t> Size;
+  /// The root each join hung below another, in join order.
+  std::vector<uint32_t> Joined;
 };
 
 } // namespace mcfi

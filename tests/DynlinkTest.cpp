@@ -371,6 +371,24 @@ TEST(Dynlink, DlcloseReclaimRestoresFootprint) {
   int64_t H2 = D.L->dlopen(0);
   ASSERT_GE(H2, 0) << D.L->lastError();
   EXPECT_EQ(D.M->modules()[static_cast<size_t>(H2)].CodeBase, PluginBase);
+
+  // The new occupant of the reused index is patched like any new module:
+  // every BaryIndex32 immediate reads its site's global index.
+  ASSERT_EQ(H2, H);
+  const MappedModule &Mod = D.M->modules()[static_cast<size_t>(H2)];
+  uint32_t Base = D.L->policy().SiteIndexBase[static_cast<size_t>(H2)];
+  ASSERT_GT(Base, 0u);
+  unsigned Patched = 0;
+  for (const visa::RelocEntry &R : Mod.Obj->Relocs) {
+    if (R.Kind != visa::RelocKind::BaryIndex32)
+      continue;
+    const uint8_t *Imm = D.M->codePtr(Mod.CodeBase + R.Offset, 4);
+    uint32_t Index = uint32_t(Imm[0]) | uint32_t(Imm[1]) << 8 |
+                     uint32_t(Imm[2]) << 16 | uint32_t(Imm[3]) << 24;
+    EXPECT_EQ(Index, Base + R.SiteId) << "site " << R.SiteId;
+    ++Patched;
+  }
+  EXPECT_EQ(Patched, Mod.Obj->Aux.BranchSites.size());
 }
 
 TEST(Dynlink, ReopenAfterUnloadIsByteIdentical) {

@@ -617,10 +617,23 @@ TEST(MergeDifferential, RandomAuxWorlds) {
 // Persistent merge state
 //===----------------------------------------------------------------------===//
 
+/// The tombstone a dlclose leaves of \p View.
+LoadedModuleView tombstoneOf(const LoadedModuleView &View) {
+  uint32_t Sites = View.Obj ? static_cast<uint32_t>(
+                                  View.Obj->Aux.BranchSites.size())
+                            : View.TombstoneSites;
+  return {nullptr, View.CodeBase, Sites};
+}
+
 /// Folds \p Views split at every point k — views[0..k), an emit, then
 /// views[k..n) — into a fresh state and into a copy taken at k; both must
 /// emit generateCFG(views) (itself checked against the reference), and
-/// the copy must leave the original's prefix policy intact.
+/// the copy must leave the original's prefix policy intact. A rewind leg
+/// folds every view, truncates to k and must emit the prefix policy;
+/// folding views[k..n) again must emit generateCFG(views), and folding
+/// them with view k closed must emit generateCFG of that list. A second
+/// truncate, to k/2, then views[k/2..n) must emit generateCFG(views)
+/// again.
 void expectSplitsMatch(const std::vector<LoadedModuleView> &Views,
                        const CFGRefinement *Ref, const std::string &What) {
   CFGPolicy Whole = generateCFG(Views, Ref);
@@ -640,6 +653,33 @@ void expectSplitsMatch(const std::vector<LoadedModuleView> &Views,
     for (size_t I = K; I != Views.size(); ++I)
       Prefix.append(Views[I]);
     EXPECT_TRUE(policiesIdentical(Prefix.emit(), Whole)) << At;
+
+    // Rewind: Prefix holds every view; forget views[K..n).
+    Prefix.truncate(K);
+    ASSERT_EQ(Prefix.views().size(), K) << At;
+    EXPECT_TRUE(policiesIdentical(Prefix.emit(), PrefixPolicy))
+        << At << " rewound";
+    CFGMerge Refold = Prefix;
+    for (size_t I = K; I != Views.size(); ++I)
+      Refold.append(Views[I]);
+    EXPECT_TRUE(policiesIdentical(Refold.emit(), Whole)) << At << " refolded";
+    if (K != Views.size()) {
+      std::vector<LoadedModuleView> Closed = Views;
+      Closed[K] = tombstoneOf(Views[K]);
+      CFGPolicy ClosedPolicy = generateCFG(Closed, Ref);
+      EXPECT_TRUE(
+          policiesIdentical(ClosedPolicy, generateCFGReference(Closed, Ref)))
+          << At << " closed";
+      for (size_t I = K; I != Closed.size(); ++I)
+        Prefix.append(Closed[I]);
+      EXPECT_TRUE(policiesIdentical(Prefix.emit(), ClosedPolicy))
+          << At << " closed refold";
+    }
+    Prefix.truncate(K / 2);
+    for (size_t I = K / 2; I != Views.size(); ++I)
+      Prefix.append(Views[I]);
+    EXPECT_TRUE(policiesIdentical(Prefix.emit(), Whole))
+        << At << " second rewind";
   }
 }
 
@@ -686,7 +726,7 @@ long bad_apply(long (*f)(long), long x) { return f(x); }
 /// Runs a seeded sequence of dlopenOne, dlopenBatch, dlcloseOne,
 /// dlcloseBatch and drainReclaim against one linker, and after every
 /// linker operation compares its policy — produced by the persistent
-/// state through appends and checkpoint replays — with the reference
+/// state through appends, truncates and re-folds — with the reference
 /// generator over the machine's current views.
 void runPersistentSequence(uint64_t Seed, const CFGRefinement *Ref) {
   constexpr unsigned Plugins = 6;
@@ -716,7 +756,7 @@ void runPersistentSequence(uint64_t Seed, const CFGRefinement *Ref) {
                        std::to_string(Step) + (Ref ? " refined" : "");
     if (R.chancePercent(20)) {
       // The linker's policy predates the drain; the next operation
-      // must notice a tail-trim and replay.
+      // must notice a tail-trim and re-fold from the trimmed view.
       size_t Before = M.modules().size();
       M.drainReclaim();
       if (M.modules().size() < Before) {
@@ -771,7 +811,7 @@ void runPersistentSequence(uint64_t Seed, const CFGRefinement *Ref) {
 
   // A batch that fails verification installs nothing. Its members are
   // retired on the spot, so they stay in the views only as tombstones,
-  // and the next successful operation's policy replays around them.
+  // and the next successful operation's policy folds around them.
   CFGPolicy Before = L.policy();
   std::vector<DlopenResult> Res = L.dlopenBatch({0, BadId});
   EXPECT_LT(Res[0].Handle, 0);
@@ -813,7 +853,6 @@ TEST(PersistentMerge, DlopenAppendsOnlyTheNewModule) {
   constexpr unsigned Plugins = 64;
   DynProgram D = buildDynamic(Plugins);
   ASSERT_TRUE(D.Ok) << D.Error;
-  const size_t Static = D.M->modules().size();
   std::vector<int64_t> Handles;
   for (unsigned K = 0; K != Plugins; ++K) {
     int64_t H = D.L->dlopen(2 + K);
@@ -827,16 +866,80 @@ TEST(PersistentMerge, DlopenAppendsOnlyTheNewModule) {
   EXPECT_TRUE(policiesIdentical(D.L->policy(),
                                 generateCFGReference(viewsOf(*D.M))));
 
-  // A dlclose replays every dynamic view, live or tombstone, onto the
-  // static checkpoint — never a static module's view.
+  // A dlclose rewinds the merge to the dying module and folds in its
+  // tombstone and every view after it — never a view before it.
   ASSERT_TRUE(D.L->dlcloseOne(Handles[10]));
   EXPECT_EQ(D.L->unloadHistory().back().MergeViewsAppended,
-            D.M->modules().size() - Static);
+            D.M->modules().size() - static_cast<size_t>(Handles[10]));
   ASSERT_TRUE(D.L->dlcloseOne(Extra));
-  EXPECT_EQ(D.L->unloadHistory().back().MergeViewsAppended,
-            D.M->modules().size() - Static);
+  EXPECT_EQ(D.L->unloadHistory().back().MergeViewsAppended, 1u);
   EXPECT_TRUE(policiesIdentical(D.L->policy(),
                                 generateCFGReference(viewsOf(*D.M))));
+}
+
+TEST(PersistentMerge, DlcloseRefoldsOnlyTheSuffix) {
+  // 64 plugins closed in a seeded order, no drain in between: each
+  // dlclose folds in exactly the dying module's tombstone and the views
+  // after it, so the work follows the module's position, not the number
+  // of dynamic views.
+  constexpr unsigned Plugins = 64;
+  DynProgram D = buildDynamic(Plugins);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  std::vector<int64_t> Open;
+  for (unsigned K = 0; K != Plugins; ++K) {
+    int64_t H = D.L->dlopen(2 + K);
+    ASSERT_GE(H, 0) << D.L->lastError();
+    Open.push_back(H);
+  }
+  const size_t Views = D.M->modules().size();
+  std::mt19937 Rng(0xc105eu);
+  std::shuffle(Open.begin(), Open.end(), Rng);
+  uint64_t Refolded = 0;
+  for (size_t I = 0; I != Open.size(); ++I) {
+    std::string What = "close " + std::to_string(I);
+    ASSERT_TRUE(D.L->dlcloseOne(Open[I])) << What;
+    ASSERT_EQ(D.M->modules().size(), Views) << What;
+    uint32_t Appended = D.L->unloadHistory().back().MergeViewsAppended;
+    EXPECT_EQ(Appended, Views - static_cast<size_t>(Open[I])) << What;
+    Refolded += Appended;
+    if (I % 16 == 15) {
+      EXPECT_TRUE(policiesIdentical(D.L->policy(),
+                                    generateCFGReference(viewsOf(*D.M))))
+          << What;
+    }
+  }
+  // A replay of every dynamic view would have folded 64 per close.
+  EXPECT_LT(Refolded, uint64_t(Plugins) * Plugins * 3 / 4);
+}
+
+TEST(PersistentMerge, DiscardedBatchThenDrainThenDlopen) {
+  // A batch that fails verification after its merge must leave no fold
+  // of its members behind. The drain trims their tombstones, and the
+  // next dlopen maps at the same index and base, often into the freed
+  // object's address: a stale fold there would pass for the new
+  // module's, and the policy would be folded from the failed module.
+  constexpr unsigned Plugins = 6;
+  DynProgram D = buildDynamic(Plugins);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  CompileOptions BadCO;
+  BadCO.ModuleName = "unverifiable";
+  BadCO.Instrument = false;
+  CompileResult Bad = compileModule(Unverifiable, BadCO);
+  ASSERT_TRUE(Bad.Ok);
+  const int64_t BadId = D.L->registerLibrary(std::move(Bad.Obj));
+  for (unsigned Round = 0; Round != Plugins; ++Round) {
+    std::string What = "round " + std::to_string(Round);
+    EXPECT_LT(D.L->dlopen(BadId), 0) << What;
+    EXPECT_FALSE(D.L->batchHistory().back().Installed) << What;
+    D.M->drainReclaim();
+    int64_t H = D.L->dlopen(2 + Round);
+    ASSERT_GE(H, 0) << What << ": " << D.L->lastError();
+    EXPECT_TRUE(policiesIdentical(D.L->policy(),
+                                  generateCFGReference(viewsOf(*D.M))))
+        << What;
+    ASSERT_TRUE(D.L->dlcloseOne(H)) << What;
+    D.M->drainReclaim();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -925,6 +1028,23 @@ TEST(SigCache, ModuleSigsAreCachedByTypeStrings) {
   MCFIObject Moved = Obj;
   Moved.Aux.TailCalls.push_back({"f", false, "", "", false});
   EXPECT_NE(hashModuleSigKey(Moved), First->Key);
+}
+
+TEST(SigCache, DlcloseKeepsTheSharedViewOfSameShapedModules) {
+  // Plugins 0 and 2 differ only in names and constants, so they share
+  // one content-keyed signature view. Closing one must leave the view
+  // the other folds from in place.
+  DynProgram D = buildDynamic(3);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  int64_t A = D.L->dlopen(2), B = D.L->dlopen(4);
+  ASSERT_GE(A, 0) << D.L->lastError();
+  ASSERT_GE(B, 0) << D.L->lastError();
+  const MCFIObject &Survivor = *D.M->modules()[static_cast<size_t>(B)].Obj;
+  const MCFIObject &Dying = *D.M->modules()[static_cast<size_t>(A)].Obj;
+  std::shared_ptr<const ModuleSigs> Before = getModuleSigs(Survivor);
+  ASSERT_EQ(getModuleSigs(Dying).get(), Before.get());
+  ASSERT_TRUE(D.L->dlcloseOne(A));
+  EXPECT_EQ(getModuleSigs(Survivor).get(), Before.get());
 }
 
 //===----------------------------------------------------------------------===//

@@ -119,6 +119,45 @@ TEST(UnionFindTest, TransitiveClosureProperty) {
   }
 }
 
+TEST(UnionFindTest, RollbackRestoresEveryEarlierPartition) {
+  // Random merges and appends, with a mark taken before each step;
+  // rolling back to any mark must give back that step's partition and
+  // element count exactly.
+  RNG R(78);
+  UnionFind UF(8);
+  struct Snapshot {
+    size_t Joins, Elements;
+    std::vector<uint32_t> Roots;
+  };
+  auto roots = [&] {
+    std::vector<uint32_t> Roots;
+    for (uint32_t X = 0; X != UF.size(); ++X)
+      Roots.push_back(UF.find(X));
+    return Roots;
+  };
+  std::vector<Snapshot> Marks;
+  for (int Step = 0; Step != 60; ++Step) {
+    Marks.push_back({UF.joins(), UF.size(), roots()});
+    if (R.chancePercent(25))
+      UF.add();
+    uint32_t A = static_cast<uint32_t>(R.below(UF.size()));
+    uint32_t B = static_cast<uint32_t>(R.below(UF.size()));
+    UF.merge(A, B);
+  }
+  while (!Marks.empty()) {
+    size_t Pick = Marks.size() > 3 ? Marks.size() - 1 - R.below(3) : 0;
+    UF.rollback(Marks[Pick].Joins, Marks[Pick].Elements);
+    ASSERT_EQ(UF.size(), Marks[Pick].Elements);
+    std::vector<uint32_t> Now = roots();
+    for (uint32_t X = 0; X != UF.size(); ++X)
+      for (uint32_t Y = 0; Y != UF.size(); ++Y)
+        ASSERT_EQ(Now[X] == Now[Y],
+                  Marks[Pick].Roots[X] == Marks[Pick].Roots[Y]);
+    Marks.resize(Pick);
+  }
+  EXPECT_EQ(UF.numClasses(), 8u);
+}
+
 TEST(StringUtils, SplitJoinRoundTrip) {
   EXPECT_EQ(splitString("a,b,c", ','),
             (std::vector<std::string>{"a", "b", "c"}));
