@@ -169,81 +169,80 @@ const RecordField *RecordType::findField(const std::string &Name) const {
 // TypeContext
 //===----------------------------------------------------------------------===//
 
-TypeContext::TypeContext() {
-  auto V = std::unique_ptr<VoidType>(new VoidType(*this));
-  VoidTy = V.get();
-  OwnedTypes.push_back(std::move(V));
-}
+TypeContext::TypeContext() { VoidTy = own<VoidType>(*this); }
 
 TypeContext::~TypeContext() = default;
 
-const Type *TypeContext::internStructural(const std::string &Key,
-                                          std::unique_ptr<Type> T) {
-  auto It = StructuralInterner.find(Key);
-  if (It != StructuralInterner.end())
-    return It->second;
-  const Type *Raw = T.get();
-  OwnedTypes.push_back(std::move(T));
-  StructuralInterner.emplace(Key, Raw);
+template <typename T, typename... Args> T *TypeContext::own(Args &&...As) {
+  auto Owned = std::unique_ptr<T>(new T(std::forward<Args>(As)...));
+  T *Raw = Owned.get();
+  OwnedTypes.push_back(std::move(Owned));
   return Raw;
 }
 
 const IntType *TypeContext::getInt(unsigned Bits, bool Signed) {
-  std::string Key = "i" + std::to_string(Bits) + (Signed ? "s" : "u");
-  return cast<IntType>(internStructural(
-      Key, std::unique_ptr<Type>(new IntType(*this, Bits, Signed))));
+  for (const IntType *T : Ints)
+    if (T->getBitWidth() == Bits && T->isSigned() == Signed)
+      return T;
+  return Ints.emplace_back(own<IntType>(*this, Bits, Signed));
 }
 
 const FloatType *TypeContext::getFloat(unsigned Bits) {
-  std::string Key = "f" + std::to_string(Bits);
-  return cast<FloatType>(
-      internStructural(Key, std::unique_ptr<Type>(new FloatType(*this, Bits))));
+  for (const FloatType *T : Floats)
+    if (T->getBitWidth() == Bits)
+      return T;
+  return Floats.emplace_back(own<FloatType>(*this, Bits));
 }
 
 const PointerType *TypeContext::getPointer(const Type *Pointee) {
-  std::string Key =
-      "p" + std::to_string(reinterpret_cast<uintptr_t>(Pointee));
-  return cast<PointerType>(internStructural(
-      Key, std::unique_ptr<Type>(new PointerType(*this, Pointee))));
+  auto [It, New] = Pointers.try_emplace(Pointee, nullptr);
+  if (New)
+    It->second = own<PointerType>(*this, Pointee);
+  return It->second;
 }
 
 const ArrayType *TypeContext::getArray(const Type *Element, uint64_t Count) {
-  std::string Key = "a" + std::to_string(reinterpret_cast<uintptr_t>(Element)) +
-                    "x" + std::to_string(Count);
-  return cast<ArrayType>(internStructural(
-      Key, std::unique_ptr<Type>(new ArrayType(*this, Element, Count))));
+  auto [B, E] = Arrays.equal_range(Element);
+  for (auto It = B; It != E; ++It)
+    if (It->second->getCount() == Count)
+      return It->second;
+  const ArrayType *T = own<ArrayType>(*this, Element, Count);
+  Arrays.emplace(Element, T);
+  return T;
 }
 
 const FunctionType *
 TypeContext::getFunction(const Type *Ret, std::vector<const Type *> Params,
                          bool Variadic) {
-  std::string Key = "fn" + std::to_string(reinterpret_cast<uintptr_t>(Ret));
+  std::hash<const Type *> H;
+  size_t Key = H(Ret) ^ Variadic;
   for (const Type *P : Params)
-    Key += "," + std::to_string(reinterpret_cast<uintptr_t>(P));
-  if (Variadic)
-    Key += ",...";
-  return cast<FunctionType>(internStructural(
-      Key, std::unique_ptr<Type>(
-               new FunctionType(*this, Ret, std::move(Params), Variadic))));
+    Key = Key * 31 + H(P);
+  auto [B, E] = Functions.equal_range(Key);
+  for (auto It = B; It != E; ++It) {
+    const FunctionType *F = It->second;
+    if (F->getReturnType() == Ret && F->isVariadic() == Variadic &&
+        F->getParams() == Params)
+      return F;
+  }
+  const FunctionType *T =
+      own<FunctionType>(*this, Ret, std::move(Params), Variadic);
+  Functions.emplace(Key, T);
+  return T;
 }
 
 RecordType *TypeContext::getRecord(const std::string &Tag, bool Union) {
-  std::string Key = (Union ? "u:" : "s:") + Tag;
-  auto It = Records.find(Key);
-  if (It != Records.end())
-    return It->second;
-  auto R = std::unique_ptr<RecordType>(new RecordType(*this, Tag, Union));
-  RecordType *Raw = R.get();
-  OwnedTypes.push_back(std::move(R));
-  Records.emplace(Key, Raw);
   // A new record invalidates nothing yet (it is incomplete), but its later
-  // completion can change canonical forms, so completion clears the cache;
-  // see canonicalSignature().
-  return Raw;
+  // completion can change canonical forms; see canonicalSignature().
+  auto [It, New] = (Union ? Unions : Structs).try_emplace(Tag, nullptr);
+  if (New)
+    It->second = own<RecordType>(*this, Tag, Union);
+  return It->second;
 }
 
 RecordType *TypeContext::findRecord(const std::string &Tag, bool Union) {
-  auto It = Records.find((Union ? "u:" : "s:") + Tag);
+  const auto &Records = Union ? Unions : Structs;
+  auto It = Records.find(Tag);
   return It == Records.end() ? nullptr : It->second;
 }
 

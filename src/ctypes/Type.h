@@ -286,15 +286,20 @@ public:
                             const FunctionType *Callee);
 
 private:
-  const Type *internStructural(const std::string &Key,
-                               std::unique_ptr<Type> T);
+  template <typename T, typename... Args> T *own(Args &&...As);
   void buildCanonical(const Type *T, std::vector<const RecordType *> &Stack,
                       std::string &Out);
 
-  const VoidType *VoidTy;
+  const VoidType *VoidTy = nullptr;
   std::vector<std::unique_ptr<Type>> OwnedTypes;
-  std::unordered_map<std::string, const Type *> StructuralInterner;
-  std::unordered_map<std::string, RecordType *> Records;
+  /// The structural interners. Each is keyed by the type's own parts, so
+  /// a lookup that hits builds and allocates nothing.
+  std::vector<const IntType *> Ints;
+  std::vector<const FloatType *> Floats;
+  std::unordered_map<const Type *, const PointerType *> Pointers;
+  std::unordered_multimap<const Type *, const ArrayType *> Arrays;
+  std::unordered_multimap<size_t, const FunctionType *> Functions;
+  std::unordered_map<std::string, RecordType *> Structs, Unions;
   std::unordered_map<const Type *, std::string> CanonicalCache;
 };
 

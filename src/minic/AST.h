@@ -21,7 +21,9 @@
 #include "minic/Lexer.h"
 #include "support/Casting.h"
 
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -711,36 +713,30 @@ private:
 class Program {
 public:
   Program() : Types(std::make_unique<TypeContext>()) {}
+  ~Program();
+  Program(const Program &) = delete;
+  Program &operator=(const Program &) = delete;
 
   TypeContext &getTypes() { return *Types; }
 
   /// Creates and owns an expression node.
   template <typename T, typename... Args> T *makeExpr(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    T *Raw = Node.get();
-    Exprs.push_back(std::move(Node));
-    return Raw;
+    return own<T>(Exprs, std::forward<Args>(As)...);
   }
 
   /// Creates and owns a statement node.
   template <typename T, typename... Args> T *makeStmt(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    T *Raw = Node.get();
-    Stmts.push_back(std::move(Node));
-    return Raw;
+    return own<T>(Stmts, std::forward<Args>(As)...);
   }
 
   VarDecl *makeVar(SourceLoc Loc, std::string Name, const Type *Ty,
                    bool Global) {
-    Vars.push_back(std::make_unique<VarDecl>(Loc, std::move(Name), Ty, Global));
-    return Vars.back().get();
+    return own<VarDecl>(Vars, Loc, std::move(Name), Ty, Global);
   }
 
   FuncDecl *makeFunc(SourceLoc Loc, std::string Name, const FunctionType *Ty,
                      std::vector<VarDecl *> Params) {
-    Funcs.push_back(std::make_unique<FuncDecl>(Loc, std::move(Name), Ty,
-                                               std::move(Params)));
-    return Funcs.back().get();
+    return own<FuncDecl>(Funcs, Loc, std::move(Name), Ty, std::move(Params));
   }
 
   std::vector<FuncDecl *> Functions; ///< in declaration order
@@ -755,11 +751,31 @@ public:
   }
 
 private:
+  /// Constructs a node in the arena and records it in \p List, whose
+  /// entries ~Program destroys.
+  template <typename T, typename Base, typename... Args>
+  T *own(std::vector<Base *> &List, Args &&...As) {
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    if (List.size() == List.capacity()) // so the push_back cannot throw
+      List.reserve(2 * List.size() + 16);
+    T *Node = new (allocate(sizeof(T))) T(std::forward<Args>(As)...);
+    List.push_back(Node);
+    return Node;
+  }
+
+  /// Bump-allocates \p Size bytes: nodes share arena blocks instead of
+  /// taking one heap allocation each.
+  void *allocate(size_t Size);
+
   std::unique_ptr<TypeContext> Types;
-  std::vector<std::unique_ptr<Expr>> Exprs;
-  std::vector<std::unique_ptr<Stmt>> Stmts;
-  std::vector<std::unique_ptr<VarDecl>> Vars;
-  std::vector<std::unique_ptr<FuncDecl>> Funcs;
+  /// Arena blocks: a new[] byte array provides storage for any object of
+  /// fundamental alignment at offsets that are multiples of it.
+  std::vector<std::unique_ptr<std::byte[]>> Blocks;
+  size_t BlockUsed = 0, BlockSize = 0; ///< bytes of Blocks.back()
+  std::vector<Expr *> Exprs;
+  std::vector<Stmt *> Stmts;
+  std::vector<VarDecl *> Vars;
+  std::vector<FuncDecl *> Funcs;
 };
 
 } // namespace minic

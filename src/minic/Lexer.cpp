@@ -9,33 +9,61 @@
 
 #include "support/StringUtils.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <optional>
+#include <string_view>
 
 using namespace mcfi;
 using namespace mcfi::minic;
 
 namespace {
 
-const std::unordered_map<std::string, TokKind> &keywordMap() {
-  static const std::unordered_map<std::string, TokKind> Map = {
-      {"void", TokKind::KwVoid},       {"char", TokKind::KwChar},
-      {"short", TokKind::KwShort},     {"int", TokKind::KwInt},
-      {"long", TokKind::KwLong},       {"unsigned", TokKind::KwUnsigned},
-      {"float", TokKind::KwFloat},     {"double", TokKind::KwDouble},
-      {"struct", TokKind::KwStruct},   {"union", TokKind::KwUnion},
-      {"enum", TokKind::KwEnum},       {"typedef", TokKind::KwTypedef},
-      {"if", TokKind::KwIf},           {"else", TokKind::KwElse},
-      {"while", TokKind::KwWhile},     {"for", TokKind::KwFor},
-      {"return", TokKind::KwReturn},   {"break", TokKind::KwBreak},
-      {"continue", TokKind::KwContinue}, {"switch", TokKind::KwSwitch},
-      {"case", TokKind::KwCase},       {"default", TokKind::KwDefault},
-      {"goto", TokKind::KwGoto},       {"sizeof", TokKind::KwSizeof},
-      {"NULL", TokKind::KwNull},       {"__asm__", TokKind::KwAsm},
-      {"static", TokKind::KwStatic},   {"const", TokKind::KwConst},
-      {"do", TokKind::KwDo},
-  };
-  return Map;
+struct Keyword {
+  std::string_view Text;
+  TokKind Kind;
+};
+
+constexpr Keyword Keywords[] = {
+    {"void", TokKind::KwVoid},         {"char", TokKind::KwChar},
+    {"short", TokKind::KwShort},       {"int", TokKind::KwInt},
+    {"long", TokKind::KwLong},         {"unsigned", TokKind::KwUnsigned},
+    {"float", TokKind::KwFloat},       {"double", TokKind::KwDouble},
+    {"struct", TokKind::KwStruct},     {"union", TokKind::KwUnion},
+    {"enum", TokKind::KwEnum},         {"typedef", TokKind::KwTypedef},
+    {"if", TokKind::KwIf},             {"else", TokKind::KwElse},
+    {"while", TokKind::KwWhile},       {"for", TokKind::KwFor},
+    {"return", TokKind::KwReturn},     {"break", TokKind::KwBreak},
+    {"continue", TokKind::KwContinue}, {"switch", TokKind::KwSwitch},
+    {"case", TokKind::KwCase},         {"default", TokKind::KwDefault},
+    {"goto", TokKind::KwGoto},         {"sizeof", TokKind::KwSizeof},
+    {"NULL", TokKind::KwNull},         {"__asm__", TokKind::KwAsm},
+    {"static", TokKind::KwStatic},     {"const", TokKind::KwConst},
+    {"do", TokKind::KwDo},
+};
+
+/// The keyword spelled \p Id, or Ident. Comparing first letters over 29
+/// short literals costs less than hashing the identifier, and builds no
+/// string.
+TokKind keywordKind(std::string_view Id) {
+  for (const Keyword &K : Keywords)
+    if (K.Text[0] == Id[0] && K.Text == Id)
+      return K.Kind;
+  return TokKind::Ident;
+}
+
+// Character classes over ASCII bytes, as the "C" locale defines them,
+// tested inline instead of through a <cctype> library call per byte.
+constexpr bool isSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+constexpr bool isDigit(char C) { return C >= '0' && C <= '9'; }
+constexpr bool isAlpha(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
+constexpr bool isIdentChar(char C) {
+  return isAlpha(C) || isDigit(C) || C == '_';
+}
+constexpr bool isXDigit(char C) {
+  return isDigit(C) || (C >= 'a' && C <= 'f') || (C >= 'A' && C <= 'F');
 }
 
 class LexerImpl {
@@ -45,11 +73,13 @@ public:
 
   std::vector<Token> run() {
     std::vector<Token> Tokens;
+    // MiniC runs about one token per three bytes; an upper bound up front
+    // spares the regrowth copies of the whole vector.
+    Tokens.reserve(Src.size() / 2 + 1);
     for (;;) {
       skipWhitespaceAndComments();
-      Token T = next();
-      Tokens.push_back(T);
-      if (T.Kind == TokKind::Eof)
+      Tokens.push_back(next());
+      if (Tokens.back().Kind == TokKind::Eof)
         break;
     }
     return Tokens;
@@ -75,7 +105,7 @@ private:
   void skipWhitespaceAndComments() {
     for (;;) {
       char C = peekChar();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         getChar();
         continue;
       }
@@ -135,49 +165,58 @@ private:
     }
   }
 
+  /// The next token. An unexpected character is reported and skipped by
+  /// this loop, not by recursion, so a long run of them cannot exhaust
+  /// the stack.
   Token next() {
+    std::optional<Token> T;
+    while (!(T = scan()))
+      ;
+    return std::move(*T);
+  }
+
+  /// Scans one token at the current position, or reports and consumes
+  /// one unexpected character and returns nothing.
+  std::optional<Token> scan() {
     Token T = make(TokKind::Eof);
     char C = peekChar();
     if (!C)
       return T;
 
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      std::string Id;
-      while (std::isalnum(static_cast<unsigned char>(peekChar())) ||
-             peekChar() == '_')
-        Id += getChar();
-      auto It = keywordMap().find(Id);
-      if (It != keywordMap().end()) {
-        T.Kind = It->second;
-      } else {
-        T.Kind = TokKind::Ident;
-        T.Text = std::move(Id);
-      }
+    if (isAlpha(C) || C == '_') {
+      size_t Start = Pos;
+      while (Pos < Src.size() && isIdentChar(Src[Pos]))
+        ++Pos;
+      Col += static_cast<uint32_t>(Pos - Start); // no newline in a name
+      std::string_view Id(Src.data() + Start, Pos - Start);
+      T.Kind = keywordKind(Id);
+      if (T.Kind == TokKind::Ident)
+        T.Text = Id;
       return T;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      int64_t V = 0;
+    if (isDigit(C)) {
+      // Unsigned, so an overlong literal wraps modulo 2^64 instead of
+      // overflowing a signed accumulator (undefined behaviour).
+      uint64_t V = 0;
       if (C == '0' && (peekChar(1) == 'x' || peekChar(1) == 'X')) {
         getChar();
         getChar();
-        while (std::isxdigit(static_cast<unsigned char>(peekChar()))) {
+        while (isXDigit(peekChar())) {
           char D = getChar();
-          int Digit = std::isdigit(static_cast<unsigned char>(D))
-                          ? D - '0'
-                          : std::tolower(D) - 'a' + 10;
+          unsigned Digit = isDigit(D) ? D - '0' : (D | 0x20) - 'a' + 10;
           V = V * 16 + Digit;
         }
       } else {
-        while (std::isdigit(static_cast<unsigned char>(peekChar())))
-          V = V * 10 + (getChar() - '0');
+        while (isDigit(peekChar()))
+          V = V * 10 + static_cast<unsigned>(getChar() - '0');
       }
       // Accept and ignore integer suffixes.
       while (peekChar() == 'l' || peekChar() == 'L' || peekChar() == 'u' ||
              peekChar() == 'U')
         getChar();
       T.Kind = TokKind::IntLit;
-      T.IntValue = V;
+      T.IntValue = static_cast<int64_t>(V);
       return T;
     }
 
@@ -320,7 +359,7 @@ private:
       return two('=', TokKind::Ge, TokKind::Gt);
     default:
       error(formatString("unexpected character '%c'", C));
-      return next();
+      return std::nullopt;
     }
   }
 

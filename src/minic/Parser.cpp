@@ -17,6 +17,12 @@ using namespace mcfi::minic;
 
 namespace {
 
+/// Two's-complement negation, defined for INT64_MIN too: literals come
+/// from untrusted source and wrap modulo 2^64.
+int64_t negate(int64_t V) {
+  return static_cast<int64_t>(-static_cast<uint64_t>(V));
+}
+
 /// A parsed declarator: the declared name plus the full type after
 /// applying pointer/array/function derivations to a base type.
 struct Declarator {
@@ -56,7 +62,9 @@ private:
 
   bool at(TokKind K) const { return peek().Kind == K; }
 
-  Token advance() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
+  const Token &advance() {
+    return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos];
+  }
 
   bool consumeIf(TokKind K) {
     if (!at(K))
@@ -169,9 +177,10 @@ private:
               error("expected enumerator value");
               return nullptr;
             }
-            Next = advance().IntValue * (Negative ? -1 : 1);
+            Next = Negative ? negate(advance().IntValue) : advance().IntValue;
           }
-          EnumConstants[Name] = Next++;
+          EnumConstants[Name] = Next;
+          Next = static_cast<int64_t>(static_cast<uint64_t>(Next) + 1);
           if (!consumeIf(TokKind::Comma))
             break;
         }
@@ -680,7 +689,7 @@ private:
           error("expected constant after case");
           return nullptr;
         }
-        Arm.Value = Negative ? -V : V;
+        Arm.Value = Negative ? negate(V) : V;
       } else if (consumeIf(TokKind::KwDefault)) {
         Arm.Value = std::nullopt;
       } else {

@@ -11,6 +11,7 @@
 #include "support/Assert.h"
 #include "support/StringUtils.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,7 +29,7 @@ public:
       : Prog(Prog), Ctx(Prog.getTypes()), Errors(Errors) {}
 
   bool run() {
-    declareBuiltins();
+    markBuiltinPrototypes();
 
     // Global scope: global variables.
     Scopes.emplace_back();
@@ -43,7 +44,9 @@ public:
       }
     }
 
-    for (FuncDecl *F : Prog.Functions) {
+    // By index: checking a body may append a builtin to Functions.
+    for (size_t I = 0; I != Prog.Functions.size(); ++I) {
+      FuncDecl *F = Prog.Functions[I];
       if (!F->isDefined())
         continue;
       CurFunc = F;
@@ -74,40 +77,37 @@ private:
   // Builtins
   //===--------------------------------------------------------------------===//
 
-  void declareBuiltin(const char *Name, BuiltinKind Kind,
-                      const char *TypeText) {
-    if (Prog.findFunction(Name))
-      return; // user redeclared it; keep their declaration as the builtin
-    std::string Err;
-    const Type *T = parseType(TypeText, Ctx, &Err);
-    assert(T && "builtin type failed to parse");
-    const auto *FT = cast<FunctionType>(T);
+  /// Gives a user prototype of a builtin's name the builtin's kind: the
+  /// program declared the runtime function itself.
+  void markBuiltinPrototypes() {
+    for (FuncDecl *F : Prog.Functions)
+      if (!F->isDefined())
+        if (BuiltinKind K = builtinKind(F->getName()); K != BuiltinKind::None)
+          F->setBuiltin(K);
+  }
+
+  /// The function \p Name refers to: the program's own declaration, or
+  /// else the runtime builtin of that name, declared now. A builtin is
+  /// declared only when the program names it, so a compile pays for the
+  /// builtins it uses and none of the others.
+  FuncDecl *findOrDeclareFunction(const std::string &Name) {
+    if (FuncDecl *F = Prog.findFunction(Name))
+      return F;
+    BuiltinKind K = builtinKind(Name);
+    if (K == BuiltinKind::None)
+      return nullptr;
+    const FunctionType *FT = builtinType(K);
     std::vector<VarDecl *> Params;
     for (const Type *P : FT->getParams())
       Params.push_back(Prog.makeVar({0, 0}, "", P, false));
     FuncDecl *F = Prog.makeFunc({0, 0}, Name, FT, std::move(Params));
-    F->setBuiltin(Kind);
+    F->setBuiltin(K);
     Prog.Functions.push_back(F);
+    return F;
   }
 
-  void declareBuiltins() {
-    declareBuiltin("malloc", BuiltinKind::Malloc, "void*(long)");
-    declareBuiltin("free", BuiltinKind::Free, "void(void*)");
-    declareBuiltin("setjmp", BuiltinKind::Setjmp, "int(long*)");
-    declareBuiltin("longjmp", BuiltinKind::Longjmp, "void(long*,int)");
-    declareBuiltin("signal", BuiltinKind::Signal, "void(int,void(*)(int))");
-    declareBuiltin("raise", BuiltinKind::Raise, "void(int)");
-    declareBuiltin("print_int", BuiltinKind::PrintInt, "void(long)");
-    declareBuiltin("print_str", BuiltinKind::PrintStr, "void(char*)");
-    declareBuiltin("exit", BuiltinKind::Exit, "void(int)");
-    declareBuiltin("dlopen", BuiltinKind::Dlopen, "long(int)");
-    declareBuiltin("dlsym", BuiltinKind::Dlsym, "void*(long,char*)");
-    declareBuiltin("dlclose", BuiltinKind::Dlclose, "int(long)");
-    // Mark builtins whose kind was attached to a user declaration.
-    struct {
-      const char *Name;
-      BuiltinKind Kind;
-    } Table[] = {
+  static BuiltinKind builtinKind(std::string_view Name) {
+    static constexpr std::pair<std::string_view, BuiltinKind> Names[] = {
         {"malloc", BuiltinKind::Malloc},   {"free", BuiltinKind::Free},
         {"setjmp", BuiltinKind::Setjmp},   {"longjmp", BuiltinKind::Longjmp},
         {"signal", BuiltinKind::Signal},   {"raise", BuiltinKind::Raise},
@@ -116,10 +116,48 @@ private:
         {"exit", BuiltinKind::Exit},       {"dlopen", BuiltinKind::Dlopen},
         {"dlsym", BuiltinKind::Dlsym},     {"dlclose", BuiltinKind::Dlclose},
     };
-    for (const auto &Row : Table)
-      if (FuncDecl *F = Prog.findFunction(Row.Name))
-        if (!F->isDefined())
-          F->setBuiltin(Row.Kind);
+    for (const auto &[N, K] : Names)
+      if (N == Name)
+        return K;
+    return BuiltinKind::None;
+  }
+
+  /// The C type of builtin \p K, spelled beside each case (the test
+  /// Sema.BuiltinTypesMatchTheirCSpelling parses those spellings).
+  const FunctionType *builtinType(BuiltinKind K) {
+    const Type *Void = Ctx.getVoid(), *Int = Ctx.getInt32(),
+               *Long = Ctx.getInt64();
+    auto fn = [&](const Type *Ret, std::vector<const Type *> Params) {
+      return Ctx.getFunction(Ret, std::move(Params), /*Variadic=*/false);
+    };
+    switch (K) {
+    case BuiltinKind::Malloc: // void*(long)
+      return fn(Ctx.getPointer(Void), {Long});
+    case BuiltinKind::Free: // void(void*)
+      return fn(Void, {Ctx.getPointer(Void)});
+    case BuiltinKind::Setjmp: // int(long*)
+      return fn(Int, {Ctx.getPointer(Long)});
+    case BuiltinKind::Longjmp: // void(long*,int)
+      return fn(Void, {Ctx.getPointer(Long), Int});
+    case BuiltinKind::Signal: // void(int,void(*)(int))
+      return fn(Void, {Int, Ctx.getPointer(fn(Void, {Int}))});
+    case BuiltinKind::Raise: // void(int)
+    case BuiltinKind::Exit:
+      return fn(Void, {Int});
+    case BuiltinKind::PrintInt: // void(long)
+      return fn(Void, {Long});
+    case BuiltinKind::PrintStr: // void(char*)
+      return fn(Void, {Ctx.getPointer(Ctx.getChar())});
+    case BuiltinKind::Dlopen: // long(int)
+      return fn(Long, {Int});
+    case BuiltinKind::Dlsym: // void*(long,char*)
+      return fn(Ctx.getPointer(Void), {Long, Ctx.getPointer(Ctx.getChar())});
+    case BuiltinKind::Dlclose: // int(long)
+      return fn(Int, {Long});
+    case BuiltinKind::None:
+      break;
+    }
+    mcfi_unreachable("not a builtin");
   }
 
   //===--------------------------------------------------------------------===//
@@ -215,7 +253,7 @@ private:
         Ref->setLValue(true);
         return Ref;
       }
-      if (FuncDecl *F = Prog.findFunction(NR->getName())) {
+      if (FuncDecl *F = findOrDeclareFunction(NR->getName())) {
         auto *Ref = Prog.makeExpr<FuncRefExpr>(NR->getLoc(), F);
         Ref->setType(F->getType());
         return Ref;
@@ -634,6 +672,9 @@ private:
     case StmtKind::Asm: {
       auto *A = cast<AsmStmt>(S);
       for (AsmAnnotation &Ann : A->getAnnotations()) {
+        // The annotated symbol is used by code the analyses cannot see;
+        // a builtin it names is declared like any other use.
+        findOrDeclareFunction(Ann.Symbol);
         std::string Err;
         Ann.AnnotatedType = parseType(Ann.TypeText, Ctx, &Err);
         if (!Ann.AnnotatedType)

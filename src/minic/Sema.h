@@ -10,8 +10,9 @@
 /// expression, materializes every implicit conversion as a CastExpr
 /// (mirroring how LLVM's IR makes all casts explicit, which is what lets
 /// the paper's analyzer catch C1 violations "easily"), marks
-/// address-taken functions, registers the runtime builtins, and resolves
-/// __asm__ type annotations.
+/// address-taken functions, declares each runtime builtin the program
+/// names (on the lookup that finds no declaration of that name), and
+/// resolves __asm__ type annotations.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -39,6 +39,12 @@ public:
     }
     FrameSize = Off;
     EpilogueLabel = Out.newLabel();
+    // Reserving about four items per MIR instruction (operand loads, the
+    // op, the result store) spares the vector its regrowth copies.
+    size_t Insts = 0;
+    for (const MirBlock &B : MF.Blocks)
+      Insts += B.Insts.size();
+    Out.Items.reserve(4 * Insts + MF.Blocks.size() + MF.NumParams + 4);
   }
 
   AsmFunction run() {
@@ -611,6 +617,8 @@ PendingModule mcfi::mir::generateAsm(const MirModule &M,
   }
   PM.DataSize = alignTo(DataOff, 8);
 
+  PM.Functions.reserve(M.Functions.size());
+  PM.FunctionInfos.reserve(M.Functions.size());
   for (uint32_t FI = 0; FI != M.Functions.size(); ++FI) {
     const MirFunction &MF = M.Functions[FI];
     FunctionInfo Info;

@@ -79,7 +79,7 @@ private:
         while (const auto *C = dyn_cast<CastExpr>(Sub))
           Sub = C->getSub();
         if (const auto *IL = dyn_cast<IntLitExpr>(Sub)) {
-          uint64_t V = static_cast<uint64_t>(-IL->getValue());
+          uint64_t V = -static_cast<uint64_t>(IL->getValue()); // wraps
           for (uint64_t B = 0; B != Size && B != 8; ++B)
             Bytes[Offset + B] = static_cast<uint8_t>(V >> (8 * B));
           return true;
@@ -145,7 +145,7 @@ private:
   std::vector<uint32_t> BreakTargets;
   std::vector<uint32_t> ContinueTargets;
 
-  MirInst &emit(MirInst I) {
+  MirInst &emit(MirInst &&I) {
     if (Terminated) {
       // Unreachable code after a terminator: give it its own block.
       CurBlock = F->newBlock();
@@ -155,7 +155,7 @@ private:
     return F->Blocks[CurBlock].Insts.back();
   }
 
-  void terminate(MirInst I) {
+  void terminate(MirInst &&I) {
     emit(std::move(I));
     Terminated = true;
   }

@@ -47,9 +47,11 @@ namespace {
 
 uint64_t labelOffset(const AssembledCode &AC, uint32_t FuncIndex, int Label) {
   assert(FuncIndex < AC.LabelOffsets.size() && "function index out of range");
-  auto It = AC.LabelOffsets[FuncIndex].find(Label);
-  assert(It != AC.LabelOffsets[FuncIndex].end() && "unresolved pending label");
-  return It->second;
+  const std::vector<uint64_t> &Labels = AC.LabelOffsets[FuncIndex];
+  assert(Label >= 0 && static_cast<size_t>(Label) < Labels.size() &&
+         Labels[Label] != AssembledCode::NoOffset &&
+         "unresolved pending label");
+  return Labels[Label];
 }
 
 } // namespace

@@ -57,8 +57,11 @@ int Machine::mapModule(MCFIObject Obj) {
   uint64_t ReusedBase = Reclaimer.allocFromFree(NeededCode, 8);
   if (ReusedBase) {
     M.CodeBase = ReusedBase;
-    std::memcpy(CodeBytes.data() + (ReusedBase - CodeBase), Obj.Code.data(),
-                CodeSize);
+    // An object with no code has a null Code.data(); memcpy from null is
+    // undefined even at size 0.
+    if (CodeSize)
+      std::memcpy(CodeBytes.data() + (ReusedBase - CodeBase), Obj.Code.data(),
+                  CodeSize);
   } else {
     uint64_t Used = CodeUsed.load(std::memory_order_relaxed);
     if (Used + NeededCode > CodeCapacity) {
@@ -66,7 +69,8 @@ int Machine::mapModule(MCFIObject Obj) {
       return -1;
     }
     M.CodeBase = CodeBase + Used;
-    std::memcpy(CodeBytes.data() + Used, Obj.Code.data(), CodeSize);
+    if (CodeSize)
+      std::memcpy(CodeBytes.data() + Used, Obj.Code.data(), CodeSize);
     // Publish the extension only after the bytes are in place: a guest
     // thread whose isCodeAddr sees the new extent must see the code too.
     CodeUsed.store(Used + NeededCode, std::memory_order_release);

@@ -9,6 +9,8 @@
 
 #include "support/Assert.h"
 
+#include <algorithm>
+
 using namespace mcfi;
 using namespace mcfi::visa;
 
@@ -42,52 +44,54 @@ AssembledCode mcfi::visa::assemble(const std::vector<AsmFunction> &Functions) {
   AssembledCode Result;
   Result.LabelOffsets.resize(Functions.size());
 
-  // Pass 1: layout. Compute the offset of every item and every label.
-  // All instruction lengths are fixed by opcode and alignment padding
-  // depends only on preceding offsets, so a single in-order pass suffices.
+  // Pass 1: layout. Compute the offset of every label. All instruction
+  // lengths are fixed by opcode and alignment padding depends only on
+  // preceding offsets, so a single in-order pass suffices; pass 2 walks
+  // the same offsets again as the byte count it has emitted.
   uint64_t Offset = 0;
-  std::vector<uint64_t> FunctionStart(Functions.size());
-  std::vector<std::vector<uint64_t>> ItemOffset(Functions.size());
   for (size_t F = 0; F != Functions.size(); ++F) {
     Offset += (4 - Offset % 4) % 4; // align function entries
-    FunctionStart[F] = Offset;
     Result.FunctionOffsets[Functions[F].Name] = Offset;
-    ItemOffset[F].reserve(Functions[F].Items.size());
+    Result.LabelOffsets[F].assign(
+        static_cast<size_t>(std::max(Functions[F].NextLabel, 0)),
+        AssembledCode::NoOffset);
     for (const AsmItem &It : Functions[F].Items) {
-      unsigned Len = itemLength(It, Offset);
-      if (It.K == AsmItem::Kind::Data64)
-        ItemOffset[F].push_back(Offset + (Len - 8)); // datum position
-      else
-        ItemOffset[F].push_back(Offset);
-      if (It.K == AsmItem::Kind::Label)
+      if (It.K == AsmItem::Kind::Label) {
+        assert(It.Label >= 0 && It.Label < Functions[F].NextLabel &&
+               "label id not allocated by newLabel");
         Result.LabelOffsets[F][It.Label] = Offset;
-      Offset += Len;
+      }
+      Offset += itemLength(It, Offset);
     }
   }
+  Result.Bytes.reserve(Offset + 4);
 
   // Pass 2: emit bytes, resolving local labels and intra-module calls.
   for (size_t F = 0; F != Functions.size(); ++F) {
     const AsmFunction &Fn = Functions[F];
     const auto &Labels = Result.LabelOffsets[F];
-    emitPad(static_cast<unsigned>(FunctionStart[F] - Result.Bytes.size()),
+    auto labelAt = [&](int Label) {
+      assert(Label >= 0 && static_cast<size_t>(Label) < Labels.size() &&
+             Labels[Label] != AssembledCode::NoOffset &&
+             "reference to unknown label");
+      return Labels[Label];
+    };
+    emitPad(static_cast<unsigned>((4 - Result.Bytes.size() % 4) % 4),
             Result.Bytes);
-    for (size_t N = 0; N != Fn.Items.size(); ++N) {
-      const AsmItem &It = Fn.Items[N];
-      uint64_t ItOff = ItemOffset[F][N];
+    for (const AsmItem &It : Fn.Items) {
+      uint64_t ItOff = Result.Bytes.size();
       switch (It.K) {
       case AsmItem::Kind::Label:
+        assert(Labels[It.Label] == ItOff && "layout/emit divergence");
         break;
       case AsmItem::Kind::Align4:
       case AsmItem::Kind::Align8:
-        assert(ItOff == Result.Bytes.size() && "layout/emit divergence");
         emitPad(itemLength(It, ItOff), Result.Bytes);
         break;
       case AsmItem::Kind::Data64: {
-        emitPad(static_cast<unsigned>(ItOff - Result.Bytes.size()),
-                Result.Bytes);
-        auto LIt = Labels.find(It.Label);
-        assert(LIt != Labels.end() && "jump-table entry to unknown label");
-        uint64_t Target = LIt->second;
+        emitPad(itemLength(It, ItOff) - 8, Result.Bytes);
+        ItOff = Result.Bytes.size();
+        uint64_t Target = labelAt(It.Label);
         // Stored as a module-relative offset; the loader adds the code
         // base when the module is mapped.
         for (unsigned B = 0; B != 8; ++B)
@@ -97,7 +101,6 @@ AssembledCode mcfi::visa::assemble(const std::vector<AsmFunction> &Functions) {
         break;
       }
       case AsmItem::Kind::Instr: {
-        assert(ItOff == Result.Bytes.size() && "layout/emit divergence");
         Instr I = It.I;
         unsigned Len = opcodeLength(I.Op);
 
@@ -105,9 +108,7 @@ AssembledCode mcfi::visa::assemble(const std::vector<AsmFunction> &Functions) {
         if (It.Label >= 0 && It.Reloc == RelocKind::None &&
             (I.Op == Opcode::Jmp || I.Op == Opcode::Jz ||
              I.Op == Opcode::Jnz || I.Op == Opcode::Call)) {
-          auto LIt = Labels.find(It.Label);
-          assert(LIt != Labels.end() && "branch to unknown label");
-          I.Off = static_cast<int32_t>(static_cast<int64_t>(LIt->second) -
+          I.Off = static_cast<int32_t>(static_cast<int64_t>(labelAt(It.Label)) -
                                        static_cast<int64_t>(ItOff + Len));
         }
 
@@ -144,11 +145,9 @@ AssembledCode mcfi::visa::assemble(const std::vector<AsmFunction> &Functions) {
           break;
         case RelocKind::CodeAddr64: {
           assert(I.Op == Opcode::MovImm && "code-addr reloc on non-movi");
-          auto LIt = Labels.find(It.Label);
-          assert(LIt != Labels.end() && "code-addr reloc to unknown label");
-          I.Imm = LIt->second; // module-relative until the loader adds base
+          I.Imm = labelAt(It.Label); // module-relative until loader adds base
           Result.Relocs.push_back(
-              {RelocKind::CodeAddr64, ItOff + 2, "", LIt->second, 0});
+              {RelocKind::CodeAddr64, ItOff + 2, "", I.Imm, 0});
           break;
         }
         case RelocKind::JumpTable64:

@@ -115,11 +115,15 @@ struct RelocEntry {
 /// driver can recover the positions of return sites, branch sites, and
 /// jump-table targets for the module's auxiliary info).
 struct AssembledCode {
+  /// LabelOffsets entry of a label id that no Label item defines.
+  static constexpr uint64_t NoOffset = ~0ull;
+
   std::vector<uint8_t> Bytes;
   std::unordered_map<std::string, uint64_t> FunctionOffsets;
   std::vector<RelocEntry> Relocs;
-  /// LabelOffsets[i][l] = code offset of label l in function i.
-  std::vector<std::unordered_map<int, uint64_t>> LabelOffsets;
+  /// LabelOffsets[i][l] = code offset of label l in function i; one entry
+  /// per id the function's newLabel() handed out.
+  std::vector<std::vector<uint64_t>> LabelOffsets;
 };
 
 /// Assembles \p Functions into module bytes. Function entries are aligned

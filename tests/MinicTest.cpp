@@ -5,8 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ctypes/TypeParser.h"
 #include "minic/Parser.h"
 #include "minic/Sema.h"
+#include "module/MCFIObject.h"
+#include "toolchain/Toolchain.h"
 
 #include <gtest/gtest.h>
 
@@ -49,6 +52,36 @@ void expectError(const std::string &Src, const std::string &Needle) {
 }
 
 //===----------------------------------------------------------------------===//
+// Lexing
+//===----------------------------------------------------------------------===//
+
+TEST(Lexer, LongRunOfUnexpectedCharactersIsReportedWithoutRecursion) {
+  // Each unexpected character is reported and skipped. Recursing once per
+  // skipped character would overflow the stack at about 50 KB of them.
+  std::vector<std::string> Errors;
+  std::vector<Token> Tokens = lex(std::string(100000, '@') + " x", Errors);
+  EXPECT_EQ(Errors.size(), 100001u); // the '@'s and the space after them
+  ASSERT_EQ(Tokens.size(), 2u);
+  EXPECT_EQ(Tokens[0].Kind, TokKind::Ident);
+  EXPECT_EQ(Tokens[0].Text, "x");
+  EXPECT_EQ(Tokens[1].Kind, TokKind::Eof);
+}
+
+TEST(Lexer, OverlongIntegerLiteralsWrapModulo2To64) {
+  // Digits accumulate in 64 unsigned bits, so untrusted source cannot
+  // drive the lexer into signed overflow.
+  std::vector<std::string> Errors;
+  std::vector<Token> Tokens =
+      lex("0x1ffffffffffffffff 99999999999999999999 0x7fffffffffffffff",
+          Errors);
+  EXPECT_TRUE(Errors.empty());
+  ASSERT_EQ(Tokens.size(), 4u);
+  EXPECT_EQ(Tokens[0].IntValue, -1);
+  EXPECT_EQ(Tokens[1].IntValue, 7766279631452241919);
+  EXPECT_EQ(Tokens[2].IntValue, INT64_MAX);
+}
+
+//===----------------------------------------------------------------------===//
 // Parsing
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +116,39 @@ TEST(Parser, EnumConstantsFoldInSwitchAndExpr) {
     }
   )");
   ASSERT_TRUE(P);
+}
+
+TEST(Parser, NegatedMinimumLiteralWraps) {
+  // -0x8000000000000000 is INT64_MIN negated: it wraps to itself, as every
+  // literal arithmetic on untrusted source wraps modulo 2^64.
+  auto P = parseOk(R"(
+    enum E { LO = -0x8000000000000000, HI = 0x7fffffffffffffff, PAST };
+    long f(long x) {
+      switch (x) {
+      case -0x8000000000000000: return LO;
+      default: return PAST;
+      }
+    }
+  )");
+  ASSERT_TRUE(P);
+  const Stmt *Body = P->findFunction("f")->getBody()->getStmts()[0];
+  const auto &Arms = cast<SwitchStmt>(Body)->getArms();
+  ASSERT_EQ(Arms.size(), 2u);
+  EXPECT_EQ(Arms[0].Value, INT64_MIN);
+  auto returned = [](const SwitchArm &A) {
+    return cast<IntLitExpr>(cast<ReturnStmt>(A.Stmts[0])->getValue())
+        ->getValue();
+  };
+  EXPECT_EQ(returned(Arms[0]), INT64_MIN);
+  EXPECT_EQ(returned(Arms[1]), INT64_MIN); // PAST = HI + 1 wraps
+
+  CompileResult CR = compileModule("long g = -0x8000000000000000;",
+                                   {.ModuleName = "negmin"});
+  ASSERT_TRUE(CR.Ok) << (CR.Errors.empty() ? "?" : CR.Errors.front());
+  ASSERT_EQ(CR.Obj.DataInit.size(), 1u);
+  const std::vector<uint8_t> &Bytes = CR.Obj.DataInit[0].second;
+  ASSERT_EQ(Bytes.size(), 8u);
+  EXPECT_EQ(Bytes[7], 0x80);
 }
 
 TEST(Parser, RejectsGarbage) {
@@ -244,6 +310,154 @@ TEST(Sema, BuiltinsAreDeclared) {
   )");
   ASSERT_TRUE(P);
   EXPECT_EQ(P->findFunction("malloc")->getBuiltin(), BuiltinKind::Malloc);
+}
+
+/// The declarations of \p Name in \p P (a name is declared at most once).
+size_t declarationsOf(const Program &P, const std::string &Name) {
+  size_t N = 0;
+  for (const FuncDecl *F : P.Functions)
+    N += F->getName() == Name;
+  return N;
+}
+
+TEST(Sema, ProgramNamingNoBuiltinDeclaresNone) {
+  // Builtins are declared on the first lookup that misses, so a program
+  // that names none of them pays for none: no per-compile prelude.
+  auto P = checkOk("int main() { return 0; }");
+  ASSERT_TRUE(P);
+  EXPECT_EQ(P->Functions.size(), 1u);
+
+  auto Q = checkOk("int main() { exit(1); return 0; }");
+  ASSERT_TRUE(Q);
+  ASSERT_EQ(Q->Functions.size(), 2u);
+  EXPECT_EQ(Q->Functions[1]->getBuiltin(), BuiltinKind::Exit);
+}
+
+TEST(Sema, BuiltinReferencedOnlyFromGlobalInitializer) {
+  auto P = checkOk(R"(
+    void *(*alloc)(long) = malloc;
+    int main() { return 0; }
+  )");
+  ASSERT_TRUE(P);
+  FuncDecl *F = P->findFunction("malloc");
+  ASSERT_TRUE(F);
+  EXPECT_EQ(F->getBuiltin(), BuiltinKind::Malloc);
+  EXPECT_TRUE(F->isAddressTaken());
+  const Expr *Init = P->Globals[0]->getInit();
+  while (const auto *C = dyn_cast<CastExpr>(Init))
+    Init = C->getSub();
+  ASSERT_TRUE(isa<FuncRefExpr>(Init));
+  EXPECT_EQ(cast<FuncRefExpr>(Init)->getDecl(), F);
+}
+
+TEST(Sema, BuiltinWhoseAddressIsTaken) {
+  auto P = checkOk(R"(
+    int main() {
+      void (*h)(int) = exit;
+      void (*g)(void *) = &free;
+      g(NULL);
+      h(0);
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(P);
+  for (const char *Name : {"exit", "free"}) {
+    FuncDecl *F = P->findFunction(Name);
+    ASSERT_TRUE(F) << Name;
+    EXPECT_TRUE(F->isBuiltin()) << Name;
+    EXPECT_TRUE(F->isAddressTaken()) << Name;
+  }
+}
+
+TEST(Sema, UserPrototypeOfBuiltinKeepsBuiltinKind) {
+  auto P = checkOk(R"(
+    void *malloc(int n);
+    int main() { free(malloc(8)); return 0; }
+  )");
+  ASSERT_TRUE(P);
+  FuncDecl *F = P->findFunction("malloc");
+  ASSERT_TRUE(F);
+  EXPECT_EQ(F->getBuiltin(), BuiltinKind::Malloc);
+  // The user's declaration, with the user's type, is the one kept.
+  EXPECT_EQ(F->getLoc().Line, 2u);
+  EXPECT_EQ(F->getType()->print(), "void*(int)");
+  EXPECT_EQ(declarationsOf(*P, "malloc"), 1u);
+  EXPECT_EQ(P->Functions.size(), 3u); // malloc, main, free
+}
+
+TEST(Sema, UserDefinitionWithBuiltinNameWins) {
+  CompileResult CR = compileModule(R"(
+    void exit(int code) { return; }
+    int main() { exit(3); return 0; }
+  )",
+                                   {.ModuleName = "own_exit"});
+  ASSERT_TRUE(CR.Ok) << (CR.Errors.empty() ? "?" : CR.Errors.front());
+  FuncDecl *F = CR.Prog->findFunction("exit");
+  ASSERT_TRUE(F);
+  EXPECT_FALSE(F->isBuiltin());
+  EXPECT_TRUE(F->isDefined());
+  // A direct call to the user's function, and no syscall anywhere.
+  bool DirectCallToExit = false;
+  for (const CallSiteInfo &CS : CR.Obj.Aux.CallSites)
+    DirectCallToExit |= CS.Direct && CS.Callee == "exit";
+  EXPECT_TRUE(DirectCallToExit);
+  visa::Disassembly D =
+      disassembleModule(CR.Obj.Code.data(), CR.Obj.Code.size(), CR.Obj);
+  for (const visa::Instr &I : D.Instrs)
+    EXPECT_NE(I.Op, visa::Opcode::Syscall);
+}
+
+TEST(Sema, BuiltinCalledFromTwoFunctionsIsDeclaredOnce) {
+  auto P = checkOk(R"(
+    void a(long x) { print_int(x); }
+    void b(long x) { print_int(x + 1); }
+    int main() { a(1); b(2); return 0; }
+  )");
+  ASSERT_TRUE(P);
+  EXPECT_EQ(declarationsOf(*P, "print_int"), 1u);
+  EXPECT_EQ(P->Functions.size(), 4u);
+}
+
+TEST(Sema, AsmAnnotationNamingABuiltinDeclaresIt) {
+  // Annotated symbols are used by code the analyses cannot see, so a
+  // builtin an annotation names is declared like any other use.
+  auto P = checkOk(R"MC(
+    int main() { __asm__("nop" : free = "void(void*)"); return 0; }
+  )MC");
+  ASSERT_TRUE(P);
+  FuncDecl *F = P->findFunction("free");
+  ASSERT_TRUE(F);
+  EXPECT_EQ(F->getBuiltin(), BuiltinKind::Free);
+}
+
+TEST(Sema, BuiltinTypesMatchTheirCSpelling) {
+  auto P = checkOk(R"(
+    int main() {
+      void *p;
+      p = malloc; p = free; p = setjmp; p = longjmp; p = signal;
+      p = raise; p = print_int; p = print_str; p = exit; p = dlopen;
+      p = dlsym; p = dlclose;
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(P);
+  const std::pair<const char *, const char *> Spelling[] = {
+      {"malloc", "void*(long)"},         {"free", "void(void*)"},
+      {"setjmp", "int(long*)"},          {"longjmp", "void(long*,int)"},
+      {"signal", "void(int,void(*)(int))"}, {"raise", "void(int)"},
+      {"print_int", "void(long)"},       {"print_str", "void(char*)"},
+      {"exit", "void(int)"},             {"dlopen", "long(int)"},
+      {"dlsym", "void*(long,char*)"},    {"dlclose", "int(long)"},
+  };
+  EXPECT_EQ(P->Functions.size(), 13u);
+  for (const auto &[Name, Text] : Spelling) {
+    FuncDecl *F = P->findFunction(Name);
+    ASSERT_TRUE(F) << Name;
+    EXPECT_TRUE(F->isBuiltin()) << Name;
+    std::string Err;
+    EXPECT_EQ(F->getType(), parseType(Text, P->getTypes(), &Err))
+        << Name << " " << Err;
+  }
 }
 
 } // namespace

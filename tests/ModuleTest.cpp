@@ -8,6 +8,7 @@
 #include "module/MCFIObject.h"
 #include "support/RNG.h"
 #include "toolchain/Toolchain.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -128,6 +129,63 @@ TEST(Serialization, SeparateCompilationIsStable) {
   MCFIObject A = sampleObject();
   MCFIObject B = sampleObject();
   EXPECT_EQ(writeObject(A), writeObject(B));
+
+  // Nor does it depend on what the process compiled before: no cache or
+  // interning state may carry from one compile into the next. Compile
+  // the SPEC profiles, the runtime library, a plugin-shaped and a
+  // JIT-op-shaped module in two orders and compare the bytes.
+  std::vector<std::pair<std::string, std::string>> Units;
+  for (const BenchProfile &P : specProfiles())
+    Units.emplace_back(P.Name, generateWorkload(P, WorkloadVariant::Fixed));
+  Units.emplace_back("rt", runtimeLibrarySource());
+  Units.emplace_back("plugin3", R"(
+    long p3_f0(long x) { return (x * 1031 + 77) & 65535; }
+    long p3_f1(long x) { return (x * 2017 + 5) & 65535; }
+    long p3_g0(long x, long y) { return ((x ^ y) + 9) & 65535; }
+    long (*p3_tab[2])(long);
+    long (*p3_tab2[1])(long, long);
+    void p3_probe(void) {
+      long acc = 3;
+      long i = 0;
+      p3_tab[0] = p3_f0;
+      p3_tab[1] = p3_f1;
+      p3_tab2[0] = p3_g0;
+      while (i < 48) {
+        acc = p3_tab[acc & 1](acc);
+        acc = p3_tab2[0](acc, i);
+        i = i + 1;
+      }
+      exit(acc);
+    }
+  )");
+  Units.emplace_back("jit5", R"(
+    long j5(long x) { return (x * 4099 + 12) & 65535; }
+    long (*j5_ref)(long) = j5;
+    void j5_probe(void) {
+      long acc = 1500;
+      long i = 0;
+      while (i < 16) {
+        acc = (j5_ref(acc) + i) & 65535;
+        i = i + 1;
+      }
+      exit(acc);
+    }
+  )");
+  auto compileInOrder = [&](bool Reversed) {
+    std::vector<std::vector<uint8_t>> Bytes(Units.size());
+    for (size_t K = 0; K != Units.size(); ++K) {
+      size_t I = Reversed ? Units.size() - 1 - K : K;
+      CompileResult CR =
+          compileModule(Units[I].second, {.ModuleName = Units[I].first});
+      EXPECT_TRUE(CR.Ok) << Units[I].first;
+      Bytes[I] = writeObject(CR.Obj);
+    }
+    return Bytes;
+  };
+  std::vector<std::vector<uint8_t>> Forward = compileInOrder(false);
+  std::vector<std::vector<uint8_t>> Backward = compileInOrder(true);
+  for (size_t I = 0; I != Units.size(); ++I)
+    EXPECT_EQ(Forward[I], Backward[I]) << Units[I].first;
 }
 
 } // namespace
