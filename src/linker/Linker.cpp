@@ -130,9 +130,6 @@ bool Linker::resolveModule(int Index, std::string &Error) {
   MappedModule &Mod = M.module(Index);
   const MCFIObject &Obj = *Mod.Obj;
 
-  auto findFunc = [&](const std::string &Sym) -> uint64_t {
-    return M.findFunction(Sym);
-  };
   auto findLocalData = [&](const std::string &Sym) -> uint64_t {
     auto It = Obj.DataSymbols.find(Sym);
     return It == Obj.DataSymbols.end() ? 0 : Mod.DataBase + It->second;
@@ -143,7 +140,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
     case RelocKind::None:
       break;
     case RelocKind::FuncAddr64: {
-      uint64_t Addr = findFunc(R.Symbol);
+      uint64_t Addr = M.findFunction(R.Symbol);
       if (!Addr) {
         Error = "unresolved function address: " + R.Symbol;
         return false;
@@ -162,21 +159,18 @@ bool Linker::resolveModule(int Index, std::string &Error) {
       break;
     }
     case RelocKind::CallSym: {
-      // Direct call: resolve to the definition if loaded, else to this
-      // module's own instrumented PLT entry.
-      uint64_t Target = findFunc(R.Symbol);
-      if (!Target)
-        Target = findFunc("plt$" + R.Symbol);
-      // Prefer the local PLT when the symbol is an import of this module
+      // Direct call. An import of this module binds to its own PLT entry
       // (dynamic binding through the GOT even if some module already
-      // defines it — keeps lazy library replacement possible).
-      for (const std::string &Imp : Obj.Imports) {
-        if (Imp == R.Symbol) {
-          if (const FunctionInfo *Plt = Obj.findFunction("plt$" + R.Symbol))
-            Target = Mod.CodeBase + Plt->CodeOffset;
-          break;
-        }
-      }
+      // defines it — keeps lazy library replacement possible); anything
+      // else to the definition if loaded, else to a PLT entry.
+      uint64_t Target = 0;
+      if (std::find(Obj.Imports.begin(), Obj.Imports.end(), R.Symbol) !=
+          Obj.Imports.end())
+        Target = M.dlsymLookup(Index, "plt$" + R.Symbol);
+      if (!Target)
+        Target = M.findFunction(R.Symbol);
+      if (!Target)
+        Target = M.findFunction("plt$" + R.Symbol);
       if (!Target) {
         Error = "unresolved call target: " + R.Symbol;
         return false;
@@ -197,7 +191,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
       // Patched at CFG-install time (patchBaryIndexes).
       break;
     case RelocKind::DataFuncAddr64: {
-      uint64_t Addr = findFunc(R.Symbol);
+      uint64_t Addr = M.findFunction(R.Symbol);
       if (!Addr) {
         Error = "unresolved function address in data: " + R.Symbol;
         return false;

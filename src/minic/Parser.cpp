@@ -89,6 +89,41 @@ private:
   SourceLoc loc() const { return peek().Loc; }
 
   //===--------------------------------------------------------------------===//
+  // Nesting bound
+  //===--------------------------------------------------------------------===//
+
+  /// The deepest nesting the parser accepts. A statement, a declarator, a
+  /// record body and an expression level (a unary operator, cast or
+  /// parenthesis, and each operator of a binary, postfix, assignment or
+  /// conditional chain) count one level each. Sema and lowering recurse
+  /// over the tree built here, so this one bound keeps all three inside
+  /// the host stack on any source. The workload profiles, rt and the
+  /// examples nest at most 10 levels deep.
+  static constexpr unsigned MaxNesting = 256;
+
+  /// The levels one parse function enters; it leaves them on return.
+  class Nesting {
+  public:
+    explicit Nesting(ParserImpl &P) : P(P) {}
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+    ~Nesting() { P.Depth -= Levels; }
+
+    /// Enters one more level; false, with a parse error, past MaxNesting.
+    bool deepen() {
+      ++Levels;
+      if (++P.Depth <= MaxNesting)
+        return true;
+      P.error(formatString("nesting deeper than %u levels", MaxNesting));
+      return false;
+    }
+
+  private:
+    ParserImpl &P;
+    unsigned Levels = 0;
+  };
+
+  //===--------------------------------------------------------------------===//
   // Types and declarators
   //===--------------------------------------------------------------------===//
 
@@ -207,6 +242,9 @@ private:
   }
 
   bool parseRecordBody(RecordType *R) {
+    Nesting N(*this);
+    if (!N.deepen())
+      return false;
     advance(); // '{'
     if (R->isComplete()) {
       error("redefinition of record '" + R->getTag() + "'");
@@ -273,6 +311,9 @@ private:
   ///   '*'* ( IDENT | '(' '*' IDENT? ('[' N ']')? ')' '(' params ')' )
   ///   ('[' N ']' | '(' params ')')?
   bool parseDeclarator(const Type *Base, Declarator &D, bool RequireName) {
+    Nesting N(*this);
+    if (!N.deepen())
+      return false;
     TypeContext &Ctx = Prog->getTypes();
     const Type *T = Base;
     while (consumeIf(TokKind::Star)) {
@@ -492,6 +533,9 @@ private:
   }
 
   Stmt *parseStmt() {
+    Nesting N(*this);
+    if (!N.deepen())
+      return nullptr;
     SourceLoc L = loc();
     switch (peek().Kind) {
     case TokKind::LBrace:
@@ -756,6 +800,7 @@ private:
   Expr *parseExpr() { return parseAssignment(); }
 
   Expr *parseAssignment() {
+    unsigned Before = Assignments;
     Expr *LHS = parseConditional();
     if (!LHS)
       return nullptr;
@@ -782,12 +827,17 @@ private:
       return LHS;
     }
     advance();
+    if (Compound && !singleUse(Before, "a compound assignment"))
+      return nullptr;
+    Nesting N(*this);
+    if (!N.deepen())
+      return nullptr;
     Expr *RHS = parseAssignment();
     if (!RHS)
       return nullptr;
     if (Compound)
       RHS = Prog->makeExpr<BinaryExpr>(L, CompoundOp, LHS, RHS);
-    return Prog->makeExpr<AssignExpr>(L, LHS, RHS);
+    return makeAssign(L, LHS, RHS);
   }
 
   Expr *parseConditional() {
@@ -796,6 +846,9 @@ private:
       return nullptr;
     if (!consumeIf(TokKind::Question))
       return Cond;
+    Nesting N(*this);
+    if (!N.deepen())
+      return nullptr;
     SourceLoc L = loc();
     Expr *Then = parseExpr();
     if (!Then || !expect(TokKind::Colon, "':' in conditional"))
@@ -889,10 +942,14 @@ private:
     Expr *LHS = parseUnary();
     if (!LHS)
       return nullptr;
+    // Each operator deepens the left-leaning tree by one.
+    Nesting N(*this);
     for (;;) {
       int Prec = binPrec(peek().Kind);
       if (Prec < 0 || Prec < MinPrec)
         return LHS;
+      if (!N.deepen())
+        return nullptr;
       SourceLoc L = loc();
       BinaryOp Op = binOp(advance().Kind);
       Expr *RHS = parseBinary(Prec + 1);
@@ -903,6 +960,9 @@ private:
   }
 
   Expr *parseUnary() {
+    Nesting N(*this);
+    if (!N.deepen())
+      return nullptr;
     SourceLoc L = loc();
     switch (peek().Kind) {
     case TokKind::Minus:
@@ -926,12 +986,13 @@ private:
       BinaryOp Op =
           peek().Kind == TokKind::PlusPlus ? BinaryOp::Add : BinaryOp::Sub;
       advance();
+      unsigned Before = Assignments;
       Expr *Sub = parseUnary();
-      if (!Sub)
+      if (!Sub || !singleUse(Before, "'++' or '--'"))
         return nullptr;
       Expr *One = Prog->makeExpr<IntLitExpr>(L, 1);
       Expr *Sum = Prog->makeExpr<BinaryExpr>(L, Op, Sub, One);
-      return Prog->makeExpr<AssignExpr>(L, Sub, Sum);
+      return makeAssign(L, Sub, Sum);
     }
     case TokKind::KwSizeof: {
       advance();
@@ -983,6 +1044,23 @@ private:
     }
   }
 
+  Expr *makeAssign(SourceLoc L, Expr *LHS, Expr *RHS) {
+    ++Assignments;
+    return Prog->makeExpr<AssignExpr>(L, LHS, RHS);
+  }
+
+  /// The ++, -- and op= desugarings use their operand twice, as the
+  /// target and inside the value. An operand that assigns (one parsed
+  /// since \p Before) would run that assignment twice, and nested it
+  /// would make a tree exponential in the source's length. Reports a
+  /// parse error for \p What when it does.
+  bool singleUse(unsigned Before, const char *What) {
+    if (Assignments == Before)
+      return true;
+    error(formatString("the operand of %s may not itself assign", What));
+    return false;
+  }
+
   Expr *wrapUnary(SourceLoc L, UnaryOp Op) {
     Expr *Sub = parseUnary();
     if (!Sub)
@@ -991,12 +1069,16 @@ private:
   }
 
   Expr *parsePostfix() {
+    unsigned Before = Assignments;
     Expr *E = parsePrimary();
     if (!E)
       return nullptr;
+    Nesting N(*this); // each postfix operator deepens the tree by one
     for (;;) {
       SourceLoc L = loc();
       if (consumeIf(TokKind::LParen)) {
+        if (!N.deepen())
+          return nullptr;
         std::vector<Expr *> Args;
         if (!at(TokKind::RParen)) {
           for (;;) {
@@ -1014,6 +1096,8 @@ private:
         continue;
       }
       if (consumeIf(TokKind::LBracket)) {
+        if (!N.deepen())
+          return nullptr;
         Expr *Idx = parseExpr();
         if (!Idx || !expect(TokKind::RBracket, "']'"))
           return nullptr;
@@ -1023,6 +1107,8 @@ private:
       if (at(TokKind::Dot) || at(TokKind::Arrow)) {
         bool Arrow = at(TokKind::Arrow);
         advance();
+        if (!N.deepen())
+          return nullptr;
         if (!at(TokKind::Ident)) {
           error("expected field name");
           return nullptr;
@@ -1037,9 +1123,11 @@ private:
         BinaryOp Op =
             peek().Kind == TokKind::PlusPlus ? BinaryOp::Add : BinaryOp::Sub;
         advance();
+        if (!N.deepen() || !singleUse(Before, "'++' or '--'"))
+          return nullptr;
         Expr *One = Prog->makeExpr<IntLitExpr>(L, 1);
         Expr *Sum = Prog->makeExpr<BinaryExpr>(L, Op, E, One);
-        E = Prog->makeExpr<AssignExpr>(L, E, Sum);
+        E = makeAssign(L, E, Sum);
         continue;
       }
       return E;
@@ -1084,6 +1172,8 @@ private:
   std::unique_ptr<Program> Prog;
   size_t Pos = 0;
   bool HadError = false;
+  unsigned Depth = 0;       ///< levels entered (see Nesting)
+  unsigned Assignments = 0; ///< AssignExprs built (see singleUse)
 
   std::unordered_map<std::string, const Type *> Typedefs;
   std::unordered_map<std::string, int64_t> EnumConstants;

@@ -21,6 +21,13 @@
 /// jump-table data — fall back to Machine::interpretStep, which performs
 /// the identical fully-checked fetch/decode/execute step.
 ///
+/// The handlers are Step.h's opExec instantiations, shared with the
+/// interpreter. Their guest loads and stores are Machine::load<Size> and
+/// store<Size>, inline and sized at compile time, and every stop they
+/// can make goes through a cold, out-of-line helper (vmstep::trapAt,
+/// memFaultAt, cfiHaltAt): a load or store handler makes no call unless
+/// it faults, and no handler holds string code.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MCFI_RUNTIME_DISPATCH_H

@@ -85,8 +85,12 @@ int Machine::mapModule(MCFIObject Obj) {
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
     M.Serial = NextModuleSerial++;
+    Index = static_cast<int>(Mapped.size());
+    for (const FunctionInfo &F : M.Obj->Aux.Functions)
+      // A name repeated within the module keeps its first definition.
+      if (!findSymbolLocked(F.Name, Index))
+        Symbols.emplace(F.Name, SymbolDef{Index, M.CodeBase + F.CodeOffset});
     Mapped.push_back(std::move(M));
-    Index = static_cast<int>(Mapped.size() - 1);
   }
   noteCodeChanged();
   return Index;
@@ -260,6 +264,14 @@ void Machine::markModuleRetired(int Index, uint32_t TombstoneSites) {
   assert(!M.Retired && "module retired twice");
   M.Retired = true;
   M.TombstoneSites = TombstoneSites;
+  for (const FunctionInfo &F : M.Obj->Aux.Functions) {
+    for (auto [It, End] = Symbols.equal_range(F.Name); It != End; ++It) {
+      if (It->second.Module == Index) {
+        Symbols.erase(It);
+        break;
+      }
+    }
+  }
 }
 
 void Machine::retireModule(int Index, std::vector<uint32_t> ExclusiveECNs) {
@@ -359,78 +371,11 @@ void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
 // Guest memory
 //===----------------------------------------------------------------------===//
 
-bool Machine::load(uint64_t Addr, unsigned Size, uint64_t &Out) const {
-  if (Addr & (Size - 1))
-    return false; // naturally aligned accesses only
-  if (isDataAddr(Addr, Size)) {
-    uint8_t *Base =
-        reinterpret_cast<uint8_t *>(DataWords.data()) + (Addr - DataBase);
-    switch (Size) {
-    case 1:
-      Out = std::atomic_ref<uint8_t>(*Base).load(std::memory_order_relaxed);
-      return true;
-    case 2:
-      Out = std::atomic_ref<uint16_t>(*reinterpret_cast<uint16_t *>(Base))
-                .load(std::memory_order_relaxed);
-      return true;
-    case 4:
-      Out = std::atomic_ref<uint32_t>(*reinterpret_cast<uint32_t *>(Base))
-                .load(std::memory_order_relaxed);
-      return true;
-    case 8:
-      Out = std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(Base))
-                .load(std::memory_order_relaxed);
-      return true;
-    default:
-      return false;
-    }
-  }
-  if (isCodeAddr(Addr, Size)) {
-    // The code region is readable (jump tables live there); it is sealed
-    // and immutable once executing, so plain reads suffice.
-    const uint8_t *Base = CodeBytes.data() + (Addr - CodeBase);
-    Out = 0;
-    for (unsigned I = 0; I != Size; ++I)
-      Out |= static_cast<uint64_t>(Base[I]) << (8 * I);
-    return true;
-  }
-  return false;
-}
-
-bool Machine::store(uint64_t Addr, unsigned Size, uint64_t Value) {
-  if (Addr & (Size - 1))
-    return false;
-  if (!isDataAddr(Addr, Size))
-    return false; // code region and everything else is not writable
-  uint8_t *Base =
-      reinterpret_cast<uint8_t *>(DataWords.data()) + (Addr - DataBase);
-  switch (Size) {
-  case 1:
-    std::atomic_ref<uint8_t>(*Base).store(static_cast<uint8_t>(Value),
-                                          std::memory_order_relaxed);
-    return true;
-  case 2:
-    std::atomic_ref<uint16_t>(*reinterpret_cast<uint16_t *>(Base))
-        .store(static_cast<uint16_t>(Value), std::memory_order_relaxed);
-    return true;
-  case 4:
-    std::atomic_ref<uint32_t>(*reinterpret_cast<uint32_t *>(Base))
-        .store(static_cast<uint32_t>(Value), std::memory_order_relaxed);
-    return true;
-  case 8:
-    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(Base))
-        .store(Value, std::memory_order_relaxed);
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::string Machine::readString(uint64_t Addr) const {
   std::string S;
   for (uint64_t I = 0; I != 1u << 20; ++I) {
     uint64_t C;
-    if (!load(Addr + I, 1, C))
+    if (!load<1>(Addr + I, C))
       return S;
     if (!C)
       return S;
@@ -499,32 +444,37 @@ std::string Machine::takeOutput() {
 // Threads
 //===----------------------------------------------------------------------===//
 
-uint64_t Machine::findFunction(const std::string &Name) const {
-  // Guest dlsym resolves symbols while dlopen may be appending to
-  // Mapped from another thread; the walk must hold the module lock.
-  std::lock_guard<std::mutex> Guard(ModuleLock);
-  for (const MappedModule &M : Mapped) {
-    if (M.Retired) // dlclosed modules are invisible to symbol lookup
-      continue;
-    if (const FunctionInfo *F = M.Obj->findFunction(Name))
-      return M.CodeBase + F->CodeOffset;
+const Machine::SymbolDef *Machine::findSymbolLocked(std::string_view Name,
+                                                    int Module) const {
+  const SymbolDef *First = nullptr;
+  for (auto [It, End] = Symbols.equal_range(Name); It != End; ++It) {
+    const SymbolDef &D = It->second;
+    if (Module >= 0 && D.Module == Module)
+      return &D;
+    if (Module < 0 && (!First || D.Module < First->Module))
+      First = &D;
   }
-  return 0;
+  return First;
+}
+
+uint64_t Machine::findFunction(const std::string &Name) const {
+  std::lock_guard<std::mutex> Guard(ModuleLock);
+  const SymbolDef *D = findSymbolLocked(Name, -1);
+  return D ? D->Addr : 0;
+}
+
+size_t Machine::symbolIndexEntries() const {
+  std::lock_guard<std::mutex> Guard(ModuleLock);
+  return Symbols.size();
 }
 
 uint64_t Machine::dlsymLookup(int64_t Handle, const std::string &Name) const {
-  {
-    std::lock_guard<std::mutex> Guard(ModuleLock);
-    if (Handle >= 0 && static_cast<size_t>(Handle) < Mapped.size()) {
-      const MappedModule &M = Mapped[static_cast<size_t>(Handle)];
-      if (M.Retired) // stale handle to a dlclosed module
-        return 0;
-      if (const FunctionInfo *F = M.Obj->findFunction(Name))
-        return M.CodeBase + F->CodeOffset;
-      return 0;
-    }
-  }
-  return findFunction(Name);
+  std::lock_guard<std::mutex> Guard(ModuleLock);
+  // A stale handle to a dlclosed module has no entries left.
+  bool Scoped = Handle >= 0 && static_cast<size_t>(Handle) < Mapped.size();
+  const SymbolDef *D =
+      findSymbolLocked(Name, Scoped ? static_cast<int>(Handle) : -1);
+  return D ? D->Addr : 0;
 }
 
 VMTierStats Machine::vmStats() const {

@@ -46,6 +46,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -146,7 +148,7 @@ struct MappedModule {
   /// (e.g. the linker's patched-GOT set) must key on Serial instead.
   uint64_t Serial = 0;
   bool Sealed = false;   ///< code is RX (executable, not writable)
-  bool Retired = false;  ///< dlclosed; invisible to dlsym/findFunction
+  bool Retired = false;  ///< dlclosed; out of the symbol index
   bool Reclaimed = false; ///< grace elapsed; Obj == nullptr, code zeroed
   /// The module's decode (runtime/Dispatch.h): attached by sealModule,
   /// dropped at reclaim, so it is set exactly while the module is sealed
@@ -288,18 +290,77 @@ public:
   // Guest memory (atomic; threads may race per the paper's threat model)
   //===--------------------------------------------------------------------===//
 
+  /// True when [Addr, Addr + Size) lies inside the data region. The test
+  /// is on the offset from the region's base, so no Addr or Size wraps it.
   bool isDataAddr(uint64_t Addr, uint64_t Size) const {
-    return Addr >= DataBase && Addr + Size <= DataBase + DataCapacity;
+    return Size <= DataCapacity && Addr - DataBase <= DataCapacity - Size;
   }
+  /// True when [Addr, Addr + Size) lies inside the mapped code; wrap-free
+  /// like isDataAddr.
   bool isCodeAddr(uint64_t Addr, uint64_t Size) const {
-    return Addr >= CodeBase &&
-           Addr + Size <= CodeBase + CodeUsed.load(std::memory_order_acquire);
+    uint64_t Used = CodeUsed.load(std::memory_order_acquire);
+    return Size <= Used && Addr - CodeBase <= Used - Size;
   }
 
-  /// Typed guest loads/stores. Return false on a fault (unmapped,
-  /// misaligned, or W^X violation); loads fill \p Out.
-  bool load(uint64_t Addr, unsigned Size, uint64_t &Out) const;
-  bool store(uint64_t Addr, unsigned Size, uint64_t Value);
+  /// The guest loads and stores of \p Size bytes (1, 2, 4 or 8), inline
+  /// for the execution tiers. Return false on a fault (unmapped,
+  /// misaligned, or a store outside the data region); loads zero-extend
+  /// into \p Out. Data accesses are relaxed atomics; the code region is
+  /// readable (jump tables live there) and immutable while it executes.
+  template <unsigned Size> bool load(uint64_t Addr, uint64_t &Out) const {
+    if (Addr & (Size - 1))
+      return false; // naturally aligned accesses only
+    if (isDataAddr(Addr, Size)) {
+      Out = std::atomic_ref<GuestWord<Size>>(*dataWord<Size>(Addr))
+                .load(std::memory_order_relaxed);
+      return true;
+    }
+    if (!isCodeAddr(Addr, Size))
+      return false;
+    const uint8_t *Base = CodeBytes.data() + (Addr - CodeBase);
+    Out = 0;
+    for (unsigned I = 0; I != Size; ++I)
+      Out |= static_cast<uint64_t>(Base[I]) << (8 * I);
+    return true;
+  }
+  template <unsigned Size> bool store(uint64_t Addr, uint64_t Value) {
+    if ((Addr & (Size - 1)) || !isDataAddr(Addr, Size))
+      return false; // code region and everything else is not writable
+    std::atomic_ref<GuestWord<Size>>(*dataWord<Size>(Addr))
+        .store(static_cast<GuestWord<Size>>(Value), std::memory_order_relaxed);
+    return true;
+  }
+
+  /// The same accesses with a size known only at run time (syscalls,
+  /// host tools, tests); any other \p Size faults.
+  bool load(uint64_t Addr, unsigned Size, uint64_t &Out) const {
+    switch (Size) {
+    case 1:
+      return load<1>(Addr, Out);
+    case 2:
+      return load<2>(Addr, Out);
+    case 4:
+      return load<4>(Addr, Out);
+    case 8:
+      return load<8>(Addr, Out);
+    default:
+      return false;
+    }
+  }
+  bool store(uint64_t Addr, unsigned Size, uint64_t Value) {
+    switch (Size) {
+    case 1:
+      return store<1>(Addr, Value);
+    case 2:
+      return store<2>(Addr, Value);
+    case 4:
+      return store<4>(Addr, Value);
+    case 8:
+      return store<8>(Addr, Value);
+    default:
+      return false;
+    }
+  }
 
   /// Reads a NUL-terminated guest string (bounded); empty on fault.
   std::string readString(uint64_t Addr) const;
@@ -342,8 +403,14 @@ public:
   /// symbol is unknown or no stack space is left.
   bool makeThread(const std::string &Name, Thread &T);
 
-  /// Resolves a function symbol to its absolute address (0 if unknown).
+  /// Resolves a function symbol to its absolute address in the first
+  /// live module (lowest index) that defines it; 0 if none does. One
+  /// lookup in the symbol index.
   uint64_t findFunction(const std::string &Name) const;
+
+  /// Definitions the symbol index holds: one per distinct function name
+  /// of each mapped, unretired module.
+  size_t symbolIndexEntries() const;
 
   /// Runs \p T until it stops or \p Fuel instructions retire, on the
   /// machine's current execution tier.
@@ -360,8 +427,10 @@ public:
   /// both tiers funnel uncovered PCs through identical checks.
   bool interpretStep(Thread &T, RunResult &Out);
 
-  /// Dlsym resolution (handle-scoped or global) under ModuleLock; dlopen
-  /// mutates Mapped concurrently with executing guest threads.
+  /// Dlsym resolution: scoped to module \p Handle when it names a slot
+  /// of modules(), else global like findFunction. Reads the symbol index
+  /// under ModuleLock, since a dlopen may update it concurrently with
+  /// executing guest threads.
   uint64_t dlsymLookup(int64_t Handle, const std::string &Name) const;
 
   /// Bumped whenever the code layout changes (map, seal, reclaim); the
@@ -401,6 +470,20 @@ public:
 
 private:
   friend class Interpreter;
+
+  template <unsigned Size>
+  using GuestWord = std::conditional_t<
+      Size == 1, uint8_t,
+      std::conditional_t<Size == 2, uint16_t,
+                         std::conditional_t<Size == 4, uint32_t, uint64_t>>>;
+
+  /// The host word behind data address \p Addr (isDataAddr holds).
+  template <unsigned Size> GuestWord<Size> *dataWord(uint64_t Addr) const {
+    static_assert(Size == 1 || Size == 2 || Size == 4 || Size == 8,
+                  "guest accesses are 1, 2, 4 or 8 bytes");
+    return reinterpret_cast<GuestWord<Size> *>(
+        reinterpret_cast<uint8_t *>(DataWords.data()) + (Addr - DataBase));
+  }
 
   RunResult runInterpreter(Thread &T, uint64_t Fuel);
 
@@ -454,6 +537,23 @@ private:
   std::atomic<uint64_t> SealedPrefix{0};
   /// Next MappedModule::Serial (monotonic; guarded by ModuleLock).
   uint64_t NextModuleSerial = 1;
+
+  /// One live definition of a function name.
+  struct SymbolDef {
+    int Module;    ///< index into Mapped
+    uint64_t Addr; ///< absolute entry address
+  };
+  /// The symbol index: one entry per distinct function name of each live
+  /// module, keyed by a view of the name in that module's object. The
+  /// object outlives the entry: markModuleRetired erases a module's
+  /// entries, and only a retired module is ever reclaimed or trimmed.
+  /// mapModule adds the entries. Guarded by ModuleLock.
+  std::unordered_multimap<std::string_view, SymbolDef> Symbols;
+
+  /// \p Name's entry for module \p Module, or with \p Module < 0 its
+  /// first live definition (the lowest module index); null if none.
+  /// Requires ModuleLock.
+  const SymbolDef *findSymbolLocked(std::string_view Name, int Module) const;
 
   IDTables Tables;
 

@@ -27,7 +27,6 @@
 #include "runtime/Machine.h"
 
 #include "support/Assert.h"
-#include "support/StringUtils.h"
 #include "tables/ID.h"
 
 namespace mcfi {
@@ -54,17 +53,32 @@ inline bool stopAt(RunResult &Out, StopReason Reason, Thread &T, uint64_t PC,
   return false;
 }
 
+// The stops a handler can make, out of line and cold (defined in VM.cpp),
+// so the hot handlers carry no string code. Each fills Out like stopAt
+// and returns false.
+
+/// A Trap with the fixed message \p Msg.
+[[gnu::cold, gnu::noinline]] bool trapAt(RunResult &Out, Thread &T,
+                                         uint64_t PC, const char *Msg);
+/// A Trap for a faulting guest access: "<Access> fault at <Addr> (pc ..)".
+[[gnu::cold, gnu::noinline]] bool memFaultAt(RunResult &Out, Thread &T,
+                                             uint64_t PC, const char *Access,
+                                             uint64_t Addr);
+/// The CfiViolation of a check transaction that reached hlt.
+[[gnu::cold, gnu::noinline]] bool cfiHaltAt(RunResult &Out, Thread &T,
+                                            uint64_t PC);
+
 /// Guest stack push. Mirrors the hardware: SP moves before the store, so
 /// a faulting push still leaves SP decremented.
 inline bool pushWord(Machine &M, Thread &T, uint64_t V) {
   uint64_t &SP = T.Regs[visa::RegSP];
   SP -= 8;
-  return M.store(SP, 8, V);
+  return M.store<8>(SP, V);
 }
 
 inline bool popWord(Machine &M, Thread &T, uint64_t &V) {
   uint64_t &SP = T.Regs[visa::RegSP];
-  if (!M.load(SP, 8, V))
+  if (!M.load<8>(SP, V))
     return false;
   SP += 8;
   return true;
@@ -95,11 +109,8 @@ inline bool opExec(Machine &M, Thread &T, const visa::Instr &I, uint64_t PC,
                                                      : 4;
     uint64_t Addr = R[I.Ra] + static_cast<int64_t>(I.Off);
     uint64_t V;
-    if (!M.load(Addr, Size, V))
-      return stopAt(Out, StopReason::Trap, T, PC,
-                    formatString("load fault at 0x%llx (pc 0x%llx)",
-                                 static_cast<unsigned long long>(Addr),
-                                 static_cast<unsigned long long>(PC)));
+    if (!M.load<Size>(Addr, V))
+      return memFaultAt(Out, T, PC, "load", Addr);
     R[I.Rd] = V;
   } else if constexpr (Op == Opcode::Store || Op == Opcode::Store8 ||
                        Op == Opcode::Store16 || Op == Opcode::Store32) {
@@ -108,11 +119,8 @@ inline bool opExec(Machine &M, Thread &T, const visa::Instr &I, uint64_t PC,
                               : Op == Opcode::Store16 ? 2
                                                       : 4;
     uint64_t Addr = R[I.Rd] + static_cast<int64_t>(I.Off);
-    if (!M.store(Addr, Size, R[I.Ra]))
-      return stopAt(Out, StopReason::Trap, T, PC,
-                    formatString("store fault at 0x%llx (pc 0x%llx)",
-                                 static_cast<unsigned long long>(Addr),
-                                 static_cast<unsigned long long>(PC)));
+    if (!M.store<Size>(Addr, R[I.Ra]))
+      return memFaultAt(Out, T, PC, "store", Addr);
   } else if constexpr (Op == Opcode::Add) {
     R[I.Rd] = R[I.Ra] + R[I.Rb];
   } else if constexpr (Op == Opcode::Sub) {
@@ -123,7 +131,7 @@ inline bool opExec(Machine &M, Thread &T, const visa::Instr &I, uint64_t PC,
     int64_t A = static_cast<int64_t>(R[I.Ra]);
     int64_t B = static_cast<int64_t>(R[I.Rb]);
     if (B == 0 || (A == INT64_MIN && B == -1))
-      return stopAt(Out, StopReason::Trap, T, PC, "integer division fault");
+      return trapAt(Out, T, PC, "integer division fault");
     R[I.Rd] = static_cast<uint64_t>(Op == Opcode::DivS ? A / B : A % B);
   } else if constexpr (Op == Opcode::And) {
     R[I.Rd] = R[I.Ra] & R[I.Rb];
@@ -170,31 +178,29 @@ inline bool opExec(Machine &M, Thread &T, const visa::Instr &I, uint64_t PC,
     Next = R[I.Ra];
   } else if constexpr (Op == Opcode::Call) {
     if (!pushWord(M, T, Next))
-      return stopAt(Out, StopReason::Trap, T, PC, "stack overflow on call");
+      return trapAt(Out, T, PC, "stack overflow on call");
     Next = PC + I.Length + static_cast<int64_t>(I.Off);
   } else if constexpr (Op == Opcode::CallInd) {
     if (!pushWord(M, T, PC + I.Length))
-      return stopAt(Out, StopReason::Trap, T, PC, "stack overflow on call");
+      return trapAt(Out, T, PC, "stack overflow on call");
     Next = R[I.Ra];
   } else if constexpr (Op == Opcode::Ret) {
     uint64_t RA;
     if (!popWord(M, T, RA))
-      return stopAt(Out, StopReason::Trap, T, PC, "stack underflow on ret");
+      return trapAt(Out, T, PC, "stack underflow on ret");
     Next = RA;
   } else if constexpr (Op == Opcode::Push) {
     if (!pushWord(M, T, R[I.Ra]))
-      return stopAt(Out, StopReason::Trap, T, PC, "stack overflow on push");
+      return trapAt(Out, T, PC, "stack overflow on push");
   } else if constexpr (Op == Opcode::Pop) {
     uint64_t V;
     if (!popWord(M, T, V))
-      return stopAt(Out, StopReason::Trap, T, PC, "stack underflow on pop");
+      return trapAt(Out, T, PC, "stack underflow on pop");
     R[I.Rd] = V;
   } else if constexpr (Op == Opcode::Nop) {
     // nothing
   } else if constexpr (Op == Opcode::Halt) {
-    return stopAt(Out, StopReason::CfiViolation, T, PC,
-                  formatString("CFI check failed at 0x%llx",
-                               static_cast<unsigned long long>(PC)));
+    return cfiHaltAt(Out, T, PC);
   } else if constexpr (Op == Opcode::TableRead) {
     uint64_t Addr = R[I.Ra];
     R[I.Rd] = Addr >= Machine::CodeBase &&

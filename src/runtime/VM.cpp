@@ -46,6 +46,29 @@ RunResult stop(StopReason Reason, const Thread &T, std::string Msg = "",
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Cold stops (shared by all tiers via Step.h)
+//===----------------------------------------------------------------------===//
+
+bool mcfi::vmstep::trapAt(RunResult &Out, Thread &T, uint64_t PC,
+                          const char *Msg) {
+  return stopAt(Out, StopReason::Trap, T, PC, Msg);
+}
+
+bool mcfi::vmstep::memFaultAt(RunResult &Out, Thread &T, uint64_t PC,
+                              const char *Access, uint64_t Addr) {
+  return stopAt(Out, StopReason::Trap, T, PC,
+                formatString("%s fault at 0x%llx (pc 0x%llx)", Access,
+                             static_cast<unsigned long long>(Addr),
+                             static_cast<unsigned long long>(PC)));
+}
+
+bool mcfi::vmstep::cfiHaltAt(RunResult &Out, Thread &T, uint64_t PC) {
+  return stopAt(Out, StopReason::CfiViolation, T, PC,
+                formatString("CFI check failed at 0x%llx",
+                             static_cast<unsigned long long>(PC)));
+}
+
+//===----------------------------------------------------------------------===//
 // Syscall interposition (shared by all tiers via Step.h)
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,8 @@
 /// separately instrumented libraries into a running, multithreaded
 /// program, with the CFG policy updated through check/update
 /// transactions. Covers the three dlopen steps, PLT/GOT behaviour,
-/// cross-module control flow, and concurrency between executing threads
-/// and the dynamic linker.
+/// cross-module control flow, concurrency between executing threads and
+/// the dynamic linker, and the symbol index behind findFunction and dlsym.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,34 +61,42 @@ struct DynProgram {
   std::string Error;
 };
 
-DynProgram buildDynamic(const std::string &Host, const std::string &Plugin) {
+/// Links \p Host (with PLT entries for its imports when \p HostPlt) and
+/// registers \p Plugins in order (registry ids 0, 1, ...).
+DynProgram buildWithPlugins(const std::string &Host,
+                            const std::vector<std::string> &Plugins,
+                            bool HostPlt = false) {
   DynProgram D;
   CompileOptions HostCO;
   HostCO.ModuleName = "host";
-  HostCO.EmitPlt = true;
+  HostCO.EmitPlt = HostPlt;
   CompileResult HostCR = compileModule(Host, HostCO);
   if (!HostCR.Ok) {
     D.Error = HostCR.Errors.empty() ? "host compile" : HostCR.Errors.front();
     return D;
   }
-  CompileOptions PlugCO;
-  PlugCO.ModuleName = "plugin";
-  CompileResult PlugCR = compileModule(Plugin, PlugCO);
-  if (!PlugCR.Ok) {
-    D.Error =
-        PlugCR.Errors.empty() ? "plugin compile" : PlugCR.Errors.front();
-    return D;
-  }
-
   D.M = std::make_unique<Machine>();
   D.L = std::make_unique<Linker>(*D.M);
   std::vector<MCFIObject> Objs;
   Objs.push_back(std::move(HostCR.Obj));
   if (!D.L->linkProgram(std::move(Objs), D.Error))
     return D;
-  D.L->registerLibrary(std::move(PlugCR.Obj));
+  for (size_t I = 0; I != Plugins.size(); ++I) {
+    CompileOptions CO;
+    CO.ModuleName = "plugin" + std::to_string(I);
+    CompileResult CR = compileModule(Plugins[I], CO);
+    if (!CR.Ok) {
+      D.Error = CR.Errors.empty() ? "plugin compile" : CR.Errors.front();
+      return D;
+    }
+    D.L->registerLibrary(std::move(CR.Obj));
+  }
   D.Ok = true;
   return D;
+}
+
+DynProgram buildDynamic(const std::string &Host, const std::string &Plugin) {
+  return buildWithPlugins(Host, {Plugin}, /*HostPlt=*/true);
 }
 
 TEST(Dynlink, DlopenPltAndDlsym) {
@@ -644,24 +652,10 @@ TEST(Dynlink, SeededChurnCondemnsExactlyTheExclusiveClasses) {
         long (*xc_q)(long) = xc_one;
         long xc_call(long (*f)(long, long, long)) { return f(2, 3, 4); }
       )"};
-  DynProgram D;
-  D.M = std::make_unique<Machine>();
-  D.L = std::make_unique<Linker>(*D.M);
-  CompileOptions HostCO;
-  HostCO.ModuleName = "host";
-  CompileResult HostCR = compileModule(Host, HostCO);
-  ASSERT_TRUE(HostCR.Ok);
-  std::vector<MCFIObject> Objs;
-  Objs.push_back(std::move(HostCR.Obj));
-  ASSERT_TRUE(D.L->linkProgram(std::move(Objs), D.Error)) << D.Error;
+  DynProgram D =
+      buildWithPlugins(Host, {std::begin(Sources), std::end(Sources)});
+  ASSERT_TRUE(D.Ok) << D.Error;
   expectTargetsSorted(D.L->policy());
-  for (size_t I = 0; I != std::size(Sources); ++I) {
-    CompileOptions CO;
-    CO.ModuleName = "plugin" + std::to_string(I);
-    CompileResult CR = compileModule(Sources[I], CO);
-    ASSERT_TRUE(CR.Ok) << CR.Errors.front();
-    D.L->registerLibrary(std::move(CR.Obj));
-  }
 
   std::mt19937 Rng(20140609);
   std::vector<int64_t> Live;
@@ -773,6 +767,253 @@ TEST(Dynlink, ConcurrentCheckersDuringDlclose) {
   Guest.join();
   EXPECT_FALSE(Violated.load())
       << "a survivor's check transaction failed during dlclose";
+}
+
+//===----------------------------------------------------------------------===//
+// The symbol index
+//===----------------------------------------------------------------------===//
+
+/// The reference for Machine::findFunction: the first unretired module,
+/// in index order, that defines \p Name.
+uint64_t walkFind(const Machine &M, const std::string &Name) {
+  for (const MappedModule &Mod : M.modules()) {
+    if (Mod.Retired)
+      continue;
+    if (const FunctionInfo *F = Mod.Obj->findFunction(Name))
+      return Mod.CodeBase + F->CodeOffset;
+  }
+  return 0;
+}
+
+/// What the index must hold: one entry per distinct function name of
+/// every unretired module.
+size_t liveFunctionNames(const Machine &M) {
+  size_t N = 0;
+  for (const MappedModule &Mod : M.modules()) {
+    if (Mod.Retired)
+      continue;
+    std::set<std::string> Names;
+    for (const FunctionInfo &F : Mod.Obj->Aux.Functions)
+      Names.insert(F.Name);
+    N += Names.size();
+  }
+  return N;
+}
+
+void expectIndexMatchesWalk(const Machine &M,
+                            const std::set<std::string> &Names,
+                            const std::string &What) {
+  for (const std::string &Name : Names)
+    ASSERT_EQ(M.findFunction(Name), walkFind(M, Name)) << What << ": " << Name;
+  ASSERT_EQ(M.symbolIndexEntries(), liveFunctionNames(M)) << What;
+}
+
+/// The entry address of \p Name in module \p Handle, from its own object.
+uint64_t definitionIn(const Machine &M, int64_t Handle,
+                      const std::string &Name) {
+  const MappedModule &Mod = M.modules()[static_cast<size_t>(Handle)];
+  const FunctionInfo *F = Mod.Obj->findFunction(Name);
+  return F ? Mod.CodeBase + F->CodeOffset : 0;
+}
+
+TEST(SymbolIndex, FirstLiveDefinitionShadowsLaterOnes) {
+  // The host and both plugins define shared(); each plugin also defines
+  // own_a/own_b. A lookup returns the lowest-index live definer; dlsym
+  // by handle returns the handle's own definition.
+  DynProgram D = buildWithPlugins(
+      "long shared(long x) { return x; }\nint main() { return 0; }\n",
+      {"long shared(long x) { return x + 1; }\n"
+       "long own_a(long x) { return x + 2; }\n",
+       "long shared(long x) { return x + 3; }\n"
+       "long own_b(long x) { return shared(x); }\n"});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  uint64_t HostShared = M.findFunction("shared");
+  ASSERT_NE(HostShared, 0u);
+  int64_t A = D.L->dlopen(0);
+  int64_t B = D.L->dlopen(1);
+  ASSERT_GE(A, 0) << D.L->lastError();
+  ASSERT_GE(B, 0) << D.L->lastError();
+  std::set<std::string> Names = {"shared", "own_a", "own_b", "main"};
+  expectIndexMatchesWalk(M, Names, "both open");
+  EXPECT_EQ(M.findFunction("shared"), HostShared);
+  EXPECT_EQ(M.dlsymLookup(-1, "shared"), HostShared);
+  EXPECT_EQ(M.dlsymLookup(A, "shared"), definitionIn(M, A, "shared"));
+  EXPECT_EQ(M.dlsymLookup(B, "shared"), definitionIn(M, B, "shared"));
+  EXPECT_NE(M.dlsymLookup(A, "shared"), M.dlsymLookup(B, "shared"));
+  EXPECT_EQ(M.dlsymLookup(A, "own_b"), 0u) << "own_b is B's, not A's";
+  EXPECT_EQ(M.dlsymLookup(B, "own_b"), M.findFunction("own_b"));
+
+  // makeThread starts at the same definition findFunction names.
+  Thread T;
+  ASSERT_TRUE(M.makeThread("own_a", T));
+  EXPECT_EQ(T.PC, definitionIn(M, A, "own_a"));
+  ASSERT_TRUE(M.makeThread("shared", T));
+  EXPECT_EQ(T.PC, HostShared);
+}
+
+TEST(SymbolIndex, DlcloseUncoversTheNextLiveDefiner) {
+  DynProgram D = buildWithPlugins(
+      "int main() { return 0; }\n",
+      {"long twin(long x) { return x + 1; }\n",
+       "long twin(long x) { return x + 2; }\n"});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  int64_t A = D.L->dlopen(0);
+  int64_t B = D.L->dlopen(1);
+  ASSERT_GE(A, 0) << D.L->lastError();
+  ASSERT_GE(B, 0) << D.L->lastError();
+  uint64_t InB = definitionIn(M, B, "twin");
+  EXPECT_EQ(M.findFunction("twin"), definitionIn(M, A, "twin"));
+
+  ASSERT_TRUE(D.L->dlcloseOne(A));
+  EXPECT_EQ(M.findFunction("twin"), InB);
+  EXPECT_EQ(M.dlsymLookup(A, "twin"), 0u) << "a stale handle resolves nothing";
+  EXPECT_EQ(M.dlsymLookup(B, "twin"), InB);
+  expectIndexMatchesWalk(M, {"twin"}, "A closed");
+
+  ASSERT_TRUE(D.L->dlcloseOne(B));
+  EXPECT_EQ(M.findFunction("twin"), 0u);
+  Thread T;
+  EXPECT_FALSE(M.makeThread("twin", T));
+  expectIndexMatchesWalk(M, {"twin"}, "both closed");
+}
+
+TEST(SymbolIndex, FailedBatchMembersLeaveTheIndex) {
+  // The verifiable member of a failed batch is discarded with the
+  // unverifiable one: neither's names resolve afterwards.
+  DynProgram D = buildWithPlugins(
+      "int main() { return 0; }\n",
+      {"long good_member(long x) { return x + 1; }\n"});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  CompileOptions BadCO;
+  BadCO.ModuleName = "unverifiable";
+  BadCO.Instrument = false; // its indirect call goes unchecked
+  CompileResult Bad = compileModule(
+      "long bad_apply(long (*f)(long), long x) { return f(x); }", BadCO);
+  ASSERT_TRUE(Bad.Ok);
+  int64_t BadId = D.L->registerLibrary(std::move(Bad.Obj));
+  size_t Entries = D.M->symbolIndexEntries();
+
+  for (const DlopenResult &R : D.L->dlopenBatch({0, BadId}))
+    EXPECT_LT(R.Handle, 0);
+  EXPECT_EQ(D.M->findFunction("good_member"), 0u);
+  EXPECT_EQ(D.M->findFunction("bad_apply"), 0u);
+  EXPECT_EQ(D.M->symbolIndexEntries(), Entries);
+  expectIndexMatchesWalk(*D.M, {"good_member", "bad_apply"}, "batch failed");
+
+  // The good member alone still loads, under its own name.
+  int64_t H = D.L->dlopen(0);
+  ASSERT_GE(H, 0) << D.L->lastError();
+  EXPECT_EQ(D.M->findFunction("good_member"), definitionIn(*D.M, H,
+                                                           "good_member"));
+}
+
+TEST(SymbolIndex, DlopenIntoATrimmedSlotIsIndexedThere) {
+  // A drain's tail-trim pops the closed module's slot; the next dlopen
+  // maps into that index, and the index must name the new occupant.
+  DynProgram D = buildWithPlugins(
+      "int main() { return 0; }\n",
+      {"long first_tenant(long x) { return x + 1; }\n",
+       "long second_tenant(long x) { return x + 2; }\n"});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  size_t HostModules = M.modules().size();
+  size_t HostEntries = M.symbolIndexEntries();
+  int64_t H = D.L->dlopen(0);
+  ASSERT_GE(H, 0) << D.L->lastError();
+  ASSERT_TRUE(D.L->dlcloseOne(H));
+  M.drainReclaim();
+  ASSERT_EQ(M.modules().size(), HostModules) << "the slot was popped";
+  EXPECT_EQ(M.symbolIndexEntries(), HostEntries);
+
+  int64_t Reused = D.L->dlopen(1);
+  ASSERT_EQ(Reused, H) << "the popped index is reused";
+  EXPECT_EQ(M.findFunction("first_tenant"), 0u);
+  EXPECT_EQ(M.findFunction("second_tenant"),
+            definitionIn(M, Reused, "second_tenant"));
+  EXPECT_EQ(M.dlsymLookup(Reused, "second_tenant"),
+            M.findFunction("second_tenant"));
+  EXPECT_EQ(M.dlsymLookup(Reused, "first_tenant"), 0u);
+  expectIndexMatchesWalk(M, {"first_tenant", "second_tenant"}, "reused");
+}
+
+TEST(SymbolIndex, RepeatedNameInOneModuleKeepsItsFirstDefinition) {
+  // Object bytes are untrusted: an aux table may name a function twice.
+  // The first definition wins, as in MCFIObject::findFunction, and the
+  // retire leaves no entry behind to resolve into the dead module.
+  MCFIObject Obj;
+  Obj.Name = "twice";
+  Obj.Code.assign(16, 0);
+  for (uint64_t Off : {0u, 8u}) {
+    FunctionInfo F;
+    F.Name = "dup";
+    F.CodeOffset = Off;
+    Obj.Aux.Functions.push_back(F);
+  }
+  Machine M;
+  int Idx = M.mapModule(std::move(Obj));
+  ASSERT_GE(Idx, 0);
+  EXPECT_EQ(M.findFunction("dup"), M.modules()[Idx].CodeBase);
+  EXPECT_EQ(M.symbolIndexEntries(), 1u);
+  M.markModuleRetired(Idx, 0);
+  EXPECT_EQ(M.findFunction("dup"), 0u);
+  EXPECT_EQ(M.symbolIndexEntries(), 0u);
+}
+
+TEST(SymbolIndex, SeededChurnMatchesALinearWalk) {
+  // 64 plugins, each with a name of its own and a name they all share,
+  // plus plugin 0 registered a second time so whole modules shadow each
+  // other, opened and closed in a seeded order with drains in between.
+  // After every operation each registered name resolves as the linear
+  // walk does, and the index holds exactly the live modules' names.
+  constexpr int Plugins = 64;
+  std::vector<std::string> Sources;
+  std::set<std::string> Names = {"main", "churn_shared"};
+  for (int I = 0; I != Plugins; ++I) {
+    std::string Own = "churn_own" + std::to_string(I);
+    Names.insert(Own);
+    Sources.push_back("long " + Own + "(long x) { return x + " +
+                      std::to_string(I) + "; }\n" +
+                      "long churn_shared(long x) { return " + Own +
+                      "(x) * 2; }\n");
+  }
+  Sources.push_back(Sources.front()); // registry id 64: plugin 0 again
+  DynProgram D = buildWithPlugins("int main() { return 0; }\n", Sources);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  size_t HostEntries = M.symbolIndexEntries();
+  ASSERT_EQ(HostEntries, liveFunctionNames(M));
+
+  std::mt19937 Rng(25);
+  std::vector<int64_t> Unopened;
+  for (int64_t Id = 0; Id != Plugins + 1; ++Id)
+    Unopened.push_back(Id);
+  std::vector<int64_t> Live;
+  for (int Op = 0; !Unopened.empty() || !Live.empty(); ++Op) {
+    std::string What = "op " + std::to_string(Op);
+    if (!Unopened.empty() && (Live.empty() || Rng() % 3 != 0)) {
+      size_t Pick = Rng() % Unopened.size();
+      int64_t H = D.L->dlopen(Unopened[Pick]);
+      ASSERT_GE(H, 0) << What << ": " << D.L->lastError();
+      Unopened.erase(Unopened.begin() + static_cast<ptrdiff_t>(Pick));
+      Live.push_back(H);
+    } else {
+      size_t Pick = Rng() % Live.size();
+      ASSERT_TRUE(D.L->dlcloseOne(Live[Pick])) << What;
+      Live.erase(Live.begin() + static_cast<ptrdiff_t>(Pick));
+      if (Rng() % 4 == 0)
+        M.drainReclaim();
+    }
+    expectIndexMatchesWalk(M, Names, What);
+    for (int64_t H : Live)
+      ASSERT_EQ(M.dlsymLookup(H, "churn_shared"),
+                definitionIn(M, H, "churn_shared"))
+          << What;
+  }
+  M.drainReclaim();
+  EXPECT_EQ(M.symbolIndexEntries(), HostEntries);
+  expectIndexMatchesWalk(M, Names, "drained");
 }
 
 } // namespace

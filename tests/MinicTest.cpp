@@ -460,4 +460,98 @@ TEST(Sema, BuiltinTypesMatchTheirCSpelling) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Nesting bound
+//===----------------------------------------------------------------------===//
+
+std::string repeat(const std::string &S, size_t N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (size_t I = 0; I != N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// Compiles \p Src end to end and expects a nesting error, not a crash.
+void expectTooDeep(const std::string &Src) {
+  CompileResult CR = compileModule(Src);
+  EXPECT_FALSE(CR.Ok);
+  ASSERT_FALSE(CR.Errors.empty());
+  EXPECT_NE(CR.Errors.front().find("nesting deeper than"), std::string::npos)
+      << CR.Errors.front();
+}
+
+constexpr size_t Deep = 100000;
+
+TEST(Nesting, HundredThousandParenthesesAreAnError) {
+  expectTooDeep("int main() { return " + repeat("(", Deep) + "0" +
+                repeat(")", Deep) + "; }");
+}
+
+TEST(Nesting, HundredThousandUnaryMinusesAreAnError) {
+  expectTooDeep("int main() { return " + repeat("- ", Deep) + "0; }");
+  // Unspaced, the minus signs lex as nested pre-decrements.
+  expectTooDeep("int main() { return " + repeat("-", Deep) + "0; }");
+}
+
+TEST(Nesting, HundredThousandNestedBlocksAreAnError) {
+  expectTooDeep("int main() { " + repeat("{", Deep) + repeat("}", Deep) +
+                " return 0; }");
+}
+
+TEST(Nesting, EveryRecursiveConstructIsBounded) {
+  // Each of these built a tree, or recursed in the parser, as deep as
+  // the source is long.
+  expectTooDeep("int main() { return " + repeat("1 + ", Deep) + "1; }");
+  expectTooDeep("int main() { long a; return " + repeat("a = ", Deep) +
+                "0; }");
+  expectTooDeep("int main() { long a = 1; return " + repeat("a ? 1 : ", Deep) +
+                "0; }");
+  expectTooDeep("int main() { long a = 1; return " + repeat("a ? ", Deep) +
+                "1" + repeat(" : 0", Deep) + "; }");
+  expectTooDeep("int main() { return " + repeat("(long)", Deep) + "0; }");
+  expectTooDeep("long a[4];\nint main() { return (int)a" +
+                repeat("[0]", Deep) + "; }");
+  expectTooDeep("int main() { long a = 0; " +
+                repeat("if (a) a = 2; else ", Deep) + "a = 3; return 0; }");
+  expectTooDeep("void g(" + repeat("void (*)(", Deep) + "void" +
+                repeat(")", Deep) + ");\nint main() { return 0; }");
+  std::string Structs;
+  for (size_t I = 0; I != 1000; ++I)
+    Structs += "struct S" + std::to_string(I) + " { ";
+  expectTooDeep(Structs + "long x; " + repeat("} m; ", 999) +
+                "};\nint main() { return 0; }");
+}
+
+TEST(Nesting, DeepButBoundedProgramsCompile) {
+  // Well past anything the workload profiles, rt or the examples nest
+  // (10 levels), each construct still compiles through lowering.
+  constexpr size_t Depth = 200;
+  for (const std::string &Src :
+       {"int main() { return " + repeat("(", Depth) + "0" +
+            repeat(")", Depth) + "; }",
+        "int main() { return " + repeat("- ", Depth) + "1; }",
+        "int main() { " + repeat("{", Depth) + repeat("}", Depth) +
+            " return 0; }",
+        "int main() { return " + repeat("1 + ", Depth) + "1; }"}) {
+    CompileResult CR = compileModule(Src);
+    EXPECT_TRUE(CR.Ok) << (CR.Errors.empty() ? "?" : CR.Errors.front());
+  }
+}
+
+TEST(Nesting, OperandsUsedTwiceMayNotAssign) {
+  // ++, -- and op= use their operand as target and value; an operand
+  // that assigns would do it twice, and nested, exponentially often.
+  expectError("int main() { long a = 1; a++++; return 0; }",
+              "may not itself assign");
+  expectError("int main() { long a = 1; ++(++a); return 0; }",
+              "may not itself assign");
+  expectError("long v[4];\nint main() { long i = 0; v[i++] += 1; return 0; }",
+              "may not itself assign");
+  expectError("int main() { return " + repeat("-", 200) + "1; }",
+              "may not itself assign");
+  checkOk("long v[4];\nint main() { long i = 0; v[i] += i++; ++v[i]; "
+          "v[i]++; return 0; }");
+}
+
 } // namespace

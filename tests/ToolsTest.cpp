@@ -6,20 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
-/// mcfi-objdump, mcfi-run, mcfi-audit and mcfi-merge, wired together the
-/// way a user would use them. Binary paths are injected by CMake, which
-/// also runs the audit-gate, unload-gate and verifier-agreement cases as
-/// their own ctests (audit_check, unload_check, verify_check).
+/// mcfi-objdump, mcfi-run, mcfi-audit, mcfi-merge and mcfi-tierdiff,
+/// wired together the way a user would use them. Binary paths are
+/// injected by CMake, which also runs the audit-gate, unload-gate,
+/// VM-tier-gate and verifier-agreement cases as their own ctests
+/// (audit_check, unload_check, vm_tier_check, verify_check).
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <iterator>
 #include <regex>
 #include <string>
@@ -350,6 +354,54 @@ TEST_F(ToolsFixture, UnloadGateDlcloseChurnLeaksNothing) {
                 &Out),
             0)
       << Out;
+}
+
+//===----------------------------------------------------------------------===//
+// VM execution-tier gate
+//===----------------------------------------------------------------------===//
+
+TEST_F(ToolsFixture, VmTierGateExamplesAreTierInvariant) {
+  // mcfi-tierdiff runs every embedded module set of each example under
+  // the interpreter and the threaded tier, and fails on any RunResult or
+  // output divergence: the tiers' correctness bar.
+  std::vector<std::string> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(MCFI_EXAMPLES_DIR))
+    if (E.path().extension() == ".cpp")
+      Examples.push_back(E.path().string());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_FALSE(Examples.empty());
+  std::string Cmd = MCFI_TIERDIFF;
+  for (const std::string &Example : Examples)
+    Cmd += " " + Example;
+  std::string Out;
+  EXPECT_EQ(run(Cmd, &Out), 0) << Out;
+}
+
+/// Processing units this process may run on (what nproc prints).
+unsigned availableCores() {
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&Set));
+  return 1;
+}
+
+TEST_F(ToolsFixture, VmTierGateThreadedTierIsTwiceTheInterpreter) {
+  // mcfi-tierdiff --bench runs the Fig. 5 indirect-call-heavy hot loop as
+  // interleaved interpreter/threaded pairs in one process and fails when
+  // the median per-pair speedup of the threaded tier is below 2x. The
+  // wall-clock gate runs only on >= 4 hardware threads: on a starved
+  // machine timing is noise, so the bench is run and reported only.
+  std::string Out;
+  unsigned Cores = availableCores();
+  if (Cores < 4) {
+    run(std::string(MCFI_TIERDIFF) + " --bench", &Out);
+    GTEST_SKIP() << Cores << " hardware threads, speed gate skipped\n"
+                 << Out;
+  }
+  EXPECT_EQ(run(std::string(MCFI_TIERDIFF) + " --bench --min-speedup 2", &Out),
+            0)
+      << Out;
+  std::cout << Out;
 }
 
 //===----------------------------------------------------------------------===//
