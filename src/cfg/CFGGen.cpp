@@ -299,6 +299,7 @@ struct CFGMerge::State {
       Sites.resize(Sites.size() + M.TombstoneSites);
       return;
     }
+    LiveViews.push_back(static_cast<uint32_t>(Views.size() - 1));
     const AuxInfo &Aux = M.Obj->Aux;
     // One cache lookup per module; interned pointers outlive the view.
     std::shared_ptr<const ModuleSigs> Sigs = getModuleSigs(*M.Obj);
@@ -549,6 +550,8 @@ struct CFGMerge::State {
     Funcs.resize(FuncBegin[N]);
     Calls.resize(CallBegin[N]);
     Sites.resize(SiteIndexBase[N]);
+    while (!LiveViews.empty() && LiveViews.back() >= N)
+      LiveViews.pop_back();
     Views.resize(N);
     FuncBegin.resize(N);
     CallBegin.resize(N);
@@ -945,7 +948,9 @@ struct CFGMerge::State {
         IBTs.push_back({Node, Addr});
       }
     };
-    for (size_t Mi = 0; Mi != Views.size(); ++Mi) {
+    // Only live views are walked: a tombstone has no functions or calls,
+    // and its site slots keep the -1 and 0 they are initialised to.
+    for (uint32_t Mi : LiveViews) {
       bool Last = Mi + 1 == Views.size();
       uint32_t FuncEnd = Last ? Funcs.size() : FuncBegin[Mi + 1];
       uint32_t CallEnd = Last ? Calls.size() : CallBegin[Mi + 1];
@@ -955,11 +960,14 @@ struct CFGMerge::State {
       for (uint32_t C = CallBegin[Mi]; C != CallEnd; ++C)
         visit(Calls[C].RetNode, Calls[C].RetAddr);
     }
-    for (const SiteEntry &S : Sites) {
-      if (S.Kind == SiteKind::Plt)
-        visit(Funcs[S.Index].AddrNode, Funcs[S.Index].Addr);
-      else if (S.Kind == SiteKind::Return && Funcs[S.Index].ToTrampoline)
-        visit(Funcs[Trampoline].AddrNode, Funcs[Trampoline].Addr);
+    for (uint32_t Mi : LiveViews) {
+      for (uint32_t B = SiteIndexBase[Mi], End = siteEnd(Mi); B != End; ++B) {
+        const SiteEntry &S = Sites[B];
+        if (S.Kind == SiteKind::Plt)
+          visit(Funcs[S.Index].AddrNode, Funcs[S.Index].Addr);
+        else if (S.Kind == SiteKind::Return && Funcs[S.Index].ToTrampoline)
+          visit(Funcs[Trampoline].AddrNode, Funcs[Trampoline].Addr);
+      }
     }
 
     // Class sizes and ECNs count IBTs only, first-seen in IBT order.
@@ -982,46 +990,55 @@ struct CFGMerge::State {
     // fail-closed encoding below can never collide with one.
     assert(NextECN < EmptyClassECN && "ECN space exhausted");
 
+    // A tombstone's slots keep no ID: BranchECN stays -1, the zeroed
+    // entry the retire transaction left — NOT EmptyClassECN, which is a
+    // valid encoded ID for live-but-targetless sites.
     Policy.BranchECN.assign(Sites.size(), -1);
     Policy.BranchClassSize.assign(Sites.size(), 0);
-    for (size_t B = 0; B != Sites.size(); ++B) {
-      const SiteEntry &S = Sites[B];
-      uint32_t Node = None;
-      switch (S.Kind) {
-      case SiteKind::Tombstone:
-        // No ID: BranchECN stays -1, the zeroed entry the retire
-        // transaction left — NOT EmptyClassECN, which is a valid
-        // encoded ID for live-but-targetless sites.
-        continue;
-      case SiteKind::Empty:
-        break;
-      case SiteKind::Key:
-        if (!Keys[S.Index].Targets.empty())
-          Node = Funcs[Keys[S.Index].Targets.front()].AddrNode;
-        break;
-      case SiteKind::Return:
-        Node = Funcs[S.Index].Node;
-        break;
-      case SiteKind::Plt:
-        Node = Funcs[S.Index].AddrNode;
-        break;
+    for (uint32_t Mi : LiveViews) {
+      for (uint32_t B = SiteIndexBase[Mi], End = siteEnd(Mi); B != End; ++B) {
+        const SiteEntry &S = Sites[B];
+        uint32_t Node = None;
+        switch (S.Kind) {
+        case SiteKind::Tombstone:
+          assert(false && "a live view holds a tombstone slot");
+          continue;
+        case SiteKind::Empty:
+          break;
+        case SiteKind::Key:
+          if (!Keys[S.Index].Targets.empty())
+            Node = Funcs[Keys[S.Index].Targets.front()].AddrNode;
+          break;
+        case SiteKind::Return:
+          Node = Funcs[S.Index].Node;
+          break;
+        case SiteKind::Plt:
+          Node = Funcs[S.Index].AddrNode;
+          break;
+        }
+        uint32_t Root = Node == None ? None : UF.find(Node);
+        if (Root == None || RootECN[Root] == None) {
+          // Empty target set: the shared reserved ECN no address carries,
+          // so the check always fails closed. One fixed number (rather
+          // than a fresh ECN per site) keeps ECN assignment stable when
+          // the CFG is regenerated with more modules.
+          Policy.BranchECN[B] = EmptyClassECN;
+          continue;
+        }
+        Policy.BranchECN[B] = RootECN[Root];
+        Policy.BranchClassSize[B] = RootSize[Root];
       }
-      uint32_t Root = Node == None ? None : UF.find(Node);
-      if (Root == None || RootECN[Root] == None) {
-        // Empty target set: the shared reserved ECN no address carries,
-        // so the check always fails closed. One fixed number (rather
-        // than a fresh ECN per site) keeps ECN assignment stable when
-        // the CFG is regenerated with more modules.
-        Policy.BranchECN[B] = EmptyClassECN;
-        continue;
-      }
-      Policy.BranchECN[B] = RootECN[Root];
-      Policy.BranchClassSize[B] = RootSize[Root];
     }
 
     Policy.NumIBTs = IBTs.size();
     Policy.NumEQCs = NextECN;
     return Policy;
+  }
+
+  /// One past view \p Mi's last global branch site.
+  uint32_t siteEnd(uint32_t Mi) const {
+    return Mi + 1 == Views.size() ? static_cast<uint32_t>(Sites.size())
+                                  : SiteIndexBase[Mi + 1];
   }
 
   const CFGRefinement *Refine;
@@ -1032,6 +1049,9 @@ struct CFGMerge::State {
   std::vector<LoadedModuleView> Views;
   std::vector<uint32_t> FuncBegin, CallBegin, SiteIndexBase;
   std::vector<ViewMark> Marks;
+  /// The indexes of the live (non-tombstone) views, ascending: emit()
+  /// walks only these, so a tombstone costs it nothing.
+  std::vector<uint32_t> LiveViews;
   std::vector<uint64_t> SetjmpRetSites;
   uint64_t NumIBs = 0;
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <unordered_set>
 
 using namespace mcfi;
@@ -135,6 +136,17 @@ bool Linker::resolveModule(int Index, std::string &Error) {
     return It == Obj.DataSymbols.end() ? 0 : Mod.DataBase + It->second;
   };
 
+  // An in-memory object never went through readObject: refuse, before
+  // anything is patched, a relocation that would write past the module
+  // (onto a neighbour a free-list hole may have placed right after it).
+  for (const RelocEntry &R : Obj.Relocs) {
+    if (!relocationFits(R, Obj)) {
+      Error = formatString("relocation at offset %llu outside the module",
+                           static_cast<unsigned long long>(R.Offset));
+      return false;
+    }
+  }
+
   for (const RelocEntry &R : Obj.Relocs) {
     switch (R.Kind) {
     case RelocKind::None:
@@ -145,7 +157,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
         Error = "unresolved function address: " + R.Symbol;
         return false;
       }
-      M.patchCode64(Mod.CodeBase + R.Offset, Addr);
+      M.patchCode64(Index, Mod.CodeBase + R.Offset, Addr);
       break;
     }
     case RelocKind::GlobalAddr64:
@@ -155,7 +167,7 @@ bool Linker::resolveModule(int Index, std::string &Error) {
         Error = "unresolved data symbol: " + R.Symbol;
         return false;
       }
-      M.patchCode64(Mod.CodeBase + R.Offset, Addr);
+      M.patchCode64(Index, Mod.CodeBase + R.Offset, Addr);
       break;
     }
     case RelocKind::CallSym: {
@@ -178,14 +190,14 @@ bool Linker::resolveModule(int Index, std::string &Error) {
       uint64_t InstrStart = Mod.CodeBase + R.Offset - 1;
       int64_t Rel = static_cast<int64_t>(Target) -
                     static_cast<int64_t>(InstrStart + 5);
-      M.patchCode32(Mod.CodeBase + R.Offset,
+      M.patchCode32(Index, Mod.CodeBase + R.Offset,
                     static_cast<uint32_t>(static_cast<int32_t>(Rel)));
       break;
     }
     case RelocKind::JumpTable64:
     case RelocKind::CodeAddr64:
       // Module-relative code offset -> absolute address.
-      M.patchCode64(Mod.CodeBase + R.Offset, Mod.CodeBase + R.Addend);
+      M.patchCode64(Index, Mod.CodeBase + R.Offset, Mod.CodeBase + R.Addend);
       break;
     case RelocKind::BaryIndex32:
       // Patched at CFG-install time (patchBaryIndexes).
@@ -226,16 +238,19 @@ void Linker::patchBaryIndexes(const CFGPolicy &NewPolicy,
     uint32_t Base = NewPolicy.SiteIndexBase[static_cast<size_t>(Idx)];
     for (const RelocEntry &R : Mod.Obj->Relocs)
       if (R.Kind == RelocKind::BaryIndex32)
-        M.patchCode32(Mod.CodeBase + R.Offset, Base + R.SiteId);
+        M.patchCode32(Idx, Mod.CodeBase + R.Offset, Base + R.SiteId);
   }
 }
 
-void Linker::updateGotEntries() {
-  // Fill every module's GOT slots with the current definitions. Runs
-  // between the phases of installing AND retiring transactions.
-  for (const MappedModule &Mod : M.modules()) {
-    if (Mod.Retired)
-      continue; // a dead module's GOT is unreachable, leave it
+void Linker::updateGotEntries(TxUpdateStats &Counts) {
+  // Fill every live module's GOT slots with the current definitions.
+  // Runs between the phases of installing AND retiring transactions. A
+  // dead module's GOT is unreachable, so only the live list is walked.
+  Counts.GotModules = static_cast<uint16_t>(
+      std::min<size_t>(Live.size(), std::numeric_limits<uint16_t>::max()));
+  Counts.GotSlots = 0;
+  for (int Idx : Live) {
+    const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
     for (const std::string &Imp : Mod.Obj->Imports) {
       auto It = Mod.Obj->DataSymbols.find("got$" + Imp);
       if (It == Mod.Obj->DataSymbols.end())
@@ -250,33 +265,26 @@ void Linker::updateGotEntries() {
       for (unsigned B = 0; B != 8; ++B)
         Bytes[B] = static_cast<uint8_t>(Addr >> (8 * B));
       M.writeDataBytes(Mod.DataBase + It->second, Bytes, 8);
+      ++Counts.GotSlots;
     }
   }
 }
 
-std::vector<LoadedModuleView> Linker::moduleViews() const {
-  std::vector<LoadedModuleView> Views;
-  Views.reserve(M.modules().size());
-  for (const MappedModule &Mod : M.modules()) {
+uint32_t Linker::syncMerge(size_t From) {
+  // Views below From are the ones Merge folded, unless a failed batch
+  // forgot its members' folds (Merge is then shorter) or a tail-trim
+  // popped trailing tombstones (the machine is then shorter).
+  const std::vector<MappedModule> &Mods = M.modules();
+  From = std::min({From, Merge.views().size(), Mods.size()});
+  Merge.truncate(From);
+  for (size_t I = From; I != Mods.size(); ++I) {
+    const MappedModule &Mod = Mods[I];
     if (Mod.Retired)
-      Views.push_back({nullptr, Mod.CodeBase, Mod.TombstoneSites});
+      Merge.append({nullptr, Mod.CodeBase, Mod.TombstoneSites});
     else
-      Views.push_back({Mod.Obj.get(), Mod.CodeBase, 0});
+      Merge.append({Mod.Obj.get(), Mod.CodeBase, 0});
   }
-  return Views;
-}
-
-uint32_t Linker::syncMerge() {
-  std::vector<LoadedModuleView> Views = moduleViews();
-  const std::vector<LoadedModuleView> &Folded = Merge.views();
-  size_t Same = static_cast<size_t>(
-      std::mismatch(Folded.begin(), Folded.end(), Views.begin(), Views.end())
-          .first -
-      Folded.begin());
-  Merge.truncate(Same);
-  for (size_t I = Same; I != Views.size(); ++I)
-    Merge.append(Views[I]);
-  return static_cast<uint32_t>(Views.size() - Same);
+  return static_cast<uint32_t>(Mods.size() - From);
 }
 
 namespace {
@@ -413,10 +421,11 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
       // Owning module = the live module containing the address (retired
       // tombstones can share a CodeBase with a hole's new occupant).
       const MappedModule *Owner = nullptr;
-      for (const MappedModule &Mod : M.modules())
-        if (!Mod.Retired && Mod.CodeBase <= Addr &&
-            Addr < Mod.CodeBase + Mod.CodeSize)
+      for (int Idx : Live) {
+        const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
+        if (Mod.CodeBase <= Addr && Addr < Mod.CodeBase + Mod.CodeSize)
           Owner = &Mod;
+      }
       assert(Owner && "delta Tary offset outside every module");
       // Hand-assembled objects (some tests) skip finalizeObject and
       // carry no declared offsets; only finalized modules are checked.
@@ -452,7 +461,8 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
     return Cursor->second;
   };
   auto BaryECN = [&NewPolicy](uint32_t I) { return NewPolicy.getBaryECN(I); };
-  auto Hook = [this]() { updateGotEntries(); };
+  TxUpdateStats Got;
+  auto Hook = [this, &Got]() { updateGotEntries(Got); };
   TxUpdateStats Stats;
   Stats.BatchModules = BatchModules;
   auto Start = std::chrono::steady_clock::now();
@@ -472,6 +482,8 @@ bool Linker::installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - Start)
           .count();
+  Stats.GotModules = Got.GotModules;
+  Stats.GotSlots = Got.GotSlots;
   appendHistory(UpdateHistory, Stats);
 
   Policy = std::move(NewPolicy);
@@ -509,9 +521,10 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
   for (int Idx : Indexes)
     if (!resolveModule(Idx, Error))
       return false;
+  Live = Indexes;
 
   if (Opts.InstallPolicy) {
-    syncMerge();
+    syncMerge(0);
     CFGPolicy NewPolicy = Merge.emit();
     patchBaryIndexes(NewPolicy, Indexes);
 
@@ -693,7 +706,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   // are still writable, verify, seal RX. Retired modules appear as
   // tombstones: positionally present, semantically absent.
   auto MergeStart = std::chrono::steady_clock::now();
-  BS.MergeViewsAppended = syncMerge();
+  BS.MergeViewsAppended = syncMerge(FirstNew);
   CFGPolicy NewPolicy = Merge.emit();
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)
@@ -730,13 +743,17 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
 
   // Step 3, once for the whole batch: ONE update transaction — one
   // version bump, one Tary→GOT→Bary pass — installs every new module's
-  // IDs (GOT updates run inside the transaction, between the phases).
+  // IDs (GOT updates run inside the transaction, between the phases, so
+  // the members join the live list first).
+  for (const auto &Member : Loaded)
+    Live.push_back(Member.second);
   if (!installPolicy(std::move(NewPolicy), BS.Loaded)) {
     // A refused install (version space exhausted) fails the batch like a
     // failed verify: a sealed but never-installed member left live would
     // shadow a later load of the same library in symbol lookups, and no
     // handle was returned that could ever close it.
     LastError = "dlopen: " + LastError;
+    Live.resize(Live.size() - Loaded.size());
     DiscardBatch();
     return;
   }
@@ -807,8 +824,8 @@ std::vector<bool> Linker::dlcloseBatch(const std::vector<int64_t> &Handles) {
 }
 
 void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
-  // Same serialization as processBatch: moduleViews and the validation
-  // walk must see a stable Mapped while a concurrent drain applies.
+  // Same serialization as processBatch: the validation and the merge's
+  // views must see a stable Mapped while a concurrent drain applies.
   auto ReclaimGuard = M.lockReclaimApply();
   DlcloseBatchStats BS;
   BS.Requested = static_cast<uint32_t>(Batch.size());
@@ -911,10 +928,18 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   }
 
   // Step 1 of the retire protocol: make the dying modules invisible to
-  // symbol lookups BEFORE the table transaction, so the GOT-zeroing hook
-  // running between its phases re-resolves imports without them.
-  for (const DyingModule &D : Dying)
+  // symbol lookups and drop them from the live list BEFORE the table
+  // transaction, so the GOT-zeroing hook running between its phases
+  // re-resolves the survivors' imports without them.
+  int FirstDying = Dying.front().Idx;
+  for (const DyingModule &D : Dying) {
     M.markModuleRetired(D.Idx, D.SiteCount);
+    FirstDying = std::min(FirstDying, D.Idx);
+  }
+  std::erase_if(Live, [&](int Idx) {
+    return std::any_of(Dying.begin(), Dying.end(),
+                       [Idx](const DyingModule &D) { return D.Idx == Idx; });
+  });
 
   // Close the longjmp window before the tables forget the module: a
   // jmp_buf pointing into a dying range must stop validating now, not
@@ -947,17 +972,19 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     for (uint32_t S = 0; S != D.SiteCount; ++S)
       Sites.push_back(D.SiteBase + S);
   }
-  TxUpdateStats Stats;
+  TxUpdateStats Stats, Got;
   Stats.BatchModules = BS.Closed;
   auto Start = std::chrono::steady_clock::now();
   TxUpdateStatus Status = M.tables().txUpdateRetire(
-      Ranges, Sites, [this]() { updateGotEntries(); }, &Stats);
+      Ranges, Sites, [this, &Got]() { updateGotEntries(Got); }, &Stats);
   assert(Status == TxUpdateStatus::Ok &&
          "retire transactions never exhaust version space");
   (void)Status;
   Stats.Micros = std::chrono::duration<double, std::micro>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
+  Stats.GotModules = Got.GotModules;
+  Stats.GotSlots = Got.GotSlots;
   appendHistory(UpdateHistory, Stats);
   BS.RetireMicros = Stats.Micros;
 
@@ -986,7 +1013,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // retire-only fast path. Otherwise (class splits, renumbering) the full
   // install's version bump makes every stale pre-unload ID snapshot fail.
   auto MergeStart = std::chrono::steady_clock::now();
-  BS.MergeViewsAppended = syncMerge();
+  BS.MergeViewsAppended = syncMerge(static_cast<size_t>(FirstDying));
   CFGPolicy NewPolicy = Merge.emit();
   BS.MergeMicros = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - MergeStart)

@@ -79,8 +79,7 @@ struct DlopenBatchStats {
   bool Installed = false;   ///< the single policy install succeeded
   bool Incremental = false; ///< that install took the delta path
   /// Module views folded into the persistent merge state: the batch's
-  /// new modules, plus, after a reclaimer tail-trim, the views from the
-  /// first trimmed one on.
+  /// new modules, plus any a failed earlier batch left unfolded.
   uint32_t MergeViewsAppended = 0;
   double MergeMicros = 0;   ///< truncate and append, plus emit
   double InstallMicros = 0; ///< the single TxUpdate transaction
@@ -234,29 +233,41 @@ private:
   /// just mapped and still writable, with their sites' global indexes.
   void patchBaryIndexes(const CFGPolicy &Policy,
                         const std::vector<int> &Indexes);
-  void updateGotEntries();
+  /// Fills the GOT slots of every module on the live list with the
+  /// current definitions (zero for an import nobody defines now) and
+  /// records the modules it walked and the slots it wrote in \p Counts'
+  /// GotModules and GotSlots.
+  void updateGotEntries(TxUpdateStats &Counts);
   bool installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules = 1);
   void processBatch(std::vector<PendingDlopen *> &Batch);
   void processUnloadBatch(std::vector<PendingDlclose *> &Batch);
-  /// Views of every mapped module, index-parallel to M.modules();
-  /// retired modules appear as positionally-stable tombstones.
-  std::vector<LoadedModuleView> moduleViews() const;
-  /// Brings Merge to the fold of moduleViews() and returns the number
-  /// of views appended: Merge is truncated to the first view that
-  /// differs from moduleViews() (an unload turned it into a tombstone,
-  /// or a reclaimer tail-trim popped it), and every view from there on
-  /// is folded in. A dlopen appends only its new modules.
-  uint32_t syncMerge();
+  /// Brings Merge to the fold of the machine's module list — one view
+  /// per entry of M.modules(), a retired module as its positionally
+  /// stable tombstone — and returns the number of views appended.
+  ///
+  /// \p From is the first view the calling operation can have changed:
+  /// 0 for linkProgram; the first new index for a dlopen batch, which
+  /// only appends modules (a member failing before the merge is already
+  /// a tombstone at its own index); the lowest dying index for a dlclose
+  /// batch, which turns those modules into tombstones. Nothing else
+  /// changes a view: a reclaim keeps the tombstone, and a tail-trim only
+  /// pops trailing tombstones. So every view below From is one Merge
+  /// already folded, unless Merge or the module list is shorter: a
+  /// failed batch forgot its members' folds, or a trim popped folded
+  /// views. From is clamped to both sizes, Merge is truncated to it, and
+  /// modules()[From..) are appended, without comparing the prefix.
+  uint32_t syncMerge(size_t From);
   MCFIObject makeBootstrap();
 
   Machine &M;
   LinkOptions Opts;
-  /// The persistent class-level merge: the fold of moduleViews() as of
+  /// The persistent class-level merge: the fold of the module list as of
   /// the last link operation (a reclaimer tail-trim may pop trailing
-  /// tombstones since; syncMerge notices). It never folds a module that
-  /// failed to load past the operation that mapped it. Tests and the
-  /// traced benchmark audit check it against a from-scratch merge —
-  /// never an assert, which would cost a full merge per operation.
+  /// tombstones since; syncMerge's clamp notices). It never folds a
+  /// module that failed to load past the operation that mapped it. Tests
+  /// and the traced benchmark audit check it against a from-scratch
+  /// merge — never an assert, which would cost a full merge per
+  /// operation.
   CFGMerge Merge;
   CFGPolicy Policy;
   std::vector<TxUpdateStats> UpdateHistory;
@@ -267,6 +278,15 @@ private:
   /// be dlclosed: the running program's own code and the policy's stable
   /// prefix live there.
   size_t StaticModules = 0;
+  /// The live modules, as ascending (load-order) indexes into
+  /// M.modules(): the static ones, then every installed dlopen member
+  /// (a batch's members join just before its install transaction, so
+  /// its GOT pass fills theirs) minus the dlclosed ones (they leave
+  /// before the retire transaction). The GOT pass and the install's
+  /// debug IBT cross-check walk this list, so tombstones cost them
+  /// nothing. Touched only by link operations: linkProgram, then the
+  /// batches serialized by DlopenLock.
+  std::vector<int> Live;
   std::string LastError;
   std::mutex DlopenLock; ///< serializes dynamic link operations
 

@@ -161,6 +161,14 @@ struct MCFIObject {
 visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
                                     const MCFIObject &Obj);
 
+/// True when relocation \p R patches only bytes of its own module: every
+/// byte it writes (8 for the 64-bit kinds, 4 for CallSym and BaryIndex32)
+/// lies inside \p Obj's code, or, for the data kinds, inside its
+/// DataSize bytes of globals. A None relocation must still point into
+/// the code. Wrap-free for any offset. readObject refuses an object with
+/// a relocation that does not fit, and the linker refuses to patch one.
+bool relocationFits(const visa::RelocEntry &R, const MCFIObject &Obj);
+
 /// Serializes \p Obj into the .mcfo binary format.
 std::vector<uint8_t> writeObject(const MCFIObject &Obj);
 

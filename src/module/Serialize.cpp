@@ -99,6 +99,32 @@ private:
 
 } // namespace
 
+bool mcfi::relocationFits(const visa::RelocEntry &R, const MCFIObject &Obj) {
+  using visa::RelocKind;
+  uint64_t Width = 8;
+  uint64_t Limit = Obj.Code.size();
+  switch (R.Kind) {
+  case RelocKind::None:
+    Width = 1; // patches nothing, but names a code byte
+    break;
+  case RelocKind::CallSym:
+  case RelocKind::BaryIndex32:
+    Width = 4;
+    break;
+  case RelocKind::DataFuncAddr64:
+  case RelocKind::DataGlobalAddr64:
+    Limit = Obj.DataSize;
+    break;
+  case RelocKind::FuncAddr64:
+  case RelocKind::GlobalAddr64:
+  case RelocKind::JumpTable64:
+  case RelocKind::GotSlot64:
+  case RelocKind::CodeAddr64:
+    break;
+  }
+  return Width <= Limit && R.Offset <= Limit - Width;
+}
+
 std::vector<uint8_t> mcfi::writeObject(const MCFIObject &Obj) {
   Writer W;
   W.u32(Magic);
@@ -206,7 +232,8 @@ bool mcfi::readObject(const std::vector<uint8_t> &Blob, MCFIObject &Out) {
   for (uint32_t I = 0; I != N; ++I) {
     uint64_t Off;
     std::vector<uint8_t> Bytes;
-    if (!R.u64(Off) || !R.bytes(Bytes) || Off + Bytes.size() > Out.DataSize)
+    if (!R.u64(Off) || !R.bytes(Bytes) || Bytes.size() > Out.DataSize ||
+        Off > Out.DataSize - Bytes.size()) // wrap-free Off + size > DataSize
       return false;
     Out.DataInit.emplace_back(Off, std::move(Bytes));
   }
@@ -232,9 +259,7 @@ bool mcfi::readObject(const std::vector<uint8_t> &Blob, MCFIObject &Out) {
         !R.u32(E.SiteId))
       return false;
     E.Kind = static_cast<visa::RelocKind>(K);
-    bool InData = E.Kind == visa::RelocKind::DataFuncAddr64 ||
-                  E.Kind == visa::RelocKind::DataGlobalAddr64;
-    if (InData ? E.Offset + 8 > Out.DataSize : E.Offset >= Out.Code.size())
+    if (!relocationFits(E, Out))
       return false;
     Out.Relocs.push_back(std::move(E));
   }

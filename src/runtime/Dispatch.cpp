@@ -143,10 +143,12 @@ std::shared_ptr<const DecodedSegment> Machine::segment() {
   Fresh->Epoch = codeEpoch();
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
-    Fresh->Modules.reserve(Mapped.size());
-    for (const MappedModule &MM : Mapped)
-      if (MM.Decode && MM.Decode->Size) // an empty module covers no PC
-        Fresh->Modules.push_back(MM.Decode);
+    Fresh->Modules.reserve(Present.size());
+    for (int Index : Present) {
+      const std::shared_ptr<const DecodedModule> &D = Mapped[Index].Decode;
+      if (D && D->Size) // an empty module covers no PC
+        Fresh->Modules.push_back(D);
+    }
   }
   std::sort(Fresh->Modules.begin(), Fresh->Modules.end(),
             [](const std::shared_ptr<const DecodedModule> &A,

@@ -91,6 +91,7 @@ int Machine::mapModule(MCFIObject Obj) {
       if (!findSymbolLocked(F.Name, Index))
         Symbols.emplace(F.Name, SymbolDef{Index, M.CodeBase + F.CodeOffset});
     Mapped.push_back(std::move(M));
+    Present.push_back(Index);
   }
   noteCodeChanged();
   return Index;
@@ -146,11 +147,11 @@ void Machine::recomputeSealedPrefixLocked() {
   // not yet reclaimed) modules still count — their code stays mapped and
   // executable until the grace period elapses.
   std::vector<std::pair<uint64_t, uint64_t>> Spans; // {Base, End}, sealed
-  Spans.reserve(Mapped.size());
-  for (const MappedModule &M : Mapped) {
-    if (M.Reclaimed || !M.Sealed)
-      continue;
-    Spans.emplace_back(M.CodeBase, M.CodeBase + M.CodeSize);
+  Spans.reserve(Present.size());
+  for (int Index : Present) {
+    const MappedModule &M = Mapped[Index];
+    if (M.Sealed)
+      Spans.emplace_back(M.CodeBase, M.CodeBase + M.CodeSize);
   }
   std::sort(Spans.begin(), Spans.end());
   uint64_t End = CodeBase;
@@ -162,40 +163,32 @@ void Machine::recomputeSealedPrefixLocked() {
   SealedPrefix.store(End - CodeBase, std::memory_order_release);
 }
 
-void Machine::auditPatchTarget(uint64_t Addr) {
-  // ModuleLock: a concurrent drainReclaim mutates Mapped (Reclaimed
-  // flags, Obj teardown, tail-trim pop_back) and a concurrent dlopen
-  // grows it. The patched module itself is mid-install — unsealed,
-  // unretired — so its bytes can't be concurrently reclaimed, but this
-  // W^X audit walk must not race the bookkeeping. Retired modules are
-  // skipped along with reclaimed ones: their entry may still claim a
-  // range whose grace period matured onto the free list an instant ago
-  // (collect publishes the range before applyReclaim flips Reclaimed),
-  // and a new module legitimately patching that reused range must not
-  // trip the old tombstone's Sealed flag.
+void Machine::auditPatchTarget([[maybe_unused]] int Module,
+                               [[maybe_unused]] uint64_t Addr,
+                               [[maybe_unused]] uint64_t Width) const {
+#ifndef NDEBUG
+  // ModuleLock: a concurrent dlopen may grow Mapped. The patched module
+  // is mid-install, so nothing else writes its entry; the audit is O(1).
   std::lock_guard<std::mutex> Guard(ModuleLock);
-  for (const MappedModule &M : Mapped) {
-    if (M.Reclaimed || M.Retired)
-      continue;
-    if (Addr >= M.CodeBase && Addr < M.CodeBase + M.Obj->Code.size()) {
-      assert(!M.Sealed && "patching a sealed module violates W^X");
-      break;
-    }
-  }
-  (void)Addr;
+  assert(Module >= 0 && static_cast<size_t>(Module) < Mapped.size() &&
+         "patching an unmapped module");
+  const MappedModule &M = Mapped[Module];
+  assert(!M.Sealed && !M.Retired &&
+         "patching a sealed or retired module violates W^X");
+  uint64_t Off = Addr - M.CodeBase, Size = M.Obj->Code.size();
+  assert(Off <= Size && Width <= Size - Off && "patch outside its module");
+#endif
 }
 
-void Machine::patchCode64(uint64_t Addr, uint64_t Value) {
-  assert(isCodeAddr(Addr, 8) && "patch outside code region");
-  auditPatchTarget(Addr);
+void Machine::patchCode64(int Module, uint64_t Addr, uint64_t Value) {
+  auditPatchTarget(Module, Addr, 8);
   uint64_t Off = Addr - CodeBase;
   for (unsigned I = 0; I != 8; ++I)
     CodeBytes[Off + I] = static_cast<uint8_t>(Value >> (8 * I));
 }
 
-void Machine::patchCode32(uint64_t Addr, uint32_t Value) {
-  assert(isCodeAddr(Addr, 4) && "patch outside code region");
-  auditPatchTarget(Addr);
+void Machine::patchCode32(int Module, uint64_t Addr, uint32_t Value) {
+  auditPatchTarget(Module, Addr, 4);
   uint64_t Off = Addr - CodeBase;
   for (unsigned I = 0; I != 4; ++I)
     CodeBytes[Off + I] = static_cast<uint8_t>(Value >> (8 * I));
@@ -308,8 +301,8 @@ void Machine::drainReclaim() {
 void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
   if (Matured.empty())
     return;
-  // Serialize against the linker's batch leaders: their module walks
-  // (moduleViews, GOT updates, Bary-index patching) span many
+  // Serialize against the linker's batch leaders: their module reads
+  // (GOT updates, Bary-index patching, the merge's views) span many
   // ModuleLock-sized critical sections and would otherwise observe the
   // tail-trim's pop_back mid-walk. Lock order: ReclaimApplyLock before
   // ModuleLock (the guest quiescence path adds QuiesceLock in front).
@@ -317,29 +310,35 @@ void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
     for (const RetiredRegion &R : Matured) {
-      for (MappedModule &M : Mapped) {
-        if (M.Serial != R.Serial)
-          continue;
-        assert(M.Retired && "reclaiming a live module");
-        M.Reclaimed = true;
-        M.Obj.reset(); // drop symbols/metadata; the tombstone stays
-        // A segment still holding the decode keeps it alive until the
-        // next segment() replaces that segment.
-        M.Decode.reset();
-        // The W^X "unmap": the range is no longer executable content.
-        // A stray fetch into the hole reads zeroes and traps on decode —
-        // it can never execute stale module bytes.
-        std::memset(CodeBytes.data() + (R.CodeBase - CodeBase), 0,
-                    R.SizeBytes);
-        // The globals go back as BSS for the next module. Word stores, as
-        // Machine::store makes them: a guest thread holding a dangling
-        // pointer into them may still race this.
-        uint64_t *Words = DataWords.data() + (R.DataBase - DataBase) / 8;
-        for (uint64_t I = 0; I != R.DataSize / 8; ++I)
-          std::atomic_ref<uint64_t>(Words[I]).store(0,
-                                                    std::memory_order_relaxed);
-        break;
-      }
+      // Mapped ascends by Serial (see MappedModule::Serial).
+      auto It = std::lower_bound(
+          Mapped.begin(), Mapped.end(), R.Serial,
+          [](const MappedModule &M, uint64_t S) { return M.Serial < S; });
+      if (It == Mapped.end() || It->Serial != R.Serial)
+        continue;
+      MappedModule &M = *It;
+      assert(M.Retired && "reclaiming a live module");
+      M.Reclaimed = true;
+      M.Obj.reset(); // drop symbols/metadata; the tombstone stays
+      // A segment still holding the decode keeps it alive until the next
+      // segment() replaces that segment.
+      M.Decode.reset();
+      int Index = static_cast<int>(It - Mapped.begin());
+      auto P = std::lower_bound(Present.begin(), Present.end(), Index);
+      assert(P != Present.end() && *P == Index && "reclaimed twice");
+      Present.erase(P);
+      // The W^X "unmap": the range is no longer executable content. A
+      // stray fetch into the hole reads zeroes and traps on decode — it
+      // can never execute stale module bytes.
+      std::memset(CodeBytes.data() + (R.CodeBase - CodeBase), 0,
+                  R.SizeBytes);
+      // The globals go back as BSS for the next module. Word stores, as
+      // Machine::store makes them: a guest thread holding a dangling
+      // pointer into them may still race this.
+      uint64_t *Words = DataWords.data() + (R.DataBase - DataBase) / 8;
+      for (uint64_t I = 0; I != R.DataSize / 8; ++I)
+        std::atomic_ref<uint64_t>(Words[I]).store(0,
+                                                  std::memory_order_relaxed);
     }
     recomputeSealedPrefixLocked();
     // Publish the ranges for reuse only now that the bytes are zeroed:

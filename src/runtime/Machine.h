@@ -136,7 +136,9 @@ struct Thread {
 /// dropped, code bytes zeroed, range on the reclaimer's free list).
 /// Reclaimed entries stay in Mapped as tombstones so surviving module
 /// indices — and the linker's positional site bookkeeping — never shift;
-/// only trailing tombstones are popped by the tail-trim cascade.
+/// only trailing tombstones are popped by the tail-trim cascade. The
+/// walks a load, unload, reclaim or segment build makes skip them: they
+/// go over the machine's present list (see Machine::Present), not Mapped.
 struct MappedModule {
   std::unique_ptr<MCFIObject> Obj;
   uint64_t CodeBase = 0; ///< absolute
@@ -145,7 +147,9 @@ struct MappedModule {
   uint64_t DataSize = 0; ///< 8-aligned globals size (outlives Obj)
   /// Monotonic, never-reused identity. Module *indices* are reused once
   /// trailing tombstones are popped; anything keyed across an unload
-  /// (e.g. the linker's patched-GOT set) must key on Serial instead.
+  /// must key on Serial instead. Mapped ascends by Serial: mapModule
+  /// appends with the next Serial and only the tail-trim removes, from
+  /// the back, so an index is reused only after every later one is gone.
   uint64_t Serial = 0;
   bool Sealed = false;   ///< code is RX (executable, not writable)
   bool Retired = false;  ///< dlclosed; out of the symbol index
@@ -205,10 +209,13 @@ public:
     return CodeBase + CodeUsed.load(std::memory_order_acquire);
   }
 
-  /// Host access to module bytes for relocation patching; only legal
-  /// while the owning module is unsealed (asserts otherwise).
-  void patchCode64(uint64_t Addr, uint64_t Value);
-  void patchCode32(uint64_t Addr, uint32_t Value);
+  /// Host access to module bytes for relocation patching: writes the 8
+  /// or 4 bytes at \p Addr, which must lie inside the code of module
+  /// \p Module while it is unsealed and unretired. The W^X audit checks
+  /// exactly that entry (asserts otherwise); the linker refuses a
+  /// relocation that would reach past its module before it patches.
+  void patchCode64(int Module, uint64_t Addr, uint64_t Value);
+  void patchCode32(int Module, uint64_t Addr, uint32_t Value);
 
   /// Reads code bytes (for the verifier and the interpreter).
   const uint8_t *codePtr(uint64_t Addr, uint64_t Size) const;
@@ -494,22 +501,23 @@ private:
     CodeEpoch.fetch_add(1, std::memory_order_release);
   }
 
-  /// Runtime half of reclamation for regions past grace: zero code bytes
-  /// (the W^X "unmap"), drop the module object and its decode, recompute
-  /// the hole-aware
-  /// sealed prefix, invalidate the predecoded segment, and run the
-  /// tail-trim cascade so a fully unloaded machine returns to its
-  /// initial code footprint.
+  /// Runtime half of reclamation for regions past grace: find each
+  /// region's module by binary search on Serial, zero its code bytes (the
+  /// W^X "unmap"), drop its object and decode and take it off the present
+  /// list; then recompute the hole-aware sealed prefix, invalidate the
+  /// predecoded segment, and run the tail-trim cascade so a fully
+  /// unloaded machine returns to its initial code footprint.
   void applyReclaim(const std::vector<RetiredRegion> &Matured);
 
   /// Recomputes SealedPrefix as the contiguous sealed span from CodeBase,
-  /// stopping at the first hole or unsealed/reclaimed module. Requires
-  /// ModuleLock.
+  /// stopping at the first hole or unsealed module; walks Present.
+  /// Requires ModuleLock.
   void recomputeSealedPrefixLocked();
 
-  /// Debug audit for patchCode32/64: asserts the patched address does not
-  /// fall inside a sealed, live module (W^X). Takes ModuleLock.
-  void auditPatchTarget(uint64_t Addr);
+  /// Debug audit for patchCode32/64: asserts that module \p Module is
+  /// unsealed and unretired (W^X) and that its code holds all \p Width
+  /// bytes at \p Addr. One entry, under ModuleLock.
+  void auditPatchTarget(int Module, uint64_t Addr, uint64_t Width) const;
 
   uint64_t CodeCapacity;
   uint64_t DataCapacity;
@@ -524,14 +532,20 @@ private:
   std::atomic<uint64_t> HeapNext{0}; ///< globals + heap bump pointer
   std::atomic<uint64_t> StackNext{0}; ///< allocated downward from the top
 
-  /// Guards Mapped against dlopen mutating it (push_back may relocate
-  /// the vector) while a guest thread walks it in the interpreter's
-  /// slow executable check.
+  /// Guards Mapped and Present against dlopen mutating them (push_back
+  /// may relocate a vector) while a guest thread reads them in the
+  /// interpreter's slow executable check.
   mutable std::mutex ModuleLock;
   /// See lockReclaimApply(); held by applyReclaim around its whole
   /// mutation and by the linker across batch processing.
   mutable std::mutex ReclaimApplyLock;
   std::vector<MappedModule> Mapped;
+  /// The present modules — mapped and not yet reclaimed — as ascending
+  /// indexes into Mapped: mapModule appends, applyReclaim erases. The
+  /// sealed prefix, the segment snapshot and the slow executable check
+  /// walk this list, so reclaimed tombstones cost them nothing. Guarded
+  /// by ModuleLock.
+  std::vector<int> Present;
   /// Bytes of contiguously sealed code: interpretStep's fast executable
   /// check (release/acquire like CodeUsed).
   std::atomic<uint64_t> SealedPrefix{0};

@@ -188,8 +188,8 @@ bool mcfi::vmstep::execSyscall(Machine &M, Thread &T, const Instr &I,
                     : static_cast<uint64_t>(-1);
     break;
   case SyscallNo::Dlsym:
-    // dlsymLookup walks Mapped under ModuleLock: dlopen appends to it
-    // concurrently (the push_back may relocate the vector).
+    // dlsymLookup reads the symbol index under ModuleLock: dlopen
+    // updates it concurrently.
     R[RegRet] = M.dlsymLookup(static_cast<int64_t>(R[RegArg0]),
                               M.readString(R[RegArg0 + 1]));
     break;
@@ -223,11 +223,11 @@ bool Machine::interpretStep(Thread &T, RunResult &Out) {
   uint64_t SpanEnd = CodeBase + Sealed;
   if (!Executable) {
     // Slow path: dlopen may seal modules out of prefix order. It also
-    // mutates Mapped, so walk it under the module lock.
+    // mutates Mapped, so walk it under the module lock. A reclaimed
+    // module is a hole (zeroed bytes, not executable) and is not present.
     std::lock_guard<std::mutex> Guard(ModuleLock);
-    for (const MappedModule &M : Mapped) {
-      if (M.Reclaimed) // a hole: zeroed bytes, not executable
-        continue;
+    for (int Index : Present) {
+      const MappedModule &M = Mapped[Index];
       if (PC >= M.CodeBase && PC < M.CodeBase + M.CodeSize) {
         Executable = M.Sealed;
         SpanEnd = M.CodeBase + M.CodeSize;

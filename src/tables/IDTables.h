@@ -73,12 +73,18 @@ struct TxUpdateStats {
   uint32_t TaryCleared = 0; ///< Tary entries zeroed (shrunk tail or retired)
   uint32_t BaryCleared = 0; ///< Bary entries zeroed (shrunk tail or retired)
   bool Incremental = false; ///< no version bump: delta install or retire
+  /// The GOT pass the linker runs between the phases, filled by the
+  /// caller: the modules it walked (the live ones, saturating at 2^16 -
+  /// 1) and the GOT slots it wrote. Both sit in what was padding, so a
+  /// history entry stays 40 bytes: the linker keeps one per transaction.
+  uint16_t GotModules = 0;
   uint32_t Version = 0;     ///< version the written IDs carry
   double Micros = 0;        ///< wall-clock latency, filled by the caller
   /// Modules whose load this transaction installed. 1 for an ordinary
   /// dlopen or static link; >1 when the linker coalesced concurrent
   /// dlopen requests into one batched delta installation.
   uint32_t BatchModules = 1;
+  uint32_t GotSlots = 0; ///< see GotModules
 
   uint64_t entriesTouched() const {
     return uint64_t{TaryWritten} + BaryWritten + TaryCleared + BaryCleared;

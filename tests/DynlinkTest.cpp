@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <map>
 #include <random>
 #include <set>
@@ -535,6 +536,141 @@ TEST(Dynlink, FailedBatchMembersAreRetiredAndReclaimed) {
   D.M->drainReclaim();
   for (size_t I = First; I != First + 3; ++I)
     EXPECT_TRUE(D.M->modules()[I].Reclaimed) << "member " << I;
+}
+
+TEST(Dynlink, RelocationPastItsModuleIsRefused) {
+  // A relocation patches 8 bytes (4 for CallSym and BaryIndex32). One
+  // that starts inside the module but ends past it, or whose data offset
+  // wraps, must be refused by readObject and by dlopen: patched anyway,
+  // its tail would land on whatever follows the module, which after a
+  // free-list reuse can be a sealed, verified neighbour.
+  DynProgram D = buildDynamic(HostSource, PluginSource);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  CompileOptions CO;
+  CO.ModuleName = "crafted";
+  CompileResult CR = compileModule(PluginSource, CO);
+  ASSERT_TRUE(CR.Ok);
+  const MCFIObject &Good = CR.Obj;
+  ASSERT_GE(Good.DataSize, 8u);
+  MCFIObject RoundTrip;
+  ASSERT_TRUE(readObject(writeObject(Good), RoundTrip));
+
+  const uint64_t Code = Good.Code.size();
+  struct Crafted {
+    visa::RelocKind Kind;
+    uint64_t Offset;
+  };
+  const Crafted Cases[] = {
+      {visa::RelocKind::CodeAddr64, Code - 1},
+      {visa::RelocKind::JumpTable64, Code - 4},
+      {visa::RelocKind::FuncAddr64, Code - 7},
+      {visa::RelocKind::CallSym, Code - 3},
+      {visa::RelocKind::BaryIndex32, Code - 1},
+      {visa::RelocKind::DataFuncAddr64, Good.DataSize - 4},
+      {visa::RelocKind::DataGlobalAddr64, ~0ull - 3}, // wraps past 2^64
+  };
+  for (const Crafted &C : Cases) {
+    std::string What = "kind " + std::to_string(static_cast<int>(C.Kind)) +
+                       " at " + std::to_string(C.Offset);
+    MCFIObject Bad = Good;
+    visa::RelocEntry R;
+    R.Kind = C.Kind;
+    R.Offset = C.Offset;
+    R.Symbol = "plugin_fn";
+    Bad.Relocs.push_back(R);
+    MCFIObject Read;
+    EXPECT_FALSE(readObject(writeObject(Bad), Read)) << What;
+    int64_t Id = D.L->registerLibrary(std::move(Bad));
+    EXPECT_LT(D.L->dlopen(Id), 0) << What;
+    EXPECT_NE(D.L->lastError().find("outside the module"), std::string::npos)
+        << What << ": " << D.L->lastError();
+  }
+
+  // The host survives: the real plugin loads, its policy is installed,
+  // and main runs through it.
+  ASSERT_GE(D.L->dlopen(0), 0) << D.L->lastError();
+  expectPolicyMatchesTables(D);
+  Thread T;
+  ASSERT_TRUE(D.M->makeThread("_start", T));
+  RunResult RR = D.M->run(T, 1u << 22);
+  EXPECT_EQ(RR.Reason, StopReason::Exited) << RR.Message;
+}
+
+/// The GOT slots of every live module of \p M: its imports that have one.
+uint32_t liveGotSlots(const Machine &M) {
+  uint32_t Slots = 0;
+  for (const MappedModule &Mod : M.modules())
+    if (!Mod.Retired)
+      for (const std::string &Imp : Mod.Obj->Imports)
+        Slots += Mod.Obj->DataSymbols.count("got$" + Imp) != 0;
+  return Slots;
+}
+
+TEST(Dynlink, GotPassWalksOnlyTheLiveModules) {
+  // jit-concurrent's shape: small ops, some importing from the host
+  // through their GOT, opened one at a time; once 16 are live each open
+  // first closes the oldest. Nothing is drained, so no tail is trimmed
+  // and every closed op stays a tombstone at the front of the module
+  // list. Every install and retire transaction's GOT pass must walk the
+  // live modules and write their GOT slots, and nothing else.
+  constexpr int Ops = 1024, MaxLive = 16, Shapes = 24;
+  std::vector<std::string> Sources;
+  for (int K = 0; K != Shapes; ++K) {
+    std::string F = "j" + std::to_string(K);
+    std::string Body = K % 3 ? "host_add(x, " + std::to_string(K) + ")"
+                             : "x * " + std::to_string(K + 2);
+    Sources.push_back((K % 3 ? "long host_add(long x, long y);\n" : "") +
+                      std::string("long ") + F + "(long x) { return " + Body +
+                      "; }\nlong (*" + F + "_ref)(long) = " + F + ";\n");
+  }
+  DynProgram D = buildWithPlugins(
+      "long host_add(long x, long y) { return x + y; }\n"
+      "long (*host_keep)(long, long) = host_add;\n"
+      "int main() { return 0; }\n",
+      {});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  for (int K = 0; K != Shapes; ++K) {
+    CompileOptions CO;
+    CO.ModuleName = "op" + std::to_string(K);
+    CO.EmitPlt = true;
+    CompileResult CR = compileModule(Sources[K], CO);
+    ASSERT_TRUE(CR.Ok) << (CR.Errors.empty() ? "?" : CR.Errors.front());
+    D.L->registerLibrary(std::move(CR.Obj));
+  }
+  Machine &M = *D.M;
+  const size_t Static = M.modules().size();
+
+  std::mt19937 Rng(26);
+  std::deque<int64_t> Live;
+  uint64_t SlotsSeen = 0;
+  auto expectGotPinned = [&](size_t From, const std::string &What) {
+    const auto &History = D.L->updateHistory();
+    ASSERT_LT(From, History.size()) << What << ": no transaction ran";
+    uint32_t Modules = static_cast<uint32_t>(Static + Live.size());
+    uint32_t Slots = liveGotSlots(M);
+    SlotsSeen += Slots;
+    for (size_t I = From; I != History.size(); ++I) {
+      EXPECT_EQ(History[I].GotModules, Modules) << What;
+      EXPECT_EQ(History[I].GotSlots, Slots) << What;
+    }
+  };
+  for (int Op = 0; Op != Ops; ++Op) {
+    std::string What = "op " + std::to_string(Op);
+    if (Live.size() == MaxLive) {
+      size_t From = D.L->updateHistory().size();
+      ASSERT_TRUE(D.L->dlcloseOne(Live.front())) << What;
+      Live.pop_front();
+      expectGotPinned(From, What + " dlclose");
+    }
+    size_t From = D.L->updateHistory().size();
+    int64_t H = D.L->dlopen(static_cast<int64_t>(Rng() % Shapes));
+    ASSERT_GE(H, 0) << What << ": " << D.L->lastError();
+    Live.push_back(H);
+    expectGotPinned(From, What + " dlopen");
+  }
+  EXPECT_GT(M.modules().size(), 900u);
+  EXPECT_EQ(M.modules().size(), Static + Ops);
+  EXPECT_GT(SlotsSeen, 0u);
 }
 
 TEST(Dynlink, DlopenAfterDrainStaysIncremental) {

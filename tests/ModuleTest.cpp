@@ -105,6 +105,26 @@ TEST(Serialization, RejectsAllTruncations) {
   EXPECT_FALSE(readObject(Extended, Out)); // trailing garbage
 }
 
+TEST(Serialization, RejectsOffsetsThatWrap) {
+  // An offset near 2^64 must not wrap a bounds test into passing: a data
+  // initializer or a data relocation ending past the globals is refused.
+  MCFIObject Obj = sampleObject();
+  Obj.DataSize = std::max<uint64_t>(Obj.DataSize, 16);
+  MCFIObject Out;
+  ASSERT_TRUE(readObject(writeObject(Obj), Out));
+
+  MCFIObject Init = Obj;
+  Init.DataInit.push_back({~0ull, {1, 2}});
+  EXPECT_FALSE(readObject(writeObject(Init), Out));
+
+  MCFIObject Reloc = Obj;
+  visa::RelocEntry R;
+  R.Kind = visa::RelocKind::DataGlobalAddr64;
+  R.Offset = ~0ull - 3;
+  Reloc.Relocs.push_back(R);
+  EXPECT_FALSE(readObject(writeObject(Reloc), Out));
+}
+
 TEST(Serialization, FuzzedBlobsNeverCrash) {
   MCFIObject Obj = sampleObject();
   std::vector<uint8_t> Blob = writeObject(Obj);

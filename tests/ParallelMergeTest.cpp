@@ -24,6 +24,7 @@
 #include "dataflow/Dataflow.h"
 #include "metrics/Harness.h"
 #include "metrics/UpdateMetrics.h"
+#include "runtime/Dispatch.h"
 #include "support/RNG.h"
 #include "tables/ID.h"
 #include "toolchain/Toolchain.h"
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <random>
 #include <utility>
 
@@ -940,6 +942,136 @@ TEST(PersistentMerge, DiscardedBatchThenDrainThenDlopen) {
     ASSERT_TRUE(D.L->dlcloseOne(H)) << What;
     D.M->drainReclaim();
   }
+}
+
+/// The Serials of the modules a segment must hold: present (mapped and
+/// not reclaimed), sealed, and with code.
+std::vector<uint64_t> expectedSegmentSerials(const Machine &M) {
+  std::vector<uint64_t> Serials;
+  for (const MappedModule &Mod : M.modules())
+    if (!Mod.Reclaimed && Mod.Sealed && Mod.CodeSize)
+      Serials.push_back(Mod.Serial);
+  std::sort(Serials.begin(), Serials.end());
+  return Serials;
+}
+
+TEST(PersistentMerge, OldestFirstChurnMatchesTheReference) {
+  // jit-concurrent's shape: small ops opened one at a time, and once 16
+  // are live each open first closes the oldest, so the closed ops pile
+  // up as tombstones at the front of the module list. Mixed in: batches
+  // with a member whose relocation fails, batches that fail
+  // verification, drains that only reclaim interior holes, and drains
+  // after closing the newest ops, which trim the tail. Every link
+  // operation tells syncMerge the first view it can change; the policy
+  // must stay the from-scratch reference's, and the segment must hold
+  // exactly the present, sealed, non-empty modules.
+  constexpr int Ops = 760, MaxLive = 16, Shapes = 12;
+  DynProgram D = buildDynamic(0);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  Linker &L = *D.L;
+  std::vector<int64_t> OpIds;
+  for (int K = 0; K != Shapes; ++K) {
+    std::string F = "jop" + std::to_string(K);
+    OpIds.push_back(L.registerLibrary(compileOrDie(
+        (K % 4 ? "long local_cb(long x);\n" : "") + std::string("long ") + F +
+            "(long x) { return " +
+            (K % 4 ? "local_cb(x) * " : "x * ") + std::to_string(K + 2) +
+            "; }\nlong (*" + F + "_ref)(long) = " + F + ";\n",
+        "jop" + std::to_string(K))));
+  }
+  const int64_t UnresolvedId = L.registerLibrary(compileOrDie(
+      "long nowhere(long x);\nlong (*keep)(long) = nowhere;\n", "unresolved"));
+  CompileOptions BadCO;
+  BadCO.ModuleName = "unverifiable";
+  BadCO.Instrument = false;
+  CompileResult Bad = compileModule(Unverifiable, BadCO);
+  ASSERT_TRUE(Bad.Ok);
+  const int64_t BadId = L.registerLibrary(std::move(Bad.Obj));
+  const size_t Static = M.modules().size();
+
+  std::mt19937 Rng(0x01de57u);
+  std::deque<int64_t> Live;
+  size_t MaxTombstones = 0, Trims = 0, FailedBatches = 0, FailedMembers = 0;
+  auto check = [&](const std::string &What) {
+    ASSERT_TRUE(policiesIdentical(L.policy(), generateCFGReference(viewsOf(M))))
+        << What;
+    std::shared_ptr<const DecodedSegment> Seg = M.segment();
+    ASSERT_TRUE(Seg) << What;
+    std::vector<uint64_t> Serials;
+    for (const auto &Mod : Seg->Modules)
+      Serials.push_back(Mod->Serial);
+    std::sort(Serials.begin(), Serials.end());
+    ASSERT_EQ(Serials, expectedSegmentSerials(M)) << What;
+  };
+  auto drain = [&]() {
+    size_t Before = M.modules().size();
+    M.drainReclaim();
+    Trims += M.modules().size() < Before;
+  };
+  for (int Op = 0; Op != Ops; ++Op) {
+    std::string What = "op " + std::to_string(Op);
+    if (Live.size() == MaxLive) {
+      ASSERT_TRUE(L.dlcloseOne(Live.front())) << What;
+      Live.pop_front();
+    }
+    int64_t Id = OpIds[Rng() % Shapes];
+    switch (Op % 97) {
+    case 40: {
+      // A member whose relocation fails is a tombstone before the merge;
+      // the rest of the batch installs.
+      std::vector<DlopenResult> R = L.dlopenBatch({Id, UnresolvedId});
+      ASSERT_GE(R[0].Handle, 0) << What << ": " << L.lastError();
+      ASSERT_LT(R[1].Handle, 0) << What;
+      Live.push_back(R[0].Handle);
+      ++FailedMembers;
+      break;
+    }
+    case 70: {
+      // A batch failing verification after its merge forgets its folds.
+      for (const DlopenResult &R : L.dlopenBatch({Id, BadId}))
+        ASSERT_LT(R.Handle, 0) << What;
+      ++FailedBatches;
+      break;
+    }
+    case 90:
+      // Close the newest ops and drain: with their code at the top of
+      // the region, their tombstones are trimmed off the tail.
+      while (Live.size() > 4) {
+        ASSERT_TRUE(L.dlcloseOne(Live.back())) << What;
+        Live.pop_back();
+      }
+      drain();
+      [[fallthrough]];
+    default: {
+      int64_t H = L.dlopen(Id);
+      ASSERT_GE(H, 0) << What << ": " << L.lastError();
+      Live.push_back(H);
+      break;
+    }
+    }
+    if (Op % 64 == 63)
+      drain(); // reclaims the oldest ops' interior holes; nothing trims
+    MaxTombstones =
+        std::max(MaxTombstones, M.modules().size() - Static - Live.size());
+    if (Op % 32 == 31)
+      check(What);
+  }
+  check("end");
+  while (!Live.empty()) {
+    ASSERT_TRUE(L.dlcloseOne(Live.front()));
+    Live.pop_front();
+  }
+  check("all closed");
+  drain();
+  // The drain trims the closed ops; the next dlopen folds in what is left.
+  int64_t H = L.dlopen(OpIds.front());
+  ASSERT_GE(H, 0) << L.lastError();
+  check("drained, then opened");
+  EXPECT_GE(MaxTombstones, 600u);
+  EXPECT_GT(Trims, 0u);
+  EXPECT_GT(FailedBatches, 0u);
+  EXPECT_GT(FailedMembers, 0u);
 }
 
 //===----------------------------------------------------------------------===//

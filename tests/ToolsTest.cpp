@@ -8,9 +8,10 @@
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
 /// mcfi-objdump, mcfi-run, mcfi-audit, mcfi-merge and mcfi-tierdiff,
 /// wired together the way a user would use them. Binary paths are
-/// injected by CMake, which also runs the audit-gate, unload-gate,
-/// VM-tier-gate and verifier-agreement cases as their own ctests
-/// (audit_check, unload_check, vm_tier_check, verify_check).
+/// injected by CMake, which also runs the merge-gate, audit-gate,
+/// unload-gate, VM-tier-gate and verifier-agreement cases as their own
+/// ctests (merge_check, audit_check, unload_check, vm_tier_check,
+/// verify_check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -275,6 +276,57 @@ TEST_F(ToolsFixture, AuditGateSeparateCompilation) {
 
 TEST_F(ToolsFixture, AuditGateDynamicPlugin) {
   expectAuditGatePasses("dynamic_plugin");
+}
+
+//===----------------------------------------------------------------------===//
+// CFG-merge differential gate
+//===----------------------------------------------------------------------===//
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// mcfi-merge compiles every embedded module of \p Example and merges
+/// the CFG with generateCFG and with the per-site reference generator,
+/// in declaration order and in 4 seeded module-order shuffles; it exits
+/// nonzero on any divergence. The two policy dumps it writes must be
+/// byte-identical, and every module it emits must verify.
+void expectMergeMatchesReference(const std::string &Example) {
+  std::string Dir = path("merge-" + Example);
+  std::filesystem::create_directories(Dir);
+  std::string Out;
+  ASSERT_EQ(run(std::string(MCFI_MERGE) + " --shuffles 4 --seed 1 --emit " +
+                    Dir + " " + MCFI_EXAMPLES_DIR + "/" + Example + ".cpp",
+                &Out),
+            0)
+      << Example << " diverged: " << Out;
+  std::string Merged = readFile(Dir + "/policy-merge.txt");
+  EXPECT_FALSE(Merged.empty()) << Example << ": no policy dump";
+  EXPECT_TRUE(Merged == readFile(Dir + "/policy-reference.txt"))
+      << Example << ": policy dumps differ";
+  size_t Modules = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    if (E.path().extension() != ".mcfo")
+      continue;
+    ++Modules;
+    EXPECT_EQ(run(std::string(MCFI_VERIFY) + " --json " + E.path().string(),
+                  &Out),
+              0)
+        << E.path() << ": " << Out;
+    EXPECT_NE(Out.find("\"ok\":true"), std::string::npos)
+        << E.path() << " failed verification: " << Out;
+  }
+  EXPECT_GT(Modules, 0u) << Example << ": no module emitted";
+}
+
+TEST_F(ToolsFixture, MergeCheckSeparateCompilation) {
+  expectMergeMatchesReference("separate_compilation");
+}
+
+TEST_F(ToolsFixture, MergeCheckDynamicPlugin) {
+  expectMergeMatchesReference("dynamic_plugin");
 }
 
 //===----------------------------------------------------------------------===//
