@@ -235,6 +235,9 @@ int main() {
     PluginBase += (Obj.Code.size() + 7) & ~7ull;
     PluginBytes += Obj.Code.size();
   }
+  // The linker interns each object's signatures once, at registration.
+  for (LoadedModuleView &View : PluginWorld)
+    View = withModuleSigs(View);
 
   const size_t Dying = HostViews + 32;
   std::vector<LoadedModuleView> ClosedWorld = PluginWorld;

@@ -176,8 +176,8 @@ private:
     // check-pass edges provable.)
     std::set<uint64_t> Leaders = RootSet;
     for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
-      uint64_t Off = Dis.Offsets[K];
-      const Instr &I = Dis.Instrs[K];
+      uint64_t Off = Dis.offsetOf(K);
+      const Instr &I = Dis.Instrs[K].I;
       switch (I.Op) {
       case Opcode::Jmp:
       case Opcode::Jz:
@@ -203,12 +203,12 @@ private:
     // Partition the disassembly into maximal blocks.
     uint64_t Begin = ~0ull;
     for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
-      uint64_t Off = Dis.Offsets[K];
-      const Instr &I = Dis.Instrs[K];
+      uint64_t Off = Dis.offsetOf(K);
+      const Instr &I = Dis.Instrs[K].I;
       if (Begin == ~0ull)
         Begin = Off;
       uint64_t Next = Off + I.Length;
-      bool Contig = K + 1 != Dis.Instrs.size() && Dis.Offsets[K + 1] == Next;
+      bool Contig = Dis.Instrs[K].Fall >= 0;
       if (!endsBlock(I.Op) && Contig && !Leaders.count(Next))
         continue;
       Block B;
@@ -708,8 +708,8 @@ private:
     Minter M(BI);
     // A block is a run of contiguous instructions: consecutive indices.
     for (size_t K = static_cast<size_t>(Dis.indexAt(B.Begin));
-         K != Dis.Instrs.size() && Dis.Offsets[K] < B.End; ++K)
-      transferInstr(S, Dis.Offsets[K], Dis.Instrs[K], M, C);
+         K != Dis.Instrs.size() && Dis.offsetOf(K) < B.End; ++K)
+      transferInstr(S, Dis.offsetOf(K), Dis.Instrs[K].I, M, C);
     std::vector<std::pair<uint32_t, AbsState>> Out;
     const Instr &Last = instrAt(B.LastOff);
     for (const auto &[SuccIdx, Kind] : Succs[BI]) {

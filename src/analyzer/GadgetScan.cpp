@@ -23,9 +23,9 @@ struct GadgetCache {
   std::unordered_map<uint64_t, std::shared_ptr<const GadgetScanResult>> Map;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  /// Bounds the cache like SigSetCache: mined blobs are a few hundred KB
-  /// of candidates each, and a long-lived bench process cycles through
-  /// many distinct programs.
+  /// Bounded, and cleared wholesale when full: mined blobs are a few
+  /// hundred KB of candidates each, and a long-lived bench process cycles
+  /// through many distinct programs.
   static constexpr size_t MaxEntries = 256;
 
   static GadgetCache &global() {

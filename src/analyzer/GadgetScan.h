@@ -10,10 +10,9 @@
 /// sequence of bounded length ending in an indirect branch, reachable
 /// from *any* byte offset (variable-length decoding makes instruction
 /// middles decodable). The miner enumerates every candidate once per
-/// distinct code blob and caches the result keyed by content hash (the
-/// src/cfg/SigCache trick), so the gadget-elimination bench and the
-/// attack-synthesis harness share one implementation and repeated scans
-/// of the same bytes — the bootstrap/rt modules across bench profiles,
+/// distinct code blob and caches the result keyed by content hash, so
+/// the gadget-elimination bench and the attack-synthesis harness share
+/// one implementation and repeated scans of the same bytes — the bootstrap/rt modules across bench profiles,
 /// the same victim across the three execution tiers — cost one hash
 /// lookup instead of a full re-decode.
 ///

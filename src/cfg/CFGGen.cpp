@@ -32,7 +32,7 @@
 
 #include "cfg/CFGGen.h"
 
-#include "cfg/SigCache.h"
+#include "cfg/ModuleSigs.h"
 #include "support/Assert.h"
 #include "support/UnionFind.h"
 #include "tables/ID.h"
@@ -301,8 +301,10 @@ struct CFGMerge::State {
     }
     LiveViews.push_back(static_cast<uint32_t>(Views.size() - 1));
     const AuxInfo &Aux = M.Obj->Aux;
-    // One cache lookup per module; interned pointers outlive the view.
-    std::shared_ptr<const ModuleSigs> Sigs = getModuleSigs(*M.Obj);
+    // Interned once per object, before any fold; interned pointers
+    // outlive the view.
+    assert(M.Sigs && "a live view without its interned signatures");
+    const ModuleSigs *Sigs = M.Sigs.get();
     NumIBs += Aux.BranchSites.size();
     reserve(Aux.Functions.size(), Aux.CallSites.size());
 
@@ -1125,6 +1127,12 @@ CFGMerge &CFGMerge::operator=(const CFGMerge &Other) {
 }
 CFGMerge::~CFGMerge() = default;
 
+LoadedModuleView mcfi::withModuleSigs(LoadedModuleView View) {
+  if (View.Obj && !View.Sigs)
+    View.Sigs = internModuleSigs(*View.Obj);
+  return View;
+}
+
 void CFGMerge::append(const LoadedModuleView &View) { S->append(View); }
 
 void CFGMerge::truncate(size_t N) { S->truncate(N); }
@@ -1149,6 +1157,6 @@ CFGPolicy mcfi::generateCFG(const std::vector<LoadedModuleView> &Modules,
     }
   Merge.S->reserve(Functions, CallSites);
   for (const LoadedModuleView &M : Modules)
-    Merge.append(M);
+    Merge.append(withModuleSigs(M));
   return Merge.emit();
 }

@@ -50,8 +50,17 @@
 
 namespace mcfi {
 
+struct ModuleSigs;
+
 /// A module mapped into the code region at a base address, as the
 /// loader/linker sees it.
+///
+/// Sigs is the module's interned signatures (internModuleSigs(*Obj)),
+/// computed once per object: the linker interns them when it registers or
+/// statically links the object and hands them to every fold by reference.
+/// CFGMerge::append reads them from here and never looks them up; a bare
+/// view (Sigs null) gets them from withModuleSigs, which generateCFG and
+/// generateCFGReference apply to the views they are given.
 ///
 /// A view with Obj == nullptr is a *tombstone*: the slot of a dlclosed
 /// module. It contributes TombstoneSites branch-site positions — each
@@ -61,17 +70,19 @@ namespace mcfi {
 /// global site-index space positionally stable, so already-sealed
 /// surviving modules' patched Bary indexes remain correct, while the
 /// merged CFG is exactly what it would be had the module never loaded.
-/// Two views are equal when they name the same object at the same base
-/// (or are equal tombstones); the linker compares its folded views with
-/// the machine's, view by view, to find where to truncate.
 struct LoadedModuleView {
   const MCFIObject *Obj = nullptr;
   uint64_t CodeBase = 0;
   /// Branch-site slots held by a tombstone (ignored when Obj != null).
   uint32_t TombstoneSites = 0;
-
-  bool operator==(const LoadedModuleView &) const = default;
+  /// The interned signatures of Obj (null in a bare view or a tombstone).
+  std::shared_ptr<const ModuleSigs> Sigs = nullptr;
 };
+
+/// \p View with its signatures filled in: a bare live view gets
+/// internModuleSigs(*View.Obj); a view that has them, or a tombstone, is
+/// returned as it is.
+LoadedModuleView withModuleSigs(LoadedModuleView View);
 
 /// The Tary side of a policy: the ECN of every indirect-branch target,
 /// held as one address-sorted, duplicate-free vector of {absolute code
@@ -221,7 +232,8 @@ public:
   CFGMerge &operator=(const CFGMerge &Other);
   ~CFGMerge();
 
-  /// Folds \p View in as the next module in load order.
+  /// Folds \p View in as the next module in load order. A live view must
+  /// carry its Sigs (see withModuleSigs).
   void append(const LoadedModuleView &View);
 
   /// Forgets every view from index \p N on (N <= views().size()), exactly
@@ -242,7 +254,8 @@ private:
 };
 
 /// Generates the combined CFG policy for \p Modules (in load order): a
-/// fresh CFGMerge with every view appended, then emitted. With
+/// fresh CFGMerge with every view appended (bare views through
+/// withModuleSigs), then emitted. With
 /// \p Refinement, target sets are intersected as described above;
 /// passing nullptr yields the paper's plain type-matching policy.
 ///

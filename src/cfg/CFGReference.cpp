@@ -7,7 +7,7 @@
 
 #include "cfg/CFGReference.h"
 
-#include "cfg/SigCache.h"
+#include "cfg/ModuleSigs.h"
 #include "support/UnionFind.h"
 #include "tables/ID.h"
 
@@ -43,7 +43,7 @@ public:
   CFGPolicy build() {
     Sigs.reserve(Modules.size());
     for (const LoadedModuleView &M : Modules)
-      Sigs.push_back(M.Obj ? getModuleSigs(*M.Obj) : nullptr);
+      Sigs.push_back(withModuleSigs(M).Sigs);
 
     collectFunctions();
     indexBranchSites();

@@ -144,28 +144,3 @@ bool mcfi::internedCalleeMatches(const InternedSig *Pointer,
       return false;
   return true;
 }
-
-SigSetCache &SigSetCache::global() {
-  static SigSetCache Cache;
-  return Cache;
-}
-
-std::shared_ptr<const void> SigSetCache::lookup(uint64_t Key) const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  auto It = Map.find(Key);
-  return It == Map.end() ? nullptr : It->second;
-}
-
-std::shared_ptr<const void>
-SigSetCache::store(uint64_t Key, std::shared_ptr<const void> Value) {
-  std::lock_guard<std::mutex> Guard(Lock);
-  if (Map.size() >= MaxEntries)
-    Map.clear();
-  auto [It, New] = Map.try_emplace(Key, std::move(Value));
-  return It->second;
-}
-
-size_t SigSetCache::size() const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  return Map.size();
-}

@@ -93,40 +93,9 @@ private:
 bool internedCalleeMatches(const InternedSig *Pointer, bool PointerVariadic,
                            const InternedSig *Callee);
 
-/// A cache slot: the interned signatures of one module's aux-info
-/// arrays, in declaration order. Produced by the cfg layer's
-/// getModuleSigs (which knows the MCFIObject shape) and keyed here by a
-/// hash of the module's aux type strings, so reloading the same module
-/// — every dlopen re-merge, and separate Machines loading the same
-/// library — reuses the interned views without re-interning.
+/// The interned signatures of one aux-info array, in declaration order
+/// (the cfg layer's ModuleSigs holds one per array).
 using SigList = std::vector<const InternedSig *>;
-
-/// Key-addressed persistent cache of interned signature lists.
-/// Thread-safe. The cache is bounded: when it exceeds a fixed capacity
-/// it is cleared wholesale (entries are cheap to rebuild; the interner
-/// itself never forgets, so re-population is hash lookups only). A
-/// module unload leaves its entry in place: the key names content, not
-/// a module, so it holds nothing of the dead module and serves every
-/// other module of the same shape.
-class SigSetCache {
-public:
-  static SigSetCache &global();
-
-  /// Returns the cached value for \p Key, or null.
-  std::shared_ptr<const void> lookup(uint64_t Key) const;
-
-  /// Stores \p Value under \p Key and returns the cached copy
-  /// (first writer wins on a race).
-  std::shared_ptr<const void> store(uint64_t Key,
-                                    std::shared_ptr<const void> Value);
-
-  size_t size() const;
-
-private:
-  static constexpr size_t MaxEntries = 4096;
-  mutable std::mutex Lock;
-  std::unordered_map<uint64_t, std::shared_ptr<const void>> Map;
-};
 
 } // namespace mcfi
 

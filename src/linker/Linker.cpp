@@ -7,6 +7,7 @@
 
 #include "linker/Linker.h"
 
+#include "cfg/ModuleSigs.h"
 #include "ctypes/SigIntern.h"
 #include "module/Pending.h"
 #include "rewriter/Rewriter.h"
@@ -34,7 +35,7 @@ VerifyResult verifyMapped(const Machine &M, const MappedModule &Mod,
                           Disassembly &Dis) {
   size_t Size = Mod.Obj->Code.size();
   const uint8_t *Code = M.codePtr(Mod.CodeBase, Size);
-  Dis = disassembleModule(Code, Size, *Mod.Obj);
+  Dis = disassembleModule(Code, Size, *Mod.Obj, Mod.CodeBase);
   return verifyModule(Code, Size, *Mod.Obj, Dis);
 }
 
@@ -282,9 +283,31 @@ uint32_t Linker::syncMerge(size_t From) {
     if (Mod.Retired)
       Merge.append({nullptr, Mod.CodeBase, Mod.TombstoneSites});
     else
-      Merge.append({Mod.Obj.get(), Mod.CodeBase, 0});
+      Merge.append({Mod.Obj.get(), Mod.CodeBase, 0, MappedSigs[I]});
   }
   return static_cast<uint32_t>(Mods.size() - From);
+}
+
+Linker::Registered Linker::intern(MCFIObject Obj) {
+  auto Shared = std::make_shared<const MCFIObject>(std::move(Obj));
+  std::shared_ptr<const ModuleSigs> Sigs = internModuleSigs(*Shared);
+  return {std::move(Shared), std::move(Sigs)};
+}
+
+int Linker::mapRegistered(const Registered &R, std::string &Error) {
+  int Idx = M.mapModule(R.Obj);
+  if (Idx < 0) {
+    Error = Idx == Machine::MapBadDataInit
+                ? "module '" + R.Obj->Name +
+                      "' initializes data outside its globals"
+                : "machine region exhausted while mapping module '" +
+                      R.Obj->Name + "'";
+    return -1;
+  }
+  if (MappedSigs.size() <= static_cast<size_t>(Idx))
+    MappedSigs.resize(static_cast<size_t>(Idx) + 1);
+  MappedSigs[static_cast<size_t>(Idx)] = R.Sigs;
+  return Idx;
 }
 
 namespace {
@@ -501,18 +524,17 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
   // walks below are not a single ModuleLock critical section.
   auto ReclaimGuard = M.lockReclaimApply();
   // Bootstrap first so its branch-site indexes stay stable forever.
-  std::vector<MCFIObject> All;
-  All.push_back(makeBootstrap());
+  // Each object is shared and interned once, as a registered one is.
+  std::vector<Registered> All;
+  All.push_back(intern(makeBootstrap()));
   for (MCFIObject &O : Objects)
-    All.push_back(std::move(O));
+    All.push_back(intern(std::move(O)));
 
   std::vector<int> Indexes;
-  for (MCFIObject &O : All) {
-    int Idx = M.mapModule(std::move(O));
-    if (Idx < 0) {
-      Error = "machine region exhausted while mapping modules";
+  for (const Registered &R : All) {
+    int Idx = mapRegistered(R, Error);
+    if (Idx < 0)
       return false;
-    }
     Indexes.push_back(Idx);
   }
 
@@ -576,7 +598,7 @@ bool Linker::linkProgram(std::vector<MCFIObject> Objects,
 }
 
 int Linker::registerLibrary(MCFIObject Obj) {
-  Registry.push_back(std::move(Obj));
+  Registry.push_back(intern(std::move(Obj)));
   return static_cast<int>(Registry.size() - 1);
 }
 
@@ -682,12 +704,12 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
       LastError = "dlopen: unknown library id";
       continue;
     }
-    int Idx = M.mapModule(Registry[static_cast<size_t>(P->Id)]);
+    std::string Error;
+    int Idx = mapRegistered(Registry[static_cast<size_t>(P->Id)], Error);
     if (Idx < 0) {
-      LastError = "dlopen: machine region exhausted";
+      LastError = "dlopen: " + Error;
       continue;
     }
-    std::string Error;
     if (!resolveModule(Idx, Error)) {
       LastError = "dlopen: " + Error;
       Discard(Idx);

@@ -150,8 +150,16 @@ public:
   bool linkProgram(std::vector<MCFIObject> Objects, std::string &Error);
 
   /// Registers a library for later dynamic loading; the guest refers to
-  /// it by the returned id in dlopen(id).
+  /// it by the returned id in dlopen(id). The object becomes immutable
+  /// and shared: every mapping of it holds this one copy, and its
+  /// signatures are interned here, once, for every later fold.
   int registerLibrary(MCFIObject Obj);
+
+  /// The object registered as \p Id (a valid registerLibrary result):
+  /// the very object every mapping of the library shares.
+  const std::shared_ptr<const MCFIObject> &registered(int Id) const {
+    return Registry[static_cast<size_t>(Id)].Obj;
+  }
 
   /// The paper's three-step dynamic linking. Returns the module handle
   /// (machine module index), or a negative value on failure. Installed
@@ -227,7 +235,17 @@ private:
     bool Done = false;
   };
 
-  bool loadAndRelocate(MCFIObject Obj, std::string &Error);
+  /// An object as the linker holds it: shared and immutable, with its
+  /// signatures interned once (internModuleSigs) for every fold of it.
+  struct Registered {
+    std::shared_ptr<const MCFIObject> Obj;
+    std::shared_ptr<const ModuleSigs> Sigs;
+  };
+  static Registered intern(MCFIObject Obj);
+  /// Maps \p R's object and records its signatures for the merge's view
+  /// of the new module; returns the module index, or -1 with \p Error
+  /// set (nothing is mapped).
+  int mapRegistered(const Registered &R, std::string &Error);
   bool resolveModule(int Index, std::string &Error);
   /// Patches the BaryIndex32 relocations of the modules at \p Indexes,
   /// just mapped and still writable, with their sites' global indexes.
@@ -273,7 +291,12 @@ private:
   std::vector<TxUpdateStats> UpdateHistory;
   std::vector<DlopenBatchStats> BatchHistory;
   std::vector<DlcloseBatchStats> UnloadHistory;
-  std::vector<MCFIObject> Registry;
+  std::vector<Registered> Registry;
+  /// Per index of M.modules(): the signatures of the object the linker
+  /// mapped there, which syncMerge puts in the module's view. An entry
+  /// past the module list (a tail-trim popped it) or of a retired module
+  /// is never read.
+  std::vector<std::shared_ptr<const ModuleSigs>> MappedSigs;
   /// Modules mapped by linkProgram (bootstrap + program). They can never
   /// be dlclosed: the running program's own code and the policy's stable
   /// prefix live there.

@@ -155,11 +155,12 @@ struct MCFIObject {
 };
 
 /// The module's one disassembly: visa::disassemble of \p Size bytes of
-/// \p Code (the module's code as loaded) skipping the jump-table data
-/// ranges \p Obj declares. The verifier checks this disassembly and a
-/// sealed module executes it.
+/// \p Code (the module's code as loaded at absolute address \p Base; 0
+/// for bytes not mapped anywhere) skipping the jump-table data ranges
+/// \p Obj declares. The verifier checks this disassembly and a sealed
+/// module executes it.
 visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
-                                    const MCFIObject &Obj);
+                                    const MCFIObject &Obj, uint64_t Base = 0);
 
 /// True when relocation \p R patches only bytes of its own module: every
 /// byte it writes (8 for the 64-bit kinds, 4 for CallSym and BaryIndex32)
@@ -168,6 +169,12 @@ visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
 /// the code. Wrap-free for any offset. readObject refuses an object with
 /// a relocation that does not fit, and the linker refuses to patch one.
 bool relocationFits(const visa::RelocEntry &R, const MCFIObject &Obj);
+
+/// True when every data initializer of \p Obj lies inside its DataSize
+/// bytes of globals. Wrap-free for any offset. readObject refuses an
+/// object with an initializer that does not fit, and Machine::mapModule
+/// refuses to map one.
+bool dataInitsFit(const MCFIObject &Obj);
 
 /// Serializes \p Obj into the .mcfo binary format.
 std::vector<uint8_t> writeObject(const MCFIObject &Obj);

@@ -14,6 +14,7 @@
 
 #include "module/MCFIObject.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -125,6 +126,15 @@ bool mcfi::relocationFits(const visa::RelocEntry &R, const MCFIObject &Obj) {
   return Width <= Limit && R.Offset <= Limit - Width;
 }
 
+bool mcfi::dataInitsFit(const MCFIObject &Obj) {
+  return std::all_of(Obj.DataInit.begin(), Obj.DataInit.end(),
+                     [&Obj](const auto &Init) {
+                       uint64_t Size = Init.second.size();
+                       return Size <= Obj.DataSize &&
+                              Init.first <= Obj.DataSize - Size;
+                     });
+}
+
 std::vector<uint8_t> mcfi::writeObject(const MCFIObject &Obj) {
   Writer W;
   W.u32(Magic);
@@ -232,11 +242,12 @@ bool mcfi::readObject(const std::vector<uint8_t> &Blob, MCFIObject &Out) {
   for (uint32_t I = 0; I != N; ++I) {
     uint64_t Off;
     std::vector<uint8_t> Bytes;
-    if (!R.u64(Off) || !R.bytes(Bytes) || Bytes.size() > Out.DataSize ||
-        Off > Out.DataSize - Bytes.size()) // wrap-free Off + size > DataSize
+    if (!R.u64(Off) || !R.bytes(Bytes))
       return false;
     Out.DataInit.emplace_back(Off, std::move(Bytes));
   }
+  if (!dataInitsFit(Out))
+    return false;
 
   if (!R.u32(N))
     return false;

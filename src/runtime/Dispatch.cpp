@@ -50,57 +50,20 @@ namespace {
 /// Number of instructions a fused TxCheck group retires.
 constexpr uint32_t FusedCheckLen = 4;
 
-/// Marks the heads of fusable TxCheck groups: the two ID-table reads of
-/// Fig. 4 (Bary/Tary in either scheduling order — the Optimize rewriter
-/// variant swaps them), the xor of the two IDs, and the jz consuming the
-/// difference. Only the head is marked; a jump *into* the group (the
-/// retry jnz targets the first read) executes the remaining instructions
-/// individually, which is semantically identical.
-void markFusedChecks(DecodedModule &Mod) {
-  std::vector<DInstr> &S = Mod.Stream;
-  for (size_t K = 0; K + 3 < S.size(); ++K) {
-    if (S[K].Fall != static_cast<int32_t>(K + 1) ||
-        S[K + 1].Fall != static_cast<int32_t>(K + 2) ||
-        S[K + 2].Fall != static_cast<int32_t>(K + 3))
-      continue;
-    const Instr &A = S[K].I;
-    const Instr &B = S[K + 1].I;
-    const Instr &X = S[K + 2].I;
-    const Instr &J = S[K + 3].I;
-    bool OneReadEach = (A.Op == Opcode::BaryRead && B.Op == Opcode::TableRead) ||
-                       (A.Op == Opcode::TableRead && B.Op == Opcode::BaryRead);
-    if (!OneReadEach || A.Rd == B.Rd || X.Op != Opcode::Xor ||
-        J.Op != Opcode::Jz)
-      continue;
-    bool XorOverIDs = (X.Ra == A.Rd && X.Rb == B.Rd) ||
-                      (X.Ra == B.Rd && X.Rb == A.Rd);
-    if (!XorOverIDs || J.Ra != X.Rd)
-      continue;
-    S[K].Fused = FusedKind::TxCheck;
-  }
-}
-
 } // namespace
 
 std::shared_ptr<const DecodedModule>
 mcfi::makeDecodedModule(Disassembly Dis, uint64_t Serial, uint64_t Base,
                         uint64_t Size) {
-  assert(Dis.IndexByOff.size() <= Size && "disassembly past the module");
+  assert(Dis.IndexByOff.size() <= Size && Dis.Base == Base &&
+         "disassembly of another range");
   auto Mod = std::make_shared<DecodedModule>();
   Mod->Serial = Serial;
   Mod->Base = Base;
   Mod->Size = Size;
+  Mod->Stream = std::move(Dis.Instrs);
   Mod->IndexByOff = std::move(Dis.IndexByOff);
   Mod->IndexByOff.resize(Size, -1);
-  Mod->Stream.resize(Dis.Instrs.size());
-  for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
-    DInstr &D = Mod->Stream[K];
-    D.I = Dis.Instrs[K];
-    D.PC = Base + Dis.Offsets[K];
-    uint64_t FallOff = Dis.Offsets[K] + D.I.Length;
-    D.Fall = FallOff < Size ? Mod->IndexByOff[FallOff] : -1;
-  }
-  markFusedChecks(*Mod);
   return Mod;
 }
 

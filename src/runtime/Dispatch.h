@@ -7,16 +7,19 @@
 ///
 /// \file
 /// The threaded execution tier. A DecodedModule is the executable form of
-/// one sealed module's code range: the module's one disassembly (the
-/// visa::Disassembly its verifier checked, or for an unverified link the
-/// same disassembler's output at seal) with absolute PCs, precomputed
-/// fallthrough links and recognized TxCheck superinstruction groups
-/// added, executed through a function-pointer handler table (threaded
-/// dispatch) instead of the decode-per-step switch. Machine::sealModule
-/// attaches it to the module and the reclaimer drops it, so every sealed,
-/// unreclaimed module has exactly one decode, made once at seal. A
-/// DecodedSegment is a snapshot of those decodes for one code epoch;
-/// building it decodes nothing. PCs a segment does not cover — a jump
+/// one sealed module's code range, and it is the module's one
+/// disassembly: the visa::Disassembly its verifier checked (or, for an
+/// unverified link, the same disassembler's output at seal) is both the
+/// verifier's input and the VM's stream. The disassembler already writes
+/// the record this tier runs — the instruction, its absolute PC, its
+/// fallthrough link and the TxCheck superinstruction mark — so sealing
+/// moves the stream in and decodes nothing. The stream runs through a
+/// function-pointer handler table (threaded dispatch) instead of the
+/// decode-per-step switch. Machine::sealModule attaches the decode to the
+/// module and the reclaimer drops it, so every sealed, unreclaimed module
+/// has exactly one decode, made once at seal. A DecodedSegment is a
+/// snapshot of those decodes for one code epoch; building it decodes
+/// nothing. PCs a segment does not cover — a jump
 /// into the middle of an instruction (overlapping-gadget targets) or into
 /// jump-table data — fall back to Machine::interpretStep, which performs
 /// the identical fully-checked fetch/decode/execute step.
@@ -41,24 +44,8 @@
 
 namespace mcfi {
 
-/// Superinstruction kinds recognized at predecode time.
-enum class FusedKind : uint8_t {
-  None = 0,
-  /// The hot head of the Fig. 4 check transaction: the two ID-table
-  /// reads (Bary/Tary in either scheduling order), the xor compare and
-  /// the jz, executed by one fused handler. The table reads remain
-  /// individually atomic and in program order, so a concurrent TxUpdate
-  /// interleaves exactly as it would between discrete instructions.
-  TxCheck,
-};
-
-/// One predecoded instruction.
-struct DInstr {
-  visa::Instr I;
-  uint64_t PC = 0;   ///< absolute address of the instruction
-  int32_t Fall = -1; ///< stream index of the fallthrough successor
-  FusedKind Fused = FusedKind::None; ///< set on group heads only
-};
+using visa::DInstr;
+using visa::FusedKind;
 
 /// The immutable decode of one sealed module's [Base, Base + Size).
 struct DecodedModule {
@@ -78,9 +65,10 @@ struct DecodedModule {
 };
 
 /// Builds the decode of the module \p Serial mapped at [Base, Base +
-/// Size) from its disassembly \p Dis, which covers the module's code
-/// bytes (at most Size; the alignment padding past them stays uncovered).
-/// No byte is decoded again.
+/// Size) from its disassembly \p Dis, made at \p Base, which covers the
+/// module's code bytes (at most Size; the alignment padding past them
+/// stays uncovered). Its stream and index map are moved in, not copied,
+/// and no byte is decoded again.
 std::shared_ptr<const DecodedModule>
 makeDecodedModule(visa::Disassembly Dis, uint64_t Serial, uint64_t Base,
                   uint64_t Size);

@@ -32,7 +32,13 @@ Machine::~Machine() = default;
 // Module mapping
 //===----------------------------------------------------------------------===//
 
-int Machine::mapModule(MCFIObject Obj) {
+int Machine::mapModule(std::shared_ptr<const MCFIObject> ObjPtr) {
+  const MCFIObject &Obj = *ObjPtr;
+  // Refuse, before anything is written, an initializer reaching past the
+  // module's own globals onto a neighbour's: an in-memory object never
+  // went through readObject's bounds.
+  if (!dataInitsFit(Obj))
+    return MapBadDataInit;
   uint64_t CodeSize = Obj.Code.size();
   uint64_t NeededCode = (CodeSize + 7) & ~7ull; // keep modules 8-aligned
 
@@ -43,13 +49,13 @@ int Machine::mapModule(MCFIObject Obj) {
   M.DataBase = DataBase;
   if (Obj.DataSize) {
     if (Obj.DataSize > DataCapacity)
-      return -1; // refuse before rounding can wrap
+      return MapNoRoom; // refuse before rounding can wrap
     M.DataSize = (Obj.DataSize + 7) & ~7ull;
     M.DataBase = Reclaimer.allocDataFromFree(M.DataSize);
     if (!M.DataBase)
       M.DataBase = allocHeap(M.DataSize);
     if (!M.DataBase)
-      return -1;
+      return MapNoRoom;
   }
   // Prefer a reclaimed hole: ranges reach the free list only after their
   // grace period, so reuse here can never alias a range a guest thread
@@ -66,7 +72,7 @@ int Machine::mapModule(MCFIObject Obj) {
     uint64_t Used = CodeUsed.load(std::memory_order_relaxed);
     if (Used + NeededCode > CodeCapacity) {
       Reclaimer.addFreeDataRange(M.DataBase, M.DataSize); // still zero
-      return -1;
+      return MapNoRoom;
     }
     M.CodeBase = CodeBase + Used;
     if (CodeSize)
@@ -80,7 +86,7 @@ int Machine::mapModule(MCFIObject Obj) {
   for (const auto &[Off, Bytes] : Obj.DataInit)
     writeDataBytes(M.DataBase + Off, Bytes.data(), Bytes.size());
 
-  M.Obj = std::make_unique<MCFIObject>(std::move(Obj));
+  M.Obj = std::move(ObjPtr);
   int Index;
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
@@ -129,14 +135,16 @@ void Machine::sealModule(int Index, visa::Disassembly Dis) {
 void Machine::sealModule(int Index) {
   const uint8_t *Code;
   const MCFIObject *Obj;
+  uint64_t Base;
   {
     std::lock_guard<std::mutex> Guard(ModuleLock);
     assert(Index >= 0 && static_cast<size_t>(Index) < Mapped.size());
     const MappedModule &M = Mapped[Index];
     Obj = M.Obj.get();
-    Code = codePtr(M.CodeBase, Obj->Code.size());
+    Base = M.CodeBase;
+    Code = codePtr(Base, Obj->Code.size());
   }
-  sealModule(Index, disassembleModule(Code, Obj->Code.size(), *Obj));
+  sealModule(Index, disassembleModule(Code, Obj->Code.size(), *Obj, Base));
 }
 
 void Machine::recomputeSealedPrefixLocked() {
@@ -319,7 +327,9 @@ void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
       MappedModule &M = *It;
       assert(M.Retired && "reclaiming a live module");
       M.Reclaimed = true;
-      M.Obj.reset(); // drop symbols/metadata; the tombstone stays
+      // Drop this mapping's reference to the object (the linker's
+      // registry may still hold it); the tombstone stays.
+      M.Obj.reset();
       // A segment still holding the decode keeps it alive until the next
       // segment() replaces that segment.
       M.Decode.reset();

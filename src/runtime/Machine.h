@@ -130,17 +130,23 @@ struct Thread {
 
 /// A module mapped into the machine.
 ///
+/// Obj is the registered object itself, shared with the linker's registry
+/// (no copy is made per mapping) and immutable: relocation and Bary
+/// patching write guest memory, never the object.
+///
 /// Unload lifecycle (docs/INTERNALS.md §17): live -> Retired (dlclose ran
 /// its retire transaction; code still mapped because a guest thread may
-/// still be executing in it) -> Reclaimed (grace period elapsed; Obj
-/// dropped, code bytes zeroed, range on the reclaimer's free list).
+/// still be executing in it) -> Reclaimed (grace period elapsed; this
+/// mapping's reference to Obj dropped — the object itself lives on while
+/// the registry holds it — code bytes zeroed, range on the reclaimer's
+/// free list).
 /// Reclaimed entries stay in Mapped as tombstones so surviving module
 /// indices — and the linker's positional site bookkeeping — never shift;
 /// only trailing tombstones are popped by the tail-trim cascade. The
 /// walks a load, unload, reclaim or segment build makes skip them: they
 /// go over the machine's present list (see Machine::Present), not Mapped.
 struct MappedModule {
-  std::unique_ptr<MCFIObject> Obj;
+  std::shared_ptr<const MCFIObject> Obj;
   uint64_t CodeBase = 0; ///< absolute
   uint64_t DataBase = 0; ///< absolute
   uint64_t CodeSize = 0; ///< 8-aligned mapped size (outlives Obj)
@@ -153,7 +159,7 @@ struct MappedModule {
   uint64_t Serial = 0;
   bool Sealed = false;   ///< code is RX (executable, not writable)
   bool Retired = false;  ///< dlclosed; out of the symbol index
-  bool Reclaimed = false; ///< grace elapsed; Obj == nullptr, code zeroed
+  bool Reclaimed = false; ///< grace elapsed; Obj reference dropped, code zeroed
   /// The module's decode (runtime/Dispatch.h): attached by sealModule,
   /// dropped at reclaim, so it is set exactly while the module is sealed
   /// and unreclaimed.
@@ -185,16 +191,23 @@ public:
   // Module mapping (used by the linker)
   //===--------------------------------------------------------------------===//
 
-  /// Copies \p Obj's code and data into the regions. The module starts
-  /// *unsealed* (code writable for relocation patching, not executable).
-  /// Returns the module index, or -1 if a region is exhausted.
-  int mapModule(MCFIObject Obj);
+  /// mapModule's refusals. Nothing is written for either.
+  static constexpr int MapNoRoom = -1; ///< the code or data region is full
+  /// A data initializer reaches past the object's DataSize (dataInitsFit).
+  static constexpr int MapBadDataInit = -2;
+
+  /// Copies \p Obj's code and data into the regions and keeps \p Obj
+  /// itself (shared, never copied) as the module's object. The module
+  /// starts *unsealed* (code writable for relocation patching, not
+  /// executable). Returns the module index, or MapNoRoom/MapBadDataInit.
+  int mapModule(std::shared_ptr<const MCFIObject> Obj);
 
   /// Seals module \p Index: code becomes executable and immutable, and
-  /// the module gets its decode, built from \p Dis — the disassembly of
-  /// its final bytes (disassembleModule) that the verifier checked — so
-  /// the bytes are not decoded a second time. Per the W^X invariant this
-  /// is a one-way transition.
+  /// the module gets its decode, made from \p Dis — the disassembly of
+  /// its final bytes at its CodeBase (disassembleModule) that the
+  /// verifier checked — by moving its stream in, so the bytes are neither
+  /// decoded nor copied a second time. Per the W^X invariant this is a
+  /// one-way transition.
   void sealModule(int Index, visa::Disassembly Dis);
 
   /// Seals an unverified module: disassembles its bytes, then seals as

@@ -96,7 +96,7 @@ private:
   /// Calls \p Fn(Off, I) for every instruction in offset order.
   template <typename FnT> void forEachInstr(FnT Fn) const {
     for (size_t K = 0; K != Dis.Instrs.size(); ++K)
-      Fn(static_cast<uint64_t>(Dis.Offsets[K]), Dis.Instrs[K]);
+      Fn(Dis.offsetOf(K), Dis.Instrs[K].I);
   }
 
   //===--------------------------------------------------------------------===//

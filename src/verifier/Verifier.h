@@ -84,10 +84,12 @@ VerifyResult verifyModule(const uint8_t *Code, size_t Size,
                           const MCFIObject &Obj,
                           const VerifyOptions &Opts = {});
 
-/// Verifies \p Dis, which must be disassembleModule(Code, Size, Obj).
-/// Every check reads this disassembly, so a caller that goes on to
-/// execute it (the linker hands it to Machine::sealModule) runs exactly
-/// the instructions that were verified.
+/// Verifies \p Dis, which must be disassembleModule(Code, Size, Obj,
+/// Base) for any Base: checks read each instruction's offset as its PC
+/// minus Dis.Base. Every check reads this disassembly, so a caller that
+/// goes on to execute it (the linker hands it to Machine::sealModule,
+/// which moves it into the module's decode) runs exactly the
+/// instructions that were verified.
 VerifyResult verifyModule(const uint8_t *Code, size_t Size,
                           const MCFIObject &Obj,
                           const visa::Disassembly &Dis,

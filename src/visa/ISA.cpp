@@ -312,17 +312,56 @@ void mcfi::visa::encode(const Instr &I, std::vector<uint8_t> &Out) {
   }
 }
 
+namespace {
+
+/// Marks S[K] as the head of a fused TxCheck group when S[K..K+3], each
+/// falling through to the next, are the two ID-table reads of Fig. 4
+/// (Bary/Tary in either scheduling order — the Optimize rewriter variant
+/// swaps them) into distinct registers, the xor of the two IDs, and the
+/// jz consuming the difference. Only the head is marked; a jump *into*
+/// the group (the retry jnz targets the first read) executes the
+/// remaining instructions individually, which is semantically identical.
+void markFusedCheck(std::vector<DInstr> &S, size_t K) {
+  if (S[K].Fall != static_cast<int32_t>(K + 1) ||
+      S[K + 1].Fall != static_cast<int32_t>(K + 2) ||
+      S[K + 2].Fall != static_cast<int32_t>(K + 3))
+    return;
+  const Instr &A = S[K].I;
+  const Instr &B = S[K + 1].I;
+  const Instr &X = S[K + 2].I;
+  const Instr &J = S[K + 3].I;
+  bool OneReadEach = (A.Op == Opcode::BaryRead && B.Op == Opcode::TableRead) ||
+                     (A.Op == Opcode::TableRead && B.Op == Opcode::BaryRead);
+  if (!OneReadEach || A.Rd == B.Rd || X.Op != Opcode::Xor ||
+      J.Op != Opcode::Jz)
+    return;
+  bool XorOverIDs = (X.Ra == A.Rd && X.Rb == B.Rd) ||
+                    (X.Ra == B.Rd && X.Rb == A.Rd);
+  if (XorOverIDs && J.Ra == X.Rd)
+    S[K].Fused = FusedKind::TxCheck;
+}
+
+} // namespace
+
 Disassembly mcfi::visa::disassemble(
     const uint8_t *Code, size_t Size,
-    const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges) {
+    const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges,
+    uint64_t Base) {
   Disassembly Out;
+  Out.Base = Base;
+  // The loader maps modules 8-aligned, and a sealed module's decode
+  // extends this map over the padding: reserve that now, so the decode
+  // takes the map without reallocating it.
+  Out.IndexByOff.reserve((Size + 7) & ~size_t(7));
   Out.IndexByOff.assign(Size, -1);
   Out.Instrs.reserve(Size / 4);
-  Out.Offsets.reserve(Size / 4);
   // Offsets only grow, so the last range beginning at or before Off is
   // found by advancing one cursor.
   size_t NextRange = 0;
   size_t Offset = 0;
+  // Starts ascend, so an instruction starting where the previous one
+  // ends is that one's fallthrough.
+  size_t PrevEnd = ~size_t(0);
   while (Offset < Size) {
     while (NextRange != DataRanges.size() &&
            DataRanges[NextRange].first <= Offset)
@@ -338,9 +377,15 @@ Disassembly mcfi::visa::disassemble(
       ++Offset;
       continue;
     }
-    Out.IndexByOff[Offset] = static_cast<int32_t>(Out.Instrs.size());
-    Out.Offsets.push_back(static_cast<uint32_t>(Offset));
-    Out.Instrs.push_back(I);
+    int32_t K = static_cast<int32_t>(Out.Instrs.size());
+    if (Offset == PrevEnd)
+      Out.Instrs.back().Fall = K;
+    PrevEnd = Offset + I.Length;
+    Out.IndexByOff[Offset] = K;
+    Out.Instrs.push_back({I, Base + Offset});
+    // A group ends in its jz: check the window when the jz arrives.
+    if (I.Op == Opcode::Jz && K >= 3)
+      markFusedCheck(Out.Instrs, static_cast<size_t>(K) - 3);
     Offset += I.Length;
   }
   return Out;

@@ -155,22 +155,47 @@ std::string printInstr(const Instr &I);
 // The module disassembler
 //===----------------------------------------------------------------------===//
 
+/// Superinstruction kinds the disassembler marks for the threaded tier
+/// (runtime/Dispatch.h).
+enum class FusedKind : uint8_t {
+  None = 0,
+  /// The hot head of the Fig. 4 check transaction: the two ID-table
+  /// reads (Bary/Tary in either scheduling order), the xor compare and
+  /// the jz, executed by one fused handler. The table reads remain
+  /// individually atomic and in program order, so a concurrent TxUpdate
+  /// interleaves exactly as it would between discrete instructions.
+  TxCheck,
+};
+
+/// One disassembled instruction, in the 40-byte form the threaded tier
+/// executes: the decode, its absolute address, the index of the
+/// instruction that starts where it ends, and the fused-group mark.
+struct DInstr {
+  Instr I;
+  uint64_t PC = 0;   ///< absolute address: Disassembly::Base + offset
+  int32_t Fall = -1; ///< index of the fallthrough successor, or -1
+  FusedKind Fused = FusedKind::None; ///< set on group heads only
+};
+
 /// A flat disassembly of one module's code: every instruction start a
 /// left-to-right sweep reaches, in offset order, plus a byte-offset ->
 /// instruction index map. It is the only disassembly in the system: the
 /// verifier checks it, the semantic tier proves over it, and the runtime
-/// executes it (runtime/Dispatch.h), so what runs is what was checked.
-/// Because VISA decoding is context-free, any start recorded here decodes
-/// to exactly what a fetch at that offset would decode; a fetch at an
-/// offset *not* recorded (a jump into the middle of an instruction,
-/// overlapping-gadget style, or into jump-table data) is not covered and
-/// must be decoded afresh by the caller.
+/// moves it into the module's decode and executes it (runtime/Dispatch.h),
+/// so what runs is what was checked. Each instruction records its
+/// absolute address (Base plus its offset), so checks read the offset as
+/// PC - Base. Because VISA decoding is context-free, any start recorded
+/// here decodes to exactly what a fetch at that offset would decode; a
+/// fetch at an offset *not* recorded (a jump into the middle of an
+/// instruction, overlapping-gadget style, or into jump-table data) is not
+/// covered and must be decoded afresh by the caller.
 struct Disassembly {
   /// FirstBad value of a disassembly with no undecodable byte.
   static constexpr uint64_t NoBadByte = ~0ull;
 
-  std::vector<Instr> Instrs;
-  std::vector<uint32_t> Offsets;   ///< Offsets[i] = byte offset of Instrs[i]
+  /// Absolute address of offset 0 (0 for a module not mapped anywhere).
+  uint64_t Base = 0;
+  std::vector<DInstr> Instrs;
   std::vector<int32_t> IndexByOff; ///< per byte: instr index or -1
   /// First offset outside the data ranges that does not start a valid
   /// instruction (NoBadByte when every swept byte decoded).
@@ -180,6 +205,9 @@ struct Disassembly {
   /// decoded instruction: the verifier's precondition.
   bool complete() const { return FirstBad == NoBadByte; }
 
+  /// Byte offset of instruction \p K.
+  uint64_t offsetOf(size_t K) const { return Instrs[K].PC - Base; }
+
   /// Instruction index starting at \p Off, or -1.
   int32_t indexAt(uint64_t Off) const {
     return Off < IndexByOff.size() ? IndexByOff[Off] : -1;
@@ -188,20 +216,22 @@ struct Disassembly {
   /// The instruction starting at \p Off, or null.
   const Instr *at(uint64_t Off) const {
     int32_t K = indexAt(Off);
-    return K < 0 ? nullptr : &Instrs[static_cast<size_t>(K)];
+    return K < 0 ? nullptr : &Instrs[static_cast<size_t>(K)].I;
   }
 };
 
-/// Disassembles [0, Size) of \p Code. \p DataRanges are sorted
-/// [Begin, End) byte ranges holding data (a module's declared jump
-/// tables); a sweep reaching the last range that begins at or before it
-/// jumps to that range's end. Undecodable bytes (an invalid opcode, an
-/// instruction truncated by Size) are skipped one at a time, so the
-/// sweep resynchronizes the way a linear sweep of x86 bytes would; the
-/// first one is recorded in Disassembly::FirstBad.
+/// Disassembles [0, Size) of \p Code, loaded at absolute address
+/// \p Base. \p DataRanges are sorted [Begin, End) byte ranges holding
+/// data (a module's declared jump tables); a sweep reaching the last
+/// range that begins at or before it jumps to that range's end.
+/// Undecodable bytes (an invalid opcode, an instruction truncated by
+/// Size) are skipped one at a time, so the sweep resynchronizes the way a
+/// linear sweep of x86 bytes would; the first one is recorded in
+/// Disassembly::FirstBad.
 Disassembly
 disassemble(const uint8_t *Code, size_t Size,
-            const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges);
+            const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges,
+            uint64_t Base);
 
 } // namespace visa
 } // namespace mcfi

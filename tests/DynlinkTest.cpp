@@ -596,6 +596,68 @@ TEST(Dynlink, RelocationPastItsModuleIsRefused) {
   EXPECT_EQ(RR.Reason, StopReason::Exited) << RR.Message;
 }
 
+TEST(Dynlink, DataInitializerPastItsGlobalsIsRefused) {
+  // Module A declares 8 bytes of globals and initializes the 8 after
+  // them. Globals are packed, so those bytes are the next module's: a
+  // mapped A would fill B's zero-initialized global with 0xAA. Neither
+  // linkProgram nor dlopen may map A, and nothing it holds is written.
+  MCFIObject A;
+  A.Name = "overreach";
+  A.DataSize = 8;
+  A.DataInit.push_back({8, std::vector<uint8_t>(8, 0xAA)});
+  MCFIObject ReadBack;
+  EXPECT_FALSE(readObject(writeObject(A), ReadBack));
+  {
+    // mapModule names the cause of a refusal: the linker's message comes
+    // from it, not from a second check.
+    MachineOptions Small;
+    Small.CodeCapacity = 1 << 16;
+    Small.DataCapacity = 4 << 20;
+    Small.StackSize = 1 << 16;
+    Machine M(Small);
+    EXPECT_EQ(M.mapModule(std::make_shared<const MCFIObject>(A)),
+              Machine::MapBadDataInit);
+    MCFIObject Big;
+    Big.Name = "big";
+    Big.Code.assign((1 << 16) + 8, 0);
+    EXPECT_EQ(M.mapModule(std::make_shared<const MCFIObject>(std::move(Big))),
+              Machine::MapNoRoom);
+    EXPECT_TRUE(M.modules().empty());
+  }
+
+  CompileOptions HostCO;
+  HostCO.ModuleName = "host";
+  CompileResult Host = compileModule("int main() { return 0; }\n", HostCO);
+  ASSERT_TRUE(Host.Ok);
+  {
+    Machine M;
+    Linker L(M);
+    std::vector<MCFIObject> Objs;
+    Objs.push_back(Host.Obj);
+    Objs.push_back(A);
+    std::string Error;
+    EXPECT_FALSE(L.linkProgram(std::move(Objs), Error));
+    EXPECT_NE(Error.find("outside its globals"), std::string::npos) << Error;
+  }
+
+  DynProgram D = buildWithPlugins("int main() { return 0; }\n",
+                                  {"long b_zero;\n"
+                                   "long b_get(long x) { return b_zero + x; }\n"
+                                   "long (*b_ref)(long) = b_get;\n"});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  int64_t AId = D.L->registerLibrary(A);
+  EXPECT_LT(D.L->dlopen(AId), 0);
+  EXPECT_NE(D.L->lastError().find("outside its globals"), std::string::npos)
+      << D.L->lastError();
+  int64_t B = D.L->dlopen(0);
+  ASSERT_GE(B, 0) << D.L->lastError();
+  const MappedModule &Mod = D.M->modules()[static_cast<size_t>(B)];
+  uint64_t Zero = ~0ull;
+  ASSERT_TRUE(D.M->load<8>(Mod.DataBase + Mod.Obj->DataSymbols.at("b_zero"),
+                           Zero));
+  EXPECT_EQ(Zero, 0u);
+}
+
 /// The GOT slots of every live module of \p M: its imports that have one.
 uint32_t liveGotSlots(const Machine &M) {
   uint32_t Slots = 0;
@@ -1088,7 +1150,7 @@ TEST(SymbolIndex, RepeatedNameInOneModuleKeepsItsFirstDefinition) {
     Obj.Aux.Functions.push_back(F);
   }
   Machine M;
-  int Idx = M.mapModule(std::move(Obj));
+  int Idx = M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj)));
   ASSERT_GE(Idx, 0);
   EXPECT_EQ(M.findFunction("dup"), M.modules()[Idx].CodeBase);
   EXPECT_EQ(M.symbolIndexEntries(), 1u);

@@ -403,8 +403,8 @@ TEST(Sema, UserDefinitionWithBuiltinNameWins) {
   EXPECT_TRUE(DirectCallToExit);
   visa::Disassembly D =
       disassembleModule(CR.Obj.Code.data(), CR.Obj.Code.size(), CR.Obj);
-  for (const visa::Instr &I : D.Instrs)
-    EXPECT_NE(I.Op, visa::Opcode::Syscall);
+  for (const visa::DInstr &I : D.Instrs)
+    EXPECT_NE(I.I.Op, visa::Opcode::Syscall);
 }
 
 TEST(Sema, BuiltinCalledFromTwoFunctionsIsDeclaredOnce) {

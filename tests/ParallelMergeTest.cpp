@@ -19,7 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CFGReference.h"
-#include "cfg/SigCache.h"
+#include "cfg/ModuleSigs.h"
 #include "cfg/SigMatch.h"
 #include "dataflow/Dataflow.h"
 #include "metrics/Harness.h"
@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <random>
 #include <utility>
 
@@ -636,8 +637,11 @@ LoadedModuleView tombstoneOf(const LoadedModuleView &View) {
 /// them with view k closed must emit generateCFG of that list. A second
 /// truncate, to k/2, then views[k/2..n) must emit generateCFG(views)
 /// again.
-void expectSplitsMatch(const std::vector<LoadedModuleView> &Views,
+void expectSplitsMatch(const std::vector<LoadedModuleView> &BareViews,
                        const CFGRefinement *Ref, const std::string &What) {
+  std::vector<LoadedModuleView> Views;
+  for (const LoadedModuleView &View : BareViews)
+    Views.push_back(withModuleSigs(View));
   CFGPolicy Whole = generateCFG(Views, Ref);
   EXPECT_TRUE(policiesIdentical(Whole, generateCFGReference(Views, Ref)))
       << What;
@@ -1074,6 +1078,116 @@ TEST(PersistentMerge, OldestFirstChurnMatchesTheReference) {
   EXPECT_GT(FailedMembers, 0u);
 }
 
+/// True when \p A and \p B are the same decoded instruction at the same
+/// address with the same fallthrough link and fused-group mark.
+bool sameRecord(const DInstr &A, const DInstr &B) {
+  return A.PC == B.PC && A.Fall == B.Fall && A.Fused == B.Fused &&
+         A.I.Op == B.I.Op && A.I.Rd == B.I.Rd && A.I.Ra == B.I.Ra &&
+         A.I.Rb == B.I.Rb && A.I.Off == B.I.Off && A.I.Imm == B.I.Imm &&
+         A.I.Length == B.I.Length;
+}
+
+TEST(ZeroCopyDlopen, SeededChurnSharesEveryArtifact) {
+  // 64 plugins and 12 JIT-op shapes, opened and closed in a seeded mix of
+  // single opens, two-member batches and closes, with a drain now and
+  // then. After every operation three counts hold:
+  //  - every mapping shares its registry entry's object (no copy), and
+  //    each object is held by its registry entry plus one reference per
+  //    unreclaimed mapping of it;
+  //  - no fold looked a module's signatures up: registration interned
+  //    them, once per object;
+  //  - every sealed module's decode is the disassembly of its final
+  //    bytes, record for record, with Fall the instruction starting
+  //    where each one ends.
+  constexpr unsigned Plugins = 64;
+  constexpr int Shapes = 12, Ops = 360;
+  DynProgram D = buildDynamic(Plugins);
+  ASSERT_TRUE(D.Ok) << D.Error;
+  Machine &M = *D.M;
+  Linker &L = *D.L;
+  const int64_t FirstPlugin = 2, FirstOp = 2 + Plugins;
+  for (int K = 0; K != Shapes; ++K) {
+    std::string F = "jop" + std::to_string(K);
+    ASSERT_EQ(L.registerLibrary(compileOrDie(
+                  (K % 4 ? "long local_cb(long x);\n" : "") +
+                      std::string("long ") + F + "(long x) { return " +
+                      (K % 4 ? "local_cb(x) * " : "x * ") +
+                      std::to_string(K + 2) + "; }\nlong (*" + F +
+                      "_ref)(long) = " + F + ";\n",
+                  F)),
+              FirstOp + K);
+  }
+  const int64_t Registered = FirstOp + Shapes;
+  const uint64_t Interns = moduleSigInterns();
+
+  std::map<uint64_t, int64_t> IdOfSerial; ///< dynamic mappings only
+  std::vector<int64_t> Live;
+  auto opened = [&](int64_t H, int64_t Id) {
+    IdOfSerial[M.modules()[static_cast<size_t>(H)].Serial] = Id;
+    Live.push_back(H);
+  };
+  auto check = [&](const std::string &What) {
+    ASSERT_EQ(moduleSigInterns(), Interns) << What << ": a fold interned";
+    std::vector<long> Refs(static_cast<size_t>(Registered), 1);
+    for (const MappedModule &Mod : M.modules()) {
+      auto It = IdOfSerial.find(Mod.Serial);
+      if (It != IdOfSerial.end() && !Mod.Reclaimed) {
+        ASSERT_EQ(Mod.Obj.get(), L.registered(It->second).get()) << What;
+        ++Refs[static_cast<size_t>(It->second)];
+      }
+      if (!Mod.Sealed || Mod.Reclaimed)
+        continue;
+      ASSERT_TRUE(Mod.Decode) << What;
+      const DecodedModule &Dec = *Mod.Decode;
+      size_t Size = Mod.Obj->Code.size();
+      visa::Disassembly Fresh = disassembleModule(
+          M.codePtr(Mod.CodeBase, Size), Size, *Mod.Obj, Mod.CodeBase);
+      ASSERT_EQ(Dec.Stream.size(), Fresh.Instrs.size()) << What;
+      for (size_t K = 0; K != Dec.Stream.size(); ++K) {
+        const DInstr &R = Dec.Stream[K];
+        ASSERT_TRUE(sameRecord(R, Fresh.Instrs[K])) << What << " @" << K;
+        uint64_t End = R.PC - Dec.Base + R.I.Length;
+        ASSERT_EQ(R.Fall, End < Dec.Size ? Dec.IndexByOff[End] : -1)
+            << What << " @" << K;
+      }
+    }
+    for (int64_t Id = FirstPlugin; Id != Registered; ++Id)
+      ASSERT_EQ(L.registered(static_cast<int>(Id)).use_count(),
+                Refs[static_cast<size_t>(Id)])
+          << What << ": library " << Id;
+  };
+
+  std::mt19937 Rng(27);
+  auto pick = [&]() -> int64_t {
+    return Rng() % 2 ? FirstPlugin + Rng() % Plugins : FirstOp + Rng() % Shapes;
+  };
+  for (int Op = 0; Op != Ops; ++Op) {
+    std::string What = "op " + std::to_string(Op);
+    unsigned Roll = Rng() % 8;
+    if (Live.size() > 4 && (Roll < 3 || Live.size() >= 40)) {
+      size_t K = Rng() % Live.size();
+      ASSERT_TRUE(L.dlcloseOne(Live[K])) << What;
+      Live.erase(Live.begin() + static_cast<ptrdiff_t>(K));
+    } else if (Roll == 3) {
+      int64_t A = pick(), B = pick();
+      std::vector<DlopenResult> R = L.dlopenBatch({A, B});
+      ASSERT_GE(R[0].Handle, 0) << What << ": " << L.lastError();
+      ASSERT_GE(R[1].Handle, 0) << What << ": " << L.lastError();
+      opened(R[0].Handle, A);
+      opened(R[1].Handle, B);
+    } else {
+      int64_t Id = pick();
+      int64_t H = L.dlopen(Id);
+      ASSERT_GE(H, 0) << What << ": " << L.lastError();
+      opened(H, Id);
+    }
+    if (Op % 50 == 49)
+      M.drainReclaim();
+    check(What);
+  }
+  ASSERT_TRUE(policiesIdentical(L.policy(), generateCFGReference(viewsOf(M))));
+}
+
 //===----------------------------------------------------------------------===//
 // Hash-consing layer
 //===----------------------------------------------------------------------===//
@@ -1121,51 +1235,88 @@ TEST(SigIntern, MatchesStringOracle) {
   }
 }
 
-TEST(SigCache, ModuleSigsAreCachedByTypeStrings) {
-  MCFIObject Obj = compileOrDie(ModuleB, "cachemod");
-
-  std::shared_ptr<const ModuleSigs> First = getModuleSigs(Obj);
-  std::shared_ptr<const ModuleSigs> Second = getModuleSigs(Obj);
-  ASSERT_TRUE(First);
-  EXPECT_EQ(First.get(), Second.get()); // key hit, no re-intern
-  EXPECT_EQ(First->FuncSigs.size(), Obj.Aux.Functions.size());
-  EXPECT_EQ(First->BranchSigs.size(), Obj.Aux.BranchSites.size());
-  EXPECT_EQ(First->CallSigs.size(), Obj.Aux.CallSites.size());
-  EXPECT_EQ(First->TailSigs.size(), Obj.Aux.TailCalls.size());
-
-  // Each non-empty entry is the interned pointer of the aux string.
-  for (size_t F = 0; F != Obj.Aux.Functions.size(); ++F) {
-    const std::string &Sig = Obj.Aux.Functions[F].TypeSig;
-    if (Sig.empty())
-      EXPECT_EQ(First->FuncSigs[F], nullptr);
-    else
-      EXPECT_EQ(First->FuncSigs[F], SigInterner::global().intern(Sig));
+/// Checks that \p Sigs holds the interned TypeSig of every record in
+/// \p Records, null where it is empty.
+template <typename T>
+void expectInterns(const SigList &Sigs, const std::vector<T> &Records) {
+  ASSERT_EQ(Sigs.size(), Records.size());
+  for (size_t K = 0; K != Records.size(); ++K) {
+    const std::string &Sig = Records[K].TypeSig;
+    EXPECT_EQ(Sigs[K],
+              Sig.empty() ? nullptr : SigInterner::global().intern(Sig))
+        << K;
   }
+}
+
+void expectInternsModule(const ModuleSigs &Sigs, const MCFIObject &Obj) {
+  expectInterns(Sigs.FuncSigs, Obj.Aux.Functions);
+  expectInterns(Sigs.BranchSigs, Obj.Aux.BranchSites);
+  expectInterns(Sigs.CallSigs, Obj.Aux.CallSites);
+  expectInterns(Sigs.TailSigs, Obj.Aux.TailCalls);
+}
+
+TEST(ModuleSigs, SameTypeStringsShareOneView) {
+  MCFIObject Obj = compileOrDie(ModuleB, "sigmod");
+
+  std::shared_ptr<const ModuleSigs> First = internModuleSigs(Obj);
+  ASSERT_TRUE(First);
+  EXPECT_EQ(internModuleSigs(Obj).get(), First.get()); // no re-intern
+  expectInternsModule(*First, Obj);
 
   // The key ignores the module name, symbol names and code bytes...
   MCFIObject Renamed = Obj;
-  Renamed.Name = "cachemod2";
+  Renamed.Name = "sigmod2";
   Renamed.Aux.Functions[0].Name += "_renamed";
   Renamed.Code.push_back(0);
-  EXPECT_EQ(getModuleSigs(Renamed).get(), First.get());
+  EXPECT_EQ(internModuleSigs(Renamed).get(), First.get());
 
   // ...but not the type strings or their positions.
   MCFIObject Retyped = Obj;
   Retyped.Aux.Functions[0].TypeSig = "(f64,)->f64";
-  std::shared_ptr<const ModuleSigs> Other = getModuleSigs(Retyped);
+  std::shared_ptr<const ModuleSigs> Other = internModuleSigs(Retyped);
   EXPECT_NE(Other.get(), First.get());
-  EXPECT_NE(Other->Key, First->Key);
-  EXPECT_EQ(Other->FuncSigs[0], SigInterner::global().intern("(f64,)->f64"));
+  expectInternsModule(*Other, Retyped);
 
   MCFIObject Moved = Obj;
   Moved.Aux.TailCalls.push_back({"f", false, "", "", false});
-  EXPECT_NE(hashModuleSigKey(Moved), First->Key);
+  std::shared_ptr<const ModuleSigs> Longer = internModuleSigs(Moved);
+  EXPECT_NE(Longer.get(), First.get());
+  expectInternsModule(*Longer, Moved);
 }
 
-TEST(SigCache, DlcloseKeepsTheSharedViewOfSameShapedModules) {
+TEST(ModuleSigs, StringBoundariesAreKeyed) {
+  // "(i8,)->i8" + "i16" and "(i8,)->i8i16" + "" concatenate alike, as
+  // do an entry at the end of one array and at the start of the next:
+  // each must still get its own view.
+  MCFIObject Base = compileOrDie(ModuleB, "sigbounds");
+  ASSERT_GE(Base.Aux.Functions.size(), 2u);
+  MCFIObject A = Base, B = Base;
+  A.Aux.Functions[0].TypeSig = "(i8,)->i8";
+  A.Aux.Functions[1].TypeSig = "i16";
+  B.Aux.Functions[0].TypeSig = "(i8,)->i8i16";
+  B.Aux.Functions[1].TypeSig = "";
+  std::shared_ptr<const ModuleSigs> SA = internModuleSigs(A);
+  std::shared_ptr<const ModuleSigs> SB = internModuleSigs(B);
+  EXPECT_NE(SA.get(), SB.get());
+  expectInternsModule(*SA, A);
+  expectInternsModule(*SB, B);
+
+  MCFIObject C = Base, D = Base;
+  C.Aux.Functions.back().TypeSig = "(i32,)->i32";
+  D.Aux.Functions.pop_back();
+  D.Aux.BranchSites.insert(D.Aux.BranchSites.begin(), BranchSite());
+  D.Aux.BranchSites.front().TypeSig = "(i32,)->i32";
+  std::shared_ptr<const ModuleSigs> SC = internModuleSigs(C);
+  std::shared_ptr<const ModuleSigs> SD = internModuleSigs(D);
+  EXPECT_NE(SC.get(), SD.get());
+  expectInternsModule(*SC, C);
+  expectInternsModule(*SD, D);
+}
+
+TEST(ModuleSigs, DlcloseKeepsTheSharedViewOfSameShapedModules) {
   // Plugins 0 and 2 differ only in names and constants, so they share
-  // one content-keyed signature view. Closing one must leave the view
-  // the other folds from in place.
+  // one view. Closing one must leave the view the other folds from in
+  // place.
   DynProgram D = buildDynamic(3);
   ASSERT_TRUE(D.Ok) << D.Error;
   int64_t A = D.L->dlopen(2), B = D.L->dlopen(4);
@@ -1173,10 +1324,10 @@ TEST(SigCache, DlcloseKeepsTheSharedViewOfSameShapedModules) {
   ASSERT_GE(B, 0) << D.L->lastError();
   const MCFIObject &Survivor = *D.M->modules()[static_cast<size_t>(B)].Obj;
   const MCFIObject &Dying = *D.M->modules()[static_cast<size_t>(A)].Obj;
-  std::shared_ptr<const ModuleSigs> Before = getModuleSigs(Survivor);
-  ASSERT_EQ(getModuleSigs(Dying).get(), Before.get());
+  std::shared_ptr<const ModuleSigs> Before = internModuleSigs(Survivor);
+  ASSERT_EQ(internModuleSigs(Dying).get(), Before.get());
   ASSERT_TRUE(D.L->dlcloseOne(A));
-  EXPECT_EQ(getModuleSigs(Survivor).get(), Before.get());
+  EXPECT_EQ(internModuleSigs(Survivor).get(), Before.get());
 }
 
 //===----------------------------------------------------------------------===//

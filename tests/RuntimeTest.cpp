@@ -141,7 +141,8 @@ void mapRaw(Machine &M, std::vector<AsmItem> Items) {
   FunctionInfo Info;
   Info.Name = "raw";
   Obj.Aux.Functions.push_back(Info);
-  M.sealModule(M.mapModule(std::move(Obj)));
+  M.sealModule(
+      M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj))));
 }
 
 /// Maps a single hand-written function as a sealed module and runs it.
@@ -264,13 +265,14 @@ TEST(VM, StraddlingInstructionTraps) {
   A.Aux.Functions.push_back(Info);
 
   Machine M;
-  int Idx = M.mapModule(std::move(A));
+  int Idx = M.mapModule(std::make_shared<const MCFIObject>(std::move(A)));
   M.sealModule(Idx); // sealed prefix = 8 bytes (already 8-aligned)
 
   MCFIObject B;
   B.Name = "unsealed";
   B.Code.assign(16, 0x00); // decodes as MovImm operands (rd = 0)
-  M.mapModule(std::move(B)); // never sealed: writable, not executable
+  // Never sealed: writable, not executable.
+  M.mapModule(std::make_shared<const MCFIObject>(std::move(B)));
 
   for (ExecTier Tier : {ExecTier::Interpreter, ExecTier::Threaded}) {
     M.setTier(Tier);
@@ -298,7 +300,8 @@ TEST(VM, ExecutingUnsealedModuleTraps) {
   Obj.Aux.Functions.push_back(Info);
 
   Machine M;
-  M.mapModule(std::move(Obj)); // never sealed: W^X says not executable
+  // Never sealed: W^X says not executable.
+  M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj)));
   Thread T;
   ASSERT_TRUE(M.makeThread("raw", T));
   RunResult R = M.run(T, 10);

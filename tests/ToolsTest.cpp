@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Shell-level tests of the toolchain drivers: mcfi-cc, mcfi-verify,
-/// mcfi-objdump, mcfi-run, mcfi-audit, mcfi-merge and mcfi-tierdiff,
-/// wired together the way a user would use them. Binary paths are
-/// injected by CMake, which also runs the merge-gate, audit-gate,
-/// unload-gate, VM-tier-gate and verifier-agreement cases as their own
-/// ctests (merge_check, audit_check, unload_check, vm_tier_check,
+/// mcfi-objdump, mcfi-run, mcfi-audit, mcfi-merge, mcfi-tierdiff and
+/// mcfi-attack, wired together the way a user would use them. Binary
+/// paths are injected by CMake, which also runs the merge-gate,
+/// attack-gate, audit-gate, unload-gate, VM-tier-gate and
+/// verifier-agreement cases as their own ctests (merge_check,
+/// attack_check, audit_check, unload_check, vm_tier_check,
 /// verify_check).
 ///
 //===----------------------------------------------------------------------===//
@@ -18,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <sched.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -43,7 +46,9 @@ void writeFile(const std::string &Path, const std::string &Text) {
 }
 
 /// Runs a command, captures stdout+stderr (stdout alone with
-/// \p DropStderr), returns the exit code.
+/// \p DropStderr), returns the exit code: 128 + the signal number for a
+/// command killed by a signal (the shell may exec its last command, so a
+/// crashed tool is the shell's own death), -1 if no shell could start.
 int run(const std::string &Cmd, std::string *Output = nullptr,
         bool DropStderr = false) {
   std::string Full =
@@ -54,6 +59,10 @@ int run(const std::string &Cmd, std::string *Output = nullptr,
     Output->assign(std::istreambuf_iterator<char>(In),
                    std::istreambuf_iterator<char>());
   }
+  if (Status == -1)
+    return -1;
+  if (WIFSIGNALED(Status))
+    return 128 + WTERMSIG(Status);
   return WEXITSTATUS(Status);
 }
 
@@ -65,6 +74,14 @@ protected:
     ASSERT_FALSE(TmpDir.empty());
   }
 };
+
+TEST_F(ToolsFixture, RunReportsAKilledCommandAsAFailure) {
+  // Every gate below expects run() == 0 from a tool; a tool that dies on
+  // a signal must not read as a clean exit, whether or not the shell
+  // execs it.
+  EXPECT_EQ(run("kill -TERM $$"), 128 + SIGTERM);
+  EXPECT_EQ(run("sh -c 'kill -TERM $$'; exit $?"), 128 + SIGTERM);
+}
 
 TEST_F(ToolsFixture, FullPipeline) {
   writeFile(path("app.minic"), R"(
@@ -330,6 +347,55 @@ TEST_F(ToolsFixture, MergeCheckDynamicPlugin) {
 }
 
 //===----------------------------------------------------------------------===//
+// Adversarial gauntlet gate
+//===----------------------------------------------------------------------===//
+
+/// The examples' paths, sorted (what a shell glob of examples/*.cpp lists).
+std::vector<std::string> exampleSources() {
+  std::vector<std::string> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(MCFI_EXAMPLES_DIR))
+    if (E.path().extension() == ".cpp")
+      Examples.push_back(E.path().string());
+  std::sort(Examples.begin(), Examples.end());
+  return Examples;
+}
+
+TEST_F(ToolsFixture, AttackCheckBuiltInVictimLosesEveryAttack) {
+  // mcfi-attack synthesizes the exploit corpus against its built-in
+  // hook-dispatch victim and runs every attack under both VM tiers; a
+  // Survived verdict or a missed expectation exits nonzero, and so does
+  // a corpus covering fewer than 4 attack classes.
+  std::string Out;
+  EXPECT_EQ(run(std::string(MCFI_ATTACK) + " --min-classes 4", &Out), 0)
+      << Out;
+}
+
+TEST_F(ToolsFixture, AttackCheckCorpusIsDeterministic) {
+  // A fixed seed fixes the corpus and the verdict sequence: two runs
+  // print the same JSON report, byte for byte.
+  std::string Cmd = std::string(MCFI_ATTACK) +
+                    " --json --seed 0xfeed --max-per-class 2 --tier threaded";
+  std::string First, Second;
+  ASSERT_EQ(run(Cmd, &First, /*DropStderr=*/true), 0) << First;
+  ASSERT_EQ(run(Cmd, &Second, /*DropStderr=*/true), 0) << Second;
+  EXPECT_FALSE(First.empty());
+  EXPECT_TRUE(First == Second) << "corpus not deterministic for a fixed seed";
+}
+
+TEST_F(ToolsFixture, AttackCheckExampleVictimsLoseEveryAttack) {
+  // The same corpus over every example that links as a standalone
+  // program (the tool skips the others with a note). Examples expose
+  // whatever attack surface they have, so there is no class floor here,
+  // and a tighter fuel budget bounds each run.
+  std::string Cmd =
+      std::string(MCFI_ATTACK) + " --max-per-class 2 --fuel 5000000";
+  for (const std::string &Example : exampleSources())
+    Cmd += " " + Example;
+  std::string Out;
+  EXPECT_EQ(run(Cmd, &Out), 0) << Out;
+}
+
+//===----------------------------------------------------------------------===//
 // Module-unload gate
 //===----------------------------------------------------------------------===//
 
@@ -416,11 +482,7 @@ TEST_F(ToolsFixture, VmTierGateExamplesAreTierInvariant) {
   // mcfi-tierdiff runs every embedded module set of each example under
   // the interpreter and the threaded tier, and fails on any RunResult or
   // output divergence: the tiers' correctness bar.
-  std::vector<std::string> Examples;
-  for (const auto &E : std::filesystem::directory_iterator(MCFI_EXAMPLES_DIR))
-    if (E.path().extension() == ".cpp")
-      Examples.push_back(E.path().string());
-  std::sort(Examples.begin(), Examples.end());
+  std::vector<std::string> Examples = exampleSources();
   ASSERT_FALSE(Examples.empty());
   std::string Cmd = MCFI_TIERDIFF;
   for (const std::string &Example : Examples)

@@ -74,7 +74,7 @@ uint64_t evalBinary(Opcode Op, uint64_t A, uint64_t B) {
   Small.StackSize = 1 << 16;
   Small.BaryCapacity = 16;
   Machine M(Small);
-  int Idx = M.mapModule(std::move(Obj));
+  int Idx = M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj)));
   M.sealModule(Idx);
   Thread T;
   EXPECT_TRUE(M.makeThread("f", T));
@@ -201,7 +201,7 @@ TEST(VMSemantics, SubWordLoadsZeroExtend) {
   Info.Name = "f";
   Obj.Aux.Functions.push_back(Info);
   Machine M;
-  int Idx = M.mapModule(std::move(Obj));
+  int Idx = M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj)));
   M.sealModule(Idx);
   Thread T;
   ASSERT_TRUE(M.makeThread("f", T));
@@ -239,7 +239,7 @@ TEST(VMSemantics, PushPopRoundTrip) {
   Info.Name = "f";
   Obj.Aux.Functions.push_back(Info);
   Machine M;
-  int Idx = M.mapModule(std::move(Obj));
+  int Idx = M.mapModule(std::make_shared<const MCFIObject>(std::move(Obj)));
   M.sealModule(Idx);
   Thread T;
   ASSERT_TRUE(M.makeThread("f", T));
@@ -328,7 +328,8 @@ AccessRun runAccess(ExecTier Tier, Access A, const AddrFn &Addr) {
   // with it the end of the mapped code, does not depend on the address.
   uint64_t CodeTop =
       Machine::CodeBase + ((Assemble(0).Code.size() + 7) & ~7ull);
-  int Idx = M.mapModule(Assemble(Addr(CodeTop)));
+  int Idx =
+      M.mapModule(std::make_shared<const MCFIObject>(Assemble(Addr(CodeTop))));
   EXPECT_EQ(M.codeTop(), CodeTop);
   M.sealModule(Idx);
   Thread T;

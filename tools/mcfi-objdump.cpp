@@ -92,12 +92,12 @@ void disassemble(const MCFIObject &Obj) {
   visa::Disassembly Dis =
       disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
   for (size_t K = 0; K != Dis.Instrs.size(); ++K) {
-    Gap(Dis.Offsets[K]);
-    Off = Dis.Offsets[K];
+    Gap(Dis.offsetOf(K));
+    Off = Dis.offsetOf(K);
     Label(Off);
     std::printf("%08llx:  %s\n", static_cast<unsigned long long>(Off),
-                visa::printInstr(Dis.Instrs[K]).c_str());
-    Off += Dis.Instrs[K].Length;
+                visa::printInstr(Dis.Instrs[K].I).c_str());
+    Off += Dis.Instrs[K].I.Length;
   }
   Gap(Obj.Code.size());
 }

@@ -14,8 +14,9 @@
 # by construction, and must be TSan-clean — and the layered-type-map
 # suite (test_mlta), whose tier-parameterized refined builds run the CFG
 # merge under an MLTA refinement on every execution tier, and the tool
-# suite (test_tools, whose gate cases run as verify_check, audit_check
-# and unload_check; unload_check's --dlclose-churn case races
+# suite (test_tools, whose gate cases run as verify_check, merge_check,
+# attack_check, audit_check and unload_check; unload_check's
+# --dlclose-churn case races
 # dlopenBatch/dlcloseBatch retirement and epoch reclamation against a
 # running guest).
 #
