@@ -6,12 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Verification throughput (Sec. 6's "a few milliseconds per module"):
-/// the syntactic template walk is the fast path, and the two-tier
-/// verifier must not pay for the abstract-interpretation engine when
-/// the templates decide. We measure MB/s per tier over the workload
-/// modules, instrumented both plainly (templates accept; the engine
-/// runs only when forced) and with --optimize scheduling (templates
-/// reject; every two-tier run falls through to the fixpoint engine).
+/// MB/s of the structural checks plus the Fig. 4 template walk over the
+/// instrumented workload modules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,13 +24,12 @@ using namespace mcfi;
 
 namespace {
 
-/// Best-of-5 wall time for one verifyModule configuration.
-double bestVerifyMs(const MCFIObject &Obj, const VerifyOptions &Opts,
-                    bool &Ok) {
+/// Best-of-5 wall time of verifyModule.
+double bestVerifyMs(const MCFIObject &Obj, bool &Ok) {
   double BestMs = 1e99;
   for (int I = 0; I != 5; ++I) {
     auto T0 = std::chrono::steady_clock::now();
-    VerifyResult R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj, Opts);
+    VerifyResult R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj);
     auto T1 = std::chrono::steady_clock::now();
     Ok = R.Ok;
     BestMs = std::min(
@@ -50,67 +45,42 @@ std::string mbps(uint64_t Bytes, double Ms) {
 } // namespace
 
 int main() {
-  benchHeader("Two-tier verification throughput, syntactic vs semantic",
+  benchHeader("Verification throughput",
               "Sec. 6's per-module verification cost");
 
   TablePrinter Table;
-  Table.addRow({"module", "code bytes", "sites", "syntactic", "semantic",
-                "two-tier", "tier"});
+  Table.addRow({"module", "code bytes", "sites", "verify"});
 
   uint64_t SumBytes = 0;
-  double SumSyn = 0, SumSem = 0, SumTwo = 0;
+  double SumMs = 0;
   for (const BenchProfile &P : specProfiles()) {
-    std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
-    for (bool Optimize : {false, true}) {
-      CompileOptions CO;
-      CO.ModuleName = P.Name + (Optimize ? "-opt" : "");
-      CO.Optimize = Optimize;
-      CompileResult CR = compileModule(Source, CO);
-      if (!CR.Ok) {
-        std::fprintf(stderr, "%s failed: %s\n", CO.ModuleName.c_str(),
-                     CR.Errors.empty() ? "?" : CR.Errors.front().c_str());
-        return 1;
-      }
-      const MCFIObject &Obj = CR.Obj;
-
-      VerifyOptions SynOnly, SemOnly, Two;
-      SynOnly.UseSemantic = false;
-      SemOnly.UseSyntactic = false;
-      bool SynOk = false, SemOk = false, TwoOk = false;
-      double SynMs = bestVerifyMs(Obj, SynOnly, SynOk);
-      double SemMs = bestVerifyMs(Obj, SemOnly, SemOk);
-      double TwoMs = bestVerifyMs(Obj, Two, TwoOk);
-
-      // The contract the measurement rides on: templates accept plain
-      // instrumentation and reject the scheduled form; the engine
-      // proves both; the two-tier run always ends Ok.
-      if (SynOk == Optimize || !SemOk || !TwoOk) {
-        std::fprintf(stderr, "FAIL: %s tier outcomes wrong (syn=%d sem=%d "
-                     "two=%d)\n", CO.ModuleName.c_str(), SynOk, SemOk, TwoOk);
-        return 1;
-      }
-
-      SumBytes += Obj.Code.size();
-      SumSyn += SynMs;
-      SumSem += SemMs;
-      SumTwo += TwoMs;
-      Table.addRow({CO.ModuleName, std::to_string(Obj.Code.size()),
-                    std::to_string(Obj.Aux.BranchSites.size()),
-                    mbps(Obj.Code.size(), SynMs), mbps(Obj.Code.size(), SemMs),
-                    mbps(Obj.Code.size(), TwoMs),
-                    Optimize ? "semantic" : "syntactic"});
+    CompileOptions CO;
+    CO.ModuleName = P.Name;
+    CompileResult CR =
+        compileModule(generateWorkload(P, WorkloadVariant::Fixed), CO);
+    if (!CR.Ok) {
+      std::fprintf(stderr, "%s failed: %s\n", CO.ModuleName.c_str(),
+                   CR.Errors.empty() ? "?" : CR.Errors.front().c_str());
+      return 1;
     }
+    const MCFIObject &Obj = CR.Obj;
+    bool Ok = false;
+    double Ms = bestVerifyMs(Obj, Ok);
+    if (!Ok) {
+      std::fprintf(stderr, "FAIL: %s does not verify\n",
+                   CO.ModuleName.c_str());
+      return 1;
+    }
+    SumBytes += Obj.Code.size();
+    SumMs += Ms;
+    Table.addRow({CO.ModuleName, std::to_string(Obj.Code.size()),
+                  std::to_string(Obj.Aux.BranchSites.size()),
+                  mbps(Obj.Code.size(), Ms)});
   }
-  Table.addRow({"total", std::to_string(SumBytes), "",
-                mbps(SumBytes, SumSyn), mbps(SumBytes, SumSem),
-                mbps(SumBytes, SumTwo), ""});
+  Table.addRow({"total", std::to_string(SumBytes), "", mbps(SumBytes, SumMs)});
   Table.print();
 
-  std::printf("\nShape to reproduce: the syntactic walk verifies tens of "
-              "MB/s; the\nsemantic fixpoint is roughly an order of magnitude "
-              "slower but still\nwithin dynamic-linking budgets; the two-tier "
-              "column tracks the\nsyntactic one on plain modules (the engine "
-              "never runs) and pays\nsyntactic+semantic on --optimize "
-              "modules (the templates reject,\nthen the engine proves).\n");
+  std::printf("\nShape to reproduce: the verifier checks tens of MB/s or "
+              "more, well\nwithin dynamic-linking budgets.\n");
   return 0;
 }

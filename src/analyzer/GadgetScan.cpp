@@ -20,7 +20,10 @@ namespace {
 
 struct GadgetCache {
   std::mutex Lock;
-  std::unordered_map<uint64_t, std::shared_ptr<const GadgetScanResult>> Map;
+  /// Keyed by the code bytes themselves: two blobs share a scan only if
+  /// every byte matches.
+  std::unordered_map<std::string, std::shared_ptr<const GadgetScanResult>>
+      Map;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   /// Bounded, and cleared wholesale when full: mined blobs are a few
@@ -36,30 +39,20 @@ struct GadgetCache {
 
 } // namespace
 
-uint64_t mcfi::hashCodeBytes(const uint8_t *Code, size_t Size) {
-  uint64_t H = 0x9ddfea08eb382d69ull; // distinct basis from module hashing
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= Code[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 std::shared_ptr<const GadgetScanResult> mcfi::mineGadgets(const uint8_t *Code,
                                                           size_t Size) {
-  uint64_t Hash = hashCodeBytes(Code, Size);
+  std::string Key(reinterpret_cast<const char *>(Code), Size);
   GadgetCache &C = GadgetCache::global();
   {
     std::lock_guard<std::mutex> Guard(C.Lock);
-    auto It = C.Map.find(Hash);
-    if (It != C.Map.end() && It->second->CodeSize == Size) {
+    auto It = C.Map.find(Key);
+    if (It != C.Map.end()) {
       ++C.Hits;
       return It->second;
     }
   }
 
   auto Scan = std::make_shared<GadgetScanResult>();
-  Scan->ContentHash = Hash;
   Scan->CodeSize = Size;
   for (size_t Start = 0; Start != Size; ++Start) {
     size_t Off = Start;
@@ -77,15 +70,15 @@ std::shared_ptr<const GadgetScanResult> mcfi::mineGadgets(const uint8_t *Code,
   }
 
   std::lock_guard<std::mutex> Guard(C.Lock);
-  auto It = C.Map.find(Hash);
-  if (It != C.Map.end() && It->second->CodeSize == Size) {
+  auto It = C.Map.find(Key);
+  if (It != C.Map.end()) {
     ++C.Hits;
     return It->second; // racing miner won; keep one canonical result
   }
   ++C.Misses;
   if (C.Map.size() >= GadgetCache::MaxEntries)
     C.Map.clear();
-  C.Map.emplace(Hash, Scan);
+  C.Map.emplace(std::move(Key), Scan);
   return Scan;
 }
 

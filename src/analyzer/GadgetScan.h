@@ -10,11 +10,11 @@
 /// sequence of bounded length ending in an indirect branch, reachable
 /// from *any* byte offset (variable-length decoding makes instruction
 /// middles decodable). The miner enumerates every candidate once per
-/// distinct code blob and caches the result keyed by content hash, so
+/// distinct code blob and caches the result keyed by the blob's bytes, so
 /// the gadget-elimination bench and the attack-synthesis harness share
-/// one implementation and repeated scans of the same bytes — the bootstrap/rt modules across bench profiles,
-/// the same victim across the three execution tiers — cost one hash
-/// lookup instead of a full re-decode.
+/// one implementation and repeated scans of the same bytes — the
+/// bootstrap/rt modules across bench profiles, the same victim across the
+/// three execution tiers — cost one lookup instead of a full re-decode.
 ///
 /// Consumers:
 ///  - metrics/Metrics.cpp::countGadgets (the Sec. 8.3 bench numbers)
@@ -48,7 +48,6 @@ struct MinedGadget {
 /// byte offset where a bounded sequence ending in an indirect branch
 /// decodes, sorted by Start (at most one per start offset).
 struct GadgetScanResult {
-  uint64_t ContentHash = 0;
   uint64_t CodeSize = 0;
   std::vector<MinedGadget> Gadgets;
 };
@@ -56,11 +55,8 @@ struct GadgetScanResult {
 /// Gadget length bound, in decoded instructions (rp++-style).
 constexpr unsigned GadgetMaxInstrs = 24;
 
-/// FNV-1a over raw code bytes (the cache key).
-uint64_t hashCodeBytes(const uint8_t *Code, size_t Size);
-
 /// Mines \p Code, returning the cached result when a blob with the same
-/// content hash (and size) was mined before. Thread-safe; never null.
+/// bytes was mined before. Thread-safe; never null.
 std::shared_ptr<const GadgetScanResult> mineGadgets(const uint8_t *Code,
                                                     size_t Size);
 

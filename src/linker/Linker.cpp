@@ -330,7 +330,7 @@ InstallDelta mcfi::computeInstallDelta(const CFGPolicy &Installed,
   // lowers codeTop and pops trailing tombstones' site slots, but the
   // Tary words and Bary entries above the trimmed top were zeroed by the
   // retire transaction, and a module reusing them is mapped only after
-  // the grace period (docs/INTERNALS.md §17). Shrinking the extents
+  // the grace period (docs/INTERNALS.md §16). Shrinking the extents
   // instead would force the next dlopen onto the full, version-bumping
   // install.
   InstallDelta D;
@@ -1061,7 +1061,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // Between the retire transaction and a reinstall the tables are
   // self-consistent under the OLD numbering (survivors' entries were
   // untouched on both sides); only the dying entries are gone. See
-  // docs/INTERNALS.md §17.
+  // docs/INTERNALS.md §16.
   for (const DyingModule &D : Dying)
     D.P->Ok = true;
   appendHistory(UnloadHistory, BS);

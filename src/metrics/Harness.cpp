@@ -29,7 +29,6 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
     CO.ModuleName = "tu" + std::to_string(I);
     CO.Instrument = Spec.Instrument;
     CO.TailCalls = Spec.TailCalls;
-    CO.Optimize = Spec.Optimize;
     CompileResult CR = compileModule(Sources[I], CO);
     if (!CR.Ok) {
       BP.Error = CR.Errors.empty() ? "compile failed" : CR.Errors.front();
@@ -43,7 +42,6 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
     CO.ModuleName = "rt";
     CO.Instrument = Spec.Instrument;
     CO.TailCalls = Spec.TailCalls;
-    CO.Optimize = Spec.Optimize;
     CompileResult CR = compileModule(runtimeLibrarySource(), CO);
     if (!CR.Ok) {
       BP.Error = "rt library: " +
@@ -59,8 +57,7 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
       CO.ModuleName = "dyn" + std::to_string(I);
       CO.Instrument = Spec.Instrument;
       CO.TailCalls = Spec.TailCalls;
-      CO.Optimize = Spec.Optimize;
-      CompileResult CR = compileModule(Spec.ExtraAnalysisSources[I], CO);
+        CompileResult CR = compileModule(Spec.ExtraAnalysisSources[I], CO);
       if (!CR.Ok) {
         BP.Error = "analysis source: " +
                    (CR.Errors.empty() ? "compile failed" : CR.Errors.front());

@@ -48,9 +48,6 @@ struct BuildSpec {
   bool Instrument = true;
   bool TailCalls = true;
   bool LinkRtLibrary = true;
-  /// Rewriter check-scheduling / mask-sharing; output needs the
-  /// semantic verifier tier.
-  bool Optimize = false;
   /// Run the multi-layer type analysis over all translation units (rt
   /// library and ExtraAnalysisSources included) and link under the
   /// resulting refinement. The refined policy applies to every policy

@@ -76,7 +76,7 @@ public:
   }
   bool str(std::string &S) {
     uint32_t N;
-    if (!u32(N) || Pos + N > Blob.size())
+    if (!u32(N) || N > Blob.size() - Pos)
       return false;
     S.assign(reinterpret_cast<const char *>(Blob.data()) + Pos, N);
     Pos += N;
@@ -84,7 +84,8 @@ public:
   }
   bool bytes(std::vector<uint8_t> &B) {
     uint64_t N;
-    if (!u64(N) || Pos + N > Blob.size())
+    // Compared against what is left, so a length near 2^64 cannot wrap.
+    if (!u64(N) || N > Blob.size() - Pos)
       return false;
     B.assign(Blob.begin() + static_cast<ptrdiff_t>(Pos),
              Blob.begin() + static_cast<ptrdiff_t>(Pos + N));
@@ -339,7 +340,8 @@ bool mcfi::readObject(const std::vector<uint8_t> &Blob, MCFIObject &Out) {
     uint32_t NT;
     if (!R.str(J.Function) || !R.u64(J.JmpOffset) || !R.u64(J.TableOffset) ||
         !R.u32(NT) || J.JmpOffset >= Out.Code.size() ||
-        J.TableOffset + 8ull * NT > Out.Code.size())
+        J.TableOffset > Out.Code.size() ||
+        NT > (Out.Code.size() - J.TableOffset) / 8)
       return false;
     for (uint32_t T = 0; T != NT; ++T) {
       uint64_t Target;

@@ -61,27 +61,18 @@ int emitCheckCore(AsmFunction &Fn, std::vector<AsmItem> &Items,
   }
   Items.push_back(AsmItem::label(Try));
   {
-    // The two ID loads are independent; under Optimize the Tary read is
-    // scheduled first (on hardware the %gs-relative table load has the
-    // longer latency). Either order reloads both IDs on a retry, so the
-    // transaction stays correct — but only the Bary-first order matches
-    // the Fig. 4 byte template, so Optimize output needs the semantic
-    // verifier tier.
-    Instr TR = mk(Opcode::TableRead);
-    TR.Rd = RegTargetID;
-    TR.Ra = RegTarget;
-    Instr BR = mk(Opcode::BaryRead);
-    BR.Rd = RegBranchID;
-    AsmItem BRIt = AsmItem::instr(BR);
-    BRIt.Reloc = RelocKind::BaryIndex32;
-    BRIt.SiteId = SiteId;
-    if (Opts.Optimize) {
-      Items.push_back(AsmItem::instr(TR));
-      Items.push_back(BRIt);
-    } else {
-      Items.push_back(BRIt);
-      Items.push_back(AsmItem::instr(TR));
-    }
+    Instr I = mk(Opcode::BaryRead);
+    I.Rd = RegBranchID;
+    AsmItem It = AsmItem::instr(I);
+    It.Reloc = RelocKind::BaryIndex32;
+    It.SiteId = SiteId;
+    Items.push_back(It);
+  }
+  {
+    Instr I = mk(Opcode::TableRead);
+    I.Rd = RegTargetID;
+    I.Ra = RegTarget;
+    Items.push_back(AsmItem::instr(I));
   }
   {
     Instr I = mk(Opcode::Xor);
@@ -177,33 +168,12 @@ private:
     std::vector<AsmItem> New;
     New.reserve(Old.size() * 2);
 
-    // Optimize: registers known to hold a sandbox-masked value on every
-    // straight-line path to this point. A bit survives only while nothing
-    // can invalidate it: any label kills all bits (a branch may enter with
-    // unmasked state), and a write to the register kills its bit.
-    uint16_t MaskedRegs = 0;
-
     for (AsmItem &It : Old) {
       if (It.K != AsmItem::Kind::Instr) {
-        MaskedRegs = 0;
         New.push_back(std::move(It));
         continue;
       }
       const SiteMeta *Meta = It.Meta >= 0 ? &PM.Meta[It.Meta] : nullptr;
-
-      switch (It.I.Op) {
-      case Opcode::Ret:
-      case Opcode::CallInd:
-      case Opcode::Call:
-      case Opcode::JmpInd:
-      case Opcode::Syscall:
-        // Control leaves (or a callee/kernel may clobber registers): no
-        // mask survives across these, whichever way they are rewritten.
-        MaskedRegs = 0;
-        break;
-      default:
-        break;
-      }
 
       switch (It.I.Op) {
       case Opcode::Ret: {
@@ -331,25 +301,17 @@ private:
       case Opcode::Store16:
       case Opcode::Store32: {
         // Sandbox memory writes: mask the address register unless it is
-        // the (trusted) stack pointer. Under Optimize the mask is shared:
-        // a second store through the same still-masked register skips the
-        // redundant andi. The result no longer matches the mask-adjacent-
-        // to-store template, so it needs the semantic verifier tier.
+        // the (trusted) stack pointer.
         if (It.I.Rd != RegSP) {
-          if (!(Opts.Optimize && (MaskedRegs & (1u << It.I.Rd)))) {
-            Instr M = mk(Opcode::AndImm);
-            M.Rd = It.I.Rd;
-            M.Imm = 0xffffffffull;
-            New.push_back(AsmItem::instr(M));
-            MaskedRegs |= static_cast<uint16_t>(1u << It.I.Rd);
-          }
+          Instr M = mk(Opcode::AndImm);
+          M.Rd = It.I.Rd;
+          M.Imm = 0xffffffffull;
+          New.push_back(AsmItem::instr(M));
         }
         New.push_back(std::move(It));
         continue;
       }
       default:
-        if (writesRd(It.I.Op))
-          MaskedRegs &= static_cast<uint16_t>(~(1u << It.I.Rd));
         New.push_back(std::move(It));
         continue;
       }
@@ -364,10 +326,12 @@ private:
 } // namespace
 
 void mcfi::instrumentModule(PendingModule &PM, const RewriteOptions &Opts) {
+  assert(!Opts.Optimize && "RewriteOptions::Optimize is not supported");
   RewriterImpl(PM, Opts).run();
 }
 
 void mcfi::addPltEntries(PendingModule &PM, const RewriteOptions &Opts) {
+  assert(!Opts.Optimize && "RewriteOptions::Optimize is not supported");
   for (const std::string &Sym : PM.Imports) {
     // GOT slot in the data section.
     PM.DataSize = (PM.DataSize + 7) & ~7ull;

@@ -39,11 +39,9 @@ struct RewriteOptions {
   /// low two bits of the target ("incurs more overhead"). Kept as an
   /// ablation; the default is the paper's reserved-bit design.
   bool AlignTargetsByMasking = false;
-  /// Scheduler-friendly instrumentation: hoist/share sandbox masks across
-  /// straight-line stores with the same base register, and schedule the
-  /// Tary read before the Bary read inside check transactions. The output
-  /// is semantically equivalent but no longer matches the Fig. 4 byte
-  /// templates — it verifies only under the semantic (absint) tier.
+  /// Kept only so that perfbench/ compiles; must stay false (there is one
+  /// instrumentation, the Fig. 4 order). The next benchmark change deletes
+  /// it together with verifier.semantic_modules.
   bool Optimize = false;
 };
 
@@ -55,7 +53,7 @@ void instrumentModule(PendingModule &PM,
 /// Synthesizes an instrumented PLT entry ("plt$<sym>") and a GOT slot
 /// ("got$<sym>") for every import of \p PM. Call after
 /// instrumentModule() with the same options so PLT check cores share the
-/// module's scheduling. The loader redirects unresolved direct calls to
+/// module's alignment variant. The loader redirects unresolved direct calls to
 /// the PLT entries; the dynamic linker updates the GOT slots inside an
 /// update transaction.
 void addPltEntries(PendingModule &PM,

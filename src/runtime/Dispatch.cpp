@@ -133,8 +133,9 @@ std::shared_ptr<const DecodedSegment> Machine::segment() {
 
 namespace {
 
-/// Executes the 4-instruction TxCheck group headed at \p D (D[0..3] are
-/// stream-contiguous by construction). The group preserves the Fig. 3/4
+/// Executes the 4-instruction TxCheck group headed at \p D: D[0..3] are
+/// stream-contiguous and are baryread, tableread, xor, jz, the only order
+/// markFusedCheck marks. The group preserves the Fig. 3/4
 /// protocol: both table reads stay individually atomic and run in
 /// program order, so every interleaving with a concurrent TxUpdate that
 /// was possible between discrete instructions is still possible — and no
@@ -144,18 +145,14 @@ namespace {
 /// Fuel >= FusedCheckLen).
 void execFusedCheck(Machine &M, Thread &T, const DInstr *D) {
   uint64_t *R = T.Regs;
-  for (int K = 0; K != 2; ++K) {
-    const Instr &I = D[K].I;
-    if (I.Op == Opcode::TableRead) {
-      uint64_t Addr = R[I.Ra];
-      R[I.Rd] = Addr >= Machine::CodeBase &&
-                        Addr < Machine::CodeBase + M.codeCapacity()
-                    ? M.tables().taryRead(Addr - Machine::CodeBase)
-                    : 0;
-    } else {
-      R[I.Rd] = M.tables().baryRead(static_cast<uint32_t>(I.Imm));
-    }
-  }
+  const Instr &B = D[0].I;
+  R[B.Rd] = M.tables().baryRead(static_cast<uint32_t>(B.Imm));
+  const Instr &Tr = D[1].I;
+  uint64_t Addr = R[Tr.Ra];
+  R[Tr.Rd] = Addr >= Machine::CodeBase &&
+                     Addr < Machine::CodeBase + M.codeCapacity()
+                 ? M.tables().taryRead(Addr - Machine::CodeBase)
+                 : 0;
   const Instr &X = D[2].I;
   R[X.Rd] = R[X.Ra] ^ R[X.Rb];
   const DInstr &J = D[3];

@@ -134,7 +134,7 @@ struct Thread {
 /// (no copy is made per mapping) and immutable: relocation and Bary
 /// patching write guest memory, never the object.
 ///
-/// Unload lifecycle (docs/INTERNALS.md §17): live -> Retired (dlclose ran
+/// Unload lifecycle (docs/INTERNALS.md §16): live -> Retired (dlclose ran
 /// its retire transaction; code still mapped because a guest thread may
 /// still be executing in it) -> Reclaimed (grace period elapsed; this
 /// mapping's reference to Obj dropped — the object itself lives on while

@@ -36,7 +36,7 @@
 /// One known limitation, shared with every quiescence-based scheme: a
 /// guest thread that spins forever without a syscall pins the grace
 /// period open (regions stay condemned, never freed). See
-/// docs/INTERNALS.md §17.
+/// docs/INTERNALS.md §16.
 ///
 //===----------------------------------------------------------------------===//
 

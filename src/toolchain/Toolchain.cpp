@@ -19,6 +19,10 @@ using namespace mcfi;
 CompileResult mcfi::compileModule(const std::string &Source,
                                   const CompileOptions &Opts) {
   CompileResult Result;
+  if (Opts.Optimize) {
+    Result.Errors.push_back("CompileOptions::Optimize is not supported");
+    return Result;
+  }
 
   Result.Prog = minic::parseProgram(Source, Result.Errors);
   if (!Result.Prog)
@@ -38,7 +42,6 @@ CompileResult mcfi::compileModule(const std::string &Source,
   if (Opts.Instrument) {
     RewriteOptions RO;
     RO.AlignTargetsByMasking = Opts.MaskAlignTargets;
-    RO.Optimize = Opts.Optimize;
     instrumentModule(PM, RO);
     if (Opts.EmitPlt)
       addPltEntries(PM, RO);

@@ -51,9 +51,9 @@ struct CompileOptions {
   /// Footnote-1 ablation: align targets with an extra and instead of
   /// relying on reserved-bit validation.
   bool MaskAlignTargets = false;
-  /// Scheduler-friendly instrumentation (shared sandbox masks, reordered
-  /// ID loads). The output does not match the syntactic verifier's byte
-  /// templates and verifies only under the semantic tier.
+  /// Kept only so that perfbench/ compiles: compileModule refuses true.
+  /// The next benchmark change deletes it together with
+  /// verifier.semantic_modules.
   bool Optimize = false;
 };
 

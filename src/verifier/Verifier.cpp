@@ -7,7 +7,6 @@
 
 #include "verifier/Verifier.h"
 
-#include "absint/AbsInt.h"
 #include "support/Assert.h"
 #include "support/StringUtils.h"
 #include "visa/ISA.h"
@@ -26,21 +25,14 @@ public:
       : Code(Code), Size(Size), Obj(Obj), Dis(Dis),
         Flags(Dis.Instrs.size(), 0) {}
 
-  VerifyResult run(const VerifyOptions &Opts) {
-    if (!Opts.UseSyntactic && !Opts.UseSemantic) {
-      error("no verifier tier enabled");
-      return std::move(Result);
-    }
-    Result.DecidedBy =
-        Opts.UseSyntactic ? VerifyTier::Syntactic : VerifyTier::Semantic;
+  VerifyResult run() {
     if (!Dis.complete())
       error(formatString("undecodable byte at offset 0x%llx",
                          static_cast<unsigned long long>(Dis.FirstBad)));
     if (Result.Ok) {
-      // Structural checks hold for both tiers: they pin down the facts
-      // (complete disassembly, table contents, boundaries, alignment)
-      // that the template matcher and the abstract interpreter both
-      // build on.
+      // The structural checks pin down the facts (complete disassembly,
+      // table contents, boundaries, alignment) the template walk builds
+      // on.
       checkJumpTables();
       checkBareRets();
       checkDirectBranchBoundaries();
@@ -48,21 +40,10 @@ public:
     }
     if (!Result.Ok)
       return std::move(Result);
-    if (Opts.UseSyntactic) {
-      checkBranchSequences();
-      checkStoreMasks();
-      checkStrayIndirects();
-      checkDirectBranchSyntactic();
-      if (Result.Ok || !Opts.UseSemantic)
-        return std::move(Result);
-      // The templates rejected; let the semantic engine decide. Keep the
-      // template findings for diagnostics — if the module proves, they
-      // describe why the fast path missed.
-      Result.SyntacticFindings = std::move(Result.Errors);
-      Result.Errors.clear();
-      Result.Ok = true;
-    }
-    runSemantic();
+    checkBranchSequences();
+    checkStoreMasks();
+    checkStrayIndirects();
+    checkDirectBranchEntries();
     return std::move(Result);
   }
 
@@ -78,10 +59,11 @@ private:
 
   const Instr *instrAt(uint64_t Off) const { return Dis.at(Off); }
 
-  /// Per-instruction facts the syntactic sweeps record.
+  /// Per-instruction facts the template sweeps record.
   enum : uint8_t {
     CheckedBranch = 1, ///< a jmpi/calli ending a verified sequence or table
     MaskedStore = 2,   ///< a store directly preceded by its sandbox mask
+    DispatchExit = 4,  ///< the bounds-check jz of a jump-table dispatch
   };
 
   void setFlag(uint64_t Off, uint8_t F) {
@@ -100,7 +82,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Check-sequence templates (Fig. 4) — the syntactic tier
+  // Check-sequence templates (Fig. 4)
   //===--------------------------------------------------------------------===//
 
   /// Matches one instruction satisfying \p Pred; advances \p Off on
@@ -305,8 +287,91 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Jump tables (structural: contents match the declaration)
+  // Jump tables: contents match the declaration, dispatch matches its
+  // template
   //===--------------------------------------------------------------------===//
+
+  /// Registers of the code generator's jump-table dispatch (mir/AsmGen).
+  static constexpr uint8_t RegIndex = 6, RegBound = 7, RegEntry = 8;
+
+  /// Verifies the dispatch that ends in \p JT's jmpi, as the code
+  /// generator emits it:
+  ///
+  ///   movi r7, <entries>  ; cmpltu r7, r6, r7 ; jz r7, Default
+  ///   movi r8, <table>    ; movi r7, 3        ; shl r6, r6, r7
+  ///   add r8, r8, r6      ; load r8, [r8]     ; jmpi r8
+  ///
+  /// so the jmpi only ever reads an entry of the verified table at
+  /// \p TableAddr. Only then does the jmpi count as checked. The span
+  /// joins the check-sequence spans, so no direct branch enters it past
+  /// its bounds check.
+  void checkDispatch(const JumpTableInfo &JT, uint64_t TableAddr) {
+    constexpr int32_t Before = 8; // instructions ahead of the jmpi
+    int32_t K = Dis.indexAt(JT.JmpOffset);
+    auto Mismatch = [&] {
+      error(formatString("jump table dispatch at 0x%llx does not match the "
+                         "template",
+                         static_cast<unsigned long long>(JT.JmpOffset)));
+    };
+    if (K < Before) {
+      Mismatch();
+      return;
+    }
+    uint64_t Off = SeqStart = Dis.offsetOf(K - Before);
+    uint64_t Entries = JT.Targets.size();
+    if (!expect(Off, Opcode::MovImm,
+                [&](const Instr &I) {
+                  return I.Rd == RegBound && I.Imm == Entries;
+                },
+                "table bound") ||
+        !expect(Off, Opcode::CmpLtU,
+                [](const Instr &I) {
+                  return I.Rd == RegBound && I.Ra == RegIndex &&
+                         I.Rb == RegBound;
+                },
+                "bounds check") ||
+        !expect(Off, Opcode::Jz,
+                [](const Instr &I) { return I.Ra == RegBound; },
+                "bounds branch") ||
+        !expect(Off, Opcode::MovImm,
+                [&](const Instr &I) {
+                  return I.Rd == RegEntry && I.Imm == TableAddr;
+                },
+                "table address") ||
+        !expect(Off, Opcode::MovImm,
+                [](const Instr &I) {
+                  return I.Rd == RegBound && I.Imm == 3;
+                },
+                "entry scale") ||
+        !expect(Off, Opcode::Shl,
+                [](const Instr &I) {
+                  return I.Rd == RegIndex && I.Ra == RegIndex &&
+                         I.Rb == RegBound;
+                },
+                "index scaling") ||
+        !expect(Off, Opcode::Add,
+                [](const Instr &I) {
+                  return I.Rd == RegEntry && I.Ra == RegEntry &&
+                         I.Rb == RegIndex;
+                },
+                "entry address") ||
+        !expect(Off, Opcode::Load,
+                [](const Instr &I) {
+                  return I.Rd == RegEntry && I.Ra == RegEntry && I.Off == 0;
+                },
+                "entry load"))
+      return;
+    const Instr *Jmp = instrAt(Off);
+    if (Off != JT.JmpOffset || Jmp->Ra != RegEntry) {
+      Mismatch();
+      return;
+    }
+    // The walk landed on the jmpi, so it visited the sweep's starts
+    // K-8..K-1 and the bounds branch is K-6.
+    setFlag(Off, CheckedBranch);
+    setFlag(Dis.offsetOf(K - 6), DispatchExit);
+    SeqSpans.emplace_back(SeqStart, Off + Jmp->Length);
+  }
 
   void checkJumpTables() {
     for (const JumpTableInfo &JT : Obj.Aux.JumpTables) {
@@ -316,7 +381,6 @@ private:
                            static_cast<unsigned long long>(JT.JmpOffset)));
         continue;
       }
-      setFlag(JT.JmpOffset, CheckedBranch);
       // Table entries must be the declared targets (stored as
       // *absolute* addresses after relocation: base + declared offset,
       // all within this module). The common base is recovered from the
@@ -325,7 +389,8 @@ private:
         error("jump table with no targets");
         continue;
       }
-      if (JT.TableOffset + 8 * JT.Targets.size() > Size) {
+      if (JT.TableOffset > Size ||
+          JT.Targets.size() > (Size - JT.TableOffset) / 8) {
         error("jump table extends past the module");
         continue;
       }
@@ -337,7 +402,8 @@ private:
         continue;
       }
       uint64_t Base = First - JT.Targets[0];
-      for (size_t E = 0; E != JT.Targets.size(); ++E) {
+      bool EntriesOk = true;
+      for (size_t E = 0; EntriesOk && E != JT.Targets.size(); ++E) {
         uint64_t V = 0;
         for (unsigned B = 0; B != 8; ++B)
           V |= static_cast<uint64_t>(Code[JT.TableOffset + 8 * E + B])
@@ -348,21 +414,22 @@ private:
                              E,
                              static_cast<unsigned long long>(JT.TableOffset +
                                                              8 * E)));
-          break;
-        }
-        if (JT.Targets[E] >= Size || !instrAt(JT.Targets[E])) {
+          EntriesOk = false;
+        } else if (JT.Targets[E] >= Size || !instrAt(JT.Targets[E])) {
           error(formatString("jump table target %zu (0x%llx) is not an "
                              "instruction boundary",
                              E,
                              static_cast<unsigned long long>(JT.Targets[E])));
-          break;
+          EntriesOk = false;
         }
       }
+      if (EntriesOk)
+        checkDispatch(JT, Base + JT.TableOffset);
     }
   }
 
   //===--------------------------------------------------------------------===//
-  // Structural sweeps shared by both tiers
+  // Structural sweeps
   //===--------------------------------------------------------------------===//
 
   void checkBareRets() {
@@ -407,7 +474,7 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Syntactic-tier sweeps (template bookkeeping)
+  // Template sweeps
   //===--------------------------------------------------------------------===//
 
   void checkStrayIndirects() {
@@ -462,7 +529,7 @@ private:
     return N != 0 && SeqMaxEnd[N - 1] > Off;
   }
 
-  void checkDirectBranchSyntactic() {
+  void checkDirectBranchEntries() {
     forEachInstr([&](uint64_t Off, const Instr &I) {
       if (!isDirectBranch(I.Op))
         return;
@@ -471,7 +538,10 @@ private:
         return;
       // A branch may not hop into the middle of a check transaction
       // unless it is itself part of that transaction (the retry path).
-      if (insideSeq(Target) && !insideSeq(Off)) {
+      // A dispatch's bounds branch leaves its sequence for an unverified
+      // target, so it is held to the rule of an outside branch.
+      if (insideSeq(Target) &&
+          (!insideSeq(Off) || hasFlag(Off, DispatchExit))) {
         error(formatString("direct branch at 0x%llx enters a check "
                            "sequence",
                            static_cast<unsigned long long>(Off)));
@@ -484,23 +554,6 @@ private:
                            static_cast<unsigned long long>(Off)));
       }
     });
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Semantic tier
-  //===--------------------------------------------------------------------===//
-
-  void runSemantic() {
-    Result.DecidedBy = VerifyTier::Semantic;
-    absint::SemanticResult SR = absint::prove(Code, Size, Obj, Dis);
-    Result.FixpointIters = SR.FixpointIters;
-    Result.SemanticBlocks = SR.Blocks;
-    Result.SemanticEntries = SR.Entries;
-    if (!SR.Ok) {
-      Result.Ok = false;
-      for (std::string &E : SR.Errors)
-        Result.Errors.push_back(std::move(E));
-    }
   }
 
   const uint8_t *Code;
@@ -519,15 +572,12 @@ private:
 
 VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
                                 const MCFIObject &Obj,
-                                const Disassembly &Dis,
-                                const VerifyOptions &Opts) {
+                                const Disassembly &Dis) {
   assert(Dis.IndexByOff.size() == Size && "disassembly of other bytes");
-  return VerifierImpl(Code, Size, Obj, Dis).run(Opts);
+  return VerifierImpl(Code, Size, Obj, Dis).run();
 }
 
 VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
-                                const MCFIObject &Obj,
-                                const VerifyOptions &Opts) {
-  return verifyModule(Code, Size, Obj, disassembleModule(Code, Size, Obj),
-                      Opts);
+                                const MCFIObject &Obj) {
+  return verifyModule(Code, Size, Obj, disassembleModule(Code, Size, Obj));
 }

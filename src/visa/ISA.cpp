@@ -315,28 +315,26 @@ void mcfi::visa::encode(const Instr &I, std::vector<uint8_t> &Out) {
 namespace {
 
 /// Marks S[K] as the head of a fused TxCheck group when S[K..K+3], each
-/// falling through to the next, are the two ID-table reads of Fig. 4
-/// (Bary/Tary in either scheduling order — the Optimize rewriter variant
-/// swaps them) into distinct registers, the xor of the two IDs, and the
-/// jz consuming the difference. Only the head is marked; a jump *into*
-/// the group (the retry jnz targets the first read) executes the
-/// remaining instructions individually, which is semantically identical.
+/// falling through to the next, are the two ID-table reads of Fig. 4 in
+/// template order (Bary, then Tary) into distinct registers, the xor of
+/// the two IDs, and the jz consuming the difference. Only the head is
+/// marked; a jump *into* the group (the retry jnz targets the first read)
+/// executes the remaining instructions individually, which is
+/// semantically identical.
 void markFusedCheck(std::vector<DInstr> &S, size_t K) {
   if (S[K].Fall != static_cast<int32_t>(K + 1) ||
       S[K + 1].Fall != static_cast<int32_t>(K + 2) ||
       S[K + 2].Fall != static_cast<int32_t>(K + 3))
     return;
-  const Instr &A = S[K].I;
-  const Instr &B = S[K + 1].I;
+  const Instr &B = S[K].I;
+  const Instr &T = S[K + 1].I;
   const Instr &X = S[K + 2].I;
   const Instr &J = S[K + 3].I;
-  bool OneReadEach = (A.Op == Opcode::BaryRead && B.Op == Opcode::TableRead) ||
-                     (A.Op == Opcode::TableRead && B.Op == Opcode::BaryRead);
-  if (!OneReadEach || A.Rd == B.Rd || X.Op != Opcode::Xor ||
-      J.Op != Opcode::Jz)
+  if (B.Op != Opcode::BaryRead || T.Op != Opcode::TableRead ||
+      B.Rd == T.Rd || X.Op != Opcode::Xor || J.Op != Opcode::Jz)
     return;
-  bool XorOverIDs = (X.Ra == A.Rd && X.Rb == B.Rd) ||
-                    (X.Ra == B.Rd && X.Rb == A.Rd);
+  bool XorOverIDs = (X.Ra == B.Rd && X.Rb == T.Rd) ||
+                    (X.Ra == T.Rd && X.Rb == B.Rd);
   if (XorOverIDs && J.Ra == X.Rd)
     S[K].Fused = FusedKind::TxCheck;
 }
@@ -398,44 +396,6 @@ bool mcfi::visa::isIndirectBranch(Opcode Op) {
 bool mcfi::visa::isStore(Opcode Op) {
   return Op == Opcode::Store || Op == Opcode::Store8 ||
          Op == Opcode::Store16 || Op == Opcode::Store32;
-}
-
-bool mcfi::visa::writesRd(Opcode Op) {
-  switch (Op) {
-  case Opcode::MovImm:
-  case Opcode::Mov:
-  case Opcode::Load:
-  case Opcode::Load8:
-  case Opcode::Load32:
-  case Opcode::Load16:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::DivS:
-  case Opcode::ModS:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::ShrL:
-  case Opcode::ShrA:
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLtS:
-  case Opcode::CmpLeS:
-  case Opcode::CmpLtU:
-  case Opcode::CmpLeU:
-  case Opcode::Neg:
-  case Opcode::Not:
-  case Opcode::AndImm:
-  case Opcode::AddImm:
-  case Opcode::Pop:
-  case Opcode::TableRead:
-  case Opcode::BaryRead:
-    return true;
-  default:
-    return false;
-  }
 }
 
 std::string mcfi::visa::printInstr(const Instr &I) {

@@ -143,11 +143,6 @@ bool isIndirectBranch(Opcode Op);
 /// Returns true for opcodes that write to memory.
 bool isStore(Opcode Op);
 
-/// Returns true if \p Op writes the register named by its Rd field (loads,
-/// ALU ops, immediates, pop, and the ID-table reads). Stores name their
-/// address register in Rd but do not write it.
-bool writesRd(Opcode Op);
-
 /// Renders \p I as assembly text.
 std::string printInstr(const Instr &I);
 
@@ -180,8 +175,8 @@ struct DInstr {
 /// A flat disassembly of one module's code: every instruction start a
 /// left-to-right sweep reaches, in offset order, plus a byte-offset ->
 /// instruction index map. It is the only disassembly in the system: the
-/// verifier checks it, the semantic tier proves over it, and the runtime
-/// moves it into the module's decode and executes it (runtime/Dispatch.h),
+/// verifier checks it, and the runtime moves it into the module's decode
+/// and executes it (runtime/Dispatch.h),
 /// so what runs is what was checked. Each instruction records its
 /// absolute address (Base plus its offset), so checks read the offset as
 /// PC - Base. Because VISA decoding is context-free, any start recorded

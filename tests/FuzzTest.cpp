@@ -183,25 +183,29 @@ std::string mutantPluginSource(unsigned K, RNG &R) {
 
 enum class MutationKind { ByteFlip, WordSplat, Truncate };
 
-/// One mutant of \p Obj's code bytes; the aux info is untouched.
-MCFIObject mutateCode(const MCFIObject &Obj, MutationKind Kind, RNG &R) {
-  MCFIObject Mut = Obj;
-  std::vector<uint8_t> &Code = Mut.Code;
+/// Mutates \p Bytes in place.
+void mutateBytes(std::vector<uint8_t> &Bytes, MutationKind Kind, RNG &R) {
   switch (Kind) {
   case MutationKind::ByteFlip:
-    Code[R.below(Code.size())] ^= static_cast<uint8_t>(R.range(1, 255));
+    Bytes[R.below(Bytes.size())] ^= static_cast<uint8_t>(R.range(1, 255));
     break;
   case MutationKind::WordSplat: {
     uint64_t Word = R.next();
-    size_t Off = R.below(Code.size() - 7);
+    size_t Off = R.below(Bytes.size() - 7);
     for (unsigned B = 0; B != 8; ++B)
-      Code[Off + B] = static_cast<uint8_t>(Word >> (8 * B));
+      Bytes[Off + B] = static_cast<uint8_t>(Word >> (8 * B));
     break;
   }
   case MutationKind::Truncate:
-    Code.resize(R.below(Code.size()));
+    Bytes.resize(R.below(Bytes.size()));
     break;
   }
+}
+
+/// One mutant of \p Obj's code bytes; the aux info is untouched.
+MCFIObject mutateCode(const MCFIObject &Obj, MutationKind Kind, RNG &R) {
+  MCFIObject Mut = Obj;
+  mutateBytes(Mut.Code, Kind, R);
   return Mut;
 }
 
@@ -255,6 +259,44 @@ struct MutantTally {
   unsigned Stops[4] = {}; ///< runs per StopReason
 };
 
+/// A fresh machine sized for one mutant run.
+Machine mutantMachine() {
+  MachineOptions MO;
+  MO.CodeCapacity = 1ull << 20;
+  MO.DataCapacity = 8ull << 20;
+  MO.StackSize = 256ull << 10;
+  MO.BaryCapacity = 1u << 14;
+  return Machine(MO);
+}
+
+constexpr uint64_t MutantFuel = 200'000;
+
+/// Dlopens \p Plugin into a minimal host (\p MinimalMain linked beside
+/// \p Rt), checks that its decode is a fresh sweep, and runs the function
+/// at code offset \p ProbeOffset on a fuel budget. Returns the stop
+/// reason, or nothing if the linker refused the plugin.
+std::optional<StopReason> dlopenAndProbe(MCFIObject Plugin,
+                                         const MCFIObject &Rt,
+                                         const MCFIObject &MinimalMain,
+                                         uint64_t ProbeOffset,
+                                         const std::string &What) {
+  Machine M = mutantMachine();
+  Linker L(M);
+  std::string Err;
+  if (!L.linkProgram({MinimalMain, Rt}, Err))
+    return std::nullopt;
+  L.registerLibrary(std::move(Plugin));
+  int64_t H = L.dlopen(0);
+  if (H < 0)
+    return std::nullopt;
+  const MappedModule &MM = M.modules()[static_cast<size_t>(H)];
+  expectDecodeIsFreshSweep(M, MM, What);
+  Thread T;
+  T.PC = MM.CodeBase + ProbeOffset;
+  T.Regs[visa::RegSP] = M.allocStack();
+  return M.run(T, MutantFuel).Reason;
+}
+
 /// Runs one mutant (or an original) through serialization, the
 /// standalone verifier, a fresh link and a fueled run. \p Host links the
 /// mutant as the program beside the rt library; otherwise it is dlopened
@@ -270,49 +312,25 @@ std::optional<StopReason> runMutant(const MCFIObject &Obj, bool Host,
     return std::nullopt;
   if (!verifyModule(Loaded.Code.data(), Loaded.Code.size(), Loaded).Ok)
     return std::nullopt;
+  if (!Host) {
+    const FunctionInfo *F = Loaded.findFunction(Probe);
+    if (!F)
+      return std::nullopt;
+    uint64_t ProbeOffset = F->CodeOffset;
+    return dlopenAndProbe(std::move(Loaded), Rt, MinimalMain, ProbeOffset,
+                          What);
+  }
 
-  MachineOptions MO;
-  MO.CodeCapacity = 1ull << 20;
-  MO.DataCapacity = 8ull << 20;
-  MO.StackSize = 256ull << 10;
-  MO.BaryCapacity = 1u << 14;
-  Machine M(MO);
+  Machine M = mutantMachine();
   Linker L(M);
   std::vector<MCFIObject> Objs;
-  if (Host)
-    Objs.push_back(std::move(Loaded));
-  else
-    Objs.push_back(MinimalMain);
+  Objs.push_back(std::move(Loaded));
   Objs.push_back(Rt);
   std::string Err;
   if (!L.linkProgram(std::move(Objs), Err))
     return std::nullopt; // relocation moved bytes the verifier rejects
-  int Mutated = 1; // after the bootstrap
-  if (!Host) {
-    L.registerLibrary(std::move(Loaded));
-    int64_t H = L.dlopen(0);
-    if (H < 0)
-      return std::nullopt;
-    Mutated = static_cast<int>(H);
-  }
-  expectDecodeIsFreshSweep(M, M.modules()[static_cast<size_t>(Mutated)],
-                           What);
-
-  constexpr uint64_t Fuel = 200'000;
-  RunResult R;
-  if (Host) {
-    R = runProgram(M, Fuel);
-  } else {
-    const MappedModule &MM = M.modules()[static_cast<size_t>(Mutated)];
-    const FunctionInfo *F = MM.Obj->findFunction(Probe);
-    if (!F)
-      return std::nullopt;
-    Thread T;
-    T.PC = MM.CodeBase + F->CodeOffset;
-    T.Regs[visa::RegSP] = M.allocStack();
-    R = M.run(T, Fuel);
-  }
-  return R.Reason;
+  expectDecodeIsFreshSweep(M, M.modules()[1], What); // after the bootstrap
+  return runProgram(M, MutantFuel).Reason;
 }
 
 TEST(MutantPipeline, SeededMutantsRejectOrRunWhatWasVerified) {
@@ -398,6 +416,68 @@ TEST(MutantPipeline, SeededMutantsRejectOrRunWhatWasVerified) {
   EXPECT_EQ(Tally.Mutants, Subjects.size() * 3 * MutantsPerKind);
   EXPECT_GT(Tally.Rejected, 0u) << "no mutant was rejected";
   EXPECT_GT(Ran, 0u) << "no mutant was accepted and run";
+}
+
+TEST(MutantPipeline, SeededObjectByteMutantsEndCleanly) {
+  // Byte flips and 8-byte splats of a serialized plugin (.mcfo): every
+  // mutant goes through readObject, a dlopen into a minimal host and a
+  // fueled probe run, and ends in exactly one clean outcome. Each of the
+  // three stages sees at least one mutant.
+  CompileResult Rt = compileModule(runtimeLibrarySource(), {.ModuleName = "rt"});
+  ASSERT_TRUE(Rt.Ok);
+  CompileResult Main =
+      compileModule("int main() { return 0; }", {.ModuleName = "main"});
+  ASSERT_TRUE(Main.Ok);
+  RNG Gen(0x5eed'0017);
+  CompileResult Plugin =
+      compileModule(mutantPluginSource(0, Gen), {.ModuleName = "mplugin0"});
+  ASSERT_TRUE(Plugin.Ok) << (Plugin.Errors.empty() ? "?"
+                                                   : Plugin.Errors.front());
+  const FunctionInfo *Probe = Plugin.Obj.findFunction("m0_probe");
+  ASSERT_TRUE(Probe);
+  // Mutants that keep the code length keep the probe where it was, so
+  // every run starts at the original probe's offset.
+  uint64_t ProbeOffset = Probe->CodeOffset;
+  const std::vector<uint8_t> Blob = writeObject(Plugin.Obj);
+  ASSERT_EQ(dlopenAndProbe(Plugin.Obj, Rt.Obj, Main.Obj, ProbeOffset,
+                           "unmutated"),
+            StopReason::Exited);
+
+  constexpr unsigned Mutants = 5000;
+  unsigned ReadRefused = 0, LinkRefused = 0;
+  unsigned Stops[4] = {};
+  RNG R(0x6d63'666f);
+  for (unsigned N = 0; N != Mutants; ++N) {
+    std::vector<uint8_t> Mut = Blob;
+    mutateBytes(Mut, N % 2 ? MutationKind::WordSplat : MutationKind::ByteFlip,
+                R);
+    MCFIObject Obj;
+    if (!readObject(Mut, Obj)) {
+      ++ReadRefused;
+      continue;
+    }
+    std::optional<StopReason> Out =
+        dlopenAndProbe(std::move(Obj), Rt.Obj, Main.Obj, ProbeOffset,
+                       formatString("object mutant %u", N));
+    if (HasFatalFailure())
+      return;
+    if (Out)
+      ++Stops[static_cast<size_t>(*Out)];
+    else
+      ++LinkRefused;
+  }
+  unsigned Ran = Mutants - ReadRefused - LinkRefused;
+  std::printf("%u object mutants: %u refused by readObject, %u refused by "
+              "the linker; %u ran: %u exited, %u trapped, %u CFI stops, %u "
+              "out of fuel\n",
+              Mutants, ReadRefused, LinkRefused, Ran,
+              Stops[size_t(StopReason::Exited)],
+              Stops[size_t(StopReason::Trap)],
+              Stops[size_t(StopReason::CfiViolation)],
+              Stops[size_t(StopReason::OutOfFuel)]);
+  EXPECT_GT(ReadRefused, 0u) << "no mutant was refused by readObject";
+  EXPECT_GT(LinkRefused, 0u) << "no mutant was refused by the linker";
+  EXPECT_GT(Ran, 0u) << "no mutant was dlopened and run";
 }
 
 } // namespace

@@ -8,9 +8,12 @@
 #include "module/MCFIObject.h"
 #include "support/RNG.h"
 #include "toolchain/Toolchain.h"
+#include "verifier/Verifier.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace mcfi;
 
@@ -123,6 +126,31 @@ TEST(Serialization, RejectsOffsetsThatWrap) {
   R.Offset = ~0ull - 3;
   Reloc.Relocs.push_back(R);
   EXPECT_FALSE(readObject(writeObject(Reloc), Out));
+
+  // A jump table whose end wraps past 2^64 back into the code.
+  ASSERT_FALSE(Obj.Aux.JumpTables.empty());
+  MCFIObject Table = Obj;
+  Table.Aux.JumpTables[0].TableOffset = ~0ull - 7;
+  Table.Aux.JumpTables[0].Targets.resize(1);
+  EXPECT_FALSE(readObject(writeObject(Table), Out));
+
+  // The verifier also takes in-process objects: a second declared table
+  // whose end wraps is refused before its entries are read.
+  MCFIObject Extra = Obj;
+  Extra.Aux.JumpTables.push_back(Table.Aux.JumpTables[0]);
+  VerifyResult V = verifyModule(Extra.Code.data(), Extra.Code.size(), Extra);
+  EXPECT_FALSE(V.Ok);
+  EXPECT_NE(std::find(V.Errors.begin(), V.Errors.end(),
+                      "jump table extends past the module"),
+            V.Errors.end());
+
+  // A byte-array length near 2^64 (here the code's) must not wrap the
+  // bounds test into a huge allocation.
+  std::vector<uint8_t> Blob = writeObject(Obj);
+  size_t CodeLen = 12 + Obj.Name.size(); // magic, version, name
+  for (size_t B = 0; B != 8; ++B)
+    Blob[CodeLen + B] = 0xff;
+  EXPECT_FALSE(readObject(Blob, Out));
 }
 
 TEST(Serialization, FuzzedBlobsNeverCrash) {

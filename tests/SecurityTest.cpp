@@ -71,11 +71,10 @@ struct Victim {
   }
 };
 
-Victim prepare(ExecTier Tier, bool Instrument, bool Optimize = false) {
+Victim prepare(ExecTier Tier, bool Instrument) {
   Victim V;
   BuildSpec Spec;
   Spec.Instrument = Instrument;
-  Spec.Optimize = Optimize;
   Spec.LinkRtLibrary = false;
   Spec.Tier = Tier;
   V.BP = buildProgram({VictimSource}, Spec);
@@ -106,17 +105,6 @@ TEST_P(SecurityTierTest, HijackToMidInstructionIsBlocked) {
   ASSERT_TRUE(V.BP.Ok);
   // Target the middle of a legitimate function: under MCFI the Tary
   // entry there is invalid (no IBT), so the check halts.
-  uint64_t Evil = V.funcAddr("benign2") + 3;
-  RunResult R = attackHook(V, Evil);
-  EXPECT_EQ(R.Reason, StopReason::CfiViolation) << R.Message;
-}
-
-TEST_P(SecurityTierTest, OptimizedInstrumentationStillBlocksHijack) {
-  // The scheduled/mask-shared rewriting escapes the syntactic templates
-  // but must be exactly as strong at runtime: the linker's two-tier
-  // verifier proves it, and the hijack still hits a hlt.
-  Victim V = prepare(GetParam(), /*Instrument=*/true, /*Optimize=*/true);
-  ASSERT_TRUE(V.BP.Ok);
   uint64_t Evil = V.funcAddr("benign2") + 3;
   RunResult R = attackHook(V, Evil);
   EXPECT_EQ(R.Reason, StopReason::CfiViolation) << R.Message;

@@ -189,30 +189,6 @@ TEST(TierDiff, WorkloadProfilesAreTierInvariant) {
   }
 }
 
-TEST(TierDiff, OptimizedRewritingIsTierInvariant) {
-  // --optimize reorders the Bary/Tary reads of the check sequence; the
-  // fused-TxCheck recognizer accepts both orders and must stay
-  // result-identical with the interpreter on the rewritten code.
-  const char *Source = R"(
-    long w0(long x) { return x + 1; }
-    long w1(long x) { return x * 2; }
-    long (*tab[2])(long);
-    int main() {
-      tab[0] = w0;
-      tab[1] = w1;
-      long acc = 0;
-      long i;
-      for (i = 0; i < 10000; i = i + 1) acc = acc + tab[i & 1](i);
-      print_int(acc);
-      return 0;
-    }
-  )";
-  BuildSpec Spec;
-  Spec.LinkRtLibrary = false;
-  Spec.Optimize = true;
-  expectTierInvariant({Source}, Spec, "optimized-checks");
-}
-
 //===----------------------------------------------------------------------===//
 // Attack corpus: mid-run corruption, identical verdicts per tier
 //===----------------------------------------------------------------------===//

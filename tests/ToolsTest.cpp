@@ -9,10 +9,9 @@
 /// mcfi-objdump, mcfi-run, mcfi-audit, mcfi-merge, mcfi-tierdiff and
 /// mcfi-attack, wired together the way a user would use them. Binary
 /// paths are injected by CMake, which also runs the merge-gate,
-/// attack-gate, audit-gate, unload-gate, VM-tier-gate and
-/// verifier-agreement cases as their own ctests (merge_check,
-/// attack_check, audit_check, unload_check, vm_tier_check,
-/// verify_check).
+/// attack-gate, audit-gate, unload-gate, VM-tier-gate, verifier-gate and
+/// MLTA-gate cases as their own ctests (merge_check, attack_check,
+/// audit_check, unload_check, vm_tier_check, verify_check, mlta_check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -519,7 +518,50 @@ TEST_F(ToolsFixture, VmTierGateThreadedTierIsTwiceTheInterpreter) {
 }
 
 //===----------------------------------------------------------------------===//
-// Two-tier verifier agreement
+// Layered-type-map (MLTA) gate
+//===----------------------------------------------------------------------===//
+
+TEST_F(ToolsFixture, MltaCheckEqcFloorsHold) {
+  // Every embedded module compiles and verifies under --mlta, each refined
+  // site's MLTA target set is a subset of its FLTA set (mcfi-audit exits
+  // nonzero on an "MLTA soundness violation"), and the MLTA-refined
+  // policy keeps at least the class count recorded for the fixed corpus.
+  const std::pair<const char *, int> Floors[] = {
+      {"separate_compilation", 2}, {"dynamic_plugin", 3}, {"mlta_headroom", 4}};
+  for (const auto &[Example, Floor] : Floors) {
+    std::string Out;
+    EXPECT_EQ(run(std::string(MCFI_AUDIT) +
+                      " --extract --mlta --fail-on-eqc-regression " +
+                      std::to_string(Floor) + " " + MCFI_EXAMPLES_DIR + "/" +
+                      Example + ".cpp",
+                  &Out),
+              0)
+        << Example << " (EQC floor " << Floor << "): " << Out;
+  }
+}
+
+TEST_F(ToolsFixture, MltaCheckJsonReportsNoViolationAndNoHavoc) {
+  std::string Out;
+  ASSERT_EQ(run(std::string(MCFI_AUDIT) + " --extract --mlta --json " +
+                    MCFI_EXAMPLES_DIR + "/mlta_headroom.cpp",
+                &Out, /*DropStderr=*/true),
+            0)
+      << Out;
+  EXPECT_NE(Out.find("\"subsetViolations\":0"), std::string::npos)
+      << "subset violations (or the field is gone): " << Out;
+  EXPECT_NE(Out.find("\"havoc\":false"), std::string::npos)
+      << "the headroom fixture fell back to havoc: " << Out;
+}
+
+TEST_F(ToolsFixture, MltaCheckHeadroomRunsEndToEnd) {
+  // Identical outputs under the plain and refined policies across a
+  // dlopen, a strictly smaller largest class, and no fewer classes.
+  std::string Out;
+  EXPECT_EQ(run(MCFI_MLTA_HEADROOM, &Out), 0) << Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Verifier gate over the examples
 //===----------------------------------------------------------------------===//
 
 /// Every module mcfi-merge emits for the quickstart, separate_compilation
@@ -546,71 +588,18 @@ const std::vector<std::string> &exampleModules() {
   return Modules;
 }
 
-TEST_F(ToolsFixture, ExampleModulesVerifySyntacticallyAndProveSemantically) {
-  // The templates accept every example module on the fast path, and the
-  // semantic engine alone re-proves each one (it subsumes the templates).
+TEST_F(ToolsFixture, ExampleModulesVerify) {
   const std::vector<std::string> &Modules = exampleModules();
   EXPECT_GE(Modules.size(), 4u) << "too few example modules emitted";
-  const std::regex NonzeroIters("\"fixpoint_iters\":[1-9]");
   for (const std::string &Mod : Modules) {
     std::string Out;
     ASSERT_EQ(run(std::string(MCFI_VERIFY) + " --json " + Mod, &Out), 0)
-        << Mod << " rejected by the two-tier verifier: " << Out;
+        << Mod << " rejected by the verifier: " << Out;
     EXPECT_NE(Out.find("\"ok\":true"), std::string::npos) << Mod;
-    EXPECT_NE(Out.find("\"tier\":\"syntactic\""), std::string::npos)
-        << Mod << " did not take the syntactic fast path";
-    ASSERT_EQ(run(std::string(MCFI_VERIFY) + " --json --semantic-only " + Mod,
-                  &Out),
-              0)
-        << Mod << " rejected by the semantic engine alone: " << Out;
-    EXPECT_NE(Out.find("\"tier\":\"semantic\""), std::string::npos) << Mod;
-    EXPECT_TRUE(std::regex_search(Out, NonzeroIters))
-        << Mod << ": semantic proof reports zero fixpoint iterations";
   }
 }
 
-TEST_F(ToolsFixture, OptimizedModuleNeedsTheSemanticTier) {
-  // Scheduled ID loads and shared sandbox masks miss the templates but
-  // prove semantically, and the two-tier run hands the verdict over.
-  writeFile(path("opt.minic"), R"(
-    long square(long x) { return x * x; }
-    long apply(long (*f)(long), long v) { return f(v); }
-    long sel(long x) {
-      switch (x) {
-      case 0: return 1;
-      case 1: return 2;
-      case 2: return 3;
-      case 3: return 4;
-      default: return 0;
-      }
-    }
-    int main() {
-      print_int(apply(square, 6) + sel(2));
-      return 0;
-    }
-  )");
-  std::string Out;
-  ASSERT_EQ(run(std::string(MCFI_CC) + " --optimize -o " + path("opt.mcfo") +
-                    " " + path("opt.minic"),
-                &Out),
-            0)
-      << Out;
-  EXPECT_NE(run(std::string(MCFI_VERIFY) + " --syntactic-only " +
-                    path("opt.mcfo"),
-                &Out),
-            0)
-      << "syntactic tier accepted the optimized module";
-  run(std::string(MCFI_VERIFY) + " --json --semantic-only " + path("opt.mcfo"),
-      &Out);
-  EXPECT_NE(Out.find("\"ok\":true"), std::string::npos)
-      << "semantic tier rejected the optimized module: " << Out;
-  run(std::string(MCFI_VERIFY) + " --json " + path("opt.mcfo"), &Out);
-  EXPECT_NE(Out.find("\"tier\":\"semantic\""), std::string::npos)
-      << "two-tier run on the optimized module not decided semantically: "
-      << Out;
-}
-
-TEST_F(ToolsFixture, CorruptedCodeByteRejectedByBothTiers) {
+TEST_F(ToolsFixture, CorruptedCodeByteRejected) {
   const std::vector<std::string> &Modules = exampleModules();
   ASSERT_FALSE(Modules.empty());
   std::ifstream In(Modules.front(), std::ios::binary);
@@ -630,13 +619,10 @@ TEST_F(ToolsFixture, CorruptedCodeByteRejectedByBothTiers) {
   std::ofstream(path("mutant.mcfo"), std::ios::binary)
       .write(Blob.data(), static_cast<std::streamsize>(Blob.size()));
   std::string Out;
-  EXPECT_NE(run(std::string(MCFI_VERIFY) + " " + path("mutant.mcfo"), &Out), 0)
-      << "two-tier verifier accepted the corrupted module";
-  EXPECT_NE(run(std::string(MCFI_VERIFY) + " --semantic-only " +
-                    path("mutant.mcfo"),
-                &Out),
-            0)
-      << "semantic tier accepted the corrupted module";
+  EXPECT_EQ(run(std::string(MCFI_VERIFY) + " " + path("mutant.mcfo"), &Out), 1)
+      << "verifier accepted the corrupted module: " << Out;
+  EXPECT_NE(Out.find("undecodable byte at offset 0x0"), std::string::npos)
+      << Out;
 }
 
 TEST_F(ToolsFixture, FuelLimitExitCode) {

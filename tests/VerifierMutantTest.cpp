@@ -5,14 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Mutation testing of both verifier tiers: every module embedded in the
+/// Mutation testing of the verifier: every module embedded in the
 /// examples (plus a switch-heavy local module so jump tables are always
-/// covered) is compiled, confirmed to pass both tiers, then subjected to
-/// targeted mutations — dropped/reordered check instructions, a flipped
-/// mask immediate, a direct branch retargeted into a check sequence, a
+/// covered) is compiled, confirmed to verify, then subjected to targeted
+/// mutations — dropped/reordered check instructions, a flipped mask
+/// immediate, a direct branch retargeted into a check sequence, a
 /// misaligned return site, a corrupted jump-table entry. Each mutant must
-/// be rejected by the syntactic AND the semantic tier, with a finding
-/// that names an offset inside the affected range.
+/// be rejected with a finding that names an offset inside the affected
+/// range.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,39 +55,29 @@ struct Corpus {
   std::vector<std::pair<std::string, MCFIObject>> Modules;
 };
 
-VerifyResult tier(const MCFIObject &Obj, bool Syntactic) {
-  VerifyOptions Opts;
-  Opts.UseSyntactic = Syntactic;
-  Opts.UseSemantic = !Syntactic;
-  return verifyModule(Obj.Code.data(), Obj.Code.size(), Obj, Opts);
+VerifyResult verify(const MCFIObject &Obj) {
+  return verifyModule(Obj.Code.data(), Obj.Code.size(), Obj);
 }
 
-/// Both tiers reject, and at least one finding of each names an offset in
-/// [Lo, Hi] (inclusive; the dispatch of a broken sequence counts — a
-/// semantic witness blames the dispatch its broken check feeds).
-void expectBothTiersReject(const MCFIObject &Obj, uint64_t Lo, uint64_t Hi,
-                           const std::string &What) {
-  for (bool Syntactic : {true, false}) {
-    VerifyResult R = tier(Obj, Syntactic);
-    ASSERT_FALSE(R.Ok) << What << ": "
-                       << (Syntactic ? "syntactic" : "semantic")
-                       << " tier accepted the mutant";
-    bool Named = false;
-    for (const std::string &E : R.Errors) {
-      size_t Pos = 0;
-      while ((Pos = E.find("0x", Pos)) != std::string::npos) {
-        uint64_t Off = std::strtoull(E.c_str() + Pos, nullptr, 16);
-        if (Off >= Lo && Off <= Hi)
-          Named = true;
-        Pos += 2;
-      }
+/// The verifier rejects, and at least one finding names an offset in
+/// [Lo, Hi] (inclusive).
+void expectRejected(const MCFIObject &Obj, uint64_t Lo, uint64_t Hi,
+                    const std::string &What) {
+  VerifyResult R = verify(Obj);
+  ASSERT_FALSE(R.Ok) << What << ": verifier accepted the mutant";
+  bool Named = false;
+  for (const std::string &E : R.Errors) {
+    size_t Pos = 0;
+    while ((Pos = E.find("0x", Pos)) != std::string::npos) {
+      uint64_t Off = std::strtoull(E.c_str() + Pos, nullptr, 16);
+      if (Off >= Lo && Off <= Hi)
+        Named = true;
+      Pos += 2;
     }
-    EXPECT_TRUE(Named) << What << ": "
-                       << (Syntactic ? "syntactic" : "semantic")
-                       << " finding names no offset in ["
-                       << Lo << ", " << Hi << "]: "
-                       << (R.Errors.empty() ? "?" : R.Errors.front());
   }
+  EXPECT_TRUE(Named) << What << ": finding names no offset in [" << Lo
+                     << ", " << Hi << "]: "
+                     << (R.Errors.empty() ? "?" : R.Errors.front());
 }
 
 Instr decodeAt(const MCFIObject &Obj, uint64_t Off) {
@@ -125,7 +115,7 @@ protected:
       CompileResult CR = compileModule(Src, CO);
       if (!CR.Ok)
         return; // not every embedded raw string is a MiniC module
-      if (!tier(CR.Obj, true).Ok || !tier(CR.Obj, false).Ok)
+      if (!verify(CR.Obj).Ok)
         return;
       C->Modules.emplace_back(Name, std::move(CR.Obj));
     };
@@ -175,9 +165,8 @@ TEST_F(MutantCorpus, DroppedTableReadRejected) {
       Instr TR = decodeAt(Obj, Off);
       for (unsigned B = 0; B != TR.Length; ++B)
         Obj.Code[Off + B] = static_cast<uint8_t>(Opcode::Nop);
-      expectBothTiersReject(Obj, BS.SeqStart, BS.BranchOffset,
-                            Name + ": drop tableread, site " +
-                                std::to_string(S));
+      expectRejected(Obj, BS.SeqStart, BS.BranchOffset,
+                     Name + ": drop tableread, site " + std::to_string(S));
     }
   }
 }
@@ -200,8 +189,31 @@ TEST_F(MutantCorpus, ReorderedCheckInstructionsRejected) {
                             Obj.Code.begin() + XorOff + X.Length + J.Length);
     std::copy(JB.begin(), JB.end(), Obj.Code.begin() + XorOff);
     std::copy(XB.begin(), XB.end(), Obj.Code.begin() + XorOff + J.Length);
-    expectBothTiersReject(Obj, BS.SeqStart, BS.BranchOffset,
-                          Name + ": swap xor/jz");
+    expectRejected(Obj, BS.SeqStart, BS.BranchOffset, Name + ": swap xor/jz");
+  }
+}
+
+TEST_F(MutantCorpus, SwappedIDReadsRejected) {
+  // Read the target ID before the branch ID. The transaction stays sound,
+  // but only the Fig. 4 order (Bary, then Tary) is accepted: it is the
+  // order the rewriter emits and the runtime's fused check executes.
+  for (const auto &[Name, Orig] : C->Modules) {
+    const BranchSite &BS = Orig.Aux.BranchSites.front();
+    uint64_t BaryOff = findOp(Orig, BS.SeqStart, BS.BranchOffset,
+                              Opcode::BaryRead);
+    ASSERT_NE(BaryOff, ~0ull) << Name;
+    Instr B = decodeAt(Orig, BaryOff);
+    Instr T = decodeAt(Orig, BaryOff + B.Length);
+    ASSERT_EQ(T.Op, Opcode::TableRead) << Name;
+    MCFIObject Obj = Orig;
+    std::vector<uint8_t> BB(Obj.Code.begin() + BaryOff,
+                            Obj.Code.begin() + BaryOff + B.Length);
+    std::vector<uint8_t> TB(Obj.Code.begin() + BaryOff + B.Length,
+                            Obj.Code.begin() + BaryOff + B.Length + T.Length);
+    std::copy(TB.begin(), TB.end(), Obj.Code.begin() + BaryOff);
+    std::copy(BB.begin(), BB.end(), Obj.Code.begin() + BaryOff + T.Length);
+    expectRejected(Obj, BS.SeqStart, BS.BranchOffset,
+                   Name + ": swap baryread/tableread");
   }
 }
 
@@ -215,15 +227,15 @@ TEST_F(MutantCorpus, FlippedMaskImmediateRejected) {
     ASSERT_NE(Off, ~0ull) << Name;
     MCFIObject Obj = Orig;
     Obj.Code[Off + 2 + 7] = 0xff; // imm64 lives at offset + 2
-    expectBothTiersReject(Obj, BS.SeqStart, BS.BranchOffset,
-                          Name + ": flip mask imm");
+    expectRejected(Obj, BS.SeqStart, BS.BranchOffset,
+                   Name + ": flip mask imm");
   }
 }
 
 TEST_F(MutantCorpus, BranchRetargetedIntoSequenceRejected) {
   // Redirect a direct branch from outside into the middle of a check
   // sequence: control can then reach the dispatch without the full
-  // transaction, so the join at the landing point demotes the proof.
+  // transaction.
   for (const auto &[Name, Orig] : C->Modules) {
     const BranchSite &BS = Orig.Aux.BranchSites.front();
     uint64_t Target = findOp(Orig, BS.SeqStart, BS.BranchOffset,
@@ -267,8 +279,7 @@ TEST_F(MutantCorpus, BranchRetargetedIntoSequenceRejected) {
     // branch itself or the sequence it enters.
     uint64_t Lo = std::min(BranchOff, BS.SeqStart);
     uint64_t Hi = std::max(BranchOff, BS.BranchOffset);
-    expectBothTiersReject(Obj, Lo, Hi,
-                          Name + ": retarget branch into sequence");
+    expectRejected(Obj, Lo, Hi, Name + ": retarget branch into sequence");
   }
 }
 
@@ -280,8 +291,7 @@ TEST_F(MutantCorpus, MisalignedReturnSiteRejected) {
     uint64_t Off = Obj.Aux.CallSites.front().RetSiteOffset;
     Obj.Aux.CallSites.front().RetSiteOffset = Off + 1;
     computeIBTOffsets(Obj.Aux);
-    expectBothTiersReject(Obj, Off, Off + 1,
-                          Name + ": misalign return site");
+    expectRejected(Obj, Off, Off + 1, Name + ": misalign return site");
   }
 }
 
@@ -294,9 +304,60 @@ TEST_F(MutantCorpus, CorruptedJumpTableEntryRejected) {
     const JumpTableInfo &JT = Orig.Aux.JumpTables.front();
     MCFIObject Obj = Orig;
     Obj.Code[JT.TableOffset] += 1;
-    expectBothTiersReject(Obj, JT.TableOffset,
-                          JT.TableOffset + 8 * JT.Targets.size(),
-                          Name + ": corrupt jump-table entry");
+    expectRejected(Obj, JT.TableOffset,
+                   JT.TableOffset + 8 * JT.Targets.size(),
+                   Name + ": corrupt jump-table entry");
+  }
+  EXPECT_TRUE(AnyJT);
+}
+
+TEST_F(MutantCorpus, JumpTableDispatchMutantsRejected) {
+  bool AnyJT = false;
+  for (const auto &[Name, Orig] : C->Modules) {
+    if (Orig.Aux.JumpTables.empty())
+      continue;
+    AnyJT = true;
+    const JumpTableInfo &JT = Orig.Aux.JumpTables.front();
+
+    // The bounds check of the dispatch turned into no-ops: the jmpi
+    // would load past the table.
+    Disassembly Dis = disassembleModule(Orig.Code.data(), Orig.Code.size(),
+                                        Orig);
+    int32_t K = Dis.indexAt(JT.JmpOffset);
+    ASSERT_GE(K, 7) << Name;
+    uint64_t Cmp = Dis.offsetOf(static_cast<size_t>(K) - 7);
+    ASSERT_EQ(decodeAt(Orig, Cmp).Op, Opcode::CmpLtU) << Name;
+    MCFIObject NoBound = Orig;
+    for (uint64_t Off = Cmp;;) {
+      Instr I = decodeAt(Orig, Off);
+      if (I.Op == Opcode::MovImm)
+        break; // keep the table address and what follows
+      for (unsigned B = 0; B != I.Length; ++B)
+        NoBound.Code[Off + B] = static_cast<uint8_t>(Opcode::Nop);
+      Off += I.Length;
+    }
+    expectRejected(NoBound, Cmp - 16, JT.JmpOffset,
+                   Name + ": drop dispatch bounds check");
+
+    // A return whose check is gone, its jmpi declared as the table's
+    // dispatch: only the dispatch template tells the two apart.
+    for (size_t S = 0; S != Orig.Aux.BranchSites.size(); ++S) {
+      const BranchSite &BS = Orig.Aux.BranchSites[S];
+      if (BS.Kind != BranchKind::Return)
+        continue;
+      MCFIObject Obj = Orig;
+      Obj.Aux.BranchSites.erase(Obj.Aux.BranchSites.begin() +
+                                static_cast<ptrdiff_t>(S));
+      uint64_t AfterPop = BS.SeqStart + decodeAt(Orig, BS.SeqStart).Length;
+      for (uint64_t Off = AfterPop; Off != BS.BranchOffset; ++Off)
+        Obj.Code[Off] = static_cast<uint8_t>(Opcode::Nop);
+      JumpTableInfo Fake = JT;
+      Fake.JmpOffset = BS.BranchOffset;
+      Obj.Aux.JumpTables.push_back(Fake);
+      expectRejected(Obj, BS.SeqStart, BS.BranchOffset,
+                     Name + ": unchecked return declared as a dispatch");
+      break;
+    }
   }
   EXPECT_TRUE(AnyJT);
 }

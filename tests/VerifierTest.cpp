@@ -68,56 +68,6 @@ struct ModuleFixture : public ::testing::Test {
 TEST_F(ModuleFixture, CorrectModuleVerifies) {
   VerifyResult R = verify();
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
-  // The templates decide the fast path; the engine never runs.
-  EXPECT_EQ(R.DecidedBy, VerifyTier::Syntactic);
-  EXPECT_EQ(R.FixpointIters, 0u);
-}
-
-TEST_F(ModuleFixture, TemplateModuleAlsoProvesSemantically) {
-  // Everything the syntactic tier accepts, the semantic tier must prove:
-  // the engine subsumes the templates.
-  VerifyOptions Opts;
-  Opts.UseSyntactic = false;
-  VerifyResult R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj, Opts);
-  EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
-  EXPECT_EQ(R.DecidedBy, VerifyTier::Semantic);
-  EXPECT_GT(R.FixpointIters, 0u);
-  EXPECT_GT(R.SemanticBlocks, 0u);
-}
-
-TEST_F(ModuleFixture, OptimizedModuleNeedsSemanticTier) {
-  CompileOptions CO;
-  CO.ModuleName = "victim-opt";
-  CO.Optimize = true;
-  CompileResult CR = compileModule(Source, CO);
-  ASSERT_TRUE(CR.Ok) << CR.Errors.front();
-  const MCFIObject &Opt = CR.Obj;
-
-  VerifyOptions SynOnly;
-  SynOnly.UseSemantic = false;
-  VerifyResult Syn =
-      verifyModule(Opt.Code.data(), Opt.Code.size(), Opt, SynOnly);
-  EXPECT_FALSE(Syn.Ok); // reordered ID loads escape the byte template
-
-  VerifyOptions SemOnly;
-  SemOnly.UseSyntactic = false;
-  VerifyResult Sem =
-      verifyModule(Opt.Code.data(), Opt.Code.size(), Opt, SemOnly);
-  EXPECT_TRUE(Sem.Ok) << (Sem.Errors.empty() ? "?" : Sem.Errors.front());
-
-  VerifyResult Both = verifyModule(Opt.Code.data(), Opt.Code.size(), Opt);
-  EXPECT_TRUE(Both.Ok) << (Both.Errors.empty() ? "?" : Both.Errors.front());
-  EXPECT_EQ(Both.DecidedBy, VerifyTier::Semantic);
-  EXPECT_GT(Both.FixpointIters, 0u);
-  EXPECT_FALSE(Both.SyntacticFindings.empty());
-}
-
-TEST_F(ModuleFixture, NoTierEnabledIsRejected) {
-  VerifyOptions Opts;
-  Opts.UseSyntactic = false;
-  Opts.UseSemantic = false;
-  VerifyResult R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj, Opts);
-  EXPECT_FALSE(R.Ok);
 }
 
 TEST_F(ModuleFixture, UninstrumentedModuleRejected) {

@@ -14,8 +14,6 @@
 ///     --no-instrument  emit the unprotected baseline
 ///     --no-tailcalls   disable tail-call optimization ("x86-32 mode")
 ///     --plt            synthesize instrumented PLT entries for imports
-///     --optimize       scheduler-friendly instrumentation (shared masks,
-///                      reordered ID loads; needs the semantic verifier)
 ///     --analyze        also run the C1/C2 analyzer and print a report
 ///
 //===----------------------------------------------------------------------===//
@@ -44,8 +42,6 @@ int main(int argc, char **argv) {
       CO.TailCalls = false;
     } else if (Arg == "--plt") {
       CO.EmitPlt = true;
-    } else if (Arg == "--optimize") {
-      CO.Optimize = true;
     } else if (Arg == "--analyze") {
       Analyze = true;
     } else if (!Arg.empty() && Arg[0] == '-') {

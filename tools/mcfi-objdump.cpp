@@ -13,12 +13,9 @@
 ///   mcfi-objdump [options] module.mcfo
 ///     --no-disasm   only print the aux-info summary
 ///     --aux         print the full auxiliary info listing
-///     --cfg         print the semantic verifier's recovered CFG with the
-///                   abstract register/stack state at each block entry
 ///
 //===----------------------------------------------------------------------===//
 
-#include "absint/AbsInt.h"
 #include "module/MCFIObject.h"
 #include "tools/ToolCommon.h"
 #include "visa/ISA.h"
@@ -132,41 +129,17 @@ void dumpAux(const MCFIObject &Obj) {
     std::printf("address-taken import: %s\n", S.c_str());
 }
 
-void dumpCfg(const MCFIObject &Obj) {
-  visa::Disassembly Dis =
-      disassembleModule(Obj.Code.data(), Obj.Code.size(), Obj);
-  if (!Dis.complete()) {
-    std::printf("\ncfg: undecodable byte at offset 0x%llx\n",
-                static_cast<unsigned long long>(Dis.FirstBad));
-    return;
-  }
-  absint::AbsIntOptions AO;
-  AO.CollectBlockDump = true;
-  absint::SemanticResult R =
-      absint::prove(Obj.Code.data(), Obj.Code.size(), Obj, Dis, AO);
-  std::printf("\ncfg: %zu blocks, %zu entry points, %llu fixpoint "
-              "iterations, %s\n",
-              R.Blocks, R.Entries,
-              static_cast<unsigned long long>(R.FixpointIters),
-              R.Ok ? "proves" : "REJECTED");
-  std::printf("%s", R.BlockDump.c_str());
-  for (const std::string &E : R.Errors)
-    std::printf("  finding: %s\n", E.c_str());
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   std::string Input;
-  bool Disasm = true, Aux = false, Cfg = false;
+  bool Disasm = true, Aux = false;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "--no-disasm")
       Disasm = false;
     else if (Arg == "--aux")
       Aux = true;
-    else if (Arg == "--cfg")
-      Cfg = true;
     else if (!Arg.empty() && Arg[0] == '-')
       usage("mcfi-objdump: unknown option");
     else if (Input.empty())
@@ -175,7 +148,7 @@ int main(int argc, char **argv) {
       usage("mcfi-objdump: exactly one input expected");
   }
   if (Input.empty())
-    usage("usage: mcfi-objdump [--no-disasm] [--aux] [--cfg] module.mcfo");
+    usage("usage: mcfi-objdump [--no-disasm] [--aux] module.mcfo");
 
   std::vector<uint8_t> Bytes;
   MCFIObject Obj;
@@ -197,7 +170,5 @@ int main(int argc, char **argv) {
     disassemble(Obj);
   if (Aux)
     dumpAux(Obj);
-  if (Cfg)
-    dumpCfg(Obj);
   return 0;
 }

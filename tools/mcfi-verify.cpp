@@ -9,19 +9,12 @@
 /// printing every finding. A module produced by *any* compiler is safe
 /// to load iff it verifies — the rewriter stays outside the TCB.
 ///
-///   mcfi-verify [--json] [--syntactic-only|--semantic-only]
-///               module.mcfo [more.mcfo ...]
+///   mcfi-verify [--json] module.mcfo [more.mcfo ...]
 ///
-/// By default runs the two-tier verifier: the syntactic template matcher
-/// decides fast, and whatever it rejects is handed to the semantic
-/// abstract-interpretation engine for a real proof. --syntactic-only and
-/// --semantic-only pin a single tier (template-conformance audits and
-/// engine debugging, respectively).
+/// Runs the structural checks and the Fig. 4 template walk.
 ///
 /// With --json, emits one machine-readable report on stdout (the same
-/// per-module shape mcfi-audit uses; see docs/INTERNALS.md). The verify
-/// object carries "tier" ("syntactic"/"semantic": who decided) and
-/// "fixpoint_iters" (0 when the semantic engine did not run).
+/// per-module shape mcfi-audit uses; see docs/INTERNALS.md).
 ///
 /// Exit code 0 iff every module verifies.
 ///
@@ -37,22 +30,16 @@ using namespace mcfi::tools;
 
 int main(int argc, char **argv) {
   bool Json = false;
-  VerifyOptions VOpts;
   std::vector<std::string> Inputs;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "--json")
       Json = true;
-    else if (Arg == "--syntactic-only")
-      VOpts.UseSemantic = false;
-    else if (Arg == "--semantic-only")
-      VOpts.UseSyntactic = false;
     else
       Inputs.push_back(std::move(Arg));
   }
-  if (Inputs.empty() || (!VOpts.UseSyntactic && !VOpts.UseSemantic))
-    usage("usage: mcfi-verify [--json] [--syntactic-only|--semantic-only] "
-          "module.mcfo [more.mcfo ...]");
+  if (Inputs.empty())
+    usage("usage: mcfi-verify [--json] module.mcfo [more.mcfo ...]");
 
   bool AllOk = true;
   std::ostringstream J;
@@ -64,7 +51,7 @@ int main(int argc, char **argv) {
     bool Loaded = readFileBytes(Path, Bytes) && readObject(Bytes, Obj);
     VerifyResult R;
     if (Loaded) {
-      R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj, VOpts);
+      R = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj);
     } else {
       R.Ok = false;
       R.Errors.push_back("cannot load module");
@@ -79,19 +66,15 @@ int main(int argc, char **argv) {
       J << "{\"name\":\"" << jsonEscape(Path) << "\",\"codeBytes\":"
         << Obj.Code.size() << ",\"branchSites\":"
         << Obj.Aux.BranchSites.size() << ",\"verify\":{\"ok\":"
-        << (R.Ok ? "true" : "false") << ",\"tier\":\""
-        << (R.DecidedBy == VerifyTier::Semantic ? "semantic" : "syntactic")
-        << "\",\"fixpoint_iters\":" << R.FixpointIters << ",\"findings\":[";
+        << (R.Ok ? "true" : "false") << ",\"findings\":[";
       for (size_t E = 0; E < R.Errors.size(); ++E)
         J << (E ? "," : "") << "\"" << jsonEscape(R.Errors[E]) << "\"";
       J << "]}}";
       continue;
     }
     if (R.Ok) {
-      std::printf("%s: OK (%zu branch sites, %zu bytes, %s tier)\n",
-                  Path.c_str(), Obj.Aux.BranchSites.size(), Obj.Code.size(),
-                  R.DecidedBy == VerifyTier::Semantic ? "semantic"
-                                                      : "syntactic");
+      std::printf("%s: OK (%zu branch sites, %zu bytes)\n", Path.c_str(),
+                  Obj.Aux.BranchSites.size(), Obj.Code.size());
     } else if (Loaded) {
       std::printf("%s: FAILED, %zu finding(s)\n", Path.c_str(),
                   R.Errors.size());

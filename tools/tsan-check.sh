@@ -4,8 +4,8 @@
 # the lock-free check/update transaction paths, the multithreaded guest
 # runtime, dynamic linking racing executing threads (dlopen batches
 # merge the CFG through the shared sig interner), the merge-vs-reference
-# differential, the two-tier verifier (whose semantic
-# tier runs at dlopen time while guest threads execute), and the VM
+# differential, the verifier (which runs at dlopen time while guest
+# threads execute), and the VM
 # execution tiers (threaded dispatch + segment cache racing dlopen's
 # code-epoch invalidation; test_runtime/test_threads/test_tierdiff all
 # run guests on the threaded tier by default), plus the adversarial
@@ -32,7 +32,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 # scheduler is single-threaded by construction and TSan's fiber support
 # conflicts with swapcontext-based stacks.
 if ! ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" \
-    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|absint|verifiermutants|tierdiff|attackcorpus|mlta|tools)|merge_check|verify_check|audit_check|attack_check|unload_check'; then
+    -R 'test_(tables|threads|dynlink|runtime|linker|parallelmerge|verifier|verifiermutants|tierdiff|attackcorpus|mlta|tools)|merge_check|verify_check|audit_check|attack_check|unload_check'; then
   cat >&2 <<'EOF'
 tsan-check: FAILED.
 If the failure is in the tables' check/update transactions, hunt the
