@@ -8,8 +8,8 @@
 /// The AIR (Average Indirect-target Reduction) comparison of Sec. 8.3:
 /// how much each CFI policy shrinks indirect-branch target sets relative
 /// to "any code byte". Computed on each benchmark for MCFI's
-/// fine-grained policy, a binCFI-style two-class policy, and a
-/// NaCl-style chunk policy. Paper: MCFI has the best AIR (~0.99+),
+/// fine-grained policy, the same refined (BuildSpec::Refine), a
+/// binCFI-style two-class policy, and a NaCl-style chunk policy. Paper: MCFI has the best AIR (~0.99+),
 /// above binCFI (~0.986) and NaCl-style chunking.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,16 +28,16 @@ int main() {
 
   TablePrinter Table;
   Table.addRow(
-      {"benchmark", "MCFI", "MCFI+MLTA", "binCFI-style", "NaCl-style"});
+      {"benchmark", "MCFI", "MCFI+refined", "binCFI-style", "NaCl-style"});
 
   double SumM = 0, SumL = 0, SumB = 0, SumN = 0;
   unsigned Count = 0;
   bool Ok = true;
   for (const BenchProfile &P : specProfiles()) {
     std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
-    auto airFor = [&](bool Mlta, double &Out) {
+    auto airFor = [&](bool Refine, double &Out) {
       BuildSpec Spec;
-      Spec.Mlta = Mlta;
+      Spec.Refine = Refine;
       BuiltProgram BP = buildProgram({Source}, Spec);
       if (!BP.Ok) {
         std::fprintf(stderr, "%s failed: %s\n", P.Name.c_str(),
@@ -52,17 +52,17 @@ int main() {
       return R;
     };
     double M, L;
-    AIRReport R = airFor(/*Mlta=*/false, M);
-    airFor(/*Mlta=*/true, L);
+    AIRReport R = airFor(/*Refine=*/false, M);
+    airFor(/*Refine=*/true, L);
     SumM += M;
     SumL += L;
     SumB += R.BinCFI;
     SumN += R.NaCl;
     ++Count;
-    // The layered map removes targets, so its AIR may never dip below
-    // the signature-only policy's.
+    // Refinement removes targets, so its AIR may never dip below the
+    // signature-only policy's.
     if (L < M) {
-      std::fprintf(stderr, "%s: MLTA AIR %.6f below FLTA %.6f\n",
+      std::fprintf(stderr, "%s: refined AIR %.6f below FLTA %.6f\n",
                    P.Name.c_str(), L, M);
       Ok = false;
     }
@@ -77,6 +77,6 @@ int main() {
   Table.print();
   std::printf("\npaper: MCFI 0.9930(x86-32)/0.9910(x86-64) > binCFI 0.9861 >\n"
               "NaCl-style chunking; MCFI must rank strictly best, and the\n"
-              "MLTA-refined policy must be at least as strong as FLTA MCFI\n");
+              "refined policy must be at least as strong as FLTA MCFI\n");
   return Ok ? 0 : 1;
 }

@@ -13,11 +13,12 @@
 /// observes fewer EQCs with tail calls because returns merge through
 /// tail-call chains.
 ///
-/// Appended after the original columns: the FLTA-vs-MLTA precision
-/// deltas (the Burow et al. comparison) — equivalence-class count gain,
-/// largest-class shrink (absolute and %), and average-class shrink (%)
-/// per tail-call mode. MLTA must never lose: dEQC >= 0 and dLgst > 0 on
-/// every profile, or the bench fails.
+/// Appended after the original columns: the type-matched-vs-refined
+/// (BuildSpec::Refine) precision deltas (the Burow et al. comparison) —
+/// equivalence-class count gain, largest-class shrink (absolute and %),
+/// and average-class shrink (%) per tail-call mode. Refinement must
+/// never lose: dEQC >= 0 and dLgst < 0 on every profile, or the bench
+/// fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +32,11 @@ using namespace mcfi;
 
 namespace {
 
-PrecisionReport statsFor(const BenchProfile &P, bool TailCalls, bool Mlta) {
+PrecisionReport statsFor(const BenchProfile &P, bool TailCalls, bool Refine) {
   std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
   BuildSpec Spec;
   Spec.TailCalls = TailCalls;
-  Spec.Mlta = Mlta;
+  Spec.Refine = Refine;
   BuiltProgram BP = buildProgram({Source}, Spec);
   if (!BP.Ok) {
     std::fprintf(stderr, "%s failed: %s\n", P.Name.c_str(),
@@ -55,7 +56,7 @@ std::string pct(uint64_t From, uint64_t To) {
 
 int main() {
   benchHeader("CFG statistics: IBs / IBTs / EQCs, statically linked with rt;"
-              " FLTA vs MLTA deltas",
+              " type-matched vs refined deltas",
               "Table 3 + the Burow et al. precision comparison");
 
   TablePrinter Table;
@@ -66,20 +67,20 @@ int main() {
 
   bool Ok = true;
   for (const BenchProfile &P : specProfiles()) {
-    PrecisionReport NoTail = statsFor(P, /*TailCalls=*/false, /*Mlta=*/false);
-    PrecisionReport Tail = statsFor(P, /*TailCalls=*/true, /*Mlta=*/false);
-    PrecisionReport MNoTail = statsFor(P, /*TailCalls=*/false, /*Mlta=*/true);
-    PrecisionReport MTail = statsFor(P, /*TailCalls=*/true, /*Mlta=*/true);
+    PrecisionReport NoTail = statsFor(P, /*TailCalls=*/false, /*Refine=*/false);
+    PrecisionReport Tail = statsFor(P, /*TailCalls=*/true, /*Refine=*/false);
+    PrecisionReport RNoTail = statsFor(P, /*TailCalls=*/false, /*Refine=*/true);
+    PrecisionReport RTail = statsFor(P, /*TailCalls=*/true, /*Refine=*/true);
 
-    auto deltas = [&](const PrecisionReport &F, const PrecisionReport &M,
+    auto deltas = [&](const PrecisionReport &F, const PrecisionReport &R,
                       std::vector<std::string> &Row) {
       Row.push_back(formatString(
-          "%+lld", (long long)M.NumEQCs - (long long)F.NumEQCs));
+          "%+lld", (long long)R.NumEQCs - (long long)F.NumEQCs));
       Row.push_back(formatString(
-          "%+lld", (long long)M.LargestClass - (long long)F.LargestClass));
-      Row.push_back("-" + pct(F.LargestClass, M.LargestClass));
+          "%+lld", (long long)R.LargestClass - (long long)F.LargestClass));
+      Row.push_back("-" + pct(F.LargestClass, R.LargestClass));
       double AvgPct =
-          F.AvgClass > 0 ? 100.0 * (F.AvgClass - M.AvgClass) / F.AvgClass : 0;
+          F.AvgClass > 0 ? 100.0 * (F.AvgClass - R.AvgClass) / F.AvgClass : 0;
       Row.push_back(formatString("-%.1f%%", AvgPct));
     };
 
@@ -91,28 +92,28 @@ int main() {
         std::to_string(Tail.NumIBs),
         std::to_string(Tail.NumIBTs),
         std::to_string(Tail.NumEQCs)};
-    deltas(NoTail, MNoTail, Row);
-    deltas(Tail, MTail, Row);
+    deltas(NoTail, RNoTail, Row);
+    deltas(Tail, RTail, Row);
     Table.addRow(Row);
 
-    // The acceptance gate: the layered map must strictly shrink the
-    // largest class and never lose equivalence classes, per profile and
-    // per tail-call mode.
-    if (MNoTail.LargestClass >= NoTail.LargestClass ||
-        MTail.LargestClass >= Tail.LargestClass ||
-        MNoTail.NumEQCs < NoTail.NumEQCs || MTail.NumEQCs < Tail.NumEQCs) {
+    // The acceptance gate: refinement must strictly shrink the largest
+    // class and never lose equivalence classes, per profile and per
+    // tail-call mode.
+    if (RNoTail.LargestClass >= NoTail.LargestClass ||
+        RTail.LargestClass >= Tail.LargestClass ||
+        RNoTail.NumEQCs < NoTail.NumEQCs || RTail.NumEQCs < Tail.NumEQCs) {
       std::fprintf(stderr,
-                   "%s: MLTA failed to improve precision "
+                   "%s: refinement failed to improve precision "
                    "(largest %llu->%llu / %llu->%llu, EQCs %llu->%llu / "
                    "%llu->%llu)\n",
                    P.Name.c_str(), (unsigned long long)NoTail.LargestClass,
-                   (unsigned long long)MNoTail.LargestClass,
+                   (unsigned long long)RNoTail.LargestClass,
                    (unsigned long long)Tail.LargestClass,
-                   (unsigned long long)MTail.LargestClass,
+                   (unsigned long long)RTail.LargestClass,
                    (unsigned long long)NoTail.NumEQCs,
-                   (unsigned long long)MNoTail.NumEQCs,
+                   (unsigned long long)RNoTail.NumEQCs,
                    (unsigned long long)Tail.NumEQCs,
-                   (unsigned long long)MTail.NumEQCs);
+                   (unsigned long long)RTail.NumEQCs);
       Ok = false;
     }
   }
@@ -120,10 +121,10 @@ int main() {
   std::printf("\npaper (scaled ~10x down): EQCs per benchmark are two to\n"
               "three orders of magnitude above the handful of classes that\n"
               "coarse-grained CFI enforces; the x86-64 (tail-call) column\n"
-              "has fewer or equal EQCs than x86-32. MLTA deltas: dEQC >= 0\n"
+              "has fewer or equal EQCs than x86-32. Refined deltas: dEQC >= 0\n"
               "and dLgst < 0 (strict largest-class shrink) on every row.\n");
   if (!Ok) {
-    std::fprintf(stderr, "\nFAIL: MLTA precision regression\n");
+    std::fprintf(stderr, "\nFAIL: refined precision regression\n");
     return 1;
   }
   return 0;

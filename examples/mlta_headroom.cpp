@@ -14,9 +14,10 @@
 /// NetHooks — including, after dlopen, the plugin's handler, because
 /// chains unify across modules by canonical record signature.
 ///
-/// The demo builds the program twice — type-matched and MLTA-refined —
-/// runs both through dlopen, and prints the per-site FLTA-vs-MLTA sets
-/// and the policy precision. The refined run must behave identically
+/// The demo builds the program twice — type-matched and refined (the
+/// layered map intersected with the dataflow engine) — runs both through
+/// dlopen, and prints the per-site FLTA-vs-MLTA sets and the policy
+/// precision. The refined run must behave identically
 /// and the largest class must strictly shrink, or the demo fails.
 ///
 //===----------------------------------------------------------------------===//
@@ -93,9 +94,10 @@ int main() {
                 S.Flta.size(), S.Refined ? S.Targets.size() : S.Flta.size(),
                 S.Refined ? "" : " (fallback: ",
                 S.Refined ? "" : (S.FallbackWhy + ")").c_str());
-  CFGRefinement Refinement = mlta::computeMltaRefinement(MR);
+  CFGRefinement Refinement =
+      computeRefinement(analyzeFunctionPointerFlow(Mods), MR);
 
-  // Build and run twice: type-matched, then MLTA-refined.
+  // Build and run twice: type-matched, then refined.
   std::string Outputs[2];
   PrecisionReport Reports[2];
   for (int Pass = 0; Pass != 2; ++Pass) {
@@ -123,7 +125,7 @@ int main() {
     }
     Reports[Pass] = computePrecision(L.policy());
     std::printf("%s policy after dlopen: %llu EQCs, largest class %llu\n",
-                Pass ? "mlta" : "type-matched",
+                Pass ? "refined" : "type-matched",
                 static_cast<unsigned long long>(Reports[Pass].NumEQCs),
                 static_cast<unsigned long long>(Reports[Pass].LargestClass));
   }
@@ -134,7 +136,7 @@ int main() {
   }
   if (Reports[1].LargestClass >= Reports[0].LargestClass ||
       Reports[1].NumEQCs < Reports[0].NumEQCs) {
-    std::fprintf(stderr, "no MLTA headroom realized\n");
+    std::fprintf(stderr, "no refinement headroom realized\n");
     return 1;
   }
   std::printf("refined run identical; largest class %llu -> %llu\n",

@@ -94,10 +94,10 @@ std::vector<AttackRecord> runUnloadAttacks(ExecTier Tier,
 
 /// Executes the MLTA differential attacks (MltaAttacks.cpp) at \p Tier:
 /// the layered-map victim is built under the type-matched policy and
-/// again under the MLTA-refined policy, and the same cross-enclosing-
-/// type overwrite is replayed against both. FLTA must classify it
-/// AllowedByPolicy (one signature class), MLTA must kill it at the
-/// check; a same-chain swap must stay AllowedByPolicy under both.
+/// again under the refined policy, and the same cross-enclosing-type
+/// overwrite is replayed against both. FLTA must classify it
+/// AllowedByPolicy (one signature class), the refined policy must kill
+/// it at the check; a same-chain swap must stay AllowedByPolicy under both.
 std::vector<AttackRecord> runMltaAttacks(ExecTier Tier,
                                          const std::string &Victim,
                                          unsigned MaxPerClass);

@@ -13,10 +13,11 @@
 /// HookA's field with HookB's handler is an *in-class* transfer the
 /// plain policy allows — the documented precision boundary. The layered
 /// type map splits the class by enclosing record chain, so the very same
-/// overwrite crosses classes under the MLTA-refined build and must die
-/// at the check. Each attack is replayed against both builds at the same
-/// tier to pin the verdict flip; a same-chain swap is replayed under
-/// MLTA to prove refinement does not overclaim.
+/// overwrite crosses classes under the refined build (BuildSpec::Refine,
+/// which intersects the layered map with the dataflow engine) and must
+/// die at the check. Each attack is replayed against both builds at the
+/// same tier to pin the verdict flip; a same-chain swap is replayed under
+/// the refined build to prove refinement does not overclaim.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,13 +72,13 @@ struct MltaBuild {
   bool SliceRan = false;
 };
 
-MltaBuild buildMltaVictim(ExecTier Tier, bool Mlta, uint64_t Slice) {
+MltaBuild buildMltaVictim(ExecTier Tier, bool Refine, uint64_t Slice) {
   MltaBuild V;
   BuildSpec Spec;
   Spec.Instrument = true;
   Spec.LinkRtLibrary = false;
   Spec.Tier = Tier;
-  Spec.Mlta = Mlta;
+  Spec.Refine = Refine;
   V.BP = buildProgram({MltaVictimSource}, Spec);
   if (!V.BP.Ok)
     return V;
@@ -89,7 +90,7 @@ MltaBuild buildMltaVictim(ExecTier Tier, bool Mlta, uint64_t Slice) {
   if (Slice) {
     RunResult Mid = V.BP.M->run(V.T, Slice);
     if (Mid.Reason != StopReason::OutOfFuel)
-      return buildMltaVictim(Tier, Mlta, 0);
+      return buildMltaVictim(Tier, Refine, 0);
     V.SliceRan = true;
   }
   return V;
@@ -125,11 +126,11 @@ AttackRecord makeRecord(ExecTier Tier, const std::string &Victim,
 /// Replays one overwrite (ha.fn <- target function) against a fresh
 /// build and classifies it against that build mode's clean run.
 AttackRecord replay(ExecTier Tier, const std::string &Victim,
-                    const std::string &Name, bool Mlta, const char *TargetFn,
+                    const std::string &Name, bool Refine, const char *TargetFn,
                     Expectation Expect, const RunResult &Ref,
                     const std::string &RefOut) {
   AttackRecord Rec = makeRecord(Tier, Victim, Name, Expect);
-  MltaBuild W = buildMltaVictim(Tier, Mlta, SliceFuel);
+  MltaBuild W = buildMltaVictim(Tier, Refine, SliceFuel);
   if (!W.BP.Ok) {
     Rec.Detail = "victim build failed: " + W.BP.Error;
     return Rec;
@@ -146,7 +147,7 @@ AttackRecord replay(ExecTier Tier, const std::string &Victim,
   RunResult RR = M.run(W.T, AttackFuel);
   std::string Out = M.takeOutput();
   Rec.V = classifyRun(RR, Out, Ref, RefOut, Expect);
-  Rec.Detail = std::string(Mlta ? "mlta policy" : "flta policy") + "; " +
+  Rec.Detail = std::string(Refine ? "refined policy" : "flta policy") + "; " +
                (RR.Message.empty() ? "run finished" : RR.Message);
   return Rec;
 }
@@ -162,8 +163,8 @@ mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
   // equal, but classification stays within its own policy's baseline).
   RunResult Refs[2];
   std::string RefOuts[2];
-  for (int Mlta = 0; Mlta != 2; ++Mlta) {
-    MltaBuild Ref = buildMltaVictim(Tier, Mlta != 0, 0);
+  for (int Refine = 0; Refine != 2; ++Refine) {
+    MltaBuild Ref = buildMltaVictim(Tier, Refine != 0, 0);
     if (!Ref.BP.Ok) {
       AttackRecord Rec = makeRecord(Tier, Victim, "mlta:setup",
                                     Expectation::Killed);
@@ -171,19 +172,19 @@ mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
       Out.push_back(Rec);
       return Out;
     }
-    Refs[Mlta] = Ref.BP.M->run(Ref.T, AttackFuel);
-    RefOuts[Mlta] = Ref.BP.M->takeOutput();
+    Refs[Refine] = Ref.BP.M->run(Ref.T, AttackFuel);
+    RefOuts[Refine] = Ref.BP.M->takeOutput();
   }
 
   struct Variant {
     const char *Name;
-    bool Mlta;
+    bool Refine;
     const char *Target;
     Expectation Expect;
   };
   // The verdict flip: the identical cross-enclosing-type overwrite is
-  // allowed by FLTA (one signature class) and killed by MLTA; the
-  // same-chain swap stays allowed under MLTA (no overclaim).
+  // allowed by FLTA (one signature class) and killed by the refined
+  // policy; the same-chain swap stays allowed under it (no overclaim).
   const Variant Variants[] = {
       {"mlta:flta:cross-registry", false, "hb_main",
        Expectation::InClassTransfer},
@@ -194,8 +195,8 @@ mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
   for (const Variant &V : Variants) {
     if (Out.size() >= MaxPerClass)
       break;
-    Out.push_back(replay(Tier, Victim, V.Name, V.Mlta, V.Target, V.Expect,
-                         Refs[V.Mlta], RefOuts[V.Mlta]));
+    Out.push_back(replay(Tier, Victim, V.Name, V.Refine, V.Target, V.Expect,
+                         Refs[V.Refine], RefOuts[V.Refine]));
   }
   return Out;
 }

@@ -178,7 +178,8 @@ struct CFGPolicy {
 extern const char *const SignalHandlerSig;
 
 /// An *intersection-only* sharpening of the type-matching policy,
-/// produced by the interprocedural dataflow engine (dataflow/Dataflow.h).
+/// composed from the function-pointer dataflow engine and the layered
+/// type map (computeRefinement in mlta/Mlta.h).
 ///
 /// Soundness contract: refinement never widens. Every indirect branch
 /// whose (owner function, pointer signature) key appears in Allowed has
@@ -187,7 +188,7 @@ extern const char *const SignalHandlerSig;
 /// analysis (e.g. the bootstrap runtime) are unaffected. Address-taken
 /// functions that survive in no target set and are not pinned by
 /// KeepTargets are dropped from the IBT universe — they were only
-/// reachable through edges the flow analysis proved dead, and dropping
+/// reachable through edges the analyses proved dead, and dropping
 /// them is what shrinks equivalence classes (per-site intersection alone
 /// cannot: overlapping sets re-merge under the union-find coarsening).
 struct CFGRefinement {

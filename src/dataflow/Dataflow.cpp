@@ -1493,30 +1493,6 @@ analyzeFunctionPointerFlow(const std::vector<FlowModule> &Mods) {
   return E.run();
 }
 
-CFGRefinement computeRefinement(const DataflowResult &Flow) {
-  CFGRefinement R;
-  R.KeepTargets = Flow.EscapedFunctions;
-  if (Flow.Havoc)
-    return R; // empty Allowed: no site is narrowed, nothing is dropped
-
-  // A (caller, signature) key covers every aux branch site with that
-  // caller and pointer signature; it may be narrowed only when *all*
-  // flow sites it covers are complete.
-  std::set<std::pair<std::string, std::string>> Bad;
-  for (const SiteFlow &S : Flow.Sites)
-    if (!S.Complete)
-      Bad.insert({S.Caller, S.PointerSig});
-  for (const SiteFlow &S : Flow.Sites) {
-    std::pair<std::string, std::string> Key{S.Caller, S.PointerSig};
-    if (Bad.count(Key))
-      continue;
-    auto &Set = R.Allowed[Key];
-    for (const std::string &T : S.Targets)
-      Set.insert(T);
-  }
-  return R;
-}
-
 static std::string formatStep(const EvidenceStep &S) {
   std::string Out = S.Desc;
   Out += " (";

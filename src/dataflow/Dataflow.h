@@ -30,8 +30,9 @@
 /// (its type-matched target set must not be narrowed); a store through
 /// an unresolved pointer sets the global Havoc flag (no site may be
 /// narrowed); function values escaping to externals are kept as
-/// indirect-branch targets. Refinement built on these results only ever
-/// intersects the type-matching policy, never widens it.
+/// indirect-branch targets. Refinement built on these results (with the
+/// layered type map's, by mcfi::computeRefinement in mlta/Mlta.h) only
+/// ever intersects the type-matching policy, never widens it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +40,6 @@
 #define MCFI_DATAFLOW_DATAFLOW_H
 
 #include "analyzer/Analyzer.h"
-#include "cfg/CFGGen.h"
 #include "minic/AST.h"
 
 #include <set>
@@ -105,8 +105,8 @@ struct DataflowResult {
   /// (externals, variadic argument lists, runtime builtins). They must
   /// remain indirect-branch targets under any refinement.
   std::set<std::string> EscapedFunctions;
-  /// A store through an unresolved pointer happened somewhere: no
-  /// refinement may narrow any site.
+  /// A store through an unresolved pointer happened somewhere: the
+  /// engine bounds no site.
   bool Havoc = false;
   /// Human-readable notes on conservative decisions (havoc causes,
   /// unresolved dlsym names, ...).
@@ -118,12 +118,6 @@ struct DataflowResult {
 /// follows the linker's rules: functions and globals bind by name, first
 /// definition wins.
 DataflowResult analyzeFunctionPointerFlow(const std::vector<FlowModule> &Mods);
-
-/// Builds the intersection-only CFG refinement from a flow result: every
-/// complete site contributes an allowed-target set keyed by (caller,
-/// pointer signature); escaped functions are pinned as targets. With
-/// Havoc set, the refinement is empty (refined CFG == type-matched CFG).
-CFGRefinement computeRefinement(const DataflowResult &Flow);
 
 /// Sharpens an analyzer report with flow facts (the paper Sec. 6 K1/K2
 /// split, now proven instead of guessed): a surviving C1 violation is K1

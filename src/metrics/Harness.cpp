@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "metrics/Harness.h"
+#include "mlta/Mlta.h"
 
 #include <chrono>
 
@@ -16,10 +17,10 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
   BuiltProgram BP;
 
   std::vector<MCFIObject> Objs;
-  std::vector<std::unique_ptr<minic::Program>> Progs; // kept for MLTA
+  std::vector<std::unique_ptr<minic::Program>> Progs; // kept for Refine
   std::vector<FlowModule> FlowMods;
   auto keepForAnalysis = [&](CompileResult &CR, const std::string &Name) {
-    if (!Spec.Mlta || !CR.Prog)
+    if (!Spec.Refine || !CR.Prog)
       return;
     FlowMods.push_back({CR.Prog.get(), Name});
     Progs.push_back(std::move(CR.Prog));
@@ -51,28 +52,9 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
     keepForAnalysis(CR, CO.ModuleName);
     Objs.push_back(std::move(CR.Obj));
   }
-  if (Spec.Mlta)
-    for (size_t I = 0; I != Spec.ExtraAnalysisSources.size(); ++I) {
-      CompileOptions CO;
-      CO.ModuleName = "dyn" + std::to_string(I);
-      CO.Instrument = Spec.Instrument;
-      CO.TailCalls = Spec.TailCalls;
-        CompileResult CR = compileModule(Spec.ExtraAnalysisSources[I], CO);
-      if (!CR.Ok) {
-        BP.Error = "analysis source: " +
-                   (CR.Errors.empty() ? "compile failed" : CR.Errors.front());
-        return BP;
-      }
-      keepForAnalysis(CR, CO.ModuleName); // Obj discarded: analysis only
-    }
-
-  if (Spec.Mlta) {
-    BP.Mlta = std::make_unique<mlta::MltaResult>(
-        mlta::analyzeLayeredTypes(FlowMods));
-    BP.Refinement = std::make_unique<CFGRefinement>(
-        mlta::computeMltaRefinement(*BP.Mlta));
-    Progs.clear(); // refinement holds names only; the ASTs can go
-    FlowMods.clear();
+  if (Spec.Refine) {
+    BP.Refinement = std::make_unique<CFGRefinement>(refineProgram(FlowMods));
+    Progs.clear(); // the refinement holds names only; the ASTs can go
   }
 
   MachineOptions MO;
@@ -82,7 +64,7 @@ BuiltProgram mcfi::buildProgram(const std::vector<std::string> &Sources,
   LO.Verify = Spec.Instrument;
   LO.InstallPolicy = Spec.Instrument;
   LO.InstrumentBootstrap = Spec.Instrument;
-  LO.Refinement = BP.Refinement.get(); // null unless Spec.Mlta
+  LO.Refinement = BP.Refinement.get(); // null unless Spec.Refine
   BP.L = std::make_unique<Linker>(*BP.M, LO);
   if (!BP.L->linkProgram(std::move(Objs), BP.Error))
     return BP;

@@ -18,7 +18,6 @@
 #define MCFI_METRICS_HARNESS_H
 
 #include "linker/Linker.h"
-#include "mlta/Mlta.h"
 #include "runtime/Machine.h"
 #include "toolchain/Toolchain.h"
 #include "workload/Workload.h"
@@ -32,13 +31,10 @@ namespace mcfi {
 struct BuiltProgram {
   std::unique_ptr<Machine> M;
   std::unique_ptr<Linker> L;
-  /// The MLTA refinement applied at link time (BuildSpec::Mlta). Owned
+  /// The refinement applied at link time (BuildSpec::Refine). Owned
   /// here because LinkOptions::Refinement borrows it for the linker's
   /// whole lifetime — every later dlopen/dlclose regeneration reads it.
   std::unique_ptr<CFGRefinement> Refinement;
-  /// The layered-map analysis behind Refinement (BuildSpec::Mlta);
-  /// exposed for the audit/bench consumers' per-site FLTA-vs-MLTA view.
-  std::unique_ptr<mlta::MltaResult> Mlta;
   uint64_t CodeBytes = 0; ///< total mapped code size
   std::string Error;
   bool Ok = false;
@@ -48,16 +44,11 @@ struct BuildSpec {
   bool Instrument = true;
   bool TailCalls = true;
   bool LinkRtLibrary = true;
-  /// Run the multi-layer type analysis over all translation units (rt
-  /// library and ExtraAnalysisSources included) and link under the
-  /// resulting refinement. The refined policy applies to every policy
-  /// the linker generates, dlopen/dlclose regenerations included.
-  bool Mlta = false;
-  /// Sources that will be dlopen'd into this program later: analyzed
-  /// with the static modules (so the layered map sees their stores and
-  /// call sites) but NOT linked here. The caller still compiles and
-  /// registerLibrary()s them separately.
-  std::vector<std::string> ExtraAnalysisSources;
+  /// Run both refinement analyses (refineProgram) over all translation
+  /// units, the rt library included, and link under the resulting
+  /// refinement. The refined policy applies to every policy the linker
+  /// generates, dlopen/dlclose regenerations included.
+  bool Refine = false;
   uint64_t Seed = 0;
   /// Execution tier of the built Machine (both tiers RunResult-identical;
   /// the differential tier harness pins each one explicitly).

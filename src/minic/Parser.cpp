@@ -263,6 +263,15 @@ private:
           error("record field cannot have bare function type");
           return false;
         }
+        // A field needs a size (the record being defined has none yet).
+        const Type *Elem = D.Ty;
+        while (const auto *AT = dyn_cast<ArrayType>(Elem))
+          Elem = AT->getElement();
+        if (const auto *FR = dyn_cast<RecordType>(Elem);
+            FR && !FR->isComplete()) {
+          error("record field '" + D.Name + "' has incomplete type");
+          return false;
+        }
         Fields.push_back({D.Name, D.Ty});
         if (!consumeIf(TokKind::Comma))
           break;

@@ -36,6 +36,7 @@ public:
     for (VarDecl *G : Prog.Globals) {
       if (Scopes.back().count(G->getName()))
         error(G->getLoc(), "redefinition of global '" + G->getName() + "'");
+      requireSized(G);
       Scopes.back()[G->getName()] = G;
       if (G->getInit()) {
         Expr *Init = check(G->getInit());
@@ -54,6 +55,7 @@ public:
       Gotos.clear();
       Scopes.emplace_back();
       for (VarDecl *P : F->getParams()) {
+        requireSized(P);
         if (!P->getName().empty())
           Scopes.back()[P->getName()] = P;
       }
@@ -179,6 +181,24 @@ private:
 
   bool isArithmetic(const Type *T) { return T->isInt() || T->isFloat(); }
 
+  /// Functions and incomplete records (alone or as array elements) have
+  /// no size: Sema refuses to step over, subscript, size or declare one,
+  /// as C does, before lowering would have to lay it out.
+  static bool hasSize(const Type *T) {
+    while (const auto *AT = dyn_cast<ArrayType>(T))
+      T = AT->getElement();
+    const auto *RT = dyn_cast<RecordType>(T);
+    return !T->isFunction() && (!RT || RT->isComplete());
+  }
+  static bool isSizedPointer(const Type *T) {
+    const auto *PT = dyn_cast<PointerType>(T);
+    return PT && hasSize(PT->getPointee());
+  }
+  void requireSized(const VarDecl *V) {
+    if (!hasSize(V->getType()))
+      error(V->getLoc(), "variable '" + V->getName() + "' has no size");
+  }
+
   /// Decays arrays and function designators to pointers, per C.
   Expr *decay(Expr *E) {
     if (const auto *AT = dyn_cast<ArrayType>(E->getType())) {
@@ -288,6 +308,10 @@ private:
       return C;
     }
     case ExprKind::SizeofType:
+      if (!hasSize(cast<SizeofExpr>(E)->getOperand())) {
+        error(E->getLoc(), "sizeof of a type with no size");
+        return nullptr;
+      }
       E->setType(Ctx.getInt64());
       return E;
     }
@@ -384,21 +408,21 @@ private:
     case BinaryOp::Add:
     case BinaryOp::Sub: {
       // Pointer arithmetic.
-      if (L->getType()->isPointer() && isArithmetic(R->getType())) {
+      if (isSizedPointer(L->getType()) && isArithmetic(R->getType())) {
         B->setLHS(L);
         B->setRHS(coerce(R, Ctx.getInt64()));
         B->setType(L->getType());
         return B;
       }
-      if (B->getOp() == BinaryOp::Add && R->getType()->isPointer() &&
+      if (B->getOp() == BinaryOp::Add && isSizedPointer(R->getType()) &&
           isArithmetic(L->getType())) {
         B->setLHS(coerce(L, Ctx.getInt64()));
         B->setRHS(R);
         B->setType(R->getType());
         return B;
       }
-      if (B->getOp() == BinaryOp::Sub && L->getType()->isPointer() &&
-          R->getType()->isPointer()) {
+      if (B->getOp() == BinaryOp::Sub && isSizedPointer(L->getType()) &&
+          isSizedPointer(R->getType())) {
         B->setLHS(L);
         B->setRHS(R);
         B->setType(Ctx.getInt64());
@@ -520,8 +544,9 @@ private:
       return nullptr;
     Base = decay(Base);
     const auto *PT = dyn_cast<PointerType>(Base->getType());
-    if (!PT) {
-      error(Ix->getLoc(), "subscripted value is not a pointer or array");
+    if (!PT || !isSizedPointer(PT)) {
+      error(Ix->getLoc(), "subscripted value is not a pointer or array of "
+                          "sized elements");
       return nullptr;
     }
     Ix->setBase(Base);
@@ -578,6 +603,7 @@ private:
     }
     case StmtKind::Decl: {
       VarDecl *V = cast<DeclStmt>(S)->getDecl();
+      requireSized(V);
       if (V->getInit()) {
         Expr *Init = check(V->getInit());
         if (Init)

@@ -1017,31 +1017,51 @@ MltaResult analyzeLayeredTypes(const std::vector<FlowModule> &Mods) {
   return E.run();
 }
 
-CFGRefinement computeMltaRefinement(const MltaResult &R) {
-  CFGRefinement Out;
-  Out.KeepTargets = R.KeepTargets;
-  if (R.Havoc)
-    return Out; // empty Allowed: refined CFG == type-matched CFG
+} // namespace mlta
 
-  // A (caller, signature) key covers every aux branch site with that
-  // caller and pointer signature; it may be narrowed only when *every*
-  // site it covers was refined.
-  std::set<std::pair<std::string, std::string>> Bad;
-  for (const MltaSite &S : R.Sites)
-    if (!S.Refined)
-      Bad.insert({S.Caller, S.PointerSig});
-  for (const MltaSite &S : R.Sites) {
-    if (!S.Refined)
-      continue;
-    std::pair<std::string, std::string> Key{S.Caller, S.PointerSig};
-    if (Bad.count(Key))
-      continue;
-    auto &Set = Out.Allowed[Key];
-    for (const std::string &T : S.Targets)
-      Set.insert(T);
-  }
+namespace {
+
+using KeySets = decltype(CFGRefinement::Allowed);
+
+/// One engine's per-key target sets. A (caller, signature) key covers
+/// every aux branch site with that caller and pointer signature; an
+/// engine bounds it only if it bounded every one of them, and a havocked
+/// engine bounds none.
+template <typename SiteT>
+KeySets boundedKeys(bool Havoc, const std::vector<SiteT> &Sites,
+                    bool SiteT::*Bounded) {
+  std::set<KeySets::key_type> Unbounded;
+  for (const SiteT &S : Sites)
+    if (Havoc || !(S.*Bounded))
+      Unbounded.insert({S.Caller, S.PointerSig});
+  KeySets Out;
+  for (const SiteT &S : Sites)
+    if (!Unbounded.count({S.Caller, S.PointerSig}))
+      Out[{S.Caller, S.PointerSig}].insert(S.Targets.begin(), S.Targets.end());
   return Out;
 }
 
-} // namespace mlta
+} // namespace
+
+CFGRefinement computeRefinement(const DataflowResult &Flow,
+                                const mlta::MltaResult &Layered) {
+  CFGRefinement R;
+  R.KeepTargets = Flow.EscapedFunctions;
+  R.KeepTargets.insert(Layered.KeepTargets.begin(), Layered.KeepTargets.end());
+  R.Allowed = boundedKeys(Flow.Havoc, Flow.Sites, &SiteFlow::Complete);
+  for (auto &[Key, Set] :
+       boundedKeys(Layered.Havoc, Layered.Sites, &mlta::MltaSite::Refined)) {
+    auto [It, Fresh] = R.Allowed.try_emplace(Key, Set);
+    if (!Fresh) // both bound the key: keep what both sets admit
+      std::erase_if(It->second,
+                    [&](const std::string &T) { return !Set.count(T); });
+  }
+  return R;
+}
+
+CFGRefinement refineProgram(const std::vector<FlowModule> &Mods) {
+  return computeRefinement(analyzeFunctionPointerFlow(Mods),
+                           mlta::analyzeLayeredTypes(Mods));
+}
+
 } // namespace mcfi

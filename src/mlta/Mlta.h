@@ -57,15 +57,16 @@
 ///
 /// Every refined target set is intersected with the site's FLTA set, so
 /// MLTA ⊆ FLTA holds per call site *by construction*; tools/mcfi-audit
-/// --mlta re-checks it as a differential. Escaped function values are
-/// pinned as indirect-branch targets, exactly like the dataflow engine's
-/// KeepTargets.
+/// --refine re-checks it, for the composed refinement, as a differential.
+/// Escaped function values are pinned as indirect-branch targets, exactly
+/// like the dataflow engine's EscapedFunctions.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MCFI_MLTA_MLTA_H
 #define MCFI_MLTA_MLTA_H
 
+#include "cfg/CFGGen.h"
 #include "dataflow/Dataflow.h"
 
 #include <set>
@@ -152,18 +153,23 @@ struct MltaResult {
 /// (same linkage rules as the dataflow engine: names bind by name).
 MltaResult analyzeLayeredTypes(const std::vector<FlowModule> &Mods);
 
-/// Builds the intersection-only CFG refinement from the layered map:
-/// every refined site contributes its MLTA set keyed by (caller, pointer
-/// signature); a key covering any fallback site is dropped entirely;
-/// escaped functions are pinned. With Havoc, the refinement is empty
-/// (refined CFG == type-matched CFG). The produced refinement rides
-/// LinkOptions::Refinement and therefore applies identically at static
-/// link, dlopen (including flat-combining batches) and dlclose retire
-/// regenerations, where the merge stays byte-identical to its per-site
-/// reference.
-CFGRefinement computeMltaRefinement(const MltaResult &R);
-
 } // namespace mlta
+
+/// The one CFG refinement, composed from both analyses. Per (caller,
+/// pointer signature) key, an engine that did not havoc contributes the
+/// union of its target sets over the key's sites if it bounded all of
+/// them (flow: Complete; layered map: Refined). A key one engine bounds
+/// gets that set, a key both bound the intersection (each set
+/// over-approximates the key's targets, so the intersection does too);
+/// KeepTargets is the union of both engines' pins. The result rides
+/// LinkOptions::Refinement into every policy the linker generates.
+CFGRefinement computeRefinement(const DataflowResult &Flow,
+                                const mlta::MltaResult &Layered);
+
+/// Runs both analyses over a whole-program module set and returns their
+/// computeRefinement.
+CFGRefinement refineProgram(const std::vector<FlowModule> &Mods);
+
 } // namespace mcfi
 
 #endif // MCFI_MLTA_MLTA_H

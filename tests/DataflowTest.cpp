@@ -8,8 +8,8 @@
 /// Tests for the interprocedural function-pointer dataflow engine: flow
 /// through calls, fields, and arrays; fixpoint convergence on cyclic
 /// call graphs; soundness flags (incomplete sites, havoc, escapes); and
-/// the intersection-only CFG refinement, including end-to-end refined
-/// links that still run.
+/// the engine's share of the intersection-only CFG refinement, including
+/// end-to-end refined links that still run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "metrics/Metrics.h"
 #include "minic/Parser.h"
 #include "minic/Sema.h"
+#include "mlta/Mlta.h"
 #include "toolchain/Toolchain.h"
 
 #include <gtest/gtest.h>
@@ -234,7 +235,9 @@ TEST(Dataflow, HavocOnStoreThroughUnknownPointer) {
     }
   )"});
   EXPECT_TRUE(R.Havoc);
-  CFGRefinement Ref = computeRefinement(R);
+  // A layered-map result with no sites bounds no key: the flow engine's
+  // contribution alone.
+  CFGRefinement Ref = computeRefinement(R, mlta::MltaResult{});
   EXPECT_TRUE(Ref.Allowed.empty());
 }
 
@@ -263,8 +266,7 @@ TEST(Dataflow, RefinementNeverWidens) {
     long (*pin)(long) = unused;  /* address-taken but never invoked */
     int main() { return (int)apply(used, 1); }
   )"});
-  DataflowResult R = analyzeFunctionPointerFlow(P.Modules);
-  CFGRefinement Ref = computeRefinement(R);
+  CFGRefinement Ref = refineProgram(P.Modules);
   auto It = Ref.Allowed.find({"apply", "(i64,)->i64"});
   ASSERT_NE(It, Ref.Allowed.end());
   EXPECT_EQ(It->second, (std::set<std::string>{"used"}));
@@ -346,7 +348,7 @@ TEST(Dataflow, RefinesAnalyzerResiduals) {
 // End-to-end: refined CFGs still link, verify, and run
 //===----------------------------------------------------------------------===//
 
-/// Compiles, flow-analyzes, links with and without the refinement, runs
+/// Compiles, refines, links with and without the refinement, runs
 /// both, and returns (unrefined, refined) precision. Output must match
 /// \p ExpectOutput in both configurations.
 std::pair<PrecisionReport, PrecisionReport>
@@ -363,8 +365,7 @@ runRefined(const std::vector<std::string> &Sources,
       return {};
     Mods.push_back({CRs.back().Prog.get(), "m" + std::to_string(I)});
   }
-  DataflowResult Flow = analyzeFunctionPointerFlow(Mods);
-  CFGRefinement Ref = computeRefinement(Flow);
+  CFGRefinement Ref = refineProgram(Mods);
 
   PrecisionReport Plain, Refined;
   for (int Pass = 0; Pass < 2; ++Pass) {
@@ -436,8 +437,7 @@ TEST(Dataflow, RefinedDlopenStaysConsistent) {
 
   std::vector<FlowModule> Mods{{Host.Prog.get(), "host"},
                                {Plugin.Prog.get(), "plugin"}};
-  DataflowResult Flow = analyzeFunctionPointerFlow(Mods);
-  CFGRefinement Ref = computeRefinement(Flow);
+  CFGRefinement Ref = refineProgram(Mods);
 
   Machine M;
   LinkOptions LO;

@@ -12,7 +12,9 @@
 /// in the suite: instrumentation is behaviour-preserving on benign
 /// programs across the whole pipeline. The seeded mutant pipeline is
 /// its adversarial twin: corrupted modules are either rejected or run
-/// safely, and what runs is exactly what the verifier checked.
+/// safely, and what runs is exactly what the verifier checked. Seeded
+/// token-level mutants of MiniC source do the same for the frontend: a
+/// compile error or a clean fueled run, never a crash or a hang.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "metrics/Harness.h"
 #include "minic/Parser.h"
 #include "minic/Sema.h"
+#include "mlta/Mlta.h"
 #include "runtime/Dispatch.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
@@ -28,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <optional>
 
@@ -143,7 +147,9 @@ TEST_P(FuzzPipeline, DataflowEngineTerminates) {
         FromSite = true;
     EXPECT_TRUE(FromSite) << F.Target;
   }
-  CFGRefinement Ref = computeRefinement(R);
+  // A layered-map result with no sites bounds no key: the flow engine's
+  // contribution alone.
+  CFGRefinement Ref = computeRefinement(R, mlta::MltaResult{});
   if (R.Havoc) {
     EXPECT_TRUE(Ref.Allowed.empty());
   }
@@ -478,6 +484,147 @@ TEST(MutantPipeline, SeededObjectByteMutantsEndCleanly) {
   EXPECT_GT(ReadRefused, 0u) << "no mutant was refused by readObject";
   EXPECT_GT(LinkRefused, 0u) << "no mutant was refused by the linker";
   EXPECT_GT(Ran, 0u) << "no mutant was dlopened and run";
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded MiniC source mutants
+//===----------------------------------------------------------------------===//
+
+/// MiniC source cut into tokens, each with the text before it (blanks and
+/// comments), so that joining every Gap + Text gives the source back. A
+/// token is a run of identifier characters, a string or character
+/// literal, or one other character.
+struct SourceToken {
+  std::string Gap, Text;
+};
+
+std::vector<SourceToken> tokenize(const std::string &S) {
+  auto word = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  std::vector<SourceToken> Out;
+  size_t GapStart = 0;
+  for (size_t I = 0; I < S.size();) {
+    if (std::isspace(static_cast<unsigned char>(S[I]))) {
+      ++I;
+    } else if (S.compare(I, 2, "//") == 0) {
+      I = std::min(S.find('\n', I), S.size());
+    } else if (S.compare(I, 2, "/*") == 0) {
+      I = std::min(S.find("*/", I + 2), S.size() - 2) + 2;
+    } else {
+      size_t J = I + 1;
+      if (word(S[I])) {
+        while (J < S.size() && word(S[J]))
+          ++J;
+      } else if (S[I] == '"' || S[I] == '\'') {
+        while (J < S.size() && S[J] != S[I])
+          J += S[J] == '\\' ? 2 : 1;
+        J = std::min(J + 1, S.size());
+      }
+      Out.push_back({S.substr(GapStart, I - GapStart), S.substr(I, J - I)});
+      I = GapStart = J;
+    }
+  }
+  return Out;
+}
+
+/// Applies one to three token edits to \p Toks: delete a token, double
+/// it, replace it with another token of the source or a boundary
+/// integer, or swap two tokens. Edited tokens are padded with blanks so
+/// that they do not fuse with their neighbours.
+std::string mutateSource(std::vector<SourceToken> Toks, RNG &R) {
+  static const char *const Numbers[] = {"0", "-1", "7", "65536", "2147483648",
+                                        "9223372036854775807"};
+  for (uint64_t Edits = R.range(1, 3); Edits; --Edits) {
+    std::string &T = Toks[R.below(Toks.size())].Text;
+    std::string &U = Toks[R.below(Toks.size())].Text;
+    switch (R.below(5)) {
+    case 0:
+      T = " ";
+      break;
+    case 1:
+      T = " " + T + " " + T + " ";
+      break;
+    case 2:
+      T = " " + U + " ";
+      break;
+    case 3:
+      std::swap(T, U);
+      T = " " + T + " ";
+      U = " " + U + " ";
+      break;
+    default:
+      T = std::string(" ") + Numbers[R.below(std::size(Numbers))] + " ";
+      break;
+    }
+  }
+  std::string Out;
+  for (const SourceToken &T : Toks)
+    Out += T.Gap + T.Text;
+  return Out;
+}
+
+TEST(MutantPipeline, SeededSourceMutantsEndCleanly) {
+  // Token-level mutants of a small bench profile and of the rt library:
+  // each mutant is compiled, linked beside the other (unmutated) module
+  // and run on a fuel budget. Every mutant must end in exactly one clean
+  // outcome: a compile error, a refused link (a mutant can drop or
+  // duplicate a definition), or a run that exits, traps, stops at a CFI
+  // check or runs out of fuel. A crash or a hang of the host fails the
+  // case by itself.
+  BenchProfile P = specProfiles()[1]; // bzip2: the smallest mix
+  P.WorkIterations = 5;
+  const std::string Sources[2] = {generateWorkload(P, WorkloadVariant::Fixed),
+                                  runtimeLibrarySource()};
+  const char *const Names[2] = {"tu0", "rt"};
+  std::vector<SourceToken> Tokens[2];
+  MCFIObject Clean[2];
+  for (int K = 0; K != 2; ++K) {
+    Tokens[K] = tokenize(Sources[K]);
+    std::string Joined;
+    for (const SourceToken &T : Tokens[K])
+      Joined += T.Gap + T.Text;
+    ASSERT_EQ(Joined, Sources[K].substr(0, Joined.size()));
+    CompileResult CR = compileModule(Sources[K], {.ModuleName = Names[K]});
+    ASSERT_TRUE(CR.Ok) << Names[K];
+    Clean[K] = std::move(CR.Obj);
+  }
+
+  constexpr unsigned Mutants = 2000;
+  unsigned CompileErrors = 0, LinkRefused = 0;
+  unsigned Stops[4] = {};
+  RNG R(0x6d69'6e69'63);
+  for (unsigned N = 0; N != Mutants; ++N) {
+    int K = N % 2; // alternate the profile and rt
+    std::string Source = mutateSource(Tokens[K], R);
+    CompileResult CR = compileModule(Source, {.ModuleName = Names[K]});
+    if (!CR.Ok) {
+      ++CompileErrors;
+      continue;
+    }
+    Machine M = mutantMachine();
+    Linker L(M);
+    std::vector<MCFIObject> Objs(2);
+    Objs[K] = std::move(CR.Obj);
+    Objs[1 - K] = Clean[1 - K];
+    std::string Err;
+    if (!L.linkProgram(std::move(Objs), Err)) {
+      ++LinkRefused;
+      continue;
+    }
+    ++Stops[static_cast<size_t>(runProgram(M, MutantFuel).Reason)];
+  }
+  unsigned Ran = Mutants - CompileErrors - LinkRefused;
+  std::printf("%u source mutants: %u compile errors, %u refused by the "
+              "linker; %u ran: %u exited, %u trapped, %u CFI stops, %u out "
+              "of fuel\n",
+              Mutants, CompileErrors, LinkRefused, Ran,
+              Stops[size_t(StopReason::Exited)],
+              Stops[size_t(StopReason::Trap)],
+              Stops[size_t(StopReason::CfiViolation)],
+              Stops[size_t(StopReason::OutOfFuel)]);
+  EXPECT_GT(CompileErrors, 0u) << "no mutant failed to compile";
+  EXPECT_GT(Ran, 0u) << "no mutant compiled, linked and ran";
 }
 
 } // namespace

@@ -236,6 +236,32 @@ TEST(Sema, StructAssignRejected) {
               "struct assignment");
 }
 
+TEST(Sema, SizelessOperandsAreRefused) {
+  // Stepping over, subscripting, sizing or declaring something with no
+  // size (a function, an incomplete record) is a diagnostic, not an
+  // abort in layout.
+  const char *Fn = "long f(long x) { return x; }";
+  expectError(std::string(Fn) +
+                  "int main() { long (*p)(long) = f; p = p + 1; return 0; }",
+              "invalid operands");
+  expectError(std::string(Fn) + "int main() { return (int)(f + 1 - f); }",
+              "invalid operands");
+  expectError(std::string(Fn) +
+                  "int main() { long (*p)(long) = f; return (int)p[1](2); }",
+              "subscripted value");
+  expectError("struct X; struct X *p;"
+              "int main() { p = p + 1; return (int)(long)p[0]; }",
+              "invalid operands");
+  expectError("struct X; int main() { return (int)sizeof(struct X); }",
+              "no size");
+  expectError("struct X; struct X g; int main() { return 0; }", "no size");
+  expectError("struct X; int main() { struct X v[2]; return 0; }",
+              "no size");
+  expectError("struct X; long h(struct X v) { return 0; }", "no size");
+  expectError("struct X; struct Y { long a; struct X x; };", "incomplete");
+  expectError("struct S { long a; struct S s; };", "incomplete");
+}
+
 //===----------------------------------------------------------------------===//
 // Typing and decay
 //===----------------------------------------------------------------------===//

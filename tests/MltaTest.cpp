@@ -9,8 +9,9 @@
 /// nested enclosing records, the prefix compatibility rule, escape
 /// fallbacks (unions, incompatible casts, address-of-field, variadic
 /// sinks, unannotated asm), struct-copy propagation, cyclic store/load
-/// move fixpoints, the per-site MLTA ⊆ FLTA invariant, and end-to-end
-/// MLTA-refined builds on every execution tier.
+/// move fixpoints, the per-site MLTA ⊆ FLTA invariant, the composed
+/// refinement (each key's set within each engine's), and end-to-end
+/// refined builds on every execution tier and every bench profile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 using namespace mcfi;
@@ -55,6 +57,12 @@ Parsed parseModules(const std::vector<std::string> &Sources) {
 mlta::MltaResult mltaOf(const std::vector<std::string> &Sources) {
   Parsed P = parseModules(Sources);
   return mlta::analyzeLayeredTypes(P.Modules);
+}
+
+/// The refinement the layered map alone contributes: a flow result with
+/// no sites bounds no key.
+CFGRefinement mltaRefinement(const mlta::MltaResult &R) {
+  return computeRefinement(DataflowResult{}, R);
 }
 
 const mlta::MltaSite *siteIn(const mlta::MltaResult &R,
@@ -298,7 +306,7 @@ TEST(Mlta, UnannotatedAsmHavocsEverything) {
   EXPECT_TRUE(R.Havoc);
   for (const mlta::MltaSite &S : R.Sites)
     EXPECT_FALSE(S.Refined);
-  CFGRefinement Ref = mlta::computeMltaRefinement(R);
+  CFGRefinement Ref = mltaRefinement(R);
   EXPECT_TRUE(Ref.Allowed.empty());
 }
 
@@ -418,7 +426,7 @@ TEST(Mlta, RefinementDropsKeysCoveringFallbackSites) {
       return (int)run_both(1);
     }
   )"});
-  CFGRefinement Ref = mlta::computeMltaRefinement(R);
+  CFGRefinement Ref = mltaRefinement(R);
   for (const auto &[Key, Fns] : Ref.Allowed) {
     (void)Fns;
     EXPECT_NE(Key.first, "run_both")
@@ -439,7 +447,7 @@ TEST(Mlta, EscapedFunctionValuesArePinned) {
       return (int)(run_a(1) + v);
     }
   )"});
-  CFGRefinement Ref = mlta::computeMltaRefinement(R);
+  CFGRefinement Ref = mltaRefinement(R);
   EXPECT_TRUE(Ref.KeepTargets.count("fesc"));
 }
 
@@ -463,11 +471,138 @@ TEST(Mlta, SubsetInvariantOverWorkloadProfiles) {
   }
 }
 
+/// Checks computeRefinement(Flow, Layered) against each engine's own
+/// contribution: a key is bounded iff either engine bounds it, its set
+/// lies inside each bounding engine's set (and is exactly their
+/// intersection when both bound it), and the pinned functions are the
+/// union. Returns how many keys both engines bound, and how many of
+/// those the intersection made strictly smaller than some engine's set.
+std::pair<size_t, size_t> expectRefinedWithinEachEngine(
+    const std::vector<FlowModule> &Mods, const std::string &What) {
+  DataflowResult Flow = analyzeFunctionPointerFlow(Mods);
+  mlta::MltaResult Layered = mlta::analyzeLayeredTypes(Mods);
+  CFGRefinement Both = computeRefinement(Flow, Layered);
+  CFGRefinement FlowOnly = computeRefinement(Flow, mlta::MltaResult{});
+  CFGRefinement MltaOnly = mltaRefinement(Layered);
+
+  std::set<std::string> Keep = FlowOnly.KeepTargets;
+  Keep.insert(MltaOnly.KeepTargets.begin(), MltaOnly.KeepTargets.end());
+  EXPECT_EQ(Both.KeepTargets, Keep) << What;
+
+  size_t BoundByBoth = 0, Narrowed = 0;
+  for (const auto &Engine : {&FlowOnly, &MltaOnly})
+    for (const auto &[Key, Set] : Engine->Allowed)
+      EXPECT_TRUE(Both.Allowed.count(Key))
+          << What << ": " << Key.first << " lost a bounded key";
+  for (const auto &[Key, Set] : Both.Allowed) {
+    auto F = FlowOnly.Allowed.find(Key);
+    auto M = MltaOnly.Allowed.find(Key);
+    bool InFlow = F != FlowOnly.Allowed.end();
+    bool InMlta = M != MltaOnly.Allowed.end();
+    EXPECT_TRUE(InFlow || InMlta) << What << ": " << Key.first;
+    auto within = [&](const std::set<std::string> &Engine) {
+      return std::includes(Engine.begin(), Engine.end(), Set.begin(),
+                           Set.end());
+    };
+    if (InFlow) {
+      EXPECT_TRUE(within(F->second)) << What << ": " << Key.first;
+    }
+    if (InMlta) {
+      EXPECT_TRUE(within(M->second)) << What << ": " << Key.first;
+    }
+    if (InFlow && InMlta) {
+      std::set<std::string> Meet;
+      std::set_intersection(F->second.begin(), F->second.end(),
+                            M->second.begin(), M->second.end(),
+                            std::inserter(Meet, Meet.end()));
+      EXPECT_EQ(Set, Meet) << What << ": " << Key.first;
+      ++BoundByBoth;
+      Narrowed += Set.size() < std::max(F->second.size(), M->second.size());
+    }
+  }
+  return {BoundByBoth, Narrowed};
+}
+
+TEST(Mlta, RefinedSetsLieWithinEachEngine) {
+  // run_nest loads through a chain the layered map splits by enclosing
+  // record (the flow engine's field cells merge both outers), and
+  // run_mix calls both a chain and a plain pointer under one key, which
+  // the layered map cannot bound but the flow engine can.
+  Parsed Fixture = parseModules({R"(
+    struct In { long pad; long (*f)(long); };
+    struct O1 { long t; struct In in; };
+    struct O2 { long t0; long t1; struct In in2; };
+    struct Solo { long t; long (*g)(long); };
+    long fa(long x) { return x + 1; }
+    long fb(long x) { return x * 2; }
+    long fc(long x) { return x - 3; }
+    struct O1 o1;
+    struct O2 o2;
+    struct Solo solo;
+    long (*plain)(long);
+    long run_nest(long x) { return o1.in.f(x); }
+    long run_mix(long x) { return solo.g(x) + plain(x); }
+    int main() {
+      o1.in.f = fa;
+      o2.in2.f = fb;
+      solo.g = fc;
+      plain = fc;
+      return (int)(run_nest(1) + run_mix(2));
+    }
+  )"});
+  auto [FixtureBoth, FixtureNarrowed] =
+      expectRefinedWithinEachEngine(Fixture.Modules, "fixture");
+  EXPECT_GE(FixtureBoth, 1u);
+  EXPECT_GE(FixtureNarrowed, 1u) << "no key where the intersection bites";
+
+  // The bench profiles with and without rt: with rt the flow engine
+  // havocs (rt_memcpy stores through an unresolved pointer) and the
+  // layered map decides alone; without it both engines bound keys.
+  size_t ProfilesBoth = 0;
+  for (const BenchProfile &P : specProfiles()) {
+    std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
+    ProfilesBoth +=
+        expectRefinedWithinEachEngine(parseModules({Source}).Modules, P.Name)
+            .first;
+    expectRefinedWithinEachEngine(
+        parseModules({Source, runtimeLibrarySource()}).Modules,
+        P.Name + "+rt");
+  }
+  EXPECT_GT(ProfilesBoth, 0u);
+}
+
+TEST(Mlta, RefinedProfilesRunExactlyAsUnrefined) {
+  // Every bench profile, built with and without BuildSpec::Refine, must
+  // print the same output, exit the same way and retire the same number
+  // of guest instructions. WorkIterations is lowered on a copy of each
+  // profile only to keep the case short: it bounds the main loop, and
+  // the policy depends only on the code's functions and sites, which the
+  // bound does not change.
+  for (BenchProfile P : specProfiles()) {
+    P.WorkIterations = 40;
+    std::string Source = generateWorkload(P, WorkloadVariant::Fixed);
+    Measured Runs[2];
+    for (int Refine = 0; Refine != 2; ++Refine) {
+      BuildSpec Spec;
+      Spec.Refine = Refine != 0;
+      BuiltProgram BP = buildProgram({Source}, Spec);
+      ASSERT_TRUE(BP.Ok) << P.Name << ": " << BP.Error;
+      Runs[Refine] = measureRun(BP);
+      ASSERT_EQ(Runs[Refine].Result.Reason, StopReason::Exited)
+          << P.Name << ": " << Runs[Refine].Result.Message;
+    }
+    EXPECT_EQ(Runs[1].Output, Runs[0].Output) << P.Name;
+    EXPECT_EQ(Runs[1].Result.ExitCode, Runs[0].Result.ExitCode) << P.Name;
+    EXPECT_EQ(Runs[1].Result.Instructions, Runs[0].Result.Instructions)
+        << P.Name;
+  }
+}
+
 class MltaTierSuite : public ::testing::TestWithParam<ExecTier> {};
 
 TEST_P(MltaTierSuite, RefinedBuildRunsIdentically) {
-  // An MLTA-refined build must behave exactly like the type-matched
-  // build on every tier, while strictly improving the policy.
+  // A refined build must behave exactly like the type-matched build on
+  // every tier, while strictly improving the policy.
   const BenchProfile &P = specProfiles()[1]; // bzip2: smallest mix
   BenchProfile Small = P;
   Small.WorkIterations = 20;
@@ -483,11 +618,10 @@ TEST_P(MltaTierSuite, RefinedBuildRunsIdentically) {
 
   BuildSpec Spec;
   Spec.Tier = GetParam();
-  Spec.Mlta = true;
+  Spec.Refine = true;
   BuiltProgram BM = buildProgram({Source}, Spec);
   ASSERT_TRUE(BM.Ok) << BM.Error;
   ASSERT_NE(BM.Refinement, nullptr);
-  ASSERT_NE(BM.Mlta, nullptr);
   Measured MM = measureRun(BM);
   ASSERT_EQ(MM.Result.Reason, StopReason::Exited) << MM.Result.Message;
   EXPECT_EQ(MM.Output, MP.Output);

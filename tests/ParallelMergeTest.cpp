@@ -10,8 +10,8 @@
 /// list. Their contract is *byte identity*: same ECN assignment, same
 /// branch classes and sizes, same index bases and statistics, for every
 /// module order, refinement and tombstone layout. These tests pin that
-/// contract over the workload corpus, randomised profiles, dataflow- and
-/// MLTA-refined builds, dlclose churn and hand-built edge cases, plus
+/// contract over the workload corpus, randomised profiles, refined
+/// builds, dlclose churn and hand-built edge cases, plus
 /// the hash-consing layer underneath (interner pointer identity, the
 /// variadic prefix rule over interned parts, per-module signature-cache
 /// hits) and the dlopen batch coalescing on top.
@@ -21,9 +21,9 @@
 #include "cfg/CFGReference.h"
 #include "cfg/ModuleSigs.h"
 #include "cfg/SigMatch.h"
-#include "dataflow/Dataflow.h"
 #include "metrics/Harness.h"
 #include "metrics/UpdateMetrics.h"
+#include "mlta/Mlta.h"
 #include "runtime/Dispatch.h"
 #include "support/RNG.h"
 #include "tables/ID.h"
@@ -238,7 +238,7 @@ TEST(MergeDifferential, DataflowRefinedBuilds) {
     ASSERT_TRUE(CRs.back().Ok) << Name;
     Mods.push_back({CRs.back().Prog.get(), Name});
   }
-  CFGRefinement Ref = computeRefinement(analyzeFunctionPointerFlow(Mods));
+  CFGRefinement Ref = refineProgram(Mods);
   ASSERT_FALSE(Ref.Allowed.empty());
 
   std::vector<const MCFIObject *> Objs;
@@ -252,7 +252,7 @@ TEST(MergeDifferential, DataflowRefinedBuilds) {
 
 TEST(MergeDifferential, MltaRefinedBuilds) {
   BuildSpec Spec;
-  Spec.Mlta = true;
+  Spec.Refine = true;
   for (const BenchProfile &P : specProfiles()) {
     BuiltProgram BP =
         buildProgram({generateWorkload(P, WorkloadVariant::Fixed)}, Spec);

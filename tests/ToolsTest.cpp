@@ -265,33 +265,51 @@ TEST_F(ToolsFixture, AuditFailOnK1Gates) {
   EXPECT_NE(Out.find("status: FAILED"), std::string::npos);
   // Without the gate the same audit reports and exits clean.
   EXPECT_EQ(run(std::string(MCFI_AUDIT) + " " + path("k1.minic"), &Out), 0);
+  // The flow engine bounds p's key to {wrong}, outside its FLTA set:
+  // that is the K1 flow (type matching cuts it), not a soundness
+  // violation of the refinement.
+  EXPECT_EQ(run(std::string(MCFI_AUDIT) + " --refine " + path("k1.minic"),
+                &Out),
+            0)
+      << Out;
 }
 
 //===----------------------------------------------------------------------===//
 // Policy-precision gate over the examples
 //===----------------------------------------------------------------------===//
 
-/// Audits every embedded module of \p Example: each must compile and
-/// verify, no proven-K1 residual may remain, and the flow-refined CFG must
-/// strictly improve on plain type matching (EQCs no worse, largest class
-/// strictly smaller, AIR no worse).
-void expectAuditGatePasses(const std::string &Example) {
+/// Audits every embedded module of \p Example in one run: each must
+/// compile and verify, no proven-K1 residual may remain, every refined
+/// key's set must lie inside its FLTA set (mcfi-audit exits nonzero on a
+/// "refinement soundness violation"), the refined CFG must strictly
+/// improve on plain type matching (no fewer EQCs, largest class strictly
+/// smaller, AIR no worse), and it must keep at least \p EqcFloor classes,
+/// the count recorded for the fixed corpus.
+void expectAuditGatePasses(const std::string &Example, int EqcFloor) {
   std::string Out;
   EXPECT_EQ(run(std::string(MCFI_AUDIT) +
-                    " --extract --refine --fail-on K1 --expect-refinement " +
-                    MCFI_EXAMPLES_DIR + "/" + Example + ".cpp",
+                    " --extract --refine --fail-on K1 --expect-refinement "
+                    "--fail-on-eqc-regression " +
+                    std::to_string(EqcFloor) + " " + MCFI_EXAMPLES_DIR + "/" +
+                    Example + ".cpp",
                 &Out),
             0)
-      << Out;
+      << Example << " (EQC floor " << EqcFloor << "): " << Out;
   EXPECT_NE(Out.find("status: OK"), std::string::npos) << Out;
 }
 
 TEST_F(ToolsFixture, AuditGateSeparateCompilation) {
-  expectAuditGatePasses("separate_compilation");
+  expectAuditGatePasses("separate_compilation", 2);
 }
 
 TEST_F(ToolsFixture, AuditGateDynamicPlugin) {
-  expectAuditGatePasses("dynamic_plugin");
+  expectAuditGatePasses("dynamic_plugin", 3);
+}
+
+TEST_F(ToolsFixture, AuditGateMltaHeadroom) {
+  // The refinement splits classes here (2 EQCs -> 4), which the
+  // improvement test must count as a gain.
+  expectAuditGatePasses("mlta_headroom", 4);
 }
 
 //===----------------------------------------------------------------------===//
@@ -521,36 +539,18 @@ TEST_F(ToolsFixture, VmTierGateThreadedTierIsTwiceTheInterpreter) {
 // Layered-type-map (MLTA) gate
 //===----------------------------------------------------------------------===//
 
-TEST_F(ToolsFixture, MltaCheckEqcFloorsHold) {
-  // Every embedded module compiles and verifies under --mlta, each refined
-  // site's MLTA target set is a subset of its FLTA set (mcfi-audit exits
-  // nonzero on an "MLTA soundness violation"), and the MLTA-refined
-  // policy keeps at least the class count recorded for the fixed corpus.
-  const std::pair<const char *, int> Floors[] = {
-      {"separate_compilation", 2}, {"dynamic_plugin", 3}, {"mlta_headroom", 4}};
-  for (const auto &[Example, Floor] : Floors) {
-    std::string Out;
-    EXPECT_EQ(run(std::string(MCFI_AUDIT) +
-                      " --extract --mlta --fail-on-eqc-regression " +
-                      std::to_string(Floor) + " " + MCFI_EXAMPLES_DIR + "/" +
-                      Example + ".cpp",
-                  &Out),
-              0)
-        << Example << " (EQC floor " << Floor << "): " << Out;
-  }
-}
-
 TEST_F(ToolsFixture, MltaCheckJsonReportsNoViolationAndNoHavoc) {
   std::string Out;
-  ASSERT_EQ(run(std::string(MCFI_AUDIT) + " --extract --mlta --json " +
+  ASSERT_EQ(run(std::string(MCFI_AUDIT) + " --extract --refine --json " +
                     MCFI_EXAMPLES_DIR + "/mlta_headroom.cpp",
                 &Out, /*DropStderr=*/true),
             0)
       << Out;
   EXPECT_NE(Out.find("\"subsetViolations\":0"), std::string::npos)
       << "subset violations (or the field is gone): " << Out;
-  EXPECT_NE(Out.find("\"havoc\":false"), std::string::npos)
-      << "the headroom fixture fell back to havoc: " << Out;
+  EXPECT_NE(Out.find("\"havoc\":false"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("\"havoc\":true"), std::string::npos)
+      << "an analysis fell back to havoc on the headroom fixture: " << Out;
 }
 
 TEST_F(ToolsFixture, MltaCheckHeadroomRunsEndToEnd) {

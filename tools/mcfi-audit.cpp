@@ -10,8 +10,8 @@
 /// sharpens the residual K1/K2 split with the interprocedural
 /// function-pointer dataflow engine (witness chains attached), verifies
 /// every module, and reports the precision of the type-matching CFG —
-/// optionally against the flow-refined CFG, which only ever intersects
-/// target sets.
+/// optionally against the refined CFG (the dataflow engine intersected
+/// with the layered type map), which only ever intersects target sets.
 ///
 ///   mcfi-audit [options] module.mc...
 ///   mcfi-audit --extract [options] example.cpp...
@@ -19,24 +19,24 @@
 ///   --extract            inputs are C++ files; audit every embedded
 ///                        R"( ... )" MiniC module (names are recovered
 ///                        from the surrounding code)
-///   --refine             also generate the flow-refined CFG and compare
+///   --refine             also run the multi-layer type analysis, generate
+///                        the refined CFG (both analyses intersected) and
+///                        compare, and check the soundness differential:
+///                        every refined key's set lies inside the key's
+///                        FLTA set (any violation fails the audit)
 ///   --json               machine-readable report on stdout
 ///   --fail-on <KIND>     exit 1 if findings of KIND remain:
 ///                        K1, K2, C1 (any residual), C2, none (default)
 ///   --tagged <t1,t2,..>  struct tags with a checked type-tag discipline
 ///                        (the analyzer's DC rule attestation)
-///   --expect-refinement  exit 1 unless the refined CFG strictly
-///                        improves: EQCs no worse, largest class
-///                        strictly smaller, AIR no worse
-///   --mlta               run the multi-layer type analysis, audit the
-///                        MLTA-refined CFG, and check the per-call-site
-///                        soundness differential MLTA ⊆ FLTA (any
-///                        violation fails the audit)
+///   --expect-refinement  implies --refine; exit 1 unless the refined CFG
+///                        strictly improves: no fewer EQCs, largest
+///                        class strictly smaller, AIR no worse
 ///   --fail-on-eqc-regression <N>
-///                        exit 1 if the audited policy (MLTA if --mlta,
-///                        else refined if --refine, else type-matched)
-///                        has fewer than N equivalence classes — CI pins
-///                        the current EQC count against regressions
+///                        exit 1 if the audited policy (refined if
+///                        --refine, else type-matched) has fewer than N
+///                        equivalence classes — CI pins the current EQC
+///                        count against regressions
 ///
 /// Exit code: 0 clean, 1 gate failed, 2 bad invocation or load error.
 ///
@@ -64,7 +64,6 @@ struct Options {
   bool Refine = false;
   bool Json = false;
   bool ExpectRefinement = false;
-  bool Mlta = false;
   long long EqcFloor = -1; ///< --fail-on-eqc-regression; -1 = off
   std::string FailOn = "none";
   std::set<std::string> Tagged;
@@ -94,19 +93,14 @@ void jsonPrecision(std::ostringstream &O, const PrecisionReport &P,
     << ",\"avgClass\":" << P.AvgClass << ",\"air\":" << Air << "}";
 }
 
-void jsonMlta(std::ostringstream &O, const mlta::MltaResult &MR,
-              const PrecisionReport &Ml, double MlAir,
-              size_t SubsetViolations) {
-  O << ",\"mlta\":{\"precision\":";
-  jsonPrecision(O, Ml, MlAir);
+void jsonMlta(std::ostringstream &O, const mlta::MltaResult &MR) {
   size_t Refined = 0;
   for (const mlta::MltaSite &S : MR.Sites)
     Refined += S.Refined;
-  O << ",\"sites\":" << MR.Sites.size() << ",\"refined\":" << Refined
-    << ",\"escapedRecords\":" << MR.EscapedRecords.size()
+  O << ",\"mlta\":{\"sites\":" << MR.Sites.size() << ",\"refined\":"
+    << Refined << ",\"escapedRecords\":" << MR.EscapedRecords.size()
     << ",\"keepTargets\":" << MR.KeepTargets.size() << ",\"havoc\":"
-    << (MR.Havoc ? "true" : "false") << ",\"subsetViolations\":"
-    << SubsetViolations << ",\"perSite\":[";
+    << (MR.Havoc ? "true" : "false") << ",\"perSite\":[";
   for (size_t I = 0; I < MR.Sites.size(); ++I) {
     const mlta::MltaSite &S = MR.Sites[I];
     if (I)
@@ -127,8 +121,8 @@ void jsonMlta(std::ostringstream &O, const mlta::MltaResult &MR,
 std::string jsonReport(const std::vector<AuditedModule> &Mods,
                        const DataflowResult &Flow, const PrecisionReport &Un,
                        double UnAir, const PrecisionReport *Re, double ReAir,
-                       const mlta::MltaResult *MR, const PrecisionReport &Ml,
-                       double MlAir, size_t SubsetViolations, bool Ok) {
+                       const mlta::MltaResult &MR, size_t SubsetViolations,
+                       bool Ok) {
   std::ostringstream O;
   O << "{\"tool\":\"mcfi-audit\",\"modules\":[";
   for (size_t I = 0; I < Mods.size(); ++I) {
@@ -182,10 +176,11 @@ std::string jsonReport(const std::vector<AuditedModule> &Mods,
   if (Re) {
     O << ",\"refined\":";
     jsonPrecision(O, *Re, ReAir);
+    O << ",\"subsetViolations\":" << SubsetViolations;
   }
   O << "}";
-  if (MR)
-    jsonMlta(O, *MR, Ml, MlAir, SubsetViolations);
+  if (Re)
+    jsonMlta(O, MR);
   O << ",\"ok\":" << (Ok ? "true" : "false") << "}";
   return O.str();
 }
@@ -197,8 +192,7 @@ std::string jsonReport(const std::vector<AuditedModule> &Mods,
 void printHuman(const std::vector<AuditedModule> &Mods,
                 const DataflowResult &Flow, const PrecisionReport &Un,
                 double UnAir, const PrecisionReport *Re, double ReAir,
-                const mlta::MltaResult *MR, const PrecisionReport &Ml,
-                double MlAir) {
+                const mlta::MltaResult &MR) {
   std::printf("== modules ==\n");
   for (const AuditedModule &M : Mods) {
     std::printf("  %-12s %5zu bytes, %3zu branch sites, verify %s\n",
@@ -244,27 +238,22 @@ void printHuman(const std::vector<AuditedModule> &Mods,
               (unsigned long long)Un.NumIBs, (unsigned long long)Un.NumIBTs,
               (unsigned long long)Un.NumEQCs,
               (unsigned long long)Un.LargestClass, Un.AvgClass, UnAir);
-  if (Re)
+  if (Re) {
     std::printf("  %-12s %6llu %6llu %6llu %8llu %7.2f %8.5f\n", "refined",
                 (unsigned long long)Re->NumIBs,
                 (unsigned long long)Re->NumIBTs,
                 (unsigned long long)Re->NumEQCs,
                 (unsigned long long)Re->LargestClass, Re->AvgClass, ReAir);
-  if (MR) {
-    std::printf("  %-12s %6llu %6llu %6llu %8llu %7.2f %8.5f\n", "mlta",
-                (unsigned long long)Ml.NumIBs, (unsigned long long)Ml.NumIBTs,
-                (unsigned long long)Ml.NumEQCs,
-                (unsigned long long)Ml.LargestClass, Ml.AvgClass, MlAir);
 
     std::printf("\n== layered type map ==\n");
     std::printf("  %u records, %u chains, %u stores, %u copy edges, "
                 "%u fixpoint rounds; %zu escaped records, %zu kept targets, "
                 "havoc: %s\n",
-                MR->Stats.Records, MR->Stats.Chains, MR->Stats.Stores,
-                MR->Stats.CopyEdges, MR->Stats.Iterations,
-                MR->EscapedRecords.size(), MR->KeepTargets.size(),
-                MR->Havoc ? "YES" : "no");
-    for (const mlta::MltaSite &S : MR->Sites) {
+                MR.Stats.Records, MR.Stats.Chains, MR.Stats.Stores,
+                MR.Stats.CopyEdges, MR.Stats.Iterations,
+                MR.EscapedRecords.size(), MR.KeepTargets.size(),
+                MR.Havoc ? "YES" : "no");
+    for (const mlta::MltaSite &S : MR.Sites) {
       if (S.Refined)
         std::printf("  %s:%u (%s) chain %s: %zu of %zu FLTA targets\n",
                     S.Caller.c_str(), S.Loc.Line, S.Module.c_str(),
@@ -275,7 +264,7 @@ void printHuman(const std::vector<AuditedModule> &Mods,
                     S.Caller.c_str(), S.Loc.Line, S.Module.c_str(),
                     S.FallbackWhy.c_str(), S.Flta.size());
     }
-    for (const std::string &N : MR->Notes)
+    for (const std::string &N : MR.Notes)
       std::printf("  note: %s\n", N.c_str());
   }
 }
@@ -294,8 +283,6 @@ int main(int argc, char **argv) {
       O.Json = true;
     } else if (A == "--expect-refinement") {
       O.ExpectRefinement = O.Refine = true;
-    } else if (A == "--mlta") {
-      O.Mlta = true;
     } else if (A == "--fail-on-eqc-regression" && I + 1 < argc) {
       O.EqcFloor = std::atoll(argv[++I]);
       if (O.EqcFloor < 0)
@@ -315,7 +302,7 @@ int main(int argc, char **argv) {
     }
   }
   if (O.Inputs.empty())
-    usage("usage: mcfi-audit [--extract] [--refine] [--mlta] [--json] "
+    usage("usage: mcfi-audit [--extract] [--refine] [--json] "
           "[--fail-on K1|K2|C1|C2|none] [--tagged t1,t2] "
           "[--expect-refinement] [--fail-on-eqc-regression N] input...");
   if (O.FailOn != "none" && O.FailOn != "K1" && O.FailOn != "K2" &&
@@ -383,8 +370,8 @@ int main(int argc, char **argv) {
   for (AuditedModule &M : Mods)
     refineResidualsWithFlow(M.Report, M.Name, Flow);
 
-  // CFG precision, type-matched and (optionally) flow-refined. Modules
-  // are laid out at page-aligned synthetic bases; precision and AIR only
+  // CFG precision, type-matched and (optionally) refined. Modules are
+  // laid out at page-aligned synthetic bases; precision and AIR only
   // depend on relative layout.
   std::vector<LoadedModuleView> Views;
   uint64_t Base = 0x400000, CodeSize = 0;
@@ -397,42 +384,36 @@ int main(int argc, char **argv) {
   PrecisionReport Un = computePrecision(Unrefined);
   double UnAir = computeAIR(Unrefined, Views, CodeSize).MCFI;
 
+  // The refinement (flow and layered map intersected) plus the per-key
+  // soundness differential: every refined set must sit inside the FLTA
+  // set the type-matched CFG would enforce. A target the flow engine
+  // proved type-incompatible is a K1 flow, reported above and cut by
+  // type matching, not a violation.
+  mlta::MltaResult MR;
   PrecisionReport Re;
   double ReAir = 0;
-  CFGRefinement Refinement;
+  size_t SubsetViolations = 0;
   if (O.Refine) {
-    Refinement = computeRefinement(Flow);
+    MR = mlta::analyzeLayeredTypes(FlowMods);
+    CFGRefinement Refinement = computeRefinement(Flow, MR);
     CFGPolicy Refined = generateCFG(Views, &Refinement);
     Re = computePrecision(Refined);
     ReAir = computeAIR(Refined, Views, CodeSize).MCFI;
-  }
-
-  // The layered type map: MLTA-refined CFG precision plus the per-site
-  // soundness differential (every refined set must sit inside the FLTA
-  // set the type-matched CFG would enforce).
-  mlta::MltaResult MR;
-  PrecisionReport Ml;
-  double MlAir = 0;
-  size_t SubsetViolations = 0;
-  if (O.Mlta) {
-    MR = mlta::analyzeLayeredTypes(FlowMods);
-    CFGRefinement MltaRef = mlta::computeMltaRefinement(MR);
-    CFGPolicy MltaPolicy = generateCFG(Views, &MltaRef);
-    Ml = computePrecision(MltaPolicy);
-    MlAir = computeAIR(MltaPolicy, Views, CodeSize).MCFI;
-    for (const mlta::MltaSite &S : MR.Sites) {
-      if (!S.Refined)
-        continue;
-      std::set<std::string> F(S.Flta.begin(), S.Flta.end());
-      for (const std::string &T : S.Targets)
-        if (!F.count(T)) {
+    std::map<std::pair<std::string, std::string>, std::set<std::string>> Flta;
+    for (const mlta::MltaSite &S : MR.Sites)
+      Flta[{S.Caller, S.PointerSig}].insert(S.Flta.begin(), S.Flta.end());
+    std::set<std::vector<std::string>> K1Flows;
+    for (const FlowFinding &F : Flow.Incompatible)
+      K1Flows.insert({F.Caller, F.PointerSig, F.Target});
+    for (const auto &[Key, Targets] : Refinement.Allowed)
+      for (const std::string &T : Targets)
+        if (!Flta[Key].count(T) && !K1Flows.count({Key.first, Key.second, T})) {
           std::fprintf(stderr,
-                       "mcfi-audit: MLTA soundness violation at %s:%u: "
-                       "target %s outside the FLTA set\n",
-                       S.Caller.c_str(), S.Loc.Line, T.c_str());
+                       "mcfi-audit: refinement soundness violation at %s "
+                       "(%s): target %s outside the FLTA set\n",
+                       Key.first.c_str(), Key.second.c_str(), T.c_str());
           ++SubsetViolations;
         }
-    }
   }
 
   // Gates.
@@ -450,11 +431,11 @@ int main(int argc, char **argv) {
       Ok = false;
   }
   if (O.ExpectRefinement &&
-      !(Re.NumEQCs <= Un.NumEQCs && Re.LargestClass < Un.LargestClass &&
+      !(Re.NumEQCs >= Un.NumEQCs && Re.LargestClass < Un.LargestClass &&
         ReAir >= UnAir))
     Ok = false;
   if (O.EqcFloor >= 0) {
-    const PrecisionReport &Gate = O.Mlta ? Ml : O.Refine ? Re : Un;
+    const PrecisionReport &Gate = O.Refine ? Re : Un;
     if ((long long)Gate.NumEQCs < O.EqcFloor) {
       std::fprintf(stderr,
                    "mcfi-audit: EQC regression: %llu classes, floor %lld\n",
@@ -466,12 +447,10 @@ int main(int argc, char **argv) {
   if (O.Json) {
     std::printf("%s\n",
                 jsonReport(Mods, Flow, Un, UnAir, O.Refine ? &Re : nullptr,
-                           ReAir, O.Mlta ? &MR : nullptr, Ml, MlAir,
-                           SubsetViolations, Ok)
+                           ReAir, MR, SubsetViolations, Ok)
                     .c_str());
   } else {
-    printHuman(Mods, Flow, Un, UnAir, O.Refine ? &Re : nullptr, ReAir,
-               O.Mlta ? &MR : nullptr, Ml, MlAir);
+    printHuman(Mods, Flow, Un, UnAir, O.Refine ? &Re : nullptr, ReAir, MR);
     std::printf("\nstatus: %s\n", Ok ? "OK" : "FAILED");
   }
   return Ok ? 0 : 1;
