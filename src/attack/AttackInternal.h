@@ -77,20 +77,18 @@ synthesizeGuestAttacks(VictimBuild &V, const std::vector<AttackClass> &Classes,
 
 /// Executes the table-level synthesizers (stale-version-replay,
 /// torn-update) directly against standalone IDTables instances. The
-/// returned records carry \p Tier and \p Victim verbatim so table
-/// attacks slot into the same per-tier report rows as guest attacks.
+/// returned records carry \p Tier verbatim, so table attacks slot into
+/// the same per-tier report rows as guest attacks, and name their victim
+/// "id-tables".
 std::vector<AttackRecord> runTableAttacks(AttackClass Class, ExecTier Tier,
-                                          const std::string &Victim,
                                           unsigned MaxPerClass);
 
 /// Executes the unload synthesizers (UnloadAttacks.cpp) against fresh
 /// builds of the builtin victim + registered plugin at \p Tier: dispatch
 /// into a retired-but-unreclaimed module, replay of a pre-close in-class
-/// bind, and a dlclose/dlopen ID-snapshot ABA probe. Like the table
-/// attacks, records carry \p Tier and \p Victim verbatim.
-std::vector<AttackRecord> runUnloadAttacks(ExecTier Tier,
-                                           const std::string &Victim,
-                                           unsigned MaxPerClass);
+/// bind, and a dlclose/dlopen ID-snapshot ABA probe. Records carry
+/// \p Tier and name the builtin victim.
+std::vector<AttackRecord> runUnloadAttacks(ExecTier Tier, unsigned MaxPerClass);
 
 /// Executes the MLTA differential attacks (MltaAttacks.cpp) at \p Tier:
 /// the layered-map victim is built under the type-matched policy and
@@ -98,9 +96,8 @@ std::vector<AttackRecord> runUnloadAttacks(ExecTier Tier,
 /// overwrite is replayed against both. FLTA must classify it
 /// AllowedByPolicy (one signature class), the refined policy must kill
 /// it at the check; a same-chain swap must stay AllowedByPolicy under both.
-std::vector<AttackRecord> runMltaAttacks(ExecTier Tier,
-                                         const std::string &Victim,
-                                         unsigned MaxPerClass);
+/// Records name their victim "dual-registry".
+std::vector<AttackRecord> runMltaAttacks(ExecTier Tier, unsigned MaxPerClass);
 
 const char *tierLabel(ExecTier T);
 

@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Orchestrates the gauntlet: per (victim, tier), synthesize the guest-
-/// and table-level attacks, replay each against a fresh victim build,
-/// classify the outcome against the clean reference run, and aggregate
-/// per-class kill counts into the AIR-style summary. Everything is
+/// level attacks, replay each against a fresh victim build, and classify
+/// the outcome against the clean reference run; per tier, run the
+/// classes that bring their own victim (table, unload, mlta) once; then
+/// aggregate per-class kill counts into the AIR-style summary. Everything is
 /// deterministic for a fixed CorpusOptions value — no wall clocks, no
 /// unordered iteration, one seeded RNG consumed in a fixed order — so
 /// the JSON rendering is byte-identical across runs.
@@ -109,21 +110,6 @@ const char *reasonLabel(StopReason R) {
 
 bool contains(const std::string &S, const char *Needle) {
   return S.find(Needle) != std::string::npos;
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\', Out += C;
-    else if (C == '\n')
-      Out += "\\n";
-    else if (static_cast<unsigned char>(C) < 0x20)
-      Out += formatString("\\u%04x", C);
-    else
-      Out += C;
-  }
-  return Out;
 }
 
 std::vector<AttackClass> allClasses() {
@@ -268,35 +254,29 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
                                          .SegmentsBuilt);
         Rep.Records.push_back(Rec);
       }
-
-      // Table-level classes ride the same (victim, tier) grid: the
-      // protocol must hold wherever the VM tier embeds it.
-      for (AttackClass C :
-           {AttackClass::StaleVersionReplay, AttackClass::TornUpdate}) {
-        if (std::find(Classes.begin(), Classes.end(), C) == Classes.end())
-          continue;
-        std::vector<AttackRecord> Recs =
-            runTableAttacks(C, Tier, Victim.Name, Opts.MaxPerClass);
-        Rep.Records.insert(Rep.Records.end(), Recs.begin(), Recs.end());
-      }
-      // The unload lifecycle rides the grid the same way: its attacks
-      // drive a full Machine+Linker through dlopen/dlclose at this tier.
-      if (std::find(Classes.begin(), Classes.end(), AttackClass::Unload) !=
-          Classes.end()) {
-        std::vector<AttackRecord> Recs =
-            runUnloadAttacks(Tier, Victim.Name, Opts.MaxPerClass);
-        Rep.Records.insert(Rep.Records.end(), Recs.begin(), Recs.end());
-      }
-      // The MLTA differential rides the grid too: its attacks build the
-      // layered-map victim twice (type-matched and MLTA-refined) and
-      // assert the cross-enclosing-type verdict flip at this tier.
-      if (std::find(Classes.begin(), Classes.end(), AttackClass::Mlta) !=
-          Classes.end()) {
-        std::vector<AttackRecord> Recs =
-            runMltaAttacks(Tier, Victim.Name, Opts.MaxPerClass);
-        Rep.Records.insert(Rep.Records.end(), Recs.begin(), Recs.end());
-      }
     }
+  }
+
+  // The table, unload and mlta classes read no victim: they build their
+  // own (standalone IDTables, the builtin victim with its plugin, the
+  // dual-registry victim), so they run once per tier, not per victim.
+  // They ride the tier grid: the protocol must hold wherever the VM tier
+  // embeds it.
+  auto Wanted = [&](AttackClass C) {
+    return std::find(Classes.begin(), Classes.end(), C) != Classes.end();
+  };
+  auto Append = [&](const std::vector<AttackRecord> &Recs) {
+    Rep.Records.insert(Rep.Records.end(), Recs.begin(), Recs.end());
+  };
+  for (ExecTier Tier : Opts.Tiers) {
+    for (AttackClass C :
+         {AttackClass::StaleVersionReplay, AttackClass::TornUpdate})
+      if (Wanted(C))
+        Append(runTableAttacks(C, Tier, Opts.MaxPerClass));
+    if (Wanted(AttackClass::Unload))
+      Append(runUnloadAttacks(Tier, Opts.MaxPerClass));
+    if (Wanted(AttackClass::Mlta))
+      Append(runMltaAttacks(Tier, Opts.MaxPerClass));
   }
 
   // Aggregate.

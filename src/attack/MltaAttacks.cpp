@@ -112,12 +112,12 @@ uint64_t findFieldSlot(const Machine &M, const char *Sym, uint64_t Stored) {
   return 0;
 }
 
-AttackRecord makeRecord(ExecTier Tier, const std::string &Victim,
-                        const std::string &Name, Expectation Expect) {
+AttackRecord makeRecord(ExecTier Tier, const std::string &Name,
+                        Expectation Expect) {
   AttackRecord R;
   R.Class = AttackClass::Mlta;
   R.Tier = Tier;
-  R.Victim = Victim;
+  R.Victim = "dual-registry";
   R.Name = Name;
   R.Expect = Expect;
   return R;
@@ -125,11 +125,10 @@ AttackRecord makeRecord(ExecTier Tier, const std::string &Victim,
 
 /// Replays one overwrite (ha.fn <- target function) against a fresh
 /// build and classifies it against that build mode's clean run.
-AttackRecord replay(ExecTier Tier, const std::string &Victim,
-                    const std::string &Name, bool Refine, const char *TargetFn,
-                    Expectation Expect, const RunResult &Ref,
-                    const std::string &RefOut) {
-  AttackRecord Rec = makeRecord(Tier, Victim, Name, Expect);
+AttackRecord replay(ExecTier Tier, const std::string &Name, bool Refine,
+                    const char *TargetFn, Expectation Expect,
+                    const RunResult &Ref, const std::string &RefOut) {
+  AttackRecord Rec = makeRecord(Tier, Name, Expect);
   MltaBuild W = buildMltaVictim(Tier, Refine, SliceFuel);
   if (!W.BP.Ok) {
     Rec.Detail = "victim build failed: " + W.BP.Error;
@@ -155,8 +154,7 @@ AttackRecord replay(ExecTier Tier, const std::string &Victim,
 } // namespace
 
 std::vector<AttackRecord>
-mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
-                             unsigned MaxPerClass) {
+mcfi::attack::runMltaAttacks(ExecTier Tier, unsigned MaxPerClass) {
   std::vector<AttackRecord> Out;
 
   // One clean reference per build mode (tier identity makes the outputs
@@ -166,8 +164,7 @@ mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
   for (int Refine = 0; Refine != 2; ++Refine) {
     MltaBuild Ref = buildMltaVictim(Tier, Refine != 0, 0);
     if (!Ref.BP.Ok) {
-      AttackRecord Rec = makeRecord(Tier, Victim, "mlta:setup",
-                                    Expectation::Killed);
+      AttackRecord Rec = makeRecord(Tier, "mlta:setup", Expectation::Killed);
       Rec.Detail = "reference build failed: " + Ref.BP.Error;
       Out.push_back(Rec);
       return Out;
@@ -195,7 +192,7 @@ mcfi::attack::runMltaAttacks(ExecTier Tier, const std::string &Victim,
   for (const Variant &V : Variants) {
     if (Out.size() >= MaxPerClass)
       break;
-    Out.push_back(replay(Tier, Victim, V.Name, V.Refine, V.Target, V.Expect,
+    Out.push_back(replay(Tier, V.Name, V.Refine, V.Target, V.Expect,
                          Refs[V.Refine], RefOuts[V.Refine]));
   }
   return Out;

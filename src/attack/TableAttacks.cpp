@@ -58,12 +58,12 @@ struct ToyPolicy {
 };
 
 AttackRecord makeRecord(AttackClass Class, ExecTier Tier,
-                        const std::string &Victim, const std::string &Name,
-                        Verdict V, const std::string &Detail) {
+                        const std::string &Name, Verdict V,
+                        const std::string &Detail) {
   AttackRecord R;
   R.Class = Class;
   R.Tier = Tier;
-  R.Victim = Victim;
+  R.Victim = "id-tables";
   R.Name = Name;
   R.Expect = Expectation::Killed;
   R.V = V;
@@ -74,7 +74,7 @@ AttackRecord makeRecord(AttackClass Class, ExecTier Tier,
 /// Replay of an edge the new CFG removed: snapshot the target ID under
 /// policy A, install policy B without the target, and emulate the
 /// stalled check transaction holding the stale ID.
-AttackRecord staleRemovedEdgeReplay(ExecTier Tier, const std::string &Victim) {
+AttackRecord staleRemovedEdgeReplay(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy A;
   A.Site = {5};
@@ -82,7 +82,7 @@ AttackRecord staleRemovedEdgeReplay(ExecTier Tier, const std::string &Victim) {
   A.Target[16] = 5; // offset 64 is a legal target of site 0
   A.install(T);
   if (T.txCheck(0, 64) != CheckResult::Pass)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:removed-edge", Verdict::Survived,
                       "setup: legal edge did not pass");
 
@@ -98,10 +98,10 @@ AttackRecord staleRemovedEdgeReplay(ExecTier Tier, const std::string &Victim) {
   bool StaleCompares = sameVersionHalf(StaleID, T.baryRead(0));
   CheckResult Retry = T.txCheck(0, 64);
   if (StaleCompares || Retry == CheckResult::Pass)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:removed-edge", Verdict::Survived,
                       "stale ID validated a removed edge");
-  return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+  return makeRecord(AttackClass::StaleVersionReplay, Tier,
                     "stale:removed-edge", Verdict::CaughtByCheck,
                     "version half mismatch; retry: ViolationInvalid");
 }
@@ -109,7 +109,7 @@ AttackRecord staleRemovedEdgeReplay(ExecTier Tier, const std::string &Victim) {
 /// A shrinking update must zero entries past the new limit — otherwise
 /// an old-version ID would linger at the stale offset for a later
 /// same-version forgery to match.
-AttackRecord staleShrinkLeftover(ExecTier Tier, const std::string &Victim) {
+AttackRecord staleShrinkLeftover(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy Big;
   Big.Site = {7};
@@ -122,14 +122,14 @@ AttackRecord staleShrinkLeftover(ExecTier Tier, const std::string &Victim) {
       TaryLimit / 4, [](uint64_t) { return int64_t(-1); }, 1,
       [](uint32_t) { return int64_t(7); });
   if (S != TxUpdateStatus::Ok)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:shrink-leftover", Verdict::Survived,
                       "shrink install refused");
   if (T.taryRead(240) != 0 || T.txCheck(0, 240) == CheckResult::Pass)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:shrink-leftover", Verdict::Survived,
                       "stale entry survived the shrink");
-  return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+  return makeRecord(AttackClass::StaleVersionReplay, Tier,
                     "stale:shrink-leftover", Verdict::CaughtByCheck,
                     "stale extent zeroed; replay: ViolationInvalid");
 }
@@ -137,7 +137,7 @@ AttackRecord staleShrinkLeftover(ExecTier Tier, const std::string &Victim) {
 /// Storm of version-bumping updates: the 14-bit version space must be
 /// refused before it wraps into territory a stalled check could replay
 /// (Sec. 5.2), and recover only after an explicit quiescence point.
-AttackRecord staleVersionWrap(ExecTier Tier, const std::string &Victim) {
+AttackRecord staleVersionWrap(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy P;
   P.Site = {3};
@@ -154,13 +154,13 @@ AttackRecord staleVersionWrap(ExecTier Tier, const std::string &Victim) {
     ++Installed;
   }
   if (S != TxUpdateStatus::VersionExhausted || Installed > MaxVersion)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:version-wrap", Verdict::Survived,
                       "update storm was not refused before wrap");
   // Recovery sanity: a quiescence point re-opens the version space.
   T.resetVersionEpoch();
   bool Recovered = P.install(T) == TxUpdateStatus::Ok;
-  return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+  return makeRecord(AttackClass::StaleVersionReplay, Tier,
                     "stale:version-wrap", Verdict::UnreachableByPolicy,
                     std::string("VersionExhausted at margin; ") +
                         (Recovered ? "recovered after quiescence"
@@ -169,7 +169,7 @@ AttackRecord staleVersionWrap(ExecTier Tier, const std::string &Victim) {
 
 /// Cross-version ID forgery: words mixing halves of two valid IDs must
 /// fail the reserved-bit validation (the misaligned-read defense).
-AttackRecord staleMixedHalves(ExecTier Tier, const std::string &Victim) {
+AttackRecord staleMixedHalves(ExecTier Tier) {
   uint32_t U = encodeID(5, 9);
   uint32_t W = encodeID(5, 10);
   uint32_t Mixed = (U & 0xffffu) | (W & 0xffff0000u);
@@ -178,10 +178,10 @@ AttackRecord staleMixedHalves(ExecTier Tier, const std::string &Victim) {
   // its reserved bits cannot match the 0,0,0,1 pattern.
   uint32_t Spliced = (U >> 16) | (W << 16);
   if (!MixedInvalid || isValidID(Spliced) || idECN(Mixed) != 5)
-    return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+    return makeRecord(AttackClass::StaleVersionReplay, Tier,
                       "stale:mixed-halves", Verdict::Survived,
                       "forged cross-version word validated");
-  return makeRecord(AttackClass::StaleVersionReplay, Tier, Victim,
+  return makeRecord(AttackClass::StaleVersionReplay, Tier,
                     "stale:mixed-halves", Verdict::CaughtByCheck,
                     "version-half compare and reserved bits both refuse");
 }
@@ -191,8 +191,8 @@ AttackRecord staleMixedHalves(ExecTier Tier, const std::string &Victim) {
 /// torn cross-version table pair validated a never-legal edge.
 template <typename UpdateStorm>
 AttackRecord tornProbe(AttackClass Class, ExecTier Tier,
-                       const std::string &Victim, const std::string &Name,
-                       IDTables &T, uint32_t BadSite, uint64_t BadOffset,
+                       const std::string &Name, IDTables &T,
+                       uint32_t BadSite, uint64_t BadOffset,
                        const UpdateStorm &Storm) {
   std::atomic<bool> Done{false};
   std::atomic<uint64_t> Passes{0};
@@ -214,15 +214,15 @@ AttackRecord tornProbe(AttackClass Class, ExecTier Tier,
     C.join();
 
   if (Passes.load())
-    return makeRecord(Class, Tier, Victim, Name, Verdict::Survived,
+    return makeRecord(Class, Tier, Name, Verdict::Survived,
                       "torn table pair validated a never-legal edge");
-  return makeRecord(Class, Tier, Victim, Name, Verdict::CaughtByCheck,
+  return makeRecord(Class, Tier, Name, Verdict::CaughtByCheck,
                     "no check passed across the update storm");
 }
 
 /// Full-rebuild flips between two policies that disagree on every ECN;
 /// the probed edge is illegal under both and under any mix.
-AttackRecord tornFullFlip(ExecTier Tier, const std::string &Victim) {
+AttackRecord tornFullFlip(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy A, B;
   A.Site = {1, 3};
@@ -232,7 +232,7 @@ AttackRecord tornFullFlip(ExecTier Tier, const std::string &Victim) {
   A.Target[16] = 3; // offset 64: legal only for site 1 under A
   B.Target[16] = 4; // ... and only for site 1 under B
   A.install(T);
-  return tornProbe(AttackClass::TornUpdate, Tier, Victim, "torn:full-flip", T,
+  return tornProbe(AttackClass::TornUpdate, Tier, "torn:full-flip", T,
                    /*BadSite=*/0, /*BadOffset=*/64, [&] {
                      for (unsigned I = 0; I != 400; ++I)
                        (I & 1 ? B : A).install(T);
@@ -241,7 +241,7 @@ AttackRecord tornFullFlip(ExecTier Tier, const std::string &Victim) {
 
 /// Incremental extension storm: additions never make the probed edge
 /// legal, and each entry-write must linearize independently.
-AttackRecord tornIncrementalExtend(ExecTier Tier, const std::string &Victim) {
+AttackRecord tornIncrementalExtend(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy Base;
   Base.Site = {1};
@@ -253,7 +253,7 @@ AttackRecord tornIncrementalExtend(ExecTier Tier, const std::string &Victim) {
   // fine — only the storm thread mutates it, the checkers see IDTables.
   std::vector<int64_t> Target = Base.Target;
   return tornProbe(
-      AttackClass::TornUpdate, Tier, Victim, "torn:incremental-extend", T,
+      AttackClass::TornUpdate, Tier, "torn:incremental-extend", T,
       /*BadSite=*/0, /*BadOffset=*/64, [&] {
         for (unsigned I = 0; I != 40; ++I) {
           uint64_t Word = 20 + I; // offsets 80, 84, ... all ECN 2
@@ -269,15 +269,15 @@ AttackRecord tornIncrementalExtend(ExecTier Tier, const std::string &Victim) {
 
 /// Grow/shrink flips move the installed Tary extent across the probed
 /// offset; a torn shrink could leave its stale ID observable.
-AttackRecord tornShrinkGrow(ExecTier Tier, const std::string &Victim) {
+AttackRecord tornShrinkGrow(ExecTier Tier) {
   IDTables T(CodeCap, BaryCap);
   ToyPolicy Grown;
   Grown.Site = {1, 6};
   Grown.Target.assign(TaryLimit / 4, -1);
   Grown.Target[32] = 6; // offset 128: legal only for site 1
   Grown.install(T);
-  return tornProbe(AttackClass::TornUpdate, Tier, Victim, "torn:shrink-grow",
-                   T, /*BadSite=*/0, /*BadOffset=*/128, [&] {
+  return tornProbe(AttackClass::TornUpdate, Tier, "torn:shrink-grow", T,
+                   /*BadSite=*/0, /*BadOffset=*/128, [&] {
                      for (unsigned I = 0; I != 400; ++I) {
                        if (I & 1) {
                          Grown.install(T);
@@ -294,9 +294,8 @@ AttackRecord tornShrinkGrow(ExecTier Tier, const std::string &Victim) {
 
 std::vector<AttackRecord>
 mcfi::attack::runTableAttacks(AttackClass Class, ExecTier Tier,
-                              const std::string &Victim,
                               unsigned MaxPerClass) {
-  using Synth = AttackRecord (*)(ExecTier, const std::string &);
+  using Synth = AttackRecord (*)(ExecTier);
   const Synth *List = nullptr;
   unsigned N = 0;
   static const Synth Stale[] = {staleRemovedEdgeReplay, staleShrinkLeftover,
@@ -312,6 +311,6 @@ mcfi::attack::runTableAttacks(AttackClass Class, ExecTier Tier,
   }
   std::vector<AttackRecord> Out;
   for (unsigned I = 0; I != N && I != MaxPerClass; ++I)
-    Out.push_back(List[I](Tier, Victim));
+    Out.push_back(List[I](Tier));
   return Out;
 }

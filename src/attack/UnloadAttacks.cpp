@@ -42,13 +42,12 @@ namespace {
 
 constexpr uint64_t AttackFuel = 20'000'000;
 
-AttackRecord makeRecord(ExecTier Tier, const std::string &Victim,
-                        const std::string &Name, Verdict V,
+AttackRecord makeRecord(ExecTier Tier, const std::string &Name, Verdict V,
                         const std::string &Detail) {
   AttackRecord R;
   R.Class = AttackClass::Unload;
   R.Tier = Tier;
-  R.Victim = Victim;
+  R.Victim = builtinVictim().Name;
   R.Name = Name;
   R.Expect = Expectation::Killed;
   R.V = V;
@@ -125,43 +124,43 @@ UnloadSetup setUp(ExecTier Tier) {
 
 /// Hijack into a retired-but-not-reclaimed module: the slot is written
 /// AFTER dlclose, while the region still awaits its grace period.
-AttackRecord retiredDispatch(ExecTier Tier, const std::string &Victim) {
+AttackRecord retiredDispatch(ExecTier Tier) {
   UnloadSetup S = setUp(Tier);
   if (!S.Ok)
-    return makeRecord(Tier, Victim, "unload:retired-dispatch",
+    return makeRecord(Tier, "unload:retired-dispatch",
                       Verdict::Survived, S.Error);
   Machine &M = *S.W.BP.M;
   if (!S.W.BP.L->dlcloseOne(S.Handle))
-    return makeRecord(Tier, Victim, "unload:retired-dispatch",
+    return makeRecord(Tier, "unload:retired-dispatch",
                       Verdict::Survived, "dlclose refused the handle");
   if (!M.reclaimPending())
-    return makeRecord(Tier, Victim, "unload:retired-dispatch",
+    return makeRecord(Tier, "unload:retired-dispatch",
                       Verdict::Survived,
                       "region reclaimed before the dispatch: no window");
   M.store(S.HookAddr, 8, S.PlugFn);
   RunResult R = M.run(S.W.T, AttackFuel);
   Verdict V = classifyHijack(R);
-  return makeRecord(Tier, Victim, "unload:retired-dispatch", V,
+  return makeRecord(Tier, "unload:retired-dispatch", V,
                     "retired region still mapped; run: " + R.Message);
 }
 
 /// A pre-close in-class bind replayed after dlclose: the edge was legal
 /// when installed, and retirement must revoke it.
-AttackRecord precloseReplay(ExecTier Tier, const std::string &Victim) {
+AttackRecord precloseReplay(ExecTier Tier) {
   UnloadSetup S = setUp(Tier);
   if (!S.Ok)
-    return makeRecord(Tier, Victim, "unload:preclose-replay",
+    return makeRecord(Tier, "unload:preclose-replay",
                       Verdict::Survived, S.Error);
   Machine &M = *S.W.BP.M;
   // Bind while legal: plug_same shares hook's signature, so this is the
   // in-class transfer the policy would allow if the module stayed.
   M.store(S.HookAddr, 8, S.PlugFn);
   if (!S.W.BP.L->dlcloseOne(S.Handle))
-    return makeRecord(Tier, Victim, "unload:preclose-replay",
+    return makeRecord(Tier, "unload:preclose-replay",
                       Verdict::Survived, "dlclose refused the handle");
   RunResult R = M.run(S.W.T, AttackFuel);
   Verdict V = classifyHijack(R);
-  return makeRecord(Tier, Victim, "unload:preclose-replay", V,
+  return makeRecord(Tier, "unload:preclose-replay", V,
                     "formerly-legal edge replayed; run: " + R.Message);
 }
 
@@ -169,18 +168,18 @@ AttackRecord precloseReplay(ExecTier Tier, const std::string &Victim) {
 /// validate against any word the successor instance installs during the
 /// grace period (same ECN + same version half would let a stalled
 /// checker pass into the new module's code).
-AttackRecord abaReuse(ExecTier Tier, const std::string &Victim) {
+AttackRecord abaReuse(ExecTier Tier) {
   UnloadSetup S = setUp(Tier);
   if (!S.Ok)
-    return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::Survived,
+    return makeRecord(Tier, "unload:aba-reuse", Verdict::Survived,
                       S.Error);
   Machine &M = *S.W.BP.M;
   uint32_t Stale = M.tables().taryRead(S.PlugFn - Machine::CodeBase);
   if (!isValidID(Stale))
-    return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::Survived,
+    return makeRecord(Tier, "unload:aba-reuse", Verdict::Survived,
                       "setup: plugin export has no Tary ID");
   if (!S.W.BP.L->dlcloseOne(S.Handle))
-    return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::Survived,
+    return makeRecord(Tier, "unload:aba-reuse", Verdict::Survived,
                       "dlclose refused the handle");
 
   // Reopen during the grace period: the retired instance's class number
@@ -188,7 +187,7 @@ AttackRecord abaReuse(ExecTier Tier, const std::string &Victim) {
   // rebuild, not the incremental no-bump path.
   int64_t H2 = S.W.BP.L->dlopen(0);
   if (H2 < 0)
-    return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::Survived,
+    return makeRecord(Tier, "unload:aba-reuse", Verdict::Survived,
                       "reopen during grace failed: " +
                           S.W.BP.L->lastError());
   uint64_t NewBase = M.modules()[static_cast<size_t>(H2)].CodeBase;
@@ -197,11 +196,11 @@ AttackRecord abaReuse(ExecTier Tier, const std::string &Victim) {
     uint32_t Now = M.tables().taryRead(A - Machine::CodeBase);
     if (isValidID(Now) && sameVersionHalf(Stale, Now) &&
         idECN(Now) == idECN(Stale))
-      return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::Survived,
+      return makeRecord(Tier, "unload:aba-reuse", Verdict::Survived,
                         "pre-close ID snapshot validates into the "
                         "successor instance");
   }
-  return makeRecord(Tier, Victim, "unload:aba-reuse", Verdict::CaughtByCheck,
+  return makeRecord(Tier, "unload:aba-reuse", Verdict::CaughtByCheck,
                     "condemned-ECN guard bumped the version: stale "
                     "snapshot matches nothing in the successor");
 }
@@ -209,13 +208,12 @@ AttackRecord abaReuse(ExecTier Tier, const std::string &Victim) {
 } // namespace
 
 std::vector<AttackRecord>
-mcfi::attack::runUnloadAttacks(ExecTier Tier, const std::string &Victim,
-                               unsigned MaxPerClass) {
-  using Synth = AttackRecord (*)(ExecTier, const std::string &);
+mcfi::attack::runUnloadAttacks(ExecTier Tier, unsigned MaxPerClass) {
+  using Synth = AttackRecord (*)(ExecTier);
   static const Synth List[] = {retiredDispatch, precloseReplay, abaReuse};
   constexpr unsigned N = sizeof(List) / sizeof(List[0]);
   std::vector<AttackRecord> Out;
   for (unsigned I = 0; I != N && I != MaxPerClass; ++I)
-    Out.push_back(List[I](Tier, Victim));
+    Out.push_back(List[I](Tier));
   return Out;
 }

@@ -9,16 +9,6 @@
 
 using namespace mcfi;
 
-uint64_t mcfi::fnv1aHash(const void *Data, size_t Len, uint64_t Seed) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  uint64_t H = Seed;
-  for (size_t I = 0; I != Len; ++I) {
-    H ^= Bytes[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 namespace {
 
 /// Splits a canonical function signature "(<p1>,...,[...])-><ret>" into
@@ -81,21 +71,18 @@ SigInterner &SigInterner::global() {
 }
 
 const InternedSig *SigInterner::intern(std::string_view Sig) {
-  uint64_t Hash = fnv1aHash(Sig.data(), Sig.size());
-  Shard &S = Shards[Hash % NumShards];
   {
-    std::lock_guard<std::mutex> Guard(S.Lock);
-    auto It = S.Map.find(Sig);
-    if (It != S.Map.end())
+    std::lock_guard<std::mutex> Guard(Lock);
+    auto It = Map.find(Sig);
+    if (It != Map.end())
       return It->second.get();
   }
 
   // Miss: parse outside the lock. Parameter and return signatures are
-  // interned recursively *before* this signature's shard is re-locked
-  // (they may hash into the same shard).
+  // interned recursively *before* the lock is taken again (each of those
+  // calls takes it itself).
   auto Fresh = std::make_unique<InternedSig>();
   Fresh->Sig = std::string(Sig);
-  Fresh->Hash = Hash;
   bool Variadic = false;
   std::string_view Ret;
   std::vector<std::string_view> Params;
@@ -108,22 +95,19 @@ const InternedSig *SigInterner::intern(std::string_view Sig) {
       Fresh->Params.push_back(intern(P));
   }
 
-  std::lock_guard<std::mutex> Guard(S.Lock);
+  std::lock_guard<std::mutex> Guard(Lock);
   // The map key views the owned string, which the unique_ptr keeps at a
-  // stable address for the interner's lifetime.
-  auto [It, New] = S.Map.try_emplace(std::string_view(Fresh->Sig), nullptr);
+  // stable address for the interner's lifetime. A racing intern of the
+  // same text may have won; its entry stands and Fresh is dropped.
+  auto [It, New] = Map.try_emplace(std::string_view(Fresh->Sig), nullptr);
   if (New)
     It->second = std::move(Fresh);
   return It->second.get();
 }
 
 size_t SigInterner::size() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Guard(S.Lock);
-    N += S.Map.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Guard(Lock);
+  return Map.size();
 }
 
 bool mcfi::internedCalleeMatches(const InternedSig *Pointer,

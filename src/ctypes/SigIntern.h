@@ -23,8 +23,10 @@
 ///    the combined CFG) pay the string hashing exactly once per distinct
 ///    signature for the lifetime of the process.
 ///
-/// The interner is thread-safe (sharded by hash): linkers on different
-/// threads, and tools, intern concurrently.
+/// The interner is thread-safe (one lock over one map): linkers on
+/// different threads, and tools, intern concurrently. Each linker interns
+/// a library's signatures once, at registration, so the lock is off every
+/// per-operation path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +34,6 @@
 #define MCFI_CTYPES_SIGINTERN_H
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,8 +47,7 @@ namespace mcfi {
 /// SigInterner and unique per signature text, so pointer equality is
 /// signature equality.
 struct InternedSig {
-  std::string Sig;   ///< canonical signature text
-  uint64_t Hash = 0; ///< FNV-1a of Sig (stable across runs)
+  std::string Sig; ///< canonical signature text
 
   /// Parsed function shape; meaningful only when IsFunction. Params and
   /// Ret are themselves interned, so prefix matching over Params is a
@@ -58,12 +58,8 @@ struct InternedSig {
   std::vector<const InternedSig *> Params;
 };
 
-/// FNV-1a over a byte range; the hash used for interning.
-uint64_t fnv1aHash(const void *Data, size_t Len,
-                   uint64_t Seed = 0xcbf29ce484222325ull);
-
 /// The process-wide intern table. Thread-safe; interning an
-/// already-present signature takes one shard lock and one hash lookup.
+/// already-present signature takes the lock and one hash lookup.
 class SigInterner {
 public:
   /// The global interner the CFG pipeline uses.
@@ -77,12 +73,9 @@ public:
   size_t size() const;
 
 private:
-  static constexpr size_t NumShards = 16;
-  struct Shard {
-    mutable std::mutex Lock;
-    std::unordered_map<std::string_view, std::unique_ptr<InternedSig>> Map;
-  };
-  Shard Shards[NumShards];
+  mutable std::mutex Lock;
+  /// Keyed by views of the owned InternedSig::Sig strings.
+  std::unordered_map<std::string_view, std::unique_ptr<InternedSig>> Map;
 };
 
 /// The paper's matching rule over interned signatures: a function with

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <unordered_set>
 
 using namespace mcfi;
@@ -611,67 +612,28 @@ int64_t Linker::dlopen(int64_t RegistryId) {
 }
 
 DlopenResult Linker::dlopenOne(int64_t RegistryId) {
-  PendingDlopen Req;
-  Req.Id = RegistryId;
-
-  std::unique_lock<std::mutex> Lk(BatchLock);
-  BatchQueue.push_back(&Req);
-  if (LeaderActive) {
-    // Another loader is mid-install; it (or its successor leader) will
-    // drain the queue — this request included — as one batch. Follower
-    // threads just wait for their slot's result.
-    BatchCv.wait(Lk, [&] { return Req.Done; });
-    return Req.Result;
-  }
-
-  // Leader: drain the queue in rounds. Requests arriving while a round
-  // installs are coalesced into the next round's batch.
-  LeaderActive = true;
-  while (!BatchQueue.empty()) {
-    std::vector<PendingDlopen *> Batch(BatchQueue.begin(), BatchQueue.end());
-    BatchQueue.clear();
-    Lk.unlock();
-    {
-      std::lock_guard<std::mutex> Guard(DlopenLock);
-      processBatch(Batch);
-    }
-    Lk.lock();
-    for (PendingDlopen *P : Batch)
-      P->Done = true;
-    BatchCv.notify_all();
-  }
-  LeaderActive = false;
-  return Req.Result;
+  DlopenResult Result;
+  std::lock_guard<std::mutex> Guard(DlopenLock);
+  processBatch({&RegistryId, 1}, {&Result, 1});
+  return Result;
 }
 
 std::vector<DlopenResult>
 Linker::dlopenBatch(const std::vector<int64_t> &RegistryIds) {
-  std::vector<PendingDlopen> Reqs(RegistryIds.size());
-  std::vector<PendingDlopen *> Batch;
-  Batch.reserve(Reqs.size());
-  for (size_t I = 0; I != RegistryIds.size(); ++I) {
-    Reqs[I].Id = RegistryIds[I];
-    Batch.push_back(&Reqs[I]);
-  }
-  // Bypasses the combiner queue so the batch shape is exactly the input
-  // (benchmarks and tests depend on exact install counts); DlopenLock
-  // still serializes against combiner-driven installs.
+  std::vector<DlopenResult> Results(RegistryIds.size());
   std::lock_guard<std::mutex> Guard(DlopenLock);
-  processBatch(Batch);
-  std::vector<DlopenResult> Out;
-  Out.reserve(Reqs.size());
-  for (const PendingDlopen &R : Reqs)
-    Out.push_back(R.Result);
-  return Out;
+  processBatch(RegistryIds, Results);
+  return Results;
 }
 
-void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
+void Linker::processBatch(std::span<const int64_t> Ids,
+                          std::span<DlopenResult> Results) {
   // A drainReclaim on another thread (test harness, churn tool, or a
   // guest's quiescence hook) must not trim/zero Mapped while this
-  // leader is mid-walk; applyReclaim takes the same lock.
+  // batch is mid-walk; applyReclaim takes the same lock.
   auto ReclaimGuard = M.lockReclaimApply();
   DlopenBatchStats BS;
-  BS.Requested = static_cast<uint32_t>(Batch.size());
+  BS.Requested = static_cast<uint32_t>(Ids.size());
   // Every module this batch maps lands at or past this index.
   const size_t FirstNew = M.modules().size();
 
@@ -689,7 +651,8 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   // trims the tombstones, and the next dlopen can map a new module at
   // the same index and base, into the same freed object address, where
   // syncMerge would take the stale fold for the new module's.
-  std::vector<std::pair<PendingDlopen *, int>> Loaded;
+  // Each loaded member as {its position in Ids, its module index}.
+  std::vector<std::pair<size_t, int>> Loaded;
   auto DiscardBatch = [&]() {
     Merge.truncate(FirstNew);
     for (const auto &Member : Loaded)
@@ -699,13 +662,13 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
 
   // Step 1 per request: validate, map writable/not-executable, relocate.
   // A request failing here fails alone; the rest of the batch proceeds.
-  for (PendingDlopen *P : Batch) {
-    if (P->Id < 0 || static_cast<size_t>(P->Id) >= Registry.size()) {
+  for (size_t Pos = 0; Pos != Ids.size(); ++Pos) {
+    if (Ids[Pos] < 0 || static_cast<size_t>(Ids[Pos]) >= Registry.size()) {
       LastError = "dlopen: unknown library id";
       continue;
     }
     std::string Error;
-    int Idx = mapRegistered(Registry[static_cast<size_t>(P->Id)], Error);
+    int Idx = mapRegistered(Registry[static_cast<size_t>(Ids[Pos])], Error);
     if (Idx < 0) {
       LastError = "dlopen: " + Error;
       continue;
@@ -715,7 +678,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
       Discard(Idx);
       continue;
     }
-    Loaded.push_back({P, Idx});
+    Loaded.push_back({Pos, Idx});
   }
   BS.Loaded = static_cast<uint32_t>(Loaded.size());
   if (Loaded.empty()) {
@@ -740,7 +703,7 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
 
   std::vector<Disassembly> Verified;
   if (Opts.Verify) {
-    for (const auto &[P, Idx] : Loaded) {
+    for (const auto &[Pos, Idx] : Loaded) {
       const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
       VerifyResult VR = verifyMapped(M, Mod, Verified.emplace_back());
       if (!VR.Ok) {
@@ -783,10 +746,11 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
   BS.Installed = true;
   BS.Incremental = Install.Incremental;
   BS.InstallMicros = Install.Micros;
-  for (const auto &[P, Idx] : Loaded) {
-    P->Result.Handle = Idx;
-    P->Result.SiteIndexBase = Policy.SiteIndexBase[static_cast<size_t>(Idx)];
-    P->Result.CodeBase = M.modules()[static_cast<size_t>(Idx)].CodeBase;
+  for (const auto &[Pos, Idx] : Loaded) {
+    Results[Pos].Handle = Idx;
+    Results[Pos].SiteIndexBase =
+        Policy.SiteIndexBase[static_cast<size_t>(Idx)];
+    Results[Pos].CodeBase = M.modules()[static_cast<size_t>(Idx)].CodeBase;
   }
   appendHistory(BatchHistory, BS);
 }
@@ -796,65 +760,32 @@ void Linker::processBatch(std::vector<PendingDlopen *> &Batch) {
 //===----------------------------------------------------------------------===//
 
 bool Linker::dlcloseOne(int64_t Handle) {
-  PendingDlclose Req;
-  Req.Handle = Handle;
-
-  std::unique_lock<std::mutex> Lk(BatchLock);
-  CloseQueue.push_back(&Req);
-  if (CloseLeaderActive) {
-    // Another thread is mid-retire; its leader drains the queue — this
-    // request included — as one batch (one retire transaction).
-    CloseCv.wait(Lk, [&] { return Req.Done; });
-    return Req.Ok;
-  }
-
-  CloseLeaderActive = true;
-  while (!CloseQueue.empty()) {
-    std::vector<PendingDlclose *> Batch(CloseQueue.begin(), CloseQueue.end());
-    CloseQueue.clear();
-    Lk.unlock();
-    {
-      std::lock_guard<std::mutex> Guard(DlopenLock);
-      processUnloadBatch(Batch);
-    }
-    Lk.lock();
-    for (PendingDlclose *P : Batch)
-      P->Done = true;
-    CloseCv.notify_all();
-  }
-  CloseLeaderActive = false;
-  return Req.Ok;
+  bool Closed = false;
+  std::lock_guard<std::mutex> Guard(DlopenLock);
+  processUnloadBatch({&Handle, 1}, {&Closed, 1});
+  return Closed;
 }
 
 std::vector<bool> Linker::dlcloseBatch(const std::vector<int64_t> &Handles) {
-  std::vector<PendingDlclose> Reqs(Handles.size());
-  std::vector<PendingDlclose *> Batch;
-  Batch.reserve(Reqs.size());
-  for (size_t I = 0; I != Handles.size(); ++I) {
-    Reqs[I].Handle = Handles[I];
-    Batch.push_back(&Reqs[I]);
+  auto Closed = std::make_unique<bool[]>(Handles.size());
+  {
+    std::lock_guard<std::mutex> Guard(DlopenLock);
+    processUnloadBatch(Handles, {Closed.get(), Handles.size()});
   }
-  // Bypasses the combiner queue (exact batch shape for tests/benchmarks);
-  // DlopenLock still serializes against every other link operation.
-  std::lock_guard<std::mutex> Guard(DlopenLock);
-  processUnloadBatch(Batch);
-  std::vector<bool> Out;
-  Out.reserve(Reqs.size());
-  for (const PendingDlclose &R : Reqs)
-    Out.push_back(R.Ok);
-  return Out;
+  return std::vector<bool>(Closed.get(), Closed.get() + Handles.size());
 }
 
-void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
+void Linker::processUnloadBatch(std::span<const int64_t> Handles,
+                                std::span<bool> Closed) {
   // Same serialization as processBatch: the validation and the merge's
   // views must see a stable Mapped while a concurrent drain applies.
   auto ReclaimGuard = M.lockReclaimApply();
   DlcloseBatchStats BS;
-  BS.Requested = static_cast<uint32_t>(Batch.size());
+  BS.Requested = static_cast<uint32_t>(Handles.size());
 
   // Per-module state captured before anything is torn down.
   struct DyingModule {
-    PendingDlclose *P = nullptr;
+    size_t Pos = 0; ///< its position in Handles
     int Idx = -1;
     uint64_t CodeBegin = 0, CodeEnd = 0; ///< absolute address range
     uint32_t SiteBase = 0, SiteCount = 0; ///< global Bary index range
@@ -865,8 +796,8 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // this batch. A bad handle fails alone; the rest proceed.
   std::vector<DyingModule> Dying;
   std::unordered_set<int64_t> SeenHandles;
-  for (PendingDlclose *P : Batch) {
-    int64_t H = P->Handle;
+  for (size_t Pos = 0; Pos != Handles.size(); ++Pos) {
+    int64_t H = Handles[Pos];
     if (H < static_cast<int64_t>(StaticModules) ||
         H >= static_cast<int64_t>(M.modules().size())) {
       LastError = "dlclose: invalid handle";
@@ -886,7 +817,7 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
     assert(static_cast<size_t>(H) < Policy.SiteIndexBase.size() &&
            "live module missing from the installed policy");
     DyingModule D;
-    D.P = P;
+    D.Pos = Pos;
     D.Idx = static_cast<int>(H);
     D.CodeBegin = Mod.CodeBase;
     D.CodeEnd = Mod.CodeBase + Mod.CodeSize;
@@ -1063,6 +994,6 @@ void Linker::processUnloadBatch(std::vector<PendingDlclose *> &Batch) {
   // untouched on both sides); only the dying entries are gone. See
   // docs/INTERNALS.md §16.
   for (const DyingModule &D : Dying)
-    D.P->Ok = true;
+    Closed[D.Pos] = true;
   appendHistory(UnloadHistory, BS);
 }

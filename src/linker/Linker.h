@@ -32,8 +32,8 @@
 #include "cfg/CFGGen.h"
 #include "runtime/Machine.h"
 
-#include <condition_variable>
-#include <deque>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,27 +54,28 @@ struct LinkOptions {
   /// full O(code-region) rebuild. Off forces every install through the
   /// full path (the bench's comparison baseline).
   bool IncrementalUpdates = true;
-  /// Optional intersection-only CFG refinement from the dataflow engine;
-  /// applied to every policy this linker generates (static link and
-  /// dlopen regenerations alike, so the refined policy stays consistent
-  /// across loads). The caller keeps the object alive for the linker's
-  /// lifetime. Null: plain type-matching CFG.
+  /// Optional intersection-only CFG refinement (computeRefinement over
+  /// the dataflow and layered-type analyses); applied to every policy
+  /// this linker generates (static link and dlopen regenerations alike,
+  /// so the refined policy stays consistent across loads). The caller
+  /// keeps the object alive for the linker's lifetime. Null: plain
+  /// type-matching CFG.
   const CFGRefinement *Refinement = nullptr;
 };
 
-/// What one coalesced dlopen request resolves to. Returned by value so a
-/// loader thread never has to re-read Machine state (the module list may
-/// be growing under other loaders by the time it looks).
+/// What one dlopen request resolves to. Returned by value so a loader
+/// thread never has to re-read Machine state (the module list may be
+/// growing under other loaders by the time it looks).
 struct DlopenResult {
   int64_t Handle = -1;        ///< machine module index, or negative
   uint32_t SiteIndexBase = 0; ///< the module's global branch-site base
   uint64_t CodeBase = 0;      ///< the module's mapped code base
 };
 
-/// Per-batch accounting for coalesced dynamic loads: one entry per
-/// processed batch, whether it installed or failed.
+/// Per-batch accounting for dynamic loads: one entry per processed batch
+/// (a dlopenOne is a batch of one), whether it installed or failed.
 struct DlopenBatchStats {
-  uint32_t Requested = 0;   ///< dlopen requests coalesced into the batch
+  uint32_t Requested = 0;   ///< dlopen requests in the batch
   uint32_t Loaded = 0;      ///< modules that mapped + resolved
   bool Installed = false;   ///< the single policy install succeeded
   bool Incremental = false; ///< that install took the delta path
@@ -85,10 +86,10 @@ struct DlopenBatchStats {
   double InstallMicros = 0; ///< the single TxUpdate transaction
 };
 
-/// Per-batch accounting for coalesced unloads (dlclose), mirroring
+/// Per-batch accounting for unloads (dlclose), mirroring
 /// DlopenBatchStats.
 struct DlcloseBatchStats {
-  uint32_t Requested = 0; ///< dlclose requests coalesced into the batch
+  uint32_t Requested = 0; ///< dlclose requests in the batch
   uint32_t Closed = 0;    ///< modules actually retired
   /// True when removing the batch changed surviving equivalence classes,
   /// forcing a full version-bumping reinstall on top of the retire
@@ -163,20 +164,19 @@ public:
 
   /// The paper's three-step dynamic linking. Returns the module handle
   /// (machine module index), or a negative value on failure. Installed
-  /// as the machine's DlopenHook by linkProgram. Concurrent callers are
-  /// coalesced (see dlopenOne).
+  /// as the machine's DlopenHook by linkProgram.
   int64_t dlopen(int64_t RegistryId);
 
-  /// Coalescing dlopen: requests that arrive while another thread is
-  /// mid-install are queued, and the installing thread (the combiner
-  /// leader) drains the queue as ONE batch — one CFG regeneration, one
-  /// version bump, one Tary→GOT→Bary update transaction — before waking
-  /// the waiters with their per-request results.
+  /// dlopen as a batch of one: one CFG regeneration and one Tary→GOT→Bary
+  /// update transaction for this library. Every dynamic link operation
+  /// holds DlopenLock for its whole run, so concurrent callers install
+  /// one after another, each its own batch.
   DlopenResult dlopenOne(int64_t RegistryId);
 
-  /// Explicitly loads \p RegistryIds as one batch (one combined install),
-  /// bypassing the combiner queue. Results are index-parallel to the
-  /// input. Used by benchmarks/tests that need exact batch shapes.
+  /// Loads \p RegistryIds as one batch: one CFG regeneration, one update
+  /// transaction, one linearization point for every member. Results are
+  /// index-parallel to the input; a member that fails to map or relocate
+  /// fails alone, a failed verify or install fails the whole batch.
   std::vector<DlopenResult> dlopenBatch(const std::vector<int64_t> &RegistryIds);
 
   /// Module unload — the inverse of the dlopen path. The module's table
@@ -187,14 +187,13 @@ public:
   /// ECNs go to the machine's epoch reclaimer to wait out the grace
   /// period. Returns false for an invalid handle (unknown, static
   /// program module, or already closed). Installed as the machine's
-  /// DlcloseHook by linkProgram; concurrent callers are coalesced like
-  /// dlopenOne's.
+  /// DlcloseHook by linkProgram; like dlopenOne, a batch of one.
   bool dlcloseOne(int64_t Handle);
   int64_t dlclose(int64_t Handle) { return dlcloseOne(Handle) ? 0 : -1; }
 
-  /// Explicitly unloads \p Handles as one batch (one retire transaction,
-  /// one tombstoned-CFG regeneration), bypassing the combiner queue.
-  /// Results are index-parallel to the input.
+  /// Unloads \p Handles as one batch (one retire transaction, one
+  /// tombstoned-CFG regeneration). Results are index-parallel to the
+  /// input; a bad or duplicate handle fails alone.
   std::vector<bool> dlcloseBatch(const std::vector<int64_t> &Handles);
 
   /// The policy the ID tables hold (valid after linkProgram): assigned
@@ -208,12 +207,12 @@ public:
     return UpdateHistory;
   }
 
-  /// Per-batch accounting for coalesced dynamic loads, in install order.
+  /// Per-batch accounting for dynamic loads, in install order.
   const std::vector<DlopenBatchStats> &batchHistory() const {
     return BatchHistory;
   }
 
-  /// Per-batch accounting for coalesced unloads, in retire order.
+  /// Per-batch accounting for unloads, in retire order.
   const std::vector<DlcloseBatchStats> &unloadHistory() const {
     return UnloadHistory;
   }
@@ -221,20 +220,6 @@ public:
   const std::string &lastError() const { return LastError; }
 
 private:
-  /// One queued request in the dlopen combiner.
-  struct PendingDlopen {
-    int64_t Id = -1;
-    DlopenResult Result;
-    bool Done = false;
-  };
-
-  /// One queued request in the dlclose combiner.
-  struct PendingDlclose {
-    int64_t Handle = -1;
-    bool Ok = false;
-    bool Done = false;
-  };
-
   /// An object as the linker holds it: shared and immutable, with its
   /// signatures interned once (internModuleSigs) for every fold of it.
   struct Registered {
@@ -257,8 +242,14 @@ private:
   /// GotModules and GotSlots.
   void updateGotEntries(TxUpdateStats &Counts);
   bool installPolicy(CFGPolicy &&NewPolicy, uint32_t BatchModules = 1);
-  void processBatch(std::vector<PendingDlopen *> &Batch);
-  void processUnloadBatch(std::vector<PendingDlclose *> &Batch);
+  /// The body of one dlopen batch, run under DlopenLock: fills
+  /// Results[I] for Ids[I] (left as given for a failed member).
+  void processBatch(std::span<const int64_t> Ids,
+                    std::span<DlopenResult> Results);
+  /// The body of one dlclose batch, run under DlopenLock: sets Closed[I]
+  /// when Handles[I] was retired (left as given otherwise).
+  void processUnloadBatch(std::span<const int64_t> Handles,
+                          std::span<bool> Closed);
   /// Brings Merge to the fold of the machine's module list — one view
   /// per entry of M.modules(), a retired module as its positionally
   /// stable tombstone — and returns the number of views appended.
@@ -311,20 +302,9 @@ private:
   /// batches serialized by DlopenLock.
   std::vector<int> Live;
   std::string LastError;
-  std::mutex DlopenLock; ///< serializes dynamic link operations
-
-  /// Combiner state: loaders enqueue under BatchLock; the leader drains
-  /// the queue in rounds while holding DlopenLock for the install work.
-  /// dlclose mirrors the structure with its own queue so unload batches
-  /// coalesce the same way (close requests arriving mid-retire join the
-  /// next round).
-  std::mutex BatchLock;
-  std::condition_variable BatchCv;
-  std::deque<PendingDlopen *> BatchQueue;
-  bool LeaderActive = false;
-  std::condition_variable CloseCv;
-  std::deque<PendingDlclose *> CloseQueue;
-  bool CloseLeaderActive = false;
+  /// Serializes dynamic link operations: every dlopen and dlclose entry
+  /// point holds it for the whole batch.
+  std::mutex DlopenLock;
 };
 
 } // namespace mcfi

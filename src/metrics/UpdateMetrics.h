@@ -43,15 +43,15 @@ struct UpdateSummary {
   /// every checker would be pinned to the slow path forever.
   bool UpdateInFlight = false;
 
-  /// Dlopen-coalescing telemetry (Linker::batchHistory): how many batch
+  /// Dlopen batch telemetry (Linker::batchHistory): how many batch
   /// installs ran, how many dlopen requests they absorbed, and the
-  /// largest single batch. BatchedDlopens > Batches means the combiner
-  /// actually amortized version bumps across concurrent loads.
+  /// largest single batch. BatchedDlopens > Batches means explicit
+  /// dlopenBatch calls amortized installs across several modules.
   uint64_t Batches = 0;
   uint64_t BatchedDlopens = 0;
   uint64_t MaxBatch = 0;
 
-  /// Dlclose-coalescing telemetry (Linker::unloadHistory), mirroring the
+  /// Dlclose batch telemetry (Linker::unloadHistory), mirroring the
   /// dlopen batch counters; Reinstalls counts unload batches whose CFG
   /// re-merge changed surviving classes and forced a full reinstall.
   uint64_t UnloadBatches = 0;

@@ -309,7 +309,7 @@ void Machine::drainReclaim() {
 void Machine::applyReclaim(const std::vector<RetiredRegion> &Matured) {
   if (Matured.empty())
     return;
-  // Serialize against the linker's batch leaders: their module reads
+  // Serialize against the linker's link operations: their module reads
   // (GOT updates, Bary-index patching, the merge's views) span many
   // ModuleLock-sized critical sections and would otherwise observe the
   // tail-trim's pop_back mid-walk. Lock order: ReclaimApplyLock before

@@ -252,9 +252,9 @@ public:
   /// versions are unreachable and the tables' epoch counter resets.
   void noteSyscallBoundary(Thread &T);
 
-  /// Installed by the linker: services the guest's dlopen syscall.
-  /// Guest threads that dlopen concurrently are coalesced by the linker's
-  /// combiner into one batched table installation (Linker::dlopenOne).
+  /// Installed by the linker: services the guest's dlopen syscall with
+  /// Linker::dlopenOne. Guest threads that dlopen concurrently install
+  /// one after another, one table installation each.
   std::function<int64_t(Machine &, int64_t)> DlopenHook;
 
   /// Installed by the linker: services the guest's dlclose syscall
@@ -477,7 +477,7 @@ public:
   uint64_t codeCapacity() const { return CodeCapacity; }
 
   /// Serializes applyReclaim's layout mutation (Reclaimed flags, code
-  /// zeroing, tail-trim pop_back) against the linker's batch leaders,
+  /// zeroing, tail-trim pop_back) against the linker's link operations,
   /// whose module walks span many ModuleLock-sized critical sections
   /// (and some, like the patch audit, take ModuleLock themselves —
   /// hence a separate, coarser mutex). drainReclaim may be called from

@@ -181,7 +181,7 @@ std::vector<Scenario> makeScenarios() {
   }
 
   {
-    // Coalesced batch install: the linker merges two concurrent dlopens
+    // Batch install: the linker installs a two-module dlopenBatch
     // (module A at Tary 24 / Bary 2, module B at Tary 32 / Bary 3) into
     // ONE incremental delta — one SpecPolicy, one linearization point.
     // Checker 1 is the torn-batch sentinel: a Pass at (3, 0) — module

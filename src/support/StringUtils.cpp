@@ -61,3 +61,33 @@ std::string mcfi::padRight(std::string S, size_t Width) {
     S.append(Width - S.size(), ' ');
   return S;
 }
+
+std::string mcfi::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += formatString("\\u%04x", C);
+      else
+        Out += C;
+    }
+  }
+  return Out;
+}

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String helpers shared by the frontend, the disassembler, and the bench
-/// table printers.
+/// String helpers shared by the frontend, the disassembler, the bench
+/// table printers, and the JSON reports of the tools and the attack corpus.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +36,10 @@ std::string padLeft(std::string S, size_t Width);
 
 /// Right-pads \p S with spaces to \p Width columns.
 std::string padRight(std::string S, size_t Width);
+
+/// Escapes \p S for inclusion in a JSON string literal: quote, backslash
+/// and the control characters (\n, \t, \r by name, the rest as \u00XX).
+std::string jsonEscape(std::string_view S);
 
 } // namespace mcfi
 

@@ -80,9 +80,9 @@ struct TxUpdateStats {
   uint16_t GotModules = 0;
   uint32_t Version = 0;     ///< version the written IDs carry
   double Micros = 0;        ///< wall-clock latency, filled by the caller
-  /// Modules whose load this transaction installed. 1 for an ordinary
-  /// dlopen or static link; >1 when the linker coalesced concurrent
-  /// dlopen requests into one batched delta installation.
+  /// Modules this transaction loaded or retired: 1 for a static link or
+  /// a single dlopen or dlclose, the member count of a multi-module
+  /// Linker::dlopenBatch or dlcloseBatch.
   uint32_t BatchModules = 1;
   uint32_t GotSlots = 0; ///< see GotModules
 

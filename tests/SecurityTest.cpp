@@ -302,7 +302,7 @@ TEST_P(SecurityTierTest, MltaRefinementFlipsCrossRegistryVerdict) {
   // type-matched policy allows, dies at the check under the refined
   // policy, and a same-chain swap stays allowed under refinement.
   std::vector<attack::AttackRecord> Recs =
-      attack::runMltaAttacks(GetParam(), "builtin", 3);
+      attack::runMltaAttacks(GetParam(), 3);
   ASSERT_EQ(Recs.size(), 3u);
   EXPECT_EQ(Recs[0].Name, "mlta:flta:cross-registry");
   EXPECT_EQ(Recs[0].V, attack::Verdict::AllowedByPolicy) << Recs[0].Detail;

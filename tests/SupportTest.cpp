@@ -180,6 +180,13 @@ TEST(StringUtils, Padding) {
   EXPECT_EQ(padLeft("abcdef", 3), "abcdef");
 }
 
+TEST(StringUtils, JsonEscape) {
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(jsonEscape("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(jsonEscape(std::string_view("\x01\0", 2)), "\\u0001\\u0000");
+}
+
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter T;
   T.addRow({"name", "value"});

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "cfg/CFGReference.h"
 #include "metrics/Harness.h"
 #include "tables/ID.h"
 
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <thread>
 
 using namespace mcfi;
@@ -930,6 +932,102 @@ TEST(DlcloseChurn, DataRegionReturnsAfterChurn) {
     ASSERT_TRUE(L.dlcloseOne(H));
     M.drainReclaim();
   }
+}
+
+/// Concurrent single-module link operations serialize: every dlopenOne
+/// and dlcloseOne is its own batch of one, whatever the overlap. Four
+/// host threads each dlopenOne 8 distinct plugins, all released at
+/// once; then the same four close their own handles with dlcloseOne.
+/// The histories must show 32 one-request batches each way, the
+/// installed policy must equal a from-scratch reference over the
+/// module list, and a drain must reclaim every retired region.
+TEST(SerializedLinkOps, ConcurrentSingleOpsAreBatchesOfOne) {
+  constexpr int Threads = 4;
+  constexpr int PerThread = 8;
+  constexpr int NumPlugins = Threads * PerThread;
+
+  Machine M;
+  Linker L(M);
+  CompileOptions HostCO;
+  HostCO.ModuleName = "host";
+  CompileResult HostCR = compileModule("int main() { return 0; }", HostCO);
+  ASSERT_TRUE(HostCR.Ok);
+  std::string Error;
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(HostCR.Obj));
+  ASSERT_TRUE(L.linkProgram(std::move(Objs), Error)) << Error;
+  for (int I = 0; I != NumPlugins; ++I) {
+    CompileOptions CO;
+    CO.ModuleName = "single" + std::to_string(I);
+    CompileResult CR = compileModule(stormPluginSource(I), CO);
+    ASSERT_TRUE(CR.Ok) << "plugin " << I;
+    L.registerLibrary(std::move(CR.Obj));
+  }
+
+  // Runs Body(T) on Threads host threads released together.
+  auto RunTogether = [](auto &&Body) {
+    std::atomic<int> Ready{0};
+    std::vector<std::thread> Pool;
+    for (int T = 0; T != Threads; ++T)
+      Pool.emplace_back([&, T] {
+        Ready.fetch_add(1);
+        while (Ready.load() != Threads)
+          std::this_thread::yield();
+        Body(T);
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+  };
+
+  // Phase 1: concurrent dlopenOne.
+  size_t Batches0 = L.batchHistory().size();
+  std::vector<int64_t> Handles(NumPlugins, -1);
+  RunTogether([&](int T) {
+    for (int I = 0; I != PerThread; ++I)
+      Handles[static_cast<size_t>(T * PerThread + I)] =
+          L.dlopenOne(T * PerThread + I).Handle;
+  });
+  std::set<int64_t> Distinct;
+  for (int64_t H : Handles) {
+    EXPECT_GE(H, 0) << L.lastError();
+    Distinct.insert(H);
+  }
+  EXPECT_EQ(Distinct.size(), static_cast<size_t>(NumPlugins));
+  ASSERT_EQ(L.batchHistory().size() - Batches0,
+            static_cast<size_t>(NumPlugins));
+  for (size_t I = Batches0; I != L.batchHistory().size(); ++I) {
+    const DlopenBatchStats &BS = L.batchHistory()[I];
+    EXPECT_EQ(BS.Requested, 1u) << "batch " << I;
+    EXPECT_EQ(BS.Loaded, 1u) << "batch " << I;
+    EXPECT_TRUE(BS.Installed) << "batch " << I;
+  }
+  std::vector<LoadedModuleView> Views;
+  for (const MappedModule &Mod : M.modules())
+    Views.push_back({Mod.Obj.get(), Mod.CodeBase});
+  EXPECT_TRUE(policiesIdentical(L.policy(), generateCFGReference(Views)))
+      << "the installed policy is not the fold of the module list";
+
+  // Phase 2: the same four threads dlcloseOne their own handles.
+  size_t Unloads0 = L.unloadHistory().size();
+  std::atomic<int> FailedCloses{0};
+  RunTogether([&](int T) {
+    for (int I = 0; I != PerThread; ++I)
+      if (!L.dlcloseOne(Handles[static_cast<size_t>(T * PerThread + I)]))
+        FailedCloses.fetch_add(1);
+  });
+  EXPECT_EQ(FailedCloses.load(), 0) << L.lastError();
+  ASSERT_EQ(L.unloadHistory().size() - Unloads0,
+            static_cast<size_t>(NumPlugins));
+  for (size_t I = Unloads0; I != L.unloadHistory().size(); ++I) {
+    const DlcloseBatchStats &BS = L.unloadHistory()[I];
+    EXPECT_EQ(BS.Requested, 1u) << "unload batch " << I;
+    EXPECT_EQ(BS.Closed, 1u) << "unload batch " << I;
+  }
+  M.drainReclaim();
+  ReclaimStats RS = M.reclaimStats();
+  EXPECT_EQ(RS.Retired, RS.Reclaimed);
+  EXPECT_EQ(RS.Retired, static_cast<uint64_t>(NumPlugins));
+  EXPECT_EQ(RS.PendingRegions, 0u);
 }
 
 TEST(GuestThreads, StacksAreDisjoint) {

@@ -8,6 +8,8 @@
 #ifndef MCFI_TOOLS_TOOLCOMMON_H
 #define MCFI_TOOLS_TOOLCOMMON_H
 
+#include "support/StringUtils.h"
+
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -43,41 +45,6 @@ inline bool writeFileBytes(const std::string &Path,
   Out.write(reinterpret_cast<const char *>(Bytes.data()),
             static_cast<std::streamsize>(Bytes.size()));
   return Out.good();
-}
-
-/// Escapes \p S for inclusion in a JSON string literal (the shared
-/// machine-readable output of mcfi-audit and mcfi-verify --json).
-inline std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 [[noreturn]] inline void usage(const char *Msg) {
