@@ -61,6 +61,13 @@
 ///    cycle must never let a pre-close ID snapshot validate into the
 ///    successor instance (the condemned-ECN guard forces a version bump
 ///    when a dying class number re-enters the tables before grace).
+///  - malicious-module: hand-built plugins that break a rule only the
+///    loader's verifier enforces — a jump table relocated onto a data
+///    array, direct branches out of the module, relocations over
+///    opcodes, across instructions, on a check's constant or on the
+///    wrong instruction, a function entry inside a check sequence. Each
+///    must be refused at dlopen (RefusedAtLoad); a module the loader
+///    accepts is Survived.
 ///
 /// Every attack runs under both MachineOptions::Tier values; the
 /// differential tier harness guarantees the tiers agree, and this corpus
@@ -92,8 +99,9 @@ enum class AttackClass : uint8_t {
   CodeEpochReplay,
   Unload,
   Mlta,
+  MaliciousModule,
 };
-constexpr unsigned NumAttackClasses = 10;
+constexpr unsigned NumAttackClasses = 11;
 
 const char *className(AttackClass C);
 bool parseClassName(const std::string &Name, AttackClass &Out);
@@ -121,8 +129,11 @@ enum class Verdict : uint8_t {
   /// In-class transfers only: the swap landed inside its equivalence
   /// class — the documented precision boundary, not a protection failure.
   AllowedByPolicy,
+  /// The loader's verifier refused the module: it was never sealed, so
+  /// none of its code ran.
+  RefusedAtLoad,
 };
-constexpr unsigned NumVerdicts = 6;
+constexpr unsigned NumVerdicts = 7;
 
 const char *verdictName(Verdict V);
 const char *tierLabel(ExecTier T);

@@ -16,8 +16,11 @@
 #define MCFI_ATTACK_ATTACKINTERNAL_H
 
 #include "attack/Attack.h"
+#include "linker/Linker.h"
 #include "metrics/Harness.h"
 #include "support/RNG.h"
+
+#include <memory>
 
 namespace mcfi {
 namespace attack {
@@ -99,7 +102,50 @@ std::vector<AttackRecord> runUnloadAttacks(ExecTier Tier, unsigned MaxPerClass);
 /// Records name their victim "dual-registry".
 std::vector<AttackRecord> runMltaAttacks(ExecTier Tier, unsigned MaxPerClass);
 
+/// Dlopens each malicious module (buildMaliciousModules), after a
+/// writeObject/readObject round trip, into a fresh host at \p Tier. The
+/// list is fixed, not enumerated, so no per-class cap applies. Records
+/// name their victim "plugin-host".
+std::vector<AttackRecord> runMaliciousModuleAttacks(ExecTier Tier);
+
 const char *tierLabel(ExecTier T);
+
+/// The malicious-module class's world (MaliciousModules.cpp): the host
+/// program defines `secret`, which prints 666 and whose address nothing
+/// takes, and calls `ok` through a function pointer, so its main holds
+/// one checked `calli r15`. The clean plugins the malicious ones are
+/// made from export `plugin_fn`: one dispatches a switch over a jump
+/// table beside a global `long tbl[8]`, the other is plain arithmetic.
+/// Exposed for the malicious-module tests.
+const char *pluginHostSource();
+const char *jumpTablePluginSource();
+
+/// The host linked into a fresh, small machine.
+struct PluginHost {
+  std::unique_ptr<Machine> M;
+  std::unique_ptr<Linker> L;
+};
+
+/// Builds \p H at \p Tier. Every build lays the host out alike, so a
+/// first dlopen maps library 0 at the same addresses in each.
+bool buildPluginHost(PluginHost &H, ExecTier Tier, const LinkOptions &Opts,
+                     std::string &Error);
+
+/// One hand-built module of the malicious-module class.
+struct MaliciousModule {
+  std::string Name;
+  MCFIObject Obj;
+  uint64_t BadOffset = 0; ///< the code offset its refusal names
+};
+
+/// Builds the class's modules, each laid out for where a first dlopen
+/// into a fresh buildPluginHost maps it.
+bool buildMaliciousModules(std::vector<MaliciousModule> &Out,
+                           std::string &Error);
+
+/// Adds \p Delta to the addend of every jump-table relocation of \p Obj:
+/// each JumpTable64 entry and each CodeAddr64 table address.
+void shiftJumpTables(MCFIObject &Obj, uint64_t Delta);
 
 } // namespace attack
 } // namespace mcfi

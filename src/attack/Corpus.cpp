@@ -9,8 +9,9 @@
 /// Orchestrates the gauntlet: per (victim, tier), synthesize the guest-
 /// level attacks, replay each against a fresh victim build, and classify
 /// the outcome against the clean reference run; per tier, run the
-/// classes that bring their own victim (table, unload, mlta) once; then
-/// aggregate per-class kill counts into the AIR-style summary. Everything is
+/// classes that bring their own victim (table, unload, mlta,
+/// malicious-module) once; then aggregate per-class kill counts into
+/// the AIR-style summary. Everything is
 /// deterministic for a fixed CorpusOptions value — no wall clocks, no
 /// unordered iteration, one seeded RNG consumed in a fixed order — so
 /// the JSON rendering is byte-identical across runs.
@@ -49,6 +50,8 @@ const char *mcfi::attack::className(AttackClass C) {
     return "unload";
   case AttackClass::Mlta:
     return "mlta";
+  case AttackClass::MaliciousModule:
+    return "malicious-module";
   }
   return "?";
 }
@@ -78,6 +81,8 @@ const char *mcfi::attack::verdictName(Verdict V) {
     return "unreachable-by-policy";
   case Verdict::AllowedByPolicy:
     return "allowed-by-policy";
+  case Verdict::RefusedAtLoad:
+    return "refused-at-load";
   }
   return "?";
 }
@@ -257,9 +262,10 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
     }
   }
 
-  // The table, unload and mlta classes read no victim: they build their
-  // own (standalone IDTables, the builtin victim with its plugin, the
-  // dual-registry victim), so they run once per tier, not per victim.
+  // The table, unload, mlta and malicious-module classes read no victim:
+  // they build their own (standalone IDTables, the builtin victim with
+  // its plugin, the dual-registry victim, the plugin host), so they run
+  // once per tier, not per victim.
   // They ride the tier grid: the protocol must hold wherever the VM tier
   // embeds it.
   auto Wanted = [&](AttackClass C) {
@@ -277,6 +283,8 @@ CorpusReport mcfi::attack::runCorpus(const CorpusOptions &Opts) {
       Append(runUnloadAttacks(Tier, Opts.MaxPerClass));
     if (Wanted(AttackClass::Mlta))
       Append(runMltaAttacks(Tier, Opts.MaxPerClass));
+    if (Wanted(AttackClass::MaliciousModule))
+      Append(runMaliciousModuleAttacks(Tier));
   }
 
   // Aggregate.

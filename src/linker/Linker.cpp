@@ -29,15 +29,23 @@ Linker::Linker(Machine &M, LinkOptions Opts)
 
 namespace {
 
-/// Disassembles the mapped (relocated, patched) bytes of \p Mod into
-/// \p Dis and verifies that disassembly; on success the caller seals
-/// the module with it.
+/// Disassembles the mapped (relocated, patched) bytes of \p Mod at its
+/// base: the decode the module runs once sealed. \p Instrs is the
+/// instruction count when known, so the decode is reserved exactly.
+Disassembly disassembleMapped(const Machine &M, const MappedModule &Mod,
+                              size_t Instrs = 0) {
+  size_t Size = Mod.Obj->Code.size();
+  return disassembleModule(M.codePtr(Mod.CodeBase, Size), Size, *Mod.Obj,
+                           Mod.CodeBase, Instrs);
+}
+
+/// Disassembles the mapped bytes of \p Mod into \p Dis and verifies that
+/// disassembly; on success the caller seals the module with it.
 VerifyResult verifyMapped(const Machine &M, const MappedModule &Mod,
                           Disassembly &Dis) {
+  Dis = disassembleMapped(M, Mod);
   size_t Size = Mod.Obj->Code.size();
-  const uint8_t *Code = M.codePtr(Mod.CodeBase, Size);
-  Dis = disassembleModule(Code, Size, *Mod.Obj, Mod.CodeBase);
-  return verifyModule(Code, Size, *Mod.Obj, Dis);
+  return verifyModule(M.codePtr(Mod.CodeBase, Size), Size, *Mod.Obj, Dis);
 }
 
 /// Appends \p Entry to one of the linker's histories: append-only logs
@@ -701,11 +709,24 @@ void Linker::processBatch(std::span<const int64_t> Ids,
     NewIndexes.push_back(Member.second);
   patchBaryIndexes(NewPolicy, NewIndexes);
 
-  std::vector<Disassembly> Verified;
+  // An object is verified once, at its first mapping that passes, over
+  // its final bytes. The verdict reads no field a mapping patches
+  // (verifier/Verifier.h), so it holds for every mapping: a later one
+  // only disassembles its own final bytes for its decode.
+  std::vector<Disassembly> Decodes;
   if (Opts.Verify) {
     for (const auto &[Pos, Idx] : Loaded) {
+      Registered &R = Registry[static_cast<size_t>(Ids[Pos])];
       const MappedModule &Mod = M.modules()[static_cast<size_t>(Idx)];
-      VerifyResult VR = verifyMapped(M, Mod, Verified.emplace_back());
+      Disassembly &Dis = Decodes.emplace_back();
+      if (R.Verified) {
+        Dis = disassembleMapped(M, Mod, R.Instrs);
+        assert(Dis.complete() && Dis.Instrs.size() == R.Instrs &&
+               "a mapping changed more than the relocated fields");
+        continue;
+      }
+      VerifyResult VR = verifyMapped(M, Mod, Dis);
+      ++BS.Verified;
       if (!VR.Ok) {
         // Fail the whole batch closed: the policy was generated against
         // every mapped module, so installing it with one member
@@ -717,11 +738,13 @@ void Linker::processBatch(std::span<const int64_t> Ids,
         DiscardBatch();
         return;
       }
+      R.Verified = true;
+      R.Instrs = static_cast<uint32_t>(Dis.Instrs.size());
     }
   }
   for (size_t K = 0; K != Loaded.size(); ++K) {
     if (Opts.Verify)
-      M.sealModule(Loaded[K].second, std::move(Verified[K]));
+      M.sealModule(Loaded[K].second, std::move(Decodes[K]));
     else
       M.sealModule(Loaded[K].second);
   }

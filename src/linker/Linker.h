@@ -77,6 +77,9 @@ struct DlopenResult {
 struct DlopenBatchStats {
   uint32_t Requested = 0;   ///< dlopen requests in the batch
   uint32_t Loaded = 0;      ///< modules that mapped + resolved
+  /// Members whose verifyModule ran: every mapping of an object no
+  /// earlier mapping passed. A reopened object's recorded pass stands.
+  uint32_t Verified = 0;
   bool Installed = false;   ///< the single policy install succeeded
   bool Incremental = false; ///< that install took the delta path
   /// Module views folded into the persistent merge state: the batch's
@@ -225,6 +228,12 @@ private:
   struct Registered {
     std::shared_ptr<const MCFIObject> Obj;
     std::shared_ptr<const ModuleSigs> Sigs;
+    /// Set once the verifier passes Obj at a dlopen mapping. The verdict
+    /// is a property of the object, not of where it is mapped, so no
+    /// later mapping runs the verifier. A refusal is not recorded: every
+    /// dlopen of a refused object verifies it again, and refuses it.
+    bool Verified = false;
+    uint32_t Instrs = 0; ///< Verified: instructions in Obj's disassembly
   };
   static Registered intern(MCFIObject Obj);
   /// Maps \p R's object and records its signatures for the merge's view

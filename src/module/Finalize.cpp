@@ -32,15 +32,21 @@ void mcfi::computeIBTOffsets(AuxInfo &Aux) {
       Aux.IBTOffsets.end());
 }
 
-Disassembly mcfi::disassembleModule(const uint8_t *Code, size_t Size,
-                                   const MCFIObject &Obj, uint64_t Base) {
+std::vector<std::pair<uint64_t, uint64_t>>
+mcfi::jumpTableRanges(const MCFIObject &Obj) {
   std::vector<std::pair<uint64_t, uint64_t>> Ranges;
   Ranges.reserve(Obj.Aux.JumpTables.size());
   for (const JumpTableInfo &JT : Obj.Aux.JumpTables)
     Ranges.emplace_back(JT.TableOffset,
                         JT.TableOffset + 8 * JT.Targets.size());
   std::sort(Ranges.begin(), Ranges.end());
-  return disassemble(Code, Size, Ranges, Base);
+  return Ranges;
+}
+
+Disassembly mcfi::disassembleModule(const uint8_t *Code, size_t Size,
+                                   const MCFIObject &Obj, uint64_t Base,
+                                   size_t Instrs) {
+  return disassemble(Code, Size, jumpTableRanges(Obj), Base, Instrs);
 }
 
 namespace {

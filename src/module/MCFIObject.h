@@ -154,13 +154,20 @@ struct MCFIObject {
   }
 };
 
+/// The byte ranges [TableOffset, TableOffset + 8 * entries) of \p Obj's
+/// declared jump tables, sorted.
+std::vector<std::pair<uint64_t, uint64_t>>
+jumpTableRanges(const MCFIObject &Obj);
+
 /// The module's one disassembly: visa::disassemble of \p Size bytes of
 /// \p Code (the module's code as loaded at absolute address \p Base; 0
 /// for bytes not mapped anywhere) skipping the jump-table data ranges
-/// \p Obj declares. The verifier checks this disassembly and a sealed
-/// module executes it.
+/// \p Obj declares, with room reserved for \p Instrs instructions (0:
+/// unknown). The verifier checks this disassembly and a sealed module
+/// executes it.
 visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
-                                    const MCFIObject &Obj, uint64_t Base = 0);
+                                    const MCFIObject &Obj, uint64_t Base = 0,
+                                    size_t Instrs = 0);
 
 /// True when relocation \p R patches only bytes of its own module: every
 /// byte it writes (8 for the 64-bit kinds, 4 for CallSym and BaryIndex32)

@@ -8,9 +8,10 @@
 /// \file
 /// The threaded execution tier. A DecodedModule is the executable form of
 /// one sealed module's code range, and it is the module's one
-/// disassembly: the visa::Disassembly its verifier checked (or, for an
-/// unverified link, the same disassembler's output at seal) is both the
-/// verifier's input and the VM's stream. The disassembler already writes
+/// disassembly: the linker's visa::Disassembly of its final bytes (the
+/// one its verifier checked, at the object's first mapping; for an
+/// unverified link, the same disassembler's output at seal) is the VM's
+/// stream. The disassembler already writes
 /// the record this tier runs — the instruction, its absolute PC, its
 /// fallthrough link and the TxCheck superinstruction mark — so sealing
 /// moves the stream in and decodes nothing. The stream runs through a

@@ -204,9 +204,10 @@ public:
 
   /// Seals module \p Index: code becomes executable and immutable, and
   /// the module gets its decode, made from \p Dis — the disassembly of
-  /// its final bytes at its CodeBase (disassembleModule) that the
-  /// verifier checked — by moving its stream in, so the bytes are neither
-  /// decoded nor copied a second time. Per the W^X invariant this is a
+  /// its final bytes at its CodeBase (disassembleModule), the one the
+  /// verifier checked at the object's first mapping — by moving its
+  /// stream in, so the bytes are neither decoded nor copied a second
+  /// time. Per the W^X invariant this is a
   /// one-way transition.
   void sealModule(int Index, visa::Disassembly Dis);
 

@@ -12,6 +12,7 @@
 #include "visa/ISA.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace mcfi;
 using namespace mcfi::visa;
@@ -31,8 +32,9 @@ public:
                          static_cast<unsigned long long>(Dis.FirstBad)));
     if (Result.Ok) {
       // The structural checks pin down the facts (complete disassembly,
-      // table contents, boundaries, alignment) the template walk builds
-      // on.
+      // relocated fields, table contents, boundaries, alignment) the
+      // template walk builds on.
+      checkRelocations();
       checkJumpTables();
       checkBareRets();
       checkDirectBranchBoundaries();
@@ -44,6 +46,7 @@ public:
     checkStoreMasks();
     checkStrayIndirects();
     checkDirectBranchEntries();
+    checkFunctionEntries();
     return std::move(Result);
   }
 
@@ -64,6 +67,7 @@ private:
     CheckedBranch = 1, ///< a jmpi/calli ending a verified sequence or table
     MaskedStore = 2,   ///< a store directly preceded by its sandbox mask
     DispatchExit = 4,  ///< the bounds-check jz of a jump-table dispatch
+    RelocatedField = 8, ///< a relocation patches its immediate or rel32
   };
 
   void setFlag(uint64_t Off, uint8_t F) {
@@ -79,6 +83,134 @@ private:
   template <typename FnT> void forEachInstr(FnT Fn) const {
     for (size_t K = 0; K != Dis.Instrs.size(); ++K)
       Fn(Dis.offsetOf(K), Dis.Instrs[K].I);
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Relocations: what a mapping may change
+  //===--------------------------------------------------------------------===//
+
+  static bool patchesCode(RelocKind K) {
+    return K != RelocKind::None && K != RelocKind::DataFuncAddr64 &&
+           K != RelocKind::DataGlobalAddr64;
+  }
+
+  /// Offset of the field a relocation patches in an instruction of
+  /// opcode \p Op: the rel32 of a call or jmp, else the imm64 of a movi or
+  /// the imm32 of a baryread.
+  static unsigned fieldAt(Opcode Op) {
+    return Op == Opcode::Call || Op == Opcode::Jmp ? 1 : 2;
+  }
+
+  /// True when \p K may patch the field of an instruction of opcode \p Op.
+  static bool patchesField(RelocKind K, Opcode Op) {
+    switch (K) {
+    case RelocKind::CallSym:
+      return Op == Opcode::Call || Op == Opcode::Jmp;
+    case RelocKind::BaryIndex32:
+      return Op == Opcode::BaryRead;
+    default:
+      return Op == Opcode::MovImm;
+    }
+  }
+
+  static const char *fieldName(RelocKind K) {
+    switch (K) {
+    case RelocKind::CallSym:
+      return "the rel32 of a call or jmp";
+    case RelocKind::BaryIndex32:
+      return "the imm32 of a baryread";
+    case RelocKind::JumpTable64:
+      return "a declared jump-table entry";
+    default:
+      return "the imm64 of a movi";
+    }
+  }
+
+  /// True when \p Off starts an entry of a declared jump table.
+  /// TableRanges is sorted by start; should declared tables overlap, only
+  /// the last one starting at or before \p Off is tried, which can only
+  /// refuse.
+  bool isTableEntry(uint64_t Off) const {
+    auto It = std::upper_bound(
+        TableRanges.begin(), TableRanges.end(), Off,
+        [](uint64_t O, const std::pair<uint64_t, uint64_t> &T) {
+          return O < T.first;
+        });
+    return It != TableRanges.begin() && Off < std::prev(It)->second &&
+           (Off - std::prev(It)->first) % 8 == 0;
+  }
+
+  /// Each code relocation covers exactly one field: the immediate of an
+  /// instruction of the kind its RelocKind names, or one declared
+  /// jump-table entry; and no two overlap. So no mapping changes an
+  /// opcode or register byte: every mapping disassembles to the same
+  /// instructions, which differ only in the fields listed here. Each
+  /// covered instruction is flagged RelocatedField.
+  void checkRelocations() {
+    TableRanges = jumpTableRanges(Obj);
+    CodeRelocs.reserve(Obj.Relocs.size());
+    for (const RelocEntry &R : Obj.Relocs)
+      if (patchesCode(R.Kind))
+        CodeRelocs.emplace_back(R.Offset, &R);
+    // The assembler emits them in offset order.
+    if (!std::is_sorted(CodeRelocs.begin(), CodeRelocs.end()))
+      std::sort(CodeRelocs.begin(), CodeRelocs.end());
+    uint64_t End = 0;
+    for (const auto &[Off, R] : CodeRelocs) {
+      if (Off < End)
+        error(formatString("relocation at 0x%llx overlaps another",
+                           static_cast<unsigned long long>(Off)));
+      uint64_t Width = R->Kind == RelocKind::CallSym ||
+                               R->Kind == RelocKind::BaryIndex32
+                           ? 4
+                           : 8;
+      End = Off > ~0ull - Width ? ~0ull : Off + Width;
+      bool Covers;
+      if (R->Kind == RelocKind::JumpTable64) {
+        Covers = isTableEntry(Off);
+      } else {
+        unsigned At = R->Kind == RelocKind::CallSym ? 1 : 2;
+        const Instr *I = Off < At ? nullptr : instrAt(Off - At);
+        Covers = I && patchesField(R->Kind, I->Op);
+        if (Covers)
+          setFlag(Off - At, RelocatedField);
+      }
+      if (!Covers)
+        error(formatString("relocation at 0x%llx does not cover %s",
+                           static_cast<unsigned long long>(Off),
+                           fieldName(R->Kind)));
+    }
+  }
+
+  /// The code relocation whose field starts at \p Field, or null.
+  const RelocEntry *relocAt(uint64_t Field) const {
+    auto It = std::lower_bound(
+        CodeRelocs.begin(), CodeRelocs.end(), Field,
+        [](const std::pair<uint64_t, const RelocEntry *> &R, uint64_t F) {
+          return R.first < F;
+        });
+    return It != CodeRelocs.end() && It->first == Field ? It->second
+                                                        : nullptr;
+  }
+
+  /// The relocation patching the field of the instruction \p Op at
+  /// \p Off, or null.
+  const RelocEntry *relocOf(uint64_t Off, Opcode Op) const {
+    return hasFlag(Off, RelocatedField) ? relocAt(Off + fieldAt(Op))
+                                        : nullptr;
+  }
+
+  /// Fails the sequence when a relocation patches the immediate of the
+  /// instruction at \p Off, which the template compared against a
+  /// constant.
+  bool unrelocated(uint64_t Off, const char *What) {
+    if (!hasFlag(Off, RelocatedField))
+      return true;
+    error(formatString("check sequence at 0x%llx: relocation patches the "
+                       "%s at 0x%llx",
+                       static_cast<unsigned long long>(SeqStart), What,
+                       static_cast<unsigned long long>(Off)));
+    return false;
   }
 
   //===--------------------------------------------------------------------===//
@@ -100,10 +232,12 @@ private:
     return true;
   }
 
-  /// Verifies the core of a check transaction starting at \p Off (after
-  /// the target register has been produced). On success, \p Off points at
-  /// the final indirect branch and \p TryOff holds the retry target.
-  bool matchCheckCore(uint64_t &Off, uint64_t &TryOff, uint64_t RetryTarget) {
+  /// Verifies the core of branch site \p Site's check transaction starting
+  /// at \p Off (after the target register has been produced). On success,
+  /// \p Off points at the final indirect branch and \p TryOff holds the
+  /// retry target.
+  bool matchCheckCore(uint64_t &Off, uint64_t &TryOff, uint64_t RetryTarget,
+                      uint32_t Site) {
     // andi r15, 0xffffffff
     if (!expect(Off, Opcode::AndImm,
                 [](const Instr &I) {
@@ -119,11 +253,20 @@ private:
     TryOff = Off;
     if (RetryTarget == ~0ull)
       RetryTarget = TryOff;
-    // baryread r12, [idx]
+    // baryread r12, [idx], idx patched to this site's Bary index
+    uint64_t BaryOff = Off;
     if (!expect(Off, Opcode::BaryRead,
                 [](const Instr &I) { return I.Rd == RegBranchID; },
                 "branch-ID read"))
       return false;
+    const RelocEntry *Idx = relocOf(BaryOff, Opcode::BaryRead);
+    if (!Idx || Idx->SiteId != Site) {
+      error(formatString("check sequence at 0x%llx: branch-ID read at "
+                         "0x%llx does not read site %u's ID",
+                         static_cast<unsigned long long>(SeqStart),
+                         static_cast<unsigned long long>(BaryOff), Site));
+      return false;
+    }
     // tableread r13, [r15]
     if (!expect(Off, Opcode::TableRead,
                 [](const Instr &I) {
@@ -148,9 +291,11 @@ private:
       return false;
     uint64_t GoTarget = JzOff + Jz->Length + static_cast<int64_t>(Jz->Off);
     // movi r11, 1 ; and r11, r11, r13 ; jz r11, Halt
+    uint64_t ValidityOff = Off;
     if (!expect(Off, Opcode::MovImm,
                 [](const Instr &I) { return I.Rd == RegIDDiff && I.Imm == 1; },
-                "validity constant"))
+                "validity constant") ||
+        !unrelocated(ValidityOff, "validity constant"))
       return false;
     if (!expect(Off, Opcode::And,
                 [](const Instr &I) {
@@ -223,7 +368,8 @@ private:
   }
 
   void checkBranchSequences() {
-    for (const BranchSite &BS : Obj.Aux.BranchSites) {
+    for (uint32_t Site = 0; Site != Obj.Aux.BranchSites.size(); ++Site) {
+      const BranchSite &BS = Obj.Aux.BranchSites[Site];
       SeqStart = BS.SeqStart;
       uint64_t Off = BS.SeqStart;
       uint64_t TryOff = 0;
@@ -234,7 +380,7 @@ private:
         Core = expect(Off, Opcode::Pop,
                       [](const Instr &I) { return I.Rd == RegTarget; },
                       "pop of return address") &&
-               matchCheckCore(Off, TryOff, ~0ull);
+               matchCheckCore(Off, TryOff, ~0ull, Site);
         break;
       case BranchKind::IndirectCall:
       case BranchKind::IndirectJump:
@@ -242,7 +388,7 @@ private:
         Core = expect(Off, Opcode::Mov,
                       [](const Instr &I) { return I.Rd == RegTarget; },
                       "target staging move") &&
-               matchCheckCore(Off, TryOff, ~0ull);
+               matchCheckCore(Off, TryOff, ~0ull, Site);
         break;
       case BranchKind::PltJump: {
         // movi r15, &got$sym ; load r15, [r15]
@@ -256,7 +402,7 @@ private:
                                I.Off == 0;
                       },
                       "GOT load") &&
-               matchCheckCore(Off, TryOff, Reload);
+               matchCheckCore(Off, TryOff, Reload, Site);
         break;
       }
       }
@@ -302,9 +448,12 @@ private:
   ///   add r8, r8, r6      ; load r8, [r8]     ; jmpi r8
   ///
   /// so the jmpi only ever reads an entry of the verified table at
-  /// \p TableAddr. Only then does the jmpi count as checked. The span
-  /// joins the check-sequence spans, so no direct branch enters it past
-  /// its bounds check.
+  /// \p TableAddr. The bound and the scale are the module's own
+  /// constants, and the table address is relocated to the table (a
+  /// CodeAddr64 whose addend is the table's offset), so every mapping
+  /// dispatches through its own table. Only then does the jmpi count as
+  /// checked. The span joins the check-sequence spans, so no direct
+  /// branch enters it past its bounds check.
   void checkDispatch(const JumpTableInfo &JT, uint64_t TableAddr) {
     constexpr int32_t Before = 8; // instructions ahead of the jmpi
     int32_t K = Dis.indexAt(JT.JmpOffset);
@@ -367,7 +516,21 @@ private:
       return;
     }
     // The walk landed on the jmpi, so it visited the sweep's starts
-    // K-8..K-1 and the bounds branch is K-6.
+    // K-8..K-1: the bound is K-8, the bounds branch K-6, the table
+    // address K-5 and the scale K-4.
+    if (!unrelocated(Dis.offsetOf(K - 8), "table bound") ||
+        !unrelocated(Dis.offsetOf(K - 4), "entry scale"))
+      return;
+    uint64_t AddrOff = Dis.offsetOf(K - 5);
+    const RelocEntry *Addr = relocOf(AddrOff, Opcode::MovImm);
+    if (!Addr || Addr->Kind != RelocKind::CodeAddr64 ||
+        Addr->Addend != JT.TableOffset) {
+      error(formatString("jump table dispatch at 0x%llx: the table address "
+                         "at 0x%llx is not relocated to the table",
+                         static_cast<unsigned long long>(SeqStart),
+                         static_cast<unsigned long long>(AddrOff)));
+      return;
+    }
     setFlag(Off, CheckedBranch);
     setFlag(Dis.offsetOf(K - 6), DispatchExit);
     SeqSpans.emplace_back(SeqStart, Off + Jmp->Length);
@@ -381,10 +544,13 @@ private:
                            static_cast<unsigned long long>(JT.JmpOffset)));
         continue;
       }
-      // Table entries must be the declared targets (stored as
-      // *absolute* addresses after relocation: base + declared offset,
-      // all within this module). The common base is recovered from the
-      // first entry and must place every target inside the module.
+      // Table entries must be the declared targets. Each is relocated
+      // to the module's code base plus its declared offset (a
+      // JumpTable64 whose addend is the target), so every mapping stores
+      // base + target. The bytes read here must agree: the common base
+      // is recovered from the first entry and must place every target
+      // inside the module. It is compared with nothing absolute, so the
+      // verdict is the same at every base.
       if (JT.Targets.empty()) {
         error("jump table with no targets");
         continue;
@@ -393,6 +559,19 @@ private:
           JT.Targets.size() > (Size - JT.TableOffset) / 8) {
         error("jump table extends past the module");
         continue;
+      }
+      // An instruction running into the table would share bytes the
+      // entries' relocations patch.
+      for (uint64_t S = JT.TableOffset; S != 0 && JT.TableOffset - S < 10;) {
+        const Instr *I = instrAt(--S);
+        if (!I)
+          continue;
+        if (S + I->Length > JT.TableOffset)
+          error(formatString("instruction at 0x%llx runs into the jump "
+                             "table at 0x%llx",
+                             static_cast<unsigned long long>(S),
+                             static_cast<unsigned long long>(JT.TableOffset)));
+        break;
       }
       uint64_t First = 0;
       for (unsigned B = 0; B != 8; ++B)
@@ -408,7 +587,16 @@ private:
         for (unsigned B = 0; B != 8; ++B)
           V |= static_cast<uint64_t>(Code[JT.TableOffset + 8 * E + B])
                << (8 * B);
-        if (V != Base + JT.Targets[E]) {
+        const RelocEntry *R = relocAt(JT.TableOffset + 8 * E);
+        if (!R || R->Kind != RelocKind::JumpTable64 ||
+            R->Addend != JT.Targets[E]) {
+          error(formatString("jump table entry %zu at 0x%llx is not "
+                             "relocated to its declared target",
+                             E,
+                             static_cast<unsigned long long>(JT.TableOffset +
+                                                             8 * E)));
+          EntriesOk = false;
+        } else if (V != Base + JT.Targets[E]) {
           error(formatString("jump table entry %zu at 0x%llx does not "
                              "match the declared target",
                              E,
@@ -445,16 +633,26 @@ private:
            Op == Opcode::Call;
   }
 
+  /// True for a call or jmp whose rel32 a CallSym relocation patches.
+  /// The linker binds it to a function entry of some module or to a PLT
+  /// entry, both declared functions (checkFunctionEntries holds every
+  /// module's), so its displacement is never read.
+  bool boundByLinker(uint64_t Off, const Instr &I) const {
+    return (I.Op == Opcode::Call || I.Op == Opcode::Jmp) &&
+           hasFlag(Off, RelocatedField);
+  }
+
+  /// Every other direct branch stays inside its module and lands on an
+  /// instruction start.
   void checkDirectBranchBoundaries() {
     forEachInstr([&](uint64_t Off, const Instr &I) {
-      if (!isDirectBranch(I.Op))
+      if (!isDirectBranch(I.Op) || boundByLinker(Off, I))
         return;
       uint64_t Target = Off + I.Length + static_cast<int64_t>(I.Off);
-      // Direct calls/jumps may leave the module (cross-module direct
-      // calls after relocation); only intra-module targets are checked.
       if (Target >= Size)
-        return;
-      if (!instrAt(Target))
+        error(formatString("direct branch at 0x%llx leaves the module",
+                           static_cast<unsigned long long>(Off)));
+      else if (!instrAt(Target))
         error(formatString("direct branch at 0x%llx targets a non-boundary",
                            static_cast<unsigned long long>(Off)));
     });
@@ -531,11 +729,9 @@ private:
 
   void checkDirectBranchEntries() {
     forEachInstr([&](uint64_t Off, const Instr &I) {
-      if (!isDirectBranch(I.Op))
+      if (!isDirectBranch(I.Op) || boundByLinker(Off, I))
         return;
       uint64_t Target = Off + I.Length + static_cast<int64_t>(I.Off);
-      if (Target >= Size || !instrAt(Target))
-        return;
       // A branch may not hop into the middle of a check transaction
       // unless it is itself part of that transaction (the retry path).
       // A dispatch's bounds branch leaves its sequence for an unverified
@@ -556,15 +752,39 @@ private:
     });
   }
 
+  /// A CallSym branch of any module may land on any declared function
+  /// entry, so each must be a safe landing site: an instruction start,
+  /// not strictly inside a check or dispatch span, and not a store past
+  /// its mask.
+  void checkFunctionEntries() {
+    for (const FunctionInfo &F : Obj.Aux.Functions) {
+      const char *Why = !instrAt(F.CodeOffset) ? "is not an instruction start"
+                        : insideSeq(F.CodeOffset)
+                            ? "lies inside a check sequence"
+                        : hasFlag(F.CodeOffset, MaskedStore)
+                            ? "bypasses a sandbox mask"
+                            : nullptr;
+      if (Why)
+        error(formatString("function '%s' entry at 0x%llx %s",
+                           F.Name.c_str(),
+                           static_cast<unsigned long long>(F.CodeOffset),
+                           Why));
+    }
+  }
+
   const uint8_t *Code;
   size_t Size;
   const MCFIObject &Obj;
   VerifyResult Result;
 
   const Disassembly &Dis;
-  std::vector<uint8_t> Flags; ///< per instruction: CheckedBranch | MaskedStore
+  std::vector<uint8_t> Flags; ///< per instruction: the flags above
   std::vector<std::pair<uint64_t, uint64_t>> SeqSpans;
   std::vector<uint64_t> SeqMaxEnd; ///< see indexSeqSpans
+  /// Code relocations by offset, and the declared tables' byte ranges
+  /// by start.
+  std::vector<std::pair<uint64_t, const RelocEntry *>> CodeRelocs;
+  std::vector<std::pair<uint64_t, uint64_t>> TableRanges;
   uint64_t SeqStart = 0;
 };
 

@@ -344,7 +344,7 @@ void markFusedCheck(std::vector<DInstr> &S, size_t K) {
 Disassembly mcfi::visa::disassemble(
     const uint8_t *Code, size_t Size,
     const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges,
-    uint64_t Base) {
+    uint64_t Base, size_t Instrs) {
   Disassembly Out;
   Out.Base = Base;
   // The loader maps modules 8-aligned, and a sealed module's decode
@@ -352,7 +352,7 @@ Disassembly mcfi::visa::disassemble(
   // takes the map without reallocating it.
   Out.IndexByOff.reserve((Size + 7) & ~size_t(7));
   Out.IndexByOff.assign(Size, -1);
-  Out.Instrs.reserve(Size / 4);
+  Out.Instrs.reserve(Instrs ? Instrs : Size / 4);
   // Offsets only grow, so the last range beginning at or before Off is
   // found by advancing one cursor.
   size_t NextRange = 0;

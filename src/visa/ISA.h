@@ -222,11 +222,13 @@ struct Disassembly {
 /// Undecodable bytes (an invalid opcode, an instruction truncated by
 /// Size) are skipped one at a time, so the sweep resynchronizes the way a
 /// linear sweep of x86 bytes would; the first one is recorded in
-/// Disassembly::FirstBad.
+/// Disassembly::FirstBad. \p Instrs, when nonzero, is the instruction
+/// count the caller expects (an earlier disassembly of the same
+/// module's bytes), reserved exactly; otherwise Size / 4 are reserved.
 Disassembly
 disassemble(const uint8_t *Code, size_t Size,
             const std::vector<std::pair<uint64_t, uint64_t>> &DataRanges,
-            uint64_t Base);
+            uint64_t Base, size_t Instrs = 0);
 
 } // namespace visa
 } // namespace mcfi

@@ -214,6 +214,32 @@ TEST(AttackCorpus, UnloadLifecycleAttacksAllDieOnEveryTier) {
   EXPECT_EQ(R.AIR, 1.0);
 }
 
+TEST(AttackCorpus, MaliciousModulesAreRefusedAtDlopenOnEveryTier) {
+  // Nine hand-built plugins, each breaking one rule only the loader's
+  // verifier enforces, dlopened on both tiers: every one must be refused
+  // before it is sealed, with a finding that names an offset.
+  CorpusOptions Opts;
+  Opts.Classes = {AttackClass::MaliciousModule};
+  Opts.MaxPerClass = 1; // a fixed list: the cap does not apply
+  CorpusReport R = runCorpus(Opts);
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.Survivors, 0u);
+  ASSERT_EQ(R.Records.size(), 18u);
+  for (const AttackRecord &Rec : R.Records) {
+    EXPECT_EQ(Rec.Class, AttackClass::MaliciousModule);
+    EXPECT_EQ(Rec.Victim, "plugin-host");
+    EXPECT_EQ(Rec.V, Verdict::RefusedAtLoad)
+        << tierLabel(Rec.Tier) << " " << Rec.Name << ": " << Rec.Detail;
+    EXPECT_NE(Rec.Detail.find("0x"), std::string::npos) << Rec.Detail;
+  }
+  const ClassSummary &S = R.Classes.at(AttackClass::MaliciousModule);
+  EXPECT_EQ(S.Killed, 18u);
+  EXPECT_EQ(S.ByVerdict[static_cast<unsigned>(Verdict::RefusedAtLoad)], 18u);
+  EXPECT_STREQ(className(AttackClass::MaliciousModule), "malicious-module");
+  EXPECT_STREQ(verdictName(Verdict::RefusedAtLoad), "refused-at-load");
+}
+
 TEST(AttackCorpus, UnloadClassRoundTripsItsName) {
   EXPECT_STREQ(className(AttackClass::Unload), "unload");
   AttackClass C;

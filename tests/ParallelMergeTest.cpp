@@ -28,6 +28,7 @@
 #include "support/RNG.h"
 #include "tables/ID.h"
 #include "toolchain/Toolchain.h"
+#include "verifier/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,7 @@
 #include <deque>
 #include <map>
 #include <random>
+#include <set>
 #include <utility>
 
 using namespace mcfi;
@@ -1098,7 +1100,11 @@ TEST(ZeroCopyDlopen, SeededChurnSharesEveryArtifact) {
   //    them, once per object;
   //  - every sealed module's decode is the disassembly of its final
   //    bytes, record for record, with Fall the instruction starting
-  //    where each one ends.
+  //    where each one ends;
+  //  - each object is verified once, at its first mapping: a batch's
+  //    Verified count is its members whose object no earlier operation
+  //    opened, and a reopen runs no verifier, though its final bytes
+  //    (re-verified here) still pass.
   constexpr unsigned Plugins = 64;
   constexpr int Shapes = 12, Ops = 360;
   DynProgram D = buildDynamic(Plugins);
@@ -1122,9 +1128,29 @@ TEST(ZeroCopyDlopen, SeededChurnSharesEveryArtifact) {
 
   std::map<uint64_t, int64_t> IdOfSerial; ///< dynamic mappings only
   std::vector<int64_t> Live;
-  auto opened = [&](int64_t H, int64_t Id) {
-    IdOfSerial[M.modules()[static_cast<size_t>(H)].Serial] = Id;
+  std::set<int64_t> Verified; ///< registry ids opened so far
+  unsigned Reopens = 0;
+  auto opened = [&](int64_t H, int64_t Id, const std::string &What) {
+    const MappedModule &Mod = M.modules()[static_cast<size_t>(H)];
+    IdOfSerial[Mod.Serial] = Id;
     Live.push_back(H);
+    if (Verified.insert(Id).second)
+      return;
+    ++Reopens;
+    size_t Size = Mod.Obj->Code.size();
+    const uint8_t *Code = M.codePtr(Mod.CodeBase, Size);
+    VerifyResult VR = verifyModule(
+        Code, Size, *Mod.Obj,
+        disassembleModule(Code, Size, *Mod.Obj, Mod.CodeBase));
+    ASSERT_TRUE(VR.Ok) << What << ": reopen of " << Id << ": "
+                       << VR.Errors.front();
+  };
+  /// Members of \p Ids whose object no earlier operation opened.
+  auto firstOpens = [&](std::set<int64_t> Ids) {
+    unsigned N = 0;
+    for (int64_t Id : Ids)
+      N += !Verified.count(Id);
+    return N;
   };
   auto check = [&](const std::string &What) {
     ASSERT_EQ(moduleSigInterns(), Interns) << What << ": a fold interned";
@@ -1170,22 +1196,27 @@ TEST(ZeroCopyDlopen, SeededChurnSharesEveryArtifact) {
       Live.erase(Live.begin() + static_cast<ptrdiff_t>(K));
     } else if (Roll == 3) {
       int64_t A = pick(), B = pick();
+      unsigned First = firstOpens({A, B});
       std::vector<DlopenResult> R = L.dlopenBatch({A, B});
       ASSERT_GE(R[0].Handle, 0) << What << ": " << L.lastError();
       ASSERT_GE(R[1].Handle, 0) << What << ": " << L.lastError();
-      opened(R[0].Handle, A);
-      opened(R[1].Handle, B);
+      ASSERT_EQ(L.batchHistory().back().Verified, First) << What;
+      opened(R[0].Handle, A, What);
+      opened(R[1].Handle, B, What);
     } else {
       int64_t Id = pick();
+      unsigned First = firstOpens({Id});
       int64_t H = L.dlopen(Id);
       ASSERT_GE(H, 0) << What << ": " << L.lastError();
-      opened(H, Id);
+      ASSERT_EQ(L.batchHistory().back().Verified, First) << What;
+      opened(H, Id, What);
     }
     if (Op % 50 == 49)
       M.drainReclaim();
     check(What);
   }
   ASSERT_TRUE(policiesIdentical(L.policy(), generateCFGReference(viewsOf(M))));
+  EXPECT_GT(Reopens, 100u);
 }
 
 //===----------------------------------------------------------------------===//

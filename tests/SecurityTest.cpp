@@ -22,10 +22,14 @@
 
 #include "attack/AttackInternal.h"
 #include "metrics/Harness.h"
+#include "support/StringUtils.h"
 #include "tables/ID.h"
+#include "toolchain/Toolchain.h"
+#include "verifier/Verifier.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 
 using namespace mcfi;
@@ -319,5 +323,205 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param == ExecTier::Interpreter ? "Interpreter"
                                                  : "Threaded";
     });
+
+//===----------------------------------------------------------------------===//
+// Malicious modules: the verifier alone stands between them and the host
+//===----------------------------------------------------------------------===//
+
+/// True when \p Text names code offset \p Off (as 0x<hex>, not as a
+/// prefix of a longer number).
+bool namesOffset(const std::string &Text, uint64_t Off) {
+  std::string Hex =
+      formatString("0x%llx", static_cast<unsigned long long>(Off));
+  for (size_t Pos = Text.find(Hex); Pos != std::string::npos;
+       Pos = Text.find(Hex, Pos + 1)) {
+    size_t End = Pos + Hex.size();
+    if (End == Text.size() ||
+        !std::isxdigit(static_cast<unsigned char>(Text[End])))
+      return true;
+  }
+  return false;
+}
+
+/// The first finding of verifying \p Obj's own bytes ("" if it passes).
+std::string standaloneFinding(const MCFIObject &Obj) {
+  VerifyResult VR = verifyModule(Obj.Code.data(), Obj.Code.size(), Obj);
+  return VR.Ok ? "" : VR.Errors.front();
+}
+
+/// Runs \p Fn from a fresh stack and returns what it printed before it
+/// stopped (its return address is not a call site, so it never returns
+/// cleanly).
+std::string runEntry(Machine &M, const char *Fn) {
+  Thread T;
+  T.PC = M.findFunction(Fn);
+  T.Regs[visa::RegSP] = M.allocStack();
+  M.run(T, 1'000'000);
+  return M.takeOutput();
+}
+
+/// The plugin host and \p Plugin linked statically (bootstrap 0, host 1,
+/// plugin 2).
+struct StaticBuild {
+  std::unique_ptr<Machine> M = std::make_unique<Machine>();
+  std::unique_ptr<Linker> L;
+  bool Ok = false;
+  std::string Error;
+};
+
+StaticBuild linkWithHost(const MCFIObject &Plugin, bool Verify) {
+  StaticBuild B;
+  LinkOptions LO;
+  LO.Verify = Verify;
+  B.L = std::make_unique<Linker>(*B.M, LO);
+  CompileResult Host =
+      compileModule(attack::pluginHostSource(), {.ModuleName = "host"});
+  EXPECT_TRUE(Host.Ok);
+  std::vector<MCFIObject> Objs;
+  Objs.push_back(std::move(Host.Obj));
+  Objs.push_back(Plugin);
+  B.Ok = B.L->linkProgram(std::move(Objs), B.Error);
+  return B;
+}
+
+/// Serializes \p Obj, reads it back and dlopens it into a fresh host;
+/// returns the handle, with the linker's error in \p Error.
+int64_t dlopenIntoHost(const MCFIObject &Obj, attack::PluginHost &H,
+                       bool Verify, std::string &Error) {
+  LinkOptions LO;
+  LO.Verify = Verify;
+  if (!attack::buildPluginHost(H, ExecTier::Threaded, LO, Error))
+    return -1;
+  MCFIObject Loaded;
+  if (!readObject(writeObject(Obj), Loaded)) {
+    Error = "readObject refused it";
+    return -1;
+  }
+  int64_t Handle = H.L->dlopen(H.L->registerLibrary(std::move(Loaded)));
+  Error = H.L->lastError();
+  return Handle;
+}
+
+const attack::MaliciousModule &findModule(
+    const std::vector<attack::MaliciousModule> &Mods, const std::string &Name) {
+  for (const attack::MaliciousModule &MM : Mods)
+    if (MM.Name == Name)
+      return MM;
+  ADD_FAILURE() << "no malicious module " << Name;
+  return Mods.front();
+}
+
+TEST(MaliciousModule, JumpTableShiftedOntoDataIsRefused) {
+  // A switch dispatch whose table-entry and table-address relocations
+  // all carry one extra delta, aimed so the dispatch reads the global
+  // tbl, where plugin_fn stored secret's address. Every entry still
+  // agrees on one base, so only the addends give the shift away. Run
+  // unverified, sel(3) jumps to secret, which prints 666.
+  CompileResult Plugin =
+      compileModule(attack::jumpTablePluginSource(), {.ModuleName = "jt"});
+  ASSERT_TRUE(Plugin.Ok);
+  const uint64_t Table = Plugin.Obj.Aux.JumpTables.front().TableOffset;
+  const uint64_t Tbl = Plugin.Obj.DataSymbols.at("tbl");
+
+  // Static link: where the plugin lands fixes the delta.
+  StaticBuild Clean = linkWithHost(Plugin.Obj, /*Verify=*/false);
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  const MappedModule &At = Clean.M->modules()[2];
+  MCFIObject Shifted = Plugin.Obj;
+  attack::shiftJumpTables(Shifted,
+                          At.DataBase + Tbl - (At.CodeBase + Table));
+
+  StaticBuild Unverified = linkWithHost(Shifted, /*Verify=*/false);
+  ASSERT_TRUE(Unverified.Ok) << Unverified.Error;
+  EXPECT_EQ(runEntry(*Unverified.M, "plugin_fn"), "666\n");
+
+  // The verifier over the mapped bytes, as the linker would run it.
+  const MappedModule &Mapped = Unverified.M->modules()[2];
+  size_t Size = Shifted.Code.size();
+  const uint8_t *Code = Unverified.M->codePtr(Mapped.CodeBase, Size);
+  VerifyResult VR = verifyModule(
+      Code, Size, Shifted,
+      disassembleModule(Code, Size, Shifted, Mapped.CodeBase));
+  ASSERT_FALSE(VR.Ok);
+  EXPECT_TRUE(namesOffset(VR.Errors.front(), Table)) << VR.Errors.front();
+
+  StaticBuild Verified = linkWithHost(Shifted, /*Verify=*/true);
+  EXPECT_FALSE(Verified.Ok);
+  EXPECT_TRUE(namesOffset(Verified.Error, Table)) << Verified.Error;
+  EXPECT_TRUE(namesOffset(standaloneFinding(Shifted), Table));
+
+  // dlopen of the registered plugin, shifted for where it is mapped.
+  std::vector<attack::MaliciousModule> Mods;
+  std::string Error;
+  ASSERT_TRUE(attack::buildMaliciousModules(Mods, Error)) << Error;
+  const attack::MaliciousModule &MM = findModule(Mods, "jump-table-base");
+  ASSERT_EQ(MM.BadOffset, Table);
+  attack::PluginHost Open, Refused;
+  ASSERT_GE(dlopenIntoHost(MM.Obj, Open, /*Verify=*/false, Error), 0)
+      << Error;
+  EXPECT_EQ(runEntry(*Open.M, "plugin_fn"), "666\n");
+  EXPECT_LT(dlopenIntoHost(MM.Obj, Refused, /*Verify=*/true, Error), 0);
+  EXPECT_TRUE(namesOffset(Error, Table)) << Error;
+}
+
+TEST(MaliciousModule, DirectBranchOutOfTheModuleIsRefused) {
+  // plugin_fn starts `movi r15, &secret; jmp <the host's calli r15>`
+  // with no relocation: it reaches the host's indirect call past its
+  // check, and the calli runs secret, which nothing takes the address
+  // of. Run unverified, it prints 666.
+  std::vector<attack::MaliciousModule> Mods;
+  std::string Error;
+  ASSERT_TRUE(attack::buildMaliciousModules(Mods, Error)) << Error;
+  const attack::MaliciousModule &MM = findModule(Mods, "direct-escape");
+
+  attack::PluginHost Open, Refused;
+  ASSERT_GE(dlopenIntoHost(MM.Obj, Open, /*Verify=*/false, Error), 0)
+      << Error;
+  EXPECT_EQ(runEntry(*Open.M, "plugin_fn"), "666\n");
+
+  std::string Finding = standaloneFinding(MM.Obj);
+  EXPECT_TRUE(namesOffset(Finding, MM.BadOffset)) << Finding;
+  EXPECT_NE(Finding.find("leaves the module"), std::string::npos) << Finding;
+  EXPECT_LT(dlopenIntoHost(MM.Obj, Refused, /*Verify=*/true, Error), 0);
+  EXPECT_TRUE(namesOffset(Error, MM.BadOffset)) << Error;
+  StaticBuild Linked = linkWithHost(MM.Obj, /*Verify=*/true);
+  EXPECT_FALSE(Linked.Ok);
+  EXPECT_TRUE(namesOffset(Linked.Error, MM.BadOffset)) << Linked.Error;
+}
+
+TEST(MaliciousModule, EveryVariantIsRefusedWithAnOffset) {
+  // The standalone verifier names each module's bad offset; a dlopen
+  // (after a writeObject/readObject round trip) and a static link refuse
+  // it with an offset-naming error. A relocation over an opcode is
+  // applied before the loaders verify, so their finding may name the
+  // byte it made undecodable instead.
+  std::vector<attack::MaliciousModule> Mods;
+  std::string Error;
+  ASSERT_TRUE(attack::buildMaliciousModules(Mods, Error)) << Error;
+  std::set<std::string> Names;
+  for (const attack::MaliciousModule &MM : Mods) {
+    Names.insert(MM.Name);
+    std::string Finding = standaloneFinding(MM.Obj);
+    EXPECT_TRUE(namesOffset(Finding, MM.BadOffset))
+        << MM.Name << ": " << Finding;
+    attack::PluginHost H;
+    EXPECT_LT(dlopenIntoHost(MM.Obj, H, /*Verify=*/true, Error), 0)
+        << MM.Name;
+    EXPECT_NE(Error.find("0x"), std::string::npos) << MM.Name << ": " << Error;
+    // Only a pass is recorded: opening the refused library (id 0) again
+    // runs the verifier again, and it refuses again.
+    EXPECT_LT(H.L->dlopen(0), 0) << MM.Name;
+    EXPECT_EQ(H.L->batchHistory().back().Verified, 1u) << MM.Name;
+    StaticBuild Linked = linkWithHost(MM.Obj, /*Verify=*/true);
+    EXPECT_FALSE(Linked.Ok) << MM.Name;
+    EXPECT_NE(Linked.Error.find("0x"), std::string::npos)
+        << MM.Name << ": " << Linked.Error;
+  }
+  EXPECT_EQ(Names, (std::set<std::string>{
+                       "jump-table-base", "direct-escape", "jz-escape",
+                       "callsym-on-jz", "callsym-on-movi",
+                       "reloc-over-opcode", "reloc-spanning",
+                       "relocated-validity", "entry-in-check"}));
+}
 
 } // namespace
