@@ -169,9 +169,12 @@ visa::Disassembly disassembleModule(const uint8_t *Code, size_t Size,
                                     const MCFIObject &Obj, uint64_t Base = 0,
                                     size_t Instrs = 0);
 
+/// Bytes a relocation of kind \p K writes: 4 for CallSym and
+/// BaryIndex32, 8 for the rest.
+uint64_t relocWidth(visa::RelocKind K);
+
 /// True when relocation \p R patches only bytes of its own module: every
-/// byte it writes (8 for the 64-bit kinds, 4 for CallSym and BaryIndex32)
-/// lies inside \p Obj's code, or, for the data kinds, inside its
+/// byte it writes (relocWidth) lies inside \p Obj's code, or, for the data kinds, inside its
 /// DataSize bytes of globals. A None relocation must still point into
 /// the code. Wrap-free for any offset. readObject refuses an object with
 /// a relocation that does not fit, and the linker refuses to patch one.

@@ -101,29 +101,20 @@ private:
 
 } // namespace
 
+uint64_t mcfi::relocWidth(visa::RelocKind K) {
+  return K == visa::RelocKind::CallSym || K == visa::RelocKind::BaryIndex32
+             ? 4
+             : 8;
+}
+
 bool mcfi::relocationFits(const visa::RelocEntry &R, const MCFIObject &Obj) {
   using visa::RelocKind;
-  uint64_t Width = 8;
-  uint64_t Limit = Obj.Code.size();
-  switch (R.Kind) {
-  case RelocKind::None:
-    Width = 1; // patches nothing, but names a code byte
-    break;
-  case RelocKind::CallSym:
-  case RelocKind::BaryIndex32:
-    Width = 4;
-    break;
-  case RelocKind::DataFuncAddr64:
-  case RelocKind::DataGlobalAddr64:
-    Limit = Obj.DataSize;
-    break;
-  case RelocKind::FuncAddr64:
-  case RelocKind::GlobalAddr64:
-  case RelocKind::JumpTable64:
-  case RelocKind::GotSlot64:
-  case RelocKind::CodeAddr64:
-    break;
-  }
+  // None patches nothing, but names a code byte.
+  uint64_t Width = R.Kind == RelocKind::None ? 1 : relocWidth(R.Kind);
+  uint64_t Limit = R.Kind == RelocKind::DataFuncAddr64 ||
+                           R.Kind == RelocKind::DataGlobalAddr64
+                       ? Obj.DataSize
+                       : Obj.Code.size();
   return Width <= Limit && R.Offset <= Limit - Width;
 }
 

@@ -19,6 +19,14 @@ using namespace mcfi::visa;
 
 namespace {
 
+/// The little-endian 64-bit value at \p P.
+uint64_t read64(const uint8_t *P) {
+  uint64_t V = 0;
+  for (unsigned B = 0; B != 8; ++B)
+    V |= static_cast<uint64_t>(P[B]) << (8 * B);
+  return V;
+}
+
 class VerifierImpl {
 public:
   VerifierImpl(const uint8_t *Code, size_t Size, const MCFIObject &Obj,
@@ -94,12 +102,10 @@ private:
            K != RelocKind::DataGlobalAddr64;
   }
 
-  /// Offset of the field a relocation patches in an instruction of
-  /// opcode \p Op: the rel32 of a call or jmp, else the imm64 of a movi or
-  /// the imm32 of a baryread.
-  static unsigned fieldAt(Opcode Op) {
-    return Op == Opcode::Call || Op == Opcode::Jmp ? 1 : 2;
-  }
+  /// Where a relocated field starts in its instruction: the rel32 of a
+  /// call or jmp 1 byte in, the imm64 of a movi and the imm32 of a
+  /// baryread 2 bytes in.
+  static constexpr unsigned RelField = 1, ImmField = 2;
 
   /// True when \p K may patch the field of an instruction of opcode \p Op.
   static bool patchesField(RelocKind K, Opcode Op) {
@@ -160,16 +166,13 @@ private:
       if (Off < End)
         error(formatString("relocation at 0x%llx overlaps another",
                            static_cast<unsigned long long>(Off)));
-      uint64_t Width = R->Kind == RelocKind::CallSym ||
-                               R->Kind == RelocKind::BaryIndex32
-                           ? 4
-                           : 8;
+      uint64_t Width = relocWidth(R->Kind);
       End = Off > ~0ull - Width ? ~0ull : Off + Width;
       bool Covers;
       if (R->Kind == RelocKind::JumpTable64) {
         Covers = isTableEntry(Off);
       } else {
-        unsigned At = R->Kind == RelocKind::CallSym ? 1 : 2;
+        unsigned At = R->Kind == RelocKind::CallSym ? RelField : ImmField;
         const Instr *I = Off < At ? nullptr : instrAt(Off - At);
         Covers = I && patchesField(R->Kind, I->Op);
         if (Covers)
@@ -193,11 +196,10 @@ private:
                                                         : nullptr;
   }
 
-  /// The relocation patching the field of the instruction \p Op at
-  /// \p Off, or null.
-  const RelocEntry *relocOf(uint64_t Off, Opcode Op) const {
-    return hasFlag(Off, RelocatedField) ? relocAt(Off + fieldAt(Op))
-                                        : nullptr;
+  /// The relocation patching the imm64 of the movi, or the imm32 of the
+  /// baryread, at \p Off, or null.
+  const RelocEntry *relocOf(uint64_t Off) const {
+    return hasFlag(Off, RelocatedField) ? relocAt(Off + ImmField) : nullptr;
   }
 
   /// Fails the sequence when a relocation patches the immediate of the
@@ -259,7 +261,7 @@ private:
                 [](const Instr &I) { return I.Rd == RegBranchID; },
                 "branch-ID read"))
       return false;
-    const RelocEntry *Idx = relocOf(BaryOff, Opcode::BaryRead);
+    const RelocEntry *Idx = relocOf(BaryOff);
     if (!Idx || Idx->SiteId != Site) {
       error(formatString("check sequence at 0x%llx: branch-ID read at "
                          "0x%llx does not read site %u's ID",
@@ -522,7 +524,7 @@ private:
         !unrelocated(Dis.offsetOf(K - 4), "entry scale"))
       return;
     uint64_t AddrOff = Dis.offsetOf(K - 5);
-    const RelocEntry *Addr = relocOf(AddrOff, Opcode::MovImm);
+    const RelocEntry *Addr = relocOf(AddrOff);
     if (!Addr || Addr->Kind != RelocKind::CodeAddr64 ||
         Addr->Addend != JT.TableOffset) {
       error(formatString("jump table dispatch at 0x%llx: the table address "
@@ -546,11 +548,10 @@ private:
       }
       // Table entries must be the declared targets. Each is relocated
       // to the module's code base plus its declared offset (a
-      // JumpTable64 whose addend is the target), so every mapping stores
-      // base + target. The bytes read here must agree: the common base
-      // is recovered from the first entry and must place every target
-      // inside the module. It is compared with nothing absolute, so the
-      // verdict is the same at every base.
+      // JumpTable64 whose addend is the target), so the mapping at
+      // Dis.Base stores Dis.Base + target, and the bytes read here must
+      // say so: a table that agrees only with itself on some other base
+      // is refused at its first entry.
       if (JT.Targets.empty()) {
         error("jump table with no targets");
         continue;
@@ -573,35 +574,20 @@ private:
                              static_cast<unsigned long long>(JT.TableOffset)));
         break;
       }
-      uint64_t First = 0;
-      for (unsigned B = 0; B != 8; ++B)
-        First |= static_cast<uint64_t>(Code[JT.TableOffset + B]) << (8 * B);
-      if (First < JT.Targets[0]) {
-        error("jump table entry below its declared target offset");
-        continue;
-      }
-      uint64_t Base = First - JT.Targets[0];
       bool EntriesOk = true;
       for (size_t E = 0; EntriesOk && E != JT.Targets.size(); ++E) {
-        uint64_t V = 0;
-        for (unsigned B = 0; B != 8; ++B)
-          V |= static_cast<uint64_t>(Code[JT.TableOffset + 8 * E + B])
-               << (8 * B);
-        const RelocEntry *R = relocAt(JT.TableOffset + 8 * E);
+        uint64_t EntryOff = JT.TableOffset + 8 * E;
+        const RelocEntry *R = relocAt(EntryOff);
         if (!R || R->Kind != RelocKind::JumpTable64 ||
             R->Addend != JT.Targets[E]) {
           error(formatString("jump table entry %zu at 0x%llx is not "
                              "relocated to its declared target",
-                             E,
-                             static_cast<unsigned long long>(JT.TableOffset +
-                                                             8 * E)));
+                             E, static_cast<unsigned long long>(EntryOff)));
           EntriesOk = false;
-        } else if (V != Base + JT.Targets[E]) {
+        } else if (read64(Code + EntryOff) != Dis.Base + JT.Targets[E]) {
           error(formatString("jump table entry %zu at 0x%llx does not "
-                             "match the declared target",
-                             E,
-                             static_cast<unsigned long long>(JT.TableOffset +
-                                                             8 * E)));
+                             "hold the module's base plus its target",
+                             E, static_cast<unsigned long long>(EntryOff)));
           EntriesOk = false;
         } else if (JT.Targets[E] >= Size || !instrAt(JT.Targets[E])) {
           error(formatString("jump table target %zu (0x%llx) is not an "
@@ -612,7 +598,7 @@ private:
         }
       }
       if (EntriesOk)
-        checkDispatch(JT, Base + JT.TableOffset);
+        checkDispatch(JT, Dis.Base + JT.TableOffset);
     }
   }
 
@@ -799,5 +785,15 @@ VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
 
 VerifyResult mcfi::verifyModule(const uint8_t *Code, size_t Size,
                                 const MCFIObject &Obj) {
-  return verifyModule(Code, Size, Obj, disassembleModule(Code, Size, Obj));
+  // The base the bytes were relocated at, as the first table entry
+  // names it; every entry is then checked against that base.
+  uint64_t Base = 0;
+  if (!Obj.Aux.JumpTables.empty()) {
+    const JumpTableInfo &JT = Obj.Aux.JumpTables.front();
+    if (!JT.Targets.empty() && JT.TableOffset <= Size &&
+        Size - JT.TableOffset >= 8)
+      Base = read64(Code + JT.TableOffset) - JT.Targets[0];
+  }
+  return verifyModule(Code, Size, Obj,
+                      disassembleModule(Code, Size, Obj, Base));
 }

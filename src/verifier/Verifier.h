@@ -47,8 +47,8 @@
 ///    a constant (the validity `movi r11, 1`, a table bound, the scale);
 ///  - table entries and a dispatch's table address are checked through
 ///    their addends (the declared targets, the table's offset); the
-///    entries' bytes must agree on one base, compared with nothing
-///    absolute;
+///    entries' bytes must hold Dis.Base plus their targets, which the
+///    linker's addend arithmetic writes at every base;
 ///  - a check's baryread index is never read: its BaryIndex32 must name
 ///    the check's own site, whose global index the linker patches in;
 ///  - a CallSym displacement is never read: the linker binds it to a
@@ -90,13 +90,17 @@ struct VerifyResult {
 
 /// Verifies the code bytes of a module against its auxiliary info and
 /// relocations. \p Code/\p Size are the module's bytes, unrelocated or
-/// as loaded; offsets in \p Obj are module-relative.
+/// as loaded; offsets in \p Obj are module-relative. The base they were
+/// relocated at is taken from the first declared jump-table entry (0
+/// for a module without tables), so every other entry must agree.
 VerifyResult verifyModule(const uint8_t *Code, size_t Size,
                           const MCFIObject &Obj);
 
 /// Verifies \p Dis, which must be disassembleModule(Code, Size, Obj,
-/// Base) for any Base: checks read each instruction's offset as its PC
-/// minus Dis.Base. Every check reads this disassembly, so a caller that
+/// Base) for the Base \p Code was relocated at (0 for unrelocated
+/// bytes): checks read each instruction's offset as its PC minus
+/// Dis.Base, and jump-table entries must hold Dis.Base plus their
+/// targets. Every check reads this disassembly, so a caller that
 /// goes on to execute it (the linker hands it to Machine::sealModule,
 /// which moves it into the module's decode) runs exactly the
 /// instructions that were verified.

@@ -464,6 +464,43 @@ TEST(MaliciousModule, JumpTableShiftedOntoDataIsRefused) {
   EXPECT_TRUE(namesOffset(Error, Table)) << Error;
 }
 
+TEST(MaliciousModule, JumpTableEntriesMustHoldTheMappingBase) {
+  // The entries are checked against the base the disassembly names, not
+  // against one they merely agree on: the mapped bytes verify at their
+  // own base and are refused, at the table, at any other.
+  CompileResult Plugin =
+      compileModule(attack::jumpTablePluginSource(), {.ModuleName = "jt"});
+  ASSERT_TRUE(Plugin.Ok);
+  const MCFIObject &Obj = Plugin.Obj;
+  const uint64_t Table = Obj.Aux.JumpTables.front().TableOffset;
+  StaticBuild B = linkWithHost(Obj, /*Verify=*/true);
+  ASSERT_TRUE(B.Ok) << B.Error;
+  const uint64_t CodeBase = B.M->modules()[2].CodeBase;
+  size_t Size = Obj.Code.size();
+  const uint8_t *Code = B.M->codePtr(CodeBase, Size);
+  auto VerifyAt = [&](uint64_t Base) {
+    return verifyModule(Code, Size, Obj,
+                        disassembleModule(Code, Size, Obj, Base));
+  };
+  EXPECT_TRUE(VerifyAt(CodeBase).Ok);
+  VerifyResult Elsewhere = VerifyAt(CodeBase + 8);
+  ASSERT_FALSE(Elsewhere.Ok);
+  EXPECT_TRUE(namesOffset(Elsewhere.Errors.front(), Table))
+      << Elsewhere.Errors.front();
+
+  // Without a disassembly the first entry names the base, so the mapped
+  // bytes and the object's own (base 0) both pass, and a later entry
+  // naming another base is refused.
+  EXPECT_TRUE(verifyModule(Code, Size, Obj).Ok);
+  EXPECT_TRUE(verifyModule(Obj.Code.data(), Size, Obj).Ok);
+  std::vector<uint8_t> Torn(Code, Code + Size);
+  Torn[Table + 8 + 1] ^= 1; // entry 1 names a base 256 bytes away
+  VerifyResult TornVR = verifyModule(Torn.data(), Size, Obj);
+  ASSERT_FALSE(TornVR.Ok);
+  EXPECT_TRUE(namesOffset(TornVR.Errors.front(), Table + 8))
+      << TornVR.Errors.front();
+}
+
 TEST(MaliciousModule, DirectBranchOutOfTheModuleIsRefused) {
   // plugin_fn starts `movi r15, &secret; jmp <the host's calli r15>`
   // with no relocation: it reaches the host's indirect call past its
